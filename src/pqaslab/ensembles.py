@@ -175,18 +175,21 @@ def sample_pru_surrogate(z: int, key_seed: bytes, depth: int) -> np.ndarray:
 def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     """The keyed scrambling unitary for the given spec, deterministic in key.
 
-    Cached: encrypt/decrypt/verify calls with the same key reuse the matrix.
-    Callers must not mutate the returned array.
+    Cached: encrypt/decrypt/verify calls with the same key reuse the matrix,
+    so it is returned read-only.
     """
     qcore.check_qubits(z)
     if spec.mode == "haar_exact":
-        return _haar(2**z, keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z))
-    if spec.mode == "pru_only":
-        return sample_pru_surrogate(z, key.k1, spec.depth_for(z))
-    v_pru = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
-    v_4 = sample_design4_surrogate(z, key.k2)
-    v_2 = sample_clifford(z, key.k3)
-    return v_pru @ v_4 @ v_2
+        u = _haar(2**z, keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z))
+    elif spec.mode == "pru_only":
+        u = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
+    else:
+        v_pru = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
+        v_4 = sample_design4_surrogate(z, key.k2)
+        v_2 = sample_clifford(z, key.k3)
+        u = v_pru @ v_4 @ v_2
+    u.flags.writeable = False
+    return u
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

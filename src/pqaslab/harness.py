@@ -136,6 +136,8 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> dict:
+    if not isinstance(config, dict):
+        raise ConfigError("config", "must be a JSON object")
     known = set(_DEFAULTS) | {"experiment"}
     for key in config:
         if key not in known:
@@ -145,6 +147,17 @@ def validate_config(config: dict) -> dict:
     name = cfg.get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    for field in _SWEEPABLE:
+        vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
+        if not vals or not all(_is_int(v) for v in vals):
+            raise ConfigError(field, "must be an integer or a nonempty list of integers")
+    if not _is_int(cfg["seed"]):
+        raise ConfigError("seed", "must be an integer")
+    for field in ("delta", "gamma", "c"):
+        if not _is_real(cfg[field]):
+            raise ConfigError(field, "must be a real number")
+    if not isinstance(cfg["mode"], str):
+        raise ConfigError("mode", "must be a string")
     for field in ("trials", "shots"):
         vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
         if any(v < 1 for v in vals):
@@ -160,7 +173,19 @@ def validate_config(config: dict) -> dict:
     chan = cfg["channel"]
     if not isinstance(chan, dict) or "kind" not in chan:
         raise ConfigError("channel", "must be an object with a 'kind'")
+    pvals = chan.get("p", 0.0)
+    pvals = pvals if isinstance(pvals, list) else [pvals]
+    if not pvals or not all(_is_real(v) for v in pvals):
+        raise ConfigError("channel", "'p' must be a real number or a nonempty list of them")
     return cfg
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def expand_points(cfg: dict, seed_override: int | None = None) -> list[ExperimentPoint]:
@@ -278,9 +303,8 @@ def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
     seed = point_seed(pt)
     psi = qcore.basis_ket(2**pt.n, 0)
     stats = pqas.auth_sweep(psi, part, chan, pt.trials, mode=pt.mode, seed=seed)
-    oracle_ok = 2 ** (2 * part.z) <= moments.MAX_MOMENT_DIM
-    exact_p0 = pqas.exact_haar_p0(part, chan, psi) if oracle_ok else None
-    exact_fp = pqas.exact_haar_fprime(part, chan, psi) if oracle_ok else None
+    exact_p0 = pqas.exact_haar_p0(part, chan, psi)
+    exact_fp = pqas.exact_haar_fprime(part, chan, psi)
     return [
         _metric(pt, "p0", stats.mean_p0, stats.stderr_p0, exact_p0, stats.predicted_p0, label),
         _metric(pt, "fprime", stats.mean_fprime, stats.stderr_fprime, exact_fp, stats.predicted_fprime, label),
@@ -368,7 +392,9 @@ def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
 def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     dist = attacks.decoy_indistinguishability(part, pt.t)
-    exact = 0.5 * moments.closeness_exact(part, qcore.pure_dm(qcore.basis_ket(2**pt.n, 0)), pt.t)
+    exact = None
+    if moments.dense_fits(2**part.z, pt.t):
+        exact = 0.5 * moments.closeness_dense(part, qcore.pure_dm(qcore.basis_ket(2**pt.n, 0)), pt.t)
     # meta-information probe: entanglement entropy across the ciphertext midpoint
     rng = spawn_rng(point_seed(pt), "decoy-probe")
     key = SecretKey.generate(rng)
@@ -394,7 +420,8 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
         completeness.append(primitives.vprdm_verify(rho, key, pt.n, pt.m, spec))
         wrong.append(primitives.vprdm_verify(rho, SecretKey.generate(rng), pt.n, pt.m, spec))
     wrong = np.array(wrong)
-    ghse = primitives.ghse_closeness(pt.n, pt.m, pt.t) if 2 ** (pt.n * pt.t) <= moments.MAX_MOMENT_DIM else None
+    ghse = primitives.ghse_closeness(pt.n, pt.m, pt.t)
+    ghse_dense = primitives.ghse_closeness_dense(pt.n, pt.m, pt.t) if moments.dense_fits(2**pt.n, pt.t) else None
     return [
         _metric(pt, "completeness", float(np.mean(completeness)), exact=1.0),
         _metric(
@@ -404,7 +431,7 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
             stderr=float(np.std(wrong, ddof=1) / np.sqrt(len(wrong))),
             prediction=2.0 ** -(pt.n - pt.m),
         ),
-        _metric(pt, "ghse-closeness", ghse, exact=ghse),
+        _metric(pt, "ghse-closeness", ghse, exact=ghse_dense),
     ]
 
 

@@ -1,9 +1,20 @@
-"""Exact unitary-moment oracle built on symmetric-group machinery.
+"""Exact unitary moments on t copies, built on symmetric-group machinery.
 
-Permutations on t letters are plain tuples ``p`` with ``p[i]`` the image of
-letter i (0-indexed).  Weingarten coefficients are obtained by inverting the
-Gram matrix of permutation operators, which is exact at desk scale (t <= 6)
-and avoids character theory.  The permutation-operator convention is
+Every moment the package needs commutes with U^(x t), so by Schur-Weyl
+duality it is a scalar on each isotypic block lambda of (C^d)^(x t): one block
+per Young diagram lambda with at most d rows, of dimension
+D_lambda = f_lambda * s_lambda(1^d).  The production oracles work in that
+block-scalar form: characters chi_lambda come from the Murnaghan-Nakayama
+rule, f_lambda from the hook-length formula and s_lambda(1^d) from the
+hook-content formula, so a t-copy trace norm becomes a sum over p(t)
+diagrams and never builds a d^t matrix.
+
+The dense path (``haar_moment``, ``encrypted_moment_exact``, ``ghse_moment``)
+is kept as the reference those sums are tested against.  It obtains the
+Weingarten coefficients by inverting the Gram matrix of permutation
+operators, which is exact at desk scale (t <= 6).  Permutations on t letters
+are plain tuples ``p`` with ``p[i]`` the image of letter i (0-indexed), and
+the permutation-operator convention is
 
     P(pi) |i_1 ... i_t>  =  |i_{pi^-1(1)} ... i_{pi^-1(t)}>
 
@@ -14,6 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -21,9 +34,11 @@ import numpy as np
 from . import qcore
 
 MAX_T = 6
+MAX_CLASS_T = 12
 MAX_MOMENT_DIM = 4096
 
 Perm = tuple[int, ...]
+Shape = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +132,95 @@ def _perm_trace(op: np.ndarray, p: Perm, d: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# class functions on S_t
+#
+# Young diagrams and cycle types are both integer partitions of t, written as
+# nonincreasing tuples.
+
+
+@lru_cache(maxsize=None)
+def partitions(t: int) -> tuple[Shape, ...]:
+    """All partitions of t, largest parts first."""
+    if t < 1 or t > MAX_CLASS_T:
+        raise ValueError(f"t must be between 1 and {MAX_CLASS_T}")
+
+    def below(rest: int, cap: int):
+        if rest == 0:
+            yield ()
+        for part in range(min(rest, cap), 0, -1):
+            for tail in below(rest - part, part):
+                yield (part,) + tail
+
+    return tuple(below(t, t))
+
+
+def class_size(mu: Shape) -> int:
+    """Number of permutations of cycle type mu: t! / prod_k k^(m_k) m_k!."""
+    z = math.prod(k**mult * math.factorial(mult) for k, mult in Counter(mu).items())
+    return math.factorial(sum(mu)) // z
+
+
+@lru_cache(maxsize=None)
+def character(lam: Shape, mu: Shape) -> int:
+    """Irreducible character chi_lam at cycle type mu (Murnaghan-Nakayama).
+
+    Rim hooks of length mu[0] are stripped on the beta set of lam: moving a
+    bead from b to b - k removes one, with sign (-1)^(beads strictly between).
+    """
+    if not mu:
+        return 1
+    k, rest = mu[0], mu[1:]
+    r = len(lam)
+    beta = [part + r - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        if b < k or b - k in beta:
+            continue
+        sign = -1 if sum(b - k < c < b for c in beta) % 2 else 1
+        moved = sorted((b - k if c == b else c for c in beta), reverse=True)
+        shape = tuple(x for x in (c - (r - 1 - i) for i, c in enumerate(moved)) if x > 0)
+        total += sign * character(shape, rest)
+    return total
+
+
+@lru_cache(maxsize=None)
+def irrep_dims(lam: Shape, d: int) -> tuple[int, int]:
+    """(f_lam, s_lam(1^d)): the S_t irrep dimension by the hook-length formula
+    and the U(d) irrep dimension by the hook-content formula.
+
+    s_lam(1^d) is 0 when lam has more than d rows: that block does not exist.
+    """
+    cols = [sum(part > j for part in lam) for j in range(lam[0])]
+    hooks = contents = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            hooks *= part - j + cols[j] - i - 1
+            contents *= d + j - i
+    return math.factorial(sum(lam)) // hooks, contents // hooks
+
+
+def character_sum(lam: Shape, weight: Callable[[Shape], float]) -> float:
+    """sum over pi in S_t of chi_lam(pi) weight(cycle type of pi)."""
+    return float(sum(class_size(mu) * character(lam, mu) * weight(mu) for mu in partitions(sum(lam))))
+
+
+def block_traces(weight: Callable[[Shape], float], t: int, d: int) -> dict[Shape, float]:
+    """tr(Pi_lam X) on every isotypic block of (C^d)^(x t).
+
+    ``weight(mu)`` must be tr(X P(pi)) for pi of cycle type mu, so X is any
+    operator whose permutation traces are a class function, for example
+    rho^(x t) or its Haar twirl (the two share every block trace).  The
+    isotypic projector is Pi_lam = (f_lam / t!) sum_pi chi_lam(pi) P(pi).
+    """
+    out = {}
+    for lam in partitions(t):
+        f, s = irrep_dims(lam, d)
+        if s:
+            out[lam] = f * character_sum(lam, weight) / math.factorial(t)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Weingarten coefficients
 
 
@@ -179,8 +283,20 @@ def haar_moment(op: np.ndarray, t: int, d: int) -> np.ndarray:
     return out
 
 
+def _power_traces(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> list[float]:
+    """tr(rho^k) for k = 0..t; (rho (x) tag)^k has the same traces."""
+    if rho.shape[0] != 2**partition.n:
+        raise ValueError("input state does not match the message register")
+    ptr = [1.0]
+    acc = np.eye(rho.shape[0], dtype=complex)
+    for _ in range(t):
+        acc = acc @ rho
+        ptr.append(float(np.trace(acc).real))
+    return ptr
+
+
 def encrypted_moment_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> np.ndarray:
-    """Exact Haar average of the t-copy encrypted state.
+    """Exact Haar average of the t-copy encrypted state (dense reference).
 
     Uses the structure of the padded input: the permutation weight splits into
     a message+tag part, evaluated from cycle traces of rho (x) tag, and a mixed
@@ -191,15 +307,8 @@ def encrypted_moment_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: 
     dim = d**t
     if dim > MAX_MOMENT_DIM:
         raise ValueError(f"2^(z t) = {dim} exceeds the size cap {MAX_MOMENT_DIM}")
-    if rho.shape[0] != 2**partition.n:
-        raise ValueError("input state does not match the message register")
     d_b = 2**partition.m
-    # tr((rho (x) tag)^k) = tr(rho^k); precompute power traces up to t
-    ptr = [1.0]
-    acc = np.eye(rho.shape[0], dtype=complex)
-    for _ in range(t):
-        acc = acc @ rho
-        ptr.append(float(np.trace(acc).real))
+    ptr = _power_traces(partition, rho, t)
     perms = permutations(t)
     wg = _weingarten_table(t, d)
     coeff_a = {p: float(np.prod([ptr[c] for c in cycle_lengths(p)])) for p in perms}
@@ -214,10 +323,32 @@ def encrypted_moment_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: 
     return out
 
 
+def dense_fits(d: int, t: int) -> bool:
+    """Whether the dense t-copy reference can run at local dimension d."""
+    return t <= min(d, MAX_T) and d**t <= MAX_MOMENT_DIM
+
+
 def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> float:
-    """Exact trace norm || E[encrypted^(x t)] - sigma_z^(x t) ||_1."""
-    z = partition.z
-    d = 2**z
+    """Exact trace norm || E[encrypted^(x t)] - sigma_z^(x t) ||_1.
+
+    Both operators are scalars on every isotypic block, so the norm is
+    sum_lambda |tr(Pi_lambda (moment - target))|.  The difference has
+    permutation traces prod_k p_k - d^(#cycles - t) over the cycle lengths k,
+    with p_k = tr(rho^k) d_B^(1 - k); the identity class cancels exactly.
+    """
+    d = 2**partition.z
+    d_b = 2**partition.m
+    ptr = _power_traces(partition, rho, t)
+
+    def gap(mu: Shape) -> float:
+        return math.prod(ptr[k] * float(d_b) ** (1 - k) for k in mu) - float(d) ** (len(mu) - t)
+
+    return float(sum(abs(v) for v in block_traces(gap, t, d).values()))
+
+
+def closeness_dense(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> float:
+    """``closeness_exact`` from the dense moment matrix (reference)."""
+    d = 2**partition.z
     moment = encrypted_moment_exact(partition, rho, t)
     drift = np.max(np.abs(moment - moment.conj().T))
     if drift > 1e-10:
@@ -229,7 +360,7 @@ def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
 
 def ghse_moment(n: int, m: int, t: int) -> np.ndarray:
     """Exact t-copy average over states obtained by tracing m qubits from
-    an (n+m)-qubit Haar-random pure state.
+    an (n+m)-qubit Haar-random pure state (dense reference).
 
     Closed form: (d-1)!/(d+t-1)! * sum_pi d_B^#cycles(pi) P(pi) with d = 2^(n+m),
     d_B = 2^m, and P(pi) acting on t copies of n qubits.
@@ -244,3 +375,21 @@ def ghse_moment(n: int, m: int, t: int) -> np.ndarray:
     for p in permutations(t):
         out += (d_b ** cycles(p)) * permutation_operator(p, d_a)
     return norm * out
+
+
+def ghse_block_traces(n: int, m: int, t: int) -> dict[Shape, float]:
+    """tr(Pi_lambda . ghse_moment(n, m, t)) on every block of (C^(2^n))^(x t).
+
+    tr(Pi_lambda P(pi)) = s_lambda(1^(2^n)) chi_lambda(pi), so each block
+    trace is s_lambda (d-1)!/(d+t-1)! sum_pi chi_lambda(pi) d_B^#cycles(pi).
+    """
+    d_a = 2**n
+    d_b = 2**m
+    d = d_a * d_b
+    norm = 1.0 / math.prod(range(d, d + t))
+    out = {}
+    for lam in partitions(t):
+        s = irrep_dims(lam, d_a)[1]
+        if s:
+            out[lam] = s * norm * character_sum(lam, lambda mu: float(d_b) ** len(mu))
+    return out

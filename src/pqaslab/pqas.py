@@ -144,40 +144,46 @@ def prediction_slack(partition: QubitPartition, channel: Channel) -> float:
 # per-key functionals and their exact Haar averages
 
 
+def _p0_fprime(rho_ext: np.ndarray, psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
+    """(P0, F') read off the tag-|0> slice of the decoded state."""
+    dn, dl, dm = partition.dims
+    decoded = u.conj().T @ channel.apply(u @ rho_ext @ u.conj().T) @ u
+    tagged = decoded.reshape(dn, dl, dm, dn, dl, dm)[:, 0, :, :, 0, :]
+    message = np.einsum("ajbj->ab", tagged)  # tag projected onto |0>, mixed register traced
+    return float(np.trace(message).real), float(np.vdot(psi, message @ psi).real)
+
+
 def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
     """(P0, F') for one scrambler realization and a pure message state."""
-    rho_ext = pad_state(qcore.pure_dm(psi), partition)
-    decoded = u.conj().T @ channel.apply(u @ rho_ext @ u.conj().T) @ u
-    p0 = float(np.trace(tag_projector(partition) @ decoded).real)
-    dn, dl, dm = partition.dims
-    weight = qcore.tensor(qcore.pure_dm(psi), qcore.zero_tag_state(partition.l), np.eye(dm))
-    fprime = float(np.trace(weight @ decoded).real)
-    return p0, fprime
+    return _p0_fprime(pad_state(qcore.pure_dm(psi), partition), psi, u, partition, channel)
 
 
-def _exact_haar_functional(weight: np.ndarray, partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
-    """Exact Haar mean of tr(weight . U^dag Gamma(U rho_ext U^dag) U).
+def _twirled_weight(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
+    """Weight p of the Haar-twirled tamper channel.
 
-    Computed from the exact 2-fold twirl: the mean equals
-    tr[(Gamma (x) id)(T2(rho_ext (x) weight)) . SWAP].
+    E_U[U^dag Gamma(U X U^dag) U] = p X + (1 - p) tr(X) I/d with
+    p = (d^2 F_e - 1)/(d^2 - 1), and d^2 F_e = sum_i |tr K_i|^2.  The Haar
+    means of P0 and F' follow for every normalized message state psi.
     """
     d = 2**partition.z
-    rho_ext = pad_state(qcore.pure_dm(psi), partition)
-    twirled = moments.haar_moment(np.kron(rho_ext, weight), 2, d)
-    pushed = channel.apply_left(twirled, d)
-    return float(moments._perm_trace(pushed, (1, 0), d).real)
+    if channel.dim != d:
+        raise ValueError("channel does not act on the ciphertext")
+    if psi.shape != (2**partition.n,):
+        raise ValueError("message state does not match the partition")
+    qcore.check_pure_state(psi)
+    return (channel.kraus_trace_square_sum() - 1.0) / (float(d) ** 2 - 1.0)
 
 
 def exact_haar_p0(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
-    """Exact (Weingarten-oracle) Haar mean of P0; feasible for z <= 6."""
-    return _exact_haar_functional(tag_projector(partition), partition, channel, psi)
+    """Exact Haar mean of P0: p + (1 - p) 2^-l from the two-fold twirl."""
+    p = _twirled_weight(partition, channel, psi)
+    return p + (1.0 - p) * 2.0**-partition.l
 
 
 def exact_haar_fprime(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
-    """Exact Haar mean of F'."""
-    dn, dl, dm = partition.dims
-    weight = qcore.tensor(qcore.pure_dm(psi), qcore.zero_tag_state(partition.l), np.eye(dm))
-    return _exact_haar_functional(weight, partition, channel, psi)
+    """Exact Haar mean of F': p + (1 - p) 2^-(n + l) from the two-fold twirl."""
+    p = _twirled_weight(partition, channel, psi)
+    return p + (1.0 - p) * 2.0 ** -(partition.n + partition.l)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +234,7 @@ def auth_sweep(
         raise ValueError("need at least 100 trials for stable statistics")
     spec = ScramblerSpec(mode=mode)
     z = partition.z
+    rho_ext = pad_state(qcore.pure_dm(psi), partition)
     p0s = np.empty(trials)
     fps = np.empty(trials)
     for i in range(trials):
@@ -236,7 +243,7 @@ def auth_sweep(
             u = sample_haar(z, rng)
         else:
             u = build_scrambler(SecretKey.generate(rng), z, spec)
-        p0s[i], fps[i] = p0_fprime_for_unitary(psi, u, partition, channel)
+        p0s[i], fps[i] = _p0_fprime(rho_ext, psi, u, partition, channel)
     fids = fps / p0s
     mean_p0, se_p0 = _mean_stderr(p0s)
     mean_fp, se_fp = _mean_stderr(fps)
@@ -308,7 +315,7 @@ def security_scan(
 
     Pass ``rho`` (a single-copy message state, replicated as a product) or a
     general joint state ``rho_g`` on t message registers plus q purification
-    qubits.  For product inputs with q = 0 the exact Weingarten value is
+    qubits.  For product inputs with q = 0 the exact closed-form value is
     attached for cross-checking.  The estimate is bootstrap bias-corrected,
     with the standard error taken over resampled batch means.
     """
@@ -323,8 +330,7 @@ def security_scan(
         rho_g = rho
         for _ in range(t - 1):
             rho_g = np.kron(rho_g, rho)
-        if 2 ** (z * t) <= moments.MAX_MOMENT_DIM:
-            exact = 0.5 * moments.closeness_exact(partition, rho, t)
+        exact = 0.5 * moments.closeness_exact(partition, rho, t)
     qcore.check_qubits(t * z + q)
     dq = 2**q
     padded = _pad_joint_state(rho_g, partition, t, q)

@@ -58,7 +58,21 @@ def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: Scramble
 def ghse_closeness(n: int, m: int, t: int) -> float:
     """Exact t-copy trace distance between the random-mixed-state ensemble
     average (tracing m qubits from an (n+m)-qubit Haar state) and the
-    Haar-scrambled fixed-spectrum ensemble average."""
+    Haar-scrambled fixed-spectrum ensemble average.
+
+    Both averages are scalars on every S_t isotypic block, so the distance is
+    half the summed block-trace gaps.  The fixed spectrum |0><0|^(n-m) (x)
+    sigma_m has tr(base^k) = 2^(m (1 - k)).
+    """
+    if not 0 <= m <= n:
+        raise ValueError("need 0 <= m <= n")
+    ghse = moments.ghse_block_traces(n, m, t)
+    fixed = moments.block_traces(lambda mu: 2.0 ** (m * (len(mu) - t)), t, 2**n)
+    return 0.5 * sum(abs(ghse[lam] - fixed[lam]) for lam in ghse)
+
+
+def ghse_closeness_dense(n: int, m: int, t: int) -> float:
+    """``ghse_closeness`` from the dense moment matrices (reference)."""
     ghse = moments.ghse_moment(n, m, t)
     base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m))
     op = base

@@ -255,17 +255,14 @@ def swap_test_accept(a: np.ndarray, b: np.ndarray) -> float:
 class Channel:
     """CPTP map with enough structure for the closed-form fidelity functionals.
 
-    Subclasses provide ``apply`` (act on a state), ``apply_left`` (act on the
-    left factor of a bipartite operator, needed by the exact moment oracle)
-    and ``kraus_trace_square_sum`` = sum_i |tr K_i|^2.
+    Subclasses provide ``apply`` (act on a state) and
+    ``kraus_trace_square_sum`` = sum_i |tr K_i|^2, which fixes the Haar-twirled
+    channel and with it the exact P0/F' means.
     """
 
     dim: int
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def apply_left(self, mat: np.ndarray, right_dim: int) -> np.ndarray:
         raise NotImplementedError
 
     def kraus_trace_square_sum(self) -> float:
@@ -296,14 +293,6 @@ class KrausChannel(Channel):
             out += k @ rho @ k.conj().T
         return out
 
-    def apply_left(self, mat, right_dim):
-        out = np.zeros_like(mat)
-        eye = np.eye(right_dim)
-        for k in self.kraus_ops:
-            big = np.kron(k, eye)
-            out += big @ mat @ big.conj().T
-        return out
-
     def kraus_trace_square_sum(self):
         return float(sum(abs(np.trace(k)) ** 2 for k in self.kraus_ops))
 
@@ -325,9 +314,6 @@ class IdentityChannel(Channel):
     def apply(self, rho):
         return rho.copy()
 
-    def apply_left(self, mat, right_dim):
-        return mat.copy()
-
     def kraus_trace_square_sum(self):
         return float(self.dim**2)
 
@@ -345,10 +331,6 @@ class UnitaryChannel(Channel):
 
     def apply(self, rho):
         return self.v @ rho @ self.v.conj().T
-
-    def apply_left(self, mat, right_dim):
-        big = np.kron(self.v, np.eye(right_dim))
-        return big @ mat @ big.conj().T
 
     def kraus_trace_square_sum(self):
         return float(abs(np.trace(self.v)) ** 2)
@@ -373,11 +355,6 @@ class DepolarizingChannel(Channel):
     def apply(self, rho):
         d = self.dim
         return (1.0 - self.p) * rho + self.p * np.trace(rho) * np.eye(d) / d
-
-    def apply_left(self, mat, right_dim):
-        d = self.dim
-        reduced = partial_trace(mat, [d, right_dim], {0})
-        return (1.0 - self.p) * mat + self.p * np.kron(np.eye(d) / d, reduced)
 
     def kraus_trace_square_sum(self):
         # only the identity Kraus operator sqrt(1 - p + p/d^2) I has a trace
@@ -417,21 +394,6 @@ class LocalDepolarizingChannel(Channel):
             out = self._apply_on_qubit(out, q, self.qubits)
         return out
 
-    def apply_left(self, mat, right_dim):
-        extra = int(round(np.log2(right_dim)))
-        total = self.qubits + extra
-        t = mat
-        for q in range(self.qubits):
-            left = 2**q
-            right = 2 ** (total - q - 1)
-            tt = t.reshape(left, 2, right, left, 2, right)
-            traced = tt[:, 0, :, :, 0, :] + tt[:, 1, :, :, 1, :]
-            out = (1.0 - self.p) * tt
-            out[:, 0, :, :, 0, :] += 0.5 * self.p * traced
-            out[:, 1, :, :, 1, :] += 0.5 * self.p * traced
-            t = out.reshape(mat.shape)
-        return t
-
     def kraus_trace_square_sum(self):
         # per qubit only the identity Kraus has nonzero trace
         return float((1.0 - 0.75 * self.p) ** self.qubits * self.dim**2)
@@ -456,9 +418,6 @@ class MixtureChannel(Channel):
 
     def apply(self, rho):
         return sum(w * c.apply(rho) for w, c in zip(self.weights, self.channels))
-
-    def apply_left(self, mat, right_dim):
-        return sum(w * c.apply_left(mat, right_dim) for w, c in zip(self.weights, self.channels))
 
     def kraus_trace_square_sum(self):
         return float(sum(w * c.kraus_trace_square_sum() for w, c in zip(self.weights, self.channels)))

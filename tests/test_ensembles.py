@@ -244,6 +244,17 @@ class TestScrambler:
         assert np.array_equal(a, b)
         assert np.max(np.abs(a.conj().T @ a - np.eye(8))) <= 1e-9
 
+    @pytest.mark.parametrize("mode", ["composed", "haar_exact", "pru_only"])
+    def test_cached_scrambler_is_read_only(self, mode):
+        key = SecretKey.generate(spawn_rng(20, "scr", mode))
+        spec = ScramblerSpec(mode=mode)
+        u = build_scrambler(key, 2, spec)
+        before = u.copy()
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 5
+        assert np.array_equal(build_scrambler(key, 2, spec), before)
+
     def test_modes_differ(self):
         key = SecretKey.generate(spawn_rng(10, "scr"))
         a = build_scrambler(key, 2, ScramblerSpec(mode="composed"))

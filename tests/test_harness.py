@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pqaslab import harness
+from pqaslab import cli, harness
 from pqaslab.harness import ConfigError, ResultRecord
 
 
@@ -29,6 +29,23 @@ class TestConfig:
             harness.validate_config({"experiment": "auth-sweep", "channel": {}})
         assert err.value.field == "channel"
 
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            ({"experiment": "cpa", "n": "2"}, "n"),
+            ({"experiment": "efi", "delta": [0.1, 0.2]}, "delta"),
+            ({"experiment": "wg-selftest", "trials": True}, "trials"),
+            ({"experiment": "cpa", "t": [2, 2.5]}, "t"),
+            ({"experiment": "cpa", "seed": "7"}, "seed"),
+            ({"experiment": "auth-sweep", "channel": {"kind": "depolarizing", "p": [0.1, None]}}, "channel"),
+            ([1, 2], "config"),
+        ],
+    )
+    def test_field_types(self, config, field):
+        with pytest.raises(ConfigError) as err:
+            harness.validate_config(config)
+        assert err.value.field == field
+
     def test_sweep_expansion(self):
         cfg = harness.validate_config(
             {
@@ -48,6 +65,24 @@ class TestConfig:
         seeds = [harness.point_seed(p) for p in points]
         assert len(set(seeds)) == len(seeds)
         assert seeds == [harness.point_seed(p) for p in harness.expand_points(cfg)]
+
+
+class TestCli:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "cpa", "n": "2"},
+            {"experiment": "efi", "delta": [0.1, 0.2]},
+            {"experiment": "wg-selftest", "trials": True},
+        ],
+    )
+    def test_mistyped_field_exits_2(self, config, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: config field")
 
 
 class TestEmit:
@@ -163,6 +198,32 @@ class TestRun:
         )
         dist = next(r for r in records if r.experiment == "decoy:distance")
         assert dist.estimate == pytest.approx(dist.exact, abs=1e-12)
+
+    def test_exact_columns_come_from_the_dense_reference(self, monkeypatch):
+        # the exact column is filled by the dense path where it fits, and left empty past it
+        monkeypatch.setattr(harness.moments, "closeness_dense", lambda *args: 2.0)
+        monkeypatch.setattr(harness.primitives, "ghse_closeness_dense", lambda *args: 0.5)
+        decoy = harness.run({"experiment": "decoy", "n": 1, "l": 1, "m": [1, 3], "t": [2, 4]}, record_timing=False)
+        dist = {(r.m, r.t): r for r in decoy if r.experiment == "decoy:distance"}
+        assert dist[1, 2].exact == 1.0 and dist[1, 4].exact == 1.0
+        assert dist[3, 2].exact == 1.0 and dist[3, 4].exact is None  # 32^4 > MAX_MOMENT_DIM
+        assert all(0.0 < r.estimate < 1.0 for r in dist.values())
+        vprdm = harness.run({"experiment": "vprdm", "n": [2, 5], "m": 1, "t": 6, "trials": 2}, record_timing=False)
+        ghse = {r.n: r for r in vprdm if r.experiment == "vprdm:ghse-closeness"}
+        assert ghse[2].exact is None and ghse[5].exact is None  # t = 6 > d = 4; 32^6 > MAX_MOMENT_DIM
+        assert all(0.0 < r.estimate < 1.0 for r in ghse.values())
+        vprdm = harness.run({"experiment": "vprdm", "n": 3, "m": 1, "t": 2, "trials": 2}, record_timing=False)
+        assert next(r for r in vprdm if r.experiment == "vprdm:ghse-closeness").exact == 0.5
+
+    def test_auth_sweep_exact_beyond_the_old_cap(self):
+        records = harness.run(
+            {"experiment": "auth-sweep", "n": 1, "l": 2, "m": 4, "trials": 100,
+             "channel": {"kind": "local_depolarizing", "p": 0.2}},
+            record_timing=False,
+        )
+        for r in records:
+            if r.experiment != "auth-sweep:fidelity":
+                assert abs(r.estimate - r.exact) <= 3 * r.stderr + 1e-9
 
     def test_multistate_smoke(self):
         records = harness.run(

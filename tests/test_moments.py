@@ -9,7 +9,7 @@ import pytest
 
 from pqaslab import moments, pqas, qcore
 from pqaslab._streams import spawn_rng
-from pqaslab.ensembles import sample_ghse, sample_haar
+from pqaslab.ensembles import random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
 
 
@@ -188,6 +188,77 @@ class TestEncryptedMoment:
                     consts.append(moments.closeness_exact(part, rho, t) * 2**m / t**2)
         mid = np.median(consts)
         assert all(0.5 * mid <= c <= 1.5 * mid for c in consts)
+
+
+class TestCharacters:
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_orthogonality_and_dimensions(self, t):
+        shapes = moments.partitions(t)
+        assert sum(moments.class_size(mu) for mu in shapes) == math.factorial(t)
+        for lam in shapes:
+            for nu in shapes:
+                inner = sum(moments.class_size(mu) * moments.character(lam, mu) * moments.character(nu, mu) for mu in shapes)
+                assert inner == (math.factorial(t) if lam == nu else 0)
+            assert moments.character(lam, (1,) * t) == moments.irrep_dims(lam, 1)[0]
+        for d in (1, 2, 3, 5):
+            # Schur-Weyl: the blocks of (C^d)^(x t) fill it
+            assert sum(math.prod(moments.irrep_dims(lam, d)) for lam in shapes) == d**t
+
+    def test_hook_content_matches_power_sums(self):
+        # s_lam(1^d) = (1/t!) sum_pi chi_lam(pi) d^#cycles(pi)
+        for t in (2, 4, 6):
+            for lam in moments.partitions(t):
+                for d in (1, 2, 3, 8):
+                    want = moments.character_sum(lam, lambda mu: d ** len(mu)) / math.factorial(t)
+                    assert moments.irrep_dims(lam, d)[1] == pytest.approx(want, abs=1e-9)
+
+    def test_characters_match_permutation_traces(self):
+        # tr(Pi_lam P(sigma)) = s_lam(1^d) chi_lam(sigma) on the dense operators
+        t, d = 3, 2
+        perms = moments.permutations(t)
+        for lam in moments.partitions(t):
+            f, s = moments.irrep_dims(lam, d)
+            chi = {p: moments.character(lam, tuple(sorted(moments.cycle_lengths(p), reverse=True))) for p in perms}
+            proj = f / math.factorial(t) * sum(chi[p] * moments.permutation_operator(p, d) for p in perms)
+            for sigma in perms:
+                val = np.trace(proj @ moments.permutation_operator(sigma, d)).real
+                assert val == pytest.approx(s * chi[sigma], abs=1e-12)
+
+    def test_class_t_range(self):
+        with pytest.raises(ValueError):
+            moments.partitions(0)
+        with pytest.raises(ValueError):
+            moments.partitions(moments.MAX_CLASS_T + 1)
+
+
+# layouts (n, l, m, t) with t <= 4, d = 2^z >= t and d^t small enough for a fast dense reference
+DENSE_LAYOUTS = [
+    (1, 0, 0, 1), (1, 1, 1, 1), (1, 0, 0, 2), (1, 1, 0, 2), (1, 0, 1, 2), (2, 1, 1, 2),
+    (1, 1, 2, 2), (1, 1, 0, 3), (2, 0, 0, 3), (1, 0, 1, 3), (2, 1, 0, 3), (1, 1, 0, 4), (2, 0, 0, 4),
+]
+
+
+class TestClosedFormCloseness:
+    @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS)
+    def test_matches_dense_reference(self, n, l, m, t):
+        part = QubitPartition(n, l, m)
+        rng = spawn_rng(7, "closed-vs-dense", n, l, m, t)
+        for rho in (qcore.pure_dm(random_pure_state(n, rng)), sample_ghse(n, n, rng)):
+            # closeness_dense: trace_norm of encrypted_moment_exact minus the maximally mixed target
+            assert abs(moments.closeness_exact(part, rho, t) - moments.closeness_dense(part, rho, t)) <= 1e-12
+
+    def test_beyond_the_dense_cap(self):
+        # d^t = 2^24 (z = 4, t = 6) and 2^60 (z = 10, t = 6): no dense matrix exists
+        rho = qcore.pure_dm(qcore.basis_ket(2, 0))
+        vals = [moments.closeness_exact(QubitPartition(1, 1, m), rho, 6) for m in (2, 3, 4)]
+        assert all(0.0 < v <= 2.0 for v in vals)
+        assert vals[2] < vals[1] < vals[0]
+        big = moments.closeness_exact(QubitPartition(4, 3, 3), qcore.pure_dm(qcore.basis_ket(16, 0)), 6)
+        assert 0.0 < big <= 2.0
+
+    def test_rejects_wrong_register(self):
+        with pytest.raises(ValueError):
+            moments.closeness_exact(QubitPartition(2, 1, 1), qcore.maximally_mixed(1), 2)
 
 
 class TestGhseMoment:

@@ -4,7 +4,7 @@ and their exact Haar averages."""
 import numpy as np
 import pytest
 
-from pqaslab import pqas, qcore
+from pqaslab import moments, pqas, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import ScramblerSpec, SecretKey, random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
@@ -133,7 +133,55 @@ class TestChannelFidelity:
         assert pm == pytest.approx(0.25 * pa + 0.75 * pb, abs=1e-9)
 
 
+def _twirl_reference(weight, part, channel, psi):
+    """Haar mean of tr(weight U^dag Gamma(U rho_ext U^dag) U) from the dense
+    two-fold twirl: tr[(Gamma (x) id)(T2(rho_ext (x) weight)) SWAP]."""
+    d = 2**part.z
+    rho_ext = pqas.pad_state(qcore.pure_dm(psi), part)
+    twirled = moments.haar_moment(np.kron(rho_ext, weight), 2, d).reshape(d, d, d, d)
+    # Gamma (x) id from Gamma's images of the left factor's matrix units |i><j|
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    images = np.array([channel.apply(e) for e in units]).reshape(d, d, d, d)
+    pushed = np.einsum("ijab,ikjl->akbl", images, twirled)
+    return np.einsum("akka->", pushed).real
+
+
+def _channel_classes(z, rng):
+    d = 2**z
+    dep = qcore.DepolarizingChannel(d, 0.3)
+    unitary = qcore.UnitaryChannel(sample_haar(z, rng))
+    return [
+        qcore.IdentityChannel(d),
+        dep,
+        qcore.LocalDepolarizingChannel(z, 0.2),
+        unitary,
+        qcore.MixtureChannel([0.4, 0.6], [dep, unitary]),
+    ]
+
+
 class TestFunctionals:
+    @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (1, 1, 0), (1, 0, 1), (2, 1, 0), (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 0)])
+    def test_exact_oracle_matches_dense_twirl(self, n, l, m):
+        part = QubitPartition(n, l, m)
+        rng = spawn_rng(19, "twirl-reference", n, l, m)
+        psi = random_pure_state(n, rng)
+        tag = pqas.tag_projector(part)
+        weight = qcore.tensor(qcore.pure_dm(psi), qcore.zero_tag_state(l), np.eye(2**m))
+        for chan in _channel_classes(part.z, rng):
+            assert abs(pqas.exact_haar_p0(part, chan, psi) - _twirl_reference(tag, part, chan, psi)) <= 1e-12
+            assert abs(pqas.exact_haar_fprime(part, chan, psi) - _twirl_reference(weight, part, chan, psi)) <= 1e-12
+
+    def test_exact_oracle_at_the_qubit_cap(self):
+        # z = 10: the dense twirl would need a 2^20-dimensional operator
+        part = QubitPartition(4, 3, 3)
+        psi = qcore.basis_ket(16, 0)
+        chan = qcore.LocalDepolarizingChannel(part.z, 0.1)
+        slack = pqas.prediction_slack(part, chan)
+        assert abs(pqas.exact_haar_p0(part, chan, psi) - pqas.predicted_p0(part, chan)) <= slack
+        assert abs(pqas.exact_haar_fprime(part, chan, psi) - pqas.predicted_fprime(part, chan)) <= slack
+        with pytest.raises(ValueError):
+            pqas.exact_haar_p0(part, qcore.IdentityChannel(2**9), psi)
+
     def test_fprime_identities(self):
         rng = spawn_rng(11, "fprime")
         part = QubitPartition(1, 1, 1)

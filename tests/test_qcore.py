@@ -251,21 +251,6 @@ class TestStructuredChannels:
             structured.kraus_trace_square_sum(), rel=1e-12
         )
 
-    def test_apply_left_matches_big_kron(self):
-        rng = spawn_rng(15, "left")
-        mat = sample_ghse(3, 1, rng)  # 8-dim operator, left factor 4-dim
-        for chan in (
-            qcore.DepolarizingChannel(4, 0.3),
-            qcore.LocalDepolarizingChannel(2, 0.3),
-            qcore.UnitaryChannel(sample_haar(2, rng)),
-            qcore.IdentityChannel(4),
-        ):
-            got = chan.apply_left(mat, 2)
-            if isinstance(chan, qcore.DepolarizingChannel):
-                expect = (1 - 0.3) * mat + 0.3 * np.kron(np.eye(4) / 4, qcore.partial_trace(mat, [4, 2], {0}))
-                assert np.allclose(got, expect, atol=1e-12)
-            assert np.trace(got).real == pytest.approx(np.trace(mat).real, abs=1e-10)
-
     def test_mixed_unitary_probabilities(self):
         probs = qcore.DepolarizingChannel(4, 0.5).mixed_unitary_probabilities()
         assert probs is not None and probs.sum() == pytest.approx(1.0)
