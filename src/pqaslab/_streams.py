@@ -6,8 +6,9 @@ context tuple to 256 bits of entropy, which seeds a PCG64 generator.  The
 derivation is counter-free at this level; callers that need a sequence of
 independent streams include a counter or trial index in the context.
 
-The generator identity below is recorded in experiment metadata so results
-can be reproduced given the same generator choice.
+``GENERATOR_ID`` names this derivation so that a report can state which
+generator produced its numbers; the experiment records and CSV/JSON outputs
+do not carry it.
 """
 
 from __future__ import annotations

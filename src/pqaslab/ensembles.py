@@ -8,6 +8,7 @@ documented order, so repeated calls are bitwise identical.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +23,7 @@ __all__ = [
     "SecretKey",
     "ScramblerSpec",
     "sample_haar",
+    "sample_haar_batch",
     "sample_clifford",
     "sample_design4_surrogate",
     "sample_pru_surrogate",
@@ -95,18 +97,32 @@ class ScramblerSpec:
 # samplers
 
 
-def _haar(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary: Ginibre matrix, QR, R-diagonal phases normalized."""
-    g = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+def _haar(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Stack of Haar unitaries, one per generator: Ginibre matrices, one
+    batched QR, R-diagonal phases normalized.
+
+    Each Ginibre matrix is drawn from its own generator in the same order as a
+    lone draw, and the batched QR factors every matrix separately, so entry i
+    is bitwise the unitary a batch of one would give for ``rngs[i]``.
+    """
+    g = np.empty((len(rngs), dim, dim), dtype=complex)
+    for i, rng in enumerate(rngs):
+        g[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g /= np.sqrt(2.0)
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def sample_haar_batch(z: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Haar-random unitaries on z qubits, shape (len(rngs), 2^z, 2^z)."""
+    qcore.check_qubits(z)
+    return _haar(2**z, rngs)
 
 
 def sample_haar(z: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary on z qubits."""
-    qcore.check_qubits(z)
-    return _haar(2**z, rng)
+    return sample_haar_batch(z, [rng])[0]
 
 
 def sample_clifford(z: int, source) -> np.ndarray:
@@ -130,7 +146,7 @@ def sample_design4_surrogate(z: int, key_seed: bytes) -> np.ndarray:
     low-depth circuit realizations are out of scope here.
     """
     qcore.check_qubits(z)
-    return _haar(2**z, keyed_rng(key_seed, "design4", z))
+    return _haar(2**z, [keyed_rng(key_seed, "design4", z)])[0]
 
 
 def _brickwork_layer(z: int, key_seed: bytes, layer: int) -> np.ndarray:
@@ -148,7 +164,7 @@ def _brickwork_layer(z: int, key_seed: bytes, layer: int) -> np.ndarray:
         blocks.append((1, q))
     out = None
     for width, pos in blocks:
-        gate = _haar(2**width, keyed_rng(key_seed, "pru-gate", z, layer, pos))
+        gate = _haar(2**width, [keyed_rng(key_seed, "pru-gate", z, layer, pos)])[0]
         out = gate if out is None else np.kron(out, gate)
     return out
 
@@ -180,7 +196,7 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     """
     qcore.check_qubits(z)
     if spec.mode == "haar_exact":
-        u = _haar(2**z, keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z))
+        u = _haar(2**z, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z)])[0]
     elif spec.mode == "pru_only":
         u = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -150,9 +151,9 @@ def validate_config(config: dict) -> dict:
     for field in _SWEEPABLE:
         vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
         if not vals or not all(_is_int(v) for v in vals):
-            raise ConfigError(field, "must be an integer or a nonempty list of integers")
+            raise ConfigError(field, "must be a 64-bit integer or a nonempty list of them")
     if not _is_int(cfg["seed"]):
-        raise ConfigError("seed", "must be an integer")
+        raise ConfigError("seed", "must be a 64-bit integer")
     for field in ("delta", "gamma", "c"):
         if not _is_real(cfg[field]):
             raise ConfigError(field, "must be a real number")
@@ -173,6 +174,10 @@ def validate_config(config: dict) -> dict:
     chan = cfg["channel"]
     if not isinstance(chan, dict) or "kind" not in chan:
         raise ConfigError("channel", "must be an object with a 'kind'")
+    _check_channel_kind(chan["kind"])
+    for key in chan:
+        if key not in ("kind", "p"):
+            raise ConfigError("channel", f"unknown channel field {key!r}")
     pvals = chan.get("p", 0.0)
     pvals = pvals if isinstance(pvals, list) else [pvals]
     if not pvals or not all(_is_real(v) for v in pvals):
@@ -181,7 +186,8 @@ def validate_config(config: dict) -> dict:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A non-bool integer in the signed 64-bit range that point seeds can encode."""
+    return isinstance(value, int) and not isinstance(value, bool) and -(2**63) <= value < 2**63
 
 
 def _is_real(value) -> bool:
@@ -232,19 +238,24 @@ def point_seed(pt: ExperimentPoint) -> int:
     return int.from_bytes(digest, "big") >> 1
 
 
+CHANNEL_KINDS = ("identity", "depolarizing", "local_depolarizing", "random_unitary")
+
+
+def _check_channel_kind(kind) -> None:
+    if kind not in CHANNEL_KINDS:
+        raise ConfigError("channel", f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+
+
 def build_channel(kind: str, p: float, dim: int) -> qcore.Channel:
+    _check_channel_kind(kind)
     if kind == "identity":
         return qcore.IdentityChannel(dim)
     if kind == "depolarizing":
         return qcore.DepolarizingChannel(dim, p)
     if kind == "local_depolarizing":
         return qcore.LocalDepolarizingChannel(int(round(np.log2(dim))), p)
-    if kind == "random_unitary":
-        rng = spawn_rng(0, "tamper-unitary", dim)
-        from .ensembles import sample_haar
-
-        return qcore.UnitaryChannel(sample_haar(int(round(np.log2(dim))), rng))
-    raise ConfigError("channel", f"unknown channel kind {kind!r}")
+    rng = spawn_rng(0, "tamper-unitary", dim)
+    return qcore.UnitaryChannel(sample_haar(int(round(np.log2(dim))), rng))
 
 
 def channel_label(kind: str, p: float) -> str:
@@ -352,19 +363,12 @@ def _qubit_count_stream(pt: ExperimentPoint, true_s: int, rng: np.random.Generat
     psi = random_pure_state(width, rng)
     part = QubitPartition(width, pt.l, pt.m)
     u = sample_haar(part.z, rng)
-    n_copies = 2 * (_factorial(pt.s_max) // true_s)
+    n_copies = 2 * (math.factorial(pt.s_max) // true_s)
 
     def draw(r: np.random.Generator):
         return [attacks._encrypt_pure(psi, part, u, int(r.integers(2**pt.m)) if pt.m else 0) for _ in range(n_copies)]
 
     return draw
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
@@ -475,6 +479,8 @@ def run(config: dict, seed_override: int | None = None, threads: int = 1, record
     ``record_timing`` is set; determinism comparisons must disable it.
     """
     cfg = validate_config(config)
+    if seed_override is not None and not _is_int(seed_override):
+        raise ConfigError("seed", "must be a 64-bit integer")
     points = expand_points(cfg, seed_override)
 
     def work(pt: ExperimentPoint) -> list[ResultRecord]:

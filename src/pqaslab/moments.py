@@ -7,7 +7,9 @@ D_lambda = f_lambda * s_lambda(1^d).  The production oracles work in that
 block-scalar form: characters chi_lambda come from the Murnaghan-Nakayama
 rule, f_lambda from the hook-length formula and s_lambda(1^d) from the
 hook-content formula, so a t-copy trace norm becomes a sum over p(t)
-diagrams and never builds a d^t matrix.
+diagrams and never builds a d^t matrix.  Sampled operators that commute with
+the copy permutations but not with U^(x t) are only block diagonal, not
+block scalar; ``isotypic_bases`` gives orthonormal bases of those blocks.
 
 The dense path (``haar_moment``, ``encrypted_moment_exact``, ``ghse_moment``)
 is kept as the reference those sums are tested against.  It obtains the
@@ -218,6 +220,40 @@ def block_traces(weight: Callable[[Shape], float], t: int, d: int) -> dict[Shape
         if s:
             out[lam] = f * character_sum(lam, weight) / math.factorial(t)
     return out
+
+
+def isotypic_projector(lam: Shape, d: int) -> np.ndarray:
+    """Dense Pi_lam = (f_lam / t!) sum_pi chi_lam(pi) P(pi) on (C^d)^(x t).
+
+    Real and symmetric, since chi_lam(pi) = chi_lam(pi^-1).
+    """
+    t = sum(lam)
+    f, _ = irrep_dims(lam, d)
+    dim = d**t
+    out = np.zeros((dim, dim))
+    cols = np.arange(dim)
+    for p in permutations(t):
+        out[_perm_rows(p, d), cols] += character(lam, tuple(sorted(cycle_lengths(p), reverse=True)))
+    return out * (f / math.factorial(t))
+
+
+def isotypic_bases(t: int, d: int) -> list[np.ndarray]:
+    """Orthonormal bases B_lam of the isotypic blocks of (C^d)^(x t).
+
+    One real d^t x D_lam matrix per Young diagram with at most d rows, with
+    D_lam = f_lam s_lam(1^d); together they are an orthogonal matrix.  An
+    operator X that commutes with every P(pi) is block diagonal in them, so
+    ||X||_1 = sum_lam ||B_lam^T X B_lam||_1.
+    """
+    bases = []
+    for lam in partitions(t):
+        f, s = irrep_dims(lam, d)
+        if s:
+            vals, vecs = np.linalg.eigh(isotypic_projector(lam, d))
+            bases.append(vecs[:, vals > 0.5])
+            if bases[-1].shape[1] != f * s:
+                raise ArithmeticError(f"block {lam} has rank {bases[-1].shape[1]}, expected {f * s}")
+    return bases
 
 
 # ---------------------------------------------------------------------------

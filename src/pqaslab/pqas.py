@@ -11,7 +11,7 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_haar
+from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_haar, sample_haar_batch
 from .qcore import Channel, QubitPartition
 
 
@@ -42,8 +42,14 @@ class AuthOutcome:
         return qcore.fidelity_with_pure(self.post_message, psi)
 
 
+# Largest entry of P(pi) rho_g P(pi)^dag - rho_g, over adjacent copy swaps pi,
+# for which security_scan treats a joint input as copy-symmetric.
+SYMMETRY_TOL = 1e-12
+
+
 def tag_projector(partition: QubitPartition) -> np.ndarray:
-    """Pi_0 = I_message (x) |0...0><0...0|_tag (x) I_mixed."""
+    """Pi_0 = I_message (x) |0...0><0...0|_tag (x) I_mixed (the dense reference
+    for the index slice ``authenticate`` reads)."""
     dn, dl, dm = partition.dims
     return qcore.tensor(np.eye(dn), qcore.zero_tag_state(partition.l), np.eye(dm))
 
@@ -91,12 +97,11 @@ def authenticate(c: Ciphertext, key: SecretKey, spec: ScramblerSpec) -> AuthOutc
     return the normalized message state."""
     part = c.partition
     u = build_scrambler(key, part.z, spec)
-    decoded = qcore.apply_unitary(c.state, u.conj().T)
-    prob, post = qcore.project(decoded, tag_projector(part))
-    if post is None:
-        return AuthOutcome(accept_prob=prob, accepted=False)
-    message = qcore.partial_trace(post, part.dims, {1, 2})
-    return AuthOutcome(accept_prob=prob, accepted=True, post_message=message)
+    message = _tag_zero_message(qcore.apply_unitary(c.state, u.conj().T), part)
+    prob = float(np.trace(message).real)
+    if prob <= qcore.PROJECT_FLOOR:
+        return AuthOutcome(accept_prob=0.0, accepted=False)
+    return AuthOutcome(accept_prob=prob, accepted=True, post_message=message / prob)
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +149,18 @@ def prediction_slack(partition: QubitPartition, channel: Channel) -> float:
 # per-key functionals and their exact Haar averages
 
 
+def _tag_zero_message(decoded: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """<0|_tag decoded |0>_tag with the mixed register traced: the unnormalized
+    message state after a successful tag projection, read off an index slice."""
+    dn, dl, dm = partition.dims
+    tagged = decoded.reshape(dn, dl, dm, dn, dl, dm)[:, 0, :, :, 0, :]
+    return np.einsum("ajbj->ab", tagged)
+
+
 def _p0_fprime(rho_ext: np.ndarray, psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
     """(P0, F') read off the tag-|0> slice of the decoded state."""
-    dn, dl, dm = partition.dims
     decoded = u.conj().T @ channel.apply(u @ rho_ext @ u.conj().T) @ u
-    tagged = decoded.reshape(dn, dl, dm, dn, dl, dm)[:, 0, :, :, 0, :]
-    message = np.einsum("ajbj->ab", tagged)  # tag projected onto |0>, mixed register traced
+    message = _tag_zero_message(decoded, partition)
     return float(np.trace(message).real), float(np.vdot(psi, message @ psi).real)
 
 
@@ -298,6 +309,51 @@ def _pad_joint_state(rho_g: np.ndarray, partition: QubitPartition, t: int, q: in
     return qcore.permute_registers(full, dims, order)
 
 
+def _copy_symmetric(rho_g: np.ndarray, dn: int, t: int, dq: int) -> bool:
+    """Whether rho_g commutes with every permutation of its t message copies."""
+    dims = [dn] * t + [dq]
+    for k in range(t - 1):
+        order = list(range(t + 1))
+        order[k], order[k + 1] = k + 1, k
+        if np.max(np.abs(qcore.permute_registers(rho_g, dims, order) - rho_g)) > SYMMETRY_TOL:
+            return False
+    return True
+
+
+def _psd_factor(rho: np.ndarray) -> np.ndarray:
+    """V with V V^dag = rho, keeping eigenvalues above the numerical rank cut."""
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > rho.shape[0] * np.finfo(float).eps * max(vals[-1], 0.0)
+    return vecs[:, keep] * np.sqrt(vals[keep])
+
+
+def _product_batch_sum(phis: np.ndarray, t: int) -> np.ndarray:
+    """sum_i phi_i^(x t) as one Gram product of the vec(phi_i).
+
+    Row i of ``flat`` is vec(phi_i); ``rows`` holds its Khatri-Rao power of
+    t - 1 copies, so flat^T rows carries every entry of the sum with index
+    order (a_1, c_1, ..., a_t, c_t), transposed here to rows then columns.
+    """
+    n, d, _ = phis.shape
+    flat = phis.reshape(n, d * d)
+    rows = np.ones((n, 1), dtype=complex)
+    for _ in range(t - 1):
+        rows = (rows[:, :, None] * flat[:, None, :]).reshape(n, -1)
+    gram = flat.T @ rows
+    axes = list(range(0, 2 * t, 2)) + list(range(1, 2 * t, 2))
+    return gram.reshape((d,) * (2 * t)).transpose(axes).reshape(d**t, d**t)
+
+
+def _joint_batch_sum(us: np.ndarray, factor: np.ndarray, t: int) -> np.ndarray:
+    """sum_i W_i W_i^dag with W_i = (U_i^(x t) (x) I) V, as one Gram product."""
+    n, d, _ = us.shape
+    w = factor[None]
+    for copy in range(t):
+        w = np.matmul(us[:, None], w.reshape(w.shape[0], d**copy, d, -1))
+    w = w.reshape(n, *factor.shape).transpose(1, 0, 2).reshape(factor.shape[0], -1)
+    return w @ w.conj().T
+
+
 def security_scan(
     partition: QubitPartition,
     t: int,
@@ -318,6 +374,17 @@ def security_scan(
     qubits.  For product inputs with q = 0 the exact closed-form value is
     attached for cross-checking.  The estimate is bootstrap bias-corrected,
     with the standard error taken over resampled batch means.
+
+    Each batch draws its keys as one stack (trial i from its own
+    ``spawn_rng(seed, "security-scan", i)`` stream) and sums the encrypted
+    copies in one Gram product: of the vec(phi_i) over their Khatri-Rao
+    powers for product input, or of W_i = (U_i^(x t) (x) I) V for a joint
+    input padded as V V^dag.  When the input commutes with permutations of
+    the copies, so does every batch mean, and each is kept only as its
+    blocks B_lam^T (mean - target) B_lam on the isotypic components of the
+    copy action; the raw estimate and every bootstrap replicate are sums of
+    block trace norms.  A joint input that is not copy-symmetric (to 1e-12),
+    or t beyond ``moments.MAX_T``, gets the single identity block.
     """
     if (rho is None) == (rho_g is None):
         raise ValueError("pass exactly one of rho or rho_g")
@@ -327,55 +394,54 @@ def security_scan(
         rho = _as_dm(np.asarray(rho, dtype=complex))
         if q != 0:
             raise ValueError("product form has no purification register")
-        rho_g = rho
-        for _ in range(t - 1):
-            rho_g = np.kron(rho_g, rho)
         exact = 0.5 * moments.closeness_exact(partition, rho, t)
     qcore.check_qubits(t * z + q)
-    dq = 2**q
-    padded = _pad_joint_state(rho_g, partition, t, q)
-    rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
-    dzt = 2 ** (z * t)
-    target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
-
     if trials % batches:
         raise ValueError("trials must be divisible by the batch count")
     per_batch = trials // batches
+    dq = 2**q
+    dz = 2**z
+    dzt = dz**t
     dim = dzt * dq
-    product_input = rho is not None
-    batch_means = np.zeros((batches, dim, dim), dtype=complex)
-    spec = ScramblerSpec(mode=mode)
-    rho_pad = pad_state(rho, partition) if product_input else None
-    for b in range(batches):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i in range(per_batch):
-            rng = spawn_rng(seed, "security-scan", b * per_batch + i)
-            if mode == "haar_exact":
-                u = sample_haar(z, rng)
-            else:
-                u = build_scrambler(SecretKey.generate(rng), z, spec)
-            if product_input:
-                # per-copy states are independent given the key: kron the copies
-                phi = u @ rho_pad @ u.conj().T
-                out = phi
-                for _ in range(t - 1):
-                    out = np.kron(out, phi)
-            else:
-                half = _apply_rows_per_copy(padded, u, t, dq)
-                flipped = np.ascontiguousarray(half.conj().T)
-                out = _apply_rows_per_copy(flipped, u, t, dq).conj().T
-            acc += out
-        batch_means[b] = acc / per_batch
+    if rho is not None:
+        rho_pad = pad_state(rho, partition)
+        target = np.eye(dim, dtype=complex) / dim
+        symmetric = True
+    else:
+        factor = _psd_factor(_pad_joint_state(rho_g, partition, t, q))
+        rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
+        target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
+        symmetric = _copy_symmetric(rho_g, 2**partition.n, t, dq)
+    if symmetric and t <= moments.MAX_T:
+        bases = [np.kron(basis, np.eye(dq)) for basis in moments.isotypic_bases(t, dz)]
+    else:
+        bases = [np.eye(dim)]
 
-    full_mean = np.mean(batch_means, axis=0)
-    raw = qcore.trace_distance(full_mean, target)
+    spec = ScramblerSpec(mode=mode)
+    diffs = [np.empty((batches, basis.shape[1], basis.shape[1]), dtype=complex) for basis in bases]
+    for b in range(batches):
+        rngs = [spawn_rng(seed, "security-scan", b * per_batch + i) for i in range(per_batch)]
+        if mode == "haar_exact":
+            us = sample_haar_batch(z, rngs)
+        else:
+            us = np.stack([build_scrambler(SecretKey.generate(rng), z, spec) for rng in rngs])
+        if rho is not None:
+            total = _product_batch_sum(us @ rho_pad @ us.conj().transpose(0, 2, 1), t)
+        else:
+            total = _joint_batch_sum(us, factor, t)
+        gap = total / per_batch - target
+        for basis, diff in zip(bases, diffs):
+            diff[b] = basis.T @ gap @ basis
+
+    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
     boot_rng = spawn_rng(seed, "security-scan", "bootstrap")
-    flat = batch_means.reshape(batches, -1)
+    flats = [diff.reshape(batches, -1) for diff in diffs]
     replicates = np.empty(bootstrap)
     for r in range(bootstrap):
-        counts = np.bincount(boot_rng.integers(0, batches, size=batches), minlength=batches)
-        resampled = (counts.astype(float) @ flat / batches).reshape(dim, dim)
-        replicates[r] = qcore.trace_distance(resampled, target)
+        weights = np.bincount(boot_rng.integers(0, batches, size=batches), minlength=batches) / batches
+        replicates[r] = 0.5 * sum(
+            qcore.trace_norm((weights @ flat).reshape(diff.shape[1:])) for flat, diff in zip(flats, diffs)
+        )
     stderr = float(np.std(replicates, ddof=1))
     bias = float(np.mean(replicates)) - raw
     return ScanReport(
@@ -385,19 +451,3 @@ def security_scan(
         exact=exact,
         trials=trials,
     )
-
-
-def _apply_rows_per_copy(mat: np.ndarray, u: np.ndarray, t: int, dq: int) -> np.ndarray:
-    """Left-multiply (u^(x t) (x) I_q) onto a t-copy (+ purification) operator.
-
-    Row-side only; conjugation is completed by the caller via one transpose.
-    All reshapes stay contiguous so the loop is BLAS-bound.
-    """
-    d = u.shape[0]
-    rows_dim, cols_dim = mat.shape
-    x = mat
-    for copy in range(t):
-        left = d**copy
-        right = (d ** (t - copy - 1)) * dq
-        x = np.matmul(u, x.reshape(left, d, right * cols_dim)).reshape(rows_dim, cols_dim)
-    return x

@@ -20,6 +20,7 @@ from pqaslab.ensembles import (
     sample_design4_surrogate,
     sample_ghse,
     sample_haar,
+    sample_haar_batch,
     sample_pru_surrogate,
 )
 from pqaslab.qcore import QubitPartition
@@ -79,6 +80,18 @@ class TestHaar:
     def test_cap(self):
         with pytest.raises(ValueError):
             sample_haar(qcore.qubit_cap() + 1, spawn_rng(0, "x"))
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5])
+    def test_stacked_draws_are_bitwise_per_trial(self, z):
+        stack = sample_haar_batch(z, [spawn_rng(4, "stack", i) for i in range(7)])
+        assert stack.shape == (7, 2**z, 2**z)
+        for i, u in enumerate(stack):
+            assert np.array_equal(u, sample_haar(z, spawn_rng(4, "stack", i)))
+            # the unbatched Ginibre-QR recipe, one matrix at a time
+            rng = spawn_rng(4, "stack", i)
+            g = (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)) / np.sqrt(2.0)
+            q, r = np.linalg.qr(g)
+            assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
 
 
 class TestCliffordSampler:

@@ -1,8 +1,11 @@
 """Config validation, experiment dispatch, serialization and determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqaslab import cli, harness
 from pqaslab.harness import ConfigError, ResultRecord
@@ -39,6 +42,9 @@ class TestConfig:
             ({"experiment": "cpa", "seed": "7"}, "seed"),
             ({"experiment": "auth-sweep", "channel": {"kind": "depolarizing", "p": [0.1, None]}}, "channel"),
             ([1, 2], "config"),
+            ({"experiment": "wg-selftest", "channel": {"kind": "identity", "bogus": 1}}, "channel"),
+            ({"experiment": "cpa", "seed": 2**63}, "seed"),
+            ({"experiment": "cpa", "trials": [100, 2**127]}, "trials"),
         ],
     )
     def test_field_types(self, config, field):
@@ -67,6 +73,41 @@ class TestConfig:
         assert seeds == [harness.point_seed(p) for p in harness.expand_points(cfg)]
 
 
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+# JSON integers are unbounded but hypothesis favours small ones, so the edges
+# of the 64-bit range and of the 128-bit seed encoding are drawn explicitly
+ANY_INT = st.integers() | st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**127, -(2**127) - 1, 2**200])
+JSON_SCALARS = st.none() | st.booleans() | ANY_INT | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+# st.recursive alone rarely yields a bare scalar, so offer scalars as their own branch
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestConfigProperty:
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=[p.stem for p in SHIPPED_CONFIGS])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_one_field_replaced(self, path, data):
+        # every shipped field, plus the channel's own fields
+        config = json.loads(path.read_text())
+        fields = sorted(config) + ["channel.kind", "channel.p"]
+        field = data.draw(st.sampled_from(fields), label="field")
+        value = data.draw(JSON_VALUES, label="value")
+        if field.startswith("channel."):
+            config["channel"] = {**config.get("channel", {"kind": "identity"}), field[len("channel."):]: value}
+        else:
+            config[field] = value
+        try:
+            cfg = harness.validate_config(config)
+        except ConfigError:
+            return
+        for point in harness.expand_points(cfg):
+            harness.point_seed(point)
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "config",
@@ -74,6 +115,7 @@ class TestCli:
             {"experiment": "cpa", "n": "2"},
             {"experiment": "efi", "delta": [0.1, 0.2]},
             {"experiment": "wg-selftest", "trials": True},
+            {"experiment": "wg-selftest", "channel": {"kind": "bogus"}},
         ],
     )
     def test_mistyped_field_exits_2(self, config, tmp_path, capsys):
@@ -83,6 +125,13 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: config field")
+
+
+    def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "wg-selftest"}))
+        assert cli.main(["run", "--config", str(path), "--seed", str(2**127)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config field 'seed'")
 
 
 class TestEmit:

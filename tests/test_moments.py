@@ -238,6 +238,26 @@ DENSE_LAYOUTS = [
 ]
 
 
+class TestIsotypicBases:
+    @pytest.mark.parametrize("t,d", [(1, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+    def test_block_trace_norms_sum_to_full(self, t, d):
+        bases = moments.isotypic_bases(t, d)
+        stacked = np.hstack(bases)
+        assert np.max(np.abs(stacked.T @ stacked - np.eye(d**t))) <= 1e-12
+        for lam, basis in zip([lam for lam in moments.partitions(t) if moments.irrep_dims(lam, d)[1]], bases):
+            f, s = moments.irrep_dims(lam, d)
+            assert basis.shape[1] == f * s
+            proj = moments.isotypic_projector(lam, d)
+            assert np.max(np.abs(basis @ basis.T - proj)) <= 1e-12
+        rng = spawn_rng(9, "invariant", t, d)
+        raw = rng.standard_normal((d**t, d**t)) + 1j * rng.standard_normal((d**t, d**t))
+        herm = raw + raw.conj().T
+        perms = [moments.permutation_operator(p, d) for p in moments.permutations(t)]
+        invariant = sum(p @ herm @ p.T for p in perms)
+        invariant /= qcore.trace_norm(invariant)
+        assert abs(sum(qcore.trace_norm(b.T @ invariant @ b) for b in bases) - 1.0) <= 1e-12
+
+
 class TestClosedFormCloseness:
     @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS)
     def test_matches_dense_reference(self, n, l, m, t):

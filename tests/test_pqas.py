@@ -6,7 +6,7 @@ import pytest
 
 from pqaslab import moments, pqas, qcore
 from pqaslab._streams import spawn_rng
-from pqaslab.ensembles import ScramblerSpec, SecretKey, random_pure_state, sample_ghse, sample_haar
+from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
 
 HAAR = ScramblerSpec(mode="haar_exact")
@@ -93,6 +93,27 @@ class TestAuthenticate:
         outcome = pqas.AuthOutcome(accept_prob=0.0, accepted=False)
         with pytest.raises(ValueError):
             outcome.fidelity_with(qcore.basis_ket(2, 0))
+
+
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed"])
+    def test_matches_dense_projection(self, mode):
+        spec = ScramblerSpec(mode=mode)
+        rng = spawn_rng(20, "auth-dense", mode)
+        part = QubitPartition(2, 2, 1)
+        key = SecretKey.generate(rng)
+        u = build_scrambler(key, part.z, spec)
+        msg = qcore.pure_dm(random_pure_state(part.n, rng))
+        wrong_tag = qcore.tensor(msg, qcore.pure_dm(qcore.basis_ket(2**part.l, 1)), qcore.maximally_mixed(part.m))
+        accepted = pqas.tamper(pqas.encrypt(msg, key, part, spec), qcore.DepolarizingChannel(2**part.z, 0.3))
+        rejected = pqas.Ciphertext(qcore.apply_unitary(wrong_tag, u), part)
+        for ct, accepts in ((accepted, True), (rejected, False)):
+            out = pqas.authenticate(ct, key, spec)
+            prob, post = qcore.project(qcore.apply_unitary(ct.state, u.conj().T), pqas.tag_projector(part))
+            assert out.accepted == accepts == (post is not None)
+            assert abs(out.accept_prob - prob) <= 1e-12
+            if accepts:
+                reference = qcore.partial_trace(post, part.dims, {1, 2})
+                assert np.max(np.abs(out.post_message - reference)) <= 1e-12
 
 
 class TestChannelFidelity:
@@ -263,3 +284,93 @@ class TestSecurityScan:
         rep = pqas.security_scan(part, 2, 1, 200, seed=17, rho_g=qcore.pure_dm(ghz))
         assert rep.exact is None
         assert 0.0 <= rep.estimate <= 1.0
+
+
+def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="haar_exact", batches=20, bootstrap=200):
+    """The per-trial estimator security_scan replaced: one key at a time,
+    kron or per-copy conjugation into a dense batch mean, and a full-matrix
+    trace norm for the raw estimate and every bootstrap replicate."""
+    z = partition.z
+    if rho is not None:
+        rho_g = rho
+        for _ in range(t - 1):
+            rho_g = np.kron(rho_g, rho)
+    dq = 2**q
+    padded = pqas._pad_joint_state(rho_g, partition, t, q)
+    rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
+    dzt = 2 ** (z * t)
+    target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
+    per_batch = trials // batches
+    dim = dzt * dq
+    spec = ScramblerSpec(mode=mode)
+    rho_pad = pqas.pad_state(rho, partition) if rho is not None else None
+
+    def rows_per_copy(mat, u):
+        d = u.shape[0]
+        x = mat
+        for copy in range(t):
+            right = (d ** (t - copy - 1)) * dq
+            x = np.matmul(u, x.reshape(d**copy, d, right * mat.shape[1])).reshape(mat.shape)
+        return x
+
+    batch_means = np.zeros((batches, dim, dim), dtype=complex)
+    for b in range(batches):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for i in range(per_batch):
+            rng = spawn_rng(seed, "security-scan", b * per_batch + i)
+            if mode == "haar_exact":
+                u = sample_haar(z, rng)
+            else:
+                u = build_scrambler(SecretKey.generate(rng), z, spec)
+            if rho is not None:
+                phi = u @ rho_pad @ u.conj().T
+                out = phi
+                for _ in range(t - 1):
+                    out = np.kron(out, phi)
+            else:
+                half = rows_per_copy(padded, u)
+                out = rows_per_copy(np.ascontiguousarray(half.conj().T), u).conj().T
+            acc += out
+        batch_means[b] = acc / per_batch
+    raw = qcore.trace_distance(np.mean(batch_means, axis=0), target)
+    boot_rng = spawn_rng(seed, "security-scan", "bootstrap")
+    flat = batch_means.reshape(batches, -1)
+    replicates = np.empty(bootstrap)
+    for r in range(bootstrap):
+        counts = np.bincount(boot_rng.integers(0, batches, size=batches), minlength=batches)
+        replicates[r] = qcore.trace_distance((counts.astype(float) @ flat / batches).reshape(dim, dim), target)
+    bias = float(np.mean(replicates)) - raw
+    return raw - bias, raw, float(np.std(replicates, ddof=1))
+
+
+def _scan_cases():
+    ket0 = qcore.pure_dm(qcore.basis_ket(2, 0))
+    mixed = 0.7 * ket0 + 0.3 * qcore.maximally_mixed(1)
+    ghz = (qcore.basis_ket(8, 0) + qcore.basis_ket(8, 7)) / np.sqrt(2)
+    # a random full-rank state on (message_1, message_2, purification): not copy-symmetric
+    g = spawn_rng(21, "asymmetric").standard_normal((8, 8, 2)) @ np.array([1.0, 1j])
+    asym = g @ g.conj().T / np.trace(g @ g.conj().T)
+    return [
+        ("product t=1", QubitPartition(1, 1, 1), 1, 0, dict(rho=ket0)),
+        ("product t=2", QubitPartition(1, 1, 2), 2, 0, dict(rho=mixed)),
+        ("product t=3", QubitPartition(1, 0, 1), 3, 0, dict(rho=mixed)),
+        ("ghz q=1", QubitPartition(1, 1, 1), 2, 1, dict(rho_g=qcore.pure_dm(ghz))),
+        ("not copy-symmetric", QubitPartition(1, 0, 1), 2, 1, dict(rho_g=asym)),
+        ("composed", QubitPartition(1, 1, 1), 2, 0, dict(rho=ket0, mode="composed")),
+    ]
+
+
+class TestScanMatchesPerTrialReference:
+    @pytest.mark.parametrize("label,part,t,q,kwargs", _scan_cases(), ids=[c[0] for c in _scan_cases()])
+    def test_matches(self, label, part, t, q, kwargs):
+        rep = pqas.security_scan(part, t, q, 200, seed=22, bootstrap=60, **kwargs)
+        estimate, raw, stderr = _reference_scan(part, t, q, 200, seed=22, bootstrap=60, **kwargs)
+        assert abs(rep.estimate - estimate) <= 1e-12
+        assert abs(rep.raw_estimate - raw) <= 1e-12
+        assert abs(rep.stderr - stderr) <= 1e-12
+
+    def test_joint_cases_take_the_intended_block_path(self):
+        cases = {case[0]: case for case in _scan_cases()}
+        for label, symmetric in (("ghz q=1", True), ("not copy-symmetric", False)):
+            _, part, t, q, kwargs = cases[label]
+            assert pqas._copy_symmetric(kwargs["rho_g"], 2**part.n, t, 2**q) == symmetric
