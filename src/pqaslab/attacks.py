@@ -8,22 +8,24 @@ sequence of pairwise symmetric-subspace projections accepts reduces to a
 permutation-group sum over Gram-matrix cycle products.  No t-copy joint
 state is ever materialized.
 
-Bell-measurement attacks sample transversal Bell outcomes copy-pair by
-copy-pair, which is exact because both the states and the measurement
-factorize over copy pairs.
+The qubit-number attack measures copy pairs transversally in the Bell
+basis.  The copies share the key but carry independent uniform pads, so
+every pair is in the state rho (x) rho of the pad-averaged copy rho.  Its
+outcome law comes from Walsh-Hadamard transforms of rho and every shot of
+every pair is drawn from it in one call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_haar
-from .pqas import Ciphertext
+from .ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_haar
+from .pqas import Ciphertext, pad_state
 from .qcore import QubitPartition
 
 
@@ -118,6 +120,14 @@ def _swap_chain_accept_prob(states: list[np.ndarray], pairs: list[tuple[int, int
     return float(min(max(total, 0.0), 1.0))
 
 
+def _key_unitary(z: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+    """The trial's scrambler: a direct Haar draw in ``haar_exact`` mode, else
+    the keyed scrambler of a freshly generated key."""
+    if mode == "haar_exact":
+        return sample_haar(z, rng)
+    return build_scrambler(SecretKey.generate(rng), z, ScramblerSpec(mode=mode))
+
+
 def _encrypt_pure(psi, partition: QubitPartition, u: np.ndarray, pad_index: int) -> np.ndarray:
     """One pure-state ciphertext realization for a sampled mixed-register value."""
     vec = psi
@@ -144,16 +154,12 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     else:
         pairs = [(i, i + 1) for i in range(0, t - 1, 2)]
-    spec = ScramblerSpec(mode=cfg.mode)
     z = cfg.partition.z
     wins = 0
     gaps = np.empty(cfg.trials)
     for g in range(cfg.trials):
         rng = spawn_rng(seed, "lr-cpa", g)
-        if cfg.mode == "haar_exact":
-            u = sample_haar(z, rng)
-        else:
-            u = build_scrambler(SecretKey.generate(rng), z, spec)
+        u = _key_unitary(z, cfg.mode, rng)
         pads = [int(rng.integers(2**cfg.partition.m)) if cfg.partition.m else 0 for _ in range(t)]
         p_branch = []
         for side in (cfg.left, cfg.right):
@@ -259,10 +265,32 @@ def _bell_probs_dm(rho: np.ndarray, half: int) -> np.ndarray:
     return probs / probs.sum()
 
 
-def _bell_probs_vec(psi: np.ndarray, half: int) -> np.ndarray:
-    w = _bell_circuit(psi, half)
-    probs = np.abs(w) ** 2
-    return probs / probs.sum()
+def _wht(x: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along axis 0 of a 2-d array."""
+    d = x.shape[0]
+    h = 1
+    while h < d:
+        y = x.reshape(d // (2 * h), 2, h, -1)
+        x = np.stack((y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]), axis=1)
+        h *= 2
+    return x.reshape(d, -1)
+
+
+def _bell_pair_law(rho: np.ndarray) -> np.ndarray:
+    """Transversal Bell outcome law of rho (x) rho, outcome index (a << z) | b.
+
+    P(a, b) = D^-1 sum_r (-1)^(a.r) sum_i rho[i, i^r] rho[i^b, i^r^b]: the
+    inner sum is an XOR autocorrelation over i, the outer one a
+    Walsh-Hadamard transform over r.  O(4^z) memory; the 4^z x 4^z pair
+    state is never formed.
+    """
+    d = rho.shape[0]
+    idx = np.arange(d)
+    shifted = rho[idx[:, None], idx[:, None] ^ idx]      # [i, r] = rho[i, i^r]
+    spec = _wht(shifted)
+    corr = _wht(spec * spec) / d                         # [b, r]
+    law = np.clip(_wht(corr.T).real, 0.0, None).ravel()  # [a, b]
+    return law / law.sum()
 
 
 def _and_bits(outcomes: np.ndarray, half: int) -> np.ndarray:
@@ -315,62 +343,64 @@ class QubitCountReport:
     z_values: list[float]
 
 
+def _check_desk_scale(n: int, s_max: int) -> None:
+    if s_max > 3 or n > 2:
+        raise ValueError("desk scale supports s_max <= 3 and n <= 2")
+
+
+def qubit_count_interception(
+    n: int,
+    true_s: int,
+    s_max: int,
+    rng: np.random.Generator,
+    l: int = 0,
+    m: int = 0,
+    mode: str = "haar_exact",
+) -> tuple[np.ndarray, int]:
+    """One intercepted stream: the pad-averaged copy state and the copy count.
+
+    Draws a pure message on n * true_s qubits, then the key (see
+    ``_key_unitary``), and returns rho = U (psi (x) |0><0|_l (x) I/2^m) U^dag
+    with the stream length 2 * s_max!/true_s.
+    """
+    _check_desk_scale(n, s_max)
+    part = QubitPartition(n * true_s, l, m)
+    psi = random_pure_state(part.n, rng)
+    u = _key_unitary(part.z, mode, rng)
+    rho = qcore.apply_unitary(pad_state(qcore.pure_dm(psi), part), u)
+    return rho, 2 * (math.factorial(s_max) // true_s)
+
+
 def qubit_count_attack(
-    draw_copies: Callable[[np.random.Generator], list[np.ndarray]],
+    state: np.ndarray,
+    copies: int,
     n: int,
     s_max: int,
     delta: float = 0.1,
     shots: int = 800,
     rng: np.random.Generator | None = None,
-    fixed_stream: bool = False,
 ) -> QubitCountReport:
     """Recover the per-message qubit multiple s from an intercepted stream.
 
-    ``draw_copies`` yields one interception: a list of 2 * s_max!/s pure
-    per-copy state vectors (the two stream halves are the first and second
-    half of the list).  ``fixed_stream`` short-cuts the resampling when every
-    interception is identical (deterministic encryption).
-
-    Bell outcomes are sampled copy-pair by copy-pair and the purity proxy
-    Z_{n s'} is estimated for every s' = 1..s_max.  The decision is the
-    smallest s' with Z >= 1 - delta (prefix purity is 1 exactly when the
-    prefix holds whole copies); the value under the largest-qualifying rule
-    is reported alongside for comparison.  Abstains (None) when no prefix
-    qualifies.
+    The stream holds ``copies`` copies of ``state`` with independent pads;
+    copy c is Bell-measured against copy copies/2 + c.  Every pair follows
+    the law of ``_bell_pair_law``, and all copies/2 x shots outcomes are
+    drawn in one call.  The purity proxy Z_{n s'} is estimated for every
+    s' = 1..s_max.  The decision is the smallest s' with Z >= 1 - delta
+    (prefix purity is 1 exactly when the prefix holds whole copies); the
+    value under the largest-qualifying rule is reported alongside for
+    comparison.  Abstains (None) when no prefix qualifies.
     """
     if rng is None:
         rng = np.random.default_rng()
-    if s_max > 3 or n > 2:
-        raise ValueError("desk scale supports s_max <= 3 and n <= 2")
-    odd_counts = np.zeros(s_max, dtype=np.int64)
-
-    def collect(probs_list, width, reps):
-        nus = np.zeros(reps, dtype=np.int64)
-        pairs = len(probs_list)
-        for c, probs in enumerate(probs_list):
-            outs = rng.choice(len(probs), size=reps, p=probs)
-            seg = _and_bits(outs, width)
-            nus |= seg << ((pairs - 1 - c) * width)
-        total_bits = pairs * width
-        for si in range(s_max):
-            prefix = n * (si + 1)
-            par = _prefix_parity(nus, total_bits, prefix)
-            odd_counts[si] += int(np.sum(par))
-
-    if fixed_stream:
-        copies = draw_copies(rng)
-        k = len(copies) // 2
-        width = int(round(np.log2(copies[0].shape[0])))
-        probs_list = [_bell_probs_vec(np.kron(copies[c], copies[k + c]), width) for c in range(k)]
-        collect(probs_list, width, shots)
-    else:
-        for _ in range(shots):
-            copies = draw_copies(rng)
-            k = len(copies) // 2
-            width = int(round(np.log2(copies[0].shape[0])))
-            probs_list = [_bell_probs_vec(np.kron(copies[c], copies[k + c]), width) for c in range(k)]
-            collect(probs_list, width, 1)
-
+    _check_desk_scale(n, s_max)
+    pairs = copies // 2
+    width = int(round(np.log2(state.shape[0])))
+    law = _bell_pair_law(state)
+    segments = _and_bits(rng.choice(len(law), size=(pairs, shots), p=law), width)
+    shifts = (pairs - 1 - np.arange(pairs)) * width
+    nus = np.bitwise_or.reduce(segments << shifts[:, None], axis=0)
+    odd_counts = np.array([np.sum(_prefix_parity(nus, pairs * width, n * s)) for s in range(1, s_max + 1)])
     z_values = list(1.0 - 2.0 * odd_counts / shots)
     qualifying = [s + 1 for s in range(s_max) if z_values[s] >= 1.0 - delta]
     return QubitCountReport(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import attacks, moments, pqas, primitives, qcore
 from ._streams import derive_bytes, spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, random_pure_state, sample_haar
+from .ensembles import MODES, ScramblerSpec, SecretKey, sample_haar
 from .qcore import QubitPartition
 
 
@@ -157,13 +156,9 @@ def validate_config(config: dict) -> dict:
     for field in ("delta", "gamma", "c"):
         if not _is_real(cfg[field]):
             raise ConfigError(field, "must be a real number")
-    if not isinstance(cfg["mode"], str):
-        raise ConfigError("mode", "must be a string")
-    for field in ("trials", "shots"):
-        vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
-        if any(v < 1 for v in vals):
-            raise ConfigError(field, "must be at least 1")
-    for field in ("n", "t"):
+    if cfg["mode"] not in MODES:
+        raise ConfigError("mode", f"unknown mode {cfg['mode']!r}; choose from {MODES}")
+    for field in ("trials", "shots", "n", "t", "s_max"):
         vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
         if any(v < 1 for v in vals):
             raise ConfigError(field, "must be at least 1")
@@ -341,10 +336,8 @@ def _run_qubit_count(pt: ExperimentPoint) -> list[ResultRecord]:
     for trial in range(pt.trials):
         rng = spawn_rng(seed, "qubit-count", trial)
         true_s = int(rng.integers(1, pt.s_max + 1))
-        stream = _qubit_count_stream(pt, true_s, rng)
-        rep = attacks.qubit_count_attack(
-            stream, pt.n, pt.s_max, delta=pt.delta, shots=pt.shots, rng=rng, fixed_stream=pt.m == 0
-        )
+        state, copies = attacks.qubit_count_interception(pt.n, true_s, pt.s_max, rng, l=pt.l, m=pt.m, mode=pt.mode)
+        rep = attacks.qubit_count_attack(state, copies, pt.n, pt.s_max, delta=pt.delta, shots=pt.shots, rng=rng)
         if rep.decision is None:
             abstain += 1
         elif rep.decision == true_s:
@@ -353,22 +346,6 @@ def _run_qubit_count(pt: ExperimentPoint) -> list[ResultRecord]:
         _metric(pt, "correct", correct / pt.trials),
         _metric(pt, "abstain", abstain / pt.trials),
     ]
-
-
-def _qubit_count_stream(pt: ExperimentPoint, true_s: int, rng: np.random.Generator):
-    """Interception sampler: 2 s_max!/s copies of the scrambled message."""
-    from .ensembles import random_pure_state, sample_haar
-
-    width = pt.n * true_s
-    psi = random_pure_state(width, rng)
-    part = QubitPartition(width, pt.l, pt.m)
-    u = sample_haar(part.z, rng)
-    n_copies = 2 * (math.factorial(pt.s_max) // true_s)
-
-    def draw(r: np.random.Generator):
-        return [attacks._encrypt_pure(psi, part, u, int(r.integers(2**pt.m)) if pt.m else 0) for _ in range(n_copies)]
-
-    return draw
 
 
 def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import attacks, harness, moments, pqas, primitives, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, random_pure_state, sample_ghse, sample_haar
+from .ensembles import ScramblerSpec, SecretKey, sample_ghse, sample_haar
 from .qcore import QubitPartition
 
 
@@ -235,19 +235,8 @@ def criterion_7_qubit_count(seed: int = 107) -> CriterionResult:
         for trial in range(trials):
             rng = spawn_rng(seed, "qc", mode_m, trial)
             true_s = int(rng.integers(1, 3))
-            width = 2 * true_s
-            psi = random_pure_state(width, rng)
-            part = QubitPartition(width, 0, mode_m)
-            u = sample_haar(part.z, rng)
-            copies = 2 * (2 // true_s)
-
-            def draw(r, psi=psi, part=part, u=u, copies=copies):
-                return [
-                    attacks._encrypt_pure(psi, part, u, int(r.integers(2**part.m)) if part.m else 0)
-                    for _ in range(copies)
-                ]
-
-            rep = attacks.qubit_count_attack(draw, 2, 2, delta=0.1, shots=600, rng=rng, fixed_stream=mode_m == 0)
+            state, copies = attacks.qubit_count_interception(2, true_s, 2, rng, m=mode_m)
+            rep = attacks.qubit_count_attack(state, copies, 2, 2, delta=0.1, shots=600, rng=rng)
             if want == "correct":
                 hits += int(rep.decision == true_s)
             else:

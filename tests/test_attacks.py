@@ -2,12 +2,15 @@
 simulation, Bell-parity estimators against exact reduced-state values, and
 the attack/abstention separations."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from pqaslab import attacks, moments, pqas, qcore
 from pqaslab._streams import spawn_rng
-from pqaslab.ensembles import ScramblerSpec, SecretKey, random_pure_state, sample_ghse, sample_haar
+from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
 
 HAAR = ScramblerSpec(mode="haar_exact")
@@ -184,36 +187,41 @@ class TestBellParity:
             attacks.bell_parity_purity(state, 2, shots=10, rng=spawn_rng(0, "x"))
 
 
+def pair_by_pair_reference(rng, n=2, s_max=2, shots=600):
+    """The former deterministic-encryption sampler (m = 0) on criterion 7's
+    layout: one pure Bell table per copy pair, sampled pair by pair."""
+    true_s = int(rng.integers(1, s_max + 1))
+    part = QubitPartition(n * true_s, 0, 0)
+    psi = random_pure_state(part.n, rng)
+    u = sample_haar(part.z, rng)
+    copies = [attacks._encrypt_pure(psi, part, u, 0) for _ in range(2 * (math.factorial(s_max) // true_s))]
+    k = len(copies) // 2
+    width = part.z
+    nus = np.zeros(shots, dtype=np.int64)
+    for c in range(k):
+        w = attacks._bell_circuit(np.kron(copies[c], copies[k + c]), width)
+        probs = np.abs(w) ** 2
+        outs = rng.choice(len(probs), size=shots, p=probs / probs.sum())
+        nus |= attacks._and_bits(outs, width) << ((k - 1 - c) * width)
+    odd = [int(np.sum(attacks._prefix_parity(nus, k * width, n * s))) for s in range(1, s_max + 1)]
+    return [1.0 - 2.0 * o / shots for o in odd]
+
+
 class TestQubitCount:
-    def _stream(self, true_s, m, rng):
-        width = 2 * true_s
-        psi = random_pure_state(width, rng)
-        part = QubitPartition(width, 0, m)
-        u = sample_haar(part.z, rng)
-        copies = 2 * (2 // true_s)
-
-        def draw(r):
-            return [
-                attacks._encrypt_pure(psi, part, u, int(r.integers(2**part.m)) if part.m else 0)
-                for _ in range(copies)
-            ]
-
-        return draw
-
     def test_recovers_s_on_pure_encryption(self):
         for trial in range(30):
             rng = spawn_rng(14, "qc", trial)
             true_s = int(rng.integers(1, 3))
-            rep = attacks.qubit_count_attack(
-                self._stream(true_s, 0, rng), 2, 2, shots=500, rng=rng, fixed_stream=True
-            )
+            state, copies = attacks.qubit_count_interception(2, true_s, 2, rng)
+            rep = attacks.qubit_count_attack(state, copies, 2, 2, shots=500, rng=rng)
             assert rep.decision == true_s
 
     def test_smallest_vs_largest_rule(self):
         # for s = 1 every prefix holds whole copies: both rules qualify but
         # the decisions differ, which is the documented discrepancy
         rng = spawn_rng(15, "qc")
-        rep = attacks.qubit_count_attack(self._stream(1, 0, rng), 2, 2, shots=500, rng=rng, fixed_stream=True)
+        state, copies = attacks.qubit_count_interception(2, 1, 2, rng)
+        rep = attacks.qubit_count_attack(state, copies, 2, 2, shots=500, rng=rng)
         assert rep.decision == 1
         assert rep.largest_rule_decision == 2
         assert all(z >= 0.9 for z in rep.z_values)
@@ -222,14 +230,63 @@ class TestQubitCount:
         for trial in range(12):
             rng = spawn_rng(16, "qc", trial)
             true_s = int(rng.integers(1, 3))
-            rep = attacks.qubit_count_attack(
-                self._stream(true_s, 2, rng), 2, 2, shots=400, rng=rng, fixed_stream=False
-            )
+            state, copies = attacks.qubit_count_interception(2, true_s, 2, rng, m=2)
+            rep = attacks.qubit_count_attack(state, copies, 2, 2, shots=400, rng=rng)
             assert rep.decision is None
 
     def test_desk_scale_guard(self):
+        rng = spawn_rng(0, "x")
+        before = rng.bit_generator.state
         with pytest.raises(ValueError):
-            attacks.qubit_count_attack(lambda r: [], 3, 2, rng=spawn_rng(0, "x"))
+            attacks.qubit_count_interception(3, 1, 2, rng)
+        assert rng.bit_generator.state == before  # raised before any draw
+        with pytest.raises(ValueError):
+            attacks.qubit_count_attack(qcore.maximally_mixed(1), 2, 1, 4, rng=rng)
+
+    def test_law_matches_dense_reference(self):
+        rng = spawn_rng(20, "qc-law")
+        layouts = [c for c in itertools.product((1, 2), (1, 2), (0, 1), (0, 1, 2)) if c[0] * c[1] + c[2] + c[3] <= 5]
+        assert len(layouts) == 21
+        for n, true_s, l, m in layouts:
+            rho, _ = attacks.qubit_count_interception(n, true_s, 2, rng, l=l, m=m)
+            dense = attacks._bell_probs_dm(np.kron(rho, rho), n * true_s + l + m)
+            assert np.max(np.abs(attacks._bell_pair_law(rho) - dense)) <= 1e-12
+
+    def test_pure_law_reproduces_the_pair_by_pair_sampler(self):
+        # criterion 7's m = 0 seeds: the random streams are consumed exactly
+        # as the former pair-by-pair sampler consumed them
+        for trial in range(200):
+            old = pair_by_pair_reference(spawn_rng(107, "qc", 0, trial))
+            rng = spawn_rng(107, "qc", 0, trial)
+            state, copies = attacks.qubit_count_interception(2, int(rng.integers(1, 3)), 2, rng)
+            rep = attacks.qubit_count_attack(state, copies, 2, 2, shots=600, rng=rng)
+            assert rep.z_values == old
+
+    def test_padded_z_matches_exact_law(self):
+        rng = spawn_rng(21, "qc")
+        n, shots = 2, 20000
+        state, copies = attacks.qubit_count_interception(n, 1, 2, rng, m=2)
+        law = attacks._bell_pair_law(state)
+        width = int(np.log2(state.shape[0]))
+        parity = attacks._prefix_parity(attacks._and_bits(np.arange(len(law)), width), width, n)
+        p_odd = float(np.sum(law * parity))
+        rep = attacks.qubit_count_attack(state, copies, n, 2, shots=shots, rng=rng)
+        assert abs(rep.z_values[0] - (1.0 - 2.0 * p_odd)) <= 3 * 2 * np.sqrt(p_odd * (1 - p_odd) / shots)
+
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed"])
+    def test_interception_key_follows_mode(self, mode):
+        rng = spawn_rng(22, "qc", mode)
+        twin = spawn_rng(22, "qc", mode)
+        rho, copies = attacks.qubit_count_interception(1, 1, 3, rng, l=1, m=1, mode=mode)
+        part = QubitPartition(1, 1, 1)
+        psi = random_pure_state(1, twin)
+        if mode == "haar_exact":
+            u = sample_haar(part.z, twin)
+        else:
+            u = build_scrambler(SecretKey.generate(twin), part.z, ScramblerSpec(mode=mode))
+        expected = qcore.apply_unitary(pqas.pad_state(qcore.pure_dm(psi), part), u)
+        assert copies == 12
+        assert np.max(np.abs(rho - expected)) <= 1e-12
 
 
 class TestMultiState:

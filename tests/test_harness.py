@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import cli, harness
+from pqaslab import attacks, cli, harness
 from pqaslab.harness import ConfigError, ResultRecord
 
 
@@ -45,6 +45,9 @@ class TestConfig:
             ({"experiment": "wg-selftest", "channel": {"kind": "identity", "bogus": 1}}, "channel"),
             ({"experiment": "cpa", "seed": 2**63}, "seed"),
             ({"experiment": "cpa", "trials": [100, 2**127]}, "trials"),
+            ({"experiment": "qubit-count", "mode": "bogus", "trials": 2, "shots": 20}, "mode"),
+            ({"experiment": "wg-selftest", "mode": "bogus"}, "mode"),
+            ({"experiment": "qubit-count", "s_max": 0, "trials": 1}, "s_max"),
         ],
     )
     def test_field_types(self, config, field):
@@ -116,6 +119,9 @@ class TestCli:
             {"experiment": "efi", "delta": [0.1, 0.2]},
             {"experiment": "wg-selftest", "trials": True},
             {"experiment": "wg-selftest", "channel": {"kind": "bogus"}},
+            {"experiment": "qubit-count", "mode": "bogus", "trials": 2, "shots": 20},
+            {"experiment": "wg-selftest", "mode": "bogus"},
+            {"experiment": "qubit-count", "s_max": 0, "trials": 1},
         ],
     )
     def test_mistyped_field_exits_2(self, config, tmp_path, capsys):
@@ -289,6 +295,24 @@ class TestRun:
         )
         correct = next(r for r in records if r.experiment == "qubit-count:correct")
         assert correct.estimate == pytest.approx(1.0)
+
+    def test_qubit_count_cost_does_not_grow_with_m(self):
+        # z = 9: the pad-averaged law is O(4^z) whatever m is
+        records = harness.run(
+            {"experiment": "qubit-count", "n": 1, "s_max": 1, "m": 8, "trials": 1, "shots": 800},
+            record_timing=False,
+        )
+        abstain = next(r for r in records if r.experiment == "qubit-count:abstain")
+        assert abstain.estimate == 1.0
+
+    def test_qubit_count_honours_mode(self, monkeypatch):
+        modes = []
+        key_unitary = attacks._key_unitary
+        monkeypatch.setattr(
+            attacks, "_key_unitary", lambda z, mode, rng: modes.append(mode) or key_unitary(z, mode, rng)
+        )
+        harness.run({"experiment": "qubit-count", "mode": "composed", "trials": 2, "shots": 20}, record_timing=False)
+        assert modes == ["composed", "composed"]
 
     def test_efi_smoke(self):
         records = harness.run(
