@@ -13,7 +13,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,23 +93,54 @@ class ExperimentPoint:
 
 @dataclass
 class ResultRecord:
+    """One output row.  Its fields, in order, are the CSV columns and the JSON
+    keys; a field that shares its name with an ``ExperimentPoint`` field is
+    copied from the point.  Floats are held at the 12 significant digits they
+    are printed with, so a record survives its CSV unchanged."""
+
     experiment: str
     n: int
     l: int
     m: int
     t: int
+    q: int
     trials: int
+    shots: int
     mode: str
     channel: str
+    channel_kind: str
+    channel_p: float
+    s_max: int
+    delta: float
+    copies: int
+    m0: int
+    gamma: float
+    c: float
+    lambda_eff: int
     estimate: float | None
     stderr: float | None
     exact: float | None
     prediction: float | None
     seed: int
-    wall_ms: int | None
+    wall_ms: int | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type.startswith("float"):
+                setattr(self, f.name, _round12(getattr(self, f.name)))
 
 
-CSV_HEADER = "experiment,n,l,m,t,trials,mode,channel,estimate,stderr,exact,prediction,seed,wall_ms"
+_FIELDS = fields(ResultRecord)
+# The header is the schema version: parse_csv accepts no other.
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
+
+
+def _optional(parse):
+    return lambda cell: parse(cell) if cell else None
+
+
+# one cell parser per ResultRecord field type
+_PARSERS = {"str": str, "int": int, "float": float, "int | None": _optional(int), "float | None": _optional(float)}
 
 
 def _round12(x: float | None) -> float | None:
@@ -263,22 +294,20 @@ def channel_label(kind: str, p: float) -> str:
 # experiment implementations
 
 
+# point fields a record copies by name; the experiment gains a metric suffix and the seed is derived
+_POINT_FIELDS = ({f.name for f in fields(ExperimentPoint)} & {f.name for f in _FIELDS}) - {"experiment", "seed"}
+
+
 def _metric(pt, suffix, estimate, stderr=None, exact=None, prediction=None, channel=""):
     return ResultRecord(
+        **{name: getattr(pt, name) for name in _POINT_FIELDS},
         experiment=f"{pt.experiment}:{suffix}" if suffix else pt.experiment,
-        n=pt.n,
-        l=pt.l,
-        m=pt.m,
-        t=pt.t,
-        trials=pt.trials,
-        mode=pt.mode,
         channel=channel,
-        estimate=_round12(estimate),
-        stderr=_round12(stderr),
-        exact=_round12(exact),
-        prediction=_round12(prediction),
+        estimate=estimate,
+        stderr=stderr,
+        exact=exact,
+        prediction=prediction,
         seed=point_seed(pt),
-        wall_ms=None,
     )
 
 
@@ -483,41 +512,11 @@ def emit(records: list[ResultRecord], fmt: str = "csv", path: str | None = None)
     """Serialize records; returns the text and optionally writes it."""
     if not records:
         raise ValueError("no records to emit")
+    rows = [{f.name: getattr(r, f.name) for f in _FIELDS} for r in records]
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.experiment, r.n, r.l, r.m, r.t, r.trials, r.mode, r.channel,
-                        r.estimate, r.stderr, r.exact, r.prediction, r.seed, r.wall_ms,
-                    )
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([CSV_HEADER] + [",".join(map(_fmt, row.values())) for row in rows]) + "\n"
     elif fmt == "json":
-        payload = []
-        for r in records:
-            payload.append(
-                {
-                    "experiment": r.experiment,
-                    "n": r.n,
-                    "l": r.l,
-                    "m": r.m,
-                    "t": r.t,
-                    "trials": r.trials,
-                    "mode": r.mode,
-                    "channel": r.channel,
-                    "estimate": _round12(r.estimate),
-                    "stderr": _round12(r.stderr),
-                    "exact": _round12(r.exact),
-                    "prediction": _round12(r.prediction),
-                    "seed": r.seed,
-                    "wall_ms": r.wall_ms,
-                }
-            )
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(rows, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path:
@@ -527,28 +526,16 @@ def emit(records: list[ResultRecord], fmt: str = "csv", path: str | None = None)
 
 
 def parse_csv(text: str) -> list[ResultRecord]:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if lines[0] != CSV_HEADER:
-        raise ValueError("unexpected CSV header")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        out.append(
-            ResultRecord(
-                experiment=cells[0],
-                n=int(cells[1]),
-                l=int(cells[2]),
-                m=int(cells[3]),
-                t=int(cells[4]),
-                trials=int(cells[5]),
-                mode=cells[6],
-                channel=cells[7],
-                estimate=float(cells[8]) if cells[8] else None,
-                stderr=float(cells[9]) if cells[9] else None,
-                exact=float(cells[10]) if cells[10] else None,
-                prediction=float(cells[11]) if cells[11] else None,
-                seed=int(cells[12]),
-                wall_ms=int(cells[13]) if cells[13] else None,
-            )
-        )
-    return out
+    """Inverse of ``emit(records, "csv")``; a header other than ``CSV_HEADER`` is rejected."""
+    parsers = [_PARSERS[f.type] for f in _FIELDS]
+    records = []
+    for number, line in enumerate(text.splitlines() or [""], start=1):
+        cells = line.split(",") if line else []
+        if len(cells) != len(parsers):
+            raise ValueError(f"CSV line {number}: expected {len(parsers)} cells, found {len(cells)}")
+        if number == 1:
+            if line != CSV_HEADER:
+                raise ValueError(f"CSV line 1: header is not {CSV_HEADER!r}")
+        else:
+            records.append(ResultRecord(*(parse(cell) for parse, cell in zip(parsers, cells))))
+    return records

@@ -1,6 +1,7 @@
 """Config validation, experiment dispatch, serialization and determinism."""
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -142,22 +143,8 @@ class TestCli:
 
 class TestEmit:
     def _record(self):
-        return ResultRecord(
-            experiment="wg-selftest",
-            n=2,
-            l=0,
-            m=0,
-            t=2,
-            trials=1,
-            mode="haar_exact",
-            channel="",
-            estimate=harness._round12(0.0833333333333),
-            stderr=0.0,
-            exact=harness._round12(1 / 12),
-            prediction=None,
-            seed=12345,
-            wall_ms=None,
-        )
+        (pt,) = harness.expand_points(harness.validate_config({"experiment": "wg-selftest", "n": 2, "t": 2, "trials": 1}))
+        return harness._metric(pt, "", 0.0833333333333, stderr=0.0, exact=1 / 12)
 
     def test_csv_header_and_roundtrip(self):
         rec = self._record()
@@ -170,8 +157,8 @@ class TestEmit:
 
     def test_prediction_column_empty(self):
         text = harness.emit([self._record()])
-        row = text.strip().split("\n")[1].split(",")
-        assert row[11] == ""
+        header, row = (line.split(",") for line in text.strip().split("\n"))
+        assert row[header.index("prediction")] == ""
 
     def test_json_mirrors_fields(self):
         rec = self._record()
@@ -186,6 +173,64 @@ class TestEmit:
     def test_empty_emit_rejected(self):
         with pytest.raises(ValueError):
             harness.emit([])
+
+    @pytest.mark.parametrize(
+        "edit, line, found",
+        [
+            (lambda lines: [], 1, 0),
+            (lambda lines: [lines[0], lines[1].rsplit(",", 1)[0]], 2, len(fields(ResultRecord)) - 1),
+            (lambda lines: [lines[0], lines[1] + ",7"], 2, len(fields(ResultRecord)) + 1),
+        ],
+        ids=["empty", "short-row", "extra-cell"],
+    )
+    def test_malformed_csv_names_line_and_cell_counts(self, edit, line, found):
+        text = "\n".join(edit(harness.emit([self._record()]).splitlines()))
+        expected = len(fields(ResultRecord))
+        with pytest.raises(ValueError, match=f"^CSV line {line}: expected {expected} cells, found {found}$"):
+            harness.parse_csv(text)
+
+    def test_other_header_rejected(self):
+        text = harness.emit([self._record()]).replace("prediction", "predicted", 1)
+        with pytest.raises(ValueError, match="^CSV line 1: header is not"):
+            harness.parse_csv(text)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "wg-selftest", "n": [1, 2], "t": 2},
+            {"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "q": [0, 1], "trials": 20},
+            {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "trials": 100, "channel": {"kind": "depolarizing", "p": 0.3}},
+            {"experiment": "cpa", "trials": 4},
+            {"experiment": "qubit-count", "s_max": [1, 2], "trials": 2, "shots": 20},
+            {"experiment": "multistate", "copies": 4, "trials": 4},
+            {"experiment": "decoy", "n": 1, "l": 1, "m": 1, "t": 2},
+            {"experiment": "vprdm", "n": 2, "m": 1, "t": 2, "trials": 2},
+            {"experiment": "efi", "n": 3, "lambda_eff": 2, "channel": {"kind": "local_depolarizing", "p": 0.1}},
+        ],
+        ids=lambda config: config["experiment"],
+    )
+    def test_real_records_round_trip(self, config):
+        records = harness.run(config)
+        assert {r.experiment.split(":")[0] for r in records} == {config["experiment"]}
+        assert harness.parse_csv(harness.emit(records)) == records
+        assert json.loads(harness.emit(records, fmt="json")) == [asdict(r) for r in records]
+
+    @pytest.mark.parametrize("field", [*harness._SWEEPABLE, "channel.p"])
+    def test_every_swept_field_has_a_column(self, field):
+        # qubit-count reads s_max and shots; channel.p rides on a cpa sweep and every other field on wg-selftest
+        base = {
+            "s_max": {"experiment": "qubit-count", "trials": 2, "shots": 20},
+            "shots": {"experiment": "qubit-count", "trials": 2},
+            "channel.p": {"experiment": "cpa", "trials": 4},
+        }.get(field, {"experiment": "wg-selftest"})
+        sweep = {"channel": {"kind": "depolarizing", "p": [0.1, 0.2]}} if field == "channel.p" else {field: [1, 2]}
+        config = {**base, **sweep, "delta": 0.25, "gamma": 0.5, "c": 0.125}
+        header, *rows = (line.split(",") for line in harness.emit(harness.run(config)).splitlines())
+        column = dict(zip(header, zip(*rows)))
+        for metric in set(column["experiment"]):
+            cells = {cell for name, cell in zip(column["experiment"], column[field.replace(".", "_")]) if name == metric}
+            assert cells == ({"0.1", "0.2"} if field == "channel.p" else {"1", "2"})
+        assert (set(column["delta"]), set(column["gamma"]), set(column["c"])) == ({"0.25"}, {"0.5"}, {"0.125"})
 
 
 class TestRun:
