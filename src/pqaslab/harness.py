@@ -1,16 +1,18 @@
 """Experiment configuration, dispatch, and results persistence.
 
-A run is described by one flat JSON document.  Any numeric field may be a
-list, in which case the run expands to the Cartesian product of all swept
-fields.  Every expanded point gets its own derived seed
-(keyed hash of master seed, experiment name, parameter tuple), so records
-are reproducible independently of sweep order or thread count.
+A run is described by one flat JSON document.  Any numeric field except
+``seed`` may be a list: the integer fields, the real fields ``delta``,
+``gamma`` and ``c``, and the channel's ``p``.  The run then expands to the
+Cartesian product of all swept fields.  Every expanded point gets its own
+derived seed (keyed hash of master seed, experiment name, parameter tuple),
+so records are reproducible independently of sweep order or thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -63,7 +65,8 @@ _DEFAULTS = {
     "lambda_eff": 6,
 }
 
-_SWEEPABLE = ("n", "l", "m", "t", "q", "trials", "shots", "s_max", "m0", "lambda_eff", "copies")
+_SWEEPABLE = ("n", "l", "m", "t", "q", "trials", "shots", "s_max", "m0", "lambda_eff", "copies", "delta", "gamma", "c")
+_REAL_FIELDS = ("delta", "gamma", "c")
 
 
 @dataclass(frozen=True)
@@ -179,23 +182,20 @@ def validate_config(config: dict) -> dict:
     if name not in EXPERIMENTS:
         raise ConfigError("experiment", f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     for field in _SWEEPABLE:
-        vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
-        if not vals or not all(_is_int(v) for v in vals):
-            raise ConfigError(field, "must be a 64-bit integer or a nonempty list of them")
+        real = field in _REAL_FIELDS
+        vals = _as_list(cfg[field])
+        if not vals or not all((_is_real if real else _is_int)(v) for v in vals):
+            kind = "finite real number" if real else "64-bit integer"
+            raise ConfigError(field, f"must be a {kind} or a nonempty list of them")
     if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be a 64-bit integer")
-    for field in ("delta", "gamma", "c"):
-        if not _is_real(cfg[field]):
-            raise ConfigError(field, "must be a real number")
     if cfg["mode"] not in MODES:
         raise ConfigError("mode", f"unknown mode {cfg['mode']!r}; choose from {MODES}")
     for field in ("trials", "shots", "n", "t", "s_max"):
-        vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
-        if any(v < 1 for v in vals):
+        if any(v < 1 for v in _as_list(cfg[field])):
             raise ConfigError(field, "must be at least 1")
     for field in ("l", "m", "q"):
-        vals = cfg[field] if isinstance(cfg[field], list) else [cfg[field]]
-        if any(v < 0 for v in vals):
+        if any(v < 0 for v in _as_list(cfg[field])):
             raise ConfigError(field, "must be nonnegative")
     chan = cfg["channel"]
     if not isinstance(chan, dict) or "kind" not in chan:
@@ -204,11 +204,14 @@ def validate_config(config: dict) -> dict:
     for key in chan:
         if key not in ("kind", "p"):
             raise ConfigError("channel", f"unknown channel field {key!r}")
-    pvals = chan.get("p", 0.0)
-    pvals = pvals if isinstance(pvals, list) else [pvals]
+    pvals = _as_list(chan.get("p", 0.0))
     if not pvals or not all(_is_real(v) for v in pvals):
-        raise ConfigError("channel", "'p' must be a real number or a nonempty list of them")
+        raise ConfigError("channel", "'p' must be a finite real number or a nonempty list of them")
     return cfg
+
+
+def _as_list(value) -> list:
+    return value if isinstance(value, list) else [value]
 
 
 def _is_int(value) -> bool:
@@ -217,23 +220,25 @@ def _is_int(value) -> bool:
 
 
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A non-bool int or float that converts to a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def expand_points(cfg: dict, seed_override: int | None = None) -> list[ExperimentPoint]:
-    sweeps = {}
-    for field in _SWEEPABLE:
-        val = cfg[field]
-        sweeps[field] = list(val) if isinstance(val, list) else [val]
+    sweeps = {field: _as_list(cfg[field]) for field in _SWEEPABLE}
+    for field in _REAL_FIELDS:
+        sweeps[field] = [float(v) for v in sweeps[field]]
     chan = cfg["channel"]
-    pvals = chan.get("p", 0.0)
-    pvals = list(pvals) if isinstance(pvals, list) else [pvals]
     seed = seed_override if seed_override is not None else int(cfg["seed"])
     points = []
-    keys = list(sweeps)
-    for combo in itertools.product(*(sweeps[k] for k in keys)):
-        base = dict(zip(keys, combo))
-        for p in pvals:
+    for combo in itertools.product(*sweeps.values()):
+        base = dict(zip(sweeps, combo))
+        for p in _as_list(chan.get("p", 0.0)):
             points.append(
                 ExperimentPoint(
                     experiment=cfg["experiment"],
@@ -241,9 +246,6 @@ def expand_points(cfg: dict, seed_override: int | None = None) -> list[Experimen
                     channel_kind=chan["kind"],
                     channel_p=float(p),
                     seed=seed,
-                    delta=float(cfg["delta"]),
-                    gamma=float(cfg["gamma"]),
-                    c=float(cfg["c"]),
                     **base,
                 )
             )

@@ -11,12 +11,16 @@ diagrams and never builds a d^t matrix.  Sampled operators that commute with
 the copy permutations but not with U^(x t) are only block diagonal, not
 block scalar; ``isotypic_bases`` gives orthonormal bases of those blocks.
 
-The dense path (``haar_moment``, ``encrypted_moment_exact``, ``ghse_moment``)
-is kept as the reference those sums are tested against.  It obtains the
-Weingarten coefficients by inverting the Gram matrix of permutation
-operators, which is exact at desk scale (t <= 6).  Permutations on t letters
-are plain tuples ``p`` with ``p[i]`` the image of letter i (0-indexed), and
-the permutation-operator convention is
+The Weingarten function is the same character sum (Collins-Sniady),
+
+    Wg(pi, d) = (1/t!^2) sum_lambda f_lambda^2 chi_lambda(pi) / s_lambda(1^d),
+
+over the diagrams with at most d rows, so it exists for every d and t <= 12.
+The one dense twirl, ``haar_moment``, sums Wg against permutation traces and
+is kept as the reference the block sums are tested against
+(``closeness_dense``, ``ghse_moment``).  Permutations on t letters are plain
+tuples ``p`` with ``p[i]`` the image of letter i (0-indexed), and the
+permutation-operator convention is
 
     P(pi) |i_1 ... i_t>  =  |i_{pi^-1(1)} ... i_{pi^-1(t)}>
 
@@ -29,7 +33,8 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Callable
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -70,21 +75,6 @@ def invert(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycles(p: Perm) -> int:
-    """Number of cycles including fixed points."""
-    seen = [False] * len(p)
-    count = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        count += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-    return count
-
-
 def cycle_lengths(p: Perm) -> list[int]:
     seen = [False] * len(p)
     out = []
@@ -101,6 +91,11 @@ def cycle_lengths(p: Perm) -> list[int]:
     return out
 
 
+def cycle_type(p: Perm) -> Shape:
+    """Cycle lengths of p as a partition of t, largest first."""
+    return tuple(sorted(cycle_lengths(p), reverse=True))
+
+
 def _perm_rows(p: Perm, d: int) -> np.ndarray:
     """Row index hit by each column of P(p): P(p)[rows[c], c] = 1."""
     t = len(p)
@@ -114,15 +109,26 @@ def _perm_rows(p: Perm, d: int) -> np.ndarray:
     return rows
 
 
-def permutation_operator(p: Perm, d: int) -> np.ndarray:
-    """Dense operator on (C^d)^(x t) permuting the tensor copies."""
-    t = len(p)
+def _capped_dim(d: int, t: int) -> int:
     dim = d**t
     if dim > MAX_MOMENT_DIM:
         raise ValueError(f"d^t = {dim} exceeds the size cap {MAX_MOMENT_DIM}")
-    op = np.zeros((dim, dim), dtype=complex)
-    op[_perm_rows(p, d), np.arange(dim)] = 1.0
-    return op
+    return dim
+
+
+def _perm_sum(coeffs: dict[Perm, complex], d: int) -> np.ndarray:
+    """Dense sum_p c_p P(p) on (C^d)^(x t), in the dtype of the coefficients."""
+    dim = _capped_dim(d, len(next(iter(coeffs))))
+    out = np.zeros((dim, dim), dtype=np.asarray(list(coeffs.values())).dtype)
+    cols = np.arange(dim)
+    for p, c in coeffs.items():
+        out[_perm_rows(p, d), cols] += c
+    return out
+
+
+def permutation_operator(p: Perm, d: int) -> np.ndarray:
+    """Dense operator on (C^d)^(x t) permuting the tensor copies."""
+    return _perm_sum({p: 1.0 + 0j}, d)
 
 
 def _perm_trace(op: np.ndarray, p: Perm, d: int) -> complex:
@@ -225,16 +231,14 @@ def block_traces(weight: Callable[[Shape], float], t: int, d: int) -> dict[Shape
 def isotypic_projector(lam: Shape, d: int) -> np.ndarray:
     """Dense Pi_lam = (f_lam / t!) sum_pi chi_lam(pi) P(pi) on (C^d)^(x t).
 
-    Real and symmetric, since chi_lam(pi) = chi_lam(pi^-1).
+    Real and symmetric, since chi_lam(pi) = chi_lam(pi^-1).  The integer
+    characters are summed exactly and scaled once, so each entry is rounded
+    once.
     """
     t = sum(lam)
     f, _ = irrep_dims(lam, d)
-    dim = d**t
-    out = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for p in permutations(t):
-        out[_perm_rows(p, d), cols] += character(lam, tuple(sorted(cycle_lengths(p), reverse=True)))
-    return out * (f / math.factorial(t))
+    chars = {p: float(character(lam, cycle_type(p))) for p in permutations(t)}
+    return _perm_sum(chars, d) * (f / math.factorial(t))
 
 
 def isotypic_bases(t: int, d: int) -> list[np.ndarray]:
@@ -261,37 +265,39 @@ def isotypic_bases(t: int, d: int) -> list[np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _weingarten_table(t: int, d: int) -> dict[Perm, float]:
-    if d < t:
-        raise ValueError(f"Weingarten Gram matrix is singular for d = {d} < t = {t}")
-    perms = permutations(t)
-    gram = np.empty((len(perms), len(perms)), dtype=float)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            gram[i, j] = float(d ** cycles(compose(p, invert(q))))
-    rhs = np.zeros(len(perms))
-    rhs[perms.index(identity_perm(t))] = 1.0
-    wg = np.linalg.solve(gram, rhs)
-    return {p: float(w) for p, w in zip(perms, wg)}
+def weingarten_class(mu: Shape, d: int) -> float:
+    """Wg on the permutations of cycle type mu, from the S_t characters.
+
+    (1/t!^2) sum_lam f_lam^2 chi_lam(mu) / s_lam(1^d) over the diagrams with
+    s_lam(1^d) != 0.  For d >= t this inverts the Gram matrix
+    [d^#cycles(p q^-1)]_{p,q}; for d < t it is its pseudo-inverse, with which
+    the twirl formula still holds.  The terms cancel heavily, so the sum is
+    taken in exact rationals and rounded once.
+    """
+    t = sum(mu)
+    total = Fraction(0)
+    for lam in partitions(t):
+        f, s = irrep_dims(lam, d)
+        if s:
+            total += Fraction(f * f * character(lam, mu), s)
+    return float(total / math.factorial(t) ** 2)
 
 
 def weingarten(p: Perm, d: int) -> float:
-    """Weingarten coefficient Wg(p, d) from Gram-matrix inversion over S_t."""
-    return _weingarten_table(len(p), d)[p]
+    """Weingarten coefficient Wg(p, d)."""
+    return weingarten_class(cycle_type(p), d)
 
 
 def sum_abs_weingarten(t: int, d: int) -> float:
-    return float(sum(abs(w) for w in _weingarten_table(t, d).values()))
+    """sum over S_t of |Wg(pi, d)|, class by class."""
+    return math.fsum(class_size(mu) * abs(weingarten_class(mu, d)) for mu in partitions(t))
 
 
 def sum_abs_weingarten_exact(t: int, d: int) -> float:
-    """Closed form (d - t)! / d! for the absolute Weingarten sum."""
+    """Closed form (d - t)! / d! for the absolute Weingarten sum (d >= t)."""
+    if d < t:
+        raise ValueError(f"the absolute Weingarten sum has no closed form for d = {d} < t = {t}")
     return 1.0 / math.prod(range(d - t + 1, d + 1))
-
-
-def cycle_sum_excluding_identity(t: int, d: int) -> float:
-    """sum over non-identity permutations of d^#cycles = (d+t-1)!/(d-1)! - d^t."""
-    return float(math.prod(range(d, d + t)) - d**t)
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +312,24 @@ def haar_moment(op: np.ndarray, t: int, d: int) -> np.ndarray:
     dim = d**t
     if op.shape != (dim, dim):
         raise ValueError(f"operator must have dimension d^t = {dim}")
-    if dim > MAX_MOMENT_DIM:
-        raise ValueError(f"d^t = {dim} exceeds the size cap {MAX_MOMENT_DIM}")
     perms = permutations(t)
-    wg = _weingarten_table(t, d)
+    wg = {p: weingarten(p, d) for p in perms}
     ptraces = {p: _perm_trace(op, p, d) for p in perms}
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
+    coeffs = {}
     for eta in perms:
-        coeff = sum(wg[compose(invert(eta), p)] * ptraces[p] for p in perms)
-        out[_perm_rows(eta, d), cols] += coeff
-    return out
+        eta_inv = invert(eta)
+        coeffs[eta] = sum(wg[compose(eta_inv, p)] * ptraces[p] for p in perms)
+    return _perm_sum(coeffs, d)
+
+
+def _check_message(partition: qcore.QubitPartition, rho: np.ndarray) -> None:
+    if rho.shape[0] != 2**partition.n:
+        raise ValueError("input state does not match the message register")
 
 
 def _power_traces(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> list[float]:
     """tr(rho^k) for k = 0..t; (rho (x) tag)^k has the same traces."""
-    if rho.shape[0] != 2**partition.n:
-        raise ValueError("input state does not match the message register")
+    _check_message(partition, rho)
     ptr = [1.0]
     acc = np.eye(rho.shape[0], dtype=complex)
     for _ in range(t):
@@ -331,36 +338,11 @@ def _power_traces(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> l
     return ptr
 
 
-def encrypted_moment_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> np.ndarray:
-    """Exact Haar average of the t-copy encrypted state (dense reference).
-
-    Uses the structure of the padded input: the permutation weight splits into
-    a message+tag part, evaluated from cycle traces of rho (x) tag, and a mixed
-    part d_B^(#cycles - t).  Output lives on t copies of all z qubits.
-    """
-    z = partition.z
-    d = 2**z
-    dim = d**t
-    if dim > MAX_MOMENT_DIM:
-        raise ValueError(f"2^(z t) = {dim} exceeds the size cap {MAX_MOMENT_DIM}")
-    d_b = 2**partition.m
-    ptr = _power_traces(partition, rho, t)
-    perms = permutations(t)
-    wg = _weingarten_table(t, d)
-    coeff_a = {p: float(np.prod([ptr[c] for c in cycle_lengths(p)])) for p in perms}
-    coeff_b = {p: float(d_b ** (cycles(p) - t)) for p in perms}
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for eta in perms:
-        coeff = sum(
-            wg[compose(invert(eta), p)] * coeff_a[p] * coeff_b[p] for p in perms
-        )
-        out[_perm_rows(eta, d), cols] += coeff
-    return out
-
-
 def dense_fits(d: int, t: int) -> bool:
-    """Whether the dense t-copy reference can run at local dimension d."""
+    """Whether the experiments attach a dense t-copy reference at local
+    dimension d: d^t within the size cap, t within the enumerable S_t, and
+    d >= t, where Wg inverts the Gram matrix rather than pseudo-inverting it.
+    """
     return t <= min(d, MAX_T) and d**t <= MAX_MOMENT_DIM
 
 
@@ -383,14 +365,20 @@ def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
 
 
 def closeness_dense(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> float:
-    """``closeness_exact`` from the dense moment matrix (reference)."""
+    """``closeness_exact`` from the dense twirl of the padded input (reference).
+
+    The padded input is rho (x) |0><0|_l (x) I / 2^m on each of the t copies.
+    """
+    _check_message(partition, rho)
     d = 2**partition.z
-    moment = encrypted_moment_exact(partition, rho, t)
+    dim = _capped_dim(d, t)
+    padded = reduce(np.kron, (rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m)))
+    moment = haar_moment(reduce(np.kron, [padded] * t), t, d)
     drift = np.max(np.abs(moment - moment.conj().T))
     if drift > 1e-10:
         raise ArithmeticError(f"moment lost Hermiticity ({drift:.2e})")
     moment = 0.5 * (moment + moment.conj().T)
-    target = np.eye(d**t, dtype=complex) / d**t
+    target = np.eye(dim, dtype=complex) / dim
     return qcore.trace_norm(moment - target)
 
 
@@ -403,14 +391,8 @@ def ghse_moment(n: int, m: int, t: int) -> np.ndarray:
     """
     d_a = 2**n
     d_b = 2**m
-    d = d_a * d_b
-    if d_a**t > MAX_MOMENT_DIM:
-        raise ValueError(f"2^(n t) = {d_a ** t} exceeds the size cap {MAX_MOMENT_DIM}")
-    norm = 1.0 / math.prod(range(d, d + t))  # (d-1)!/(d+t-1)!
-    out = np.zeros((d_a**t, d_a**t), dtype=complex)
-    for p in permutations(t):
-        out += (d_b ** cycles(p)) * permutation_operator(p, d_a)
-    return norm * out
+    norm = 1.0 / math.prod(range(d_a * d_b, d_a * d_b + t))  # (d-1)!/(d+t-1)!
+    return norm * _perm_sum({p: complex(d_b ** len(cycle_lengths(p))) for p in permutations(t)}, d_a)
 
 
 def ghse_block_traces(n: int, m: int, t: int) -> dict[Shape, float]:

@@ -47,13 +47,6 @@ class AuthOutcome:
 SYMMETRY_TOL = 1e-12
 
 
-def tag_projector(partition: QubitPartition) -> np.ndarray:
-    """Pi_0 = I_message (x) |0...0><0...0|_tag (x) I_mixed (the dense reference
-    for the index slice ``authenticate`` reads)."""
-    dn, dl, dm = partition.dims
-    return qcore.tensor(np.eye(dn), qcore.zero_tag_state(partition.l), np.eye(dm))
-
-
 def pad_state(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     """Append the tag state and the maximally mixed register to the message."""
     return qcore.tensor(rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))

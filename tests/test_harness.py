@@ -37,7 +37,7 @@ class TestConfig:
         "config,field",
         [
             ({"experiment": "cpa", "n": "2"}, "n"),
-            ({"experiment": "efi", "delta": [0.1, 0.2]}, "delta"),
+            ({"experiment": "efi", "delta": [0.1, "x"]}, "delta"),
             ({"experiment": "wg-selftest", "trials": True}, "trials"),
             ({"experiment": "cpa", "t": [2, 2.5]}, "t"),
             ({"experiment": "cpa", "seed": "7"}, "seed"),
@@ -49,6 +49,9 @@ class TestConfig:
             ({"experiment": "qubit-count", "mode": "bogus", "trials": 2, "shots": 20}, "mode"),
             ({"experiment": "wg-selftest", "mode": "bogus"}, "mode"),
             ({"experiment": "qubit-count", "s_max": 0, "trials": 1}, "s_max"),
+            ({"experiment": "efi", "c": [0.1, 10**400]}, "c"),
+            ({"experiment": "qubit-count", "delta": float("nan")}, "delta"),
+            ({"experiment": "auth-sweep", "channel": {"kind": "depolarizing", "p": float("inf")}}, "channel"),
         ],
     )
     def test_field_types(self, config, field):
@@ -117,7 +120,7 @@ class TestCli:
         "config",
         [
             {"experiment": "cpa", "n": "2"},
-            {"experiment": "efi", "delta": [0.1, 0.2]},
+            {"experiment": "efi", "delta": [0.1, "x"]},
             {"experiment": "wg-selftest", "trials": True},
             {"experiment": "wg-selftest", "channel": {"kind": "bogus"}},
             {"experiment": "qubit-count", "mode": "bogus", "trials": 2, "shots": 20},
@@ -133,6 +136,23 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: config field")
 
+
+    @pytest.mark.parametrize("t", range(1, 14))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_wg_selftest_exit_codes(self, n, t, tmp_path, capsys):
+        # the closed form (d - t)!/d! needs d = 2^n >= t, and the S_t class sums stop at t = 12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "wg-selftest", "n": n, "t": t}))
+        code = cli.main(["run", "--config", str(path), "--no-timing"])
+        out = capsys.readouterr()
+        if 2**n >= t and t <= 12:
+            assert code == cli.EXIT_OK
+            (record,) = harness.parse_csv(out.out)
+            assert abs(record.estimate - record.exact) <= 1e-12 * record.exact
+        else:
+            assert code == cli.EXIT_CONFIG
+            assert out.out == ""
+            assert out.err.startswith("error:")
 
     def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -217,20 +237,29 @@ class TestEmit:
 
     @pytest.mark.parametrize("field", [*harness._SWEEPABLE, "channel.p"])
     def test_every_swept_field_has_a_column(self, field):
-        # qubit-count reads s_max and shots; channel.p rides on a cpa sweep and every other field on wg-selftest
-        base = {
-            "s_max": {"experiment": "qubit-count", "trials": 2, "shots": 20},
-            "shots": {"experiment": "qubit-count", "trials": 2},
-            "channel.p": {"experiment": "cpa", "trials": 4},
-        }.get(field, {"experiment": "wg-selftest"})
-        sweep = {"channel": {"kind": "depolarizing", "p": [0.1, 0.2]}} if field == "channel.p" else {field: [1, 2]}
-        config = {**base, **sweep, "delta": 0.25, "gamma": 0.5, "c": 0.125}
+        # qubit-count reads s_max, shots and delta, efi reads gamma and c,
+        # channel.p rides on a cpa sweep and every other field on wg-selftest
+        qubit_count = {"experiment": "qubit-count", "trials": 2, "shots": 20}
+        efi = {"experiment": "efi", "n": 4, "lambda_eff": 2}
+        base, values = {
+            "s_max": (qubit_count, [1, 2]),
+            "shots": ({"experiment": "qubit-count", "trials": 2}, [1, 2]),
+            "delta": (qubit_count, [0.25, 0.375]),
+            "gamma": (efi, [0.6, 0.7]),
+            "c": (efi, [0.2, 0.3]),
+            "channel.p": ({"experiment": "cpa", "trials": 4}, [0.1, 0.2]),
+        }.get(field, ({"experiment": "wg-selftest"}, [1, 2]))
+        fixed = {"delta": 0.25, "gamma": 0.5, "c": 0.125}
+        sweep = {"channel": {"kind": "depolarizing", "p": values}} if field == "channel.p" else {field: values}
+        config = {**base, **fixed, **sweep}
         header, *rows = (line.split(",") for line in harness.emit(harness.run(config)).splitlines())
         column = dict(zip(header, zip(*rows)))
         for metric in set(column["experiment"]):
             cells = {cell for name, cell in zip(column["experiment"], column[field.replace(".", "_")]) if name == metric}
-            assert cells == ({"0.1", "0.2"} if field == "channel.p" else {"1", "2"})
-        assert (set(column["delta"]), set(column["gamma"]), set(column["c"])) == ({"0.25"}, {"0.5"}, {"0.125"})
+            assert cells == {str(v) for v in values}
+        for name, value in fixed.items():
+            if name != field:
+                assert set(column[name]) == {str(value)}
 
 
 class TestRun:

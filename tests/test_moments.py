@@ -3,6 +3,7 @@ twirls and the encrypted-moment closeness laws."""
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -31,16 +32,18 @@ class TestSymmetricGroup:
             assert moments.compose(a, moments.compose(b, c)) == moments.compose(moments.compose(a, b), c)
 
     def test_cycle_counts(self):
-        assert moments.cycles((0, 1, 2)) == 3
-        assert moments.cycles((1, 0)) == 1
-        assert moments.cycles((1, 2, 0)) == 1
-        assert moments.cycles((1, 0, 3, 2)) == 2
+        assert moments.cycle_lengths((0, 1, 2)) == [1, 1, 1]
+        assert moments.cycle_lengths((1, 0)) == [2]
+        assert moments.cycle_lengths((1, 2, 0)) == [3]
+        assert moments.cycle_lengths((1, 0, 3, 2)) == [2, 2]
+        assert moments.cycle_type((0, 2, 1)) == (2, 1)
+        assert moments.cycle_type((3, 0, 1, 2, 4)) == (4, 1)
 
     @pytest.mark.parametrize("t,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_operator_trace_is_cycle_power(self, t, d):
         for p in moments.permutations(t):
             op = moments.permutation_operator(p, d)
-            assert np.trace(op).real == pytest.approx(d ** moments.cycles(p), abs=1e-12)
+            assert np.trace(op).real == pytest.approx(d ** len(moments.cycle_lengths(p)), abs=1e-12)
             assert np.allclose(op @ op.conj().T, np.eye(d**t), atol=1e-12)
 
     def test_operator_composition(self):
@@ -51,7 +54,21 @@ class TestSymmetricGroup:
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def gram_weingarten(t, d):
+    """Reference Wg(., d) over S_t by solving G wg = delta_id, G[p, q] = d^#cycles(p q^-1) (d >= t)."""
+    perms = moments.permutations(t)
+    gram = np.array([[float(d ** len(moments.cycle_lengths(moments.compose(p, moments.invert(q))))) for q in perms] for p in perms])
+    rhs = np.zeros(len(perms))
+    rhs[perms.index(moments.identity_perm(t))] = 1.0
+    return dict(zip(perms, np.linalg.solve(gram, rhs)))
+
+
 class TestWeingarten:
+    @pytest.mark.parametrize("t,d", [(t, d) for t in range(1, 6) for d in (t, t + 1, 8, 16)] + [(6, 8)])
+    def test_matches_gram_inversion(self, t, d):
+        for p, want in gram_weingarten(t, d).items():
+            assert abs(moments.weingarten(p, d) - want) <= 1e-12 * abs(want)
+
     def test_first_moment(self):
         for d in (2, 4, 8):
             assert moments.weingarten((0,), d) == pytest.approx(1.0 / d, abs=1e-14)
@@ -70,13 +87,17 @@ class TestWeingarten:
         # numeric check of the d^-t (1 + t^2/d) upper bound, valid for t^2 <= d
         assert moments.sum_abs_weingarten(t, d) <= d ** (-t) * (1 + t**2 / d) + 1e-15
 
-    def test_rejects_small_dimension(self):
+    def test_small_dimension_pseudo_inverse(self):
+        # for d < t the Gram matrix is singular; its pseudo-inverse still twirls
+        # a pure product state onto the normalized symmetric projector
+        for d, t in [(1, 2), (2, 3), (2, 4), (3, 4)]:
+            zero = qcore.pure_dm(qcore.basis_ket(d, 0))
+            sym = sum(moments.permutation_operator(p, d) for p in moments.permutations(t)) / math.factorial(t)
+            twirled = moments.haar_moment(reduce(np.kron, [zero] * t), t, d)
+            assert np.max(np.abs(twirled - sym / math.comb(d + t - 1, t))) <= 1e-12
+        assert moments.weingarten((1, 0), 1) == pytest.approx(1 / 4, abs=1e-15)
         with pytest.raises(ValueError):
-            moments.weingarten((0, 1, 2), 2)
-
-    def test_cycle_sum(self):
-        for d in (2, 4, 8):
-            assert moments.cycle_sum_excluding_identity(2, d) == pytest.approx(d)
+            moments.sum_abs_weingarten_exact(3, 2)
 
 
 class TestHaarMoment:
@@ -144,20 +165,20 @@ class TestHaarMoment:
 
 
 class TestEncryptedMoment:
-    def test_t1_is_maximally_mixed(self):
-        part = QubitPartition(1, 1, 2)
-        rho = qcore.pure_dm(qcore.basis_ket(2, 0))
-        out = moments.encrypted_moment_exact(part, rho, 1)
-        assert np.allclose(out, np.eye(16) / 16, atol=1e-12)
-
     @pytest.mark.parametrize("n,l,m", [(1, 1, 1), (1, 0, 1), (2, 1, 0), (1, 1, 0), (1, 2, 1)])
     def test_two_independent_paths_agree(self, n, l, m):
+        # the Weingarten twirl of the padded two-copy input against the two-fold
+        # twirl identity: a I + b SWAP, fixed by the trace 1 and the purity of the pad
         part = QubitPartition(n, l, m)
         rho = sample_ghse(n, 1, spawn_rng(5, "paths", n, l, m))
-        structured = moments.encrypted_moment_exact(part, rho, 2)
         padded = pqas.pad_state(rho, part)
-        generic = moments.haar_moment(np.kron(padded, padded), 2, 2**part.z)
-        assert np.max(np.abs(structured - generic)) <= 1e-9
+        d = 2**part.z
+        purity = qcore.purity(padded)
+        a = (1 - purity / d) / (d * d - 1)
+        b = (purity - 1 / d) / (d * d - 1)
+        identity_form = a * np.eye(d * d) + b * moments.permutation_operator((1, 0), d)
+        generic = moments.haar_moment(np.kron(padded, padded), 2, d)
+        assert np.max(np.abs(identity_form - generic)) <= 1e-12
 
     def test_closeness_t1_zero(self):
         part = QubitPartition(1, 1, 1)
@@ -218,7 +239,7 @@ class TestCharacters:
         perms = moments.permutations(t)
         for lam in moments.partitions(t):
             f, s = moments.irrep_dims(lam, d)
-            chi = {p: moments.character(lam, tuple(sorted(moments.cycle_lengths(p), reverse=True))) for p in perms}
+            chi = {p: moments.character(lam, moments.cycle_type(p)) for p in perms}
             proj = f / math.factorial(t) * sum(chi[p] * moments.permutation_operator(p, d) for p in perms)
             for sigma in perms:
                 val = np.trace(proj @ moments.permutation_operator(sigma, d)).real
@@ -264,7 +285,7 @@ class TestClosedFormCloseness:
         part = QubitPartition(n, l, m)
         rng = spawn_rng(7, "closed-vs-dense", n, l, m, t)
         for rho in (qcore.pure_dm(random_pure_state(n, rng)), sample_ghse(n, n, rng)):
-            # closeness_dense: trace_norm of encrypted_moment_exact minus the maximally mixed target
+            # closeness_dense: trace norm of the dense twirl of the padded input minus the maximally mixed target
             assert abs(moments.closeness_exact(part, rho, t) - moments.closeness_dense(part, rho, t)) <= 1e-12
 
     def test_beyond_the_dense_cap(self):

@@ -13,6 +13,13 @@ HAAR = ScramblerSpec(mode="haar_exact")
 COMPOSED = ScramblerSpec(mode="composed")
 
 
+def tag_projector(partition: QubitPartition) -> np.ndarray:
+    """Pi_0 = I_message (x) |0...0><0...0|_tag (x) I_mixed (the dense reference
+    for the index slice ``authenticate`` reads)."""
+    dn, dl, dm = partition.dims
+    return qcore.tensor(np.eye(dn), qcore.zero_tag_state(partition.l), np.eye(dm))
+
+
 class TestEncryptDecrypt:
     def test_ciphertext_purity(self):
         rng = spawn_rng(0, "enc")
@@ -108,7 +115,7 @@ class TestAuthenticate:
         rejected = pqas.Ciphertext(qcore.apply_unitary(wrong_tag, u), part)
         for ct, accepts in ((accepted, True), (rejected, False)):
             out = pqas.authenticate(ct, key, spec)
-            prob, post = qcore.project(qcore.apply_unitary(ct.state, u.conj().T), pqas.tag_projector(part))
+            prob, post = qcore.project(qcore.apply_unitary(ct.state, u.conj().T), tag_projector(part))
             assert out.accepted == accepts == (post is not None)
             assert abs(out.accept_prob - prob) <= 1e-12
             if accepts:
@@ -186,7 +193,7 @@ class TestFunctionals:
         part = QubitPartition(n, l, m)
         rng = spawn_rng(19, "twirl-reference", n, l, m)
         psi = random_pure_state(n, rng)
-        tag = pqas.tag_projector(part)
+        tag = tag_projector(part)
         weight = qcore.tensor(qcore.pure_dm(psi), qcore.zero_tag_state(l), np.eye(2**m))
         for chan in _channel_classes(part.z, rng):
             assert abs(pqas.exact_haar_p0(part, chan, psi) - _twirl_reference(tag, part, chan, psi)) <= 1e-12
