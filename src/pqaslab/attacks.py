@@ -5,26 +5,30 @@ The left-or-right game simulates the strongest pairwise-SWAP adversary
 exactly: conditioned on the sampled key and mixed-register realizations the
 t received states are a pure product state, so the probability that a whole
 sequence of pairwise symmetric-subspace projections accepts reduces to a
-permutation-group sum over Gram-matrix cycle products.  No t-copy joint
-state is ever materialized.
+permutation-group sum over Gram-matrix cycle products, whose weights are
+built once per (t, pair order) with ``moments.convolve`` and cached.  No
+t-copy joint state is ever materialized.
 
 The qubit-number attack measures copy pairs transversally in the Bell
 basis.  The copies share the key but carry independent uniform pads, so
-every pair is in the state rho (x) rho of the pad-averaged copy rho.  Its
-outcome law comes from Walsh-Hadamard transforms of rho and every shot of
-every pair is drawn from it in one call.
+every pair is in the state rho (x) rho of the pad-averaged copy rho, and
+every shot of every pair is drawn in one call.  Both Bell estimators read
+one outcome law, a Walsh-Hadamard transform of a correlation table: an XOR
+autocorrelation of rho here, one index gather of a general state in
+``bell_parity_purity``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_haar
+from .ensembles import random_pure_state, sample_scramblers
 from .pqas import Ciphertext, pad_state
 from .qcore import QubitPartition
 
@@ -80,52 +84,44 @@ def standard_cpa_lists(t: int, n: int):
     return left, right
 
 
+@lru_cache(maxsize=None)
+def _chain_weights(t: int, pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of the SWAP chain's permutation sum, cached per (t, pairs).
+
+    The chain is A = S_k ... S_1 with S = (e + s_ij)/2 for the pairs in
+    order, so <psi|A^dag A|psi> = sum_sigma w(sigma) <psi|P(sigma)|psi> with
+    w = A~ * A and A~(x) = A(x^-1).  Returned read-only: the inverse of each
+    permutation in the support of w, one per row, and its weight.
+    """
+    e = moments.identity_perm(t)
+    factors = []
+    for i, j in pairs:
+        swap = list(e)
+        swap[i], swap[j] = j, i
+        factors.append({e: 0.5, tuple(swap): 0.5})
+    chain = reduce(moments.convolve, reversed(factors), {e: 1.0})
+    w = moments.convolve({moments.invert(p): c for p, c in chain.items()}, chain)
+    support = [p for p, c in w.items() if c]
+    inverses = np.array([moments.invert(p) for p in support], dtype=np.intp)
+    weights = np.array([w[p] for p in support])
+    inverses.flags.writeable = weights.flags.writeable = False
+    return inverses, weights
+
+
 def _swap_chain_accept_prob(states: list[np.ndarray], pairs: list[tuple[int, int]]) -> float:
     """Probability that sequential SWAP tests on the given pairs all accept.
 
     ``states`` are pure and mutually independent, so the ordered product of
     pair-symmetrizers expands over the symmetric group and every term
-    evaluates to a product of Gram-matrix entries along permutation cycles.
+    <psi|P(sigma)|psi> = prod_k G[k, sigma^-1(k)] is a product of Gram-matrix
+    entries along permutation cycles.
     """
     t = len(states)
-    gram = np.empty((t, t), dtype=complex)
-    for i in range(t):
-        for j in range(t):
-            gram[i, j] = np.vdot(states[i], states[j])
-    poly: dict[tuple, float] = {moments.identity_perm(t): 1.0}
-    for (i, j) in pairs:
-        swap = list(range(t))
-        swap[i], swap[j] = j, i
-        swap = tuple(swap)
-        new: dict[tuple, float] = {}
-        for perm, c in poly.items():
-            half = 0.5 * c
-            new[perm] = new.get(perm, 0.0) + half
-            left = moments.compose(swap, perm)
-            new[left] = new.get(left, 0.0) + half
-        poly = new
-
-    def bracket(perm):
-        pinv = moments.invert(perm)
-        val = 1.0 + 0.0j
-        for k in range(t):
-            val *= gram[k, pinv[k]]
-        return val
-
-    total = 0.0
-    items = list(poly.items())
-    for pa, ca in items:
-        for pb, cb in items:
-            total += ca * cb * bracket(moments.compose(moments.invert(pa), pb)).real
-    return float(min(max(total, 0.0), 1.0))
-
-
-def _key_unitary(z: int, mode: str, rng: np.random.Generator) -> np.ndarray:
-    """The trial's scrambler: a direct Haar draw in ``haar_exact`` mode, else
-    the keyed scrambler of a freshly generated key."""
-    if mode == "haar_exact":
-        return sample_haar(z, rng)
-    return build_scrambler(SecretKey.generate(rng), z, ScramblerSpec(mode=mode))
+    inverses, weights = _chain_weights(t, tuple(map(tuple, pairs)))
+    vecs = np.asarray(states)
+    gram = vecs.conj() @ vecs.T
+    total = float(weights @ np.prod(gram[np.arange(t), inverses], axis=1).real)
+    return min(max(total, 0.0), 1.0)
 
 
 def _encrypt_pure(psi, partition: QubitPartition, u: np.ndarray, pad_index: int) -> np.ndarray:
@@ -159,7 +155,7 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
     gaps = np.empty(cfg.trials)
     for g in range(cfg.trials):
         rng = spawn_rng(seed, "lr-cpa", g)
-        u = _key_unitary(z, cfg.mode, rng)
+        u = sample_scramblers(z, cfg.mode, [rng])[0]
         pads = [int(rng.integers(2**cfg.partition.m)) if cfg.partition.m else 0 for _ in range(t)]
         p_branch = []
         for side in (cfg.left, cfg.right):
@@ -226,45 +222,6 @@ def multi_state_attack(ciphertexts: list[Ciphertext], rng: np.random.Generator) 
 # Bell-measurement machinery
 
 
-def _apply_cnot_vec(v: np.ndarray, control: int, target: int, qubits: int) -> np.ndarray:
-    """CNOT on a state vector (or on the rows of a matrix); qubit 0 is msb."""
-    pc = qubits - 1 - control
-    pt = qubits - 1 - target
-    idx = np.arange(v.shape[0])
-    flipped = idx ^ (((idx >> pc) & 1) << pt)
-    return v[flipped]
-
-
-def _apply_h_vec(v: np.ndarray, qubit: int) -> np.ndarray:
-    left = 2**qubit
-    right = v.shape[0] // (2 * left)
-    shape = (left, 2, right) + v.shape[1:]
-    t = v.reshape(shape)
-    out = np.empty_like(t)
-    inv = 1.0 / np.sqrt(2.0)
-    out[:, 0] = inv * (t[:, 0] + t[:, 1])
-    out[:, 1] = inv * (t[:, 0] - t[:, 1])
-    return out.reshape(v.shape)
-
-
-def _bell_circuit(v: np.ndarray, half: int) -> np.ndarray:
-    """CNOT(j -> j+half) for each pair, then H on the first half."""
-    qubits = 2 * half
-    for j in range(half):
-        v = _apply_cnot_vec(v, j, j + half, qubits)
-    for j in range(half):
-        v = _apply_h_vec(v, j)
-    return v
-
-
-def _bell_probs_dm(rho: np.ndarray, half: int) -> np.ndarray:
-    # C rho C^dag computed as C (C rho)^dag, using hermiticity of rho
-    a = _bell_circuit(rho, half)
-    b = _bell_circuit(a.conj().T, half)
-    probs = np.clip(np.real(np.diag(b)), 0.0, None)
-    return probs / probs.sum()
-
-
 def _wht(x: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along axis 0 of a 2-d array."""
     d = x.shape[0]
@@ -276,21 +233,40 @@ def _wht(x: np.ndarray) -> np.ndarray:
     return x.reshape(d, -1)
 
 
+def _bell_law(corr: np.ndarray) -> np.ndarray:
+    """Transversal Bell outcome law from its correlation table, outcome index
+    (a << h) | b.
+
+    corr[b, r] = D^-1 sum_i sigma[(i, i^b), (i^r, i^r^b)] for the measured
+    2h-qubit state sigma; CNOT(j -> j+h) and H on the first half give
+    P(a, b) = sum_r (-1)^(a.r) corr[b, r], a Walsh-Hadamard transform over r.
+    The law is normalized here, so corr may carry any positive scale.
+    """
+    law = np.clip(_wht(corr.T).real, 0.0, None).ravel()  # [a, b]
+    return law / law.sum()
+
+
 def _bell_pair_law(rho: np.ndarray) -> np.ndarray:
     """Transversal Bell outcome law of rho (x) rho, outcome index (a << z) | b.
 
-    P(a, b) = D^-1 sum_r (-1)^(a.r) sum_i rho[i, i^r] rho[i^b, i^r^b]: the
-    inner sum is an XOR autocorrelation over i, the outer one a
-    Walsh-Hadamard transform over r.  O(4^z) memory; the 4^z x 4^z pair
-    state is never formed.
+    Here corr[b, r] is proportional to sum_i rho[i, i^r] rho[i^b, i^r^b], an
+    XOR autocorrelation over i taken by two Walsh-Hadamard transforms.
+    O(4^z) memory; the 4^z x 4^z pair state is never formed.
     """
     d = rho.shape[0]
     idx = np.arange(d)
     shifted = rho[idx[:, None], idx[:, None] ^ idx]      # [i, r] = rho[i, i^r]
     spec = _wht(shifted)
-    corr = _wht(spec * spec) / d                         # [b, r]
-    law = np.clip(_wht(corr.T).real, 0.0, None).ravel()  # [a, b]
-    return law / law.sum()
+    return _bell_law(_wht(spec * spec) / d)              # corr [b, r]
+
+
+def _bell_state_law(state: np.ndarray, half: int) -> np.ndarray:
+    """Transversal Bell outcome law of a general state on 2 * half qubits,
+    from one D^3 gather of its entries (D = 2^half)."""
+    d = 2**half
+    b, r, i = np.ix_(*(np.arange(d),) * 3)
+    corr = state[i * d + (i ^ b), (i ^ r) * d + (i ^ r ^ b)].sum(axis=-1)
+    return _bell_law(corr)
 
 
 def _and_bits(outcomes: np.ndarray, half: int) -> np.ndarray:
@@ -326,7 +302,7 @@ def bell_parity_purity(state: np.ndarray, b: int, shots: int, rng: np.random.Gen
     half = qubits // 2
     if not 1 <= b <= half:
         raise ValueError("prefix length out of range")
-    probs = _bell_probs_dm(state, half)
+    probs = _bell_state_law(state, half)
     outcomes = rng.choice(len(probs), size=shots, p=probs)
     nu = _and_bits(outcomes, half)
     return 1.0 - 2.0 * float(np.mean(_prefix_parity(nu, half, b)))
@@ -360,13 +336,13 @@ def qubit_count_interception(
     """One intercepted stream: the pad-averaged copy state and the copy count.
 
     Draws a pure message on n * true_s qubits, then the key (see
-    ``_key_unitary``), and returns rho = U (psi (x) |0><0|_l (x) I/2^m) U^dag
+    ``sample_scramblers``), and returns rho = U (psi (x) |0><0|_l (x) I/2^m) U^dag
     with the stream length 2 * s_max!/true_s.
     """
     _check_desk_scale(n, s_max)
     part = QubitPartition(n * true_s, l, m)
     psi = random_pure_state(part.n, rng)
-    u = _key_unitary(part.z, mode, rng)
+    u = sample_scramblers(part.z, mode, [rng])[0]
     rho = qcore.apply_unitary(pad_state(qcore.pure_dm(psi), part), u)
     return rho, 2 * (math.factorial(s_max) // true_s)
 

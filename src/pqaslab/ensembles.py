@@ -28,6 +28,7 @@ __all__ = [
     "sample_design4_surrogate",
     "sample_pru_surrogate",
     "build_scrambler",
+    "sample_scramblers",
     "sample_ghse",
     "random_pure_state",
 ]
@@ -206,6 +207,19 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
         u = v_pru @ v_4 @ v_2
     u.flags.writeable = False
     return u
+
+
+def sample_scramblers(z: int, mode: str, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """One trial scrambler per generator, shape (len(rngs), 2^z, 2^z).
+
+    In ``haar_exact`` mode each unitary is drawn directly from its generator
+    (``sample_haar_batch``); in any other mode it is the keyed scrambler of a
+    key freshly generated from it.
+    """
+    if mode == "haar_exact":
+        return sample_haar_batch(z, rngs)
+    spec = ScramblerSpec(mode=mode)
+    return np.stack([build_scrambler(SecretKey.generate(rng), z, spec) for rng in rngs])
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

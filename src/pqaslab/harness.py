@@ -253,16 +253,17 @@ def expand_points(cfg: dict, seed_override: int | None = None) -> list[Experimen
 
 
 def point_seed(pt: ExperimentPoint) -> int:
-    """Derived per-point stream seed; independent of sweep order."""
-    digest = derive_bytes(
-        None,
-        pt.seed,
-        pt.experiment,
-        (pt.n, pt.l, pt.m, pt.t, pt.q, pt.trials, pt.shots, pt.mode, pt.channel_kind,
-         str(pt.channel_p), pt.s_max, str(pt.delta), pt.copies, pt.m0,
-         str(pt.gamma), str(pt.c), pt.lambda_eff),
-        n=8,
+    """Derived per-point stream seed; independent of sweep order.
+
+    Hashes the master seed, the experiment and every other field of the
+    point in declaration order, real fields by their ``str``.
+    """
+    params = tuple(
+        str(getattr(pt, f.name)) if f.type == "float" else getattr(pt, f.name)
+        for f in fields(ExperimentPoint)
+        if f.name not in ("experiment", "seed")
     )
+    digest = derive_bytes(None, pt.seed, pt.experiment, params, n=8)
     return int.from_bytes(digest, "big") >> 1
 
 

@@ -65,7 +65,7 @@ def identity_perm(t: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Perm) -> Perm:
@@ -73,6 +73,21 @@ def invert(p: Perm) -> Perm:
     for i, img in enumerate(p):
         out[img] = i
     return tuple(out)
+
+
+def convolve(f: dict[Perm, complex], g: dict[Perm, complex]) -> dict[Perm, complex]:
+    """Group-algebra product (f * g)(sigma) = sum_a f(a) g(a^-1 sigma).
+
+    Summed over the supports of f and g only, so S_t is never enumerated;
+    with P(p) P(q) = P(p o q) it is the coefficient dict of
+    (sum_a f(a) P(a)) (sum_b g(b) P(b)).
+    """
+    out: dict[Perm, complex] = {}
+    for a, fa in f.items():
+        for b, gb in g.items():
+            s = compose(a, b)
+            out[s] = out.get(s, 0) + fa * gb
+    return out
 
 
 def cycle_lengths(p: Perm) -> list[int]:
@@ -308,18 +323,15 @@ def haar_moment(op: np.ndarray, t: int, d: int) -> np.ndarray:
     """Exact t-fold Haar twirl E_U[U^(x t) op U^dagger(x t)].
 
     Direct Weingarten sum: sum_{pi,eta} Wg(eta^-1 pi, d) tr(op P(pi)^dag) P(eta).
+    Wg is a class function, so Wg(eta^-1 pi) = Wg(pi^-1 eta) and the
+    coefficient of P(eta) is the convolution of the traces with Wg.
     """
     dim = d**t
     if op.shape != (dim, dim):
         raise ValueError(f"operator must have dimension d^t = {dim}")
     perms = permutations(t)
-    wg = {p: weingarten(p, d) for p in perms}
     ptraces = {p: _perm_trace(op, p, d) for p in perms}
-    coeffs = {}
-    for eta in perms:
-        eta_inv = invert(eta)
-        coeffs[eta] = sum(wg[compose(eta_inv, p)] * ptraces[p] for p in perms)
-    return _perm_sum(coeffs, d)
+    return _perm_sum(convolve(ptraces, {p: weingarten(p, d) for p in perms}), d)
 
 
 def _check_message(partition: qcore.QubitPartition, rho: np.ndarray) -> None:

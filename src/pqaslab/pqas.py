@@ -11,7 +11,7 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_haar, sample_haar_batch
+from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers
 from .qcore import Channel, QubitPartition
 
 
@@ -236,17 +236,12 @@ def auth_sweep(
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for stable statistics")
-    spec = ScramblerSpec(mode=mode)
     z = partition.z
     rho_ext = pad_state(qcore.pure_dm(psi), partition)
     p0s = np.empty(trials)
     fps = np.empty(trials)
     for i in range(trials):
-        rng = spawn_rng(seed, "auth-sweep", i)
-        if mode == "haar_exact":
-            u = sample_haar(z, rng)
-        else:
-            u = build_scrambler(SecretKey.generate(rng), z, spec)
+        u = sample_scramblers(z, mode, [spawn_rng(seed, "auth-sweep", i)])[0]
         p0s[i], fps[i] = _p0_fprime(rho_ext, psi, u, partition, channel)
     fids = fps / p0s
     mean_p0, se_p0 = _mean_stderr(p0s)
@@ -410,14 +405,10 @@ def security_scan(
     else:
         bases = [np.eye(dim)]
 
-    spec = ScramblerSpec(mode=mode)
     diffs = [np.empty((batches, basis.shape[1], basis.shape[1]), dtype=complex) for basis in bases]
     for b in range(batches):
         rngs = [spawn_rng(seed, "security-scan", b * per_batch + i) for i in range(per_batch)]
-        if mode == "haar_exact":
-            us = sample_haar_batch(z, rngs)
-        else:
-            us = np.stack([build_scrambler(SecretKey.generate(rng), z, spec) for rng in rngs])
+        us = sample_scramblers(z, mode, rngs)
         if rho is not None:
             total = _product_batch_sum(us @ rho_pad @ us.conj().transpose(0, 2, 1), t)
         else:

@@ -1,6 +1,7 @@
 """Adversary games: the SWAP-chain algebra against direct joint-state
-simulation, Bell-parity estimators against exact reduced-state values, and
-the attack/abstention separations."""
+simulation and the former S_t double loop, the Bell-outcome laws against the
+dense Bell circuit, Bell-parity estimators against exact reduced-state
+values, and the attack/abstention separations."""
 
 import itertools
 import math
@@ -31,6 +32,50 @@ def chain_accept_direct(states, pairs):
     return float(np.vdot(joint, joint).real)
 
 
+def chain_accept_double_loop(states, pairs):
+    """Reference: the former S_t expansion, summed over every pair (a, b) of
+    terms of the chain operator A = sum_p c_p P(p)."""
+    t = len(states)
+    gram = np.empty((t, t), dtype=complex)
+    for i in range(t):
+        for j in range(t):
+            gram[i, j] = np.vdot(states[i], states[j])
+    poly = {moments.identity_perm(t): 1.0}
+    for (i, j) in pairs:
+        swap = list(range(t))
+        swap[i], swap[j] = j, i
+        swap = tuple(swap)
+        new = {}
+        for perm, c in poly.items():
+            half = 0.5 * c
+            new[perm] = new.get(perm, 0.0) + half
+            left = moments.compose(swap, perm)
+            new[left] = new.get(left, 0.0) + half
+        poly = new
+
+    def bracket(perm):
+        pinv = moments.invert(perm)
+        val = 1.0 + 0.0j
+        for k in range(t):
+            val *= gram[k, pinv[k]]
+        return val
+
+    total = 0.0
+    items = list(poly.items())
+    for pa, ca in items:
+        for pb, cb in items:
+            total += ca * cb * bracket(moments.compose(moments.invert(pa), pb)).real
+    return float(min(max(total, 0.0), 1.0))
+
+
+def all_pairs(t):
+    return [(i, j) for i in range(t) for j in range(i + 1, t)]
+
+
+def disjoint_pairs(t):
+    return [(i, i + 1) for i in range(0, t - 1, 2)]
+
+
 class TestSwapChain:
     def test_identical_states_always_accept(self):
         psi = qcore.basis_ket(4, 0)
@@ -57,6 +102,30 @@ class TestSwapChain:
         assert attacks._swap_chain_accept_prob(states, pairs) == pytest.approx(
             chain_accept_direct(states, pairs), abs=1e-10
         )
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("layout", [all_pairs, disjoint_pairs], ids=["all", "disjoint"])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6])
+    def test_matches_double_loop(self, t, layout, m):
+        # pure (m = 0) and padded ciphertexts of one key, as in the LR game
+        rng = spawn_rng(23, "chain", t, layout.__name__, m)
+        part = QubitPartition(1, 0, m)
+        u = sample_haar(part.z, rng)
+        states = [
+            attacks._encrypt_pure(random_pure_state(1, rng), part, u, int(rng.integers(2**m)) if m else 0)
+            for _ in range(t)
+        ]
+        pairs = layout(t)
+        assert abs(attacks._swap_chain_accept_prob(states, pairs) - chain_accept_double_loop(states, pairs)) <= 1e-12
+
+    @pytest.mark.parametrize("t", [7, 8])
+    def test_disjoint_pairs_beyond_enumerable_t(self, t):
+        # the LR game's layout for t > 6; S_t is never enumerated
+        rng = spawn_rng(24, "chain", t)
+        states = [random_pure_state(1, rng) for _ in range(t)]
+        pairs = disjoint_pairs(t)
+        got = attacks._swap_chain_accept_prob(states, pairs)
+        assert abs(got - chain_accept_direct(states, pairs)) <= 1e-12
 
 
 class TestLRGame:
@@ -139,6 +208,46 @@ class TestPurityProbe:
         assert abs(est - exact) <= 3 * sigma
 
 
+def _apply_cnot_vec(v, control, target, qubits):
+    """CNOT on a state vector (or on the rows of a matrix); qubit 0 is msb."""
+    pc = qubits - 1 - control
+    pt = qubits - 1 - target
+    idx = np.arange(v.shape[0])
+    flipped = idx ^ (((idx >> pc) & 1) << pt)
+    return v[flipped]
+
+
+def _apply_h_vec(v, qubit):
+    left = 2**qubit
+    right = v.shape[0] // (2 * left)
+    shape = (left, 2, right) + v.shape[1:]
+    t = v.reshape(shape)
+    out = np.empty_like(t)
+    inv = 1.0 / np.sqrt(2.0)
+    out[:, 0] = inv * (t[:, 0] + t[:, 1])
+    out[:, 1] = inv * (t[:, 0] - t[:, 1])
+    return out.reshape(v.shape)
+
+
+def bell_circuit(v, half):
+    """Dense reference: CNOT(j -> j+half) for each pair, then H on the first half."""
+    qubits = 2 * half
+    for j in range(half):
+        v = _apply_cnot_vec(v, j, j + half, qubits)
+    for j in range(half):
+        v = _apply_h_vec(v, j)
+    return v
+
+
+def bell_probs_dm(rho, half):
+    """Dense reference Bell outcome law of a density matrix on 2 * half qubits."""
+    # C rho C^dag computed as C (C rho)^dag, using hermiticity of rho
+    a = bell_circuit(rho, half)
+    b = bell_circuit(a.conj().T, half)
+    probs = np.clip(np.real(np.diag(b)), 0.0, None)
+    return probs / probs.sum()
+
+
 class TestBellParity:
     def test_same_pure_state_never_odd(self):
         rng = spawn_rng(10, "bell")
@@ -161,7 +270,7 @@ class TestBellParity:
         for _ in range(5):
             rho = sample_ghse(2, 2, rng)  # possibly entangled across halves
             half = 1
-            probs = attacks._bell_probs_dm(rho, half)
+            probs = bell_probs_dm(rho, half)
             outcomes = np.arange(len(probs))
             nu = attacks._and_bits(outcomes, half)
             par = attacks._prefix_parity(nu, half, 1)
@@ -175,11 +284,18 @@ class TestBellParity:
             a = sample_ghse(1, 1, rng)
             b = sample_ghse(1, 1, rng)
             state = qcore.tensor(a, b)
-            probs = attacks._bell_probs_dm(state, 1)
+            probs = bell_probs_dm(state, 1)
             outcomes = np.arange(len(probs))
             par = attacks._prefix_parity(attacks._and_bits(outcomes, 1), 1, 1)
             z_exact = float(np.sum(probs * (1 - 2 * par)))
             assert z_exact == pytest.approx(qcore.overlap(a, b), abs=1e-10)
+
+    def test_state_law_matches_dense_reference(self):
+        # entangled general states on 2h qubits, h = 1..5
+        rng = spawn_rng(25, "bell")
+        for half in range(1, 6):
+            rho = sample_ghse(2 * half, min(2, 10 - 2 * half), rng)
+            assert np.max(np.abs(attacks._bell_state_law(rho, half) - bell_probs_dm(rho, half))) <= 1e-12
 
     def test_prefix_validation(self):
         state = qcore.tensor(qcore.maximally_mixed(1), qcore.maximally_mixed(1))
@@ -199,7 +315,7 @@ def pair_by_pair_reference(rng, n=2, s_max=2, shots=600):
     width = part.z
     nus = np.zeros(shots, dtype=np.int64)
     for c in range(k):
-        w = attacks._bell_circuit(np.kron(copies[c], copies[k + c]), width)
+        w = bell_circuit(np.kron(copies[c], copies[k + c]), width)
         probs = np.abs(w) ** 2
         outs = rng.choice(len(probs), size=shots, p=probs / probs.sum())
         nus |= attacks._and_bits(outs, width) << ((k - 1 - c) * width)
@@ -249,7 +365,7 @@ class TestQubitCount:
         assert len(layouts) == 21
         for n, true_s, l, m in layouts:
             rho, _ = attacks.qubit_count_interception(n, true_s, 2, rng, l=l, m=m)
-            dense = attacks._bell_probs_dm(np.kron(rho, rho), n * true_s + l + m)
+            dense = bell_probs_dm(np.kron(rho, rho), n * true_s + l + m)
             assert np.max(np.abs(attacks._bell_pair_law(rho) - dense)) <= 1e-12
 
     def test_pure_law_reproduces_the_pair_by_pair_sampler(self):

@@ -1,7 +1,7 @@
 """Config validation, experiment dispatch, serialization and determinism."""
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -78,6 +78,15 @@ class TestConfig:
         seeds = [harness.point_seed(p) for p in points]
         assert len(set(seeds)) == len(seeds)
         assert seeds == [harness.point_seed(p) for p in harness.expand_points(cfg)]
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(harness.ExperimentPoint)])
+    def test_point_seed_reads_every_field(self, name):
+        # a field left out of the seed would share random streams across points
+        cfg = harness.validate_config({"experiment": "cpa", "channel": {"kind": "depolarizing", "p": 0.1}})
+        point = harness.expand_points(cfg)[0]
+        value = getattr(point, name)
+        changed = value + "x" if isinstance(value, str) else value + 1
+        assert harness.point_seed(replace(point, **{name: changed})) != harness.point_seed(point)
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
@@ -381,9 +390,9 @@ class TestRun:
 
     def test_qubit_count_honours_mode(self, monkeypatch):
         modes = []
-        key_unitary = attacks._key_unitary
+        sample_scramblers = attacks.sample_scramblers
         monkeypatch.setattr(
-            attacks, "_key_unitary", lambda z, mode, rng: modes.append(mode) or key_unitary(z, mode, rng)
+            attacks, "sample_scramblers", lambda z, mode, rngs: modes.append(mode) or sample_scramblers(z, mode, rngs)
         )
         harness.run({"experiment": "qubit-count", "mode": "composed", "trials": 2, "shots": 20}, record_timing=False)
         assert modes == ["composed", "composed"]

@@ -53,6 +53,22 @@ class TestSymmetricGroup:
             rhs = moments.permutation_operator(moments.compose(p, q), d)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_convolution_is_operator_product(self, t, d):
+        rng = spawn_rng(1, "convolve", t, d)
+        perms = moments.permutations(t)
+
+        def random_element():
+            # random sparse support, complex coefficients
+            keep = rng.permutation(len(perms))[: int(rng.integers(1, len(perms) + 1))]
+            return {perms[i]: complex(*rng.standard_normal(2)) for i in keep}
+
+        for _ in range(5):
+            f, g = random_element(), random_element()
+            product = moments._perm_sum(f, d) @ moments._perm_sum(g, d)
+            assert np.max(np.abs(moments._perm_sum(moments.convolve(f, g), d) - product)) <= 1e-12
+
 
 def gram_weingarten(t, d):
     """Reference Wg(., d) over S_t by solving G wg = delta_id, G[p, q] = d^#cycles(p q^-1) (d >= t)."""
