@@ -150,12 +150,16 @@ def sample_design4_surrogate(z: int, key_seed: bytes) -> np.ndarray:
     return _haar(2**z, [keyed_rng(key_seed, "design4", z)])[0]
 
 
-def _brickwork_layer(z: int, key_seed: bytes, layer: int) -> np.ndarray:
-    """One brickwork layer; every gate gets its own (key, counter) stream."""
-    offset = layer % 2
+def _layer_blocks(z: int, layer: int) -> list[tuple[int, int]]:
+    """(width, first qubit) of each gate of one brickwork layer, qubit 0 first.
+
+    Even layers pair qubits (0, 1), (2, 3), ...; odd layers put a one-qubit
+    gate on qubit 0 and pair (1, 2), (3, 4), ...; a leftover last qubit gets a
+    one-qubit gate.
+    """
     blocks = []
     q = 0
-    if offset == 1 and z > 1:
+    if layer % 2 == 1 and z > 1:
         blocks.append((1, q))
         q = 1
     while q + 1 < z:
@@ -163,10 +167,38 @@ def _brickwork_layer(z: int, key_seed: bytes, layer: int) -> np.ndarray:
         q += 2
     if q < z:
         blocks.append((1, q))
-    out = None
-    for width, pos in blocks:
-        gate = _haar(2**width, [keyed_rng(key_seed, "pru-gate", z, layer, pos)])[0]
-        out = gate if out is None else np.kron(out, gate)
+    return blocks
+
+
+def _brickwork_gates(z: int, key_seed: bytes, depth: int) -> list[list[np.ndarray]]:
+    """Every gate of the circuit, per layer in ``_layer_blocks`` order.
+
+    Each gate is drawn from its own (key, layer, position) stream, and all
+    gates of one width come from one ``_haar`` call, which is bitwise equal
+    to drawing them one at a time.
+    """
+    slots = [(layer, width, pos) for layer in range(depth) for width, pos in _layer_blocks(z, layer)]
+    drawn = {}
+    for width in {w for _, w, _ in slots}:
+        mine = [(layer, pos) for layer, w, pos in slots if w == width]
+        rngs = [keyed_rng(key_seed, "pru-gate", z, layer, pos) for layer, pos in mine]
+        drawn.update(zip(mine, _haar(2**width, rngs)))
+    gates = [[] for _ in range(depth)]
+    for layer, _, pos in slots:
+        gates[layer].append(drawn[layer, pos])
+    return gates
+
+
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of square matrices, the first factor most significant.
+
+    The same elementwise products as chained ``np.kron``, built by broadcast
+    and reshape.
+    """
+    out = np.ones((1, 1), dtype=complex)
+    for f in factors:
+        n = len(out) * len(f)
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(n, n)
     return out
 
 
@@ -174,18 +206,43 @@ def sample_pru_surrogate(z: int, key_seed: bytes, depth: int) -> np.ndarray:
     """Keyed brickwork random circuit standing in for a pseudorandom unitary.
 
     No provable construction exists at desk scale; this surrogate is a
-    heuristic whose low moments converge to Haar with depth.  Each two-qubit
-    gate is a Haar 4x4 unitary whose parameters come from a keyed counter
-    stream indexed by (layer, position), so the circuit is a pure function of
-    the key seed.
+    heuristic whose low moments converge to Haar with depth.  Each gate is a
+    Haar unitary on one or two qubits whose parameters come from a keyed
+    counter stream indexed by (layer, position), so the circuit is a pure
+    function of the key seed.  All gates of one width are drawn in one
+    stacked call (see ``_brickwork_gates``).
+
+    No layer is formed as a 2^z x 2^z matrix: each layer is split at the gate
+    boundary nearest qubit z/2 into Kronecker factors A (the leading qubits)
+    and B, and applied as A on ``u.reshape(dim A, -1)`` followed by one
+    broadcast product with B, O(2^z)^2 (dim A + dim B) work instead of
+    O(2^z)^3.
     """
     qcore.check_qubits(z)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    u = np.eye(2**z, dtype=complex)
-    for layer in range(depth):
-        u = _brickwork_layer(z, key_seed, layer) @ u
+    d = 2**z
+    u = np.eye(d, dtype=complex)
+    for layer, gates in enumerate(_brickwork_gates(z, key_seed, depth)):
+        starts = [pos for _, pos in _layer_blocks(z, layer)] + [z]
+        cut = min(range(len(starts)), key=lambda i: abs(2 * starts[i] - z))
+        a, b = _kron(gates[:cut]), _kron(gates[cut:])
+        u = (a @ u.reshape(len(a), -1)).reshape(len(a), len(b), d)
+        u = np.matmul(b, u).reshape(d, d)
     return u
+
+
+def _scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
+    """The keyed scrambling unitary for the given spec, deterministic in key."""
+    qcore.check_qubits(z)
+    if spec.mode == "haar_exact":
+        return _haar(2**z, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z)])[0]
+    v_pru = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
+    if spec.mode == "pru_only":
+        return v_pru
+    v_4 = sample_design4_surrogate(z, key.k2)
+    v_2 = sample_clifford(z, key.k3)
+    return v_pru @ v_4 @ v_2
 
 
 @lru_cache(maxsize=64)
@@ -195,16 +252,7 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     Cached: encrypt/decrypt/verify calls with the same key reuse the matrix,
     so it is returned read-only.
     """
-    qcore.check_qubits(z)
-    if spec.mode == "haar_exact":
-        u = _haar(2**z, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z)])[0]
-    elif spec.mode == "pru_only":
-        u = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
-    else:
-        v_pru = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
-        v_4 = sample_design4_surrogate(z, key.k2)
-        v_2 = sample_clifford(z, key.k3)
-        u = v_pru @ v_4 @ v_2
+    u = _scrambler(key, z, spec)
     u.flags.writeable = False
     return u
 
@@ -214,12 +262,13 @@ def sample_scramblers(z: int, mode: str, rngs: Sequence[np.random.Generator]) ->
 
     In ``haar_exact`` mode each unitary is drawn directly from its generator
     (``sample_haar_batch``); in any other mode it is the keyed scrambler of a
-    key freshly generated from it.
+    key freshly generated from it.  These one-shot keys are never reused, so
+    they bypass ``build_scrambler``'s cache.
     """
     if mode == "haar_exact":
         return sample_haar_batch(z, rngs)
     spec = ScramblerSpec(mode=mode)
-    return np.stack([build_scrambler(SecretKey.generate(rng), z, spec) for rng in rngs])
+    return np.stack([_scrambler(SecretKey.generate(rng), z, spec) for rng in rngs])
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

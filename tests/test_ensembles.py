@@ -1,4 +1,9 @@
-"""Keyed samplers: determinism, distribution moments, group structure."""
+"""Keyed samplers: determinism, distribution moments, group structure.
+
+The dense brickwork product (``brickwork_layer_dense``, one 2^z x 2^z
+Kronecker layer per step) is kept here as the reference for
+``sample_pru_surrogate``'s two-factor layers.
+"""
 
 import numpy as np
 import pytest
@@ -10,10 +15,12 @@ from pqaslab._clifford import (
     symplectic_element,
     symplectic_group_order,
 )
-from pqaslab._streams import spawn_rng
+from pqaslab._streams import keyed_rng, spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
     SecretKey,
+    _brickwork_gates,
+    _haar,
     build_scrambler,
     random_pure_state,
     sample_clifford,
@@ -22,8 +29,40 @@ from pqaslab.ensembles import (
     sample_haar,
     sample_haar_batch,
     sample_pru_surrogate,
+    sample_scramblers,
 )
 from pqaslab.qcore import QubitPartition
+
+
+def brickwork_blocks(z, layer):
+    """(width, first qubit) of each gate of a layer, qubit 0 first."""
+    blocks = []
+    q = 0
+    if layer % 2 == 1 and z > 1:
+        blocks.append((1, q))
+        q = 1
+    while q + 1 < z:
+        blocks.append((2, q))
+        q += 2
+    if q < z:
+        blocks.append((1, q))
+    return blocks
+
+
+def brickwork_layer_dense(z, key_seed, layer):
+    """One brickwork layer as a dense matrix, each gate drawn on its own."""
+    out = None
+    for width, pos in brickwork_blocks(z, layer):
+        gate = _haar(2**width, [keyed_rng(key_seed, "pru-gate", z, layer, pos)])[0]
+        out = gate if out is None else np.kron(out, gate)
+    return out
+
+
+def pru_dense(z, key_seed, depth):
+    u = np.eye(2**z, dtype=complex)
+    for layer in range(depth):
+        u = brickwork_layer_dense(z, key_seed, layer) @ u
+    return u
 
 
 class TestSecretKey:
@@ -219,6 +258,26 @@ class TestDesign4AndPru:
         assert u.shape == (2, 2)
         qcore.check_unitary(u)
 
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 6])
+    def test_pru_matches_dense_layer_product(self, z):
+        for depth in sorted({1, 2, 3, 4 * z}):
+            key = bytes([z, depth]) * 8
+            dev = np.max(np.abs(sample_pru_surrogate(z, key, depth) - pru_dense(z, key, depth)))
+            assert dev <= 1e-12, (depth, dev)
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 6])
+    def test_stacked_gates_are_bitwise_per_gate(self, z):
+        key = bytes([z]) * 16
+        depth = 4 * z
+        gates = _brickwork_gates(z, key, depth)
+        assert len(gates) == depth
+        for layer in range(depth):
+            blocks = brickwork_blocks(z, layer)
+            assert len(gates[layer]) == len(blocks)
+            for (width, pos), gate in zip(blocks, gates[layer]):
+                alone = _haar(2**width, [keyed_rng(key, "pru-gate", z, layer, pos)])[0]
+                assert np.array_equal(gate, alone), (layer, pos)
+
     def test_pru_second_moment_at_4z(self):
         rng = spawn_rng(8, "pru-2d")
         t, z = 2, 2
@@ -267,6 +326,17 @@ class TestScrambler:
         with pytest.raises(ValueError):
             u[0, 0] = 5
         assert np.array_equal(build_scrambler(key, 2, spec), before)
+
+    @pytest.mark.parametrize("mode", ["composed", "pru_only"])
+    def test_trial_scramblers_bypass_the_cache(self, mode):
+        build_scrambler.cache_clear()
+        before = build_scrambler.cache_info()
+        us = sample_scramblers(3, mode, [spawn_rng(21, "scr", i) for i in range(5)])
+        after = build_scrambler.cache_info()
+        assert (after.currsize, after.hits, after.misses) == (before.currsize, before.hits, before.misses)
+        spec = ScramblerSpec(mode=mode)
+        for i, u in enumerate(us):
+            assert np.array_equal(u, build_scrambler(SecretKey.generate(spawn_rng(21, "scr", i)), 3, spec))
 
     def test_modes_differ(self):
         key = SecretKey.generate(spawn_rng(10, "scr"))
