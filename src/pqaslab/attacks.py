@@ -38,7 +38,6 @@ class AttackReport:
     advantage: float
     success_rate: float
     standard_error: float
-    abstained: float = 0.0
     trials: int = 0
 
 
@@ -146,6 +145,8 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
     t = cfg.t
     if t > 8:
         raise ValueError("at most 8 oracle queries are supported")
+    if cfg.trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
     if t <= 6:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     else:
@@ -354,7 +355,8 @@ def qubit_count_attack(
     s_max: int,
     delta: float = 0.1,
     shots: int = 800,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> QubitCountReport:
     """Recover the per-message qubit multiple s from an intercepted stream.
 
@@ -367,8 +369,6 @@ def qubit_count_attack(
     value under the largest-qualifying rule is reported alongside for
     comparison.  Abstains (None) when no prefix qualifies.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     _check_desk_scale(n, s_max)
     pairs = copies // 2
     width = int(round(np.log2(state.shape[0])))

@@ -73,25 +73,22 @@ MODES = ("composed", "haar_exact", "pru_only")
 class ScramblerSpec:
     """How the keyed scrambler is realized.
 
-    composed   -- pseudorandom brickwork circuit x keyed exact-Haar 4-design
-                  surrogate x uniform Clifford (exact 2-design), applied in
-                  that operator order so the Clifford acts first on the state.
+    composed   -- pseudorandom brickwork circuit of depth 4z x keyed
+                  exact-Haar 4-design surrogate x uniform Clifford (exact
+                  2-design), applied in that operator order so the Clifford
+                  acts first on the state.
     haar_exact -- a single keyed Haar unitary; the reference ensemble used by
                   all quantitative experiments.
     pru_only   -- just the brickwork factor.
+
+    Each factor is drawn from its own single keyed stream.
     """
 
     mode: str = "composed"
-    pru_depth: int | None = None  # None means 4 * z
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.pru_depth is not None and self.pru_depth < 1:
-            raise ValueError("pru_depth must be at least 1")
-
-    def depth_for(self, z: int) -> int:
-        return self.pru_depth if self.pru_depth is not None else 4 * z
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +167,6 @@ def _layer_blocks(z: int, layer: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _brickwork_gates(z: int, key_seed: bytes, depth: int) -> list[list[np.ndarray]]:
-    """Every gate of the circuit, per layer in ``_layer_blocks`` order.
-
-    Each gate is drawn from its own (key, layer, position) stream, and all
-    gates of one width come from one ``_haar`` call, which is bitwise equal
-    to drawing them one at a time.
-    """
-    slots = [(layer, width, pos) for layer in range(depth) for width, pos in _layer_blocks(z, layer)]
-    drawn = {}
-    for width in {w for _, w, _ in slots}:
-        mine = [(layer, pos) for layer, w, pos in slots if w == width]
-        rngs = [keyed_rng(key_seed, "pru-gate", z, layer, pos) for layer, pos in mine]
-        drawn.update(zip(mine, _haar(2**width, rngs)))
-    gates = [[] for _ in range(depth)]
-    for layer, _, pos in slots:
-        gates[layer].append(drawn[layer, pos])
-    return gates
-
-
 def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of square matrices, the first factor most significant.
 
@@ -207,10 +185,10 @@ def sample_pru_surrogate(z: int, key_seed: bytes, depth: int) -> np.ndarray:
 
     No provable construction exists at desk scale; this surrogate is a
     heuristic whose low moments converge to Haar with depth.  Each gate is a
-    Haar unitary on one or two qubits whose parameters come from a keyed
-    counter stream indexed by (layer, position), so the circuit is a pure
-    function of the key seed.  All gates of one width are drawn in one
-    stacked call (see ``_brickwork_gates``).
+    Haar unitary on one or two qubits.  All gates come from the one keyed
+    stream ``(key_seed, "pru", z)``, so the circuit is a pure function of the
+    key seed: first every two-qubit gate, then every one-qubit gate, each in
+    (layer, position) order, one stacked ``_haar`` call per width.
 
     No layer is formed as a 2^z x 2^z matrix: each layer is split at the gate
     boundary nearest qubit z/2 into Kronecker factors A (the leading qubits)
@@ -221,12 +199,18 @@ def sample_pru_surrogate(z: int, key_seed: bytes, depth: int) -> np.ndarray:
     qcore.check_qubits(z)
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    layers = [_layer_blocks(z, layer) for layer in range(depth)]
+    widths = [width for blocks in layers for width, _ in blocks]
+    rng = keyed_rng(key_seed, "pru", z)
+    # drawn in this order: the two-qubit gates first
+    gates = {width: iter(_haar(2**width, [rng] * widths.count(width))) for width in (2, 1)}
     d = 2**z
     u = np.eye(d, dtype=complex)
-    for layer, gates in enumerate(_brickwork_gates(z, key_seed, depth)):
-        starts = [pos for _, pos in _layer_blocks(z, layer)] + [z]
+    for blocks in layers:
+        layer = [next(gates[width]) for width, _ in blocks]
+        starts = [pos for _, pos in blocks] + [z]
         cut = min(range(len(starts)), key=lambda i: abs(2 * starts[i] - z))
-        a, b = _kron(gates[:cut]), _kron(gates[cut:])
+        a, b = _kron(layer[:cut]), _kron(layer[cut:])
         u = (a @ u.reshape(len(a), -1)).reshape(len(a), len(b), d)
         u = np.matmul(b, u).reshape(d, d)
     return u
@@ -237,7 +221,7 @@ def _scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     qcore.check_qubits(z)
     if spec.mode == "haar_exact":
         return _haar(2**z, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z)])[0]
-    v_pru = sample_pru_surrogate(z, key.k1, spec.depth_for(z))
+    v_pru = sample_pru_surrogate(z, key.k1, 4 * z)
     if spec.mode == "pru_only":
         return v_pru
     v_4 = sample_design4_surrogate(z, key.k2)

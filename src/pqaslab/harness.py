@@ -33,18 +33,6 @@ class ConfigError(ValueError):
         self.field = field
 
 
-EXPERIMENTS = (
-    "wg-selftest",
-    "security-scan",
-    "auth-sweep",
-    "cpa",
-    "qubit-count",
-    "multistate",
-    "decoy",
-    "vprdm",
-    "efi",
-)
-
 _DEFAULTS = {
     "n": 1,
     "l": 0,
@@ -422,6 +410,8 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
 
 
 def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
+    if pt.trials < 2:
+        raise ValueError("need at least 2 trials for a standard error")
     seed = point_seed(pt)
     spec = ScramblerSpec(mode=pt.mode)
     completeness = []
@@ -475,6 +465,7 @@ _RUNNERS = {
     "vprdm": _run_vprdm,
     "efi": _run_efi,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,6 @@ class AuthSweepStats:
     mean_fidelity: float
     stderr_fidelity: float
     mean_one_minus_f: float
-    stderr_one_minus_f: float
-    var_p0: float
-    var_fprime: float
     min_p0_minus_fprime: float
     predicted_p0: float
     predicted_fprime: float
@@ -247,7 +244,6 @@ def auth_sweep(
     mean_p0, se_p0 = _mean_stderr(p0s)
     mean_fp, se_fp = _mean_stderr(fps)
     mean_f, se_f = _mean_stderr(fids)
-    mean_1mf, se_1mf = _mean_stderr(1.0 - fids)
     return AuthSweepStats(
         trials=trials,
         mean_p0=mean_p0,
@@ -256,10 +252,7 @@ def auth_sweep(
         stderr_fprime=se_fp,
         mean_fidelity=mean_f,
         stderr_fidelity=se_f,
-        mean_one_minus_f=mean_1mf,
-        stderr_one_minus_f=se_1mf,
-        var_p0=float(np.var(p0s, ddof=1)),
-        var_fprime=float(np.var(fps, ddof=1)),
+        mean_one_minus_f=float(np.mean(1.0 - fids)),
         min_p0_minus_fprime=float(np.min(p0s - fps)),
         predicted_p0=predicted_p0(partition, channel),
         predicted_fprime=predicted_fprime(partition, channel),

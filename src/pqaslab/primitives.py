@@ -33,10 +33,6 @@ class VprdmParams:
             raise ValueError("need 0 <= m < n")
         qcore.check_qubits(self.n)
 
-    @property
-    def security_bits(self) -> int:
-        return self.key.bits
-
 
 def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
     """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag; rank 2^m, purity 2^-m."""
@@ -147,15 +143,17 @@ def _truncated_keys(count: int) -> list[SecretKey]:
 
 
 def efi_ensembles(params: EfiParams, spec: ScramblerSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Exact averages (nu0, nu1) over the truncated 2^lambda_eff key set."""
+    """Exact averages (nu0, nu1) over the truncated 2^lambda_eff key set.
+
+    Both arms of a key are generated back to back, so each scrambler is
+    built once and the second arm reads it from ``build_scrambler``'s cache.
+    """
     keys = _truncated_keys(2**params.lambda_eff)
-    nu = []
-    for m in (params.m0, params.m1):
-        acc = np.zeros((2**params.n, 2**params.n), dtype=complex)
-        for key in keys:
+    nu = np.zeros((2, 2**params.n, 2**params.n), dtype=complex)
+    for key in keys:
+        for acc, m in zip(nu, (params.m0, params.m1)):
             acc += vprdm_generate(VprdmParams(params.n, m, key), spec)
-        nu.append(acc / len(keys))
-    return nu[0], nu[1]
+    return nu[0] / len(keys), nu[1] / len(keys)
 
 
 def efi_verify_draw(params: EfiParams, spec: ScramblerSpec, key: SecretKey, arm: int) -> float:

@@ -1,8 +1,8 @@
 """Keyed samplers: determinism, distribution moments, group structure.
 
-The dense brickwork product (``brickwork_layer_dense``, one 2^z x 2^z
-Kronecker layer per step) is kept here as the reference for
-``sample_pru_surrogate``'s two-factor layers.
+The dense brickwork product (``pru_dense``, one 2^z x 2^z Kronecker layer per
+step, each gate drawn on its own) is kept here as the reference for
+``sample_pru_surrogate``'s stacked draws and two-factor layers.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from pqaslab._streams import keyed_rng, spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
     SecretKey,
-    _brickwork_gates,
     _haar,
     build_scrambler,
     random_pure_state,
@@ -49,19 +48,27 @@ def brickwork_blocks(z, layer):
     return blocks
 
 
-def brickwork_layer_dense(z, key_seed, layer):
-    """One brickwork layer as a dense matrix, each gate drawn on its own."""
-    out = None
-    for width, pos in brickwork_blocks(z, layer):
-        gate = _haar(2**width, [keyed_rng(key_seed, "pru-gate", z, layer, pos)])[0]
-        out = gate if out is None else np.kron(out, gate)
-    return out
-
-
 def pru_dense(z, key_seed, depth):
+    """The brickwork circuit as a product of dense layers.
+
+    Each gate is drawn alone from the one stream (key_seed, "pru", z): every
+    two-qubit gate first, then every one-qubit gate, each in (layer,
+    position) order.
+    """
+    rng = keyed_rng(key_seed, "pru", z)
+    layers = [brickwork_blocks(z, layer) for layer in range(depth)]
+    gates = {}
+    for width in (2, 1):
+        for layer, blocks in enumerate(layers):
+            for w, pos in blocks:
+                if w == width:
+                    gates[layer, pos] = _haar(2**w, [rng])[0]
     u = np.eye(2**z, dtype=complex)
-    for layer in range(depth):
-        u = brickwork_layer_dense(z, key_seed, layer) @ u
+    for layer, blocks in enumerate(layers):
+        dense = np.ones((1, 1), dtype=complex)
+        for _, pos in blocks:
+            dense = np.kron(dense, gates[layer, pos])
+        u = dense @ u
     return u
 
 
@@ -265,19 +272,6 @@ class TestDesign4AndPru:
             dev = np.max(np.abs(sample_pru_surrogate(z, key, depth) - pru_dense(z, key, depth)))
             assert dev <= 1e-12, (depth, dev)
 
-    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 6])
-    def test_stacked_gates_are_bitwise_per_gate(self, z):
-        key = bytes([z]) * 16
-        depth = 4 * z
-        gates = _brickwork_gates(z, key, depth)
-        assert len(gates) == depth
-        for layer in range(depth):
-            blocks = brickwork_blocks(z, layer)
-            assert len(gates[layer]) == len(blocks)
-            for (width, pos), gate in zip(blocks, gates[layer]):
-                alone = _haar(2**width, [keyed_rng(key, "pru-gate", z, layer, pos)])[0]
-                assert np.array_equal(gate, alone), (layer, pos)
-
     def test_pru_second_moment_at_4z(self):
         rng = spawn_rng(8, "pru-2d")
         t, z = 2, 2
@@ -303,9 +297,6 @@ class TestScrambler:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             ScramblerSpec(mode="bogus")
-        with pytest.raises(ValueError):
-            ScramblerSpec(pru_depth=0)
-        assert ScramblerSpec().depth_for(3) == 12
 
     @pytest.mark.parametrize("mode", ["composed", "haar_exact", "pru_only"])
     def test_deterministic_and_unitary(self, mode):

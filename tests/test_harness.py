@@ -145,6 +145,21 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: config field")
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "vprdm", "n": 2, "trials": 1},
+            {"experiment": "cpa", "n": 1, "t": 2, "trials": 1},
+        ],
+    )
+    def test_single_trial_standard_error_exits_2(self, config, tmp_path, capsys):
+        # a standard error over one trial is NaN, which is not valid JSON
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path), "--no-timing", "--format", "json"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and "Traceback" not in out.err
 
     @pytest.mark.parametrize("t", range(1, 14))
     @pytest.mark.parametrize("n", range(1, 5))

@@ -6,7 +6,7 @@ import pytest
 
 from pqaslab import primitives, qcore
 from pqaslab._streams import spawn_rng
-from pqaslab.ensembles import ScramblerSpec, SecretKey
+from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.primitives import EfiParams, OneWayStateGenerator, VprdmParams
 
 HAAR = ScramblerSpec(mode="haar_exact")
@@ -133,6 +133,12 @@ class TestEfi:
         a0, a1 = primitives.efi_ensembles(params, HAAR)
         b0, b1 = primitives.efi_ensembles(params, HAAR)
         assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
+
+    def test_each_key_built_once(self):
+        # 2^7 keys overflow the 64-entry cache; the second arm of a key still hits it
+        build_scrambler.cache_clear()
+        primitives.efi_report(EfiParams(n=4, m0=1, gamma=0.67, c=0.33, lambda_eff=7), ScramblerSpec("composed"))
+        assert build_scrambler.cache_info().misses == 128
 
     def test_verify_draw(self):
         params = EfiParams(4, 1, 0.6, 0.3, 4)
