@@ -185,6 +185,11 @@ def validate_config(config: dict) -> dict:
     for field in ("l", "m", "q"):
         if any(v < 0 for v in _as_list(cfg[field])):
             raise ConfigError(field, "must be nonnegative")
+    trials = _as_list(cfg["trials"])
+    if name == "security-scan" and any(v % pqas.SCAN_BATCHES for v in trials):
+        raise ConfigError("trials", f"must be a multiple of the security scan's {pqas.SCAN_BATCHES} batches")
+    if name == "auth-sweep" and any(v < pqas.MIN_AUTH_TRIALS for v in trials):
+        raise ConfigError("trials", f"must be at least {pqas.MIN_AUTH_TRIALS} for an auth sweep")
     chan = cfg["channel"]
     if not isinstance(chan, dict) or "kind" not in chan:
         raise ConfigError("channel", "must be an object with a 'kind'")

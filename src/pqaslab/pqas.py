@@ -46,6 +46,14 @@ class AuthOutcome:
 # for which security_scan treats a joint input as copy-symmetric.
 SYMMETRY_TOL = 1e-12
 
+# Fewest trials auth_sweep accepts, and the number of batches security_scan
+# splits its trials into (trials must be a multiple of it).
+MIN_AUTH_TRIALS = 100
+SCAN_BATCHES = 20
+
+# Complex entries one auth_sweep key stack may hold: 64 keys at z = 5, one at z >= 8.
+STACK_ENTRIES = 2**16
+
 
 def pad_state(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     """Append the tag state and the maximally mixed register to the message."""
@@ -150,16 +158,33 @@ def _tag_zero_message(decoded: np.ndarray, partition: QubitPartition) -> np.ndar
     return np.einsum("ajbj->ab", tagged)
 
 
-def _p0_fprime(rho_ext: np.ndarray, psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
-    """(P0, F') read off the tag-|0> slice of the decoded state."""
-    decoded = u.conj().T @ channel.apply(u @ rho_ext @ u.conj().T) @ u
-    message = _tag_zero_message(decoded, partition)
-    return float(np.trace(message).real), float(np.vdot(psi, message @ psi).real)
+def _p0_fprime_stack(us: np.ndarray, psi: np.ndarray, partition: QubitPartition, channel: Channel):
+    """(P0, F') of every key in a (keys, d, d) stack, for a pure message psi.
+
+    The padded input is rho_ext = C C^dag / 2^m with C = psi (x) |0>_tag (x) I_m
+    of rank 2^m, so the encrypted state is W W^dag / 2^m with W = U C.  With
+    G = Gamma(W W^dag / 2^m), P0 = sum_y y^dag G y over the tag-|0> columns y
+    of U and F' = sum_j w_j^dag G w_j over the columns w_j of W; G y is
+    computed once and contracted with psi for G W.  U^dag G U is never
+    formed.
+    """
+    dn, dl, dm = partition.dims
+    keys, d, _ = us.shape
+    tagged = us.reshape(keys, d, dn, dl, dm)[:, :, :, 0, :]
+    w = np.einsum("kxaj,a->kxj", tagged, psi)
+    gamma = channel.apply(w @ w.conj().transpose(0, 2, 1) / dm)
+    y = tagged.reshape(keys, d, dn * dm)
+    gamma_y = gamma @ y
+    p0 = np.einsum("kxc,kxc->k", y.conj(), gamma_y).real
+    gamma_w = np.einsum("kxaj,a->kxj", gamma_y.reshape(keys, d, dn, dm), psi)
+    fprime = np.einsum("kxj,kxj->k", w.conj(), gamma_w).real
+    return p0, fprime
 
 
 def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
     """(P0, F') for one scrambler realization and a pure message state."""
-    return _p0_fprime(pad_state(qcore.pure_dm(psi), partition), psi, u, partition, channel)
+    p0, fprime = _p0_fprime_stack(u[None], psi, partition, channel)
+    return float(p0[0]), float(fprime[0])
 
 
 def _twirled_weight(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
@@ -217,6 +242,16 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
+def _auth_key_stacks(z: int, mode: str, seed: int, trials: int):
+    """The trial keys of an auth sweep, as stacks of at most STACK_ENTRIES
+    entries (at least one key each); trial i draws from its own
+    ``spawn_rng(seed, "auth-sweep", i)`` stream."""
+    size = max(1, STACK_ENTRIES // 4**z)
+    for start in range(0, trials, size):
+        rngs = [spawn_rng(seed, "auth-sweep", i) for i in range(start, min(start + size, trials))]
+        yield sample_scramblers(z, mode, rngs)
+
+
 def auth_sweep(
     psi: np.ndarray,
     partition: QubitPartition,
@@ -229,17 +264,19 @@ def auth_sweep(
     tamper channel.
 
     Each trial draws an independent scrambler from the requested ensemble and
-    records P0, F' and the accepted-state fidelity F = F'/P0.
+    records P0, F' and the accepted-state fidelity F = F'/P0.  The keys are
+    drawn and evaluated in stacks of at most ``STACK_ENTRIES`` complex
+    entries (64 keys at z = 5, one key from z = 8 on), each key bitwise the
+    one a lone draw from its trial stream gives.  A stack is pushed through
+    the channel as its rank-2^m factors W = U C of the padded input
+    rho_ext = C C^dag / 2^m, and P0 and F' are read off as traces against
+    the tag-|0> columns of U and against W.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials for stable statistics")
-    z = partition.z
-    rho_ext = pad_state(qcore.pure_dm(psi), partition)
-    p0s = np.empty(trials)
-    fps = np.empty(trials)
-    for i in range(trials):
-        u = sample_scramblers(z, mode, [spawn_rng(seed, "auth-sweep", i)])[0]
-        p0s[i], fps[i] = _p0_fprime(rho_ext, psi, u, partition, channel)
+    if trials < MIN_AUTH_TRIALS:
+        raise ValueError(f"need at least {MIN_AUTH_TRIALS} trials for stable statistics")
+    stacks = [_p0_fprime_stack(us, psi, partition, channel) for us in _auth_key_stacks(partition.z, mode, seed, trials)]
+    p0s = np.concatenate([p0 for p0, _ in stacks])
+    fps = np.concatenate([fp for _, fp in stacks])
     fids = fps / p0s
     mean_p0, se_p0 = _mean_stderr(p0s)
     mean_fp, se_fp = _mean_stderr(fps)
@@ -344,7 +381,7 @@ def security_scan(
     rho: np.ndarray | None = None,
     rho_g: np.ndarray | None = None,
     mode: str = "haar_exact",
-    batches: int = 20,
+    batches: int = SCAN_BATCHES,
     bootstrap: int = 200,
 ) -> ScanReport:
     """Monte Carlo distance between the averaged t-copy encrypted state and

@@ -255,9 +255,10 @@ def swap_test_accept(a: np.ndarray, b: np.ndarray) -> float:
 class Channel:
     """CPTP map with enough structure for the closed-form fidelity functionals.
 
-    Subclasses provide ``apply`` (act on a state) and
-    ``kraus_trace_square_sum`` = sum_i |tr K_i|^2, which fixes the Haar-twirled
-    channel and with it the exact P0/F' means.
+    Subclasses provide ``apply`` and ``kraus_trace_square_sum`` =
+    sum_i |tr K_i|^2, which fixes the Haar-twirled channel and with it the
+    exact P0/F' means.  ``apply`` acts on one (d, d) matrix or on a
+    (..., d, d) stack of them, each matrix separately.
     """
 
     dim: int
@@ -354,7 +355,8 @@ class DepolarizingChannel(Channel):
 
     def apply(self, rho):
         d = self.dim
-        return (1.0 - self.p) * rho + self.p * np.trace(rho) * np.eye(d) / d
+        traces = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+        return (1.0 - self.p) * rho + self.p * traces * np.eye(d) / d
 
     def kraus_trace_square_sum(self):
         # only the identity Kraus operator sqrt(1 - p + p/d^2) I has a trace
@@ -380,12 +382,12 @@ class LocalDepolarizingChannel(Channel):
     def _apply_on_qubit(self, rho, q, total):
         left = 2**q
         right = 2 ** (total - q - 1)
-        t = rho.reshape(left, 2, right, left, 2, right)
+        t = rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right))
         # single-qubit depolarizing: rho_q -> (1-p) rho_q + p tr_q(rho) I/2
-        traced = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+        traced = t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :]
         out = (1.0 - self.p) * t
-        out[:, 0, :, :, 0, :] += 0.5 * self.p * traced
-        out[:, 1, :, :, 1, :] += 0.5 * self.p * traced
+        out[..., 0, :, :, 0, :] += 0.5 * self.p * traced
+        out[..., 1, :, :, 1, :] += 0.5 * self.p * traced
         return out.reshape(rho.shape)
 
     def apply(self, rho):
@@ -424,6 +426,7 @@ class MixtureChannel(Channel):
 
 
 def apply_channel(rho: np.ndarray, channel: Channel) -> np.ndarray:
-    if channel.dim != rho.shape[0]:
+    """``channel.apply`` on one matrix or a stack, after a dimension check."""
+    if rho.shape[-2:] != (channel.dim, channel.dim):
         raise ValueError("dimension mismatch between state and channel")
     return channel.apply(rho)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import attacks, cli, harness
+from pqaslab import attacks, cli, harness, pqas
 from pqaslab.harness import ConfigError, ResultRecord
 
 
@@ -177,6 +177,22 @@ class TestCli:
             assert code == cli.EXIT_CONFIG
             assert out.out == ""
             assert out.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "config,count",
+        [
+            ({"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": 10}, pqas.SCAN_BATCHES),
+            ({"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": [40, 50]}, pqas.SCAN_BATCHES),
+            ({"experiment": "auth-sweep", "n": 1, "l": 1, "m": 0, "trials": 50}, pqas.MIN_AUTH_TRIALS),
+        ],
+    )
+    def test_trial_count_errors_name_the_field(self, config, count, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: config field 'trials'") and f" {count} " in out.err
 
     def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -6,7 +6,15 @@ import pytest
 
 from pqaslab import moments, pqas, qcore
 from pqaslab._streams import spawn_rng
-from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_ghse, sample_haar
+from pqaslab.ensembles import (
+    ScramblerSpec,
+    SecretKey,
+    build_scrambler,
+    random_pure_state,
+    sample_ghse,
+    sample_haar,
+    sample_scramblers,
+)
 from pqaslab.qcore import QubitPartition
 
 HAAR = ScramblerSpec(mode="haar_exact")
@@ -264,6 +272,64 @@ class TestFunctionals:
         )
         assert not stats.low_fidelity_regime
         assert stats.mean_p0 == pytest.approx(2.0**-part.l, abs=1e-10)
+
+
+def dense_p0_fprime(psi, u, part, channel):
+    """(P0, F') from the dense decoded state u^dag Gamma(u rho_ext u^dag) u,
+    read off its tag-|0> slice: the per-trial reference for the stacked kernel."""
+    rho_ext = pqas.pad_state(qcore.pure_dm(psi), part)
+    decoded = u.conj().T @ channel.apply(u @ rho_ext @ u.conj().T) @ u
+    message = pqas._tag_zero_message(decoded, part)
+    return float(np.trace(message).real), float(np.vdot(psi, message @ psi).real)
+
+
+def _auth_channels(z, rng):
+    d = 2**z
+    raw = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+    iso, _ = np.linalg.qr(raw)
+    return _channel_classes(z, rng) + [qcore.KrausChannel([iso[:d], iso[d:]])]
+
+
+class TestAuthSweepMatchesPerTrialReference:
+    # a stack holds 256 keys at z = 4 and 64 at z = 5, so each last stack is partial
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed"])
+    @pytest.mark.parametrize(
+        "n,l,m,trials,sizes", [(2, 2, 0, 130, [130]), (2, 2, 1, 101, [64, 37]), (1, 2, 2, 101, [64, 37])]
+    )
+    def test_stacked_kernel_matches_dense_reference(self, n, l, m, trials, sizes, mode):
+        part = QubitPartition(n, l, m)
+        rng = spawn_rng(21, "auth-reference", n, l, m)
+        psi = random_pure_state(n, rng)
+        channels = _auth_channels(part.z, rng)
+        seed = 22
+        stacks = list(pqas._auth_key_stacks(part.z, mode, seed, trials))
+        assert [len(us) for us in stacks] == sizes
+        assert all(us.size <= pqas.STACK_ENTRIES for us in stacks)
+        keys = np.concatenate(stacks)
+        for i, u in enumerate(keys):
+            assert np.array_equal(u, sample_scramblers(part.z, mode, [spawn_rng(seed, "auth-sweep", i)])[0])
+        for chan in channels:
+            ref = np.array([dense_p0_fprime(psi, u, part, chan) for u in keys])
+            got = np.concatenate([np.stack(pqas._p0_fprime_stack(us, psi, part, chan), axis=1) for us in stacks])
+            assert np.max(np.abs(got - ref)) <= 1e-12
+            stats = pqas.auth_sweep(psi, part, chan, trials, mode=mode, seed=seed)
+            p0s, fps = ref.T
+            fids = fps / p0s
+            expect = [p0s.mean(), fps.mean(), fids.mean(), np.min(p0s - fps), p0s.std(ddof=1) / np.sqrt(trials)]
+            found = [stats.mean_p0, stats.mean_fprime, stats.mean_fidelity, stats.min_p0_minus_fprime, stats.stderr_p0]
+            assert np.max(np.abs(np.array(found) - expect)) <= 1e-12
+
+    def test_one_key_call_matches_dense_reference(self):
+        part = QubitPartition(1, 1, 1)
+        rng = spawn_rng(23, "auth-reference")
+        psi = random_pure_state(1, rng)
+        for chan in _auth_channels(part.z, rng):
+            u = sample_haar(part.z, rng)
+            got = pqas.p0_fprime_for_unitary(psi, u, part, chan)
+            assert np.allclose(got, dense_p0_fprime(psi, u, part, chan), rtol=0, atol=1e-12)
+
+    def test_one_key_per_stack_at_z8(self):
+        assert [len(us) for us in pqas._auth_key_stacks(8, "haar_exact", 24, 3)] == [1, 1, 1]
 
 
 class TestSecurityScan:

@@ -269,3 +269,73 @@ class TestStructuredChannels:
         mix = qcore.MixtureChannel([0.3, 0.7], [a, b])
         expect = 0.3 * a.apply(rho) + 0.7 * b.apply(rho)
         assert np.allclose(mix.apply(rho), expect, atol=1e-12)
+
+
+def _local_depolarizing_reference(rho, qubits, p):
+    """The per-qubit loop of ``LocalDepolarizingChannel.apply`` as it read
+    before stacks: one 2-D matrix only."""
+    out = rho
+    for q in range(qubits):
+        left, right = 2**q, 2 ** (qubits - q - 1)
+        t = out.reshape(left, 2, right, left, 2, right)
+        traced = t[:, 0, :, :, 0, :] + t[:, 1, :, :, 1, :]
+        nxt = (1.0 - p) * t
+        nxt[:, 0, :, :, 0, :] += 0.5 * p * traced
+        nxt[:, 1, :, :, 1, :] += 0.5 * p * traced
+        out = nxt.reshape(rho.shape)
+    return out
+
+
+def _one_channel_per_subclass(z, rng):
+    d = 2**z
+    dep = qcore.DepolarizingChannel(d, 0.3)
+    unitary = qcore.UnitaryChannel(sample_haar(z, rng))
+    raw = rng.standard_normal((3 * d, d)) + 1j * rng.standard_normal((3 * d, d))
+    iso, _ = np.linalg.qr(raw)
+    return [
+        qcore.IdentityChannel(d),
+        dep,
+        qcore.LocalDepolarizingChannel(z, 0.2),
+        unitary,
+        qcore.KrausChannel([iso[i * d : (i + 1) * d] for i in range(3)]),
+        qcore.MixtureChannel([0.4, 0.6], [dep, unitary]),
+    ]
+
+
+class TestStackedApply:
+    @pytest.mark.parametrize("z", [1, 2, 3])
+    def test_stack_equals_each_matrix_alone(self, z):
+        rng = spawn_rng(17, "stacked-apply", z)
+        channels = _one_channel_per_subclass(z, rng)
+        assert {type(c) for c in channels} == set(qcore.Channel.__subclasses__())
+        stack = np.array([sample_ghse(z, 1, rng) for _ in range(5)])
+        for chan in channels:
+            out = chan.apply(stack)
+            assert out.shape == stack.shape
+            for rho, image in zip(stack, out):
+                assert np.max(np.abs(image - chan.apply(rho))) <= 1e-12
+            # a (2, 5, d, d) stack of stacks as well
+            nested = chan.apply(np.array([stack, stack[::-1]]))
+            assert np.max(np.abs(nested[1] - out[::-1])) <= 1e-12
+            assert np.array_equal(qcore.apply_channel(stack, chan), out)
+        with pytest.raises(ValueError):
+            qcore.apply_channel(np.zeros((2**z, 2 ** (z + 1), 2 ** (z + 1)), dtype=complex), channels[0])
+
+    def test_stack_leaves_its_input_alone(self):
+        rng = spawn_rng(18, "stacked-apply")
+        stack = np.array([sample_ghse(2, 1, rng) for _ in range(3)])
+        before = stack.copy()
+        for chan in _one_channel_per_subclass(2, rng):
+            chan.apply(stack)
+            assert np.array_equal(stack, before)
+
+    @pytest.mark.parametrize("z", [1, 3, 5])
+    def test_local_depolarizing_single_matrix_is_bitwise_unchanged(self, z):
+        rho = sample_ghse(z, 1, spawn_rng(19, "local-dep", z))
+        out = qcore.LocalDepolarizingChannel(z, 0.05).apply(rho)
+        assert np.array_equal(out, _local_depolarizing_reference(rho, z, 0.05))
+
+    def test_depolarizing_single_matrix_is_bitwise_unchanged(self):
+        rho = sample_ghse(3, 1, spawn_rng(20, "global-dep"))
+        d, p = 8, 0.3
+        assert np.array_equal(qcore.DepolarizingChannel(d, p).apply(rho), (1.0 - p) * rho + p * np.trace(rho) * np.eye(d) / d)
