@@ -29,7 +29,7 @@ import numpy as np
 from . import moments, qcore
 from ._streams import spawn_rng
 from .ensembles import random_pure_state, sample_scramblers
-from .pqas import Ciphertext, pad_state
+from .pqas import Ciphertext, scramble_padded, tag_zero_columns
 from .qcore import QubitPartition
 
 
@@ -123,16 +123,6 @@ def _swap_chain_accept_prob(states: list[np.ndarray], pairs: list[tuple[int, int
     return min(max(total, 0.0), 1.0)
 
 
-def _encrypt_pure(psi, partition: QubitPartition, u: np.ndarray, pad_index: int) -> np.ndarray:
-    """One pure-state ciphertext realization for a sampled mixed-register value."""
-    vec = psi
-    if partition.l:
-        vec = np.kron(vec, qcore.basis_ket(2**partition.l, 0))
-    if partition.m:
-        vec = np.kron(vec, qcore.basis_ket(2**partition.m, pad_index))
-    return u @ vec
-
-
 def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
     """Run the left-or-right experiment with the pairwise-SWAP adversary.
 
@@ -156,14 +146,12 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
     gaps = np.empty(cfg.trials)
     for g in range(cfg.trials):
         rng = spawn_rng(seed, "lr-cpa", g)
-        u = sample_scramblers(z, cfg.mode, [rng])[0]
+        y = tag_zero_columns(sample_scramblers(z, cfg.mode, [rng])[0], cfg.partition)
         pads = [int(rng.integers(2**cfg.partition.m)) if cfg.partition.m else 0 for _ in range(t)]
         p_branch = []
         for side in (cfg.left, cfg.right):
-            states = [
-                _encrypt_pure(np.asarray(v, dtype=complex), cfg.partition, u, pads[i])
-                for i, v in enumerate(side)
-            ]
+            # the pure ciphertext for pad k is column k of W = Y psi
+            states = [y[:, :, pads[i]] @ np.asarray(v, dtype=complex) for i, v in enumerate(side)]
             p_branch.append(_swap_chain_accept_prob(states, pairs))
         gaps[g] = p_branch[0] - p_branch[1]
         b = int(rng.integers(2))
@@ -338,14 +326,13 @@ def qubit_count_interception(
 
     Draws a pure message on n * true_s qubits, then the key (see
     ``sample_scramblers``), and returns rho = U (psi (x) |0><0|_l (x) I/2^m) U^dag
-    with the stream length 2 * s_max!/true_s.
+    (``scramble_padded``) with the stream length 2 * s_max!/true_s.
     """
     _check_desk_scale(n, s_max)
     part = QubitPartition(n * true_s, l, m)
     psi = random_pure_state(part.n, rng)
     u = sample_scramblers(part.z, mode, [rng])[0]
-    rho = qcore.apply_unitary(pad_state(qcore.pure_dm(psi), part), u)
-    return rho, 2 * (math.factorial(s_max) // true_s)
+    return scramble_padded(psi, u, part), 2 * (math.factorial(s_max) // true_s)
 
 
 def qubit_count_attack(

@@ -60,32 +60,54 @@ def pad_state(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     return qcore.tensor(rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
 
 
-def _as_dm(state: np.ndarray) -> np.ndarray:
-    return qcore.pure_dm(state) if state.ndim == 1 else state
+def tag_zero_columns(u: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """The tag-|0> columns of U (or of each U in a stack) as a (..., d, dn, dm)
+    view, Y[x, a, j] = <x|U|a, 0, j>; read-only when U is."""
+    dn, dl, dm = partition.dims
+    return u.reshape(*u.shape[:-1], dn, dl, dm)[..., 0, :]
+
+
+def scramble_padded(rho: np.ndarray, u: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """U (rho (x) |0><0|_tag (x) I_m / 2^m) U^dag from the tag-|0> columns Y of U:
+    W W^dag / 2^m with W = Y psi for a pure-state vector psi, and the linear
+    Y (rho (x) I_m) Y^dag / 2^m for any operator rho."""
+    y = tag_zero_columns(u, partition)
+    d, dn, dm = y.shape
+    if rho.ndim == 1:
+        w = np.einsum("xaj,a->xj", y, rho)
+        return w @ w.conj().T / dm
+    y_rho = np.einsum("xaj,ab->xbj", y, rho).reshape(d, dn * dm)
+    return y_rho @ y.reshape(d, dn * dm).conj().T / dm
+
+
+def _decode(rho: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum_j C_j^dag rho C_j over the last axis of a (d, a, dm) block C of U's
+    columns: U^dag rho U on those columns, mixed register traced, never formed."""
+    d, a, dm = columns.shape
+    rho_c = (rho @ columns.reshape(d, a * dm)).reshape(columns.shape)
+    return np.tensordot(columns.conj(), rho_c, axes=([0, 2], [0, 2]))
 
 
 def encrypt(rho: np.ndarray, key: SecretKey, partition: QubitPartition, spec: ScramblerSpec) -> Ciphertext:
     """Scramble (message (x) tag (x) mixed) with the keyed unitary.
 
     ``rho`` may be a density matrix or a pure-state vector on the message
-    register.  Deterministic in (rho, key, spec).
+    register.  Deterministic in (rho, key, spec); see ``scramble_padded``.
     """
-    rho = _as_dm(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
     if rho.shape[0] != 2**partition.n:
         raise ValueError("message state does not match the partition")
-    u = build_scrambler(key, partition.z, spec)
-    return Ciphertext(qcore.apply_unitary(pad_state(rho, partition), u), partition)
+    return Ciphertext(scramble_padded(rho, build_scrambler(key, partition.z, spec), partition), partition)
 
 
 def decrypt(c: Ciphertext, key: SecretKey, spec: ScramblerSpec) -> np.ndarray:
-    """Unscramble and trace the mixed register; returns the (message, tag) state.
+    """Unscramble and trace the mixed register; returns the (message, tag) state,
+    sum_k U_k^dag (rho U)_k over the mixed-register column blocks U_k of U.
 
     On untampered input this is exactly message (x) |0...0><0...0|_tag.
     """
-    part = c.partition
-    u = build_scrambler(key, part.z, spec)
-    raw = qcore.apply_unitary(c.state, u.conj().T)
-    return qcore.partial_trace(raw, part.dims, {2})
+    dn, dl, dm = c.partition.dims
+    return _decode(c.state, build_scrambler(key, c.partition.z, spec).reshape(-1, dn * dl, dm))
 
 
 def tamper(c: Ciphertext, channel: Channel) -> Ciphertext:
@@ -94,11 +116,10 @@ def tamper(c: Ciphertext, channel: Channel) -> Ciphertext:
 
 
 def authenticate(c: Ciphertext, key: SecretKey, spec: ScramblerSpec) -> AuthOutcome:
-    """Unscramble, project the tag register onto |0...0>, and on success
-    return the normalized message state."""
-    part = c.partition
-    u = build_scrambler(key, part.z, spec)
-    message = _tag_zero_message(qcore.apply_unitary(c.state, u.conj().T), part)
+    """Unscramble, project the tag register onto |0...0>, and on success return
+    the message state sum_j Y_j^dag rho Y_j / P0 over the tag-|0> columns Y of U."""
+    y = tag_zero_columns(build_scrambler(key, c.partition.z, spec), c.partition)
+    message = _decode(c.state, y)
     prob = float(np.trace(message).real)
     if prob <= qcore.PROJECT_FLOOR:
         return AuthOutcome(accept_prob=0.0, accepted=False)
@@ -150,14 +171,6 @@ def prediction_slack(partition: QubitPartition, channel: Channel) -> float:
 # per-key functionals and their exact Haar averages
 
 
-def _tag_zero_message(decoded: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """<0|_tag decoded |0>_tag with the mixed register traced: the unnormalized
-    message state after a successful tag projection, read off an index slice."""
-    dn, dl, dm = partition.dims
-    tagged = decoded.reshape(dn, dl, dm, dn, dl, dm)[:, 0, :, :, 0, :]
-    return np.einsum("ajbj->ab", tagged)
-
-
 def _p0_fprime_stack(us: np.ndarray, psi: np.ndarray, partition: QubitPartition, channel: Channel):
     """(P0, F') of every key in a (keys, d, d) stack, for a pure message psi.
 
@@ -168,9 +181,8 @@ def _p0_fprime_stack(us: np.ndarray, psi: np.ndarray, partition: QubitPartition,
     computed once and contracted with psi for G W.  U^dag G U is never
     formed.
     """
-    dn, dl, dm = partition.dims
-    keys, d, _ = us.shape
-    tagged = us.reshape(keys, d, dn, dl, dm)[:, :, :, 0, :]
+    tagged = tag_zero_columns(us, partition)
+    keys, d, dn, dm = tagged.shape
     w = np.einsum("kxaj,a->kxj", tagged, psi)
     gamma = channel.apply(w @ w.conj().transpose(0, 2, 1) / dm)
     y = tagged.reshape(keys, d, dn * dm)
@@ -409,7 +421,8 @@ def security_scan(
     z = partition.z
     exact = None
     if rho is not None:
-        rho = _as_dm(np.asarray(rho, dtype=complex))
+        rho = np.asarray(rho, dtype=complex)
+        rho = qcore.pure_dm(rho) if rho.ndim == 1 else rho
         if q != 0:
             raise ValueError("product form has no purification register")
         exact = 0.5 * moments.closeness_exact(partition, rho, t)

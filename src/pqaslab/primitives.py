@@ -35,20 +35,19 @@ class VprdmParams:
 
 
 def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
-    """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag; rank 2^m, purity 2^-m."""
-    base = qcore.tensor(qcore.zero_tag_state(params.n - params.m), qcore.maximally_mixed(params.m))
-    u = build_scrambler(params.key, params.n, spec)
-    return qcore.apply_unitary(base, u)
+    """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag = W W^dag / 2^m over the first
+    2^m columns W of U_k; rank 2^m, purity 2^-m."""
+    w = build_scrambler(params.key, params.n, spec)[:, : 2**params.m]
+    return w @ w.conj().T / 2**params.m
 
 
 def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: ScramblerSpec) -> float:
-    """Verification value tr(|0><0|^(n-m) tr_mixed(U_k^dag rho U_k)) in [0, 1]."""
+    """Verification value tr(|0><0|^(n-m) tr_mixed(U_k^dag rho U_k)) in [0, 1],
+    as sum_{j < 2^m} u_j^dag rho u_j over the first 2^m columns u_j of U_k."""
     if rho.shape[0] != 2**n:
         raise ValueError("state dimension does not match n")
-    u = build_scrambler(key, n, spec)
-    undone = qcore.apply_unitary(rho, u.conj().T)
-    reduced = qcore.partial_trace(undone, [2 ** (n - m), 2**m], {1})
-    return float(reduced[0, 0].real)
+    w = build_scrambler(key, n, spec)[:, : 2**m]
+    return float(np.vdot(w, rho @ w).real)
 
 
 def ghse_closeness(n: int, m: int, t: int) -> float:

@@ -68,6 +68,18 @@ def chain_accept_double_loop(states, pairs):
     return float(min(max(total, 0.0), 1.0))
 
 
+def encrypt_pure_reference(psi, partition, u, pad_index):
+    """One pure-state ciphertext realization for a sampled mixed-register
+    value, as U (psi (x) |0>_tag (x) |pad>): the reference for reading column
+    pad of W = Y psi off the tag-|0> columns Y of U."""
+    vec = psi
+    if partition.l:
+        vec = np.kron(vec, qcore.basis_ket(2**partition.l, 0))
+    if partition.m:
+        vec = np.kron(vec, qcore.basis_ket(2**partition.m, pad_index))
+    return u @ vec
+
+
 def all_pairs(t):
     return [(i, j) for i in range(t) for j in range(i + 1, t)]
 
@@ -112,7 +124,7 @@ class TestSwapChain:
         part = QubitPartition(1, 0, m)
         u = sample_haar(part.z, rng)
         states = [
-            attacks._encrypt_pure(random_pure_state(1, rng), part, u, int(rng.integers(2**m)) if m else 0)
+            encrypt_pure_reference(random_pure_state(1, rng), part, u, int(rng.integers(2**m)) if m else 0)
             for _ in range(t)
         ]
         pairs = layout(t)
@@ -129,6 +141,17 @@ class TestSwapChain:
 
 
 class TestLRGame:
+    @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (2, 0, 2), (1, 2, 0), (2, 1, 3)])
+    def test_pad_column_matches_reference(self, n, l, m):
+        # the game's ciphertext for pad k is column k of W = Y psi
+        part = QubitPartition(n, l, m)
+        rng = spawn_rng(26, "lr-column", n, l, m)
+        u = sample_haar(part.z, rng)
+        y = pqas.tag_zero_columns(u, part)
+        for k in range(2**m):
+            psi = random_pure_state(n, rng)
+            assert np.max(np.abs(y[:, :, k] @ psi - encrypt_pure_reference(psi, part, u, k))) <= 1e-12
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             attacks.LRGameConfig(left=[qcore.basis_ket(2, 0)], right=[], partition=QubitPartition(1, 0, 0))
@@ -310,7 +333,7 @@ def pair_by_pair_reference(rng, n=2, s_max=2, shots=600):
     part = QubitPartition(n * true_s, 0, 0)
     psi = random_pure_state(part.n, rng)
     u = sample_haar(part.z, rng)
-    copies = [attacks._encrypt_pure(psi, part, u, 0) for _ in range(2 * (math.factorial(s_max) // true_s))]
+    copies = [encrypt_pure_reference(psi, part, u, 0) for _ in range(2 * (math.factorial(s_max) // true_s))]
     k = len(copies) // 2
     width = part.z
     nus = np.zeros(shots, dtype=np.int64)

@@ -4,7 +4,7 @@ and their exact Haar averages."""
 import numpy as np
 import pytest
 
-from pqaslab import moments, pqas, qcore
+from pqaslab import moments, pqas, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -23,9 +23,42 @@ COMPOSED = ScramblerSpec(mode="composed")
 
 def tag_projector(partition: QubitPartition) -> np.ndarray:
     """Pi_0 = I_message (x) |0...0><0...0|_tag (x) I_mixed (the dense reference
-    for the index slice ``authenticate`` reads)."""
+    for the tag-|0> columns ``authenticate`` reads)."""
     dn, dl, dm = partition.dims
     return qcore.tensor(np.eye(dn), qcore.zero_tag_state(partition.l), np.eye(dm))
+
+
+# ---------------------------------------------------------------------------
+# dense references: the protocol as d x d conjugations of the padded state
+
+
+def tag_zero_message(decoded: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """<0|_tag decoded |0>_tag with the mixed register traced: the unnormalized
+    message state after a successful tag projection, read off an index slice."""
+    dn, dl, dm = partition.dims
+    tagged = decoded.reshape(dn, dl, dm, dn, dl, dm)[:, 0, :, :, 0, :]
+    return np.einsum("ajbj->ab", tagged)
+
+
+def encrypt_dense(rho, key, partition, spec):
+    rho = np.asarray(rho, dtype=complex)
+    rho = qcore.pure_dm(rho) if rho.ndim == 1 else rho
+    u = build_scrambler(key, partition.z, spec)
+    return pqas.Ciphertext(qcore.apply_unitary(pqas.pad_state(rho, partition), u), partition)
+
+
+def decrypt_dense(c, key, spec):
+    u = build_scrambler(key, c.partition.z, spec)
+    return qcore.partial_trace(qcore.apply_unitary(c.state, u.conj().T), c.partition.dims, {2})
+
+
+def authenticate_dense(c, key, spec):
+    u = build_scrambler(key, c.partition.z, spec)
+    message = tag_zero_message(qcore.apply_unitary(c.state, u.conj().T), c.partition)
+    prob = float(np.trace(message).real)
+    if prob <= qcore.PROJECT_FLOOR:
+        return pqas.AuthOutcome(accept_prob=0.0, accepted=False)
+    return pqas.AuthOutcome(accept_prob=prob, accepted=True, post_message=message / prob)
 
 
 class TestEncryptDecrypt:
@@ -100,15 +133,17 @@ class TestAuthenticate:
             assert out.accept_prob == pytest.approx(2.0**-l, abs=1e-12)
 
     def test_reject_path(self):
+        # a ciphertext whose tag register holds |01>, orthogonal to |00>
         part = QubitPartition(1, 2, 0)
         key = SecretKey.generate(spawn_rng(8, "auth"))
-        ct = pqas.encrypt(qcore.basis_ket(2, 0), key, part, HAAR)
-        # project the decoded state onto an orthogonal tag value by hand
-        u = ct.state * 0.0
-        outcome = pqas.AuthOutcome(accept_prob=0.0, accepted=False)
+        wrong_tag = qcore.tensor(qcore.pure_dm(qcore.basis_ket(2, 0)), qcore.pure_dm(qcore.basis_ket(4, 1)))
+        ct = pqas.Ciphertext(qcore.apply_unitary(wrong_tag, build_scrambler(key, part.z, HAAR)), part)
+        outcome = pqas.authenticate(ct, key, HAAR)
+        assert outcome.accepted is False
+        assert outcome.accept_prob == 0.0
+        assert outcome.post_message is None
         with pytest.raises(ValueError):
             outcome.fidelity_with(qcore.basis_ket(2, 0))
-
 
     @pytest.mark.parametrize("mode", ["haar_exact", "composed"])
     def test_matches_dense_projection(self, mode):
@@ -129,6 +164,72 @@ class TestAuthenticate:
             if accepts:
                 reference = qcore.partial_trace(post, part.dims, {1, 2})
                 assert np.max(np.abs(out.post_message - reference)) <= 1e-12
+
+
+def _messages(n, rng):
+    """A pure vector, full-rank and rank-deficient mixed states, and a
+    unit-trace Hermitian operator with a negative eigenvalue."""
+    dn = 2**n
+    g = rng.standard_normal((dn, dn)) + 1j * rng.standard_normal((dn, dn))
+    h = (g + g.conj().T) / 2
+    h -= np.trace(h) / dn * np.eye(dn)
+    non_psd = np.eye(dn) / dn + h / (dn * np.linalg.norm(h, 2)) * 1.5
+    assert np.linalg.eigvalsh(non_psd)[0] < 0
+    low_rank = sample_ghse(n, n - 1, rng) if n > 1 else np.diag([1.0, 0.0]).astype(complex)
+    return {
+        "pure": random_pure_state(n, rng),
+        "full rank": sample_ghse(n, n, rng),
+        "rank deficient": low_rank,
+        "non-psd": non_psd,
+    }
+
+
+class TestFactoredProtocolMatchesDense:
+    @pytest.mark.parametrize("spec", [HAAR, COMPOSED], ids=["haar_exact", "composed"])
+    @pytest.mark.parametrize(
+        "n,l,m", [(1, 0, 0), (2, 0, 1), (1, 2, 0), (2, 2, 1), (1, 0, 2), (1, 2, 2), (1, 0, 4), (2, 2, 4)]
+    )
+    def test_round_trip_matches_dense(self, spec, n, l, m):
+        part = QubitPartition(n, l, m)
+        rng = spawn_rng(25, "factored", spec.mode, n, l, m)
+        key = SecretKey.generate(rng)
+        channels = _auth_channels(part.z, rng)
+        for label, msg in _messages(n, rng).items():
+            ct = pqas.encrypt(msg, key, part, spec)
+            assert np.max(np.abs(ct.state - encrypt_dense(msg, key, part, spec).state)) <= 1e-12, label
+            for chan in channels:
+                tampered = pqas.tamper(ct, chan)
+                plain = pqas.decrypt(tampered, key, spec)
+                assert np.max(np.abs(plain - decrypt_dense(tampered, key, spec))) <= 1e-12, label
+                out, ref = pqas.authenticate(tampered, key, spec), authenticate_dense(tampered, key, spec)
+                assert out.accepted == ref.accepted, label
+                assert abs(out.accept_prob - ref.accept_prob) <= 1e-12, label
+                if ref.accepted:
+                    assert np.max(np.abs(out.post_message - ref.post_message)) <= 1e-12, label
+
+
+class TestCachedScramblerStaysImmutable:
+    @pytest.mark.parametrize("spec", [HAAR, COMPOSED], ids=["haar_exact", "composed"])
+    def test_protocol_leaves_the_cached_unitary_untouched(self, spec):
+        part = QubitPartition(1, 2, 2)
+        key = SecretKey.generate(spawn_rng(27, "immutable", spec.mode))
+        u = build_scrambler(key, part.z, spec)
+        before = u.copy()
+        rng = spawn_rng(28, "immutable", spec.mode)
+        for msg in (random_pure_state(part.n, rng), sample_ghse(part.n, part.n, rng)):
+            ct = pqas.tamper(pqas.encrypt(msg, key, part, spec), qcore.LocalDepolarizingChannel(part.z, 0.1))
+            pqas.authenticate(ct, key, spec)
+            pqas.decrypt(ct, key, spec)
+        rho = primitives.vprdm_generate(primitives.VprdmParams(part.z, 2, key), spec)
+        primitives.vprdm_verify(rho, key, part.z, 2, spec)
+        cached = build_scrambler(key, part.z, spec)
+        assert cached is u
+        assert np.array_equal(cached, before)
+        assert not cached.flags.writeable
+        y = pqas.tag_zero_columns(cached, part)
+        assert not y.flags.writeable
+        with pytest.raises(ValueError):
+            y[0, 0, 0] = 0.0
 
 
 class TestChannelFidelity:
@@ -279,7 +380,7 @@ def dense_p0_fprime(psi, u, part, channel):
     read off its tag-|0> slice: the per-trial reference for the stacked kernel."""
     rho_ext = pqas.pad_state(qcore.pure_dm(psi), part)
     decoded = u.conj().T @ channel.apply(u @ rho_ext @ u.conj().T) @ u
-    message = pqas._tag_zero_message(decoded, part)
+    message = tag_zero_message(decoded, part)
     return float(np.trace(message).real), float(np.vdot(psi, message @ psi).real)
 
 

@@ -10,6 +10,19 @@ from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.primitives import EfiParams, OneWayStateGenerator, VprdmParams
 
 HAAR = ScramblerSpec(mode="haar_exact")
+COMPOSED = ScramblerSpec(mode="composed")
+
+
+def vprdm_generate_dense(params, spec):
+    """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag as a dense conjugation (reference)."""
+    base = qcore.tensor(qcore.zero_tag_state(params.n - params.m), qcore.maximally_mixed(params.m))
+    return qcore.apply_unitary(base, build_scrambler(params.key, params.n, spec))
+
+
+def vprdm_verify_dense(rho, key, n, m, spec):
+    """tr(|0><0|^(n-m) tr_mixed(U_k^dag rho U_k)) from the dense decoded state (reference)."""
+    undone = qcore.apply_unitary(rho, build_scrambler(key, n, spec).conj().T)
+    return float(qcore.partial_trace(undone, [2 ** (n - m), 2**m], {1})[0, 0].real)
 
 
 class TestVprdm:
@@ -54,6 +67,18 @@ class TestVprdm:
         rho = primitives.vprdm_generate(VprdmParams(n, m, SecretKey.generate(rng)), HAAR)
         vals = np.array([primitives.vprdm_verify(rho, SecretKey.generate(rng), n, m, HAAR) for _ in range(300)])
         assert abs(vals.mean() - 2.0 ** -(n - m)) <= 3 * vals.std(ddof=1) / np.sqrt(vals.size)
+
+
+    @pytest.mark.parametrize("spec", [HAAR, COMPOSED], ids=["haar_exact", "composed"])
+    @pytest.mark.parametrize("n,m", [(1, 0), (3, 1), (4, 2), (6, 4)])
+    def test_matches_dense_reference(self, spec, n, m):
+        rng = spawn_rng(5, "vprdm-dense", spec.mode, n, m)
+        key, wrong = SecretKey.generate(rng), SecretKey.generate(rng)
+        params = VprdmParams(n, m, key)
+        rho = primitives.vprdm_generate(params, spec)
+        assert np.max(np.abs(rho - vprdm_generate_dense(params, spec))) <= 1e-12
+        for k in (key, wrong):
+            assert abs(primitives.vprdm_verify(rho, k, n, m, spec) - vprdm_verify_dense(rho, k, n, m, spec)) <= 1e-12
 
 
 class TestGhseCloseness:
