@@ -134,15 +134,6 @@ def symplectic_element(index: int, n: int) -> np.ndarray:
     return g
 
 
-def is_symplectic(g: np.ndarray) -> bool:
-    n = g.shape[0] // 2
-    lam = np.zeros((2 * n, 2 * n), dtype=np.int8)
-    for i in range(n):
-        lam[2 * i, 2 * i + 1] = 1
-        lam[2 * i + 1, 2 * i] = 1
-    return np.array_equal((g @ lam @ g.T) % 2, lam)
-
-
 # ---------------------------------------------------------------------------
 # signed Pauli operators as index/phase pairs
 
@@ -180,12 +171,6 @@ class SignedPauli:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """P @ v without materializing the matrix."""
         return self.amps * v[self.source]
-
-    def dense(self) -> np.ndarray:
-        dim = 2**self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        out[np.arange(dim), self.source] = self.amps
-        return out
 
 
 # ---------------------------------------------------------------------------

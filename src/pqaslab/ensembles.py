@@ -49,21 +49,9 @@ class SecretKey:
             if len(part) != KEY_BYTES:
                 raise ValueError(f"key parts must be {KEY_BYTES} bytes")
 
-    @property
-    def bits(self) -> int:
-        return 8 * (len(self.k1) + len(self.k2) + len(self.k3))
-
     @classmethod
     def generate(cls, rng: np.random.Generator) -> "SecretKey":
         return cls(rng.bytes(KEY_BYTES), rng.bytes(KEY_BYTES), rng.bytes(KEY_BYTES))
-
-    @classmethod
-    def from_int(cls, value: int) -> "SecretKey":
-        """Deterministic key for an integer label; parts derived by hashing."""
-        from ._streams import derive_bytes
-
-        parts = [derive_bytes(None, "secret-key", value, i, n=KEY_BYTES) for i in range(3)]
-        return cls(*parts)
 
 
 MODES = ("composed", "haar_exact", "pru_only")

@@ -308,6 +308,7 @@ def _metric(pt, suffix, estimate, stderr=None, exact=None, prediction=None, chan
 
 
 def _run_wg_selftest(pt: ExperimentPoint) -> list[ResultRecord]:
+    qcore.check_qubits(pt.n)
     d = 2**pt.n
     est = moments.sum_abs_weingarten(pt.t, d)
     exact = moments.sum_abs_weingarten_exact(pt.t, d)
@@ -316,6 +317,8 @@ def _run_wg_selftest(pt: ExperimentPoint) -> list[ResultRecord]:
 
 def _run_security_scan(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
+    # the t-copy joint state is checked before its GHZ input is allocated
+    qcore.check_qubits(pt.t * part.z + pt.q)
     seed = point_seed(pt)
     if pt.q == 0:
         rho = qcore.pure_dm(qcore.basis_ket(2**pt.n, 0))
@@ -444,6 +447,7 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
 
 
 def _run_efi(pt: ExperimentPoint) -> list[ResultRecord]:
+    qcore.check_qubits(pt.n)
     spec = ScramblerSpec(mode=pt.mode)
     noise = None
     if pt.channel_kind != "identity":

@@ -141,11 +141,6 @@ def _perm_sum(coeffs: dict[Perm, complex], d: int) -> np.ndarray:
     return out
 
 
-def permutation_operator(p: Perm, d: int) -> np.ndarray:
-    """Dense operator on (C^d)^(x t) permuting the tensor copies."""
-    return _perm_sum({p: 1.0 + 0j}, d)
-
-
 def _perm_trace(op: np.ndarray, p: Perm, d: int) -> complex:
     """tr(op @ P(p)^dagger) without materializing P(p)."""
     dim = d ** len(p)
@@ -161,11 +156,17 @@ def _perm_trace(op: np.ndarray, p: Perm, d: int) -> complex:
 # nonincreasing tuples.
 
 
+def _check_class_t(t: int) -> None:
+    """Raise unless t is within the class-function range 1..MAX_CLASS_T; callers
+    that loop over t check first, so a huge t fails at once."""
+    if t < 1 or t > MAX_CLASS_T:
+        raise ValueError(f"t must be between 1 and {MAX_CLASS_T}")
+
+
 @lru_cache(maxsize=None)
 def partitions(t: int) -> tuple[Shape, ...]:
     """All partitions of t, largest parts first."""
-    if t < 1 or t > MAX_CLASS_T:
-        raise ValueError(f"t must be between 1 and {MAX_CLASS_T}")
+    _check_class_t(t)
 
     def below(rest: int, cap: int):
         if rest == 0:
@@ -366,6 +367,7 @@ def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
     permutation traces prod_k p_k - d^(#cycles - t) over the cycle lengths k,
     with p_k = tr(rho^k) d_B^(1 - k); the identity class cancels exactly.
     """
+    _check_class_t(t)
     d = 2**partition.z
     d_b = 2**partition.m
     ptr = _power_traces(partition, rho, t)
@@ -413,6 +415,7 @@ def ghse_block_traces(n: int, m: int, t: int) -> dict[Shape, float]:
     tr(Pi_lambda P(pi)) = s_lambda(1^(2^n)) chi_lambda(pi), so each block
     trace is s_lambda (d-1)!/(d+t-1)! sum_pi chi_lambda(pi) d_B^#cycles(pi).
     """
+    _check_class_t(t)
     d_a = 2**n
     d_b = 2**m
     d = d_a * d_b

@@ -36,11 +36,6 @@ class AuthOutcome:
     accepted: bool
     post_message: np.ndarray | None = field(repr=False, default=None)
 
-    def fidelity_with(self, psi: np.ndarray) -> float:
-        if self.post_message is None:
-            raise ValueError("rejected outcome has no post-measurement state")
-        return qcore.fidelity_with_pure(self.post_message, psi)
-
 
 # Largest entry of P(pi) rho_g P(pi)^dag - rho_g, over adjacent copy swaps pi,
 # for which security_scan treats a joint input as copy-symmetric.
@@ -55,11 +50,6 @@ SCAN_BATCHES = 20
 STACK_ENTRIES = 2**16
 
 
-def pad_state(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """Append the tag state and the maximally mixed register to the message."""
-    return qcore.tensor(rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
-
-
 def tag_zero_columns(u: np.ndarray, partition: QubitPartition) -> np.ndarray:
     """The tag-|0> columns of U (or of each U in a stack) as a (..., d, dn, dm)
     view, Y[x, a, j] = <x|U|a, 0, j>; read-only when U is."""
@@ -68,16 +58,17 @@ def tag_zero_columns(u: np.ndarray, partition: QubitPartition) -> np.ndarray:
 
 
 def scramble_padded(rho: np.ndarray, u: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """U (rho (x) |0><0|_tag (x) I_m / 2^m) U^dag from the tag-|0> columns Y of U:
-    W W^dag / 2^m with W = Y psi for a pure-state vector psi, and the linear
-    Y (rho (x) I_m) Y^dag / 2^m for any operator rho."""
+    """U (rho (x) |0><0|_tag (x) I_m / 2^m) U^dag from the tag-|0> columns Y of U
+    (or of each U in a (..., d, d) stack): W W^dag / 2^m with W = Y psi for a
+    pure-state vector psi, and the linear Y (rho (x) I_m) Y^dag / 2^m for any
+    operator rho."""
     y = tag_zero_columns(u, partition)
-    d, dn, dm = y.shape
+    *keys, d, dn, dm = y.shape
     if rho.ndim == 1:
-        w = np.einsum("xaj,a->xj", y, rho)
-        return w @ w.conj().T / dm
-    y_rho = np.einsum("xaj,ab->xbj", y, rho).reshape(d, dn * dm)
-    return y_rho @ y.reshape(d, dn * dm).conj().T / dm
+        w = np.einsum("...xaj,a->...xj", y, rho)
+        return w @ w.conj().swapaxes(-1, -2) / dm
+    y_rho = np.einsum("...xaj,ab->...xbj", y, rho).reshape(*keys, d, dn * dm)
+    return y_rho @ y.reshape(*keys, d, dn * dm).conj().swapaxes(-1, -2) / dm
 
 
 def _decode(rho: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -193,12 +184,6 @@ def _p0_fprime_stack(us: np.ndarray, psi: np.ndarray, partition: QubitPartition,
     return p0, fprime
 
 
-def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
-    """(P0, F') for one scrambler realization and a pure message state."""
-    p0, fprime = _p0_fprime_stack(u[None], psi, partition, channel)
-    return float(p0[0]), float(fprime[0])
-
-
 def _twirled_weight(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
     """Weight p of the Haar-twirled tamper channel.
 
@@ -244,7 +229,6 @@ class AuthSweepStats:
     min_p0_minus_fprime: float
     predicted_p0: float
     predicted_fprime: float
-    low_fidelity_regime: bool
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -305,7 +289,6 @@ def auth_sweep(
         min_p0_minus_fprime=float(np.min(p0s - fps)),
         predicted_p0=predicted_p0(partition, channel),
         predicted_fprime=predicted_fprime(partition, channel),
-        low_fidelity_regime=channel_fidelity(channel) < 1e-6,
     )
 
 
@@ -408,12 +391,12 @@ def security_scan(
     Each batch draws its keys as one stack (trial i from its own
     ``spawn_rng(seed, "security-scan", i)`` stream) and sums the encrypted
     copies in one Gram product: of the vec(phi_i) over their Khatri-Rao
-    powers for product input, or of W_i = (U_i^(x t) (x) I) V for a joint
-    input padded as V V^dag.  When the input commutes with permutations of
-    the copies, so does every batch mean, and each is kept only as its
-    blocks B_lam^T (mean - target) B_lam on the isotypic components of the
-    copy action; the raw estimate and every bootstrap replicate are sums of
-    block trace norms.  A joint input that is not copy-symmetric (to 1e-12),
+    powers for product input, each phi_i the ``scramble_padded`` ciphertext,
+    or of W_i = (U_i^(x t) (x) I) V for a joint input padded as V V^dag.
+    When the input commutes with permutations of the copies, so does every
+    batch mean, and each is kept only as its blocks B_lam^T (mean - target)
+    B_lam on the isotypic components of the copy action; the raw estimate
+    and every bootstrap replicate are sums of block trace norms.  A joint input that is not copy-symmetric (to 1e-12),
     or t beyond ``moments.MAX_T``, gets the single identity block.
     """
     if (rho is None) == (rho_g is None):
@@ -435,7 +418,6 @@ def security_scan(
     dzt = dz**t
     dim = dzt * dq
     if rho is not None:
-        rho_pad = pad_state(rho, partition)
         target = np.eye(dim, dtype=complex) / dim
         symmetric = True
     else:
@@ -453,7 +435,7 @@ def security_scan(
         rngs = [spawn_rng(seed, "security-scan", b * per_batch + i) for i in range(per_batch)]
         us = sample_scramblers(z, mode, rngs)
         if rho is not None:
-            total = _product_batch_sum(us @ rho_pad @ us.conj().transpose(0, 2, 1), t)
+            total = _product_batch_sum(scramble_padded(rho, us, partition), t)
         else:
             total = _joint_batch_sum(us, factor, t)
         gap = total / per_batch - target

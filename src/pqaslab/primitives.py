@@ -2,8 +2,9 @@
 
 Verifiable pseudorandom density matrices: keyed rank-2^m states whose
 correct preparation is certified by undoing the scrambler and projecting
-the leading registers onto |0...0>.  On top of them sit a one-way
-state-generator interface and noise-robust EFI pairs whose statistical
+the leading registers onto |0...0>.  A one-way state generator is
+``SecretKey.generate``, ``vprdm_generate`` and ``vprdm_verify`` against a
+threshold.  On top of them sit noise-robust EFI pairs whose statistical
 farness is certified through entropy bounds.
 """
 
@@ -78,30 +79,6 @@ def ghse_closeness_dense(n: int, m: int, t: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# one-way state generator interface
-
-
-@dataclass
-class OneWayStateGenerator:
-    """Keyed states that verify under the generating key and reject others."""
-
-    n: int
-    m: int
-    spec: ScramblerSpec
-    threshold: float = 0.5
-
-    def keygen(self, rng: np.random.Generator) -> SecretKey:
-        return SecretKey.generate(rng)
-
-    def stategen(self, key: SecretKey) -> np.ndarray:
-        return vprdm_generate(VprdmParams(self.n, self.m, key), self.spec)
-
-    def verify(self, key: SecretKey, rho: np.ndarray) -> bool:
-        # 1e-12 grace keeps threshold = 1.0 usable despite float round-off
-        return vprdm_verify(rho, key, self.n, self.m, self.spec) >= self.threshold - 1e-12
-
-
-# ---------------------------------------------------------------------------
 # EFI pairs
 
 
@@ -155,13 +132,6 @@ def efi_ensembles(params: EfiParams, spec: ScramblerSpec) -> tuple[np.ndarray, n
     return nu[0] / len(keys), nu[1] / len(keys)
 
 
-def efi_verify_draw(params: EfiParams, spec: ScramblerSpec, key: SecretKey, arm: int) -> float:
-    """Pass-through verification of a drawn ensemble member given (key, arm)."""
-    m = params.m1 if arm else params.m0
-    rho = vprdm_generate(VprdmParams(params.n, m, key), spec)
-    return vprdm_verify(rho, key, params.n, m, spec)
-
-
 def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
@@ -211,34 +181,3 @@ def efi_report(params: EfiParams, spec: ScramblerSpec) -> EfiReport:
     if rep.t_exact < rep.t_lower_bound - 1e-9:
         raise ArithmeticError("trace distance fell below its entropy lower bound")
     return rep
-
-
-@dataclass
-class EfiNoiseReport:
-    noiseless: EfiReport
-    noisy: EfiReport
-    shannon_bits: float | None          # H({p_i}) of the mixed-unitary weights
-    per_qubit_shannon: float | None     # for local depolarizing noise
-    per_qubit_budget: float
-    within_budget: bool | None          # None when the channel is not mixed-unitary
-
-
-def efi_noise_check(params: EfiParams, spec: ScramblerSpec) -> EfiNoiseReport:
-    """Apply the configured noise to both arms and evaluate the entropy budget.
-
-    The Shannon entropy of the mixed-unitary weights is compared against the
-    per-qubit budget gamma - c - m0/n; channels that are not mixed-unitary
-    get the distance recomputed but no budget verdict.
-    """
-    if params.noise is None:
-        raise ValueError("params carry no noise channel")
-    noiseless = efi_report(EfiParams(params.n, params.m0, params.gamma, params.c, params.lambda_eff), spec)
-    noisy = efi_report(params, spec)
-    probs = params.noise.mixed_unitary_probabilities()
-    budget = params.gamma - params.c - params.m0 / params.n
-    if probs is None:
-        return EfiNoiseReport(noiseless, noisy, None, None, budget, None)
-    probs = probs[probs > 0]
-    shannon = float(-np.sum(probs * np.log2(probs)))
-    per_qubit = shannon / params.n
-    return EfiNoiseReport(noiseless, noisy, shannon, per_qubit, budget, per_qubit <= budget)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 UNITARITY_TOL = 1e-9
 EIG_CLIP = 1e-12
@@ -65,18 +64,6 @@ class QubitPartition:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise unless rho is Hermitian, unit trace and PSD within tolerance."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
-        raise ValueError("density matrix has a negative eigenvalue")
 
 
 def check_pure_state(psi: np.ndarray) -> None:
@@ -218,17 +205,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(a - b)
 
 
-def fidelity_with_pure(rho: np.ndarray, psi: np.ndarray) -> float:
-    """<psi| rho |psi> for a pure reference state."""
-    if psi.shape[0] != rho.shape[0]:
-        raise ValueError("dimension mismatch")
-    return float(np.vdot(psi, rho @ psi).real)
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.trace(rho @ rho).real)
-
-
 def overlap(a: np.ndarray, b: np.ndarray) -> float:
     """tr(a b) for Hermitian operators."""
     if a.shape != b.shape:
@@ -269,44 +245,6 @@ class Channel:
     def kraus_trace_square_sum(self) -> float:
         raise NotImplementedError
 
-    def mixed_unitary_probabilities(self) -> np.ndarray | None:
-        """Probability vector if the channel is mixed-unitary, else None."""
-        return None
-
-
-class KrausChannel(Channel):
-    """Channel given by an explicit Kraus operator list."""
-
-    def __init__(self, kraus_ops, check: bool = True):
-        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        self.kraus_ops = ops
-        self.dim = ops[0].shape[0]
-        if check:
-            acc = sum(k.conj().T @ k for k in ops)
-            if np.max(np.abs(acc - np.eye(self.dim))) > UNITARITY_TOL:
-                raise ValueError("Kraus operators are not trace preserving")
-
-    def apply(self, rho):
-        out = np.zeros_like(rho)
-        for k in self.kraus_ops:
-            out += k @ rho @ k.conj().T
-        return out
-
-    def kraus_trace_square_sum(self):
-        return float(sum(abs(np.trace(k)) ** 2 for k in self.kraus_ops))
-
-    def mixed_unitary_probabilities(self):
-        probs = []
-        for k in self.kraus_ops:
-            kk = k.conj().T @ k
-            p = np.trace(kk).real / self.dim
-            if p < 1e-14 or np.max(np.abs(kk - p * np.eye(self.dim))) > 1e-9:
-                return None
-            probs.append(p)
-        return np.array(probs)
-
 
 class IdentityChannel(Channel):
     def __init__(self, dim: int):
@@ -317,9 +255,6 @@ class IdentityChannel(Channel):
 
     def kraus_trace_square_sum(self):
         return float(self.dim**2)
-
-    def mixed_unitary_probabilities(self):
-        return np.array([1.0])
 
 
 class UnitaryChannel(Channel):
@@ -335,9 +270,6 @@ class UnitaryChannel(Channel):
 
     def kraus_trace_square_sum(self):
         return float(abs(np.trace(self.v)) ** 2)
-
-    def mixed_unitary_probabilities(self):
-        return np.array([1.0])
 
 
 class DepolarizingChannel(Channel):
@@ -361,12 +293,6 @@ class DepolarizingChannel(Channel):
     def kraus_trace_square_sum(self):
         # only the identity Kraus operator sqrt(1 - p + p/d^2) I has a trace
         return float((1.0 - self.p + self.p / self.dim**2) * self.dim**2)
-
-    def mixed_unitary_probabilities(self):
-        d2 = self.dim**2
-        probs = np.full(d2, self.p / d2)
-        probs[0] = 1.0 - self.p + self.p / d2
-        return probs
 
 
 class LocalDepolarizingChannel(Channel):
@@ -399,30 +325,6 @@ class LocalDepolarizingChannel(Channel):
     def kraus_trace_square_sum(self):
         # per qubit only the identity Kraus has nonzero trace
         return float((1.0 - 0.75 * self.p) ** self.qubits * self.dim**2)
-
-    def mixed_unitary_probabilities(self):
-        single = np.array([1.0 - 0.75 * self.p, 0.25 * self.p, 0.25 * self.p, 0.25 * self.p])
-        probs = single
-        for _ in range(self.qubits - 1):
-            probs = np.outer(probs, single).ravel()
-        return probs
-
-
-class MixtureChannel(Channel):
-    """Convex mixture of channels, used for linearity checks."""
-
-    def __init__(self, weights, channels):
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1")
-        self.weights = list(weights)
-        self.channels = list(channels)
-        self.dim = channels[0].dim
-
-    def apply(self, rho):
-        return sum(w * c.apply(rho) for w, c in zip(self.weights, self.channels))
-
-    def kraus_trace_square_sum(self):
-        return float(sum(w * c.kraus_trace_square_sum() for w, c in zip(self.weights, self.channels)))
 
 
 def apply_channel(rho: np.ndarray, channel: Channel) -> np.ndarray:

@@ -1,0 +1,131 @@
+"""Dense references and helpers that only the tests use: each is the oracle
+or fixture its tests compare against, with the tolerances it checks by.
+pytest's default import mode puts this directory on ``sys.path``, so test
+modules ``import reference``.
+"""
+
+import numpy as np
+
+from pqaslab import moments, pqas, qcore
+from pqaslab._clifford import SignedPauli
+from pqaslab._streams import derive_bytes
+from pqaslab.ensembles import KEY_BYTES, SecretKey
+from pqaslab.moments import Perm
+from pqaslab.qcore import HERMITICITY_TOL, PSD_TOL, UNITARITY_TOL, Channel, QubitPartition
+
+TRACE_TOL = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# states and metrics
+
+
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise unless rho is Hermitian, unit trace and PSD within tolerance."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
+        raise ValueError("density matrix trace differs from 1")
+    if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def purity(rho: np.ndarray) -> float:
+    return float(np.trace(rho @ rho).real)
+
+
+def fidelity_with_pure(rho: np.ndarray, psi: np.ndarray) -> float:
+    """<psi| rho |psi> for a pure reference state."""
+    if psi.shape[0] != rho.shape[0]:
+        raise ValueError("dimension mismatch")
+    return float(np.vdot(psi, rho @ psi).real)
+
+
+def pad_state(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """Append the tag state and the maximally mixed register to the message."""
+    return qcore.tensor(rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
+
+
+# ---------------------------------------------------------------------------
+# channels with no structured form
+
+
+class KrausChannel(Channel):
+    """Channel given by an explicit Kraus operator list."""
+
+    def __init__(self, kraus_ops, check: bool = True):
+        ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
+        if not ops:
+            raise ValueError("need at least one Kraus operator")
+        self.kraus_ops = ops
+        self.dim = ops[0].shape[0]
+        if check:
+            acc = sum(k.conj().T @ k for k in ops)
+            if np.max(np.abs(acc - np.eye(self.dim))) > UNITARITY_TOL:
+                raise ValueError("Kraus operators are not trace preserving")
+
+    def apply(self, rho):
+        out = np.zeros_like(rho)
+        for k in self.kraus_ops:
+            out += k @ rho @ k.conj().T
+        return out
+
+    def kraus_trace_square_sum(self):
+        return float(sum(abs(np.trace(k)) ** 2 for k in self.kraus_ops))
+
+
+class MixtureChannel(Channel):
+    """Convex mixture of channels, used for linearity checks."""
+
+    def __init__(self, weights, channels):
+        if abs(sum(weights) - 1.0) > 1e-12:
+            raise ValueError("mixture weights must sum to 1")
+        self.weights = list(weights)
+        self.channels = list(channels)
+        self.dim = channels[0].dim
+
+    def apply(self, rho):
+        return sum(w * c.apply(rho) for w, c in zip(self.weights, self.channels))
+
+    def kraus_trace_square_sum(self):
+        return float(sum(w * c.kraus_trace_square_sum() for w, c in zip(self.weights, self.channels)))
+
+
+# ---------------------------------------------------------------------------
+# protocol functionals, keys, group structure
+
+
+def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
+    """(P0, F') for one scrambler realization and a pure message state."""
+    p0, fprime = pqas._p0_fprime_stack(u[None], psi, partition, channel)
+    return float(p0[0]), float(fprime[0])
+
+
+def key_from_int(value: int) -> SecretKey:
+    """Deterministic key for an integer label; parts derived by hashing."""
+    parts = [derive_bytes(None, "secret-key", value, i, n=KEY_BYTES) for i in range(3)]
+    return SecretKey(*parts)
+
+
+def permutation_operator(p: Perm, d: int) -> np.ndarray:
+    """Dense operator on (C^d)^(x t) permuting the tensor copies."""
+    return moments._perm_sum({p: 1.0 + 0j}, d)
+
+
+def is_symplectic(g: np.ndarray) -> bool:
+    n = g.shape[0] // 2
+    lam = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    for i in range(n):
+        lam[2 * i, 2 * i + 1] = 1
+        lam[2 * i + 1, 2 * i] = 1
+    return np.array_equal((g @ lam @ g.T) % 2, lam)
+
+
+def signed_pauli_dense(pauli: SignedPauli) -> np.ndarray:
+    """The dense matrix of a ``SignedPauli``."""
+    dim = 2**pauli.n
+    out = np.zeros((dim, dim), dtype=complex)
+    out[np.arange(dim), pauli.source] = pauli.amps
+    return out

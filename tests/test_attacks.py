@@ -14,6 +14,8 @@ from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
 
+import reference
+
 HAAR = ScramblerSpec(mode="haar_exact")
 
 
@@ -27,7 +29,7 @@ def chain_accept_direct(states, pairs):
     for (i, j) in pairs:
         perm = list(range(t))
         perm[i], perm[j] = j, i
-        swap = moments.permutation_operator(tuple(perm), d)
+        swap = reference.permutation_operator(tuple(perm), d)
         joint = 0.5 * (joint + swap @ joint)
     return float(np.vdot(joint, joint).real)
 
@@ -222,7 +224,7 @@ class TestPurityProbe:
         rng = spawn_rng(9, "pp")
         part = QubitPartition(1, 1, 2)
         ct = pqas.encrypt(qcore.basis_ket(2, 0), SecretKey.generate(rng), part, HAAR)
-        exact = qcore.purity(ct.state)
+        exact = reference.purity(ct.state)
         assert exact == pytest.approx(2.0**-part.m, abs=1e-10)
         shots = 5000
         est = attacks.purity_probe([ct] * (2 * shots), rng)
@@ -298,7 +300,7 @@ class TestBellParity:
             nu = attacks._and_bits(outcomes, half)
             par = attacks._prefix_parity(nu, half, 1)
             z_exact = float(np.sum(probs * (1 - 2 * par)))
-            swap = moments.permutation_operator((1, 0), 2)
+            swap = reference.permutation_operator((1, 0), 2)
             assert z_exact == pytest.approx(np.trace(swap @ rho).real, abs=1e-10)
 
     def test_unbiased_for_product_halves(self):
@@ -423,7 +425,7 @@ class TestQubitCount:
             u = sample_haar(part.z, twin)
         else:
             u = build_scrambler(SecretKey.generate(twin), part.z, ScramblerSpec(mode=mode))
-        expected = qcore.apply_unitary(pqas.pad_state(qcore.pure_dm(psi), part), u)
+        expected = qcore.apply_unitary(reference.pad_state(qcore.pure_dm(psi), part), u)
         assert copies == 12
         assert np.max(np.abs(rho - expected)) <= 1e-12
 

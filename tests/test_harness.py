@@ -1,6 +1,8 @@
 """Config validation, experiment dispatch, serialization and determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import attacks, cli, harness, pqas
+from pqaslab import attacks, cli, harness, pqas, qcore
 from pqaslab.harness import ConfigError, ResultRecord
 
 
@@ -124,6 +126,59 @@ class TestConfigProperty:
             harness.point_seed(point)
 
 
+# One tiny base config per experiment: every valid point of each runs in well
+# under a second.  The property test below keeps the counts small and draws
+# the sizes from small values plus sentinels far past the qubit cap.
+TINY_CONFIGS = {
+    "wg-selftest": {"n": 1, "t": 2},
+    "security-scan": {"n": 1, "t": 1, "trials": 20},
+    "auth-sweep": {"n": 1, "trials": 100},
+    "cpa": {"n": 1, "t": 2, "trials": 2},
+    "qubit-count": {"n": 1, "s_max": 1, "trials": 1, "shots": 20},
+    "multistate": {"n": 1, "trials": 1, "copies": 2},
+    "decoy": {"n": 1, "t": 1},
+    "vprdm": {"n": 2, "m": 1, "t": 1, "trials": 2},
+    "efi": {"n": 3, "m0": 0, "lambda_eff": 1},
+}
+HUGE = st.sampled_from([11, 64, 100000, 2**62])
+SMALL_OR_HUGE = {
+    "n": st.integers(0, 2) | HUGE,
+    "l": st.integers(0, 1) | HUGE,
+    "m": st.integers(0, 1) | HUGE,
+    "t": st.integers(0, 2) | HUGE,
+    "q": st.integers(0, 1) | HUGE,
+    "s_max": st.integers(0, 2) | HUGE,
+    "m0": st.integers(0, 2) | HUGE,
+    "lambda_eff": st.integers(0, 2) | HUGE,
+    "trials": st.sampled_from([1, 2, 20, 100]),
+    "shots": st.sampled_from([1, 20]),
+    "copies": st.sampled_from([1, 2, 4]),
+}
+CHANNEL_P = st.sampled_from([0.0, 0.3, 1.0, -0.5, 1.5, 2**62])
+
+
+class TestRunProperty:
+    @pytest.mark.parametrize("experiment", sorted(TINY_CONFIGS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_tiny_point_runs_or_exits_2(self, experiment, data, tmp_path_factory):
+        config = {"experiment": experiment, **TINY_CONFIGS[experiment]}
+        for field, values in SMALL_OR_HUGE.items():
+            value = data.draw(st.none() | values, label=field)
+            if value is not None:
+                config[field] = value
+        kind = data.draw(st.sampled_from(harness.CHANNEL_KINDS), label="channel.kind")
+        config["channel"] = {"kind": kind, "p": data.draw(CHANNEL_P, label="channel.p")}
+        path = tmp_path_factory.mktemp("tiny") / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path), "--no-timing"])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert (code == cli.EXIT_OK) == bool(out.getvalue())
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "config",
@@ -162,21 +217,32 @@ class TestCli:
         assert out.err.startswith("error:") and "Traceback" not in out.err
 
     @pytest.mark.parametrize("t", range(1, 14))
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, 100000])
     def test_wg_selftest_exit_codes(self, n, t, tmp_path, capsys):
-        # the closed form (d - t)!/d! needs d = 2^n >= t, and the S_t class sums stop at t = 12
+        # the closed form (d - t)!/d! needs d = 2^n >= t, the S_t class sums stop
+        # at t = 12, and n is held to the qubit cap before d is formed
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"experiment": "wg-selftest", "n": n, "t": t}))
         code = cli.main(["run", "--config", str(path), "--no-timing"])
         out = capsys.readouterr()
-        if 2**n >= t and t <= 12:
+        if n <= qcore.qubit_cap() and 2**n >= t and t <= 12:
             assert code == cli.EXIT_OK
             (record,) = harness.parse_csv(out.out)
             assert abs(record.estimate - record.exact) <= 1e-12 * record.exact
         else:
             assert code == cli.EXIT_CONFIG
             assert out.out == ""
-            assert out.err.startswith("error:")
+            assert out.err.startswith("error:") and "Traceback" not in out.err
+            assert ("PQASLAB_CAP" in out.err) == (n > qcore.qubit_cap())
+
+    def test_security_scan_past_the_cap_exits_2_before_allocating(self, tmp_path, capsys):
+        # 2 copies of z = 1 plus 40 purification qubits: the GHZ input alone would be 2^42 amplitudes
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "security-scan", "n": 1, "t": 2, "q": 40, "trials": 20}))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error:") and "PQASLAB_CAP" in out.err and "Traceback" not in out.err
 
     @pytest.mark.parametrize(
         "config,count",

