@@ -34,104 +34,69 @@ def symplectic_group_order(n: int) -> int:
     return order
 
 
-def _inner(v: np.ndarray, w: np.ndarray) -> int:
-    t = 0
-    for i in range(0, len(v), 2):
-        t += int(v[i]) * int(w[i + 1]) + int(v[i + 1]) * int(w[i])
-    return t % 2
+# Symplectic vectors are Python ints: bit j holds entry j of (x1, z1, x2, z2, ...).
+_EVEN = int("01" * 64, 2)  # the x positions 0, 2, 4, ... of up to 64 qubits
 
 
-def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + _inner(k, v) * k) % 2
+def _inner(v: int, w: int) -> int:
+    """Symplectic form sum_i v_xi w_zi + v_zi w_xi (mod 2), as a popcount parity."""
+    return (((v >> 1) & w ^ v & (w >> 1)) & _EVEN).bit_count() & 1
 
 
-def _int_to_bits(i: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.int8)
-    for j in range(n):
-        out[j] = i & 1
-        i >>= 1
-    return out
+def _transvection(k: int, v: int) -> int:
+    return v ^ k if _inner(k, v) else v
 
 
-def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Two transvection vectors (h0, h1) with Z_h1 Z_h0 x = y."""
-    out = np.zeros((2, len(x)), dtype=np.int8)
-    if np.array_equal(x, y):
-        return out
-    if _inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    # look for a qubit where both vectors have support
-    z = np.zeros(len(x), dtype=np.int8)
-    for i in range(0, len(x), 2):
-        if (x[i] + x[i + 1]) != 0 and (y[i] + y[i + 1]) != 0:
-            z[i] = (x[i] + y[i]) % 2
-            z[i + 1] = (x[i + 1] + y[i + 1]) % 2
-            if z[i] + z[i + 1] == 0:  # same support pattern on this qubit
-                z[i + 1] = 1
-                if x[i] != x[i + 1]:
-                    z[i] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
+def _find_transvection(x: int, y: int, n: int) -> tuple[int, int]:
+    """Two transvection vectors (h0, h1) with Z_h1 Z_h0 x = y, on n qubits."""
+    if x == y:
+        return 0, 0
+    if _inner(x, y):
+        return x ^ y, 0
+    # look for a qubit where both vectors have support; (v >> i) & 3 holds
+    # the (x, z) bits of qubit i / 2
+    for i in range(0, 2 * n, 2):
+        xi, yi = (x >> i) & 3, (y >> i) & 3
+        if xi and yi:
+            zi = xi ^ yi
+            if not zi:  # same support pattern on this qubit
+                zi = 2 | (xi != 3)
+            return x ^ (zi << i), y ^ (zi << i)
     # disjoint supports: bridge through a qubit touched by only one of them
-    for i in range(0, len(x), 2):
-        if (x[i] + x[i + 1]) != 0 and (y[i] + y[i + 1]) == 0:
-            if x[i] == x[i + 1]:
-                z[i + 1] = 1
-            else:
-                z[i + 1] = x[i]
-                z[i] = x[i + 1]
-            break
-    for i in range(0, len(x), 2):
-        if (x[i] + x[i + 1]) == 0 and (y[i] + y[i + 1]) != 0:
-            if y[i] == y[i + 1]:
-                z[i + 1] = 1
-            else:
-                z[i + 1] = y[i]
-                z[i] = y[i + 1]
-            break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
+    z = 0
+    for own, other in ((x, y), (y, x)):
+        for i in range(0, 2 * n, 2):
+            bits = (own >> i) & 3
+            if bits and not (other >> i) & 3:
+                z |= (2 if bits == 3 else (bits & 1) << 1 | bits >> 1) << i
+                break
+    return x ^ z, y ^ z
+
+
+def _symplectic_rows(index: int, n: int) -> list[int]:
+    """Rows of the index-th element of Sp(2n, 2) as ints."""
+    nn = 2 * n
+    s = (1 << nn) - 1
+    f1 = (index % s) + 1
+    index //= s
+    t0, t1 = _find_transvection(1, f1, n)  # maps e1 to f1
+    bits = index % (1 << (nn - 1))
+    index >>= nn - 1
+    h0 = _transvection(t1, _transvection(t0, 1 | (bits >> 1) << 2))
+    if bits & 1:
+        f1 = 0
+    rows = [1, 2] if n == 1 else [1, 2] + [row << 2 for row in _symplectic_rows(index, n - 1)]
+    return [_transvection(f1, _transvection(h0, _transvection(t1, _transvection(t0, row)))) for row in rows]
 
 
 def symplectic_element(index: int, n: int) -> np.ndarray:
     """The index-th element of Sp(2n, 2); a bijection for 0 <= index < order.
 
-    Rows are images of the basis vectors (x1, z1, x2, z2, ...).
+    Rows are images of the basis vectors (x1, z1, x2, z2, ...), as an int8
+    array.
     """
-    nn = 2 * n
-    s = (1 << nn) - 1
-    k = (index % s) + 1
-    index //= s
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.int8)
-    e1[0] = 1
-    tv = _find_transvection(e1, f1)  # maps e1 to f1
-    bits = _int_to_bits(index % (1 << (nn - 1)), nn - 1)
-    index >>= nn - 1
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvection(tv[0], eprime)
-    h0 = _transvection(tv[1], h0)
-    if bits[0] == 1:
-        f1 = f1 * 0
-    if n == 1:
-        g = np.eye(2, dtype=np.int8)
-    else:
-        g = np.zeros((nn, nn), dtype=np.int8)
-        g[:2, :2] = np.eye(2, dtype=np.int8)
-        g[2:, 2:] = symplectic_element(index, n - 1)
-    for j in range(nn):
-        row = g[j]
-        row = _transvection(tv[0], row)
-        row = _transvection(tv[1], row)
-        row = _transvection(h0, row)
-        row = _transvection(f1, row)
-        g[j] = row
-    return g
+    rows = np.array(_symplectic_rows(index, n), dtype=np.int64)
+    return ((rows[:, None] >> np.arange(2 * n)) & 1).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +116,12 @@ class SignedPauli:
         self.xbits = np.asarray(xbits, dtype=np.int8)
         self.zbits = np.asarray(zbits, dtype=np.int8)
         self.sign = int(sign)
-        dim = 2**n
-        xmask = 0
-        zmask = 0
+        weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
+        self.source = np.arange(2**n) ^ int(self.xbits @ weights)
+        zsupport = self.source & int(self.zbits @ weights)
+        zpar = np.zeros(2**n, dtype=np.int64)
         for q in range(n):
-            if self.xbits[q]:
-                xmask |= 1 << (n - 1 - q)
-            if self.zbits[q]:
-                zmask |= 1 << (n - 1 - q)
-        idx = np.arange(dim)
-        self.source = idx ^ xmask
-        zpar = np.zeros(dim, dtype=np.int64)
-        for q in range(n):
-            if zmask & (1 << q):
-                zpar ^= (self.source >> q) & 1
+            zpar ^= (zsupport >> q) & 1
         phase = (-1.0) ** self.sign * (1j) ** int(np.dot(self.xbits, self.zbits) % 4)
         self.amps = phase * (-1.0) ** zpar
 
@@ -211,15 +168,15 @@ def clifford_dense_from_tableau(n: int, g: np.ndarray, signs: np.ndarray) -> np.
         zrow = g[2 * i + 1]
         ximages.append(SignedPauli(n, xrow[0::2], xrow[1::2], signs[2 * i]))
         zimages.append(SignedPauli(n, zrow[0::2], zrow[1::2], signs[2 * i + 1]))
-    phi0 = _stabilized_state(zimages, dim)
-    u = np.empty((dim, dim), dtype=complex)
-    u[:, 0] = phi0
-    for col in range(1, dim):
-        # build U|col> from a previously computed column via one X-image flip
-        prev = col & (col - 1)  # clear lowest set bit
-        q = n - (col ^ prev).bit_length()  # qubit holding that bit (0 = msb)
-        u[:, col] = ximages[q].apply(u[:, prev])
-    return u
+    cols = np.empty((dim, dim), dtype=complex)  # row x holds the column U|x>
+    cols[0] = _stabilized_state(zimages, dim)
+    # U|x> is the X image of the qubit holding x's lowest set bit applied to
+    # U|prev>, prev = x with that bit cleared; all columns whose lowest set
+    # bit is b are built at once, from b = n - 1 (qubit 0) down
+    for q, p in enumerate(ximages):
+        step = dim >> q
+        cols[step // 2 :: step] = p.amps * cols[::step, p.source]
+    return np.ascontiguousarray(cols.T)
 
 
 def _uniform_index(order: int, rng: np.random.Generator) -> int:

@@ -1,9 +1,28 @@
 """Keyed and random samplers for the unitary ensembles the scheme composes.
 
 Every keyed sampler is a pure function of (key, size, options): the key and a
-fixed context label are hashed into a counter-mode byte stream (see
+fixed context label are hashed into the seed of one generator (see
 :mod:`pqaslab._streams`) and all randomness is consumed from it in a fixed
 documented order, so repeated calls are bitwise identical.
+
+The scrambler of ``SecretKey(k1, k2, k3)`` on z qubits (d = 2^z) reads each
+factor from its own stream, in this order within the stream:
+
+- ``haar_exact``: stream (k1 + k2 + k3, "haar_exact", z), one (2, d, d)
+  block of standard normals, the real and then the imaginary Ginibre part;
+- brickwork (``composed`` and ``pru_only``): stream (k1, "pru", z), one
+  (count, 2, 4, 4) block for all two-qubit gates, then one (count, 2, 2, 2)
+  block for all one-qubit gates, each in (layer, position) order;
+- keyed Haar factor (``composed``): stream (k2, "design4", z), one
+  (2, d, d) block;
+- Clifford (``composed``): stream (k3, "clifford", z), the Sp(2z, 2) index
+  by rejection and then 2z sign bits.
+
+``build_scramblers`` builds a list of keys as one (k, d, d) stack, each entry
+bitwise what the key alone gives.  The brickwork is evaluated as merged
+pairs of layers, two Kronecker halves and one gate across the cut per pair
+(see ``sample_pru_surrogate``), and in ``composed`` mode it is applied
+straight onto the product of the other two factors.
 """
 
 from __future__ import annotations
@@ -25,9 +44,9 @@ __all__ = [
     "sample_haar",
     "sample_haar_batch",
     "sample_clifford",
-    "sample_design4_surrogate",
     "sample_pru_surrogate",
     "build_scrambler",
+    "build_scramblers",
     "sample_scramblers",
     "sample_ghse",
     "random_pure_state",
@@ -79,25 +98,42 @@ class ScramblerSpec:
             raise ValueError(f"mode must be one of {MODES}")
 
 
+# Complex entries in one stack of keyed unitaries built or evaluated at once:
+# 64 keys at z = 5, one at z >= 8.
+STACK_ENTRIES = 2**16
+
+
+def stack_size(z: int) -> int:
+    """Keys per stack of z-qubit unitaries under STACK_ENTRIES, at least one."""
+    return max(1, STACK_ENTRIES // 4**z)
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
 
-def _haar(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Stack of Haar unitaries, one per generator: Ginibre matrices, one
-    batched QR, R-diagonal phases normalized.
-
-    Each Ginibre matrix is drawn from its own generator in the same order as a
-    lone draw, and the batched QR factors every matrix separately, so entry i
-    is bitwise the unitary a batch of one would give for ``rngs[i]``.
-    """
-    g = np.empty((len(rngs), dim, dim), dtype=complex)
-    for i, rng in enumerate(rngs):
-        g[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _ginibre(normals: np.ndarray) -> np.ndarray:
+    """Ginibre matrices from (..., 2, dim, dim) standard normals, the real and
+    then the imaginary part of each."""
+    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     g /= np.sqrt(2.0)
+    return g
+
+
+def _unitarize(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Ginibre matrices: one batched QR,
+    R-diagonal phases normalized.  The QR factors every matrix separately,
+    so each entry is bitwise what a stack of one gives."""
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    q *= (d / np.abs(d))[..., None, :]
+    return q
+
+
+def _haar(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Stack of Haar unitaries, one per generator, each drawn as one
+    (2, dim, dim) block of standard normals (real part, then imaginary)."""
+    return _unitarize(_ginibre(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs])))
 
 
 def sample_haar_batch(z: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -124,17 +160,6 @@ def sample_clifford(z: int, source) -> np.ndarray:
     return u
 
 
-def sample_design4_surrogate(z: int, key_seed: bytes) -> np.ndarray:
-    """Keyed stand-in for the approximate 4-design factor.
-
-    A key-seeded exact Haar sample: an exact Haar draw realizes every
-    t-design with relative error 0, which exceeds the requirement; the
-    low-depth circuit realizations are out of scope here.
-    """
-    qcore.check_qubits(z)
-    return _haar(2**z, [keyed_rng(key_seed, "design4", z)])[0]
-
-
 def _layer_blocks(z: int, layer: int) -> list[tuple[int, int]]:
     """(width, first qubit) of each gate of one brickwork layer, qubit 0 first.
 
@@ -155,66 +180,117 @@ def _layer_blocks(z: int, layer: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of square matrices, the first factor most significant.
+def _even_cut(z: int) -> int:
+    """The even qubit cut c, 2 <= c < z, minimizing 2^c + 2^(z-c); z if none.
 
-    The same elementwise products as chained ``np.kron``, built by broadcast
-    and reshape.
-    """
-    out = np.ones((1, 1), dtype=complex)
+    No even layer has a gate across c, and every odd layer has exactly one,
+    on qubits (c - 1, c)."""
+    return min(range(2, z, 2), key=lambda c: 2**c + 2 ** (z - c), default=z)
+
+
+def _kron(factors: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Kronecker product of stacks of k square matrices, the first factor most
+    significant, by broadcast and reshape."""
+    out = np.ones((k, 1, 1), dtype=complex)
     for f in factors:
-        n = len(out) * len(f)
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(n, n)
+        n = out.shape[-1] * f.shape[-1]
+        out = (out[:, :, None, :, None] * f[:, None, :, None, :]).reshape(k, n, n)
     return out
 
 
-def sample_pru_surrogate(z: int, key_seed: bytes, depth: int) -> np.ndarray:
-    """Keyed brickwork random circuit standing in for a pseudorandom unitary.
+def sample_pru_surrogate(
+    z: int, key_seeds: Sequence[bytes], depth: int, u: np.ndarray | None = None
+) -> np.ndarray:
+    """Keyed brickwork random circuits standing in for a pseudorandom unitary,
+    one per key seed, applied to the matching entry of the (k, 2^z, 2^z)
+    stack ``u`` (the identity by default).
 
     No provable construction exists at desk scale; this surrogate is a
     heuristic whose low moments converge to Haar with depth.  Each gate is a
-    Haar unitary on one or two qubits.  All gates come from the one keyed
+    Haar unitary on one or two qubits.  All gates of a key come from its one
     stream ``(key_seed, "pru", z)``, so the circuit is a pure function of the
-    key seed: first every two-qubit gate, then every one-qubit gate, each in
-    (layer, position) order, one stacked ``_haar`` call per width.
+    key seed: one (count, 2, 4, 4) block of standard normals for every
+    two-qubit gate, then one (count, 2, 2, 2) block for every one-qubit gate,
+    each in (layer, position) order.  One batched QR per width covers the
+    whole stack.
 
-    No layer is formed as a 2^z x 2^z matrix: each layer is split at the gate
-    boundary nearest qubit z/2 into Kronecker factors A (the leading qubits)
-    and B, and applied as A on ``u.reshape(dim A, -1)`` followed by one
-    broadcast product with B, O(2^z)^2 (dim A + dim B) work instead of
-    O(2^z)^3.
+    No layer is formed as a 2^z x 2^z matrix.  At the even cut c of
+    ``_even_cut``, even layer 2j and odd layer 2j + 1 are merged into one
+    pair: their gates on qubits below c (A) and at or above c (B) multiply
+    into two Kronecker halves, and the odd layer's one gate across the cut
+    follows.  A pair costs (2^c + 2^(z-c) + 4) (2^z)^2 multiply-adds per key
+    instead of two layers of (dim A + dim B) (2^z)^2 each.
     """
     qcore.check_qubits(z)
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    k, d, c = len(key_seeds), 2**z, _even_cut(z)
     layers = [_layer_blocks(z, layer) for layer in range(depth)]
     widths = [width for blocks in layers for width, _ in blocks]
-    rng = keyed_rng(key_seed, "pru", z)
-    # drawn in this order: the two-qubit gates first
-    gates = {width: iter(_haar(2**width, [rng] * widths.count(width))) for width in (2, 1)}
-    d = 2**z
-    u = np.eye(d, dtype=complex)
+    rngs = [keyed_rng(seed, "pru", z) for seed in key_seeds]
+    # per stream, the two-qubit gates are drawn first
+    gates = {}
+    for w in (2, 1):
+        g = _ginibre(np.stack([rng.standard_normal((widths.count(w), 2, 2**w, 2**w)) for rng in rngs]))
+        gates[w] = iter(np.moveaxis(_unitarize(g), 1, 0))
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (k, 2, 2))
+    halves = []
     for blocks in layers:
-        layer = [next(gates[width]) for width, _ in blocks]
-        starts = [pos for _, pos in blocks] + [z]
-        cut = min(range(len(starts)), key=lambda i: abs(2 * starts[i] - z))
-        a, b = _kron(layer[:cut]), _kron(layer[cut:])
-        u = (a @ u.reshape(len(a), -1)).reshape(len(a), len(b), d)
-        u = np.matmul(b, u).reshape(d, d)
-    return u
+        a, b, cross = [], [], None
+        for width, q in blocks:
+            gate = next(gates[width])
+            if q + width <= c:
+                a.append(gate)
+            elif q >= c:
+                b.append(gate)
+            else:
+                a.append(eye)
+                b.append(eye)
+                cross = gate[:, None]
+        halves.append((_kron(a, k), _kron(b, k)[:, None], cross))
+    if u is None:
+        u = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
+    for even in range(0, depth, 2):
+        a, b, _ = halves[even]
+        cross = None
+        if even + 1 < depth:
+            a_odd, b_odd, cross = halves[even + 1]
+            a, b = a_odd @ a, b_odd @ b
+        u = a @ u.reshape(k, 2**c, -1)
+        u = b @ u.reshape(k, 2**c, -1, d)
+        if cross is not None:
+            u = cross @ u.reshape(k, 2 ** (c - 1), 4, -1)
+    return u.reshape(k, d, d)
 
 
-def _scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
-    """The keyed scrambling unitary for the given spec, deterministic in key."""
-    qcore.check_qubits(z)
+def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec) -> np.ndarray:
+    """One chunk of ``build_scramblers``."""
+    d = 2**z
     if spec.mode == "haar_exact":
-        return _haar(2**z, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z)])[0]
-    v_pru = sample_pru_surrogate(z, key.k1, 4 * z)
-    if spec.mode == "pru_only":
-        return v_pru
-    v_4 = sample_design4_surrogate(z, key.k2)
-    v_2 = sample_clifford(z, key.k3)
-    return v_pru @ v_4 @ v_2
+        return _haar(d, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys])
+    u = None
+    if spec.mode == "composed":
+        # keyed exact-Haar stand-in for the approximate 4-design factor: an
+        # exact Haar draw realizes every t-design with zero error
+        v_4 = _haar(d, [keyed_rng(key.k2, "design4", z) for key in keys])
+        v_2 = np.stack([sample_clifford(z, key.k3) for key in keys])
+        u = v_4 @ v_2
+    return sample_pru_surrogate(z, [key.k1 for key in keys], 4 * z, u)
+
+
+def build_scramblers(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec) -> np.ndarray:
+    """The keyed scrambling unitaries of ``keys`` for the given spec, shape
+    (len(keys), 2^z, 2^z); deterministic in each key.
+
+    Entry i is bitwise the unitary ``[keys[i]]`` alone gives.  The stack is
+    built in chunks of ``stack_size(z)`` keys.  In ``composed`` mode the
+    brickwork of ``sample_pru_surrogate`` is applied straight onto the
+    product v_4 v_2 of the keyed Haar factor and the Clifford.
+    """
+    qcore.check_qubits(z)
+    size = stack_size(z)
+    chunks = [_build_stack(keys[i : i + size], z, spec) for i in range(0, len(keys), size)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 @lru_cache(maxsize=64)
@@ -222,9 +298,10 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     """The keyed scrambling unitary for the given spec, deterministic in key.
 
     Cached: encrypt/decrypt/verify calls with the same key reuse the matrix,
-    so it is returned read-only.
+    so it is returned read-only, as an array that owns its memory (no
+    writable base to reach it through).
     """
-    u = _scrambler(key, z, spec)
+    u = build_scramblers([key], z, spec)[0].copy()
     u.flags.writeable = False
     return u
 
@@ -234,13 +311,14 @@ def sample_scramblers(z: int, mode: str, rngs: Sequence[np.random.Generator]) ->
 
     In ``haar_exact`` mode each unitary is drawn directly from its generator
     (``sample_haar_batch``); in any other mode it is the keyed scrambler of a
-    key freshly generated from it.  These one-shot keys are never reused, so
-    they bypass ``build_scrambler``'s cache.
+    key freshly generated from it, built as one stack by
+    ``build_scramblers``.  These one-shot keys are never reused, so they
+    bypass ``build_scrambler``'s cache.
     """
     if mode == "haar_exact":
         return sample_haar_batch(z, rngs)
     spec = ScramblerSpec(mode=mode)
-    return np.stack([_scrambler(SecretKey.generate(rng), z, spec) for rng in rngs])
+    return build_scramblers([SecretKey.generate(rng) for rng in rngs], z, spec)
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

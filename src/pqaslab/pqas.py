@@ -11,7 +11,7 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers
+from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, stack_size
 from .qcore import Channel, QubitPartition
 
 
@@ -45,9 +45,6 @@ SYMMETRY_TOL = 1e-12
 # splits its trials into (trials must be a multiple of it).
 MIN_AUTH_TRIALS = 100
 SCAN_BATCHES = 20
-
-# Complex entries one auth_sweep key stack may hold: 64 keys at z = 5, one at z >= 8.
-STACK_ENTRIES = 2**16
 
 
 def tag_zero_columns(u: np.ndarray, partition: QubitPartition) -> np.ndarray:
@@ -239,10 +236,10 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _auth_key_stacks(z: int, mode: str, seed: int, trials: int):
-    """The trial keys of an auth sweep, as stacks of at most STACK_ENTRIES
-    entries (at least one key each); trial i draws from its own
-    ``spawn_rng(seed, "auth-sweep", i)`` stream."""
-    size = max(1, STACK_ENTRIES // 4**z)
+    """The trial keys of an auth sweep, as stacks of ``stack_size(z)`` keys
+    (at most ``ensembles.STACK_ENTRIES`` entries, at least one key each);
+    trial i draws from its own ``spawn_rng(seed, "auth-sweep", i)`` stream."""
+    size = stack_size(z)
     for start in range(0, trials, size):
         rngs = [spawn_rng(seed, "auth-sweep", i) for i in range(start, min(start + size, trials))]
         yield sample_scramblers(z, mode, rngs)
@@ -261,12 +258,12 @@ def auth_sweep(
 
     Each trial draws an independent scrambler from the requested ensemble and
     records P0, F' and the accepted-state fidelity F = F'/P0.  The keys are
-    drawn and evaluated in stacks of at most ``STACK_ENTRIES`` complex
-    entries (64 keys at z = 5, one key from z = 8 on), each key bitwise the
-    one a lone draw from its trial stream gives.  A stack is pushed through
-    the channel as its rank-2^m factors W = U C of the padded input
-    rho_ext = C C^dag / 2^m, and P0 and F' are read off as traces against
-    the tag-|0> columns of U and against W.
+    drawn and evaluated in stacks of at most ``ensembles.STACK_ENTRIES``
+    complex entries (64 keys at z = 5, one key from z = 8 on), each key
+    bitwise the one a lone draw from its trial stream gives.  A stack is
+    pushed through the channel as its rank-2^m factors W = U C of the padded
+    input rho_ext = C C^dag / 2^m, and P0 and F' are read off as traces
+    against the tag-|0> columns of U and against W.
     """
     if trials < MIN_AUTH_TRIALS:
         raise ValueError(f"need at least {MIN_AUTH_TRIALS} trials for stable statistics")

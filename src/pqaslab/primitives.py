@@ -17,7 +17,7 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import derive_bytes
-from .ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler
+from .ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler, build_scramblers, stack_size
 from .qcore import Channel
 
 
@@ -35,11 +35,16 @@ class VprdmParams:
         qcore.check_qubits(self.n)
 
 
+def _vprdm_state(u: np.ndarray, m: int) -> np.ndarray:
+    """W W^dag / 2^m over the first 2^m columns W of U (or of each U in a stack)."""
+    w = u[..., : 2**m]
+    return w @ w.conj().swapaxes(-1, -2) / 2**m
+
+
 def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
     """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag = W W^dag / 2^m over the first
     2^m columns W of U_k; rank 2^m, purity 2^-m."""
-    w = build_scrambler(params.key, params.n, spec)[:, : 2**params.m]
-    return w @ w.conj().T / 2**params.m
+    return _vprdm_state(build_scrambler(params.key, params.n, spec), params.m)
 
 
 def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: ScramblerSpec) -> float:
@@ -121,14 +126,19 @@ def _truncated_keys(count: int) -> list[SecretKey]:
 def efi_ensembles(params: EfiParams, spec: ScramblerSpec) -> tuple[np.ndarray, np.ndarray]:
     """Exact averages (nu0, nu1) over the truncated 2^lambda_eff key set.
 
-    Both arms of a key are generated back to back, so each scrambler is
-    built once and the second arm reads it from ``build_scrambler``'s cache.
+    The keys are built by ``build_scramblers`` in stacks of ``stack_size(n)``,
+    bypassing ``build_scrambler``'s cache, and each scrambler serves both
+    arms.  Each arm adds its keys' states in key order, so the sums are
+    bitwise those of a ``vprdm_generate`` loop over the keys.
     """
     keys = _truncated_keys(2**params.lambda_eff)
+    size = stack_size(params.n)
     nu = np.zeros((2, 2**params.n, 2**params.n), dtype=complex)
-    for key in keys:
+    for start in range(0, len(keys), size):
+        us = build_scramblers(keys[start : start + size], params.n, spec)
         for acc, m in zip(nu, (params.m0, params.m1)):
-            acc += vprdm_generate(VprdmParams(params.n, m, key), spec)
+            for rho in _vprdm_state(us, m):
+                acc += rho
     return nu[0] / len(keys), nu[1] / len(keys)
 
 

@@ -129,3 +129,108 @@ def signed_pauli_dense(pauli: SignedPauli) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     out[np.arange(dim), pauli.source] = pauli.amps
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sp(2n, 2) on int8 arrays: the transvection decomposition of Koenig and
+# Smolin element by element, the reference for ``_clifford``'s bitmask version
+
+
+def _inner(v: np.ndarray, w: np.ndarray) -> int:
+    t = 0
+    for i in range(0, len(v), 2):
+        t += int(v[i]) * int(w[i + 1]) + int(v[i + 1]) * int(w[i])
+    return t % 2
+
+
+def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (v + _inner(k, v) * k) % 2
+
+
+def _int_to_bits(i: int, n: int) -> np.ndarray:
+    out = np.zeros(n, dtype=np.int8)
+    for j in range(n):
+        out[j] = i & 1
+        i >>= 1
+    return out
+
+
+def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Two transvection vectors (h0, h1) with Z_h1 Z_h0 x = y."""
+    out = np.zeros((2, len(x)), dtype=np.int8)
+    if np.array_equal(x, y):
+        return out
+    if _inner(x, y) == 1:
+        out[0] = (x + y) % 2
+        return out
+    # look for a qubit where both vectors have support
+    z = np.zeros(len(x), dtype=np.int8)
+    for i in range(0, len(x), 2):
+        if (x[i] + x[i + 1]) != 0 and (y[i] + y[i + 1]) != 0:
+            z[i] = (x[i] + y[i]) % 2
+            z[i + 1] = (x[i + 1] + y[i + 1]) % 2
+            if z[i] + z[i + 1] == 0:  # same support pattern on this qubit
+                z[i + 1] = 1
+                if x[i] != x[i + 1]:
+                    z[i] = 1
+            out[0] = (x + z) % 2
+            out[1] = (y + z) % 2
+            return out
+    # disjoint supports: bridge through a qubit touched by only one of them
+    for i in range(0, len(x), 2):
+        if (x[i] + x[i + 1]) != 0 and (y[i] + y[i + 1]) == 0:
+            if x[i] == x[i + 1]:
+                z[i + 1] = 1
+            else:
+                z[i + 1] = x[i]
+                z[i] = x[i + 1]
+            break
+    for i in range(0, len(x), 2):
+        if (x[i] + x[i + 1]) == 0 and (y[i] + y[i + 1]) != 0:
+            if y[i] == y[i + 1]:
+                z[i + 1] = 1
+            else:
+                z[i + 1] = y[i]
+                z[i] = y[i + 1]
+            break
+    out[0] = (x + z) % 2
+    out[1] = (y + z) % 2
+    return out
+
+
+def symplectic_element(index: int, n: int) -> np.ndarray:
+    """The index-th element of Sp(2n, 2); a bijection for 0 <= index < order.
+
+    Rows are images of the basis vectors (x1, z1, x2, z2, ...).
+    """
+    nn = 2 * n
+    s = (1 << nn) - 1
+    k = (index % s) + 1
+    index //= s
+    f1 = _int_to_bits(k, nn)
+    e1 = np.zeros(nn, dtype=np.int8)
+    e1[0] = 1
+    tv = _find_transvection(e1, f1)  # maps e1 to f1
+    bits = _int_to_bits(index % (1 << (nn - 1)), nn - 1)
+    index >>= nn - 1
+    eprime = e1.copy()
+    for j in range(2, nn):
+        eprime[j] = bits[j - 1]
+    h0 = _transvection(tv[0], eprime)
+    h0 = _transvection(tv[1], h0)
+    if bits[0] == 1:
+        f1 = f1 * 0
+    if n == 1:
+        g = np.eye(2, dtype=np.int8)
+    else:
+        g = np.zeros((nn, nn), dtype=np.int8)
+        g[:2, :2] = np.eye(2, dtype=np.int8)
+        g[2:, 2:] = symplectic_element(index, n - 1)
+    for j in range(nn):
+        row = g[j]
+        row = _transvection(tv[0], row)
+        row = _transvection(tv[1], row)
+        row = _transvection(h0, row)
+        row = _transvection(f1, row)
+        g[j] = row
+    return g

@@ -2,13 +2,15 @@
 
 The dense brickwork product (``pru_dense``, one 2^z x 2^z Kronecker layer per
 step, each gate drawn on its own) is kept here as the reference for
-``sample_pru_surrogate``'s stacked draws and two-factor layers.
+``sample_pru_surrogate``'s stacked draws and merged layer pairs, and
+``design4_dense`` (one keyed Haar draw) with it as the reference for the
+composed scrambler.
 """
 
 import numpy as np
 import pytest
 
-from pqaslab import moments, pqas, qcore
+from pqaslab import ensembles, moments, pqas, qcore
 from pqaslab._clifford import (
     SignedPauli,
     symplectic_element,
@@ -20,9 +22,9 @@ from pqaslab.ensembles import (
     SecretKey,
     _haar,
     build_scrambler,
+    build_scramblers,
     random_pure_state,
     sample_clifford,
-    sample_design4_surrogate,
     sample_ghse,
     sample_haar,
     sample_haar_batch,
@@ -71,6 +73,12 @@ def pru_dense(z, key_seed, depth):
             dense = np.kron(dense, gates[layer, pos])
         u = dense @ u
     return u
+
+
+def design4_dense(z, key_seed):
+    """The keyed Haar factor of the composed scrambler, drawn alone from the
+    stream (key_seed, "design4", z)."""
+    return _haar(2**z, [keyed_rng(key_seed, "design4", z)])[0]
 
 
 class TestSecretKey:
@@ -151,6 +159,20 @@ class TestCliffordSampler:
                 seen.add(g.tobytes())
             assert len(seen) == order
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_bitmask_tableau_matches_array_reference(self, n):
+        # every element for n <= 2, else 300 uniform indices
+        order = symplectic_group_order(n)
+        if n <= 2:
+            indices = range(order)
+        else:
+            rng = spawn_rng(3, "symplectic-reference", n)
+            indices = [int.from_bytes(rng.bytes(64), "big") % order for _ in range(300)]
+        for i in indices:
+            g = symplectic_element(i, n)
+            assert g.dtype == np.int8
+            assert np.array_equal(g, reference.symplectic_element(i, n)), i
+
     def test_group_order_formula(self):
         # |Sp(2n,2)| = 2^(n^2) prod (4^j - 1)
         assert symplectic_group_order(1) == 6
@@ -223,9 +245,8 @@ class TestCliffordSampler:
 
 class TestDesign4AndPru:
     def test_design4_deterministic(self):
-        a = sample_design4_surrogate(2, b"k" * 16)
-        b = sample_design4_surrogate(2, b"k" * 16)
-        assert np.array_equal(a, b)
+        a = design4_dense(2, b"k" * 16)
+        assert np.array_equal(a, design4_dense(2, b"k" * 16))
         qcore.check_unitary(a)
 
     def test_design4_moment_spot_check(self):
@@ -241,7 +262,7 @@ class TestDesign4AndPru:
         acc = np.zeros_like(obs)
         sq = np.zeros(obs.shape)
         for _ in range(samples):
-            u = sample_design4_surrogate(z, rng.bytes(16))
+            u = design4_dense(z, rng.bytes(16))
             uu = np.kron(u, u)
             val = uu @ obs @ uu.conj().T
             acc += val
@@ -251,25 +272,30 @@ class TestDesign4AndPru:
         assert np.linalg.norm(mean - exact) <= 3 * sigma
 
     def test_pru_deterministic(self):
-        a = sample_pru_surrogate(3, b"k" * 16, 6)
-        b = sample_pru_surrogate(3, b"k" * 16, 6)
+        a, b, c = sample_pru_surrogate(3, [b"k" * 16, b"k" * 16, b"j" * 16], 6)
         assert np.array_equal(a, b)
-        assert not np.allclose(a, sample_pru_surrogate(3, b"j" * 16, 6))
+        assert not np.allclose(a, c)
 
     def test_pru_depth_validation(self):
         with pytest.raises(ValueError):
-            sample_pru_surrogate(2, b"k" * 16, 0)
+            sample_pru_surrogate(2, [b"k" * 16], 0)
 
     def test_pru_single_qubit_single_layer(self):
-        u = sample_pru_surrogate(1, b"k" * 16, 1)
-        assert u.shape == (2, 2)
-        qcore.check_unitary(u)
+        u = sample_pru_surrogate(1, [b"k" * 16], 1)
+        assert u.shape == (1, 2, 2)
+        qcore.check_unitary(u[0])
 
-    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 6])
+    # z <= 2 has no even cut (each layer is one half); at z = 3 the cut is 2
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 6, 7])
     def test_pru_matches_dense_layer_product(self, z):
         for depth in sorted({1, 2, 3, 4 * z}):
-            key = bytes([z, depth]) * 8
-            dev = np.max(np.abs(sample_pru_surrogate(z, key, depth) - pru_dense(z, key, depth)))
+            keys = [bytes([z, depth, i]) * 5 + b"k" for i in range(3)]
+            u = np.stack([pru_dense(z, key, depth) for key in keys])
+            dev = np.max(np.abs(sample_pru_surrogate(z, keys, depth) - u))
+            assert dev <= 1e-12, (depth, dev)
+            # applied onto a given stack, the circuit multiplies it from the left
+            v = sample_haar_batch(z, [spawn_rng(z, "pru-onto", i) for i in range(3)])
+            dev = np.max(np.abs(sample_pru_surrogate(z, keys, depth, v) - u @ v))
             assert dev <= 1e-12, (depth, dev)
 
     def test_pru_second_moment_at_4z(self):
@@ -283,7 +309,7 @@ class TestDesign4AndPru:
         acc = np.zeros_like(obs)
         sq = np.zeros(obs.shape)
         for _ in range(samples):
-            u = sample_pru_surrogate(z, rng.bytes(16), 4 * z)
+            u = sample_pru_surrogate(z, [rng.bytes(16)], 4 * z)[0]
             uu = np.kron(u, u)
             val = uu @ obs @ uu.conj().T
             acc += val
@@ -316,7 +342,37 @@ class TestScrambler:
         assert not u.flags.writeable
         with pytest.raises(ValueError):
             u[0, 0] = 5
+        # nor through the array it views, if any
+        assert u.base is None or not u.base.flags.writeable
         assert np.array_equal(build_scrambler(key, 2, spec), before)
+
+    @pytest.mark.parametrize("mode", ["composed", "haar_exact", "pru_only"])
+    def test_stack_is_bitwise_each_key_alone(self, mode, monkeypatch):
+        spec = ScramblerSpec(mode=mode)
+        for z in range(1, 7):
+            keys = [SecretKey.generate(spawn_rng(22, "stack", mode, z, i)) for i in range(5)]
+            alone = [build_scramblers([key], z, spec)[0] for key in keys]
+            assert all(np.array_equal(u, build_scrambler(key, z, spec)) for u, key in zip(alone, keys))
+            stack = build_scramblers(keys, z, spec)
+            assert stack.shape == (5, 2**z, 2**z)
+            assert all(np.array_equal(u, v) for u, v in zip(stack, alone))
+            # two keys per chunk: the stack crosses two chunk boundaries
+            sizes = []
+            build_stack = ensembles._build_stack
+            with monkeypatch.context() as patch:
+                patch.setattr(ensembles, "STACK_ENTRIES", 2 * 4**z)
+                patch.setattr(ensembles, "_build_stack", lambda ks, *a: sizes.append(len(ks)) or build_stack(ks, *a))
+                chunked = build_scramblers(keys, z, spec)
+            assert sizes == [2, 2, 1]
+            assert all(np.array_equal(u, v) for u, v in zip(chunked, alone))
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 6])
+    def test_composed_matches_dense_factors(self, z):
+        keys = [SecretKey.generate(spawn_rng(23, "composed-dense", z, i)) for i in range(3)]
+        us = build_scramblers(keys, z, ScramblerSpec("composed"))
+        for u, key in zip(us, keys):
+            dense = pru_dense(z, key.k1, 4 * z) @ design4_dense(z, key.k2) @ sample_clifford(z, key.k3)
+            assert np.max(np.abs(u - dense)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["composed", "pru_only"])
     def test_trial_scramblers_bypass_the_cache(self, mode):

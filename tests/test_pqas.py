@@ -4,7 +4,7 @@ and their exact Haar averages."""
 import numpy as np
 import pytest
 
-from pqaslab import moments, pqas, primitives, qcore
+from pqaslab import ensembles, moments, pqas, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -417,7 +417,7 @@ class TestAuthSweepMatchesPerTrialReference:
         seed = 22
         stacks = list(pqas._auth_key_stacks(part.z, mode, seed, trials))
         assert [len(us) for us in stacks] == sizes
-        assert all(us.size <= pqas.STACK_ENTRIES for us in stacks)
+        assert all(us.size <= ensembles.STACK_ENTRIES for us in stacks)
         keys = np.concatenate(stacks)
         for i, u in enumerate(keys):
             assert np.array_equal(u, sample_scramblers(part.z, mode, [spawn_rng(seed, "auth-sweep", i)])[0])

@@ -4,7 +4,7 @@ closeness, one-way state generation and EFI entropy certificates."""
 import numpy as np
 import pytest
 
-from pqaslab import primitives, qcore
+from pqaslab import ensembles, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.primitives import EfiParams, VprdmParams
@@ -163,11 +163,35 @@ class TestEfi:
         b0, b1 = primitives.efi_ensembles(params, HAAR)
         assert np.array_equal(a0, b0) and np.array_equal(a1, b1)
 
-    def test_each_key_built_once(self):
-        # 2^7 keys overflow the 64-entry cache; the second arm of a key still hits it
+    def test_each_key_built_once(self, monkeypatch):
+        # 2^7 keys overflow the 64-entry cache: each goes to the stacked
+        # builder exactly once, serves both arms, and the cache is untouched
+        seen = []
+        build = primitives.build_scramblers
+        monkeypatch.setattr(primitives, "build_scramblers", lambda keys, *a: seen.extend(keys) or build(keys, *a))
         build_scrambler.cache_clear()
+        before = build_scrambler.cache_info()
         primitives.efi_report(EfiParams(n=4, m0=1, gamma=0.67, c=0.33, lambda_eff=7), ScramblerSpec("composed"))
-        assert build_scrambler.cache_info().misses == 128
+        assert build_scrambler.cache_info() == before
+        assert len(seen) == 128 and set(seen) == set(primitives._truncated_keys(128))
+
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
+    def test_ensembles_match_per_key_loop(self, mode, monkeypatch):
+        # the stacked build adds the same states in the same order as a
+        # vprdm_generate loop over the keys, so the averages are bitwise equal,
+        # in one stack of 32 keys or in stacks of 5
+        params = EfiParams(n=3, m0=0, gamma=0.67, c=0.33, lambda_eff=5)
+        spec = ScramblerSpec(mode)
+        keys = primitives._truncated_keys(32)
+        nu = np.zeros((2, 8, 8), dtype=complex)
+        for key in keys:
+            for acc, m in zip(nu, (params.m0, params.m1)):
+                acc += primitives.vprdm_generate(VprdmParams(params.n, m, key), spec)
+        for got, ref in zip(primitives.efi_ensembles(params, spec), nu / len(keys)):
+            assert np.array_equal(got, ref)
+        monkeypatch.setattr(ensembles, "STACK_ENTRIES", 5 * 64)
+        for got, ref in zip(primitives.efi_ensembles(params, spec), nu / len(keys)):
+            assert np.array_equal(got, ref)
 
     def test_noise_monotonicity(self):
         base = EfiParams(5, 1, 0.7, 0.3, 5)
