@@ -98,8 +98,11 @@ class ScramblerSpec:
             raise ValueError(f"mode must be one of {MODES}")
 
 
-# Complex entries in one stack of keyed unitaries built or evaluated at once:
-# 64 keys at z = 5, one at z >= 8.
+# Complex entries in the output of one stack of keyed unitaries: 64 keys at
+# z = 5, one at z >= 8.  It caps the stack, not its build: the gate draws, their
+# QR, the Haar and Clifford factors and the merged brickwork halves peak at
+# several times the output (4.8 MB of numpy allocations for a 0.5 MB stack of
+# 128 keys at z = 4, 7.5 MB for a full 1 MB chunk at z = 5, by tracemalloc).
 STACK_ENTRIES = 2**16
 
 

@@ -18,9 +18,11 @@ The Weingarten function is the same character sum (Collins-Sniady),
 over the diagrams with at most d rows, so it exists for every d and t <= 12.
 The one dense twirl, ``haar_moment``, sums Wg against permutation traces and
 is kept as the reference the block sums are tested against
-(``closeness_dense``, ``ghse_moment``).  Permutations on t letters are plain
-tuples ``p`` with ``p[i]`` the image of letter i (0-indexed), and the
-permutation-operator convention is
+(``closeness_dense``, ``ghse_moment``).  A dense moment takes its operator's
+dtype: Wg and the permutation operators are real, so a real input is twirled
+and eigen-solved in float64 and only a complex one needs complex128.
+Permutations on t letters are plain tuples ``p`` with ``p[i]`` the image of
+letter i (0-indexed), and the permutation-operator convention is
 
     P(pi) |i_1 ... i_t>  =  |i_{pi^-1(1)} ... i_{pi^-1(t)}>
 
@@ -142,11 +144,12 @@ def _perm_sum(coeffs: dict[Perm, complex], d: int) -> np.ndarray:
 
 
 def _perm_trace(op: np.ndarray, p: Perm, d: int) -> complex:
-    """tr(op @ P(p)^dagger) without materializing P(p)."""
+    """tr(op @ P(p)^dagger) without materializing P(p), as a Python scalar of
+    op's kind: a float for a real op, a complex for a complex one."""
     dim = d ** len(p)
     rows = _perm_rows(p, d)
     # P has its 1-entries at (rows[c], c), so tr(op P^dag) = sum_c op[rows[c], c]
-    return complex(np.sum(op[rows, np.arange(dim)]))
+    return np.sum(op[rows, np.arange(dim)]).item()
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +329,10 @@ def haar_moment(op: np.ndarray, t: int, d: int) -> np.ndarray:
     Direct Weingarten sum: sum_{pi,eta} Wg(eta^-1 pi, d) tr(op P(pi)^dag) P(eta).
     Wg is a class function, so Wg(eta^-1 pi) = Wg(pi^-1 eta) and the
     coefficient of P(eta) is the convolution of the traces with Wg.
+
+    The moment takes op's dtype: Wg and the P(eta) are real, so a real op
+    has real permutation traces and a float64 moment, and a complex op a
+    complex128 one.
     """
     dim = d**t
     if op.shape != (dim, dim):
@@ -382,18 +389,25 @@ def closeness_dense(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
     """``closeness_exact`` from the dense twirl of the padded input (reference).
 
     The padded input is rho (x) |0><0|_l (x) I / 2^m on each of the t copies.
+    A rho with zero imaginary part is padded as a real operator, so its
+    moment is float64 and its trace norm comes from the real symmetric
+    eigensolver; any other rho stays complex128 throughout.
     """
     _check_message(partition, rho)
     d = 2**partition.z
     dim = _capped_dim(d, t)
-    padded = reduce(np.kron, (rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m)))
+    factors = (rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
+    if not np.any(np.imag(rho)):
+        factors = tuple(np.real(f) for f in factors)
+    padded = reduce(np.kron, factors)
     moment = haar_moment(reduce(np.kron, [padded] * t), t, d)
     drift = np.max(np.abs(moment - moment.conj().T))
     if drift > 1e-10:
         raise ArithmeticError(f"moment lost Hermiticity ({drift:.2e})")
     moment = 0.5 * (moment + moment.conj().T)
-    target = np.eye(dim, dtype=complex) / dim
-    return qcore.trace_norm(moment - target)
+    # the target I / d^t differs from zero on the diagonal only
+    moment.reshape(-1)[:: dim + 1] -= 1.0 / dim
+    return qcore.trace_norm(moment)
 
 
 def ghse_moment(n: int, m: int, t: int) -> np.ndarray:
@@ -401,12 +415,13 @@ def ghse_moment(n: int, m: int, t: int) -> np.ndarray:
     an (n+m)-qubit Haar-random pure state (dense reference).
 
     Closed form: (d-1)!/(d+t-1)! * sum_pi d_B^#cycles(pi) P(pi) with d = 2^(n+m),
-    d_B = 2^m, and P(pi) acting on t copies of n qubits.
+    d_B = 2^m, and P(pi) acting on t copies of n qubits.  Every coefficient is
+    real, so the moment is float64.
     """
     d_a = 2**n
     d_b = 2**m
     norm = 1.0 / math.prod(range(d_a * d_b, d_a * d_b + t))  # (d-1)!/(d+t-1)!
-    return norm * _perm_sum({p: complex(d_b ** len(cycle_lengths(p))) for p in permutations(t)}, d_a)
+    return norm * _perm_sum({p: float(d_b ** len(cycle_lengths(p))) for p in permutations(t)}, d_a)
 
 
 def ghse_block_traces(n: int, m: int, t: int) -> dict[Shape, float]:

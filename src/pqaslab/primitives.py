@@ -73,9 +73,12 @@ def ghse_closeness(n: int, m: int, t: int) -> float:
 
 
 def ghse_closeness_dense(n: int, m: int, t: int) -> float:
-    """``ghse_closeness`` from the dense moment matrices (reference)."""
+    """``ghse_closeness`` from the dense moment matrices (reference).
+
+    Both moments are real, so the difference is float64 and its trace norm
+    comes from the real symmetric eigensolver."""
     ghse = moments.ghse_moment(n, m, t)
-    base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m))
+    base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m)).real
     op = base
     for _ in range(t - 1):
         op = np.kron(op, base)

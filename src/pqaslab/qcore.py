@@ -287,8 +287,16 @@ class DepolarizingChannel(Channel):
 
     def apply(self, rho):
         d = self.dim
-        traces = np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-        return (1.0 - self.p) * rho + self.p * traces * np.eye(d) / d
+        # p tr(rho) I/d is p tr(rho) 1.0 / d on the diagonal and the signed zero
+        # p tr(rho) 0.0 / d off it; adding each as the full product forms it keeps
+        # the bytes of (1-p) rho + p tr(rho) I/d, signed zeros included, with no I/d stack
+        scaled = self.p * np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+        out = (1.0 - self.p) * rho
+        diag = np.einsum("...ii->...i", out)
+        on = diag + scaled[..., 0] * 1.0 / d
+        out += scaled * 0.0 / d
+        diag[...] = on
+        return out
 
     def kraus_trace_square_sum(self):
         # only the identity Kraus operator sqrt(1 - p + p/d^2) I has a trace

@@ -157,6 +157,21 @@ class TestHaarMoment:
         expect = (np.eye(d**2) + swap) / (d * (d + 1))
         assert np.allclose(out, expect, atol=1e-12)
 
+    def test_real_operator_gets_a_real_moment(self):
+        # small-integer and dyadic entries keep every permutation trace exact in both dtypes
+        d, t = 2, 3
+        raw = spawn_rng(8, "real-moment").integers(-3, 4, size=(d**t, d**t)).astype(float)
+        padded = reference.pad_state(qcore.pure_dm(qcore.basis_ket(2, 1)), QubitPartition(1, 1, 1)).real
+        for op, dd, tt in [(raw + raw.T, d, t), (raw, d, t), (np.kron(padded, padded), 8, 2)]:
+            real = moments.haar_moment(op, tt, dd)
+            cplx = moments.haar_moment(op.astype(complex), tt, dd)
+            assert real.dtype == np.float64
+            assert cplx.dtype == np.complex128
+            assert real.tobytes() == np.ascontiguousarray(cplx.real).tobytes()
+            assert not np.any(cplx.imag)
+        phase = qcore.pure_dm(np.array([0.6, 0.8j]))
+        assert moments.haar_moment(np.kron(phase, phase), 2, 2).dtype == np.complex128
+
     def test_monte_carlo_cross_check_t3(self):
         # independent path: sampled Haar averaging at t = 3 pins the
         # permutation-operator adjoint convention
@@ -306,6 +321,39 @@ class TestClosedFormCloseness:
             # closeness_dense: trace norm of the dense twirl of the padded input minus the maximally mixed target
             assert abs(moments.closeness_exact(part, rho, t) - moments.closeness_dense(part, rho, t)) <= 1e-12
 
+    @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS + [(1, 1, 3, 2)])
+    def test_real_states_take_the_real_path(self, n, l, m, t, monkeypatch):
+        # (1, 1, 3, 2) is the decoy point of the oracle benchmark
+        part = QubitPartition(n, l, m)
+        solved = []
+        trace_norm = qcore.trace_norm
+        monkeypatch.setattr(moments.qcore, "trace_norm", lambda a: solved.append(a.dtype) or trace_norm(a))
+        weights = np.arange(1, 2**n + 1) / (2**n * (2**n + 1) / 2)
+        states = [qcore.pure_dm(qcore.basis_ket(2**n, 0)), qcore.pure_dm(qcore.basis_ket(2**n, 1)), np.diag(weights)]
+        for rho in states:
+            assert abs(moments.closeness_exact(part, rho, t) - moments.closeness_dense(part, rho, t)) <= 1e-12
+        assert solved == [np.float64] * len(states)
+
+    def test_drift_check_holds_on_the_real_path(self, monkeypatch):
+        part = QubitPartition(1, 1, 1)
+        rho = qcore.pure_dm(qcore.basis_ket(2, 0))
+        # a complex rho with complex power traces has a non-Hermitian twirl
+        with pytest.raises(ArithmeticError):
+            moments.closeness_dense(part, np.diag([1.0, 1j]), 2)
+        # a real rho^(x t) has class-function permutation traces, so its twirl is
+        # symmetric; a non-symmetric real moment is planted to reach the check
+        haar_moment = moments.haar_moment
+
+        def skewed(op, t, d):
+            out = haar_moment(op, t, d)
+            assert out.dtype == np.float64
+            out[0, 1] += 1e-9
+            return out
+
+        monkeypatch.setattr(moments, "haar_moment", skewed)
+        with pytest.raises(ArithmeticError):
+            moments.closeness_dense(part, rho, 2)
+
     def test_beyond_the_dense_cap(self):
         # d^t = 2^24 (z = 4, t = 6) and 2^60 (z = 10, t = 6): no dense matrix exists
         rho = qcore.pure_dm(qcore.basis_ket(2, 0))
@@ -342,7 +390,9 @@ class TestGhseMoment:
         n, m, samples = 2, 1, 3000
         rng = spawn_rng(6, "ghse-mc")
         exact = moments.ghse_moment(n, m, 2)
-        acc = np.zeros_like(exact)
+        assert exact.dtype == np.float64
+        # the sampled states are complex, the exact moment real
+        acc = np.zeros(exact.shape, dtype=complex)
         sq = np.zeros(exact.shape)
         for _ in range(samples):
             rho = sample_ghse(n, m, rng)

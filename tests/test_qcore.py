@@ -331,3 +331,21 @@ class TestStackedApply:
         rho = sample_ghse(3, 1, spawn_rng(20, "global-dep"))
         d, p = 8, 0.3
         assert np.array_equal(qcore.DepolarizingChannel(d, p).apply(rho), (1.0 - p) * rho + p * np.trace(rho) * np.eye(d) / d)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1 / 3, 1.0])
+    def test_depolarizing_keeps_the_full_expression_bytes(self, p):
+        # tobytes() tells -0.0 from +0.0: a real-valued psi gives imaginary parts of both signs
+        d = 4
+        rng = spawn_rng(21, "global-dep-bytes")
+        psi = rng.standard_normal(d).astype(complex)
+        corner = np.zeros((d, d), dtype=complex)
+        corner[0, 0] = 1.0
+        corner.real[0, 1] = corner.imag[1, 0] = -0.0
+        cases = [qcore.pure_dm(psi), -np.conj(qcore.pure_dm(psi)), sample_ghse(2, 1, rng), corner]
+        chan = qcore.DepolarizingChannel(d, p)
+        for rho in cases:
+            full = (1.0 - p) * rho + p * np.trace(rho) * np.eye(d) / d
+            assert chan.apply(rho).tobytes() == full.tobytes()
+        stacked = chan.apply(np.array(cases))
+        for rho, image in zip(cases, stacked):
+            assert image.tobytes() == chan.apply(rho).tobytes()
