@@ -5,6 +5,8 @@
     pqaslab selftest [--criterion N [N ...]]
 
 Exit codes: 0 success, 2 configuration/validation error, 3 acceptance failure.
+A config that sets a field its experiment does not read (``harness.EXPERIMENTS``)
+to anything but its default is a configuration error and exits 2.
 """
 
 from __future__ import annotations

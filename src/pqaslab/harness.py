@@ -6,6 +6,8 @@ A run is described by one flat JSON document.  Any numeric field except
 Cartesian product of all swept fields.  Every expanded point gets its own
 derived seed (keyed hash of master seed, experiment name, parameter tuple),
 so records are reproducible independently of sweep order or thread count.
+Each experiment reads only the fields its row of ``EXPERIMENTS`` names; a
+config that sets any other field to anything but its default is rejected.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,53 +36,39 @@ class ConfigError(ValueError):
         self.field = field
 
 
-_DEFAULTS = {
-    "n": 1,
-    "l": 0,
-    "m": 0,
-    "t": 1,
-    "q": 0,
-    "trials": 100,
-    "shots": 800,
-    "mode": "haar_exact",
-    "channel": {"kind": "identity"},
-    "seed": 0,
-    "s_max": 2,
-    "delta": 0.1,
-    "copies": 12,
-    "m0": 1,
-    "gamma": 0.67,
-    "c": 0.33,
-    "lambda_eff": 6,
-}
-
-_SWEEPABLE = ("n", "l", "m", "t", "q", "trials", "shots", "s_max", "m0", "lambda_eff", "copies", "delta", "gamma", "c")
-_REAL_FIELDS = ("delta", "gamma", "c")
-
-
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """One fully expanded parameter point."""
+    """One fully expanded parameter point.  The defaults are the config's: a
+    field its experiment does not read holds its default."""
 
     experiment: str
-    n: int
-    l: int
-    m: int
-    t: int
-    q: int
-    trials: int
-    shots: int
-    mode: str
-    channel_kind: str
-    channel_p: float
-    seed: int
-    s_max: int
-    delta: float
-    copies: int
-    m0: int
-    gamma: float
-    c: float
-    lambda_eff: int
+    n: int = 1
+    l: int = 0
+    m: int = 0
+    t: int = 1
+    q: int = 0
+    trials: int = 100
+    shots: int = 800
+    mode: str = "haar_exact"
+    channel_kind: str = "identity"
+    channel_p: float = 0.0
+    seed: int = 0
+    s_max: int = 2
+    delta: float = 0.1
+    copies: int = 12
+    m0: int = 1
+    gamma: float = 0.67
+    c: float = 0.33
+    lambda_eff: int = 6
+
+
+# every point field but the experiment, by its default; a config sets the two
+# channel fields as "channel": {"kind": ..., "p": ...}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentPoint) if f.name != "experiment"}
+_CONFIG_NAMES = {"channel_kind": "channel.kind", "channel_p": "channel.p"}
+_REAL_FIELDS = tuple(f.name for f in fields(ExperimentPoint) if f.type == "float" and f.name != "channel_p")
+# the integer fields before the real ones: the order of the sweep's product, and so of tied rows
+_SWEEPABLE = tuple(f.name for f in fields(ExperimentPoint) if f.type == "int" and f.name != "seed") + _REAL_FIELDS
 
 
 @dataclass
@@ -158,39 +147,36 @@ def load_config(path: str) -> dict:
 
 
 def validate_config(config: dict) -> dict:
+    """Check a config against its experiment's row of ``EXPERIMENTS``; returns
+    the point fields by name, each swept one (real ones as floats) as a list."""
     if not isinstance(config, dict):
         raise ConfigError("config", "must be a JSON object")
-    known = set(_DEFAULTS) | {"experiment"}
+    known = set(_DEFAULTS) - set(_CONFIG_NAMES) | {"experiment", "channel"}
     for key in config:
         if key not in known:
             raise ConfigError(key, "unknown configuration field")
-    cfg = dict(_DEFAULTS)
-    cfg.update(config)
+    cfg = {**_DEFAULTS, **config}
     name = cfg.get("experiment")
-    if name not in EXPERIMENTS:
-        raise ConfigError("experiment", f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    if not isinstance(name, str) or name not in EXPERIMENTS:
+        raise ConfigError("experiment", f"unknown experiment {name!r}; choose from {tuple(EXPERIMENTS)}")
     for field in _SWEEPABLE:
         real = field in _REAL_FIELDS
         vals = _as_list(cfg[field])
         if not vals or not all((_is_real if real else _is_int)(v) for v in vals):
             kind = "finite real number" if real else "64-bit integer"
             raise ConfigError(field, f"must be a {kind} or a nonempty list of them")
+        cfg[field] = [float(v) for v in vals] if real else vals
     if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be a 64-bit integer")
     if cfg["mode"] not in MODES:
         raise ConfigError("mode", f"unknown mode {cfg['mode']!r}; choose from {MODES}")
     for field in ("trials", "shots", "n", "t", "s_max"):
-        if any(v < 1 for v in _as_list(cfg[field])):
+        if any(v < 1 for v in cfg[field]):
             raise ConfigError(field, "must be at least 1")
     for field in ("l", "m", "q"):
-        if any(v < 0 for v in _as_list(cfg[field])):
+        if any(v < 0 for v in cfg[field]):
             raise ConfigError(field, "must be nonnegative")
-    trials = _as_list(cfg["trials"])
-    if name == "security-scan" and any(v % pqas.SCAN_BATCHES for v in trials):
-        raise ConfigError("trials", f"must be a multiple of the security scan's {pqas.SCAN_BATCHES} batches")
-    if name == "auth-sweep" and any(v < pqas.MIN_AUTH_TRIALS for v in trials):
-        raise ConfigError("trials", f"must be at least {pqas.MIN_AUTH_TRIALS} for an auth sweep")
-    chan = cfg["channel"]
+    chan = cfg.pop("channel", {"kind": "identity"})
     if not isinstance(chan, dict) or "kind" not in chan:
         raise ConfigError("channel", "must be an object with a 'kind'")
     _check_channel_kind(chan["kind"])
@@ -200,6 +186,19 @@ def validate_config(config: dict) -> dict:
     pvals = _as_list(chan.get("p", 0.0))
     if not pvals or not all(_is_real(v) for v in pvals):
         raise ConfigError("channel", "'p' must be a finite real number or a nonempty list of them")
+    cfg["channel_kind"], cfg["channel_p"] = chan["kind"], [float(p) for p in pvals]
+    exp = EXPERIMENTS[name]
+    if any(v < exp.min_trials for v in cfg["trials"]):
+        raise ConfigError("trials", f"must be at least {exp.min_trials} for {name}")
+    if any(v % exp.trial_step for v in cfg["trials"]):
+        raise ConfigError("trials", f"must be a multiple of {exp.trial_step} for {name}")
+    reads = set(exp.reads.split()) | {"seed"}
+    if cfg["channel_kind"] not in _P_KINDS:
+        reads.discard("channel_p")
+    for field, default in _DEFAULTS.items():
+        if field not in reads and any(v != default for v in _as_list(cfg[field])):
+            why = f" with channel kind {cfg['channel_kind']!r}" if field == "channel_p" else ""
+            raise ConfigError(_CONFIG_NAMES.get(field, field), f"{name} does not read it{why}; leave it at {default!r}")
     return cfg
 
 
@@ -223,26 +222,11 @@ def _is_real(value) -> bool:
 
 
 def expand_points(cfg: dict, seed_override: int | None = None) -> list[ExperimentPoint]:
-    sweeps = {field: _as_list(cfg[field]) for field in _SWEEPABLE}
-    for field in _REAL_FIELDS:
-        sweeps[field] = [float(v) for v in sweeps[field]]
-    chan = cfg["channel"]
+    """The points of a validated config's sweep, the channel's ``p`` varying fastest."""
+    swept = (*_SWEEPABLE, "channel_p")
     seed = seed_override if seed_override is not None else int(cfg["seed"])
-    points = []
-    for combo in itertools.product(*sweeps.values()):
-        base = dict(zip(sweeps, combo))
-        for p in _as_list(chan.get("p", 0.0)):
-            points.append(
-                ExperimentPoint(
-                    experiment=cfg["experiment"],
-                    mode=cfg["mode"],
-                    channel_kind=chan["kind"],
-                    channel_p=float(p),
-                    seed=seed,
-                    **base,
-                )
-            )
-    return points
+    fixed = {"experiment": cfg["experiment"], "mode": cfg["mode"], "channel_kind": cfg["channel_kind"], "seed": seed}
+    return [ExperimentPoint(**fixed, **dict(zip(swept, combo))) for combo in itertools.product(*map(cfg.get, swept))]
 
 
 def point_seed(pt: ExperimentPoint) -> int:
@@ -261,6 +245,7 @@ def point_seed(pt: ExperimentPoint) -> int:
 
 
 CHANNEL_KINDS = ("identity", "depolarizing", "local_depolarizing", "random_unitary")
+_P_KINDS = ("depolarizing", "local_depolarizing")  # the kinds that read ``p``
 
 
 def _check_channel_kind(kind) -> None:
@@ -281,7 +266,7 @@ def build_channel(kind: str, p: float, dim: int) -> qcore.Channel:
 
 
 def channel_label(kind: str, p: float) -> str:
-    if kind in ("identity", "random_unitary"):
+    if kind not in _P_KINDS:
         return kind
     return f"{kind}(p={p:g})"
 
@@ -418,8 +403,6 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
 
 
 def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
-    if pt.trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
     seed = point_seed(pt)
     spec = ScramblerSpec(mode=pt.mode)
     completeness = []
@@ -463,18 +446,31 @@ def _run_efi(pt: ExperimentPoint) -> list[ResultRecord]:
     ]
 
 
-_RUNNERS = {
-    "wg-selftest": _run_wg_selftest,
-    "security-scan": _run_security_scan,
-    "auth-sweep": _run_auth_sweep,
-    "cpa": _run_cpa,
-    "qubit-count": _run_qubit_count,
-    "multistate": _run_multistate,
-    "decoy": _run_decoy,
-    "vprdm": _run_vprdm,
-    "efi": _run_efi,
+class Experiment(NamedTuple):
+    """An experiment's runner, the point fields it reads besides ``seed`` (as
+    one space-separated string) and its trial rule: ``trials`` at least
+    ``min_trials`` and a multiple of ``trial_step``.  A config must leave every
+    other field at its default; the channel's ``p`` counts as read only for
+    the depolarizing kinds."""
+
+    run: Callable[[ExperimentPoint], list[ResultRecord]]
+    reads: str
+    min_trials: int = 1
+    trial_step: int = 1
+
+
+# cpa and vprdm report a standard error, which needs two trials
+EXPERIMENTS = {
+    "wg-selftest": Experiment(_run_wg_selftest, "n t"),
+    "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", trial_step=pqas.SCAN_BATCHES),
+    "auth-sweep": Experiment(_run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS),
+    "cpa": Experiment(_run_cpa, "n l m t trials mode", min_trials=2),
+    "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode"),
+    "multistate": Experiment(_run_multistate, "n l m trials copies mode"),
+    "decoy": Experiment(_run_decoy, "n l m t mode"),
+    "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2),
+    "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p"),
 }
-EXPERIMENTS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +490,7 @@ def run(config: dict, seed_override: int | None = None, threads: int = 1, record
 
     def work(pt: ExperimentPoint) -> list[ResultRecord]:
         start = time.perf_counter()
-        records = _RUNNERS[pt.experiment](pt)
+        records = EXPERIMENTS[pt.experiment].run(pt)
         elapsed = int(1000 * (time.perf_counter() - start))
         if record_timing:
             for r in records:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqaslab import attacks, cli, harness, pqas, qcore
+from pqaslab.ensembles import MODES
 from pqaslab.harness import ConfigError, ResultRecord
 
 
@@ -64,15 +66,15 @@ class TestConfig:
     def test_sweep_expansion(self):
         cfg = harness.validate_config(
             {
-                "experiment": "wg-selftest",
+                "experiment": "auth-sweep",
                 "n": [2, 3],
-                "t": [1, 2],
+                "m": [1, 2],
                 "channel": {"kind": "depolarizing", "p": [0.1, 0.2]},
             }
         )
         points = harness.expand_points(cfg)
         assert len(points) == 2 * 2 * 2
-        assert len({(p.n, p.t, p.channel_p) for p in points}) == 8
+        assert len({(p.n, p.m, p.channel_p) for p in points}) == 8
 
     def test_point_seed_distinct_and_stable(self):
         cfg = harness.validate_config({"experiment": "wg-selftest", "n": [2, 3], "seed": 5})
@@ -84,7 +86,7 @@ class TestConfig:
     @pytest.mark.parametrize("name", [f.name for f in fields(harness.ExperimentPoint)])
     def test_point_seed_reads_every_field(self, name):
         # a field left out of the seed would share random streams across points
-        cfg = harness.validate_config({"experiment": "cpa", "channel": {"kind": "depolarizing", "p": 0.1}})
+        cfg = harness.validate_config({"experiment": "auth-sweep", "channel": {"kind": "depolarizing", "p": 0.1}})
         point = harness.expand_points(cfg)[0]
         value = getattr(point, name)
         changed = value + "x" if isinstance(value, str) else value + 1
@@ -162,21 +164,109 @@ class TestRunProperty:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_tiny_point_runs_or_exits_2(self, experiment, data, tmp_path_factory):
+        # only the fields the experiment reads are drawn, so no example stops at the unread-field rule
+        reads = harness.EXPERIMENTS[experiment].reads.split()
         config = {"experiment": experiment, **TINY_CONFIGS[experiment]}
         for field, values in SMALL_OR_HUGE.items():
-            value = data.draw(st.none() | values, label=field)
+            value = data.draw(st.none() | values, label=field) if field in reads else None
             if value is not None:
                 config[field] = value
-        kind = data.draw(st.sampled_from(harness.CHANNEL_KINDS), label="channel.kind")
-        config["channel"] = {"kind": kind, "p": data.draw(CHANNEL_P, label="channel.p")}
+        if "channel_kind" in reads:
+            kind = data.draw(st.sampled_from(harness.CHANNEL_KINDS), label="channel.kind")
+            config["channel"] = {"kind": kind}
+            if kind in harness._P_KINDS:
+                config["channel"]["p"] = data.draw(CHANNEL_P, label="channel.p")
         path = tmp_path_factory.mktemp("tiny") / "config.json"
         path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(["run", "--config", str(path), "--no-timing"])
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err.getvalue() and "does not read" not in err.getvalue()
         assert (code == cli.EXIT_OK) == bool(out.getvalue())
+
+
+def _valid_values(experiment: str, field: str):
+    """Values of a point field that pass every check but the unread-field rule."""
+    default = harness._DEFAULTS[field]
+    exp = harness.EXPERIMENTS[experiment]
+    if field == "trials":
+        values = st.integers(-(-exp.min_trials // exp.trial_step), 2**40).map(lambda k: k * exp.trial_step)
+    elif field in ("n", "t", "shots", "s_max"):
+        values = st.integers(1, 2**63 - 1)
+    elif field in ("l", "m", "q"):
+        values = st.integers(0, 2**63 - 1)
+    elif isinstance(default, int):
+        values = st.integers(-(2**63), 2**63 - 1)
+    elif isinstance(default, float):
+        values = st.floats(allow_nan=False, allow_infinity=False)
+    else:
+        values = st.sampled_from(MODES if field == "mode" else harness.CHANNEL_KINDS)
+    return values.filter(lambda v: v != default)
+
+
+class TestReadFields:
+    @pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_only_read_fields_leave_their_default(self, experiment, data, tmp_path_factory):
+        reads = harness.EXPERIMENTS[experiment].reads.split()
+        field = data.draw(st.sampled_from(sorted(set(harness._DEFAULTS) - {"seed"})), label="field")
+        kind = "identity"
+        if field == "channel_p" and "channel_kind" in reads:
+            kind = data.draw(st.sampled_from(harness.CHANNEL_KINDS), label="channel.kind")
+        value = data.draw(_valid_values(experiment, field), label="value")
+        if field in harness._SWEEPABLE or field == "channel_p":
+            value = data.draw(st.sampled_from([value, [harness._DEFAULTS[field], value]]), label="swept")
+
+        def config(value):
+            base = {"experiment": experiment, **TINY_CONFIGS[experiment]}
+            if field == "channel_kind":
+                return {**base, "channel": {"kind": value}}
+            if field == "channel_p":
+                return {**base, "channel": {"kind": kind, "p": value}}
+            return {**base, field: value}
+
+        harness.validate_config(config(harness._DEFAULTS[field]))
+        if field in reads and (field != "channel_p" or kind in harness._P_KINDS):
+            harness.validate_config(config(value))
+            return
+        path = tmp_path_factory.mktemp("unread") / "config.json"
+        path.write_text(json.dumps(config(value)))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path), "--no-timing"])
+        name = harness._CONFIG_NAMES.get(field, field)
+        assert code == cli.EXIT_CONFIG and out.getvalue() == ""
+        assert err.getvalue().startswith(f"error: config field '{name}': {experiment} does not read it")
+
+    @pytest.mark.parametrize("experiment", sorted(harness.EXPERIMENTS))
+    def test_runner_ignores_its_unread_fields(self, experiment, monkeypatch):
+        # with the stream seed held fixed, an unread field moves no cell but its own column
+        monkeypatch.setattr(harness, "point_seed", lambda pt: 12345)
+        reads = harness.EXPERIMENTS[experiment].reads.split()
+        other = {"mode": "composed", "channel_kind": "depolarizing", "channel_p": 0.25}
+        bases = [harness.ExperimentPoint(experiment, **TINY_CONFIGS[experiment])]
+        if "channel_kind" in reads:
+            bases.append(replace(bases[0], channel_kind="random_unitary"))
+        # neither base's channel kind reads p
+        unread = set(harness._DEFAULTS) - set(reads) - {"seed"} | {"channel_p"}
+        for base in bases:
+            rows = [asdict(r) for r in harness.EXPERIMENTS[experiment].run(base)]
+            for field in sorted(unread):
+                value = other[field] if field in other else getattr(base, field) + 1
+                changed = [asdict(r) for r in harness.EXPERIMENTS[experiment].run(replace(base, **{field: value}))]
+                assert [{**row, field: None} for row in changed] == [{**row, field: None} for row in rows], field
+
+    def test_readme_lists_the_fields_each_experiment_reads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z-]+)` \| ([a-z0-9_, ]+) \|", readme, re.MULTILINE)
+        documented = {name: set(fields.split(", ")) for name, fields in rows}
+        declared = {
+            name: {"channel" if field.startswith("channel_") else field for field in exp.reads.split()}
+            for name, exp in harness.EXPERIMENTS.items()
+        }
+        assert documented == declared
 
 
 class TestCli:
@@ -214,7 +304,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--no-timing", "--format", "json"]) == cli.EXIT_CONFIG
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error:") and "Traceback" not in out.err
+        assert out.err.startswith("error: config field 'trials'") and "Traceback" not in out.err
 
     @pytest.mark.parametrize("t", range(1, 14))
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 11, 100000])
@@ -269,7 +359,7 @@ class TestCli:
 
 class TestEmit:
     def _record(self):
-        (pt,) = harness.expand_points(harness.validate_config({"experiment": "wg-selftest", "n": 2, "t": 2, "trials": 1}))
+        (pt,) = harness.expand_points(harness.validate_config({"experiment": "wg-selftest", "n": 2, "t": 2}))
         return harness._metric(pt, "", 0.0833333333333, stderr=0.0, exact=1 / 12)
 
     def test_csv_header_and_roundtrip(self):
@@ -343,29 +433,24 @@ class TestEmit:
 
     @pytest.mark.parametrize("field", [*harness._SWEEPABLE, "channel.p"])
     def test_every_swept_field_has_a_column(self, field):
-        # qubit-count reads s_max, shots and delta, efi reads gamma and c,
-        # channel.p rides on a cpa sweep and every other field on wg-selftest
-        qubit_count = {"experiment": "qubit-count", "trials": 2, "shots": 20}
-        efi = {"experiment": "efi", "n": 4, "lambda_eff": 2}
-        base, values = {
-            "s_max": (qubit_count, [1, 2]),
-            "shots": ({"experiment": "qubit-count", "trials": 2}, [1, 2]),
-            "delta": (qubit_count, [0.25, 0.375]),
-            "gamma": (efi, [0.6, 0.7]),
-            "c": (efi, [0.2, 0.3]),
-            "channel.p": ({"experiment": "cpa", "trials": 4}, [0.1, 0.2]),
-        }.get(field, ({"experiment": "wg-selftest"}, [1, 2]))
-        fixed = {"delta": 0.25, "gamma": 0.5, "c": 0.125}
+        # each field is swept on the first experiment of the table that reads it
+        column_name = field.replace(".", "_")
+        experiment = next(name for name, exp in harness.EXPERIMENTS.items() if column_name in exp.reads.split())
+        values = {"trials": [20, 40], "delta": [0.25, 0.375], "gamma": [0.6, 0.7], "c": [0.2, 0.3],
+                  "channel.p": [0.1, 0.2], "copies": [2, 4], "m0": [0, 1]}.get(field, [1, 2])
+        fixed = {name: value for name, value in {"delta": 0.25, "gamma": 0.75, "c": 0.125}.items()
+                 if name != field and name in harness.EXPERIMENTS[experiment].reads.split()}
         sweep = {"channel": {"kind": "depolarizing", "p": values}} if field == "channel.p" else {field: values}
-        config = {**base, **fixed, **sweep}
+        config = {"experiment": experiment, **TINY_CONFIGS[experiment], **fixed, **sweep}
         header, *rows = (line.split(",") for line in harness.emit(harness.run(config)).splitlines())
         column = dict(zip(header, zip(*rows)))
         for metric in set(column["experiment"]):
-            cells = {cell for name, cell in zip(column["experiment"], column[field.replace(".", "_")]) if name == metric}
+            cells = {cell for name, cell in zip(column["experiment"], column[column_name]) if name == metric}
             assert cells == {str(v) for v in values}
         for name, value in fixed.items():
-            if name != field:
-                assert set(column[name]) == {str(value)}
+            assert set(column[name]) == {str(value)}
+        for name in set(harness._SWEEPABLE) - {field}:
+            assert len(set(column[name])) == 1
 
 
 class TestRun:
