@@ -27,9 +27,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import moments, qcore
-from ._streams import spawn_rng
-from .ensembles import random_pure_state, sample_scramblers
-from .pqas import Ciphertext, scramble_padded, tag_zero_columns
+from ._streams import spawn_rngs
+from .ensembles import random_pure_state, sample_scramblers, scrambler_stacks
+from .pqas import Ciphertext, scramble_padded
 from .qcore import QubitPartition
 
 
@@ -131,6 +131,10 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
     with common random draws, giving the empirical success rate of the
     Bernoulli game together with a variance-reduced estimate of the
     distinguishing advantage 2 Pr[success] - 1.
+
+    Game g draws from its own ``spawn_rng(seed, "lr-cpa", g)`` stream: first
+    the tag-|0> columns of its key (drawn for ``stack_size(z)`` games at a
+    time by ``scrambler_stacks``), then the pads and the game's coins.
     """
     t = cfg.t
     if t > 8:
@@ -141,12 +145,10 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     else:
         pairs = [(i, i + 1) for i in range(0, t - 1, 2)]
-    z = cfg.partition.z
+    stacks = scrambler_stacks(cfg.partition, cfg.mode, spawn_rngs(seed, ("lr-cpa",), range(cfg.trials)))
     wins = 0
     gaps = np.empty(cfg.trials)
-    for g in range(cfg.trials):
-        rng = spawn_rng(seed, "lr-cpa", g)
-        y = tag_zero_columns(sample_scramblers(z, cfg.mode, [rng])[0], cfg.partition)
+    for g, (rng, y) in enumerate((rng, y) for chunk, ys in stacks for rng, y in zip(chunk, ys)):
         pads = [int(rng.integers(2**cfg.partition.m)) if cfg.partition.m else 0 for _ in range(t)]
         p_branch = []
         for side in (cfg.left, cfg.right):
@@ -324,15 +326,16 @@ def qubit_count_interception(
 ) -> tuple[np.ndarray, int]:
     """One intercepted stream: the pad-averaged copy state and the copy count.
 
-    Draws a pure message on n * true_s qubits, then the key (see
-    ``sample_scramblers``), and returns rho = U (psi (x) |0><0|_l (x) I/2^m) U^dag
-    (``scramble_padded``) with the stream length 2 * s_max!/true_s.
+    Draws a pure message on n * true_s qubits, then the tag-|0> columns Y of
+    the key (see ``sample_scramblers``), and returns
+    rho = U (psi (x) |0><0|_l (x) I/2^m) U^dag (``scramble_padded`` from Y)
+    with the stream length 2 * s_max!/true_s.
     """
     _check_desk_scale(n, s_max)
     part = QubitPartition(n * true_s, l, m)
     psi = random_pure_state(part.n, rng)
-    u = sample_scramblers(part.z, mode, [rng])[0]
-    return scramble_padded(psi, u, part), 2 * (math.factorial(s_max) // true_s)
+    y = sample_scramblers(part, mode, [rng])[0]
+    return scramble_padded(psi, y), 2 * (math.factorial(s_max) // true_s)
 
 
 def qubit_count_attack(

@@ -18,6 +18,14 @@ factor from its own stream, in this order within the stream:
 - Clifford (``composed``): stream (k3, "clifford", z), the Sp(2z, 2) index
   by rejection and then 2z sign bits.
 
+A Monte Carlo trial (``sample_scramblers``) reads only the tag-|0> columns
+Y of its scrambler.  In ``haar_exact`` mode its generator (one per trial,
+from ``_streams.spawn_rngs``) gives one (2, d, 2^(n+m)) block of standard
+normals, real and then imaginary part, whose thin QR is a Haar isometry
+(the security scan alone still draws a whole (2, d, d) block and slices
+it); in the keyed modes it gives a ``SecretKey`` and Y is sliced from that
+key's scrambler.
+
 ``build_scramblers`` builds a list of keys as one (k, d, d) stack, each entry
 bitwise what the key alone gives.  The brickwork is evaluated as merged
 pairs of layers, two Kronecker halves and one gate across the cut per pair
@@ -27,7 +35,8 @@ straight onto the product of the other two factors.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +57,8 @@ __all__ = [
     "build_scrambler",
     "build_scramblers",
     "sample_scramblers",
+    "scrambler_stacks",
+    "tag_zero_columns",
     "sample_ghse",
     "random_pure_state",
 ]
@@ -133,16 +144,19 @@ def _unitarize(g: np.ndarray) -> np.ndarray:
     return q
 
 
-def _haar(dim: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Stack of Haar unitaries, one per generator, each drawn as one
-    (2, dim, dim) block of standard normals (real part, then imaginary)."""
-    return _unitarize(_ginibre(np.stack([rng.standard_normal((2, dim, dim)) for rng in rngs])))
+def _haar(rows: int, cols: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Stack of Haar isometries, one (rows, cols) matrix per generator, each
+    drawn as one (2, rows, cols) block of standard normals (real part, then
+    imaginary) and thin-QR'd.  The Q factor of a thin Ginibre block is
+    distributed as any cols columns of a Haar unitary (Mezzadri, Notices AMS
+    54, 2007); cols == rows gives Haar unitaries."""
+    return _unitarize(_ginibre(np.stack([rng.standard_normal((2, rows, cols)) for rng in rngs])))
 
 
 def sample_haar_batch(z: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Haar-random unitaries on z qubits, shape (len(rngs), 2^z, 2^z)."""
     qcore.check_qubits(z)
-    return _haar(2**z, rngs)
+    return _haar(2**z, 2**z, rngs)
 
 
 def sample_haar(z: int, rng: np.random.Generator) -> np.ndarray:
@@ -270,12 +284,12 @@ def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec) -> np.n
     """One chunk of ``build_scramblers``."""
     d = 2**z
     if spec.mode == "haar_exact":
-        return _haar(d, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys])
+        return _haar(d, d, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys])
     u = None
     if spec.mode == "composed":
         # keyed exact-Haar stand-in for the approximate 4-design factor: an
         # exact Haar draw realizes every t-design with zero error
-        v_4 = _haar(d, [keyed_rng(key.k2, "design4", z) for key in keys])
+        v_4 = _haar(d, d, [keyed_rng(key.k2, "design4", z) for key in keys])
         v_2 = np.stack([sample_clifford(z, key.k3) for key in keys])
         u = v_4 @ v_2
     return sample_pru_surrogate(z, [key.k1 for key in keys], 4 * z, u)
@@ -309,19 +323,49 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     return u
 
 
-def sample_scramblers(z: int, mode: str, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """One trial scrambler per generator, shape (len(rngs), 2^z, 2^z).
+def tag_zero_columns(u: np.ndarray, partition: qcore.QubitPartition) -> np.ndarray:
+    """The tag-|0> columns of U (or of each U in a stack) as a (..., d, dn, dm)
+    view, Y[x, a, j] = <x|U|a, 0, j>; read-only when U is."""
+    dn, dl, dm = partition.dims
+    return u.reshape(*u.shape[:-1], dn, dl, dm)[..., 0, :]
 
-    In ``haar_exact`` mode each unitary is drawn directly from its generator
-    (``sample_haar_batch``); in any other mode it is the keyed scrambler of a
-    key freshly generated from it, built as one stack by
-    ``build_scramblers``.  These one-shot keys are never reused, so they
-    bypass ``build_scrambler``'s cache.
+
+def sample_scramblers(
+    partition: qcore.QubitPartition, mode: str, rngs: Sequence[np.random.Generator], full: bool = False
+) -> np.ndarray:
+    """The tag-|0> columns Y of one trial scrambler per generator, shape
+    (len(rngs), d, 2^n, 2^m): every Monte Carlo consumer reads U only on
+    the padded input rho (x) |0><0|_tag (x) I_m, so only on these columns.
+
+    In ``haar_exact`` mode Y is drawn directly from its generator as a Haar
+    isometry, one (2, d, 2^(n+m)) block of standard normals thin-QR'd
+    (``_haar``); with ``full`` it is sliced from a whole d x d Haar unitary
+    instead (the stream ``sample_haar`` reads).  In any other mode it is the
+    tag-|0> column view of the keyed scrambler of a key freshly generated
+    from the generator, built as one stack by ``build_scramblers``; these
+    one-shot keys are never reused, so they bypass ``build_scrambler``'s
+    cache.
     """
-    if mode == "haar_exact":
-        return sample_haar_batch(z, rngs)
-    spec = ScramblerSpec(mode=mode)
-    return build_scramblers([SecretKey.generate(rng) for rng in rngs], z, spec)
+    z = partition.z
+    qcore.check_qubits(z)
+    if mode != "haar_exact":
+        spec = ScramblerSpec(mode=mode)
+        return tag_zero_columns(build_scramblers([SecretKey.generate(rng) for rng in rngs], z, spec), partition)
+    if full:
+        return tag_zero_columns(_haar(2**z, 2**z, rngs), partition)
+    dn, _, dm = partition.dims
+    return _haar(2**z, dn * dm, rngs).reshape(len(rngs), 2**z, dn, dm)
+
+
+def scrambler_stacks(
+    partition: qcore.QubitPartition, mode: str, rngs: Iterable[np.random.Generator]
+) -> Iterator[tuple[list[np.random.Generator], np.ndarray]]:
+    """Consecutive stacks of the trial generators ``rngs``, ``stack_size(z)``
+    at a time (at most ``STACK_ENTRIES`` entries of U), each with its
+    ``sample_scramblers`` tag-|0> columns."""
+    rngs = iter(rngs)
+    while chunk := list(itertools.islice(rngs, stack_size(partition.z))):
+        yield chunk, sample_scramblers(partition, mode, chunk)
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

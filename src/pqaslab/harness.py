@@ -7,7 +7,8 @@ Cartesian product of all swept fields.  Every expanded point gets its own
 derived seed (keyed hash of master seed, experiment name, parameter tuple),
 so records are reproducible independently of sweep order or thread count.
 Each experiment reads only the fields its row of ``EXPERIMENTS`` names; a
-config that sets any other field to anything but its default is rejected.
+config that sets any other field to anything but its default is rejected,
+and so is a point that breaks one of the row's value rules.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import attacks, moments, pqas, primitives, qcore
-from ._streams import derive_bytes, spawn_rng
+from ._streams import derive_bytes, spawn_rng, spawn_rngs
 from .ensembles import MODES, ScramblerSpec, SecretKey, sample_haar
 from .qcore import QubitPartition
 
@@ -222,11 +223,19 @@ def _is_real(value) -> bool:
 
 
 def expand_points(cfg: dict, seed_override: int | None = None) -> list[ExperimentPoint]:
-    """The points of a validated config's sweep, the channel's ``p`` varying fastest."""
+    """The points of a validated config's sweep, the channel's ``p`` varying
+    fastest.  Each point must pass its experiment's value rules, which may
+    tie several fields; the first rule a point breaks raises ``ConfigError``
+    naming its field."""
     swept = (*_SWEEPABLE, "channel_p")
     seed = seed_override if seed_override is not None else int(cfg["seed"])
     fixed = {"experiment": cfg["experiment"], "mode": cfg["mode"], "channel_kind": cfg["channel_kind"], "seed": seed}
-    return [ExperimentPoint(**fixed, **dict(zip(swept, combo))) for combo in itertools.product(*map(cfg.get, swept))]
+    points = [ExperimentPoint(**fixed, **dict(zip(swept, combo))) for combo in itertools.product(*map(cfg.get, swept))]
+    for pt in points:
+        for rule in EXPERIMENTS[pt.experiment].rules:
+            if not rule.holds(pt):
+                raise ConfigError(rule.field, f"{rule.text} for {pt.experiment}")
+    return points
 
 
 def point_seed(pt: ExperimentPoint) -> int:
@@ -346,8 +355,7 @@ def _run_qubit_count(pt: ExperimentPoint) -> list[ResultRecord]:
     seed = point_seed(pt)
     correct = 0
     abstain = 0
-    for trial in range(pt.trials):
-        rng = spawn_rng(seed, "qubit-count", trial)
+    for rng in spawn_rngs(seed, ("qubit-count",), range(pt.trials)):
         true_s = int(rng.integers(1, pt.s_max + 1))
         state, copies = attacks.qubit_count_interception(pt.n, true_s, pt.s_max, rng, l=pt.l, m=pt.m, mode=pt.mode)
         rep = attacks.qubit_count_attack(state, copies, pt.n, pt.s_max, delta=pt.delta, shots=pt.shots, rng=rng)
@@ -366,8 +374,7 @@ def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
     seed = point_seed(pt)
     spec = ScramblerSpec(mode=pt.mode)
     correct = 0
-    for trial in range(pt.trials):
-        rng = spawn_rng(seed, "multistate", trial)
+    for rng in spawn_rngs(seed, ("multistate",), range(pt.trials)):
         b = int(rng.integers(1, 3))
         key = SecretKey.generate(rng)
         states = []
@@ -407,8 +414,7 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
     spec = ScramblerSpec(mode=pt.mode)
     completeness = []
     wrong = []
-    for trial in range(pt.trials):
-        rng = spawn_rng(seed, "vprdm", trial)
+    for rng in spawn_rngs(seed, ("vprdm",), range(pt.trials)):
         key = SecretKey.generate(rng)
         rho = primitives.vprdm_generate(primitives.VprdmParams(pt.n, pt.m, key), spec)
         completeness.append(primitives.vprdm_verify(rho, key, pt.n, pt.m, spec))
@@ -446,17 +452,39 @@ def _run_efi(pt: ExperimentPoint) -> list[ResultRecord]:
     ]
 
 
+class Rule(NamedTuple):
+    """A value rule on an expanded point: a point where ``holds`` is false
+    exits 2 naming ``field``, with ``text`` as the reason."""
+
+    field: str
+    holds: Callable[[ExperimentPoint], bool]
+    text: str
+
+
 class Experiment(NamedTuple):
     """An experiment's runner, the point fields it reads besides ``seed`` (as
-    one space-separated string) and its trial rule: ``trials`` at least
-    ``min_trials`` and a multiple of ``trial_step``.  A config must leave every
-    other field at its default; the channel's ``p`` counts as read only for
-    the depolarizing kinds."""
+    one space-separated string), its trial rule (``trials`` at least
+    ``min_trials`` and a multiple of ``trial_step``) and the value rules each
+    of its points must pass.  A config must leave every other field at its
+    default; the channel's ``p`` counts as read only for the depolarizing
+    kinds."""
 
     run: Callable[[ExperimentPoint], list[ResultRecord]]
     reads: str
     min_trials: int = 1
     trial_step: int = 1
+    rules: tuple[Rule, ...] = ()
+
+
+# the multi-state attack compares ciphertexts in pairs; EFI's two arms need
+# 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays small
+_MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"),)
+_EFI_RULES = (
+    Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),
+    Rule("c", lambda pt: 0.0 < pt.c < pt.gamma, "must satisfy 0 < c < gamma"),
+    Rule("m0", lambda pt: 0 <= pt.m0 < int(pt.gamma * pt.n) < pt.n, "must satisfy 0 <= m0 < floor(gamma n) < n"),
+    Rule("lambda_eff", lambda pt: 1 <= pt.lambda_eff <= 12, "must lie in 1..12"),
+)
 
 
 # cpa and vprdm report a standard error, which needs two trials
@@ -466,10 +494,10 @@ EXPERIMENTS = {
     "auth-sweep": Experiment(_run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS),
     "cpa": Experiment(_run_cpa, "n l m t trials mode", min_trials=2),
     "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode"),
-    "multistate": Experiment(_run_multistate, "n l m trials copies mode"),
+    "multistate": Experiment(_run_multistate, "n l m trials copies mode", rules=_MULTISTATE_RULES),
     "decoy": Experiment(_run_decoy, "n l m t mode"),
     "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2),
-    "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p"),
+    "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p", rules=_EFI_RULES),
 }
 
 

@@ -385,6 +385,28 @@ def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
     return float(sum(abs(v) for v in block_traces(gap, t, d).values()))
 
 
+# Side of the square tiles ``_symmetrize`` walks a dense moment in.
+TILE = 256
+
+
+def _symmetrize(moment: np.ndarray) -> None:
+    """Check that a square moment is Hermitian to 1e-10, then replace it in
+    place by (M + M^dag)/2, one pair of mirrored TILE x TILE tiles at a time:
+    each entry is the same expression as in the full-matrix form, without
+    its matrix-sized temporaries.  The check raises ``ArithmeticError``."""
+    dim = moment.shape[0]
+    pairs = [
+        (moment[i : i + TILE, j : j + TILE], moment[j : j + TILE, i : i + TILE])
+        for i in range(0, dim, TILE)
+        for j in range(i, dim, TILE)
+    ]
+    drift = max(np.max(np.abs(upper - lower.conj().T)) for upper, lower in pairs)
+    if drift > 1e-10:
+        raise ArithmeticError(f"moment lost Hermiticity ({drift:.2e})")
+    for upper, lower in pairs:
+        upper[...], lower[...] = 0.5 * (upper + lower.conj().T), 0.5 * (lower + upper.conj().T)
+
+
 def closeness_dense(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> float:
     """``closeness_exact`` from the dense twirl of the padded input (reference).
 
@@ -401,10 +423,7 @@ def closeness_dense(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
         factors = tuple(np.real(f) for f in factors)
     padded = reduce(np.kron, factors)
     moment = haar_moment(reduce(np.kron, [padded] * t), t, d)
-    drift = np.max(np.abs(moment - moment.conj().T))
-    if drift > 1e-10:
-        raise ArithmeticError(f"moment lost Hermiticity ({drift:.2e})")
-    moment = 0.5 * (moment + moment.conj().T)
+    _symmetrize(moment)
     # the target I / d^t differs from zero on the diagonal only
     moment.reshape(-1)[:: dim + 1] -= 1.0 / dim
     return qcore.trace_norm(moment)

@@ -5,13 +5,14 @@ exact-oracle experiments behind the authentication and security statements.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import moments, qcore
-from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, stack_size
+from ._streams import spawn_rng, spawn_rngs
+from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, scrambler_stacks, tag_zero_columns
 from .qcore import Channel, QubitPartition
 
 
@@ -47,19 +48,11 @@ MIN_AUTH_TRIALS = 100
 SCAN_BATCHES = 20
 
 
-def tag_zero_columns(u: np.ndarray, partition: QubitPartition) -> np.ndarray:
-    """The tag-|0> columns of U (or of each U in a stack) as a (..., d, dn, dm)
-    view, Y[x, a, j] = <x|U|a, 0, j>; read-only when U is."""
-    dn, dl, dm = partition.dims
-    return u.reshape(*u.shape[:-1], dn, dl, dm)[..., 0, :]
-
-
-def scramble_padded(rho: np.ndarray, u: np.ndarray, partition: QubitPartition) -> np.ndarray:
+def scramble_padded(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     """U (rho (x) |0><0|_tag (x) I_m / 2^m) U^dag from the tag-|0> columns Y of U
-    (or of each U in a (..., d, d) stack): W W^dag / 2^m with W = Y psi for a
-    pure-state vector psi, and the linear Y (rho (x) I_m) Y^dag / 2^m for any
-    operator rho."""
-    y = tag_zero_columns(u, partition)
+    (``tag_zero_columns``; a (..., d, dn, dm) stack for a stack of keys):
+    W W^dag / 2^m with W = Y psi for a pure-state vector psi, and the linear
+    Y (rho (x) I_m) Y^dag / 2^m for any operator rho."""
     *keys, d, dn, dm = y.shape
     if rho.ndim == 1:
         w = np.einsum("...xaj,a->...xj", y, rho)
@@ -85,7 +78,8 @@ def encrypt(rho: np.ndarray, key: SecretKey, partition: QubitPartition, spec: Sc
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[0] != 2**partition.n:
         raise ValueError("message state does not match the partition")
-    return Ciphertext(scramble_padded(rho, build_scrambler(key, partition.z, spec), partition), partition)
+    y = tag_zero_columns(build_scrambler(key, partition.z, spec), partition)
+    return Ciphertext(scramble_padded(rho, y), partition)
 
 
 def decrypt(c: Ciphertext, key: SecretKey, spec: ScramblerSpec) -> np.ndarray:
@@ -159,8 +153,9 @@ def prediction_slack(partition: QubitPartition, channel: Channel) -> float:
 # per-key functionals and their exact Haar averages
 
 
-def _p0_fprime_stack(us: np.ndarray, psi: np.ndarray, partition: QubitPartition, channel: Channel):
-    """(P0, F') of every key in a (keys, d, d) stack, for a pure message psi.
+def _p0_fprime_stack(tagged: np.ndarray, psi: np.ndarray, channel: Channel):
+    """(P0, F') of every key in a stack of tag-|0> columns, shape
+    (keys, d, dn, dm), for a pure message psi.
 
     The padded input is rho_ext = C C^dag / 2^m with C = psi (x) |0>_tag (x) I_m
     of rank 2^m, so the encrypted state is W W^dag / 2^m with W = U C.  With
@@ -169,7 +164,6 @@ def _p0_fprime_stack(us: np.ndarray, psi: np.ndarray, partition: QubitPartition,
     computed once and contracted with psi for G W.  U^dag G U is never
     formed.
     """
-    tagged = tag_zero_columns(us, partition)
     keys, d, dn, dm = tagged.shape
     w = np.einsum("kxaj,a->kxj", tagged, psi)
     gamma = channel.apply(w @ w.conj().transpose(0, 2, 1) / dm)
@@ -235,14 +229,13 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
-def _auth_key_stacks(z: int, mode: str, seed: int, trials: int):
-    """The trial keys of an auth sweep, as stacks of ``stack_size(z)`` keys
-    (at most ``ensembles.STACK_ENTRIES`` entries, at least one key each);
-    trial i draws from its own ``spawn_rng(seed, "auth-sweep", i)`` stream."""
-    size = stack_size(z)
-    for start in range(0, trials, size):
-        rngs = [spawn_rng(seed, "auth-sweep", i) for i in range(start, min(start + size, trials))]
-        yield sample_scramblers(z, mode, rngs)
+def _auth_key_stacks(partition: QubitPartition, mode: str, seed: int, trials: int):
+    """The trial keys of an auth sweep as tag-|0> column stacks
+    (``sample_scramblers``) of ``stack_size(z)`` keys (at most
+    ``ensembles.STACK_ENTRIES`` entries of U, at least one key each); trial i
+    draws from its own ``spawn_rng(seed, "auth-sweep", i)`` stream."""
+    for _, ys in scrambler_stacks(partition, mode, spawn_rngs(seed, ("auth-sweep",), range(trials))):
+        yield ys
 
 
 def auth_sweep(
@@ -257,17 +250,19 @@ def auth_sweep(
     tamper channel.
 
     Each trial draws an independent scrambler from the requested ensemble and
-    records P0, F' and the accepted-state fidelity F = F'/P0.  The keys are
-    drawn and evaluated in stacks of at most ``ensembles.STACK_ENTRIES``
-    complex entries (64 keys at z = 5, one key from z = 8 on), each key
-    bitwise the one a lone draw from its trial stream gives.  A stack is
+    records P0, F' and the accepted-state fidelity F = F'/P0.  A trial reads
+    only its scrambler's tag-|0> columns (``sample_scramblers``; a Haar
+    isometry in ``haar_exact`` mode).  The keys are drawn and evaluated in
+    stacks of at most ``ensembles.STACK_ENTRIES`` complex entries of U (64
+    keys at z = 5, one key from z = 8 on), each key bitwise the one a lone
+    draw from its trial stream gives.  A stack is
     pushed through the channel as its rank-2^m factors W = U C of the padded
     input rho_ext = C C^dag / 2^m, and P0 and F' are read off as traces
     against the tag-|0> columns of U and against W.
     """
     if trials < MIN_AUTH_TRIALS:
         raise ValueError(f"need at least {MIN_AUTH_TRIALS} trials for stable statistics")
-    stacks = [_p0_fprime_stack(us, psi, partition, channel) for us in _auth_key_stacks(partition.z, mode, seed, trials)]
+    stacks = [_p0_fprime_stack(ys, psi, channel) for ys in _auth_key_stacks(partition, mode, seed, trials)]
     p0s = np.concatenate([p0 for p0, _ in stacks])
     fps = np.concatenate([fp for _, fp in stacks])
     fids = fps / p0s
@@ -299,24 +294,20 @@ class ScanReport:
 
 
 def _pad_joint_state(rho_g: np.ndarray, partition: QubitPartition, t: int, q: int) -> np.ndarray:
-    """Interleave per-copy tag and mixed registers into a t-copy joint state.
+    """Append each copy's maximally mixed register to a t-copy joint state.
 
     ``rho_g`` lives on (message_1 ... message_t, purification); the output
-    register order is (msg_1, tag_1, mix_1, ..., msg_t, tag_t, mix_t, purif).
+    register order is (msg_1, mix_1, ..., msg_t, mix_t, purif).  No tag
+    register is padded: each copy is scrambled through the tag-|0> columns
+    of its key, which act on (message, mixed).
     """
-    dn, dl, dm = partition.dims
-    pads = [qcore.zero_tag_state(partition.l) for _ in range(t)]
-    pads += [qcore.maximally_mixed(partition.m) for _ in range(t)]
+    dn, _, dm = partition.dims
     full = rho_g
-    for p in pads:
-        full = np.kron(full, p)
-    dims = [dn] * t + [2**q] + [dl] * t + [dm] * t
-    # old positions: messages 0..t-1, purification t, tags t+1..2t, mixes 2t+1..3t
-    order = []
-    for i in range(t):
-        order += [i, t + 1 + i, 2 * t + 1 + i]
-    order.append(t)
-    return qcore.permute_registers(full, dims, order)
+    for _ in range(t):
+        full = np.kron(full, qcore.maximally_mixed(partition.m))
+    # old positions: messages 0..t-1, purification t, mixes t+1..2t
+    order = [reg for i in range(t) for reg in (i, t + 1 + i)] + [t]
+    return qcore.permute_registers(full, [dn] * t + [2**q] + [dm] * t, order)
 
 
 def _copy_symmetric(rho_g: np.ndarray, dn: int, t: int, dq: int) -> bool:
@@ -354,14 +345,55 @@ def _product_batch_sum(phis: np.ndarray, t: int) -> np.ndarray:
     return gram.reshape((d,) * (2 * t)).transpose(axes).reshape(d**t, d**t)
 
 
-def _joint_batch_sum(us: np.ndarray, factor: np.ndarray, t: int) -> np.ndarray:
-    """sum_i W_i W_i^dag with W_i = (U_i^(x t) (x) I) V, as one Gram product."""
-    n, d, _ = us.shape
+def _joint_batch_sum(ys: np.ndarray, factor: np.ndarray, t: int) -> np.ndarray:
+    """sum_i W_i W_i^dag with W_i = (Y_i^(x t) (x) I) V, as one Gram product,
+    for tag-|0> column stacks ys (n, d, dn, dm) and V a factor of the joint
+    input padded by ``_pad_joint_state``."""
+    n, d, dn, dm = ys.shape
+    y = ys.reshape(n, d, dn * dm)
     w = factor[None]
     for copy in range(t):
-        w = np.matmul(us[:, None], w.reshape(w.shape[0], d**copy, d, -1))
-    w = w.reshape(n, *factor.shape).transpose(1, 0, 2).reshape(factor.shape[0], -1)
+        w = np.matmul(y[:, None], w.reshape(w.shape[0], d**copy, dn * dm, -1))
+    w = w.reshape(n, -1, factor.shape[1]).transpose(1, 0, 2).reshape(-1, n * factor.shape[1])
     return w @ w.conj().T
+
+
+def _block(gap: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """basis^T gap basis for a complex gap and a real basis, as two real
+    products on float views (real and imaginary parts interleaved)."""
+    left = (basis.T @ gap.view(float)).view(complex)
+    return (basis.T @ np.ascontiguousarray(left.T).view(float)).view(complex).T
+
+
+# Largest product of stacked bootstrap replicate blocks, in bytes.
+REPLICATE_CHUNK_BYTES = 2**20
+
+
+def _replicate_norms(weights: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Trace norm of each replicate's weighted sum (a row of ``weights``) of
+    the batch blocks ``diff`` (batches, s, s): one real product and one stacked
+    ``eigvalsh`` per chunk of at most REPLICATE_CHUNK_BYTES."""
+    batches, s, _ = diff.shape
+    flat = diff.reshape(batches, -1).view(float)
+    rows = max(1, REPLICATE_CHUNK_BYTES // diff[0].nbytes)
+    norms = []
+    for start in range(0, len(weights), rows):
+        blocks = (weights[start : start + rows] @ flat).view(complex).reshape(-1, s, s)
+        norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
+    return np.concatenate(norms)
+
+
+def _bootstrap(diffs: list[np.ndarray], rng: np.random.Generator, replicates: int) -> tuple[float, np.ndarray]:
+    """The raw estimate and the bootstrap replicates of the per-batch blocks
+    ``diffs`` (one (batches, s, s) array per block): half the summed block
+    trace norms of the batch mean, and of each replicate's resampled mean.
+    The resampling rows are one ``integers`` call of shape (replicates,
+    batches), which reads the stream as one call per replicate would."""
+    batches = len(diffs[0])
+    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
+    draws = rng.integers(0, batches, size=(replicates, batches))
+    weights = (draws[:, :, None] == np.arange(batches)).sum(axis=1) / batches
+    return raw, 0.5 * sum(_replicate_norms(weights, diff) for diff in diffs)
 
 
 def security_scan(
@@ -385,16 +417,23 @@ def security_scan(
     attached for cross-checking.  The estimate is bootstrap bias-corrected,
     with the standard error taken over resampled batch means.
 
-    Each batch draws its keys as one stack (trial i from its own
-    ``spawn_rng(seed, "security-scan", i)`` stream) and sums the encrypted
-    copies in one Gram product: of the vec(phi_i) over their Khatri-Rao
-    powers for product input, each phi_i the ``scramble_padded`` ciphertext,
-    or of W_i = (U_i^(x t) (x) I) V for a joint input padded as V V^dag.
+    Trial i draws from its own ``spawn_rng(seed, "security-scan", i)``
+    stream (all derived at once by ``spawn_rngs``), and each batch draws its
+    keys as one stack of tag-|0> columns Y_i (``sample_scramblers``; in
+    ``haar_exact`` mode sliced from whole Haar unitaries, the stream this
+    scan has always read).  A batch
+    sums the encrypted copies in one Gram product: of the vec(phi_i) over
+    their Khatri-Rao powers for product input, each phi_i the
+    ``scramble_padded`` ciphertext, or of W_i = (Y_i^(x t) (x) I) V for a
+    joint input padded with its mixed registers as V V^dag.
     When the input commutes with permutations of the copies, so does every
     batch mean, and each is kept only as its blocks B_lam^T (mean - target)
-    B_lam on the isotypic components of the copy action; the raw estimate
-    and every bootstrap replicate are sums of block trace norms.  A joint input that is not copy-symmetric (to 1e-12),
-    or t beyond ``moments.MAX_T``, gets the single identity block.
+    B_lam on the isotypic components of the copy action, formed in real
+    arithmetic (``_block``); the raw estimate and every bootstrap
+    replicate are sums of block trace norms.  A joint input that is not
+    copy-symmetric (to 1e-12), or t beyond ``moments.MAX_T``, gets the
+    single identity block.  The bootstrap draws all its resampling rows in
+    one ``integers`` call and solves its replicate blocks in stacks.
     """
     if (rho is None) == (rho_g is None):
         raise ValueError("pass exactly one of rho or rho_g")
@@ -427,27 +466,19 @@ def security_scan(
     else:
         bases = [np.eye(dim)]
 
+    rngs = spawn_rngs(seed, ("security-scan",), range(trials))
     diffs = [np.empty((batches, basis.shape[1], basis.shape[1]), dtype=complex) for basis in bases]
     for b in range(batches):
-        rngs = [spawn_rng(seed, "security-scan", b * per_batch + i) for i in range(per_batch)]
-        us = sample_scramblers(z, mode, rngs)
+        ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)), full=True)
         if rho is not None:
-            total = _product_batch_sum(scramble_padded(rho, us, partition), t)
+            total = _product_batch_sum(scramble_padded(rho, ys), t)
         else:
-            total = _joint_batch_sum(us, factor, t)
+            total = _joint_batch_sum(ys, factor, t)
         gap = total / per_batch - target
         for basis, diff in zip(bases, diffs):
-            diff[b] = basis.T @ gap @ basis
+            diff[b] = _block(gap, basis)
 
-    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
-    boot_rng = spawn_rng(seed, "security-scan", "bootstrap")
-    flats = [diff.reshape(batches, -1) for diff in diffs]
-    replicates = np.empty(bootstrap)
-    for r in range(bootstrap):
-        weights = np.bincount(boot_rng.integers(0, batches, size=batches), minlength=batches) / batches
-        replicates[r] = 0.5 * sum(
-            qcore.trace_norm((weights @ flat).reshape(diff.shape[1:])) for flat, diff in zip(flats, diffs)
-        )
+    raw, replicates = _bootstrap(diffs, spawn_rng(seed, "security-scan", "bootstrap"), bootstrap)
     stderr = float(np.std(replicates, ddof=1))
     bias = float(np.mean(replicates)) - raw
     return ScanReport(

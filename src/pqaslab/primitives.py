@@ -106,8 +106,8 @@ class EfiParams:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.c < self.gamma:
             raise ValueError("need 0 < c < gamma")
-        if not self.m0 < self.m1 < self.n:
-            raise ValueError("need m0 < m1 < n")
+        if not 0 <= self.m0 < self.m1 < self.n:
+            raise ValueError("need 0 <= m0 < m1 < n")
         if not 1 <= self.lambda_eff <= 12:
             raise ValueError("lambda_eff must lie in 1..12")
         qcore.check_qubits(self.n)

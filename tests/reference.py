@@ -99,8 +99,34 @@ class MixtureChannel(Channel):
 
 def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartition, channel: Channel):
     """(P0, F') for one scrambler realization and a pure message state."""
-    p0, fprime = pqas._p0_fprime_stack(u[None], psi, partition, channel)
+    p0, fprime = pqas._p0_fprime_stack(pqas.tag_zero_columns(u, partition)[None], psi, channel)
     return float(p0[0]), float(fprime[0])
+
+
+def embed_tag_columns(y: np.ndarray, partition: QubitPartition) -> np.ndarray:
+    """The d x d matrix whose tag-|0> columns are Y (d, dn, dm) and whose other
+    columns are zero: it acts on every padded input rho (x) |0><0| (x) I_m as
+    the scrambler Y was sliced from."""
+    dn, dl, dm = partition.dims
+    u = np.zeros((y.shape[0], dn, dl, dm), dtype=complex)
+    u[:, :, 0, :] = y
+    return u.reshape(y.shape[0], -1)
+
+
+def bootstrap_loop(diffs, rng, replicates):
+    """The security scan's bootstrap one replicate at a time: per replicate,
+    one ``integers`` call of size batches, and per block one vector-matrix
+    product and one trace norm.  Returns (raw, replicates)."""
+    batches = len(diffs[0])
+    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
+    flats = [diff.reshape(batches, -1) for diff in diffs]
+    out = np.empty(replicates)
+    for r in range(replicates):
+        weights = np.bincount(rng.integers(0, batches, size=batches), minlength=batches) / batches
+        out[r] = 0.5 * sum(
+            qcore.trace_norm((weights @ flat).reshape(diff.shape[1:])) for flat, diff in zip(flats, diffs)
+        )
+    return raw, out
 
 
 def key_from_int(value: int) -> SecretKey:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from pqaslab import attacks, moments, pqas, qcore
+from pqaslab import attacks, ensembles, moments, pqas, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler, random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
@@ -422,7 +422,9 @@ class TestQubitCount:
         part = QubitPartition(1, 1, 1)
         psi = random_pure_state(1, twin)
         if mode == "haar_exact":
-            u = sample_haar(part.z, twin)
+            # the key is a Haar isometry onto the tag-|0> columns, one (2, 8, 4) block of normals
+            y = ensembles._haar(2**part.z, 4, [twin])[0].reshape(2**part.z, 2, 2)
+            u = reference.embed_tag_columns(y, part)
         else:
             u = build_scrambler(SecretKey.generate(twin), part.z, ScramblerSpec(mode=mode))
         expected = qcore.apply_unitary(reference.pad_state(qcore.pure_dm(psi), part), u)

@@ -30,6 +30,7 @@ from pqaslab.ensembles import (
     sample_haar_batch,
     sample_pru_surrogate,
     sample_scramblers,
+    tag_zero_columns,
 )
 from pqaslab.qcore import QubitPartition
 
@@ -65,7 +66,7 @@ def pru_dense(z, key_seed, depth):
         for layer, blocks in enumerate(layers):
             for w, pos in blocks:
                 if w == width:
-                    gates[layer, pos] = _haar(2**w, [rng])[0]
+                    gates[layer, pos] = _haar(2**w, 2**w, [rng])[0]
     u = np.eye(2**z, dtype=complex)
     for layer, blocks in enumerate(layers):
         dense = np.ones((1, 1), dtype=complex)
@@ -78,7 +79,7 @@ def pru_dense(z, key_seed, depth):
 def design4_dense(z, key_seed):
     """The keyed Haar factor of the composed scrambler, drawn alone from the
     stream (key_seed, "design4", z)."""
-    return _haar(2**z, [keyed_rng(key_seed, "design4", z)])[0]
+    return _haar(2**z, 2**z, [keyed_rng(key_seed, "design4", z)])[0]
 
 
 class TestSecretKey:
@@ -146,6 +147,64 @@ class TestHaar:
             g = (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)) / np.sqrt(2.0)
             q, r = np.linalg.qr(g)
             assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
+
+
+def ginibre_qr(rng, rows, cols):
+    """The unbatched Ginibre-QR recipe: one (rows, cols) block of real and
+    then one of imaginary normals, QR'd, with the R phases moved into Q."""
+    g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# (n, l, m) layouts: no tag, tag columns interleaved with the mixed register, wide and thin
+TRIAL_LAYOUTS = [(1, 0, 0), (1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 0), (3, 0, 2)]
+
+
+class TestTrialScramblers:
+    @pytest.mark.parametrize("n,l,m", TRIAL_LAYOUTS)
+    def test_haar_tag_columns_are_isometries(self, n, l, m):
+        part = QubitPartition(n, l, m)
+        ys = sample_scramblers(part, "haar_exact", [spawn_rng(31, "iso", n, l, m, i) for i in range(9)])
+        dn, _, dm = part.dims
+        assert ys.shape == (9, 2**part.z, dn, dm)
+        for i, y in enumerate(ys):
+            flat = y.reshape(2**part.z, dn * dm)
+            assert np.max(np.abs(flat.conj().T @ flat - np.eye(dn * dm))) <= 1e-12
+            # each trial reads one (2, d, 2^(n+m)) block from its own stream, QR'd alone
+            ref = ginibre_qr(spawn_rng(31, "iso", n, l, m, i), 2**part.z, dn * dm)
+            assert np.max(np.abs(flat - ref)) <= 1e-12
+
+    def test_haar_tag_columns_have_the_haar_mean(self):
+        # E[Y A Y^dag] = tr(A) I/d for a Haar isometry, so the padded input
+        # rho (x) I_m / 2^m averages to I/d
+        part = QubitPartition(1, 1, 1)
+        d = 2**part.z
+        rho = sample_ghse(1, 1, spawn_rng(32, "iso-mean"))
+        ys = sample_scramblers(part, "haar_exact", [spawn_rng(32, "iso-mean", i) for i in range(4000)])
+        phis = pqas.scramble_padded(rho, ys)
+        mean = phis.mean(axis=0)
+        sigma = np.sqrt(np.sum(phis.var(axis=0)) / len(phis))
+        assert np.linalg.norm(mean - np.eye(d) / d) <= 3 * sigma
+
+    @pytest.mark.parametrize("n,l,m", TRIAL_LAYOUTS)
+    def test_full_draw_slices_the_haar_unitary(self, n, l, m):
+        part = QubitPartition(n, l, m)
+        rngs = [spawn_rng(34, "full", i) for i in range(4)]
+        ys = sample_scramblers(part, "haar_exact", rngs, full=True)
+        for i, y in enumerate(ys):
+            u = sample_haar(part.z, spawn_rng(34, "full", i))
+            assert np.array_equal(y, tag_zero_columns(u, part))
+
+    @pytest.mark.parametrize("mode", ["composed", "pru_only"])
+    @pytest.mark.parametrize("n,l,m", TRIAL_LAYOUTS)
+    def test_keyed_tag_columns_slice_the_scramblers(self, mode, n, l, m):
+        part = QubitPartition(n, l, m)
+        ys = sample_scramblers(part, mode, [spawn_rng(35, "keyed", mode, i) for i in range(3)])
+        keys = [SecretKey.generate(spawn_rng(35, "keyed", mode, i)) for i in range(3)]
+        us = build_scramblers(keys, part.z, ScramblerSpec(mode=mode))
+        dn, dl, dm = part.dims
+        assert np.array_equal(ys, us.reshape(3, 2**part.z, dn, dl, dm)[:, :, :, 0, :])
 
 
 class TestCliffordSampler:
@@ -378,12 +437,14 @@ class TestScrambler:
     def test_trial_scramblers_bypass_the_cache(self, mode):
         build_scrambler.cache_clear()
         before = build_scrambler.cache_info()
-        us = sample_scramblers(3, mode, [spawn_rng(21, "scr", i) for i in range(5)])
+        part = QubitPartition(1, 1, 1)
+        ys = sample_scramblers(part, mode, [spawn_rng(21, "scr", i) for i in range(5)])
         after = build_scrambler.cache_info()
         assert (after.currsize, after.hits, after.misses) == (before.currsize, before.hits, before.misses)
         spec = ScramblerSpec(mode=mode)
-        for i, u in enumerate(us):
-            assert np.array_equal(u, build_scrambler(SecretKey.generate(spawn_rng(21, "scr", i)), 3, spec))
+        for i, y in enumerate(ys):
+            u = build_scrambler(SecretKey.generate(spawn_rng(21, "scr", i)), 3, spec)
+            assert np.array_equal(y, tag_zero_columns(u, part))
 
     def test_modes_differ(self):
         key = SecretKey.generate(spawn_rng(10, "scr"))

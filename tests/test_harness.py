@@ -350,6 +350,31 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: config field 'trials'") and f" {count} " in out.err
 
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            ({"experiment": "multistate", "n": 1, "trials": 2, "copies": 1}, "copies"),
+            ({"experiment": "multistate", "n": 1, "trials": 2, "copies": [4, 0]}, "copies"),
+            ({"experiment": "efi", "n": 3, "m0": 2}, "m0"),
+            ({"experiment": "efi", "n": 3, "m0": -1}, "m0"),
+            ({"experiment": "efi", "n": [4, 3], "m0": 2}, "m0"),
+            ({"experiment": "efi", "n": 3, "m0": 0, "gamma": 1.0}, "gamma"),
+            ({"experiment": "efi", "n": 3, "m0": 0, "c": 0.7}, "c"),
+            ({"experiment": "efi", "n": 3, "m0": 0, "lambda_eff": 13}, "lambda_eff"),
+        ],
+    )
+    def test_value_rules_name_the_field(self, config, field, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: config field '{field}': ") and "Traceback" not in out.err
+
+    def test_value_rules_come_from_the_table(self):
+        fields = {exp: [rule.field for rule in row.rules] for exp, row in harness.EXPERIMENTS.items() if row.rules}
+        assert fields == {"multistate": ["copies"], "efi": ["gamma", "c", "m0", "lambda_eff"]}
+
     def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"experiment": "wg-selftest"}))
@@ -574,7 +599,7 @@ class TestRun:
         modes = []
         sample_scramblers = attacks.sample_scramblers
         monkeypatch.setattr(
-            attacks, "sample_scramblers", lambda z, mode, rngs: modes.append(mode) or sample_scramblers(z, mode, rngs)
+            attacks, "sample_scramblers", lambda part, mode, rngs: modes.append(mode) or sample_scramblers(part, mode, rngs)
         )
         harness.run({"experiment": "qubit-count", "mode": "composed", "trials": 2, "shots": 20}, record_timing=False)
         assert modes == ["composed", "composed"]

@@ -354,6 +354,23 @@ class TestClosedFormCloseness:
         with pytest.raises(ArithmeticError):
             moments.closeness_dense(part, rho, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dim,tile", [(2, 256), (12, 5), (64, 16), (300, 256)])
+    def test_tiled_symmetrization_is_the_full_expression(self, dim, tile, dtype, monkeypatch):
+        monkeypatch.setattr(moments, "TILE", tile)
+        rng = spawn_rng(10, "symmetrize", dim, tile)
+        raw = rng.standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
+        herm = raw + raw.conj().T
+        moment = herm if dtype is np.complex128 else np.ascontiguousarray(herm.real)
+        moment += 1e-12 * rng.standard_normal((dim, dim))
+        full = 0.5 * (moment + moment.conj().T)
+        moments._symmetrize(moment)
+        assert moment.dtype == dtype
+        assert moment.tobytes() == full.tobytes()
+        moment[dim - 1, 0] += 1e-9
+        with pytest.raises(ArithmeticError):
+            moments._symmetrize(moment)
+
     def test_beyond_the_dense_cap(self):
         # d^t = 2^24 (z = 4, t = 6) and 2^60 (z = 10, t = 6): no dense matrix exists
         rho = qcore.pure_dm(qcore.basis_ket(2, 0))

@@ -214,12 +214,12 @@ class TestStackedScramblePadded:
     def test_stack_is_bitwise_each_key_alone(self, mode, n, l, m):
         part = QubitPartition(n, l, m)
         rng = spawn_rng(29, "stacked-scramble", mode, n, l, m)
-        us = sample_scramblers(part.z, mode, [spawn_rng(30, "stacked-scramble", i) for i in range(5)])
+        ys = sample_scramblers(part, mode, [spawn_rng(30, "stacked-scramble", i) for i in range(5)])
         for msg in (random_pure_state(n, rng), sample_ghse(n, n, rng)):
-            stacked = pqas.scramble_padded(msg, us, part)
-            assert stacked.shape == us.shape
-            for u, phi in zip(us, stacked):
-                assert np.array_equal(phi, pqas.scramble_padded(msg, u, part))
+            stacked = pqas.scramble_padded(msg, ys)
+            assert stacked.shape == (5, 2**part.z, 2**part.z)
+            for y, phi in zip(ys, stacked):
+                assert np.array_equal(phi, pqas.scramble_padded(msg, y))
 
 
 class TestCachedScramblerStaysImmutable:
@@ -415,15 +415,15 @@ class TestAuthSweepMatchesPerTrialReference:
         psi = random_pure_state(n, rng)
         channels = _auth_channels(part.z, rng)
         seed = 22
-        stacks = list(pqas._auth_key_stacks(part.z, mode, seed, trials))
-        assert [len(us) for us in stacks] == sizes
-        assert all(us.size <= ensembles.STACK_ENTRIES for us in stacks)
+        stacks = list(pqas._auth_key_stacks(part, mode, seed, trials))
+        assert [len(ys) for ys in stacks] == sizes
+        assert all(len(ys) * 4**part.z <= ensembles.STACK_ENTRIES for ys in stacks)
         keys = np.concatenate(stacks)
-        for i, u in enumerate(keys):
-            assert np.array_equal(u, sample_scramblers(part.z, mode, [spawn_rng(seed, "auth-sweep", i)])[0])
+        for i, y in enumerate(keys):
+            assert np.array_equal(y, sample_scramblers(part, mode, [spawn_rng(seed, "auth-sweep", i)])[0])
         for chan in channels:
-            ref = np.array([dense_p0_fprime(psi, u, part, chan) for u in keys])
-            got = np.concatenate([np.stack(pqas._p0_fprime_stack(us, psi, part, chan), axis=1) for us in stacks])
+            ref = np.array([dense_p0_fprime(psi, reference.embed_tag_columns(y, part), part, chan) for y in keys])
+            got = np.concatenate([np.stack(pqas._p0_fprime_stack(ys, psi, chan), axis=1) for ys in stacks])
             assert np.max(np.abs(got - ref)) <= 1e-12
             stats = pqas.auth_sweep(psi, part, chan, trials, mode=mode, seed=seed)
             p0s, fps = ref.T
@@ -442,7 +442,7 @@ class TestAuthSweepMatchesPerTrialReference:
             assert np.allclose(got, dense_p0_fprime(psi, u, part, chan), rtol=0, atol=1e-12)
 
     def test_one_key_per_stack_at_z8(self):
-        assert [len(us) for us in pqas._auth_key_stacks(8, "haar_exact", 24, 3)] == [1, 1, 1]
+        assert [len(ys) for ys in pqas._auth_key_stacks(QubitPartition(4, 2, 2), "haar_exact", 24, 3)] == [1, 1, 1]
 
 
 class TestSecurityScan:
@@ -472,6 +472,24 @@ class TestSecurityScan:
         assert 0.0 <= rep.estimate <= 1.0
 
 
+def pad_joint_state_tagged(rho_g, partition, t, q):
+    """rho_g on (message_1 ... message_t, purification) padded with each copy's
+    tag |0><0| and mixed register, in the order (msg_1, tag_1, mix_1, ...,
+    msg_t, tag_t, mix_t, purif)."""
+    dn, dl, dm = partition.dims
+    pads = [qcore.zero_tag_state(partition.l) for _ in range(t)]
+    pads += [qcore.maximally_mixed(partition.m) for _ in range(t)]
+    full = rho_g
+    for p in pads:
+        full = np.kron(full, p)
+    dims = [dn] * t + [2**q] + [dl] * t + [dm] * t
+    order = []
+    for i in range(t):
+        order += [i, t + 1 + i, 2 * t + 1 + i]
+    order.append(t)
+    return qcore.permute_registers(full, dims, order)
+
+
 def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="haar_exact", batches=20, bootstrap=200):
     """The per-trial estimator security_scan replaced: one key at a time,
     kron or per-copy conjugation into a dense batch mean, and a full-matrix
@@ -482,7 +500,7 @@ def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="h
         for _ in range(t - 1):
             rho_g = np.kron(rho_g, rho)
     dq = 2**q
-    padded = pqas._pad_joint_state(rho_g, partition, t, q)
+    padded = pad_joint_state_tagged(rho_g, partition, t, q)
     rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
     dzt = 2 ** (z * t)
     target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
@@ -560,3 +578,52 @@ class TestScanMatchesPerTrialReference:
         for label, symmetric in (("ghz q=1", True), ("not copy-symmetric", False)):
             _, part, t, q, kwargs = cases[label]
             assert pqas._copy_symmetric(kwargs["rho_g"], 2**part.n, t, 2**q) == symmetric
+
+
+class TestRealBlockProjection:
+    @pytest.mark.parametrize("dim,width", [(4, 4), (16, 10), (64, 36), (128, 56)])
+    def test_matches_the_complex_product(self, dim, width):
+        rng = spawn_rng(43, "block", dim, width)
+        gap = rng.standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, width)))
+        got = pqas._block(gap, basis)
+        assert got.shape == (width, width)
+        assert np.max(np.abs(got - basis.T @ gap @ basis)) <= 1e-12
+
+
+class TestStackedBootstrap:
+    @staticmethod
+    def _diffs(sizes, batches=20):
+        rng = spawn_rng(40, "bootstrap-blocks", *sizes)
+        out = []
+        for s in sizes:
+            raw = rng.standard_normal((batches, s, s)) + 1j * rng.standard_normal((batches, s, s))
+            out.append((raw + raw.conj().transpose(0, 2, 1)) / s)
+        return out
+
+    @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
+    @pytest.mark.parametrize("chunk", [None, 1, 40_000])
+    def test_matches_the_per_replicate_loop(self, sizes, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(pqas, "REPLICATE_CHUNK_BYTES", chunk)
+        diffs = self._diffs(sizes)
+        raw, reps = pqas._bootstrap(diffs, spawn_rng(41, "boot", *sizes), 200)
+        raw_ref, reps_ref = reference.bootstrap_loop(diffs, spawn_rng(41, "boot", *sizes), 200)
+        assert raw == raw_ref
+        assert reps.shape == (200,)
+        assert np.max(np.abs(reps - reps_ref)) <= 1e-12
+
+    def test_one_integers_call_reads_the_stream_as_one_call_per_row(self):
+        stacked = spawn_rng(42, "boot").integers(0, 20, size=(200, 20))
+        rng = spawn_rng(42, "boot")
+        assert np.array_equal(stacked, np.stack([rng.integers(0, 20, size=20) for _ in range(200)]))
+
+    def test_chunks_stay_under_the_byte_cap(self, monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.nbytes) or eigvalsh(a))
+        diff = self._diffs((72,))[0]
+        norms = pqas._replicate_norms(np.full((200, 20), 1 / 20), diff)
+        assert len(solved) > 1 and max(solved) <= pqas.REPLICATE_CHUNK_BYTES
+        assert sum(solved) == 200 * diff[0].nbytes
+        assert np.max(np.abs(norms - qcore.trace_norm(diff.mean(axis=0)))) <= 1e-12
