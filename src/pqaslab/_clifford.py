@@ -74,7 +74,8 @@ def _find_transvection(x: int, y: int, n: int) -> tuple[int, int]:
 
 
 def _symplectic_rows(index: int, n: int) -> list[int]:
-    """Rows of the index-th element of Sp(2n, 2) as ints."""
+    """Rows of the index-th element of Sp(2n, 2) as ints, the images of the
+    basis vectors (x1, z1, x2, z2, ...); a bijection for 0 <= index < order."""
     nn = 2 * n
     s = (1 << nn) - 1
     f1 = (index % s) + 1
@@ -89,40 +90,36 @@ def _symplectic_rows(index: int, n: int) -> list[int]:
     return [_transvection(f1, _transvection(h0, _transvection(t1, _transvection(t0, row)))) for row in rows]
 
 
-def symplectic_element(index: int, n: int) -> np.ndarray:
-    """The index-th element of Sp(2n, 2); a bijection for 0 <= index < order.
-
-    Rows are images of the basis vectors (x1, z1, x2, z2, ...), as an int8
-    array.
-    """
-    rows = np.array(_symplectic_rows(index, n), dtype=np.int64)
-    return ((rows[:, None] >> np.arange(2 * n)) & 1).astype(np.int8)
-
-
 # ---------------------------------------------------------------------------
 # signed Pauli operators as index/phase pairs
+
+
+def _pauli_masks(row: int, n: int) -> tuple[int, int]:
+    """The (x, z) qubit bitmasks, qubit 0 most significant, of an interleaved
+    symplectic row (x1, z1, x2, z2, ...)."""
+    x = z = 0
+    for i in range(n):
+        x |= (row >> 2 * i & 1) << (n - 1 - i)
+        z |= (row >> 2 * i + 1 & 1) << (n - 1 - i)
+    return x, z
 
 
 class SignedPauli:
     """(-1)^sign i^(x.z) X^x Z^z on n qubits, stored as an amplitude permutation.
 
-    Acting on basis state |b>:  P|b> = phase * (-1)^(z.b) |b XOR x>,
+    ``x`` and ``z`` are bitmasks over the qubits, qubit 0 the most significant
+    bit.  Acting on basis state |b>:  P|b> = phase * (-1)^(z.b) |b XOR x>,
     with phase = (-1)^sign i^(x.z); the i^(x.z) factor makes P Hermitian.
-    Qubit 0 is the most significant bit.
     """
 
-    def __init__(self, n: int, xbits: np.ndarray, zbits: np.ndarray, sign: int):
+    def __init__(self, n: int, x: int, z: int, sign: int):
         self.n = n
-        self.xbits = np.asarray(xbits, dtype=np.int8)
-        self.zbits = np.asarray(zbits, dtype=np.int8)
-        self.sign = int(sign)
-        weights = 1 << np.arange(n - 1, -1, -1)  # qubit 0 is the most significant bit
-        self.source = np.arange(2**n) ^ int(self.xbits @ weights)
-        zsupport = self.source & int(self.zbits @ weights)
+        self.source = np.arange(2**n) ^ x
+        zsupport = self.source & z
         zpar = np.zeros(2**n, dtype=np.int64)
         for q in range(n):
             zpar ^= (zsupport >> q) & 1
-        phase = (-1.0) ** self.sign * (1j) ** int(np.dot(self.xbits, self.zbits) % 4)
+        phase = (-1.0) ** int(sign) * (1j) ** ((x & z).bit_count() % 4)
         self.amps = phase * (-1.0) ** zpar
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -154,20 +151,16 @@ def _stabilized_state(stabilizers: list[SignedPauli], dim: int) -> np.ndarray:
     raise ArithmeticError("no stabilized state found; tableau is inconsistent")
 
 
-def clifford_dense_from_tableau(n: int, g: np.ndarray, signs: np.ndarray) -> np.ndarray:
+def clifford_dense_from_tableau(n: int, rows: list[int], signs: np.ndarray) -> np.ndarray:
     """Dense unitary whose conjugation action realizes the tableau.
 
-    Row 2i of g is the image of X_i, row 2i+1 the image of Z_i (interleaved
-    x/z bit convention), with sign bits attached per row.
+    ``rows`` are the symplectic rows as ints (see ``_symplectic_rows``): row
+    2i is the image of X_i, row 2i+1 the image of Z_i, with sign bits
+    attached per row.
     """
     dim = 2**n
-    ximages = []
-    zimages = []
-    for i in range(n):
-        xrow = g[2 * i]
-        zrow = g[2 * i + 1]
-        ximages.append(SignedPauli(n, xrow[0::2], xrow[1::2], signs[2 * i]))
-        zimages.append(SignedPauli(n, zrow[0::2], zrow[1::2], signs[2 * i + 1]))
+    images = [SignedPauli(n, *_pauli_masks(row, n), sign) for row, sign in zip(rows, signs)]
+    ximages, zimages = images[0::2], images[1::2]
     cols = np.empty((dim, dim), dtype=complex)  # row x holds the column U|x>
     cols[0] = _stabilized_state(zimages, dim)
     # U|x> is the X image of the qubit holding x's lowest set bit applied to
@@ -189,9 +182,8 @@ def _uniform_index(order: int, rng: np.random.Generator) -> int:
             return raw
 
 
-def sample_clifford_dense(n: int, rng: np.random.Generator):
-    """Uniformly random n-qubit Clifford as (dense unitary, tableau, signs)."""
-    index = _uniform_index(symplectic_group_order(n), rng)
-    g = symplectic_element(index, n)
+def sample_clifford_dense(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniformly random n-qubit Clifford as a dense unitary."""
+    rows = _symplectic_rows(_uniform_index(symplectic_group_order(n), rng), n)
     signs = rng.integers(0, 2, size=2 * n)
-    return clifford_dense_from_tableau(n, g, signs), g, signs
+    return clifford_dense_from_tableau(n, rows, signs)

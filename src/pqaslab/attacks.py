@@ -2,12 +2,14 @@
 deterministic pure-state variant.
 
 The left-or-right game simulates the strongest pairwise-SWAP adversary
-exactly: conditioned on the sampled key and mixed-register realizations the
-t received states are a pure product state, so the probability that a whole
-sequence of pairwise symmetric-subspace projections accepts reduces to a
-permutation-group sum over Gram-matrix cycle products, whose weights are
-built once per (t, pair order) with ``moments.convolve`` and cached.  No
-t-copy joint state is ever materialized.
+exactly: conditioned on the sampled pads the t received states are a pure
+product state, so the probability that a whole sequence of pairwise
+symmetric-subspace projections accepts reduces to a permutation-group sum
+over Gram-matrix cycle products, whose weights are built once per (t, pair
+order) with ``moments.convolve`` and cached.  No t-copy joint state is ever
+materialized.  The ciphertext for pad k is U|v, 0_tag, k>, so for every key
+U the Gram matrix is delta(k_i, k_j) <v_i|v_j>: the game draws no key and
+reads the pad-embedded vectors e_k (x) v instead.
 
 The qubit-number attack measures copy pairs transversally in the Bell
 basis.  The copies share the key but carry independent uniform pads, so
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rngs
-from .ensembles import random_pure_state, sample_scramblers, scrambler_stacks
+from .ensembles import random_pure_state, sample_scramblers
 from .pqas import Ciphertext, scramble_padded
 from .qcore import QubitPartition
 
@@ -50,15 +52,15 @@ class LRGameConfig:
     """Left-or-right oracle experiment.
 
     ``left`` and ``right`` are equal-length lists of message-state vectors
-    (one per oracle query).  The scheme mode follows the partition: m = 0 is
-    the deterministic pure-state variant, m > 0 the padded scheme.
+    (one per oracle query).  The scheme follows the partition: m = 0 is the
+    deterministic pure-state variant, m > 0 the padded scheme.  The game
+    reads only n and m of it.
     """
 
     left: list = field(repr=False)
     right: list = field(repr=False)
     partition: QubitPartition
     trials: int = 500
-    mode: str = "haar_exact"
 
     def __post_init__(self):
         if len(self.left) != len(self.right):
@@ -107,13 +109,13 @@ def _chain_weights(t: int, pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarr
     return inverses, weights
 
 
-def _swap_chain_accept_prob(states: list[np.ndarray], pairs: list[tuple[int, int]]) -> float:
+def _swap_chain_accept_prob(states: np.ndarray, pairs: list[tuple[int, int]]) -> float:
     """Probability that sequential SWAP tests on the given pairs all accept.
 
-    ``states`` are pure and mutually independent, so the ordered product of
-    pair-symmetrizers expands over the symmetric group and every term
-    <psi|P(sigma)|psi> = prod_k G[k, sigma^-1(k)] is a product of Gram-matrix
-    entries along permutation cycles.
+    ``states`` (one per row) are pure and mutually independent, so the
+    ordered product of pair-symmetrizers expands over the symmetric group and
+    every term <psi|P(sigma)|psi> = prod_k G[k, sigma^-1(k)] is a product of
+    Gram-matrix entries along permutation cycles.
     """
     t = len(states)
     inverses, weights = _chain_weights(t, tuple(map(tuple, pairs)))
@@ -123,18 +125,28 @@ def _swap_chain_accept_prob(states: list[np.ndarray], pairs: list[tuple[int, int
     return min(max(total, 0.0), 1.0)
 
 
+def _padded_states(vectors, pads: list[int], dm: int) -> np.ndarray:
+    """The vectors e_{k_i} (x) v_i, one per row, for pads k_i < dm.
+
+    Their Gram matrix delta(k_i, k_j) <v_i|v_j> is exactly that of the pure
+    ciphertexts U|v_i, 0_tag, k_i> under any unitary U.
+    """
+    return np.array([np.kron(qcore.basis_ket(dm, k), v) for k, v in zip(pads, vectors)])
+
+
 def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
     """Run the left-or-right experiment with the pairwise-SWAP adversary.
 
     The adversary guesses "left" exactly when every SWAP test accepts.  Per
     game the accept-all probability is evaluated for both oracle branches
-    with common random draws, giving the empirical success rate of the
-    Bernoulli game together with a variance-reduced estimate of the
-    distinguishing advantage 2 Pr[success] - 1.
+    with common pads, giving the empirical success rate of the Bernoulli
+    game together with a variance-reduced estimate of the distinguishing
+    advantage 2 Pr[success] - 1.
 
-    Game g draws from its own ``spawn_rng(seed, "lr-cpa", g)`` stream: first
-    the tag-|0> columns of its key (drawn for ``stack_size(z)`` games at a
-    time by ``scrambler_stacks``), then the pads and the game's coins.
+    Game g draws from its own ``spawn_rng(seed, "lr-cpa", g)`` stream: its
+    t pads (none when m = 0), then its coin and the accept draw.  No key is
+    drawn: the SWAP chain reads only the Gram matrix of the ciphertexts,
+    which ``_padded_states`` reproduces exactly.
     """
     t = cfg.t
     if t > 8:
@@ -145,16 +157,12 @@ def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     else:
         pairs = [(i, i + 1) for i in range(0, t - 1, 2)]
-    stacks = scrambler_stacks(cfg.partition, cfg.mode, spawn_rngs(seed, ("lr-cpa",), range(cfg.trials)))
+    dm = 2**cfg.partition.m
     wins = 0
     gaps = np.empty(cfg.trials)
-    for g, (rng, y) in enumerate((rng, y) for chunk, ys in stacks for rng, y in zip(chunk, ys)):
-        pads = [int(rng.integers(2**cfg.partition.m)) if cfg.partition.m else 0 for _ in range(t)]
-        p_branch = []
-        for side in (cfg.left, cfg.right):
-            # the pure ciphertext for pad k is column k of W = Y psi
-            states = [y[:, :, pads[i]] @ np.asarray(v, dtype=complex) for i, v in enumerate(side)]
-            p_branch.append(_swap_chain_accept_prob(states, pairs))
+    for g, rng in enumerate(spawn_rngs(seed, ("lr-cpa",), range(cfg.trials))):
+        pads = [int(rng.integers(dm)) if dm > 1 else 0 for _ in range(t)]
+        p_branch = [_swap_chain_accept_prob(_padded_states(side, pads, dm), pairs) for side in (cfg.left, cfg.right)]
         gaps[g] = p_branch[0] - p_branch[1]
         b = int(rng.integers(2))
         accepted_all = rng.random() < p_branch[b]

@@ -35,8 +35,7 @@ straight onto the product of the other two factors.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,7 +56,6 @@ __all__ = [
     "build_scrambler",
     "build_scramblers",
     "sample_scramblers",
-    "scrambler_stacks",
     "tag_zero_columns",
     "sample_ghse",
     "random_pure_state",
@@ -173,8 +171,7 @@ def sample_clifford(z: int, source) -> np.ndarray:
     """
     qcore.check_qubits(z)
     rng = keyed_rng(source, "clifford", z) if isinstance(source, bytes) else source
-    u, _, _ = sample_clifford_dense(z, rng)
-    return u
+    return sample_clifford_dense(z, rng)
 
 
 def _layer_blocks(z: int, layer: int) -> list[tuple[int, int]]:
@@ -355,17 +352,6 @@ def sample_scramblers(
         return tag_zero_columns(_haar(2**z, 2**z, rngs), partition)
     dn, _, dm = partition.dims
     return _haar(2**z, dn * dm, rngs).reshape(len(rngs), 2**z, dn, dm)
-
-
-def scrambler_stacks(
-    partition: qcore.QubitPartition, mode: str, rngs: Iterable[np.random.Generator]
-) -> Iterator[tuple[list[np.random.Generator], np.ndarray]]:
-    """Consecutive stacks of the trial generators ``rngs``, ``stack_size(z)``
-    at a time (at most ``STACK_ENTRIES`` entries of U), each with its
-    ``sample_scramblers`` tag-|0> columns."""
-    rngs = iter(rngs)
-    while chunk := list(itertools.islice(rngs, stack_size(partition.z))):
-        yield chunk, sample_scramblers(partition, mode, chunk)
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

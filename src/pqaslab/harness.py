@@ -341,9 +341,9 @@ def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
 
 
 def _run_cpa(pt: ExperimentPoint) -> list[ResultRecord]:
-    part = QubitPartition(pt.n, pt.l, pt.m)
+    part = QubitPartition(pt.n, 0, pt.m)
     left, right = attacks.standard_cpa_lists(pt.t, pt.n)
-    cfg = attacks.LRGameConfig(left=left, right=right, partition=part, trials=pt.trials, mode=pt.mode)
+    cfg = attacks.LRGameConfig(left=left, right=right, partition=part, trials=pt.trials)
     rep = attacks.lr_cpa_game(cfg, seed=point_seed(pt))
     return [
         _metric(pt, "success", rep.success_rate, stderr=None),
@@ -492,7 +492,7 @@ EXPERIMENTS = {
     "wg-selftest": Experiment(_run_wg_selftest, "n t"),
     "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", trial_step=pqas.SCAN_BATCHES),
     "auth-sweep": Experiment(_run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS),
-    "cpa": Experiment(_run_cpa, "n l m t trials mode", min_trials=2),
+    "cpa": Experiment(_run_cpa, "n m t trials", min_trials=2),
     "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode"),
     "multistate": Experiment(_run_multistate, "n l m trials copies mode", rules=_MULTISTATE_RULES),
     "decoy": Experiment(_run_decoy, "n l m t mode"),

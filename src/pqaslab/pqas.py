@@ -12,7 +12,7 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rng, spawn_rngs
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, scrambler_stacks, tag_zero_columns
+from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, stack_size, tag_zero_columns
 from .qcore import Channel, QubitPartition
 
 
@@ -234,8 +234,9 @@ def _auth_key_stacks(partition: QubitPartition, mode: str, seed: int, trials: in
     (``sample_scramblers``) of ``stack_size(z)`` keys (at most
     ``ensembles.STACK_ENTRIES`` entries of U, at least one key each); trial i
     draws from its own ``spawn_rng(seed, "auth-sweep", i)`` stream."""
-    for _, ys in scrambler_stacks(partition, mode, spawn_rngs(seed, ("auth-sweep",), range(trials))):
-        yield ys
+    rngs = spawn_rngs(seed, ("auth-sweep",), range(trials))
+    while chunk := list(itertools.islice(rngs, stack_size(partition.z))):
+        yield sample_scramblers(partition, mode, chunk)
 
 
 def auth_sweep(

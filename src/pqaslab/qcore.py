@@ -313,21 +313,18 @@ class LocalDepolarizingChannel(Channel):
         self.dim = 2**qubits
         self.p = p
 
-    def _apply_on_qubit(self, rho, q, total):
-        left = 2**q
-        right = 2 ** (total - q - 1)
-        t = rho.reshape(rho.shape[:-2] + (left, 2, right, left, 2, right))
-        # single-qubit depolarizing: rho_q -> (1-p) rho_q + p tr_q(rho) I/2
-        traced = t[..., 0, :, :, 0, :] + t[..., 1, :, :, 1, :]
-        out = (1.0 - self.p) * t
-        out[..., 0, :, :, 0, :] += 0.5 * self.p * traced
-        out[..., 1, :, :, 1, :] += 0.5 * self.p * traced
-        return out.reshape(rho.shape)
-
     def apply(self, rho):
-        out = rho
+        # per qubit q: rho_q -> (1-p) rho_q + p tr_q(rho) I/2, in place on one copy
+        out = rho.copy()
         for q in range(self.qubits):
-            out = self._apply_on_qubit(out, q, self.qubits)
+            right = 2 ** (self.qubits - q - 1)
+            t = out.reshape(out.shape[:-2] + (2**q, 2, right, 2**q, 2, right))
+            a, b = t[..., 0, :, :, 0, :], t[..., 1, :, :, 1, :]
+            s = a + b
+            s *= self.p / 2
+            t *= 1.0 - self.p
+            a += s
+            b += s
         return out
 
     def kraus_trace_square_sum(self):

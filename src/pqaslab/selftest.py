@@ -15,7 +15,7 @@ import numpy as np
 
 from . import attacks, harness, moments, pqas, primitives, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, sample_ghse, sample_haar
+from .ensembles import ScramblerSpec, SecretKey, sample_ghse, sample_haar, sample_haar_batch
 from .qcore import QubitPartition
 
 
@@ -122,7 +122,7 @@ def criterion_3_weingarten(seed: int = 103) -> CriterionResult:
         for d in (4, 8, 16):
             worst = max(worst, abs(moments.sum_abs_weingarten(t, d) - moments.sum_abs_weingarten_exact(t, d)))
     ok &= _check(details, worst <= 1e-12, f"sum |Wg| identity worst deviation {worst:.2e} <= 1e-12")
-    t, d, samples = 2, 4, 5000
+    t, d, samples, chunk = 2, 4, 5000, 1000
     rng = spawn_rng(seed, "wg-mc")
     for case in range(5):
         raw = rng.standard_normal((d**t, d**t)) + 1j * rng.standard_normal((d**t, d**t))
@@ -130,12 +130,14 @@ def criterion_3_weingarten(seed: int = 103) -> CriterionResult:
         exact = moments.haar_moment(obs, t, d)
         acc = np.zeros_like(obs)
         sq = np.zeros(obs.shape, dtype=float)
-        for _ in range(samples):
-            u = sample_haar(2, rng)
-            uu = np.kron(u, u)
-            val = uu @ obs @ uu.conj().T
-            acc += val
-            sq += np.abs(val) ** 2
+        # a stack of draws (4 MB of conjugated observables) reads the stream
+        # as one sample_haar call per draw would
+        for drawn in range(0, samples, chunk):
+            u = sample_haar_batch(2, [rng] * min(chunk, samples - drawn))
+            uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d**t, d**t)
+            val = uu @ obs @ uu.conj().transpose(0, 2, 1)
+            acc += val.sum(axis=0)
+            sq += (np.abs(val) ** 2).sum(axis=0)
         mean = acc / samples
         var = sq / samples - np.abs(mean) ** 2
         sigma_f = np.sqrt(np.sum(var) / samples)

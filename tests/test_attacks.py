@@ -164,11 +164,24 @@ class TestLRGame:
         with pytest.raises(ValueError):
             attacks.standard_cpa_lists(5, 2)
 
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
+    def test_padded_states_have_the_ciphertext_gram(self, mode):
+        # the game reads e_k (x) v in place of the keyed column Y_k v; both
+        # have the Gram matrix delta(k_i, k_j) <v_i|v_j>, whatever the key
+        part = QubitPartition(2, 1, 2)
+        rng = spawn_rng(27, "lr-gram", mode)
+        y = ensembles.sample_scramblers(part, mode, [rng])[0]
+        vecs = [random_pure_state(part.n, rng) for _ in range(6)]
+        pads = [0, 0, 1, 3, 3, 2]
+        keyed = np.array([y[:, :, k] @ v for k, v in zip(pads, vecs)])
+        embedded = attacks._padded_states(vecs, pads, 2**part.m)
+        assert np.max(np.abs(keyed.conj() @ keyed.T - embedded.conj() @ embedded.T)) <= 1e-12
+
     def test_identical_lists_no_advantage(self):
         left = [qcore.basis_ket(2, 0)]
         cfg = attacks.LRGameConfig(left=left, right=list(left), partition=QubitPartition(1, 0, 2), trials=200)
         rep = attacks.lr_cpa_game(cfg, seed=2)
-        assert rep.advantage <= 1e-12
+        assert rep.advantage == 0.0
 
     def test_deterministic_mode_breaks(self):
         left, right = attacks.standard_cpa_lists(4, 2)

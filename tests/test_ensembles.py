@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from pqaslab import ensembles, moments, pqas, qcore
-from pqaslab._clifford import (
-    SignedPauli,
-    symplectic_element,
-    symplectic_group_order,
-)
+from pqaslab._clifford import SignedPauli, _symplectic_rows, symplectic_group_order
 from pqaslab._streams import keyed_rng, spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -207,6 +203,13 @@ class TestTrialScramblers:
         assert np.array_equal(ys, us.reshape(3, 2**part.z, dn, dl, dm)[:, :, :, 0, :])
 
 
+def symplectic_element(index: int, n: int) -> np.ndarray:
+    """The bitmask rows of the index-th element of Sp(2n, 2) as an int8 array,
+    bit j of a row in column j."""
+    rows = np.array(_symplectic_rows(index, n), dtype=np.int64)
+    return ((rows[:, None] >> np.arange(2 * n)) & 1).astype(np.int8)
+
+
 class TestCliffordSampler:
     def test_symplectic_bijection(self):
         for n in (1, 2):
@@ -229,7 +232,6 @@ class TestCliffordSampler:
             indices = [int.from_bytes(rng.bytes(64), "big") % order for _ in range(300)]
         for i in indices:
             g = symplectic_element(i, n)
-            assert g.dtype == np.int8
             assert np.array_equal(g, reference.symplectic_element(i, n)), i
 
     def test_group_order_formula(self):
@@ -248,6 +250,20 @@ class TestCliffordSampler:
         for z in (1, 2, 3, 4):
             qcore.check_unitary(sample_clifford(z, rng))
 
+    def test_signed_pauli_from_masks(self):
+        # (-1)^sign i^(x.z) X^x Z^z as a Kronecker product, qubit 0 the most significant bit
+        one, x_gate, z_gate = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        n = 3
+        for x in range(2**n):
+            for z in range(2**n):
+                for sign in (0, 1):
+                    dense = np.ones((1, 1))
+                    for bit in reversed(range(n)):
+                        factor = (x_gate if x >> bit & 1 else one) @ (z_gate if z >> bit & 1 else one)
+                        dense = np.kron(dense, factor)
+                    dense = (-1) ** sign * 1j ** bin(x & z).count("1") * dense
+                    assert np.array_equal(reference.signed_pauli_dense(SignedPauli(n, x, z, sign)), dense), (x, z, sign)
+
     def test_pauli_to_pauli(self):
         # conjugating any Pauli string gives another Pauli string up to sign
         rng = spawn_rng(5, "cliff-pauli")
@@ -255,9 +271,7 @@ class TestCliffordSampler:
         u = sample_clifford(n, rng)
         for xb in range(4):
             for zb in range(4):
-                xbits = [(xb >> q) & 1 for q in range(n)]
-                zbits = [(zb >> q) & 1 for q in range(n)]
-                p = reference.signed_pauli_dense(SignedPauli(n, np.array(xbits), np.array(zbits), 0))
+                p = reference.signed_pauli_dense(SignedPauli(n, xb, zb, 0))
                 img = u @ p @ u.conj().T
                 # image must be +-1 or +-i times a signed permutation matrix
                 mags = np.abs(img)

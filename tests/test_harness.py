@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import attacks, cli, harness, pqas, qcore
+from pqaslab import attacks, cli, ensembles, harness, pqas, qcore
 from pqaslab.ensembles import MODES
 from pqaslab.harness import ConfigError, ResultRecord
 
@@ -21,6 +21,13 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             harness.validate_config({"experiment": "nope"})
         assert err.value.field == "experiment"
+
+    @pytest.mark.parametrize("field,value", [("mode", "composed"), ("l", 1)])
+    def test_cpa_reads_no_key_fields(self, field, value):
+        # the left-or-right game draws only pads and coins
+        with pytest.raises(ConfigError, match="cpa does not read it") as err:
+            harness.validate_config({"experiment": "cpa", field: value})
+        assert err.value.field == field
 
     def test_invalid_n(self):
         with pytest.raises(ConfigError) as err:
@@ -536,6 +543,16 @@ class TestRun:
         )
         success = next(r for r in records if r.experiment == "cpa:success")
         assert success.estimate >= 0.85
+
+    def test_cpa_draws_no_scrambler(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the left-or-right game drew a scrambler")
+
+        for module in (attacks, ensembles):
+            monkeypatch.setattr(module, "sample_scramblers", refuse)
+        monkeypatch.setattr(ensembles, "build_scramblers", refuse)
+        records = harness.run({"experiment": "cpa", "n": 1, "m": [0, 2], "t": 2, "trials": 20}, record_timing=False)
+        assert len(records) == 4
 
     def test_decoy_smoke(self):
         records = harness.run(
