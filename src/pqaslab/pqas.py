@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import moments, qcore
-from ._streams import spawn_rng, spawn_rngs
+from ._streams import spawn_rngs
 from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, stack_size, tag_zero_columns
 from .qcore import Channel, QubitPartition
 
@@ -287,11 +287,16 @@ def auth_sweep(
 
 @dataclass
 class ScanReport:
-    estimate: float            # bias-corrected trace distance
+    """A bracket [lower, upper] on the trace distance (``security_scan``),
+    printed as ``estimate ± 2 stderr``: its midpoint and a quarter of its width."""
+
+    estimate: float
     raw_estimate: float
     stderr: float
     exact: float | None
     trials: int
+    lower: float
+    upper: float
 
 
 def _pad_joint_state(rho_g: np.ndarray, partition: QubitPartition, t: int, q: int) -> np.ndarray:
@@ -366,35 +371,28 @@ def _block(gap: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (basis.T @ np.ascontiguousarray(left.T).view(float)).view(complex).T
 
 
-# Largest product of stacked bootstrap replicate blocks, in bytes.
-REPLICATE_CHUNK_BYTES = 2**20
-
-
-def _replicate_norms(weights: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Trace norm of each replicate's weighted sum (a row of ``weights``) of
-    the batch blocks ``diff`` (batches, s, s): one real product and one stacked
-    ``eigvalsh`` per chunk of at most REPLICATE_CHUNK_BYTES."""
-    batches, s, _ = diff.shape
-    flat = diff.reshape(batches, -1).view(float)
-    rows = max(1, REPLICATE_CHUNK_BYTES // diff[0].nbytes)
-    norms = []
-    for start in range(0, len(weights), rows):
-        blocks = (weights[start : start + rows] @ flat).view(complex).reshape(-1, s, s)
-        norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
-    return np.concatenate(norms)
-
-
-def _bootstrap(diffs: list[np.ndarray], rng: np.random.Generator, replicates: int) -> tuple[float, np.ndarray]:
-    """The raw estimate and the bootstrap replicates of the per-batch blocks
-    ``diffs`` (one (batches, s, s) array per block): half the summed block
-    trace norms of the batch mean, and of each replicate's resampled mean.
-    The resampling rows are one ``integers`` call of shape (replicates,
-    batches), which reads the stream as one call per replicate would."""
+def _jackknife_se(diffs: list[np.ndarray]) -> float:
+    """Delete-one-batch jackknife SE of the raw estimate from the per-batch
+    blocks ``diffs`` (one (batches, s, s) array per block): one stacked
+    ``eigvalsh`` per block of the batches' leave-one-out sums."""
     batches = len(diffs[0])
-    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
-    draws = rng.integers(0, batches, size=(replicates, batches))
-    weights = (draws[:, :, None] == np.arange(batches)).sum(axis=1) / batches
-    return raw, 0.5 * sum(_replicate_norms(weights, diff) for diff in diffs)
+    held = sum(np.abs(np.linalg.eigvalsh(diff.sum(axis=0) - diff)).sum(axis=1) for diff in diffs)
+    thetas = 0.5 * held / (batches - 1)
+    return float(np.sqrt((batches - 1) / batches * np.sum((thetas - thetas.mean()) ** 2)))
+
+
+def _witness(diffs: list[np.ndarray]) -> np.ndarray:
+    """Per-batch values of the cross-fitted Helstrom witness: half of
+    tr(S diff_b) summed over the blocks, with S the sign of the other half's
+    block mean (first and second half of the batches)."""
+    batches = len(diffs[0])
+    values = np.zeros((2, batches // 2))
+    for diff in diffs:
+        halves = diff.reshape(2, batches // 2, *diff.shape[1:])
+        vals, vecs = np.linalg.eigh(halves.mean(axis=1))
+        signs = (vecs * np.sign(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        values += 0.5 * np.einsum("hbij,hij->hb", halves, signs[::-1].conj()).real
+    return values.ravel()
 
 
 def security_scan(
@@ -406,8 +404,6 @@ def security_scan(
     rho: np.ndarray | None = None,
     rho_g: np.ndarray | None = None,
     mode: str = "haar_exact",
-    batches: int = SCAN_BATCHES,
-    bootstrap: int = 200,
 ) -> ScanReport:
     """Monte Carlo distance between the averaged t-copy encrypted state and
     the maximally mixed target, with the purification register untouched.
@@ -415,8 +411,11 @@ def security_scan(
     Pass ``rho`` (a single-copy message state, replicated as a product) or a
     general joint state ``rho_g`` on t message registers plus q purification
     qubits.  For product inputs with q = 0 the exact closed-form value is
-    attached for cross-checking.  The estimate is bootstrap bias-corrected,
-    with the standard error taken over resampled batch means.
+    attached for cross-checking.  The report brackets the distance over
+    ``SCAN_BATCHES`` batches.  The raw estimate errs high (the trace norm is
+    convex) and ``upper`` adds two delete-one-batch jackknife SEs to it.
+    The witness errs low: each half of the batches is traced against the
+    sign of the other half's mean, and ``lower`` subtracts two batch SEs.
 
     Trial i draws from its own ``spawn_rng(seed, "security-scan", i)``
     stream (all derived at once by ``spawn_rngs``), and each batch draws its
@@ -430,11 +429,10 @@ def security_scan(
     When the input commutes with permutations of the copies, so does every
     batch mean, and each is kept only as its blocks B_lam^T (mean - target)
     B_lam on the isotypic components of the copy action, formed in real
-    arithmetic (``_block``); the raw estimate and every bootstrap
-    replicate are sums of block trace norms.  A joint input that is not
-    copy-symmetric (to 1e-12), or t beyond ``moments.MAX_T``, gets the
-    single identity block.  The bootstrap draws all its resampling rows in
-    one ``integers`` call and solves its replicate blocks in stacks.
+    arithmetic (``_block``); the raw estimate, the jackknife's
+    leave-one-out values and the witness are sums over blocks.  A joint
+    input that is not copy-symmetric (to 1e-12), or t beyond
+    ``moments.MAX_T``, gets the single identity block.
     """
     if (rho is None) == (rho_g is None):
         raise ValueError("pass exactly one of rho or rho_g")
@@ -447,9 +445,9 @@ def security_scan(
             raise ValueError("product form has no purification register")
         exact = 0.5 * moments.closeness_exact(partition, rho, t)
     qcore.check_qubits(t * z + q)
-    if trials % batches:
+    if trials % SCAN_BATCHES:
         raise ValueError("trials must be divisible by the batch count")
-    per_batch = trials // batches
+    per_batch = trials // SCAN_BATCHES
     dq = 2**q
     dz = 2**z
     dzt = dz**t
@@ -468,8 +466,8 @@ def security_scan(
         bases = [np.eye(dim)]
 
     rngs = spawn_rngs(seed, ("security-scan",), range(trials))
-    diffs = [np.empty((batches, basis.shape[1], basis.shape[1]), dtype=complex) for basis in bases]
-    for b in range(batches):
+    diffs = [np.empty((SCAN_BATCHES, basis.shape[1], basis.shape[1]), dtype=complex) for basis in bases]
+    for b in range(SCAN_BATCHES):
         ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)), full=True)
         if rho is not None:
             total = _product_batch_sum(scramble_padded(rho, ys), t)
@@ -479,13 +477,15 @@ def security_scan(
         for basis, diff in zip(bases, diffs):
             diff[b] = _block(gap, basis)
 
-    raw, replicates = _bootstrap(diffs, spawn_rng(seed, "security-scan", "bootstrap"), bootstrap)
-    stderr = float(np.std(replicates, ddof=1))
-    bias = float(np.mean(replicates)) - raw
+    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
+    witness, witness_se = _mean_stderr(_witness(diffs))
+    lower, upper = witness - 2 * witness_se, raw + 2 * _jackknife_se(diffs)
     return ScanReport(
-        estimate=raw - bias,
+        estimate=(lower + upper) / 2,
         raw_estimate=raw,
-        stderr=stderr,
+        stderr=(upper - lower) / 4,
         exact=exact,
         trials=trials,
+        lower=lower,
+        upper=upper,
     )

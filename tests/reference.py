@@ -113,20 +113,29 @@ def embed_tag_columns(y: np.ndarray, partition: QubitPartition) -> np.ndarray:
     return u.reshape(y.shape[0], -1)
 
 
-def bootstrap_loop(diffs, rng, replicates):
-    """The security scan's bootstrap one replicate at a time: per replicate,
-    one ``integers`` call of size batches, and per block one vector-matrix
-    product and one trace norm.  Returns (raw, replicates)."""
-    batches = len(diffs[0])
-    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
-    flats = [diff.reshape(batches, -1) for diff in diffs]
-    out = np.empty(replicates)
-    for r in range(replicates):
-        weights = np.bincount(rng.integers(0, batches, size=batches), minlength=batches) / batches
-        out[r] = 0.5 * sum(
-            qcore.trace_norm((weights @ flat).reshape(diff.shape[1:])) for flat, diff in zip(flats, diffs)
-        )
-    return raw, out
+def jackknife_se_loop(batch_means, target):
+    """The security scan's delete-one-batch jackknife SE, one left-out batch
+    at a time: the dense trace distance of the other batches' mean."""
+    batches = len(batch_means)
+    thetas = np.array(
+        [qcore.trace_distance(np.delete(batch_means, j, axis=0).mean(axis=0), target) for j in range(batches)]
+    )
+    return float(np.sqrt((batches - 1) / batches * np.sum((thetas - thetas.mean()) ** 2)))
+
+
+def witness_loop(batch_means, target):
+    """The security scan's cross-fitted witness, one batch at a time: half of
+    tr(S (mean_b - target)), with S the sign of the dense gap of the mean over
+    the half (first or second) of the batches that b is not in.  Returns the
+    per-batch values; the witness is their mean and its SE their batch SE."""
+    half = len(batch_means) // 2
+    signs = []
+    for part in (batch_means[:half], batch_means[half:]):
+        vals, vecs = np.linalg.eigh(part.mean(axis=0) - target)
+        signs.append(vecs @ np.diag(np.sign(vals)) @ vecs.conj().T)
+    return np.array(
+        [0.5 * np.trace(signs[b < half] @ (mean - target)).real for b, mean in enumerate(batch_means)]
+    )
 
 
 def key_from_int(value: int) -> SecretKey:

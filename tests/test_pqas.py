@@ -4,7 +4,7 @@ and their exact Haar averages."""
 import numpy as np
 import pytest
 
-from pqaslab import ensembles, moments, pqas, primitives, qcore
+from pqaslab import _streams, ensembles, moments, pqas, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -471,6 +471,30 @@ class TestSecurityScan:
         assert rep.exact is None
         assert 0.0 <= rep.estimate <= 1.0
 
+    def test_derives_only_its_trial_streams(self, monkeypatch):
+        contexts = []
+        hasher = _streams._hasher
+        monkeypatch.setattr(_streams, "_hasher", lambda key, context, n: contexts.append(context) or hasher(key, context, n))
+        pqas.security_scan(QubitPartition(1, 1, 1), 2, 0, 200, seed=18, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+        assert contexts == [(18, "security-scan")]
+
+
+class TestScanBracketCalibration:
+    """The printed bracket estimate +- 2 stderr = [lower, upper] holds the
+    exact value at every one of a fixed set of seeds, and the estimate is
+    within 3 stderr of it (the check the benchmark and selftest apply)."""
+
+    @pytest.mark.parametrize(
+        "part,t,trials",
+        [(QubitPartition(1, 1, 1), 2, 200), (QubitPartition(1, 1, 2), 2, 200), (QubitPartition(1, 1, 1), 1, 600)],
+        ids=["m=1 t=2", "m=2 t=2", "t=1 null"],
+    )
+    def test_bracket_holds_exact(self, part, t, trials):
+        for seed in range(1000, 1008):
+            rep = pqas.security_scan(part, t, 0, trials, seed=seed, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+            assert rep.lower <= rep.exact <= rep.upper, seed
+            assert abs(rep.estimate - rep.exact) <= 3 * rep.stderr, seed
+
 
 def pad_joint_state_tagged(rho_g, partition, t, q):
     """rho_g on (message_1 ... message_t, purification) padded with each copy's
@@ -490,10 +514,11 @@ def pad_joint_state_tagged(rho_g, partition, t, q):
     return qcore.permute_registers(full, dims, order)
 
 
-def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="haar_exact", batches=20, bootstrap=200):
+def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="haar_exact"):
     """The per-trial estimator security_scan replaced: one key at a time,
-    kron or per-copy conjugation into a dense batch mean, and a full-matrix
-    trace norm for the raw estimate and every bootstrap replicate."""
+    kron or per-copy conjugation into a dense batch mean, and full-matrix
+    references for the raw estimate, the jackknife SE and the per-batch
+    witness values."""
     z = partition.z
     if rho is not None:
         rho_g = rho
@@ -504,6 +529,7 @@ def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="h
     rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
     dzt = 2 ** (z * t)
     target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
+    batches = pqas.SCAN_BATCHES
     per_batch = trials // batches
     dim = dzt * dq
     spec = ScramblerSpec(mode=mode)
@@ -537,14 +563,15 @@ def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="h
             acc += out
         batch_means[b] = acc / per_batch
     raw = qcore.trace_distance(np.mean(batch_means, axis=0), target)
-    boot_rng = spawn_rng(seed, "security-scan", "bootstrap")
-    flat = batch_means.reshape(batches, -1)
-    replicates = np.empty(bootstrap)
-    for r in range(bootstrap):
-        counts = np.bincount(boot_rng.integers(0, batches, size=batches), minlength=batches)
-        replicates[r] = qcore.trace_distance((counts.astype(float) @ flat / batches).reshape(dim, dim), target)
-    bias = float(np.mean(replicates)) - raw
-    return raw - bias, raw, float(np.std(replicates, ddof=1))
+    return raw, reference.jackknife_se_loop(batch_means, target), reference.witness_loop(batch_means, target)
+
+
+def _recording(seen, name, inner):
+    def record(diffs):
+        seen[name] = inner(diffs)
+        return seen[name]
+
+    return record
 
 
 def _scan_cases():
@@ -566,12 +593,20 @@ def _scan_cases():
 
 class TestScanMatchesPerTrialReference:
     @pytest.mark.parametrize("label,part,t,q,kwargs", _scan_cases(), ids=[c[0] for c in _scan_cases()])
-    def test_matches(self, label, part, t, q, kwargs):
-        rep = pqas.security_scan(part, t, q, 200, seed=22, bootstrap=60, **kwargs)
-        estimate, raw, stderr = _reference_scan(part, t, q, 200, seed=22, bootstrap=60, **kwargs)
-        assert abs(rep.estimate - estimate) <= 1e-12
+    def test_matches(self, label, part, t, q, kwargs, monkeypatch):
+        seen = {}
+        for name in ("_jackknife_se", "_witness"):
+            monkeypatch.setattr(pqas, name, _recording(seen, name, getattr(pqas, name)))
+        rep = pqas.security_scan(part, t, q, 200, seed=22, **kwargs)
+        raw, jackknife_se, witness = _reference_scan(part, t, q, 200, seed=22, **kwargs)
         assert abs(rep.raw_estimate - raw) <= 1e-12
-        assert abs(rep.stderr - stderr) <= 1e-12
+        assert abs(seen["_jackknife_se"] - jackknife_se) <= 1e-12
+        assert seen["_witness"].shape == witness.shape == (pqas.SCAN_BATCHES,)
+        assert np.max(np.abs(seen["_witness"] - witness)) <= 1e-12
+        lower = witness.mean() - 2 * witness.std(ddof=1) / np.sqrt(len(witness))
+        upper = raw + 2 * jackknife_se
+        found = [rep.lower, rep.upper, rep.estimate, rep.stderr]
+        assert np.max(np.abs(np.array(found) - [lower, upper, (lower + upper) / 2, (upper - lower) / 4])) <= 1e-12
 
     def test_joint_cases_take_the_intended_block_path(self):
         cases = {case[0]: case for case in _scan_cases()}
@@ -591,39 +626,19 @@ class TestRealBlockProjection:
         assert np.max(np.abs(got - basis.T @ gap @ basis)) <= 1e-12
 
 
-class TestStackedBootstrap:
-    @staticmethod
-    def _diffs(sizes, batches=20):
-        rng = spawn_rng(40, "bootstrap-blocks", *sizes)
-        out = []
-        for s in sizes:
-            raw = rng.standard_normal((batches, s, s)) + 1j * rng.standard_normal((batches, s, s))
-            out.append((raw + raw.conj().transpose(0, 2, 1)) / s)
-        return out
-
+class TestBracketOnBlocks:
     @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
-    @pytest.mark.parametrize("chunk", [None, 1, 40_000])
-    def test_matches_the_per_replicate_loop(self, sizes, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(pqas, "REPLICATE_CHUNK_BYTES", chunk)
-        diffs = self._diffs(sizes)
-        raw, reps = pqas._bootstrap(diffs, spawn_rng(41, "boot", *sizes), 200)
-        raw_ref, reps_ref = reference.bootstrap_loop(diffs, spawn_rng(41, "boot", *sizes), 200)
-        assert raw == raw_ref
-        assert reps.shape == (200,)
-        assert np.max(np.abs(reps - reps_ref)) <= 1e-12
-
-    def test_one_integers_call_reads_the_stream_as_one_call_per_row(self):
-        stacked = spawn_rng(42, "boot").integers(0, 20, size=(200, 20))
-        rng = spawn_rng(42, "boot")
-        assert np.array_equal(stacked, np.stack([rng.integers(0, 20, size=20) for _ in range(200)]))
-
-    def test_chunks_stay_under_the_byte_cap(self, monkeypatch):
-        solved = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.nbytes) or eigvalsh(a))
-        diff = self._diffs((72,))[0]
-        norms = pqas._replicate_norms(np.full((200, 20), 1 / 20), diff)
-        assert len(solved) > 1 and max(solved) <= pqas.REPLICATE_CHUNK_BYTES
-        assert sum(solved) == 200 * diff[0].nbytes
-        assert np.max(np.abs(norms - qcore.trace_norm(diff.mean(axis=0)))) <= 1e-12
+    def test_matches_the_per_batch_loops(self, sizes):
+        """The blockwise jackknife SE and witness equal the dense per-batch
+        loops on the block-diagonal batch means, to 1e-12."""
+        rng = spawn_rng(40, "bracket-blocks", *sizes)
+        diffs = []
+        for s in sizes:
+            raw = rng.standard_normal((pqas.SCAN_BATCHES, s, s, 2)) @ np.array([1.0, 1j])
+            diffs.append((raw + raw.conj().transpose(0, 2, 1)) / s)
+        dense = np.zeros((pqas.SCAN_BATCHES, sum(sizes), sum(sizes)), dtype=complex)
+        for start, diff in zip(np.cumsum((0,) + sizes), diffs):
+            dense[:, start : start + len(diff[0]), start : start + len(diff[0])] = diff
+        zero = np.zeros(dense.shape[1:])
+        assert abs(pqas._jackknife_se(diffs) - reference.jackknife_se_loop(dense, zero)) <= 1e-12
+        assert np.max(np.abs(pqas._witness(diffs) - reference.witness_loop(dense, zero))) <= 1e-12
