@@ -371,13 +371,31 @@ def _block(gap: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (basis.T @ np.ascontiguousarray(left.T).view(float)).view(complex).T
 
 
+REPLICATE_CHUNK_BYTES = 2**20
+
+
+def _replicate_norms(weights: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Trace norm of each replicate's weighted sum (a row of ``weights``) of
+    the batch blocks ``diff`` (batches, s, s): one real product and one stacked
+    ``eigvalsh`` per chunk of at most REPLICATE_CHUNK_BYTES."""
+    batches, s, _ = diff.shape
+    flat = diff.reshape(batches, -1).view(float)
+    rows = max(1, REPLICATE_CHUNK_BYTES // diff[0].nbytes)
+    norms = []
+    for start in range(0, len(weights), rows):
+        blocks = (weights[start : start + rows] @ flat).view(complex).reshape(-1, s, s)
+        norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
+    return np.concatenate(norms)
+
+
 def _jackknife_se(diffs: list[np.ndarray]) -> float:
     """Delete-one-batch jackknife SE of the raw estimate from the per-batch
-    blocks ``diffs`` (one (batches, s, s) array per block): one stacked
-    ``eigvalsh`` per block of the batches' leave-one-out sums."""
+    blocks ``diffs`` (one (batches, s, s) array per block); each block's
+    leave-one-out means are solved by ``_replicate_norms``, so they take at
+    most REPLICATE_CHUNK_BYTES beyond the blocks."""
     batches = len(diffs[0])
-    held = sum(np.abs(np.linalg.eigvalsh(diff.sum(axis=0) - diff)).sum(axis=1) for diff in diffs)
-    thetas = 0.5 * held / (batches - 1)
+    weights = (1 - np.eye(batches)) / (batches - 1)
+    thetas = 0.5 * sum(_replicate_norms(weights, diff) for diff in diffs)
     return float(np.sqrt((batches - 1) / batches * np.sum((thetas - thetas.mean()) ** 2)))
 
 

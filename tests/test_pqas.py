@@ -626,19 +626,53 @@ class TestRealBlockProjection:
         assert np.max(np.abs(got - basis.T @ gap @ basis)) <= 1e-12
 
 
-class TestBracketOnBlocks:
+def _random_blocks(sizes):
+    """Random Hermitian per-batch blocks of the given sizes, one
+    (SCAN_BATCHES, s, s) array each, and their block-diagonal dense stack."""
+    rng = spawn_rng(40, "bracket-blocks", *sizes)
+    diffs = []
+    for s in sizes:
+        raw = rng.standard_normal((pqas.SCAN_BATCHES, s, s, 2)) @ np.array([1.0, 1j])
+        diffs.append((raw + raw.conj().transpose(0, 2, 1)) / s)
+    dense = np.zeros((pqas.SCAN_BATCHES, sum(sizes), sum(sizes)), dtype=complex)
+    for start, diff in zip(np.cumsum((0,) + sizes), diffs):
+        dense[:, start : start + len(diff[0]), start : start + len(diff[0])] = diff
+    return diffs, dense
+
+
+class TestStackedBootstrap:
+    """Resampling replicates solved as stacks: the jackknife's leave-one-out
+    means, in chunks of at most REPLICATE_CHUNK_BYTES."""
+
     @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
-    def test_matches_the_per_batch_loops(self, sizes):
-        """The blockwise jackknife SE and witness equal the dense per-batch
-        loops on the block-diagonal batch means, to 1e-12."""
-        rng = spawn_rng(40, "bracket-blocks", *sizes)
-        diffs = []
-        for s in sizes:
-            raw = rng.standard_normal((pqas.SCAN_BATCHES, s, s, 2)) @ np.array([1.0, 1j])
-            diffs.append((raw + raw.conj().transpose(0, 2, 1)) / s)
-        dense = np.zeros((pqas.SCAN_BATCHES, sum(sizes), sum(sizes)), dtype=complex)
-        for start, diff in zip(np.cumsum((0,) + sizes), diffs):
-            dense[:, start : start + len(diff[0]), start : start + len(diff[0])] = diff
+    @pytest.mark.parametrize("chunk", [None, 1, 40_000])
+    def test_matches_the_per_replicate_loop(self, sizes, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(pqas, "REPLICATE_CHUNK_BYTES", chunk)
+        diffs, dense = _random_blocks(sizes)
+        weights = (1 - np.eye(pqas.SCAN_BATCHES)) / (pqas.SCAN_BATCHES - 1)
+        norms = sum(pqas._replicate_norms(weights, diff) for diff in diffs)
+        loop = [qcore.trace_norm(np.delete(dense, j, axis=0).mean(axis=0)) for j in range(pqas.SCAN_BATCHES)]
+        assert norms.shape == (pqas.SCAN_BATCHES,)
+        assert np.max(np.abs(norms - loop)) <= 1e-12
         zero = np.zeros(dense.shape[1:])
         assert abs(pqas._jackknife_se(diffs) - reference.jackknife_se_loop(dense, zero)) <= 1e-12
-        assert np.max(np.abs(pqas._witness(diffs) - reference.witness_loop(dense, zero))) <= 1e-12
+
+    def test_chunks_stay_under_the_byte_cap(self, monkeypatch):
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.nbytes) or eigvalsh(a))
+        diff = _random_blocks((72,))[0][0]
+        norms = pqas._replicate_norms(np.full((200, 20), 1 / 20), diff)
+        assert len(solved) > 1 and max(solved) <= pqas.REPLICATE_CHUNK_BYTES
+        assert sum(solved) == 200 * diff[0].nbytes
+        assert np.max(np.abs(norms - qcore.trace_norm(diff.mean(axis=0)))) <= 1e-12
+
+
+class TestBracketOnBlocks:
+    @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
+    def test_witness_matches_the_per_batch_loop(self, sizes):
+        """The blockwise witness equals the dense per-batch loop on the
+        block-diagonal batch means, to 1e-12."""
+        diffs, dense = _random_blocks(sizes)
+        assert np.max(np.abs(pqas._witness(diffs) - reference.witness_loop(dense, np.zeros(dense.shape[1:])))) <= 1e-12
