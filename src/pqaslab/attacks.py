@@ -388,14 +388,14 @@ def qubit_count_attack(
 # decoy scenario
 
 
-def decoy_indistinguishability(partition: QubitPartition, t: int, rho: np.ndarray | None = None) -> float:
-    """Exact t-copy trace distance between averaged ciphertexts and the
-    maximally mixed decoys an eavesdropper would have to tell apart.
+def decoy_indistinguishability(partition: QubitPartition, t: int) -> float:
+    """Exact t-copy trace distance between the averaged ciphertexts of the
+    message |0...0> and the maximally mixed decoys an eavesdropper would
+    have to tell apart.
 
     Decoy preparation is free for this scheme (the decoy is the maximally
     mixed state); the returned distance is the oracle closeness value halved
     into trace-distance form.
     """
-    if rho is None:
-        rho = qcore.pure_dm(qcore.basis_ket(2**partition.n, 0))
+    rho = qcore.pure_dm(qcore.basis_ket(2**partition.n, 0))
     return 0.5 * moments.closeness_exact(partition, rho, t)

@@ -393,9 +393,6 @@ def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
 def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     dist = attacks.decoy_indistinguishability(part, pt.t)
-    exact = None
-    if moments.dense_fits(2**part.z, pt.t):
-        exact = 0.5 * moments.closeness_dense(part, qcore.pure_dm(qcore.basis_ket(2**pt.n, 0)), pt.t)
     # meta-information probe: entanglement entropy across the ciphertext midpoint
     rng = spawn_rng(point_seed(pt), "decoy-probe")
     key = SecretKey.generate(rng)
@@ -404,7 +401,7 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
     reduced = qcore.partial_trace(ct.state, [2**cut, 2 ** (part.z - cut)], {1})
     entropy = qcore.vn_entropy_bits(reduced)
     return [
-        _metric(pt, "distance", dist, exact=exact),
+        _metric(pt, "distance", dist),
         _metric(pt, "cut-entropy", entropy),
     ]
 
@@ -420,8 +417,6 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
         completeness.append(primitives.vprdm_verify(rho, key, pt.n, pt.m, spec))
         wrong.append(primitives.vprdm_verify(rho, SecretKey.generate(rng), pt.n, pt.m, spec))
     wrong = np.array(wrong)
-    ghse = primitives.ghse_closeness(pt.n, pt.m, pt.t)
-    ghse_dense = primitives.ghse_closeness_dense(pt.n, pt.m, pt.t) if moments.dense_fits(2**pt.n, pt.t) else None
     return [
         _metric(pt, "completeness", float(np.mean(completeness)), exact=1.0),
         _metric(
@@ -431,7 +426,7 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
             stderr=float(np.std(wrong, ddof=1) / np.sqrt(len(wrong))),
             prediction=2.0 ** -(pt.n - pt.m),
         ),
-        _metric(pt, "ghse-closeness", ghse, exact=ghse_dense),
+        _metric(pt, "ghse-closeness", primitives.ghse_closeness(pt.n, pt.m, pt.t)),
     ]
 
 

@@ -16,11 +16,11 @@ The Weingarten function is the same character sum (Collins-Sniady),
     Wg(pi, d) = (1/t!^2) sum_lambda f_lambda^2 chi_lambda(pi) / s_lambda(1^d),
 
 over the diagrams with at most d rows, so it exists for every d and t <= 12.
-The one dense twirl, ``haar_moment``, sums Wg against permutation traces and
-is kept as the reference the block sums are tested against
-(``closeness_dense``, ``ghse_moment``).  A dense moment takes its operator's
-dtype: Wg and the permutation operators are real, so a real input is twirled
-and eigen-solved in float64 and only a complex one needs complex128.
+No experiment builds a d^t matrix.  The two dense moments, ``haar_moment``
+(Wg summed against permutation traces) and ``ghse_moment``, are references:
+the tests hold the block sums to them, and selftest criterion 3 holds sampled
+Haar twirls to ``haar_moment``.  A dense moment takes its operator's dtype,
+since Wg and the permutation operators are real.
 Permutations on t letters are plain tuples ``p`` with ``p[i]`` the image of
 letter i (0-indexed), and the permutation-operator convention is
 
@@ -36,7 +36,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,16 +126,11 @@ def _perm_rows(p: Perm, d: int) -> np.ndarray:
     return rows
 
 
-def _capped_dim(d: int, t: int) -> int:
-    dim = d**t
-    if dim > MAX_MOMENT_DIM:
-        raise ValueError(f"d^t = {dim} exceeds the size cap {MAX_MOMENT_DIM}")
-    return dim
-
-
 def _perm_sum(coeffs: dict[Perm, complex], d: int) -> np.ndarray:
     """Dense sum_p c_p P(p) on (C^d)^(x t), in the dtype of the coefficients."""
-    dim = _capped_dim(d, len(next(iter(coeffs))))
+    dim = d ** len(next(iter(coeffs)))
+    if dim > MAX_MOMENT_DIM:
+        raise ValueError(f"d^t = {dim} exceeds the size cap {MAX_MOMENT_DIM}")
     out = np.zeros((dim, dim), dtype=np.asarray(list(coeffs.values())).dtype)
     cols = np.arange(dim)
     for p, c in coeffs.items():
@@ -342,28 +337,16 @@ def haar_moment(op: np.ndarray, t: int, d: int) -> np.ndarray:
     return _perm_sum(convolve(ptraces, {p: weingarten(p, d) for p in perms}), d)
 
 
-def _check_message(partition: qcore.QubitPartition, rho: np.ndarray) -> None:
-    if rho.shape[0] != 2**partition.n:
-        raise ValueError("input state does not match the message register")
-
-
 def _power_traces(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> list[float]:
     """tr(rho^k) for k = 0..t; (rho (x) tag)^k has the same traces."""
-    _check_message(partition, rho)
+    if rho.shape[0] != 2**partition.n:
+        raise ValueError("input state does not match the message register")
     ptr = [1.0]
     acc = np.eye(rho.shape[0], dtype=complex)
     for _ in range(t):
         acc = acc @ rho
         ptr.append(float(np.trace(acc).real))
     return ptr
-
-
-def dense_fits(d: int, t: int) -> bool:
-    """Whether the experiments attach a dense t-copy reference at local
-    dimension d: d^t within the size cap, t within the enumerable S_t, and
-    d >= t, where Wg inverts the Gram matrix rather than pseudo-inverting it.
-    """
-    return t <= min(d, MAX_T) and d**t <= MAX_MOMENT_DIM
 
 
 def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> float:
@@ -383,50 +366,6 @@ def closeness_exact(partition: qcore.QubitPartition, rho: np.ndarray, t: int) ->
         return math.prod(ptr[k] * float(d_b) ** (1 - k) for k in mu) - float(d) ** (len(mu) - t)
 
     return float(sum(abs(v) for v in block_traces(gap, t, d).values()))
-
-
-# Side of the square tiles ``_symmetrize`` walks a dense moment in.
-TILE = 256
-
-
-def _symmetrize(moment: np.ndarray) -> None:
-    """Check that a square moment is Hermitian to 1e-10, then replace it in
-    place by (M + M^dag)/2, one pair of mirrored TILE x TILE tiles at a time:
-    each entry is the same expression as in the full-matrix form, without
-    its matrix-sized temporaries.  The check raises ``ArithmeticError``."""
-    dim = moment.shape[0]
-    pairs = [
-        (moment[i : i + TILE, j : j + TILE], moment[j : j + TILE, i : i + TILE])
-        for i in range(0, dim, TILE)
-        for j in range(i, dim, TILE)
-    ]
-    drift = max(np.max(np.abs(upper - lower.conj().T)) for upper, lower in pairs)
-    if drift > 1e-10:
-        raise ArithmeticError(f"moment lost Hermiticity ({drift:.2e})")
-    for upper, lower in pairs:
-        upper[...], lower[...] = 0.5 * (upper + lower.conj().T), 0.5 * (lower + upper.conj().T)
-
-
-def closeness_dense(partition: qcore.QubitPartition, rho: np.ndarray, t: int) -> float:
-    """``closeness_exact`` from the dense twirl of the padded input (reference).
-
-    The padded input is rho (x) |0><0|_l (x) I / 2^m on each of the t copies.
-    A rho with zero imaginary part is padded as a real operator, so its
-    moment is float64 and its trace norm comes from the real symmetric
-    eigensolver; any other rho stays complex128 throughout.
-    """
-    _check_message(partition, rho)
-    d = 2**partition.z
-    dim = _capped_dim(d, t)
-    factors = (rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
-    if not np.any(np.imag(rho)):
-        factors = tuple(np.real(f) for f in factors)
-    padded = reduce(np.kron, factors)
-    moment = haar_moment(reduce(np.kron, [padded] * t), t, d)
-    _symmetrize(moment)
-    # the target I / d^t differs from zero on the diagonal only
-    moment.reshape(-1)[:: dim + 1] -= 1.0 / dim
-    return qcore.trace_norm(moment)
 
 
 def ghse_moment(n: int, m: int, t: int) -> np.ndarray:

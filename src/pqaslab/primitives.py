@@ -72,20 +72,6 @@ def ghse_closeness(n: int, m: int, t: int) -> float:
     return 0.5 * sum(abs(ghse[lam] - fixed[lam]) for lam in ghse)
 
 
-def ghse_closeness_dense(n: int, m: int, t: int) -> float:
-    """``ghse_closeness`` from the dense moment matrices (reference).
-
-    Both moments are real, so the difference is float64 and its trace norm
-    comes from the real symmetric eigensolver."""
-    ghse = moments.ghse_moment(n, m, t)
-    base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m)).real
-    op = base
-    for _ in range(t - 1):
-        op = np.kron(op, base)
-    scrambled = moments.haar_moment(op, t, 2**n)
-    return 0.5 * qcore.trace_norm(ghse - scrambled)
-
-
 # ---------------------------------------------------------------------------
 # EFI pairs
 

@@ -4,6 +4,8 @@ pytest's default import mode puts this directory on ``sys.path``, so test
 modules ``import reference``.
 """
 
+from functools import reduce
+
 import numpy as np
 
 from pqaslab import moments, pqas, qcore
@@ -91,6 +93,31 @@ class MixtureChannel(Channel):
 
     def kraus_trace_square_sum(self):
         return float(sum(w * c.kraus_trace_square_sum() for w, c in zip(self.weights, self.channels)))
+
+
+# ---------------------------------------------------------------------------
+# dense t-copy closeness
+
+
+def _hermitian_trace_norm(gap: np.ndarray) -> float:
+    assert np.max(np.abs(gap - gap.conj().T)) <= HERMITICITY_TOL, "dense moment lost Hermiticity"
+    return qcore.trace_norm(gap)
+
+
+def closeness_dense(partition: QubitPartition, rho: np.ndarray, t: int) -> float:
+    """``moments.closeness_exact`` from the dense Haar twirl of the padded
+    input's t copies, minus the maximally mixed target I / d^t."""
+    padded = pad_state(rho, partition)
+    moment = moments.haar_moment(reduce(np.kron, [padded] * t), t, 2**partition.z)
+    return _hermitian_trace_norm(moment - np.eye(len(moment)) / len(moment))
+
+
+def ghse_closeness_dense(n: int, m: int, t: int) -> float:
+    """``primitives.ghse_closeness`` from the dense moments: the GHSE average
+    against the Haar twirl of (|0><0|^(n-m) (x) I / 2^m)^(x t)."""
+    base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m))
+    scrambled = moments.haar_moment(reduce(np.kron, [base] * t), t, 2**n)
+    return 0.5 * _hermitian_trace_norm(moments.ghse_moment(n, m, t) - scrambled)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import attacks, cli, ensembles, harness, pqas, qcore
+from pqaslab import attacks, cli, ensembles, harness, moments, pqas, qcore
 from pqaslab.ensembles import MODES
 from pqaslab.harness import ConfigError, ResultRecord
+from pqaslab.qcore import QubitPartition
+
+import reference
 
 
 class TestConfig:
@@ -559,23 +562,21 @@ class TestRun:
             {"experiment": "decoy", "n": 1, "l": 1, "m": 2, "t": 2}, record_timing=False
         )
         dist = next(r for r in records if r.experiment == "decoy:distance")
-        assert dist.estimate == pytest.approx(dist.exact, abs=1e-12)
+        rho = qcore.pure_dm(qcore.basis_ket(2, 0))
+        assert dist.estimate == pytest.approx(0.5 * reference.closeness_dense(QubitPartition(1, 1, 2), rho, 2), abs=1e-12)
 
-    def test_exact_columns_come_from_the_dense_reference(self, monkeypatch):
-        # the exact column is filled by the dense path where it fits, and left empty past it
-        monkeypatch.setattr(harness.moments, "closeness_dense", lambda *args: 2.0)
-        monkeypatch.setattr(harness.primitives, "ghse_closeness_dense", lambda *args: 0.5)
+    def test_closeness_rows_build_no_dense_moment(self, monkeypatch):
+        # decoy and vprdm print their closed forms and leave `exact` blank: no d^t moment is built
+        def refuse(*args):
+            raise AssertionError("a dense moment was built at run time")
+
+        monkeypatch.setattr(moments, "haar_moment", refuse)
+        monkeypatch.setattr(moments, "_perm_sum", refuse)
         decoy = harness.run({"experiment": "decoy", "n": 1, "l": 1, "m": [1, 3], "t": [2, 4]}, record_timing=False)
-        dist = {(r.m, r.t): r for r in decoy if r.experiment == "decoy:distance"}
-        assert dist[1, 2].exact == 1.0 and dist[1, 4].exact == 1.0
-        assert dist[3, 2].exact == 1.0 and dist[3, 4].exact is None  # 32^4 > MAX_MOMENT_DIM
-        assert all(0.0 < r.estimate < 1.0 for r in dist.values())
-        vprdm = harness.run({"experiment": "vprdm", "n": [2, 5], "m": 1, "t": 6, "trials": 2}, record_timing=False)
-        ghse = {r.n: r for r in vprdm if r.experiment == "vprdm:ghse-closeness"}
-        assert ghse[2].exact is None and ghse[5].exact is None  # t = 6 > d = 4; 32^6 > MAX_MOMENT_DIM
-        assert all(0.0 < r.estimate < 1.0 for r in ghse.values())
-        vprdm = harness.run({"experiment": "vprdm", "n": 3, "m": 1, "t": 2, "trials": 2}, record_timing=False)
-        assert next(r for r in vprdm if r.experiment == "vprdm:ghse-closeness").exact == 0.5
+        vprdm = harness.run({"experiment": "vprdm", "n": [2, 5], "m": 1, "t": [2, 6], "trials": 2}, record_timing=False)
+        rows = [r for r in decoy + vprdm if r.experiment in ("decoy:distance", "vprdm:ghse-closeness")]
+        assert len(rows) == 8
+        assert all(r.exact is None and 0.0 < r.estimate < 1.0 for r in rows)
 
     def test_auth_sweep_exact_beyond_the_old_cap(self):
         records = harness.run(

@@ -313,63 +313,21 @@ class TestIsotypicBases:
 
 
 class TestClosedFormCloseness:
-    @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS)
+    # (1, 1, 3, 2) is the decoy point of the oracle benchmark
+    @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS + [(1, 1, 3, 2)])
     def test_matches_dense_reference(self, n, l, m, t):
         part = QubitPartition(n, l, m)
         rng = spawn_rng(7, "closed-vs-dense", n, l, m, t)
-        for rho in (qcore.pure_dm(random_pure_state(n, rng)), sample_ghse(n, n, rng)):
-            # closeness_dense: trace norm of the dense twirl of the padded input minus the maximally mixed target
-            assert abs(moments.closeness_exact(part, rho, t) - moments.closeness_dense(part, rho, t)) <= 1e-12
-
-    @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS + [(1, 1, 3, 2)])
-    def test_real_states_take_the_real_path(self, n, l, m, t, monkeypatch):
-        # (1, 1, 3, 2) is the decoy point of the oracle benchmark
-        part = QubitPartition(n, l, m)
-        solved = []
-        trace_norm = qcore.trace_norm
-        monkeypatch.setattr(moments.qcore, "trace_norm", lambda a: solved.append(a.dtype) or trace_norm(a))
         weights = np.arange(1, 2**n + 1) / (2**n * (2**n + 1) / 2)
-        states = [qcore.pure_dm(qcore.basis_ket(2**n, 0)), qcore.pure_dm(qcore.basis_ket(2**n, 1)), np.diag(weights)]
+        states = [
+            qcore.pure_dm(random_pure_state(n, rng)),
+            sample_ghse(n, n, rng),
+            qcore.pure_dm(qcore.basis_ket(2**n, 0)),
+            qcore.pure_dm(qcore.basis_ket(2**n, 1)),
+            np.diag(weights),
+        ]
         for rho in states:
-            assert abs(moments.closeness_exact(part, rho, t) - moments.closeness_dense(part, rho, t)) <= 1e-12
-        assert solved == [np.float64] * len(states)
-
-    def test_drift_check_holds_on_the_real_path(self, monkeypatch):
-        part = QubitPartition(1, 1, 1)
-        rho = qcore.pure_dm(qcore.basis_ket(2, 0))
-        # a complex rho with complex power traces has a non-Hermitian twirl
-        with pytest.raises(ArithmeticError):
-            moments.closeness_dense(part, np.diag([1.0, 1j]), 2)
-        # a real rho^(x t) has class-function permutation traces, so its twirl is
-        # symmetric; a non-symmetric real moment is planted to reach the check
-        haar_moment = moments.haar_moment
-
-        def skewed(op, t, d):
-            out = haar_moment(op, t, d)
-            assert out.dtype == np.float64
-            out[0, 1] += 1e-9
-            return out
-
-        monkeypatch.setattr(moments, "haar_moment", skewed)
-        with pytest.raises(ArithmeticError):
-            moments.closeness_dense(part, rho, 2)
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @pytest.mark.parametrize("dim,tile", [(2, 256), (12, 5), (64, 16), (300, 256)])
-    def test_tiled_symmetrization_is_the_full_expression(self, dim, tile, dtype, monkeypatch):
-        monkeypatch.setattr(moments, "TILE", tile)
-        rng = spawn_rng(10, "symmetrize", dim, tile)
-        raw = rng.standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
-        herm = raw + raw.conj().T
-        moment = herm if dtype is np.complex128 else np.ascontiguousarray(herm.real)
-        moment += 1e-12 * rng.standard_normal((dim, dim))
-        full = 0.5 * (moment + moment.conj().T)
-        moments._symmetrize(moment)
-        assert moment.dtype == dtype
-        assert moment.tobytes() == full.tobytes()
-        moment[dim - 1, 0] += 1e-9
-        with pytest.raises(ArithmeticError):
-            moments._symmetrize(moment)
+            assert abs(moments.closeness_exact(part, rho, t) - reference.closeness_dense(part, rho, t)) <= 1e-12
 
     def test_beyond_the_dense_cap(self):
         # d^t = 2^24 (z = 4, t = 6) and 2^60 (z = 10, t = 6): no dense matrix exists

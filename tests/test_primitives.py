@@ -97,7 +97,7 @@ class TestGhseCloseness:
         "n,m,t", [(2, 1, 1), (2, 0, 2), (2, 1, 2), (3, 1, 2), (3, 2, 2), (4, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (2, 1, 4)]
     )
     def test_matches_dense_reference(self, n, m, t):
-        assert abs(primitives.ghse_closeness(n, m, t) - primitives.ghse_closeness_dense(n, m, t)) <= 1e-12
+        assert abs(primitives.ghse_closeness(n, m, t) - reference.ghse_closeness_dense(n, m, t)) <= 1e-12
 
     def test_beyond_the_dense_cap(self):
         # 2^(n t) = 2^30 and a t = 6 average over 2 letters: the dense path refuses both
