@@ -106,8 +106,13 @@ def _hermitian_trace_norm(gap: np.ndarray) -> float:
 
 def closeness_dense(partition: QubitPartition, rho: np.ndarray, t: int) -> float:
     """``moments.closeness_exact`` from the dense Haar twirl of the padded
-    input's t copies, minus the maximally mixed target I / d^t."""
-    padded = pad_state(rho, partition)
+    input's t copies, minus the maximally mixed target I / d^t.  A rho with
+    zero imaginary part is padded as a real operator, so its moment is
+    float64 and its trace norm comes from the real symmetric eigensolver."""
+    factors = (rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
+    if not np.any(np.imag(rho)):
+        factors = tuple(np.real(f) for f in factors)
+    padded = reduce(np.kron, factors)
     moment = moments.haar_moment(reduce(np.kron, [padded] * t), t, 2**partition.z)
     return _hermitian_trace_norm(moment - np.eye(len(moment)) / len(moment))
 

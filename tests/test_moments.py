@@ -318,16 +318,22 @@ class TestClosedFormCloseness:
     def test_matches_dense_reference(self, n, l, m, t):
         part = QubitPartition(n, l, m)
         rng = spawn_rng(7, "closed-vs-dense", n, l, m, t)
+        for rho in (qcore.pure_dm(random_pure_state(n, rng)), sample_ghse(n, n, rng)):
+            assert abs(moments.closeness_exact(part, rho, t) - reference.closeness_dense(part, rho, t)) <= 1e-12
+
+    @pytest.mark.parametrize("n,l,m,t", DENSE_LAYOUTS + [(1, 1, 3, 2)])
+    def test_real_states_take_the_real_path(self, n, l, m, t, monkeypatch):
+        # basis kets and a real diagonal rho: the closed form matches the dense
+        # oracle, whose twirl of a real input is solved in float64
+        part = QubitPartition(n, l, m)
+        solved = []
+        trace_norm = qcore.trace_norm
+        monkeypatch.setattr(qcore, "trace_norm", lambda a: solved.append(a.dtype) or trace_norm(a))
         weights = np.arange(1, 2**n + 1) / (2**n * (2**n + 1) / 2)
-        states = [
-            qcore.pure_dm(random_pure_state(n, rng)),
-            sample_ghse(n, n, rng),
-            qcore.pure_dm(qcore.basis_ket(2**n, 0)),
-            qcore.pure_dm(qcore.basis_ket(2**n, 1)),
-            np.diag(weights),
-        ]
+        states = [qcore.pure_dm(qcore.basis_ket(2**n, 0)), qcore.pure_dm(qcore.basis_ket(2**n, 1)), np.diag(weights)]
         for rho in states:
             assert abs(moments.closeness_exact(part, rho, t) - reference.closeness_dense(part, rho, t)) <= 1e-12
+        assert solved == [np.float64] * len(states)
 
     def test_beyond_the_dense_cap(self):
         # d^t = 2^24 (z = 4, t = 6) and 2^60 (z = 10, t = 6): no dense matrix exists
