@@ -147,8 +147,12 @@ def _haar(rows: int, cols: int, rngs: Sequence[np.random.Generator]) -> np.ndarr
     drawn as one (2, rows, cols) block of standard normals (real part, then
     imaginary) and thin-QR'd.  The Q factor of a thin Ginibre block is
     distributed as any cols columns of a Haar unitary (Mezzadri, Notices AMS
-    54, 2007); cols == rows gives Haar unitaries."""
-    return _unitarize(_ginibre(np.stack([rng.standard_normal((2, rows, cols)) for rng in rngs])))
+    54, 2007); cols == rows gives Haar unitaries.  Each generator fills its
+    slot of one preallocated buffer, the same normals it would draw alone."""
+    normals = np.empty((len(rngs), 2, rows, cols))
+    for rng, block in zip(rngs, normals):
+        rng.standard_normal(out=block)
+    return _unitarize(_ginibre(normals))
 
 
 def sample_haar_batch(z: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

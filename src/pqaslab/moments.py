@@ -9,7 +9,8 @@ rule, f_lambda from the hook-length formula and s_lambda(1^d) from the
 hook-content formula, so a t-copy trace norm becomes a sum over p(t)
 diagrams and never builds a d^t matrix.  Sampled operators that commute with
 the copy permutations but not with U^(x t) are only block diagonal, not
-block scalar; ``isotypic_bases`` gives orthonormal bases of those blocks.
+block scalar; ``isotypic_bases`` gives orthonormal bases of those blocks,
+orbit by orbit, as gather tables.
 
 The Weingarten function is the same character sum (Collins-Sniady),
 
@@ -242,36 +243,97 @@ def block_traces(weight: Callable[[Shape], float], t: int, d: int) -> dict[Shape
     return out
 
 
-def isotypic_projector(lam: Shape, d: int) -> np.ndarray:
-    """Dense Pi_lam = (f_lam / t!) sum_pi chi_lam(pi) P(pi) on (C^d)^(x t).
+def _orbit_letters(mu: Shape) -> np.ndarray:
+    """The S_t orbit of the letter tuple with mu[a] copies of letter a, as a
+    (size, t) array in lexicographic order."""
+    word = [a for a, k in enumerate(mu) for _ in range(k)]
+    return np.array(sorted(set(itertools.permutations(word))), dtype=np.int64)
 
-    Real and symmetric, since chi_lam(pi) = chi_lam(pi^-1).  The integer
-    characters are summed exactly and scaled once, so each entry is rounded
-    once.
+
+def _orbit_values(mu: Shape, d: int) -> np.ndarray:
+    """One row of distinct values v_a < d per S_t orbit of pattern mu in
+    (C^d)^(x t): letter a of the pattern stands for value v_a, and letters
+    with equal multiplicity take increasing values, so each orbit is listed
+    once."""
+    rows = [
+        v
+        for v in itertools.permutations(range(d), len(mu))
+        if all(v[a] < v[a + 1] for a in range(len(mu) - 1) if mu[a] == mu[a + 1])
+    ]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(mu))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def basis_width(basis) -> int:
+    """Number of columns of a basis stored as (index, weight) tables: orbits
+    times rank, summed over the tables."""
+    return sum(index.shape[0] * weight.shape[1] for index, weight in basis)
+
+
+@lru_cache(maxsize=None)
+def isotypic_bases(t: int, d: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+    """Orthonormal bases B_lam of the isotypic blocks of (C^d)^(x t), built
+    orbit by orbit.
+
+    Pi_lam = (f_lam / t!) sum_pi chi_lam(pi) P(pi) commutes with every P(pi),
+    so it maps the span of each S_t orbit of computational-basis tuples to
+    itself, and every column of B_lam can be chosen on one orbit.  Orbits
+    with the same multiplicity pattern mu (a partition of t with at most d
+    parts) are relabellings of one letter orbit, so one ``eigh`` per pattern,
+    of sum_lam k_lam Pi_lam on that orbit (at most t! x t!), splits it into
+    its blocks; no d^t x d^t matrix is formed.
+
+    One entry per Young diagram lam with at most d rows, in ``partitions``
+    order: a tuple of (index, weight) pairs, one per pattern on which lam
+    lives.  ``index`` (orbits, size) holds the flat indices of the tuples of
+    each orbit of the pattern, in the order of its letter orbit, and
+    ``weight`` (size, rank) is real with orthonormal columns.  B_lam has the
+    columns of ``weight`` on the rows ``index[o]`` of each orbit o, pattern
+    by pattern and orbit by orbit: D_lam = f_lam s_lam(1^d) columns, and the
+    B_lam together are an orthogonal matrix.  An operator X that commutes
+    with every P(pi) is block diagonal in them, so
+    ||X||_1 = sum_lam ||B_lam^T X B_lam||_1.  The tables are read-only and
+    cached per (t, d).
     """
-    t = sum(lam)
-    f, _ = irrep_dims(lam, d)
-    chars = {p: float(character(lam, cycle_type(p))) for p in permutations(t)}
-    return _perm_sum(chars, d) * (f / math.factorial(t))
-
-
-def isotypic_bases(t: int, d: int) -> list[np.ndarray]:
-    """Orthonormal bases B_lam of the isotypic blocks of (C^d)^(x t).
-
-    One real d^t x D_lam matrix per Young diagram with at most d rows, with
-    D_lam = f_lam s_lam(1^d); together they are an orthogonal matrix.  An
-    operator X that commutes with every P(pi) is block diagonal in them, so
-    ||X||_1 = sum_lam ||B_lam^T X B_lam||_1.
-    """
+    lams = partitions(t)
+    perms = permutations(t)
+    fact = math.factorial(t)
+    # label lam by its position k_lam; P(pi) sends letter tuple e to e[pi^-1]
+    coeffs = [
+        sum(k * irrep_dims(lam, d)[0] * character(lam, cycle_type(p)) for k, lam in enumerate(lams)) / fact
+        for p in perms
+    ]
+    pinvs = np.array([invert(p) for p in perms], dtype=np.int64)
+    place = t ** np.arange(t - 1, -1, -1)
+    power = d ** np.arange(t - 1, -1, -1)
+    pairs: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in lams]
+    for mu in lams:
+        if len(mu) > d:
+            continue
+        letters = _orbit_letters(mu)
+        codes = letters @ place
+        size = len(letters)
+        images = np.searchsorted(codes, letters[:, pinvs] @ place)  # (size, perms)
+        op = np.zeros((size, size))
+        np.add.at(op, (images, np.arange(size)[:, None]), np.array(coeffs))
+        vals, vecs = np.linalg.eigh(op)
+        labels = np.rint(vals).astype(int)
+        index = _read_only(_orbit_values(mu, d)[:, letters] @ power)
+        for k in sorted(set(labels.tolist())):
+            pairs[k].append((index, _read_only(vecs[:, labels == k])))
     bases = []
-    for lam in partitions(t):
+    for lam, lam_pairs in zip(lams, pairs):
         f, s = irrep_dims(lam, d)
         if s:
-            vals, vecs = np.linalg.eigh(isotypic_projector(lam, d))
-            bases.append(vecs[:, vals > 0.5])
-            if bases[-1].shape[1] != f * s:
-                raise ArithmeticError(f"block {lam} has rank {bases[-1].shape[1]}, expected {f * s}")
-    return bases
+            rank = basis_width(lam_pairs)
+            if rank != f * s:
+                raise ArithmeticError(f"block {lam} has rank {rank}, expected {f * s}")
+            bases.append(tuple(lam_pairs))
+    return tuple(bases)
 
 
 # ---------------------------------------------------------------------------

@@ -154,24 +154,22 @@ def prediction_slack(partition: QubitPartition, channel: Channel) -> float:
 
 
 def _p0_fprime_stack(tagged: np.ndarray, psi: np.ndarray, channel: Channel):
-    """(P0, F') of every key in a stack of tag-|0> columns, shape
+    """(P0, F') of every key in a stack of tag-|0> columns Y, shape
     (keys, d, dn, dm), for a pure message psi.
 
     The padded input is rho_ext = C C^dag / 2^m with C = psi (x) |0>_tag (x) I_m
-    of rank 2^m, so the encrypted state is W W^dag / 2^m with W = U C.  With
-    G = Gamma(W W^dag / 2^m), P0 = sum_y y^dag G y over the tag-|0> columns y
-    of U and F' = sum_j w_j^dag G w_j over the columns w_j of W; G y is
-    computed once and contracted with psi for G W.  U^dag G U is never
-    formed.
+    of rank 2^m, so the encrypted state is W W^dag / 2^m with W = Y (psi (x) I_m).
+    Everything is read off the (2^n 2^m)^2 matrix
+    M = Y^dag Gamma(W W^dag / 2^m) Y (``Channel.compress``): P0 = tr M, and
+    F' = tr((psi (x) I)^dag M (psi (x) I)) = sum_j w_j^dag Gamma(.) w_j over
+    the columns w_j of W.  Channels with a Gram form never build a d x d
+    matrix.
     """
     keys, d, dn, dm = tagged.shape
     w = np.einsum("kxaj,a->kxj", tagged, psi)
-    gamma = channel.apply(w @ w.conj().transpose(0, 2, 1) / dm)
-    y = tagged.reshape(keys, d, dn * dm)
-    gamma_y = gamma @ y
-    p0 = np.einsum("kxc,kxc->k", y.conj(), gamma_y).real
-    gamma_w = np.einsum("kxaj,a->kxj", gamma_y.reshape(keys, d, dn, dm), psi)
-    fprime = np.einsum("kxj,kxj->k", w.conj(), gamma_w).real
+    m = channel.compress(w, tagged.reshape(keys, d, dn * dm)) / dm
+    p0 = np.trace(m, axis1=1, axis2=2).real
+    fprime = np.einsum("a,kajbj,b->k", psi.conj(), m.reshape(keys, dn, dm, dn, dm), psi).real
     return p0, fprime
 
 
@@ -256,10 +254,14 @@ def auth_sweep(
     isometry in ``haar_exact`` mode).  The keys are drawn and evaluated in
     stacks of at most ``ensembles.STACK_ENTRIES`` complex entries of U (64
     keys at z = 5, one key from z = 8 on), each key bitwise the one a lone
-    draw from its trial stream gives.  A stack is
-    pushed through the channel as its rank-2^m factors W = U C of the padded
-    input rho_ext = C C^dag / 2^m, and P0 and F' are read off as traces
-    against the tag-|0> columns of U and against W.
+    draw from its trial stream gives.  A stack is pushed through the
+    channel as its rank-2^m factors W = U C of the padded input
+    rho_ext = C C^dag / 2^m, and P0 and F' are read off
+    Y^dag Gamma(W W^dag) Y (``_p0_fprime_stack``).  For the identity and
+    global depolarizing channels that matrix is a Gram form, and since Y is
+    an isometry every key gives the same P0 and F'; the keys are drawn all
+    the same, since ``trials``, ``mode`` and ``seed`` are read fields of
+    the row.
     """
     if trials < MIN_AUTH_TRIALS:
         raise ValueError(f"need at least {MIN_AUTH_TRIALS} trials for stable statistics")
@@ -334,41 +336,106 @@ def _psd_factor(rho: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _product_batch_sum(phis: np.ndarray, t: int) -> np.ndarray:
-    """sum_i phi_i^(x t) as one Gram product of the vec(phi_i).
+def _product_batch_gram(phis: np.ndarray, t: int) -> np.ndarray:
+    """sum_i phi_i^(x t) as one Gram product of the vec(phi_i), left in the
+    digit order (a_1, c_1, ..., a_t, c_t) of row a and column c.
 
     Row i of ``flat`` is vec(phi_i); ``rows`` holds its Khatri-Rao power of
-    t - 1 copies, so flat^T rows carries every entry of the sum with index
-    order (a_1, c_1, ..., a_t, c_t), transposed here to rows then columns.
+    t - 1 copies, so flat^T rows carries every entry of the sum; it is read
+    in place (``_orbit_gathers``), never transposed.
     """
     n, d, _ = phis.shape
     flat = phis.reshape(n, d * d)
     rows = np.ones((n, 1), dtype=complex)
     for _ in range(t - 1):
         rows = (rows[:, :, None] * flat[:, None, :]).reshape(n, -1)
-    gram = flat.T @ rows
-    axes = list(range(0, 2 * t, 2)) + list(range(1, 2 * t, 2))
-    return gram.reshape((d,) * (2 * t)).transpose(axes).reshape(d**t, d**t)
+    return (flat.T @ rows).ravel()
 
 
-def _joint_batch_sum(ys: np.ndarray, factor: np.ndarray, t: int) -> np.ndarray:
-    """sum_i W_i W_i^dag with W_i = (Y_i^(x t) (x) I) V, as one Gram product,
-    for tag-|0> column stacks ys (n, d, dn, dm) and V a factor of the joint
-    input padded by ``_pad_joint_state``."""
+def _orbit_gathers(bases, d: int, t: int) -> list:
+    """What ``_product_blocks`` reads for each orbit basis B, per pair of its
+    tables (row table, then column table): ``at`` (o, p, u), the positions
+    in the raveled ``_product_batch_gram`` product of X[I_o, J] for the first
+    tuple I_o of each row orbit o and every tuple J of each column orbit p,
+    and ``k`` (u, a, b) with sum_g X[I_o, J_pg] k[g] = the (o, p) block of
+    B^T X B.  Row I and column J of X sit at d s(I) + s(J), with s(I) the
+    digits of I spread to every second place of a 2t-digit number.
+
+    X commutes with every P(pi), so X[pi I_o, J] = X[I_o, pi^-1 J]: each row
+    of an orbit pair's block of X is a permutation of its first, and k folds
+    that permutation into the weights, k[g, a, b] = sum_e R[e, a] C[pi_e g, b]
+    with pi_e taking I_o to the e-th tuple of its orbit.
+    """
+    power = d ** np.arange(t - 1, -1, -1)
+
+    def digits(flat):
+        return flat[..., None] // power % d
+
+    spread = digits(np.arange(d**t)) @ power**2
+    plans = []
+    for basis in bases:
+        plan = []
+        for row_index, row_weight in basis:
+            first = digits(row_index[0])
+            # pinv[e] permutes tuple 0 of the orbit into tuple e: first[0][pinv[e]] == first[e]
+            pinv = np.empty_like(first)
+            np.put_along_axis(pinv, np.argsort(first, axis=1, kind="stable"), np.argsort(first[0], kind="stable"), 1)
+            plan.append([])
+            for col_index, col_weight in basis:
+                moved = digits(col_index[0])[:, pinv] @ power  # (u, s): pi_e applied to tuple g
+                sorter = np.argsort(col_index[0])
+                image = sorter[np.searchsorted(col_index[0], moved, sorter=sorter)]
+                k = np.einsum("ea,geb->gab", row_weight, col_weight[image]).astype(complex)
+                at = d * spread[row_index[:, 0]][:, None, None] + spread[col_index]
+                plan[-1].append((at, k))
+        plans.append(plan)
+    return plans
+
+
+def _product_blocks(gram: np.ndarray, plans) -> list[np.ndarray]:
+    """B^T X B for each orbit basis (``moments.isotypic_bases``) of the
+    operator X held by the raveled ``_product_batch_gram`` product, read by
+    gathers at the positions ``_orbit_gathers`` planned: one row per orbit
+    pair, contracted with its folded weights."""
+    blocks = []
+    for plan in plans:
+        rows = []
+        for row in plan:
+            rows.append([])
+            for at, k in row:
+                o, p, u = at.shape
+                h = (gram[at].reshape(o * p, u) @ k.reshape(u, -1)).reshape(o, p, *k.shape[1:])
+                rows[-1].append(h.transpose(0, 2, 1, 3).reshape(o * k.shape[1], p * k.shape[2]))
+        blocks.append(np.block(rows))
+    return blocks
+
+
+def _joint_batch_factor(ys: np.ndarray, factor: np.ndarray, t: int) -> np.ndarray:
+    """W = [W_1 ... W_n] with W_i = (Y_i^(x t) (x) I) V, for tag-|0> column
+    stacks ys (n, d, dn, dm) and V a factor of the joint input padded by
+    ``_pad_joint_state``: the batch sum is W W^dag, with rows (copies,
+    purification)."""
     n, d, dn, dm = ys.shape
     y = ys.reshape(n, d, dn * dm)
     w = factor[None]
     for copy in range(t):
         w = np.matmul(y[:, None], w.reshape(w.shape[0], d**copy, dn * dm, -1))
-    w = w.reshape(n, -1, factor.shape[1]).transpose(1, 0, 2).reshape(-1, n * factor.shape[1])
-    return w @ w.conj().T
+    return w.reshape(n, -1, factor.shape[1]).transpose(1, 0, 2).reshape(-1, n * factor.shape[1])
 
 
-def _block(gap: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """basis^T gap basis for a complex gap and a real basis, as two real
-    products on float views (real and imaginary parts interleaved)."""
-    left = (basis.T @ gap.view(float)).view(complex)
-    return (basis.T @ np.ascontiguousarray(left.T).view(float)).view(complex).T
+def _joint_blocks(w: np.ndarray, bases, dq: int) -> list[np.ndarray]:
+    """(B_lam (x) I_q)^T W W^dag (B_lam (x) I_q) for each orbit basis, as
+    Z Z^dag with Z = (B_lam (x) I_q)^T W: each orbit's rows of W are gathered
+    and contracted with its weight table, the purification index riding
+    along as a trailing axis."""
+    w = w.reshape(-1, dq, w.shape[1])
+    blocks = []
+    for basis in bases:
+        z = np.concatenate(
+            [np.einsum("sr,osqc->orqc", weight, w[index]).reshape(-1, w.shape[2]) for index, weight in basis]
+        )
+        blocks.append(z @ z.conj().T)
+    return blocks
 
 
 REPLICATE_CHUNK_BYTES = 2**20
@@ -439,17 +506,24 @@ def security_scan(
     stream (all derived at once by ``spawn_rngs``), and each batch draws its
     keys as one stack of tag-|0> columns Y_i (``sample_scramblers``; in
     ``haar_exact`` mode sliced from whole Haar unitaries, the stream this
-    scan has always read).  A batch
-    sums the encrypted copies in one Gram product: of the vec(phi_i) over
-    their Khatri-Rao powers for product input, each phi_i the
-    ``scramble_padded`` ciphertext, or of W_i = (Y_i^(x t) (x) I) V for a
-    joint input padded with its mixed registers as V V^dag.
-    When the input commutes with permutations of the copies, so does every
-    batch mean, and each is kept only as its blocks B_lam^T (mean - target)
-    B_lam on the isotypic components of the copy action, formed in real
-    arithmetic (``_block``); the raw estimate, the jackknife's
-    leave-one-out values and the witness are sums over blocks.  A joint
-    input that is not copy-symmetric (to 1e-12), or t beyond
+    scan has always read).  When the input commutes with permutations of
+    the copies, so does every batch mean, and each is kept only as its
+    blocks B_lam^T (mean - target) B_lam on the isotypic components of the
+    copy action; the raw estimate, the jackknife's leave-one-out values and
+    the witness are sums over blocks.  Every column of B_lam lives on one
+    S_t orbit of basis tuples (``moments.isotypic_bases``), so the blocks
+    are read by gathers and no d^t x d^t basis product, transpose or gap
+    is formed:
+    - product input: the batch sum of phi_i^(x t), each phi_i the
+      ``scramble_padded`` ciphertext, is one Gram product of the vec(phi_i)
+      over their Khatri-Rao powers, read in place at one row per orbit pair
+      (``_orbit_gathers``, ``_product_blocks``);
+    - joint input, padded with its mixed registers as V V^dag: the batch sum
+      is W W^dag with W = [(Y_i^(x t) (x) I) V]_i, and each block is
+      Z Z^dag with Z the orbit rows of W contracted with the weights, the
+      purification register a trailing index (``_joint_blocks``).
+    The target I/d^t (x) rho_q is subtracted on the block diagonals.  A
+    joint input that is not copy-symmetric (to 1e-12), or t beyond
     ``moments.MAX_T``, gets the single identity block.
     """
     if (rho is None) == (rho_g is None):
@@ -469,31 +543,30 @@ def security_scan(
     dq = 2**q
     dz = 2**z
     dzt = dz**t
-    dim = dzt * dq
     if rho is not None:
-        target = np.eye(dim, dtype=complex) / dim
+        rho_q = np.ones((1, 1))
         symmetric = True
     else:
         factor = _psd_factor(_pad_joint_state(rho_g, partition, t, q))
         rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
-        target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
         symmetric = _copy_symmetric(rho_g, 2**partition.n, t, dq)
     if symmetric and t <= moments.MAX_T:
-        bases = [np.kron(basis, np.eye(dq)) for basis in moments.isotypic_bases(t, dz)]
+        bases = moments.isotypic_bases(t, dz)
     else:
-        bases = [np.eye(dim)]
+        bases = (((np.arange(dzt)[:, None], np.ones((1, 1))),),)
+    targets = [np.kron(np.eye(moments.basis_width(basis)), rho_q) / dzt for basis in bases]
+    plans = _orbit_gathers(bases, dz, t) if rho is not None else None
 
     rngs = spawn_rngs(seed, ("security-scan",), range(trials))
-    diffs = [np.empty((SCAN_BATCHES, basis.shape[1], basis.shape[1]), dtype=complex) for basis in bases]
+    diffs = [np.empty((SCAN_BATCHES, *target.shape), dtype=complex) for target in targets]
     for b in range(SCAN_BATCHES):
         ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)), full=True)
         if rho is not None:
-            total = _product_batch_sum(scramble_padded(rho, ys), t)
+            blocks = _product_blocks(_product_batch_gram(scramble_padded(rho, ys), t), plans)
         else:
-            total = _joint_batch_sum(ys, factor, t)
-        gap = total / per_batch - target
-        for basis, diff in zip(bases, diffs):
-            diff[b] = _block(gap, basis)
+            blocks = _joint_blocks(_joint_batch_factor(ys, factor, t), bases, dq)
+        for block, target, diff in zip(blocks, targets, diffs):
+            np.subtract(block / per_batch, target, out=diff[b])
 
     raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
     witness, witness_se = _mean_stderr(_witness(diffs))

@@ -228,19 +228,37 @@ def swap_test_accept(a: np.ndarray, b: np.ndarray) -> float:
 # channels
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _gram(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Y^dag W W^dag Y as (Y^dag W)(Y^dag W)^dag, never forming W W^dag."""
+    yw = _adjoint(y) @ w
+    return yw @ _adjoint(yw)
+
+
 class Channel:
     """CPTP map with enough structure for the closed-form fidelity functionals.
 
     Subclasses provide ``apply`` and ``kraus_trace_square_sum`` =
     sum_i |tr K_i|^2, which fixes the Haar-twirled channel and with it the
     exact P0/F' means.  ``apply`` acts on one (d, d) matrix or on a
-    (..., d, d) stack of them, each matrix separately.
+    (..., d, d) stack of them, each matrix separately.  ``compress`` reads
+    the channel's output on a rank-r input through c columns only; the
+    default goes through ``apply``, and channels with a Gram form override
+    it.
     """
 
     dim: int
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def compress(self, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Y^dag Gamma(W W^dag) Y for (..., d, r) W and (..., d, c) Y stacks,
+        shape (..., c, c); here densely, through the (..., d, d) output."""
+        return _adjoint(y) @ self.apply(w @ _adjoint(w)) @ y
 
     def kraus_trace_square_sum(self) -> float:
         raise NotImplementedError
@@ -252,6 +270,9 @@ class IdentityChannel(Channel):
 
     def apply(self, rho):
         return rho.copy()
+
+    def compress(self, w, y):
+        return _gram(y, w)
 
     def kraus_trace_square_sum(self):
         return float(self.dim**2)
@@ -267,6 +288,9 @@ class UnitaryChannel(Channel):
 
     def apply(self, rho):
         return self.v @ rho @ self.v.conj().T
+
+    def compress(self, w, y):
+        return _gram(y, self.v @ w)
 
     def kraus_trace_square_sum(self):
         return float(abs(np.trace(self.v)) ** 2)
@@ -297,6 +321,11 @@ class DepolarizingChannel(Channel):
         out += scaled * 0.0 / d
         diag[...] = on
         return out
+
+    def compress(self, w, y):
+        # unitarily covariant: (1-p) Y^dag W W^dag Y + p tr(W W^dag)/d Y^dag Y
+        norm = np.sum(np.abs(w) ** 2, axis=(-2, -1))[..., None, None]
+        return (1.0 - self.p) * _gram(y, w) + (self.p / self.dim) * norm * (_adjoint(y) @ y)
 
     def kraus_trace_square_sum(self):
         # only the identity Kraus operator sqrt(1 - p + p/d^2) I has a trace

@@ -4,6 +4,7 @@ pytest's default import mode puts this directory on ``sys.path``, so test
 modules ``import reference``.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -123,6 +124,41 @@ def ghse_closeness_dense(n: int, m: int, t: int) -> float:
     base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m))
     scrambled = moments.haar_moment(reduce(np.kron, [base] * t), t, 2**n)
     return 0.5 * _hermitian_trace_norm(moments.ghse_moment(n, m, t) - scrambled)
+
+
+# ---------------------------------------------------------------------------
+# isotypic blocks of (C^d)^(x t)
+
+
+def isotypic_projector(lam, d: int) -> np.ndarray:
+    """Dense Pi_lam = (f_lam / t!) sum_pi chi_lam(pi) P(pi) on (C^d)^(x t).
+
+    Real and symmetric, since chi_lam(pi) = chi_lam(pi^-1).  The integer
+    characters are summed exactly and scaled once, so each entry is rounded
+    once.
+    """
+    t = sum(lam)
+    f, _ = moments.irrep_dims(lam, d)
+    chars = {p: float(moments.character(lam, moments.cycle_type(p))) for p in moments.permutations(t)}
+    return moments._perm_sum(chars, d) * (f / math.factorial(t))
+
+
+def dense_isotypic_basis(lam, d: int) -> np.ndarray:
+    """An orthonormal basis of the range of the dense projector, from its eigh."""
+    vals, vecs = np.linalg.eigh(isotypic_projector(lam, d))
+    return vecs[:, vals > 0.5]
+
+
+def orbit_basis_dense(basis, dim: int) -> np.ndarray:
+    """The dim x D matrix B_lam that ``moments.isotypic_bases`` stores as
+    (index, weight) tables: each weight table's columns on each orbit's rows."""
+    cols = []
+    for index, weight in basis:
+        for rows in index:
+            block = np.zeros((dim, weight.shape[1]))
+            block[rows] = weight
+            cols.append(block)
+    return np.hstack(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,17 @@ class TestHaar:
             assert np.array_equal(u, q * (np.diag(r) / np.abs(np.diag(r))))
 
 
+class TestHaarBuffer:
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (8, 4), (16, 16), (32, 2)])
+    def test_buffer_fill_is_the_per_generator_draw(self, rows, cols):
+        """``_haar`` fills one buffer per stack; each slot holds exactly the
+        normals its generator draws alone, so every draw is bitwise the
+        per-generator stack's."""
+        got = _haar(rows, cols, [spawn_rng(27, "buffer", rows, cols, i) for i in range(9)])
+        normals = np.stack([spawn_rng(27, "buffer", rows, cols, i).standard_normal((2, rows, cols)) for i in range(9)])
+        assert got.tobytes() == ensembles._unitarize(ensembles._ginibre(normals)).tobytes()
+
+
 def ginibre_qr(rng, rows, cols):
     """The unbatched Ginibre-QR recipe: one (rows, cols) block of real and
     then one of imaginary normals, QR'd, with the R phases moved into Q."""

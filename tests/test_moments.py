@@ -292,24 +292,59 @@ DENSE_LAYOUTS = [
 ]
 
 
+def _blocks_with_diagrams(t, d):
+    lams = [lam for lam in moments.partitions(t) if moments.irrep_dims(lam, d)[1]]
+    bases = moments.isotypic_bases(t, d)
+    assert len(bases) == len(lams)
+    return list(zip(lams, (reference.orbit_basis_dense(basis, d**t) for basis in bases)))
+
+
+# t <= 4 at d in {2, 3, 4}, and t = 5, 6 at d = 2
+BASIS_CASES = [(t, d) for t in range(1, 5) for d in (2, 3, 4)] + [(5, 2), (6, 2)]
+
+
 class TestIsotypicBases:
-    @pytest.mark.parametrize("t,d", [(1, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("t,d", BASIS_CASES)
     def test_block_trace_norms_sum_to_full(self, t, d):
-        bases = moments.isotypic_bases(t, d)
-        stacked = np.hstack(bases)
+        """The orbit bases are orthonormal, span the dense projectors, and
+        block-diagonalize a permutation-invariant operator."""
+        blocks = _blocks_with_diagrams(t, d)
+        stacked = np.hstack([basis for _, basis in blocks])
         assert np.max(np.abs(stacked.T @ stacked - np.eye(d**t))) <= 1e-12
-        for lam, basis in zip([lam for lam in moments.partitions(t) if moments.irrep_dims(lam, d)[1]], bases):
+        for lam, basis in blocks:
             f, s = moments.irrep_dims(lam, d)
             assert basis.shape[1] == f * s
-            proj = moments.isotypic_projector(lam, d)
-            assert np.max(np.abs(basis @ basis.T - proj)) <= 1e-12
+            assert np.max(np.abs(basis @ basis.T - reference.isotypic_projector(lam, d))) <= 1e-12
         rng = spawn_rng(9, "invariant", t, d)
         raw = rng.standard_normal((d**t, d**t)) + 1j * rng.standard_normal((d**t, d**t))
         herm = raw + raw.conj().T
         perms = [reference.permutation_operator(p, d) for p in moments.permutations(t)]
         invariant = sum(p @ herm @ p.T for p in perms)
         invariant /= qcore.trace_norm(invariant)
-        assert abs(sum(qcore.trace_norm(b.T @ invariant @ b) for b in bases) - 1.0) <= 1e-12
+        assert abs(sum(qcore.trace_norm(b.T @ invariant @ b) for _, b in blocks) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t,d", [(2, 4), (3, 3), (4, 2), (6, 2)])
+    def test_each_table_lists_whole_orbits(self, t, d):
+        """Every row of an index table is one S_t orbit (the digit multiset is
+        shared and all its arrangements are there), and a diagram's tables
+        cover disjoint orbits."""
+        power = d ** np.arange(t - 1, -1, -1)
+        for basis in moments.isotypic_bases(t, d):
+            seen = np.concatenate([index.ravel() for index, _ in basis])
+            assert len(np.unique(seen)) == len(seen)
+            for index, weight in basis:
+                assert index.shape[1] == weight.shape[0]
+                for orbit in index:
+                    digits = orbit[:, None] // power % d
+                    assert len({tuple(sorted(row)) for row in digits}) == 1
+                    assert len(set(itertools.permutations(digits[0]))) == len(orbit)
+
+    def test_tables_are_cached_and_read_only(self):
+        bases = moments.isotypic_bases(3, 2)
+        assert moments.isotypic_bases(3, 2) is bases
+        for basis in bases:
+            for index, weight in basis:
+                assert not index.flags.writeable and not weight.flags.writeable
 
 
 class TestClosedFormCloseness:

@@ -1,6 +1,8 @@
 """Protocol operations: encryption, authentication, fidelity functionals,
 and their exact Haar averages."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -445,6 +447,26 @@ class TestAuthSweepMatchesPerTrialReference:
         assert [len(ys) for ys in pqas._auth_key_stacks(QubitPartition(4, 2, 2), "haar_exact", 24, 3)] == [1, 1, 1]
 
 
+class TestCovariantTamperIsKeyIndependent:
+    """Under identity and global depolarizing tamper every key reads the same
+    P0 = (1 - p) + p 2^-l and F' = (1 - p) + p 2^-(n + l): Y is an isometry,
+    so the Gram form Y^dag Gamma(W W^dag) Y does not depend on it."""
+
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed"])
+    @pytest.mark.parametrize("n,l,m", [(1, 1, 1), (2, 2, 1), (1, 2, 2)])
+    def test_every_key_reads_the_closed_form(self, n, l, m, mode):
+        part = QubitPartition(n, l, m)
+        psi = random_pure_state(n, spawn_rng(25, "covariant", n, l, m))
+        (ys,) = list(pqas._auth_key_stacks(part, mode, 26, 30))
+        d = 2**part.z
+        cases = [(0.0, qcore.IdentityChannel(d))] + [(p, qcore.DepolarizingChannel(d, p)) for p in (0.1, 0.5, 1.0)]
+        for p, chan in cases:
+            p0, fprime = pqas._p0_fprime_stack(ys, psi, chan)
+            assert p0.shape == fprime.shape == (30,)
+            assert np.max(np.abs(p0 - ((1 - p) + p * 2.0**-l))) <= 1e-12
+            assert np.max(np.abs(fprime - ((1 - p) + p * 2.0 ** -(n + l)))) <= 1e-12
+
+
 class TestSecurityScan:
     def test_t1_is_null(self):
         part = QubitPartition(1, 1, 1)
@@ -615,15 +637,51 @@ class TestScanMatchesPerTrialReference:
             assert pqas._copy_symmetric(kwargs["rho_g"], 2**part.n, t, 2**q) == symmetric
 
 
-class TestRealBlockProjection:
-    @pytest.mark.parametrize("dim,width", [(4, 4), (16, 10), (64, 36), (128, 56)])
-    def test_matches_the_complex_product(self, dim, width):
-        rng = spawn_rng(43, "block", dim, width)
-        gap = rng.standard_normal((dim, dim, 2)) @ np.array([1.0, 1j])
-        basis, _ = np.linalg.qr(rng.standard_normal((dim, width)))
-        got = pqas._block(gap, basis)
-        assert got.shape == (width, width)
-        assert np.max(np.abs(got - basis.T @ gap @ basis)) <= 1e-12
+class TestOrbitBlocks:
+    """The scan's blocks, read by gathers from the Gram product (q = 0) or
+    from the joint factor W (q = 1), against B^T X B with B from the eigh of
+    the dense projector: equal spectra, to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "t,d,q", [(1, 4, 0), (2, 4, 0), (2, 8, 0), (3, 2, 0), (3, 4, 0), (4, 2, 0), (2, 4, 1), (3, 2, 1)]
+    )
+    def test_gathered_blocks_have_the_dense_spectra(self, t, d, q):
+        rng = spawn_rng(43, "orbit-blocks", t, d, q)
+        bases = moments.isotypic_bases(t, d)
+        dq = 2**q
+        if q == 0:
+            # a sum of Hermitian t-th tensor powers: Hermitian, and it commutes with every P(pi)
+            raw = rng.standard_normal((5, d, d, 2)) @ np.array([1.0, 1j])
+            phis = (raw + raw.conj().transpose(0, 2, 1)) / d
+            dense = sum(reduce(np.kron, [phi] * t) for phi in phis)
+            blocks = pqas._product_blocks(pqas._product_batch_gram(phis, t), pqas._orbit_gathers(bases, d, t))
+        else:
+            w = rng.standard_normal((d**t * dq, 6, 2)) @ np.array([1.0, 1j]) / d
+            dense = w @ w.conj().T
+            blocks = pqas._joint_blocks(w, bases, dq)
+        lams = [lam for lam in moments.partitions(t) if moments.irrep_dims(lam, d)[1]]
+        assert len(blocks) == len(lams)
+        for lam, basis, block in zip(lams, bases, blocks):
+            orbit = np.kron(reference.orbit_basis_dense(basis, d**t), np.eye(dq))
+            assert np.max(np.abs(block - orbit.T @ dense @ orbit)) <= 1e-12
+            eig = np.kron(reference.dense_isotypic_basis(lam, d), np.eye(dq))
+            spectrum = np.linalg.eigvalsh(eig.T @ dense @ eig)
+            assert np.max(np.abs(np.linalg.eigvalsh(block) - spectrum)) <= 1e-12
+
+    @pytest.mark.parametrize("t,d", [(1, 4), (2, 4), (3, 2)])
+    def test_identity_basis_reads_the_whole_operator(self, t, d):
+        # the single block a product input gets beyond moments.MAX_T
+        rng = spawn_rng(44, "identity-basis", t, d)
+        phis = rng.standard_normal((3, d, d, 2)) @ np.array([1.0, 1j])
+        identity = (((np.arange(d**t)[:, None], np.ones((1, 1))),),)
+        (block,) = pqas._product_blocks(pqas._product_batch_gram(phis, t), pqas._orbit_gathers(identity, d, t))
+        assert np.max(np.abs(block - sum(reduce(np.kron, [phi] * t) for phi in phis))) <= 1e-12
+
+    def test_scan_builds_no_dense_projector(self, monkeypatch):
+        moments.isotypic_bases.cache_clear()
+        monkeypatch.setattr(moments, "_perm_sum", lambda *a: pytest.fail("dense permutation sum"))
+        rep = pqas.security_scan(QubitPartition(1, 1, 2), 2, 0, 100, seed=3, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+        assert rep.lower <= rep.upper
 
 
 def _random_blocks(sizes):

@@ -349,3 +349,22 @@ class TestStackedApply:
         stacked = chan.apply(np.array(cases))
         for rho, image in zip(cases, stacked):
             assert image.tobytes() == chan.apply(rho).tobytes()
+
+
+class TestGramForms:
+    """Each channel's ``compress`` (a Gram form where the channel has one)
+    equals the dense default Y^dag Gamma(W W^dag) Y through ``apply``."""
+
+    @pytest.mark.parametrize("z", [1, 2, 4])
+    def test_matches_the_dense_default(self, z):
+        rng = spawn_rng(22, "gram-forms", z)
+        d = 2**z
+        channels = _one_channel_per_subclass(z, rng) + [qcore.DepolarizingChannel(d, p) for p in (0.0, 1 / 3, 1.0)]
+        w = rng.standard_normal((2, 3, d, 2, 2)) @ np.array([1.0, 1j])
+        y = rng.standard_normal((2, 3, d, 5, 2)) @ np.array([1.0, 1j])
+        for chan in channels:
+            got = chan.compress(w, y)
+            assert got.shape == (2, 3, 5, 5)
+            assert np.max(np.abs(got - qcore.Channel.compress(chan, w, y))) <= 1e-12
+            # one (d, r) W and (d, c) Y, no stack axis
+            assert np.max(np.abs(chan.compress(w[0, 0], y[0, 0]) - got[0, 0])) <= 1e-12
