@@ -377,11 +377,10 @@ def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
     for rng in spawn_rngs(seed, ("multistate",), range(pt.trials)):
         b = int(rng.integers(1, 3))
         key = SecretKey.generate(rng)
-        states = []
-        for i in range(pt.copies):
-            idx = 0 if b == 1 else i % 2
-            states.append(pqas.encrypt(qcore.basis_ket(2**pt.n, idx), key, part, spec))
-        guess = attacks.multi_state_attack(states, rng)
+        # b distinct messages |0>, ..., |b - 1>, copy i carrying message i mod b;
+        # encrypt is deterministic, so each message is encrypted once
+        distinct = [pqas.encrypt(qcore.basis_ket(2**pt.n, idx), key, part, spec) for idx in range(b)]
+        guess = attacks.multi_state_attack([distinct[i % b] for i in range(pt.copies)], rng)
         correct += int(guess == b)
     accuracy = correct / pt.trials
     return [

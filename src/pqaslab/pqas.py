@@ -6,6 +6,7 @@ exact-oracle experiments behind the authentication and security statements.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,14 +353,39 @@ def _product_batch_gram(phis: np.ndarray, t: int) -> np.ndarray:
     return (flat.T @ rows).ravel()
 
 
+def _packed_side(length: int) -> int:
+    """s from the length s(s + 1)/2 of a packed lower triangle."""
+    return (math.isqrt(8 * length + 1) - 1) // 2
+
+
+def _tril_flat(s: int) -> np.ndarray:
+    """Flat positions i s + j (j <= i) of an (s, s) lower triangle, in the
+    order of a packed row, which holds entry (i, j) at i(i + 1)/2 + j."""
+    return np.flatnonzero(np.tri(s, dtype=bool))
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    """(..., s, s) matrices with packed rows (..., s(s + 1)/2) in their lower
+    triangle and zeros above it; ``eigvalsh`` and ``eigh`` read only the
+    lower triangle (UPLO='L')."""
+    s = _packed_side(packed.shape[-1])
+    dense = np.zeros((*packed.shape[:-1], s * s), dtype=complex)
+    dense[..., _tril_flat(s)] = packed
+    return dense.reshape(*packed.shape[:-1], s, s)
+
+
 def _orbit_gathers(bases, d: int, t: int) -> list:
-    """What ``_product_blocks`` reads for each orbit basis B, per pair of its
-    tables (row table, then column table): ``at`` (o, p, u), the positions
-    in the raveled ``_product_batch_gram`` product of X[I_o, J] for the first
-    tuple I_o of each row orbit o and every tuple J of each column orbit p,
-    and ``k`` (u, a, b) with sum_g X[I_o, J_pg] k[g] = the (o, p) block of
-    B^T X B.  Row I and column J of X sit at d s(I) + s(J), with s(I) the
-    digits of I spread to every second place of a 2t-digit number.
+    """What ``_product_blocks`` reads for each orbit basis B: its width s and,
+    per pair of its tables (row table, then a column table up to it), the
+    tuple (at, k, keep, dest).  ``at`` (n, u) holds the positions in the
+    raveled ``_product_batch_gram`` product of X[I_o, J] for the first tuple
+    I_o of row orbit o and every tuple J of column orbit p, over the n orbit
+    pairs (o, p) on or below the block diagonal; ``k`` (u, a b) has
+    sum_g X[I_o, J_pg] k[g] = the (o, p) block of B^T X B.  ``keep`` picks
+    the entries of the (n, a, b) product on or below the diagonal of
+    B^T X B, and ``dest`` their places in its packed lower triangle.  Row I
+    and column J of X sit at d s(I) + s(J), with s(I) the digits of I spread
+    to every second place of a 2t-digit number.
 
     X commutes with every P(pi), so X[pi I_o, J] = X[I_o, pi^-1 J]: each row
     of an orbit pair's block of X is a permutation of its first, and k folds
@@ -374,39 +400,44 @@ def _orbit_gathers(bases, d: int, t: int) -> list:
     spread = digits(np.arange(d**t)) @ power**2
     plans = []
     for basis in bases:
+        starts = np.cumsum([0] + [moments.basis_width((table,)) for table in basis])
         plan = []
-        for row_index, row_weight in basis:
+        for i, (row_index, row_weight) in enumerate(basis):
             first = digits(row_index[0])
             # pinv[e] permutes tuple 0 of the orbit into tuple e: first[0][pinv[e]] == first[e]
             pinv = np.empty_like(first)
             np.put_along_axis(pinv, np.argsort(first, axis=1, kind="stable"), np.argsort(first[0], kind="stable"), 1)
-            plan.append([])
-            for col_index, col_weight in basis:
+            for j, (col_index, col_weight) in enumerate(basis[: i + 1]):
                 moved = digits(col_index[0])[:, pinv] @ power  # (u, s): pi_e applied to tuple g
                 sorter = np.argsort(col_index[0])
                 image = sorter[np.searchsorted(col_index[0], moved, sorter=sorter)]
                 k = np.einsum("ea,geb->gab", row_weight, col_weight[image]).astype(complex)
-                at = d * spread[row_index[:, 0]][:, None, None] + spread[col_index]
-                plan[-1].append((at, k))
-        plans.append(plan)
+                u, a, b = k.shape
+                o, p = len(row_index), len(col_index)
+                pairs = np.tril_indices(o) if i == j else np.indices((o, p)).reshape(2, -1)
+                at = d * spread[row_index[pairs[0], 0]][:, None] + spread[col_index[pairs[1]]]
+                rows = starts[i] + pairs[0][:, None, None] * a + np.arange(a)[:, None]
+                cols = starts[j] + pairs[1][:, None, None] * b + np.arange(b)
+                keep = np.flatnonzero(rows >= cols)
+                dest = (rows * (rows + 1) // 2 + cols).ravel()[keep]
+                plan.append((at, k.reshape(u, a * b), keep, dest))
+        plans.append((starts[-1], plan))
     return plans
 
 
 def _product_blocks(gram: np.ndarray, plans) -> list[np.ndarray]:
-    """B^T X B for each orbit basis (``moments.isotypic_bases``) of the
-    operator X held by the raveled ``_product_batch_gram`` product, read by
-    gathers at the positions ``_orbit_gathers`` planned: one row per orbit
-    pair, contracted with its folded weights."""
+    """The packed lower triangle of B^T X B for each orbit basis
+    (``moments.isotypic_bases``) of the operator X held by the raveled
+    ``_product_batch_gram`` product, read by gathers at the positions
+    ``_orbit_gathers`` planned: one row per orbit pair on or below the block
+    diagonal, contracted with its folded weights and written into the
+    packed row."""
     blocks = []
-    for plan in plans:
-        rows = []
-        for row in plan:
-            rows.append([])
-            for at, k in row:
-                o, p, u = at.shape
-                h = (gram[at].reshape(o * p, u) @ k.reshape(u, -1)).reshape(o, p, *k.shape[1:])
-                rows[-1].append(h.transpose(0, 2, 1, 3).reshape(o * k.shape[1], p * k.shape[2]))
-        blocks.append(np.block(rows))
+    for s, plan in plans:
+        packed = np.empty(s * (s + 1) // 2, dtype=complex)
+        for at, k, keep, dest in plan:
+            packed[dest] = (gram[at] @ k).ravel()[keep]
+        blocks.append(packed)
     return blocks
 
 
@@ -424,42 +455,62 @@ def _joint_batch_factor(ys: np.ndarray, factor: np.ndarray, t: int) -> np.ndarra
 
 
 def _joint_blocks(w: np.ndarray, bases, dq: int) -> list[np.ndarray]:
-    """(B_lam (x) I_q)^T W W^dag (B_lam (x) I_q) for each orbit basis, as
-    Z Z^dag with Z = (B_lam (x) I_q)^T W: each orbit's rows of W are gathered
-    and contracted with its weight table, the purification index riding
-    along as a trailing axis."""
+    """The packed lower triangle of (B_lam (x) I_q)^T W W^dag (B_lam (x) I_q)
+    for each orbit basis, from Z Z^dag with Z = (B_lam (x) I_q)^T W: each
+    orbit's rows of W are gathered and contracted with its weight table, the
+    purification index riding along as a trailing axis."""
     w = w.reshape(-1, dq, w.shape[1])
     blocks = []
     for basis in bases:
         z = np.concatenate(
             [np.einsum("sr,osqc->orqc", weight, w[index]).reshape(-1, w.shape[2]) for index, weight in basis]
         )
-        blocks.append(z @ z.conj().T)
+        blocks.append((z @ z.conj().T).ravel()[_tril_flat(len(z))])
     return blocks
 
 
+def _packed_target(s: int, rho_q: np.ndarray, dzt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Places in a packed row and values of the lower triangle of the (s, s)
+    target block I (x) rho_q / d^t: the diagonal when rho_q is 1 x 1."""
+    dq = len(rho_q)
+    i, j = np.tril_indices(dq)
+    rows = (np.arange(0, s, dq)[:, None] + i).ravel()
+    cols = (np.arange(0, s, dq)[:, None] + j).ravel()
+    return rows * (rows + 1) // 2 + cols, np.tile(rho_q[i, j] / dzt, s // dq)
+
+
+# Bytes of the unpacked (s, s) complex leave-one-out blocks that
+# ``_replicate_norms`` solves in one stacked ``eigvalsh``.  They are summed
+# from the scan's packed batch blocks, SCAN_BATCHES x sum_lam s_lam (s_lam + 1)/2
+# complex values: 84 MB at z = 5, t = 2 (s_lam = 528 and 496), where the
+# dense blocks took 168 MB.  There one unpacked block (4.5 MB) exceeds the
+# cap, so each chunk is a single replicate.
 REPLICATE_CHUNK_BYTES = 2**20
 
 
 def _replicate_norms(weights: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Trace norm of each replicate's weighted sum (a row of ``weights``) of
-    the batch blocks ``diff`` (batches, s, s): one real product and one stacked
-    ``eigvalsh`` per chunk of at most REPLICATE_CHUNK_BYTES."""
-    batches, s, _ = diff.shape
-    flat = diff.reshape(batches, -1).view(float)
-    rows = max(1, REPLICATE_CHUNK_BYTES // diff[0].nbytes)
+    the packed batch blocks ``diff`` (batches, s(s + 1)/2): one real product
+    on the packed rows and one stacked ``eigvalsh`` of the lower-filled
+    blocks per chunk of at most REPLICATE_CHUNK_BYTES of unpacked blocks."""
+    s = _packed_side(diff.shape[1])
+    flat = diff.view(float)
+    rows = max(1, REPLICATE_CHUNK_BYTES // (s * s * np.dtype(complex).itemsize))
     norms = []
     for start in range(0, len(weights), rows):
-        blocks = (weights[start : start + rows] @ flat).view(complex).reshape(-1, s, s)
+        blocks = _unpack((weights[start : start + rows] @ flat).view(complex))
         norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
     return np.concatenate(norms)
 
 
 def _jackknife_se(diffs: list[np.ndarray]) -> float:
     """Delete-one-batch jackknife SE of the raw estimate from the per-batch
-    blocks ``diffs`` (one (batches, s, s) array per block); each block's
-    leave-one-out means are solved by ``_replicate_norms``, so they take at
-    most REPLICATE_CHUNK_BYTES beyond the blocks."""
+    blocks ``diffs``, one (batches, s(s + 1)/2) array of packed lower
+    triangles per block: batches x sum_lam s_lam (s_lam + 1)/2 complex values
+    in all, 84 MB at z = 5, t = 2 against 168 MB for dense (s, s) blocks.
+    Each block's leave-one-out means are solved by ``_replicate_norms``, so
+    they take at most REPLICATE_CHUNK_BYTES of unpacked blocks (or one block,
+    if larger) beyond the packed ones."""
     batches = len(diffs[0])
     weights = (1 - np.eye(batches)) / (batches - 1)
     thetas = 0.5 * sum(_replicate_norms(weights, diff) for diff in diffs)
@@ -468,15 +519,22 @@ def _jackknife_se(diffs: list[np.ndarray]) -> float:
 
 def _witness(diffs: list[np.ndarray]) -> np.ndarray:
     """Per-batch values of the cross-fitted Helstrom witness: half of
-    tr(S diff_b) summed over the blocks, with S the sign of the other half's
-    block mean (first and second half of the batches)."""
+    tr(S diff_b) summed over the packed blocks, with S the sign of the other
+    half's block mean (first and second half of the batches).  For Hermitian
+    S and D, tr(S D) / 2 = sum_i S_ii D_ii / 2 + Re sum_(i>j) conj(S_ij) D_ij:
+    one real product of the packed rows with S's packed lower triangle, its
+    diagonal halved."""
     batches = len(diffs[0])
     values = np.zeros((2, batches // 2))
     for diff in diffs:
-        halves = diff.reshape(2, batches // 2, *diff.shape[1:])
-        vals, vecs = np.linalg.eigh(halves.mean(axis=1))
-        signs = (vecs * np.sign(vals)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        values += 0.5 * np.einsum("hbij,hij->hb", halves, signs[::-1].conj()).real
+        s = _packed_side(diff.shape[1])
+        halves = diff.reshape(2, batches // 2, -1)
+        # one half at a time: the (s, s) temporaries of eigh and S set the scan's peak at z = 5
+        for half, mean in enumerate(halves.mean(axis=1)):
+            vals, vecs = np.linalg.eigh(_unpack(mean))
+            sign = ((vecs * np.sign(vals)) @ vecs.conj().T).ravel()[_tril_flat(s)]
+            sign[np.arange(s) * (np.arange(s) + 3) // 2] /= 2
+            values[1 - half] += halves[1 - half].view(float) @ sign.view(float)
     return values.ravel()
 
 
@@ -522,9 +580,16 @@ def security_scan(
       is W W^dag with W = [(Y_i^(x t) (x) I) V]_i, and each block is
       Z Z^dag with Z the orbit rows of W contracted with the weights, the
       purification register a trailing index (``_joint_blocks``).
-    The target I/d^t (x) rho_q is subtracted on the block diagonals.  A
-    joint input that is not copy-symmetric (to 1e-12), or t beyond
-    ``moments.MAX_T``, gets the single identity block.
+    The blocks are Hermitian, so each batch keeps only their lower
+    triangles, packed row by row (LAPACK's packed Hermitian storage):
+    SCAN_BATCHES x sum_lam s_lam (s_lam + 1)/2 complex values for blocks of
+    width s_lam.  The product gathers read only the orbit pairs on or below
+    the block diagonal, and the target I/d^t (x) rho_q is subtracted at its
+    packed places (the diagonal for a product input).  At z = 5, t = 2
+    (s_lam = 528 and 496) this storage is 84 MB where the dense blocks took
+    168 MB, and a 40-trial scan's tracemalloc peak fell from 229 MB to
+    124 MB.  A joint input that is not copy-symmetric (to 1e-12), or t
+    beyond ``moments.MAX_T``, gets the single identity block.
     """
     if (rho is None) == (rho_g is None):
         raise ValueError("pass exactly one of rho or rho_g")
@@ -554,21 +619,23 @@ def security_scan(
         bases = moments.isotypic_bases(t, dz)
     else:
         bases = (((np.arange(dzt)[:, None], np.ones((1, 1))),),)
-    targets = [np.kron(np.eye(moments.basis_width(basis)), rho_q) / dzt for basis in bases]
+    sizes = [moments.basis_width(basis) * dq for basis in bases]
+    targets = [_packed_target(s, rho_q, dzt) for s in sizes]
     plans = _orbit_gathers(bases, dz, t) if rho is not None else None
 
     rngs = spawn_rngs(seed, ("security-scan",), range(trials))
-    diffs = [np.empty((SCAN_BATCHES, *target.shape), dtype=complex) for target in targets]
+    diffs = [np.empty((SCAN_BATCHES, s * (s + 1) // 2), dtype=complex) for s in sizes]
     for b in range(SCAN_BATCHES):
         ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)), full=True)
         if rho is not None:
             blocks = _product_blocks(_product_batch_gram(scramble_padded(rho, ys), t), plans)
         else:
             blocks = _joint_blocks(_joint_batch_factor(ys, factor, t), bases, dq)
-        for block, target, diff in zip(blocks, targets, diffs):
-            np.subtract(block / per_batch, target, out=diff[b])
+        for block, (at, values), diff in zip(blocks, targets, diffs):
+            np.divide(block, per_batch, out=diff[b])
+            diff[b, at] -= values
 
-    raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
+    raw = 0.5 * sum(qcore.trace_norm(_unpack(diff.mean(axis=0))) for diff in diffs)
     witness, witness_se = _mean_stderr(_witness(diffs))
     lower, upper = witness - 2 * witness_se, raw + 2 * _jackknife_se(diffs)
     return ScanReport(

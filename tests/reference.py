@@ -161,6 +161,39 @@ def orbit_basis_dense(basis, dim: int) -> np.ndarray:
     return np.hstack(cols)
 
 
+def product_blocks_dense(gram: np.ndarray, bases, d: int, t: int) -> list[np.ndarray]:
+    """The security scan's product-input blocks B^T X B as whole (s, s)
+    arrays, the storage the scan kept before it packed lower triangles: every
+    orbit pair of the raveled ``pqas._product_batch_gram`` product X gathered
+    at its first row and contracted with its folded weights, as
+    ``pqas._orbit_gathers`` plans for the pairs on or below the diagonal."""
+    power = d ** np.arange(t - 1, -1, -1)
+
+    def digits(flat):
+        return flat[..., None] // power % d
+
+    spread = digits(np.arange(d**t)) @ power**2
+    blocks = []
+    for basis in bases:
+        rows = []
+        for row_index, row_weight in basis:
+            first = digits(row_index[0])
+            pinv = np.empty_like(first)
+            np.put_along_axis(pinv, np.argsort(first, axis=1, kind="stable"), np.argsort(first[0], kind="stable"), 1)
+            rows.append([])
+            for col_index, col_weight in basis:
+                moved = digits(col_index[0])[:, pinv] @ power
+                sorter = np.argsort(col_index[0])
+                image = sorter[np.searchsorted(col_index[0], moved, sorter=sorter)]
+                k = np.einsum("ea,geb->gab", row_weight, col_weight[image]).astype(complex)
+                at = d * spread[row_index[:, 0]][:, None, None] + spread[col_index]
+                o, p, u = at.shape
+                h = (gram[at].reshape(o * p, u) @ k.reshape(u, -1)).reshape(o, p, *k.shape[1:])
+                rows[-1].append(h.transpose(0, 2, 1, 3).reshape(o * k.shape[1], p * k.shape[2]))
+        blocks.append(np.block(rows))
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # protocol functionals, keys, group structure
 

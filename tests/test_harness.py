@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -595,6 +596,15 @@ class TestRun:
         )
         acc = next(r for r in records if r.experiment == "multistate:accuracy")
         assert acc.estimate >= 0.9
+
+    def test_multistate_encrypts_each_distinct_message_once(self, monkeypatch):
+        messages = []
+        encrypt = pqas.encrypt
+        monkeypatch.setattr(pqas, "encrypt", lambda rho, *a: messages.append(int(np.argmax(rho))) or encrypt(rho, *a))
+        harness.run({"experiment": "multistate", "n": 1, "copies": 5, "trials": 30}, record_timing=False)
+        # one trial encrypts |0> (one state) or |0>, |1> (two), never a copy twice
+        trials = "".join(map(str, messages)).replace("01", "b").replace("0", "a")
+        assert len(trials) == 30 and set(trials) == {"a", "b"}
 
     def test_qubit_count_smoke(self):
         records = harness.run(

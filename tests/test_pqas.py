@@ -1,6 +1,7 @@
 """Protocol operations: encryption, authentication, fidelity functionals,
 and their exact Haar averages."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -603,11 +604,14 @@ def _scan_cases():
     # a random full-rank state on (message_1, message_2, purification): not copy-symmetric
     g = spawn_rng(21, "asymmetric").standard_normal((8, 8, 2)) @ np.array([1.0, 1j])
     asym = g @ g.conj().T / np.trace(g @ g.conj().T)
+    # copy-symmetric, with the non-diagonal purification marginal (|0><0| + |+><+|)/2
+    v = np.kron(qcore.basis_ket(4, 0), qcore.basis_ket(2, 0)) + np.kron(qcore.basis_ket(4, 3), np.ones(2) / np.sqrt(2))
     return [
         ("product t=1", QubitPartition(1, 1, 1), 1, 0, dict(rho=ket0)),
         ("product t=2", QubitPartition(1, 1, 2), 2, 0, dict(rho=mixed)),
         ("product t=3", QubitPartition(1, 0, 1), 3, 0, dict(rho=mixed)),
         ("ghz q=1", QubitPartition(1, 1, 1), 2, 1, dict(rho_g=qcore.pure_dm(ghz))),
+        ("off-diagonal rho_q", QubitPartition(1, 1, 1), 2, 1, dict(rho_g=qcore.pure_dm(v / np.linalg.norm(v)))),
         ("not copy-symmetric", QubitPartition(1, 0, 1), 2, 1, dict(rho_g=asym)),
         ("composed", QubitPartition(1, 1, 1), 2, 0, dict(rho=ket0, mode="composed")),
     ]
@@ -632,7 +636,7 @@ class TestScanMatchesPerTrialReference:
 
     def test_joint_cases_take_the_intended_block_path(self):
         cases = {case[0]: case for case in _scan_cases()}
-        for label, symmetric in (("ghz q=1", True), ("not copy-symmetric", False)):
+        for label, symmetric in (("ghz q=1", True), ("off-diagonal rho_q", True), ("not copy-symmetric", False)):
             _, part, t, q, kwargs = cases[label]
             assert pqas._copy_symmetric(kwargs["rho_g"], 2**part.n, t, 2**q) == symmetric
 
@@ -663,10 +667,10 @@ class TestOrbitBlocks:
         assert len(blocks) == len(lams)
         for lam, basis, block in zip(lams, bases, blocks):
             orbit = np.kron(reference.orbit_basis_dense(basis, d**t), np.eye(dq))
-            assert np.max(np.abs(block - orbit.T @ dense @ orbit)) <= 1e-12
+            assert np.max(np.abs(block - _pack(orbit.T @ dense @ orbit))) <= 1e-12
             eig = np.kron(reference.dense_isotypic_basis(lam, d), np.eye(dq))
             spectrum = np.linalg.eigvalsh(eig.T @ dense @ eig)
-            assert np.max(np.abs(np.linalg.eigvalsh(block) - spectrum)) <= 1e-12
+            assert np.max(np.abs(np.linalg.eigvalsh(pqas._unpack(block)) - spectrum)) <= 1e-12
 
     @pytest.mark.parametrize("t,d", [(1, 4), (2, 4), (3, 2)])
     def test_identity_basis_reads_the_whole_operator(self, t, d):
@@ -675,13 +679,54 @@ class TestOrbitBlocks:
         phis = rng.standard_normal((3, d, d, 2)) @ np.array([1.0, 1j])
         identity = (((np.arange(d**t)[:, None], np.ones((1, 1))),),)
         (block,) = pqas._product_blocks(pqas._product_batch_gram(phis, t), pqas._orbit_gathers(identity, d, t))
-        assert np.max(np.abs(block - sum(reduce(np.kron, [phi] * t) for phi in phis))) <= 1e-12
+        assert np.max(np.abs(block - _pack(sum(reduce(np.kron, [phi] * t) for phi in phis)))) <= 1e-12
 
     def test_scan_builds_no_dense_projector(self, monkeypatch):
         moments.isotypic_bases.cache_clear()
         monkeypatch.setattr(moments, "_perm_sum", lambda *a: pytest.fail("dense permutation sum"))
         rep = pqas.security_scan(QubitPartition(1, 1, 2), 2, 0, 100, seed=3, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
         assert rep.lower <= rep.upper
+
+
+class TestPackedScanStorage:
+    """The scan keeps each batch's blocks as packed lower triangles; the raw
+    estimate is bitwise the one the dense (s, s) storage gave, and the scan's
+    memory stays below what that storage alone took."""
+
+    @pytest.mark.parametrize("part,t,mode", [(QubitPartition(1, 1, 2), 2, "haar_exact"), (QubitPartition(1, 0, 1), 3, "composed")])
+    def test_raw_estimate_is_bitwise_the_dense_storage(self, part, t, mode):
+        rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * qcore.maximally_mixed(1)
+        trials, seed = 200, 31
+        per_batch = trials // pqas.SCAN_BATCHES
+        d = 2**part.z
+        bases = moments.isotypic_bases(t, d)
+        rngs = _streams.spawn_rngs(seed, ("security-scan",), range(trials))
+        diffs = [[] for _ in bases]
+        for _ in range(pqas.SCAN_BATCHES):
+            ys = sample_scramblers(part, mode, [next(rngs) for _ in range(per_batch)], full=True)
+            gram = pqas._product_batch_gram(pqas.scramble_padded(rho.astype(complex), ys), t)
+            for block, diff in zip(reference.product_blocks_dense(gram, bases, d, t), diffs):
+                diff.append(block / per_batch - np.eye(len(block)) / d**t)
+        raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
+        rep = pqas.security_scan(part, t, 0, trials, seed=seed, rho=rho, mode=mode)
+        assert rep.raw_estimate == raw
+
+    def test_peak_is_below_the_dense_storage(self):
+        rho = qcore.pure_dm(qcore.basis_ket(2, 0))
+        tracemalloc.start()
+        try:
+            pqas.security_scan(QubitPartition(1, 1, 2), 2, 0, 200, seed=32, rho=rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 20 dense (s, s) complex blocks of the parent storage, s = 136 and 120
+        assert peak < pqas.SCAN_BATCHES * (136**2 + 120**2) * 16
+
+
+def _pack(dense):
+    """The lower triangles of (..., s, s) matrices as packed rows (..., s(s + 1)/2)."""
+    rows, cols = np.tril_indices(dense.shape[-1])
+    return np.ascontiguousarray(dense[..., rows, cols])
 
 
 def _random_blocks(sizes):
@@ -708,6 +753,7 @@ class TestStackedBootstrap:
         if chunk is not None:
             monkeypatch.setattr(pqas, "REPLICATE_CHUNK_BYTES", chunk)
         diffs, dense = _random_blocks(sizes)
+        diffs = [_pack(diff) for diff in diffs]
         weights = (1 - np.eye(pqas.SCAN_BATCHES)) / (pqas.SCAN_BATCHES - 1)
         norms = sum(pqas._replicate_norms(weights, diff) for diff in diffs)
         loop = [qcore.trace_norm(np.delete(dense, j, axis=0).mean(axis=0)) for j in range(pqas.SCAN_BATCHES)]
@@ -721,7 +767,7 @@ class TestStackedBootstrap:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.nbytes) or eigvalsh(a))
         diff = _random_blocks((72,))[0][0]
-        norms = pqas._replicate_norms(np.full((200, 20), 1 / 20), diff)
+        norms = pqas._replicate_norms(np.full((200, 20), 1 / 20), _pack(diff))
         assert len(solved) > 1 and max(solved) <= pqas.REPLICATE_CHUNK_BYTES
         assert sum(solved) == 200 * diff[0].nbytes
         assert np.max(np.abs(norms - qcore.trace_norm(diff.mean(axis=0)))) <= 1e-12
@@ -733,4 +779,5 @@ class TestBracketOnBlocks:
         """The blockwise witness equals the dense per-batch loop on the
         block-diagonal batch means, to 1e-12."""
         diffs, dense = _random_blocks(sizes)
-        assert np.max(np.abs(pqas._witness(diffs) - reference.witness_loop(dense, np.zeros(dense.shape[1:])))) <= 1e-12
+        witness = pqas._witness([_pack(diff) for diff in diffs])
+        assert np.max(np.abs(witness - reference.witness_loop(dense, np.zeros(dense.shape[1:])))) <= 1e-12
