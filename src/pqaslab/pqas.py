@@ -482,9 +482,9 @@ def _packed_target(s: int, rho_q: np.ndarray, dzt: int) -> tuple[np.ndarray, np.
 # Bytes of the unpacked (s, s) complex leave-one-out blocks that
 # ``_replicate_norms`` solves in one stacked ``eigvalsh``.  They are summed
 # from the scan's packed batch blocks, SCAN_BATCHES x sum_lam s_lam (s_lam + 1)/2
-# complex values: 84 MB at z = 5, t = 2 (s_lam = 528 and 496), where the
-# dense blocks took 168 MB.  There one unpacked block (4.5 MB) exceeds the
-# cap, so each chunk is a single replicate.
+# complex values: 84 MB at z = 5, t = 2 (s_lam = 528 and 496).  There one
+# unpacked block (4.5 MB) exceeds the cap, so each chunk is a single
+# replicate.
 REPLICATE_CHUNK_BYTES = 2**20
 
 
@@ -507,7 +507,7 @@ def _jackknife_se(diffs: list[np.ndarray]) -> float:
     """Delete-one-batch jackknife SE of the raw estimate from the per-batch
     blocks ``diffs``, one (batches, s(s + 1)/2) array of packed lower
     triangles per block: batches x sum_lam s_lam (s_lam + 1)/2 complex values
-    in all, 84 MB at z = 5, t = 2 against 168 MB for dense (s, s) blocks.
+    in all, 84 MB at z = 5, t = 2 (s_lam = 528 and 496).
     Each block's leave-one-out means are solved by ``_replicate_norms``, so
     they take at most REPLICATE_CHUNK_BYTES of unpacked blocks (or one block,
     if larger) beyond the packed ones."""
@@ -586,10 +586,9 @@ def security_scan(
     width s_lam.  The product gathers read only the orbit pairs on or below
     the block diagonal, and the target I/d^t (x) rho_q is subtracted at its
     packed places (the diagonal for a product input).  At z = 5, t = 2
-    (s_lam = 528 and 496) this storage is 84 MB where the dense blocks took
-    168 MB, and a 40-trial scan's tracemalloc peak fell from 229 MB to
-    124 MB.  A joint input that is not copy-symmetric (to 1e-12), or t
-    beyond ``moments.MAX_T``, gets the single identity block.
+    (s_lam = 528 and 496) this storage is 84 MB.  A joint input that is not
+    copy-symmetric (to 1e-12), or t beyond ``moments.MAX_T``, gets the
+    single identity block.
     """
     if (rho is None) == (rho_g is None):
         raise ValueError("pass exactly one of rho or rho_g")

@@ -195,7 +195,11 @@ def project(rho: np.ndarray, proj: np.ndarray):
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix via eigendecomposition."""
+    """Trace norm of a Hermitian matrix via eigendecomposition.
+
+    Only the lower triangle of ``a`` is read (``eigvalsh``'s UPLO='L'); the
+    security scan relies on this when it passes its packed blocks unpacked
+    into the lower triangle with zeros above it."""
     return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
 
 

@@ -163,10 +163,11 @@ def orbit_basis_dense(basis, dim: int) -> np.ndarray:
 
 def product_blocks_dense(gram: np.ndarray, bases, d: int, t: int) -> list[np.ndarray]:
     """The security scan's product-input blocks B^T X B as whole (s, s)
-    arrays, the storage the scan kept before it packed lower triangles: every
-    orbit pair of the raveled ``pqas._product_batch_gram`` product X gathered
-    at its first row and contracted with its folded weights, as
-    ``pqas._orbit_gathers`` plans for the pairs on or below the diagonal."""
+    arrays, the storage the scan kept before it packed lower triangles: for
+    every orbit pair (each row table against every column table) the raveled
+    ``pqas._product_batch_gram`` product X gathered at the row orbit's first
+    row and contracted with the folded weights, the pieces laid out with
+    ``np.block``."""
     power = d ** np.arange(t - 1, -1, -1)
 
     def digits(flat):

@@ -166,6 +166,13 @@ class TestMetrics:
             assert qcore.vn_entropy_bits(qcore.maximally_mixed(m)) == pytest.approx(m, abs=1e-10)
             assert reference.purity(qcore.maximally_mixed(m)) == pytest.approx(2.0**-m, abs=1e-12)
 
+    def test_trace_norm_reads_the_lower_triangle(self):
+        rng = spawn_rng(13, "lower-triangle")
+        a = sample_ghse(2, 1, rng) - qcore.maximally_mixed(2)
+        lower = np.tril(a)
+        assert qcore.trace_norm(lower) == qcore.trace_norm(a)
+        assert qcore.trace_norm(lower) == pytest.approx(float(np.linalg.norm(a, "nuc")), abs=1e-12)
+
     def test_fidelity_with_pure(self):
         psi = qcore.basis_ket(2, 0)
         assert reference.fidelity_with_pure(qcore.pure_dm(psi), psi) == pytest.approx(1.0)

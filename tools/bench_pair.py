@@ -1,20 +1,18 @@
 """Before/after benchmark of two pqaslab checkouts, written as one BENCH_*.json.
 
-    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH_label.json \
-        [--pairs 10] [--seed 1] [--extra-seed 13] [--extra-pairs 3] \
-        [--trace-pairs 2] [--seconds 20] [--note TEXT]
+    python3 tools/bench_pair.py --parent DIR --change DIR --out BENCH_label.json
+        --extra-seed SEED --note TEXT
 
-Each checkout's ``perfbench/run.py`` runs from that checkout's root, the
-parent and the change alternately (the side that runs first alternates per
-pair):
+Each checkout's ``perfbench/run.py`` runs from that checkout's root for
+BENCHMARK.json's ``run_seconds``, the parent and the change alternately (the
+side that runs first alternates per pair):
 
-- ``end_to_end``: ``--pairs`` pairs per workload at ``--trace 0`` and
-  ``--seed``;
-- ``end_to_end_extra``: ``--extra-pairs`` pairs at ``--extra-seed``, a seed
-  the change was not tuned on;
-- ``per_layer``: ``--trace-pairs`` pairs at ``--trace 1``;
+- ``end_to_end``: PAIRS pairs per workload at ``--trace 0`` and SEED;
+- ``end_to_end_extra``: EXTRA_PAIRS pairs at ``--extra-seed``, a seed the
+  change was not tuned on;
+- ``per_layer``: TRACE_PAIRS pairs at ``--trace 1``;
 - ``scan_memory``: the tracemalloc peak and wall time of the security-scan
-  points in SCAN_POINTS, each in a fresh process per side.
+  points in SCAN_POINTS, SCAN_PAIRS pairs, each run in a fresh process.
 
 Each value is the median over the pairs, with every run listed in pair
 order and the quartiles (``statistics.quantiles``, inclusive method).
@@ -31,6 +29,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("oracle-sweep", "protocol-and-attacks")
+PAIRS, SEED, EXTRA_PAIRS, TRACE_PAIRS, SCAN_PAIRS = 10, 1, 3, 2, 3
+RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 
 # (label, partition (n, l, m), t, trials, seed): the m = 2 point of
 # configs/security_scan.json and the largest product scan the qubit cap admits
@@ -63,9 +63,9 @@ def _last_json(out: str) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(RUN_SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True, check=True).stdout
     result = _last_json(out)
     prov = next(line for line in out.splitlines() if line.startswith("provenance "))
@@ -129,13 +129,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--extra-seed", type=int, default=13)
-    p.add_argument("--extra-pairs", type=int, default=3)
-    p.add_argument("--trace-pairs", type=int, default=2)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--note", default="")
+    p.add_argument("--extra-seed", type=int, required=True, help="a seed the change was not tuned on")
+    p.add_argument("--note", required=True, help="what the change does")
     args = p.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
@@ -144,7 +139,7 @@ def main(argv=None) -> int:
     def bench(seed, trace, pairs):
         blocks = {}
         for w in WORKLOADS:
-            runs = _alternate(sides, pairs, lambda root: _perfbench(root, w, seed, args.seconds, trace))
+            runs = _alternate(sides, pairs, lambda root: _perfbench(root, w, seed, trace))
             machine.update(runs["parent"][0]["provenance"])
             blocks[w] = _workload_block(runs)
         return blocks
@@ -153,17 +148,18 @@ def main(argv=None) -> int:
         "change": args.note,
         "machine": machine,
         "method": (
-            f"python3 tools/bench_pair.py --pairs {args.pairs} --seed {args.seed} --extra-seed {args.extra_seed} "
-            f"--extra-pairs {args.extra_pairs} --trace-pairs {args.trace_pairs} --seconds {args.seconds:g}; "
-            "perfbench/run.py from the root of each checkout, parent and change alternately, one BLAS thread"
+            f"python3 tools/bench_pair.py --extra-seed {args.extra_seed}: {PAIRS} pairs at seed {SEED}, "
+            f"{EXTRA_PAIRS} at seed {args.extra_seed}, {TRACE_PAIRS} traced, {SCAN_PAIRS} per scan point; "
+            f"perfbench/run.py --seconds {RUN_SECONDS} from the root of each checkout, parent and change "
+            "alternately, one BLAS thread"
         ),
-        "end_to_end": bench(args.seed, 0, args.pairs),
-        "end_to_end_extra": {f"seed {args.extra_seed}": bench(args.extra_seed, 0, args.extra_pairs)},
-        "per_layer": bench(args.seed, 1, args.trace_pairs),
+        "end_to_end": bench(SEED, 0, PAIRS),
+        "end_to_end_extra": {f"seed {args.extra_seed}": bench(args.extra_seed, 0, EXTRA_PAIRS)},
+        "per_layer": bench(SEED, 1, TRACE_PAIRS),
         "scan_memory": {},
     }
     for point in SCAN_POINTS:
-        runs = _alternate(sides, 3, lambda root: _scan_probe(root, point))
+        runs = _alternate(sides, SCAN_PAIRS, lambda root: _scan_probe(root, point))
         result["scan_memory"][point[0]] = {
             "tracemalloc_peak": _summary(*[[r["peak_mb"] for r in runs[s]] for s in ("parent", "change")], "MB"),
             "wall_s": _summary(*[[r["wall_s"] for r in runs[s]] for s in ("parent", "change")], "s"),
