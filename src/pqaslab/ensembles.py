@@ -21,10 +21,9 @@ factor from its own stream, in this order within the stream:
 A Monte Carlo trial (``sample_scramblers``) reads only the tag-|0> columns
 Y of its scrambler.  In ``haar_exact`` mode its generator (one per trial,
 from ``_streams.spawn_rngs``) gives one (2, d, 2^(n+m)) block of standard
-normals, real and then imaginary part, whose thin QR is a Haar isometry
-(the security scan alone still draws a whole (2, d, d) block and slices
-it); in the keyed modes it gives a ``SecretKey`` and Y is sliced from that
-key's scrambler.
+normals, real and then imaginary part, whose thin QR is a Haar isometry;
+in the keyed modes it gives a ``SecretKey`` and Y is sliced from that key's
+scrambler.
 
 ``build_scramblers`` builds a list of keys as one (k, d, d) stack, each entry
 bitwise what the key alone gives.  The brickwork is evaluated as merged
@@ -331,29 +330,24 @@ def tag_zero_columns(u: np.ndarray, partition: qcore.QubitPartition) -> np.ndarr
     return u.reshape(*u.shape[:-1], dn, dl, dm)[..., 0, :]
 
 
-def sample_scramblers(
-    partition: qcore.QubitPartition, mode: str, rngs: Sequence[np.random.Generator], full: bool = False
-) -> np.ndarray:
+def sample_scramblers(partition: qcore.QubitPartition, mode: str, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """The tag-|0> columns Y of one trial scrambler per generator, shape
     (len(rngs), d, 2^n, 2^m): every Monte Carlo consumer reads U only on
     the padded input rho (x) |0><0|_tag (x) I_m, so only on these columns.
 
     In ``haar_exact`` mode Y is drawn directly from its generator as a Haar
     isometry, one (2, d, 2^(n+m)) block of standard normals thin-QR'd
-    (``_haar``); with ``full`` it is sliced from a whole d x d Haar unitary
-    instead (the stream ``sample_haar`` reads).  In any other mode it is the
-    tag-|0> column view of the keyed scrambler of a key freshly generated
-    from the generator, built as one stack by ``build_scramblers``; these
-    one-shot keys are never reused, so they bypass ``build_scrambler``'s
-    cache.
+    (``_haar``), distributed as the tag-|0> columns of a Haar unitary; no
+    d x d unitary is drawn.  In any other mode it is the tag-|0> column view
+    of the keyed scrambler of a key freshly generated from the generator,
+    built as one stack by ``build_scramblers``; these one-shot keys are never
+    reused, so they bypass ``build_scrambler``'s cache.
     """
     z = partition.z
     qcore.check_qubits(z)
     if mode != "haar_exact":
         spec = ScramblerSpec(mode=mode)
         return tag_zero_columns(build_scramblers([SecretKey.generate(rng) for rng in rngs], z, spec), partition)
-    if full:
-        return tag_zero_columns(_haar(2**z, 2**z, rngs), partition)
     dn, _, dm = partition.dims
     return _haar(2**z, dn * dm, rngs).reshape(len(rngs), 2**z, dn, dm)
 

@@ -558,20 +558,22 @@ def security_scan(
     ``SCAN_BATCHES`` batches.  The raw estimate errs high (the trace norm is
     convex) and ``upper`` adds two delete-one-batch jackknife SEs to it.
     The witness errs low: each half of the batches is traced against the
-    sign of the other half's mean, and ``lower`` subtracts two batch SEs.
+    sign of the other half's mean, and ``lower`` subtracts two SEs of the
+    witness.  That SE is the mean of the two halves' batch SEs, which bounds
+    it however the cross-fitted halves correlate.
 
     Trial i draws from its own ``spawn_rng(seed, "security-scan", i)``
     stream (all derived at once by ``spawn_rngs``), and each batch draws its
     keys as one stack of tag-|0> columns Y_i (``sample_scramblers``; in
-    ``haar_exact`` mode sliced from whole Haar unitaries, the stream this
-    scan has always read).  When the input commutes with permutations of
-    the copies, so does every batch mean, and each is kept only as its
-    blocks B_lam^T (mean - target) B_lam on the isotypic components of the
-    copy action; the raw estimate, the jackknife's leave-one-out values and
-    the witness are sums over blocks.  Every column of B_lam lives on one
-    S_t orbit of basis tuples (``moments.isotypic_bases``), so the blocks
-    are read by gathers and no d^t x d^t basis product, transpose or gap
-    is formed:
+    ``haar_exact`` mode a Haar isometry per trial, one (2, d, 2^(n+m))
+    block of normals thin-QR'd, as the auth sweep draws).  When the input
+    commutes with permutations of the copies, so does every batch mean, and
+    each is kept only as its blocks B_lam^T (mean - target) B_lam on the
+    isotypic components of the copy action; the raw estimate, the
+    jackknife's leave-one-out values and the witness are sums over blocks.
+    Every column of B_lam lives on one S_t orbit of basis tuples
+    (``moments.isotypic_bases``), so the blocks are read by gathers and no
+    d^t x d^t basis product, transpose or gap is formed:
     - product input: the batch sum of phi_i^(x t), each phi_i the
       ``scramble_padded`` ciphertext, is one Gram product of the vec(phi_i)
       over their Khatri-Rao powers, read in place at one row per orbit pair
@@ -625,7 +627,7 @@ def security_scan(
     rngs = spawn_rngs(seed, ("security-scan",), range(trials))
     diffs = [np.empty((SCAN_BATCHES, s * (s + 1) // 2), dtype=complex) for s in sizes]
     for b in range(SCAN_BATCHES):
-        ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)), full=True)
+        ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)))
         if rho is not None:
             blocks = _product_blocks(_product_batch_gram(scramble_padded(rho, ys), t), plans)
         else:
@@ -635,7 +637,10 @@ def security_scan(
             diff[b, at] -= values
 
     raw = 0.5 * sum(qcore.trace_norm(_unpack(diff.mean(axis=0))) for diff in diffs)
-    witness, witness_se = _mean_stderr(_witness(diffs))
+    witnesses = _witness(diffs)
+    witness = float(np.mean(witnesses))
+    # sd(X + Y) <= sd X + sd Y: the halves' mean SE bounds SE(W) however they correlate
+    witness_se = sum(_mean_stderr(half)[1] for half in np.split(witnesses, 2)) / 2
     lower, upper = witness - 2 * witness_se, raw + 2 * _jackknife_se(diffs)
     return ScanReport(
         estimate=(lower + upper) / 2,

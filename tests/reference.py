@@ -205,6 +205,14 @@ def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartit
     return float(p0[0]), float(fprime[0])
 
 
+def ginibre_qr(rng, rows, cols):
+    """The unbatched Ginibre-QR recipe: one (rows, cols) block of real and
+    then one of imaginary normals, QR'd, with the R phases moved into Q."""
+    g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def embed_tag_columns(y: np.ndarray, partition: QubitPartition) -> np.ndarray:
     """The d x d matrix whose tag-|0> columns are Y (d, dn, dm) and whose other
     columns are zero: it acts on every padded input rho (x) |0><0| (x) I_m as
@@ -229,7 +237,8 @@ def witness_loop(batch_means, target):
     """The security scan's cross-fitted witness, one batch at a time: half of
     tr(S (mean_b - target)), with S the sign of the dense gap of the mean over
     the half (first or second) of the batches that b is not in.  Returns the
-    per-batch values; the witness is their mean and its SE their batch SE."""
+    per-batch values; the witness is their mean and its SE the mean of the
+    two halves' batch SEs."""
     half = len(batch_means) // 2
     signs = []
     for part in (batch_means[:half], batch_means[half:]):

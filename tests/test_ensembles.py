@@ -156,14 +156,6 @@ class TestHaarBuffer:
         assert got.tobytes() == ensembles._unitarize(ensembles._ginibre(normals)).tobytes()
 
 
-def ginibre_qr(rng, rows, cols):
-    """The unbatched Ginibre-QR recipe: one (rows, cols) block of real and
-    then one of imaginary normals, QR'd, with the R phases moved into Q."""
-    g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 # (n, l, m) layouts: no tag, tag columns interleaved with the mixed register, wide and thin
 TRIAL_LAYOUTS = [(1, 0, 0), (1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 0), (3, 0, 2)]
 
@@ -179,7 +171,7 @@ class TestTrialScramblers:
             flat = y.reshape(2**part.z, dn * dm)
             assert np.max(np.abs(flat.conj().T @ flat - np.eye(dn * dm))) <= 1e-12
             # each trial reads one (2, d, 2^(n+m)) block from its own stream, QR'd alone
-            ref = ginibre_qr(spawn_rng(31, "iso", n, l, m, i), 2**part.z, dn * dm)
+            ref = reference.ginibre_qr(spawn_rng(31, "iso", n, l, m, i), 2**part.z, dn * dm)
             assert np.max(np.abs(flat - ref)) <= 1e-12
 
     def test_haar_tag_columns_have_the_haar_mean(self):
@@ -193,15 +185,6 @@ class TestTrialScramblers:
         mean = phis.mean(axis=0)
         sigma = np.sqrt(np.sum(phis.var(axis=0)) / len(phis))
         assert np.linalg.norm(mean - np.eye(d) / d) <= 3 * sigma
-
-    @pytest.mark.parametrize("n,l,m", TRIAL_LAYOUTS)
-    def test_full_draw_slices_the_haar_unitary(self, n, l, m):
-        part = QubitPartition(n, l, m)
-        rngs = [spawn_rng(34, "full", i) for i in range(4)]
-        ys = sample_scramblers(part, "haar_exact", rngs, full=True)
-        for i, y in enumerate(ys):
-            u = sample_haar(part.z, spawn_rng(34, "full", i))
-            assert np.array_equal(y, tag_zero_columns(u, part))
 
     @pytest.mark.parametrize("mode", ["composed", "pru_only"])
     @pytest.mark.parametrize("n,l,m", TRIAL_LAYOUTS)

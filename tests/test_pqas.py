@@ -518,6 +518,16 @@ class TestScanBracketCalibration:
             assert rep.lower <= rep.exact <= rep.upper, seed
             assert abs(rep.estimate - rep.exact) <= 3 * rep.stderr, seed
 
+    def test_lower_end_covers_the_null(self):
+        """At exact 0, lower = W - 2 SE(W) is a one-sided 2-sigma bound, so it
+        should exceed 0 on about 2.3 % of seeds; it exceeds it on at most 5
+        of 200 (3 today; the plain batch SE of all 20 values, which ignores
+        the correlation of the cross-fitted halves, exceeded it on 17)."""
+        part, rho = QubitPartition(1, 1, 1), qcore.pure_dm(qcore.basis_ket(2, 0))
+        reps = [pqas.security_scan(part, 1, 0, 600, seed=seed, rho=rho) for seed in range(2000, 2200)]
+        assert all(rep.exact == 0 for rep in reps)
+        assert sum(rep.lower > 0 for rep in reps) <= 5
+
 
 def pad_joint_state_tagged(rho_g, partition, t, q):
     """rho_g on (message_1 ... message_t, purification) padded with each copy's
@@ -572,7 +582,9 @@ def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="h
         for i in range(per_batch):
             rng = spawn_rng(seed, "security-scan", b * per_batch + i)
             if mode == "haar_exact":
-                u = sample_haar(z, rng)
+                dn, _, dm = partition.dims
+                y = reference.ginibre_qr(rng, 2**z, dn * dm).reshape(2**z, dn, dm)
+                u = reference.embed_tag_columns(y, partition)
             else:
                 u = build_scrambler(SecretKey.generate(rng), z, spec)
             if rho is not None:
@@ -629,7 +641,8 @@ class TestScanMatchesPerTrialReference:
         assert abs(seen["_jackknife_se"] - jackknife_se) <= 1e-12
         assert seen["_witness"].shape == witness.shape == (pqas.SCAN_BATCHES,)
         assert np.max(np.abs(seen["_witness"] - witness)) <= 1e-12
-        lower = witness.mean() - 2 * witness.std(ddof=1) / np.sqrt(len(witness))
+        halves = witness.reshape(2, -1)
+        lower = witness.mean() - 2 * np.mean(halves.std(axis=1, ddof=1)) / np.sqrt(halves.shape[1])
         upper = raw + 2 * jackknife_se
         found = [rep.lower, rep.upper, rep.estimate, rep.stderr]
         assert np.max(np.abs(np.array(found) - [lower, upper, (lower + upper) / 2, (upper - lower) / 4])) <= 1e-12
@@ -703,7 +716,7 @@ class TestPackedScanStorage:
         rngs = _streams.spawn_rngs(seed, ("security-scan",), range(trials))
         diffs = [[] for _ in bases]
         for _ in range(pqas.SCAN_BATCHES):
-            ys = sample_scramblers(part, mode, [next(rngs) for _ in range(per_batch)], full=True)
+            ys = sample_scramblers(part, mode, [next(rngs) for _ in range(per_batch)])
             gram = pqas._product_batch_gram(pqas.scramble_padded(rho.astype(complex), ys), t)
             for block, diff in zip(reference.product_blocks_dense(gram, bases, d, t), diffs):
                 diff.append(block / per_batch - np.eye(len(block)) / d**t)
