@@ -9,7 +9,8 @@ over Gram-matrix cycle products, whose weights are built once per (t, pair
 order) with ``moments.convolve`` and cached.  No t-copy joint state is ever
 materialized.  The ciphertext for pad k is U|v, 0_tag, k>, so for every key
 U the Gram matrix is delta(k_i, k_j) <v_i|v_j>: the game draws no key and
-reads the pad-embedded vectors e_k (x) v instead.
+reads the pad-embedded vectors e_k (x) v instead, so it takes only the
+plaintext lists and the pad width m, never a tag length or a key.
 
 The qubit-number attack measures copy pairs transversally in the Bell
 basis.  The copies share the key but carry independent uniform pads, so
@@ -23,7 +24,7 @@ autocorrelation of rho here, one index gather of a general state in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -40,43 +41,15 @@ class AttackReport:
     advantage: float
     success_rate: float
     standard_error: float
-    trials: int = 0
 
 
 # ---------------------------------------------------------------------------
 # left-or-right CPA game
 
 
-@dataclass
-class LRGameConfig:
-    """Left-or-right oracle experiment.
-
-    ``left`` and ``right`` are equal-length lists of message-state vectors
-    (one per oracle query).  The scheme follows the partition: m = 0 is the
-    deterministic pure-state variant, m > 0 the padded scheme.  The game
-    reads only n and m of it.
-    """
-
-    left: list = field(repr=False)
-    right: list = field(repr=False)
-    partition: QubitPartition
-    trials: int = 500
-
-    def __post_init__(self):
-        if len(self.left) != len(self.right):
-            raise ValueError("left and right lists must have equal length")
-        dn = 2**self.partition.n
-        for v in list(self.left) + list(self.right):
-            if np.shape(v) != (dn,):
-                raise ValueError("plaintext dimension does not match the partition")
-
-    @property
-    def t(self) -> int:
-        return len(self.left)
-
-
 def standard_cpa_lists(t: int, n: int):
     """The canonical adversary choice: left all |0>, right mutually orthogonal."""
+    qcore.check_qubits(n)
     if t > 2**n:
         raise ValueError("need 2^n >= t for mutually orthogonal right states")
     dim = 2**n
@@ -134,48 +107,54 @@ def _padded_states(vectors, pads: list[int], dm: int) -> np.ndarray:
     return np.array([np.kron(qcore.basis_ket(dm, k), v) for k, v in zip(pads, vectors)])
 
 
-def lr_cpa_game(cfg: LRGameConfig, seed: int = 0) -> AttackReport:
+def lr_cpa_game(left: list, right: list, m: int, trials: int = 500, seed: int = 0) -> AttackReport:
     """Run the left-or-right experiment with the pairwise-SWAP adversary.
 
-    The adversary guesses "left" exactly when every SWAP test accepts.  Per
-    game the accept-all probability is evaluated for both oracle branches
-    with common pads, giving the empirical success rate of the Bernoulli
-    game together with a variance-reduced estimate of the distinguishing
-    advantage 2 Pr[success] - 1.
+    ``left`` and ``right`` are equal-length lists of message-state vectors of
+    one dimension, one per oracle query.  The scheme pads each query with m
+    maximally mixed qubits: m = 0 is the deterministic pure-state variant,
+    m > 0 the padded scheme.  The adversary guesses "left" exactly when every
+    SWAP test accepts.  Per game the accept-all probability is evaluated for
+    both oracle branches with common pads, giving the empirical success rate
+    of the Bernoulli game together with a variance-reduced estimate of the
+    distinguishing advantage 2 Pr[success] - 1.
 
     Game g draws from its own ``spawn_rng(seed, "lr-cpa", g)`` stream: its
     t pads (none when m = 0), then its coin and the accept draw.  No key is
     drawn: the SWAP chain reads only the Gram matrix of the ciphertexts,
     which ``_padded_states`` reproduces exactly.
     """
-    t = cfg.t
+    if len(left) != len(right):
+        raise ValueError("left and right lists must have equal length")
+    if len({np.shape(v) for v in [*left, *right]}) != 1 or np.ndim(left[0]) != 1:
+        raise ValueError("plaintexts must be state vectors of one dimension")
+    if m < 0:
+        raise ValueError("the pad register needs m >= 0 qubits")
+    qcore.check_qubits(int(np.log2(len(left[0]))) + m)
+    t = len(left)
     if t > 8:
         raise ValueError("at most 8 oracle queries are supported")
-    if cfg.trials < 2:
+    if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if t <= 6:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     else:
         pairs = [(i, i + 1) for i in range(0, t - 1, 2)]
-    dm = 2**cfg.partition.m
+    dm = 2**m
     wins = 0
-    gaps = np.empty(cfg.trials)
-    for g, rng in enumerate(spawn_rngs(seed, ("lr-cpa",), range(cfg.trials))):
+    gaps = np.empty(trials)
+    for g, rng in enumerate(spawn_rngs(seed, ("lr-cpa",), range(trials))):
         pads = [int(rng.integers(dm)) if dm > 1 else 0 for _ in range(t)]
-        p_branch = [_swap_chain_accept_prob(_padded_states(side, pads, dm), pairs) for side in (cfg.left, cfg.right)]
+        p_branch = [_swap_chain_accept_prob(_padded_states(side, pads, dm), pairs) for side in (left, right)]
         gaps[g] = p_branch[0] - p_branch[1]
         b = int(rng.integers(2))
         accepted_all = rng.random() < p_branch[b]
         guess = 0 if accepted_all else 1
         wins += int(guess == b)
-    success = wins / cfg.trials
-    mean_gap = float(np.mean(gaps))
-    stderr = float(np.std(gaps, ddof=1) / np.sqrt(cfg.trials))
     return AttackReport(
-        advantage=abs(mean_gap),
-        success_rate=success,
-        standard_error=stderr,
-        trials=cfg.trials,
+        advantage=abs(float(np.mean(gaps))),
+        success_rate=wins / trials,
+        standard_error=float(np.std(gaps, ddof=1) / np.sqrt(trials)),
     )
 
 
@@ -314,7 +293,6 @@ def bell_parity_purity(state: np.ndarray, b: int, shots: int, rng: np.random.Gen
 @dataclass
 class QubitCountReport:
     decision: int | None            # smallest prefix count with Z ~ 1, or abstain
-    largest_rule_decision: int | None
     z_values: list[float]
 
 
@@ -363,9 +341,8 @@ def qubit_count_attack(
     the law of ``_bell_pair_law``, and all copies/2 x shots outcomes are
     drawn in one call.  The purity proxy Z_{n s'} is estimated for every
     s' = 1..s_max.  The decision is the smallest s' with Z >= 1 - delta
-    (prefix purity is 1 exactly when the prefix holds whole copies); the
-    value under the largest-qualifying rule is reported alongside for
-    comparison.  Abstains (None) when no prefix qualifies.
+    (prefix purity is 1 exactly when the prefix holds whole copies).
+    Abstains (None) when no prefix qualifies.
     """
     _check_desk_scale(n, s_max)
     pairs = copies // 2
@@ -376,12 +353,8 @@ def qubit_count_attack(
     nus = np.bitwise_or.reduce(segments << shifts[:, None], axis=0)
     odd_counts = np.array([np.sum(_prefix_parity(nus, pairs * width, n * s)) for s in range(1, s_max + 1)])
     z_values = list(1.0 - 2.0 * odd_counts / shots)
-    qualifying = [s + 1 for s in range(s_max) if z_values[s] >= 1.0 - delta]
-    return QubitCountReport(
-        decision=min(qualifying) if qualifying else None,
-        largest_rule_decision=max(qualifying) if qualifying else None,
-        z_values=z_values,
-    )
+    decision = next((s + 1 for s in range(s_max) if z_values[s] >= 1.0 - delta), None)
+    return QubitCountReport(decision=decision, z_values=z_values)
 
 
 # ---------------------------------------------------------------------------

@@ -313,15 +313,13 @@ def _run_security_scan(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     # the t-copy joint state is checked before its GHZ input is allocated
     qcore.check_qubits(pt.t * part.z + pt.q)
-    seed = point_seed(pt)
     if pt.q == 0:
-        rho = qcore.pure_dm(qcore.basis_ket(2**pt.n, 0))
-        rep = pqas.security_scan(part, pt.t, 0, pt.trials, seed=seed, rho=rho, mode=pt.mode)
+        state = qcore.basis_ket(2**pt.n, 0)
     else:
         qubits = pt.t * pt.n + pt.q
-        ghz = (qcore.basis_ket(2**qubits, 0) + qcore.basis_ket(2**qubits, 2**qubits - 1)) / np.sqrt(2)
-        rep = pqas.security_scan(part, pt.t, pt.q, pt.trials, seed=seed, rho_g=qcore.pure_dm(ghz), mode=pt.mode)
-    return [_metric(pt, "", rep.estimate, stderr=rep.stderr, exact=rep.exact)]
+        state = (qcore.basis_ket(2**qubits, 0) + qcore.basis_ket(2**qubits, 2**qubits - 1)) / np.sqrt(2)
+    rep = pqas.security_scan(part, state, pt.t, pt.trials, seed=point_seed(pt), mode=pt.mode)
+    return [_metric(pt, "", rep.estimate, stderr=rep.stderr, exact=rep.exact, prediction=rep.prediction)]
 
 
 def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
@@ -331,8 +329,11 @@ def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
     seed = point_seed(pt)
     psi = qcore.basis_ket(2**pt.n, 0)
     stats = pqas.auth_sweep(psi, part, chan, pt.trials, mode=pt.mode, seed=seed)
-    exact_p0 = pqas.exact_haar_p0(part, chan, psi)
-    exact_fp = pqas.exact_haar_fprime(part, chan, psi)
+    # the brickwork alone is not Haar: its rows carry only the Haar leading order, as prediction
+    exact_p0 = exact_fp = None
+    if pt.mode != "pru_only":
+        exact_p0 = pqas.exact_haar_p0(part, chan, psi)
+        exact_fp = pqas.exact_haar_fprime(part, chan, psi)
     return [
         _metric(pt, "p0", stats.mean_p0, stats.stderr_p0, exact_p0, stats.predicted_p0, label),
         _metric(pt, "fprime", stats.mean_fprime, stats.stderr_fprime, exact_fp, stats.predicted_fprime, label),
@@ -341,10 +342,8 @@ def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
 
 
 def _run_cpa(pt: ExperimentPoint) -> list[ResultRecord]:
-    part = QubitPartition(pt.n, 0, pt.m)
     left, right = attacks.standard_cpa_lists(pt.t, pt.n)
-    cfg = attacks.LRGameConfig(left=left, right=right, partition=part, trials=pt.trials)
-    rep = attacks.lr_cpa_game(cfg, seed=point_seed(pt))
+    rep = attacks.lr_cpa_game(left, right, pt.m, pt.trials, seed=point_seed(pt))
     return [
         _metric(pt, "success", rep.success_rate, stderr=None),
         _metric(pt, "advantage", rep.advantage, stderr=rep.standard_error),

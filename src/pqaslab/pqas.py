@@ -39,8 +39,8 @@ class AuthOutcome:
     post_message: np.ndarray | None = field(repr=False, default=None)
 
 
-# Largest entry of P(pi) rho_g P(pi)^dag - rho_g, over adjacent copy swaps pi,
-# for which security_scan treats a joint input as copy-symmetric.
+# Largest entry of P(pi) X P(pi)^dag - X, over adjacent copy swaps pi,
+# for which security_scan treats a joint input X as copy-symmetric.
 SYMMETRY_TOL = 1e-12
 
 # Fewest trials auth_sweep accepts, and the number of batches security_scan
@@ -208,7 +208,6 @@ def exact_haar_fprime(partition: QubitPartition, channel: Channel, psi: np.ndarr
 
 @dataclass
 class AuthSweepStats:
-    trials: int
     mean_p0: float
     stderr_p0: float
     mean_fprime: float
@@ -274,7 +273,6 @@ def auth_sweep(
     mean_fp, se_fp = _mean_stderr(fps)
     mean_f, se_f = _mean_stderr(fids)
     return AuthSweepStats(
-        trials=trials,
         mean_p0=mean_p0,
         stderr_p0=se_p0,
         mean_fprime=mean_fp,
@@ -297,21 +295,21 @@ class ScanReport:
     raw_estimate: float
     stderr: float
     exact: float | None
-    trials: int
+    prediction: float | None
     lower: float
     upper: float
 
 
-def _pad_joint_state(rho_g: np.ndarray, partition: QubitPartition, t: int, q: int) -> np.ndarray:
+def _pad_joint_state(joint: np.ndarray, partition: QubitPartition, t: int, q: int) -> np.ndarray:
     """Append each copy's maximally mixed register to a t-copy joint state.
 
-    ``rho_g`` lives on (message_1 ... message_t, purification); the output
+    ``joint`` lives on (message_1 ... message_t, purification); the output
     register order is (msg_1, mix_1, ..., msg_t, mix_t, purif).  No tag
     register is padded: each copy is scrambled through the tag-|0> columns
     of its key, which act on (message, mixed).
     """
     dn, _, dm = partition.dims
-    full = rho_g
+    full = joint
     for _ in range(t):
         full = np.kron(full, qcore.maximally_mixed(partition.m))
     # old positions: messages 0..t-1, purification t, mixes t+1..2t
@@ -319,13 +317,13 @@ def _pad_joint_state(rho_g: np.ndarray, partition: QubitPartition, t: int, q: in
     return qcore.permute_registers(full, [dn] * t + [2**q] + [dm] * t, order)
 
 
-def _copy_symmetric(rho_g: np.ndarray, dn: int, t: int, dq: int) -> bool:
-    """Whether rho_g commutes with every permutation of its t message copies."""
+def _copy_symmetric(joint: np.ndarray, dn: int, t: int, dq: int) -> bool:
+    """Whether a joint state commutes with every permutation of its t message copies."""
     dims = [dn] * t + [dq]
     for k in range(t - 1):
         order = list(range(t + 1))
         order[k], order[k + 1] = k + 1, k
-        if np.max(np.abs(qcore.permute_registers(rho_g, dims, order) - rho_g)) > SYMMETRY_TOL:
+        if np.max(np.abs(qcore.permute_registers(joint, dims, order) - joint)) > SYMMETRY_TOL:
             return False
     return True
 
@@ -540,21 +538,24 @@ def _witness(diffs: list[np.ndarray]) -> np.ndarray:
 
 def security_scan(
     partition: QubitPartition,
+    state: np.ndarray,
     t: int,
-    q: int,
     trials: int,
     seed: int = 0,
-    rho: np.ndarray | None = None,
-    rho_g: np.ndarray | None = None,
     mode: str = "haar_exact",
 ) -> ScanReport:
     """Monte Carlo distance between the averaged t-copy encrypted state and
     the maximally mixed target, with the purification register untouched.
 
-    Pass ``rho`` (a single-copy message state, replicated as a product) or a
-    general joint state ``rho_g`` on t message registers plus q purification
-    qubits.  For product inputs with q = 0 the exact closed-form value is
-    attached for cross-checking.  The report brackets the distance over
+    ``state`` (a density matrix or a pure-state vector) is read by its
+    dimension: at 2^n it is one message copy, scanned as the product
+    state^(x t), and at 2^(n t + q) it is a joint state on the t message
+    registers and q purification qubits (at t = 1, q = 0 the two readings
+    agree); any other dimension raises ``ValueError``.  A product input
+    gets the Haar closed form (``moments.closeness_exact``) as ``exact``; in
+    ``pru_only`` mode, whose brickwork ensemble is not Haar, it is the
+    ``prediction`` instead and ``exact`` is None.  The report brackets the
+    distance over
     ``SCAN_BATCHES`` batches.  The raw estimate errs high (the trace norm is
     convex) and ``upper`` adds two delete-one-batch jackknife SEs to it.
     The witness errs low: each half of the batches is traced against the
@@ -592,44 +593,42 @@ def security_scan(
     copy-symmetric (to 1e-12), or t beyond ``moments.MAX_T``, gets the
     single identity block.
     """
-    if (rho is None) == (rho_g is None):
-        raise ValueError("pass exactly one of rho or rho_g")
-    z = partition.z
-    exact = None
-    if rho is not None:
-        rho = np.asarray(rho, dtype=complex)
-        rho = qcore.pure_dm(rho) if rho.ndim == 1 else rho
-        if q != 0:
-            raise ValueError("product form has no purification register")
-        exact = 0.5 * moments.closeness_exact(partition, rho, t)
+    state = np.asarray(state, dtype=complex)
+    state = qcore.pure_dm(state) if state.ndim == 1 else state
+    dim, z = state.shape[0], partition.z
+    product = dim == 2**partition.n
+    q = 0 if product else dim.bit_length() - 1 - partition.n * t
+    if q < 0 or dim & (dim - 1):
+        raise ValueError("state dimension is neither 2^n (one message copy) nor 2^(n t + q) (a joint state)")
     qcore.check_qubits(t * z + q)
     if trials % SCAN_BATCHES:
         raise ValueError("trials must be divisible by the batch count")
+    haar = 0.5 * moments.closeness_exact(partition, state, t) if product else None
     per_batch = trials // SCAN_BATCHES
     dq = 2**q
     dz = 2**z
     dzt = dz**t
-    if rho is not None:
+    if product:
         rho_q = np.ones((1, 1))
         symmetric = True
     else:
-        factor = _psd_factor(_pad_joint_state(rho_g, partition, t, q))
-        rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
-        symmetric = _copy_symmetric(rho_g, 2**partition.n, t, dq)
+        factor = _psd_factor(_pad_joint_state(state, partition, t, q))
+        rho_q = qcore.partial_trace(state, [2 ** (partition.n * t), dq], {0})
+        symmetric = _copy_symmetric(state, 2**partition.n, t, dq)
     if symmetric and t <= moments.MAX_T:
         bases = moments.isotypic_bases(t, dz)
     else:
         bases = (((np.arange(dzt)[:, None], np.ones((1, 1))),),)
     sizes = [moments.basis_width(basis) * dq for basis in bases]
     targets = [_packed_target(s, rho_q, dzt) for s in sizes]
-    plans = _orbit_gathers(bases, dz, t) if rho is not None else None
+    plans = _orbit_gathers(bases, dz, t) if product else None
 
     rngs = spawn_rngs(seed, ("security-scan",), range(trials))
     diffs = [np.empty((SCAN_BATCHES, s * (s + 1) // 2), dtype=complex) for s in sizes]
     for b in range(SCAN_BATCHES):
         ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)))
-        if rho is not None:
-            blocks = _product_blocks(_product_batch_gram(scramble_padded(rho, ys), t), plans)
+        if product:
+            blocks = _product_blocks(_product_batch_gram(scramble_padded(state, ys), t), plans)
         else:
             blocks = _joint_blocks(_joint_batch_factor(ys, factor, t), bases, dq)
         for block, (at, values), diff in zip(blocks, targets, diffs):
@@ -642,12 +641,13 @@ def security_scan(
     # sd(X + Y) <= sd X + sd Y: the halves' mean SE bounds SE(W) however they correlate
     witness_se = sum(_mean_stderr(half)[1] for half in np.split(witnesses, 2)) / 2
     lower, upper = witness - 2 * witness_se, raw + 2 * _jackknife_se(diffs)
+    pru = mode == "pru_only"
     return ScanReport(
         estimate=(lower + upper) / 2,
         raw_estimate=raw,
         stderr=(upper - lower) / 4,
-        exact=exact,
-        trials=trials,
+        exact=None if pru else haar,
+        prediction=haar if pru else None,
         lower=lower,
         upper=upper,
     )

@@ -144,13 +144,12 @@ class EfiReport:
     t_exact: float
     t_lower_bound: float
     fannes_slack: float  # how far |S1-S0| sits below the Fannes bound
-    lambda_eff: int
 
-    def fannes_holds(self, tol: float = 1e-9) -> bool:
-        return self.fannes_slack >= -tol
+    def fannes_holds(self) -> bool:
+        return self.fannes_slack >= -1e-9
 
 
-def _report_for(nu0: np.ndarray, nu1: np.ndarray, n: int, lambda_eff: int) -> EfiReport:
+def _report_for(nu0: np.ndarray, nu1: np.ndarray, n: int) -> EfiReport:
     s0 = qcore.vn_entropy_bits(nu0)
     s1 = qcore.vn_entropy_bits(nu1)
     t = qcore.trace_distance(nu0, nu1)
@@ -162,7 +161,6 @@ def _report_for(nu0: np.ndarray, nu1: np.ndarray, n: int, lambda_eff: int) -> Ef
         t_exact=t,
         t_lower_bound=bound,
         fannes_slack=cap - abs(s1 - s0),
-        lambda_eff=lambda_eff,
     )
 
 
@@ -176,7 +174,7 @@ def efi_report(params: EfiParams, spec: ScramblerSpec) -> EfiReport:
     if params.noise is not None:
         nu0 = qcore.apply_channel(nu0, params.noise)
         nu1 = qcore.apply_channel(nu1, params.noise)
-    rep = _report_for(nu0, nu1, params.n, params.lambda_eff)
+    rep = _report_for(nu0, nu1, params.n)
     if rep.t_exact < rep.t_lower_bound - 1e-9:
         raise ArithmeticError("trace distance fell below its entropy lower bound")
     return rep

@@ -85,7 +85,7 @@ def criterion_2_closeness_scaling(seed: int = 102) -> CriterionResult:
         ratio = deltas[m + 1] / deltas[m]
         ok &= _check(details, 0.35 <= ratio <= 0.65, f"exact ratio m={m}->{m + 1}: {ratio:.4f} in [0.35, 0.65]")
     part = QubitPartition(1, 1, 1)
-    scan = pqas.security_scan(part, 2, 0, 2000, seed=seed, rho=rho)
+    scan = pqas.security_scan(part, rho, 2, 2000, seed=seed)
     dev = abs(scan.estimate - scan.exact)
     tol = 3 * scan.stderr + 1e-9  # absolute floor for the exactly-converged regime
     ok &= _check(
@@ -94,12 +94,8 @@ def criterion_2_closeness_scaling(seed: int = 102) -> CriterionResult:
         f"q=0 Monte Carlo {scan.estimate:.5f} [{scan.lower:.5f}, {scan.upper:.5f}] vs {scan.exact:.5f} (|dev| {dev:.2e} <= {tol:.2e})",
     )
     # purified/entangled input: same decay per extra mixed qubit within factor 2
-    mc = {}
-    for m in (1, 2):
-        part = QubitPartition(1, 1, m)
-        qubits = 2 * 1 + 1
-        ghz = (qcore.basis_ket(2**qubits, 0) + qcore.basis_ket(2**qubits, 2**qubits - 1)) / np.sqrt(2)
-        mc[m] = pqas.security_scan(part, 2, 1, 2000, seed=seed + m, rho_g=qcore.pure_dm(ghz))
+    ghz = (qcore.basis_ket(8, 0) + qcore.basis_ket(8, 7)) / np.sqrt(2)  # t = 2 copies of n = 1, and q = 1
+    mc = {m: pqas.security_scan(QubitPartition(1, 1, m), ghz, 2, 2000, seed=seed + m) for m in (1, 2)}
     ratio_q1 = mc[2].estimate / mc[1].estimate
     ratio_q0 = (0.5 * deltas[2]) / (0.5 * deltas[1])
     rel = ratio_q1 / ratio_q0
@@ -216,11 +212,9 @@ def criterion_6_cpa_separation(seed: int = 106) -> CriterionResult:
     details: list[str] = []
     ok = True
     left, right = attacks.standard_cpa_lists(4, 2)
-    det_cfg = attacks.LRGameConfig(left=left, right=right, partition=QubitPartition(2, 0, 0), trials=500)
-    det = attacks.lr_cpa_game(det_cfg, seed=seed)
+    det = attacks.lr_cpa_game(left, right, 0, 500, seed=seed)
     ok &= _check(details, det.success_rate >= 0.9, f"deterministic mode success {det.success_rate:.3f} >= 0.9")
-    pq_cfg = attacks.LRGameConfig(left=left, right=right, partition=QubitPartition(2, 0, 4), trials=500)
-    pq = attacks.lr_cpa_game(pq_cfg, seed=seed + 1)
+    pq = attacks.lr_cpa_game(left, right, 4, 500, seed=seed + 1)
     ok &= _check(details, pq.advantage <= 0.1, f"padded mode advantage {pq.advantage:.4f} <= 0.1")
     return CriterionResult(6, "chosen-plaintext separation", ok, details, time.perf_counter() - start)
 
@@ -356,15 +350,14 @@ ALL_CRITERIA = (
 )
 
 
-def run_selftest(indices: list[int] | None = None, verbose: bool = True) -> list[CriterionResult]:
+def run_selftest(indices: list[int] | None = None) -> list[CriterionResult]:
     results = []
     for i, fn in enumerate(ALL_CRITERIA, start=1):
         if indices and i not in indices:
             continue
         res = fn()
         results.append(res)
-        if verbose:
-            print(res.line())
-            for d in res.details:
-                print("    " + d)
+        print(res.line())
+        for d in res.details:
+            print("    " + d)
     return results

@@ -156,11 +156,11 @@ class TestLRGame:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            attacks.LRGameConfig(left=[qcore.basis_ket(2, 0)], right=[], partition=QubitPartition(1, 0, 0))
+            attacks.lr_cpa_game([qcore.basis_ket(2, 0)], [], 0)
         with pytest.raises(ValueError):
-            attacks.LRGameConfig(
-                left=[qcore.basis_ket(4, 0)], right=[qcore.basis_ket(4, 0)], partition=QubitPartition(1, 0, 0)
-            )
+            attacks.lr_cpa_game([qcore.basis_ket(4, 0)], [qcore.basis_ket(2, 0)], 0)
+        with pytest.raises(ValueError):
+            attacks.lr_cpa_game([qcore.pure_dm(qcore.basis_ket(2, 0))], [qcore.pure_dm(qcore.basis_ket(2, 1))], 0)
         with pytest.raises(ValueError):
             attacks.standard_cpa_lists(5, 2)
 
@@ -179,21 +179,18 @@ class TestLRGame:
 
     def test_identical_lists_no_advantage(self):
         left = [qcore.basis_ket(2, 0)]
-        cfg = attacks.LRGameConfig(left=left, right=list(left), partition=QubitPartition(1, 0, 2), trials=200)
-        rep = attacks.lr_cpa_game(cfg, seed=2)
+        rep = attacks.lr_cpa_game(left, list(left), 2, 200, seed=2)
         assert rep.advantage == 0.0
 
     def test_deterministic_mode_breaks(self):
         left, right = attacks.standard_cpa_lists(4, 2)
-        cfg = attacks.LRGameConfig(left=left, right=right, partition=QubitPartition(2, 0, 0), trials=300)
-        rep = attacks.lr_cpa_game(cfg, seed=3)
+        rep = attacks.lr_cpa_game(left, right, 0, 300, seed=3)
         assert rep.success_rate >= 0.9
         assert rep.advantage >= 0.8
 
     def test_padded_mode_resists(self):
         left, right = attacks.standard_cpa_lists(4, 2)
-        cfg = attacks.LRGameConfig(left=left, right=right, partition=QubitPartition(2, 0, 4), trials=300)
-        rep = attacks.lr_cpa_game(cfg, seed=4)
+        rep = attacks.lr_cpa_game(left, right, 4, 300, seed=4)
         assert rep.advantage <= 0.1
 
     def test_advantage_bounded_by_closeness(self):
@@ -202,8 +199,7 @@ class TestLRGame:
         part = QubitPartition(1, 0, 2)
         left = [qcore.basis_ket(2, 0)] * 2
         right = [qcore.basis_ket(2, 0), qcore.basis_ket(2, 1)]
-        cfg = attacks.LRGameConfig(left=left, right=right, partition=part, trials=400)
-        rep = attacks.lr_cpa_game(cfg, seed=5)
+        rep = attacks.lr_cpa_game(left, right, part.m, 400, seed=5)
         bound = 0.5 * moments.closeness_exact(part, qcore.pure_dm(qcore.basis_ket(2, 0)), 2) + 0.5 * max(
             moments.closeness_exact(part, qcore.pure_dm(qcore.basis_ket(2, i)), 2) for i in range(2)
         )
@@ -371,13 +367,12 @@ class TestQubitCount:
             assert rep.decision == true_s
 
     def test_smallest_vs_largest_rule(self):
-        # for s = 1 every prefix holds whole copies: both rules qualify but
-        # the decisions differ, which is the documented discrepancy
+        # for s = 1 every prefix holds whole copies, so every prefix qualifies:
+        # the smallest-prefix rule decides 1 where a largest-prefix rule would say 2
         rng = spawn_rng(15, "qc")
         state, copies = attacks.qubit_count_interception(2, 1, 2, rng)
         rep = attacks.qubit_count_attack(state, copies, 2, 2, shots=500, rng=rng)
         assert rep.decision == 1
-        assert rep.largest_rule_decision == 2
         assert all(z >= 0.9 for z in rep.z_values)
 
     def test_abstains_on_padded_scheme(self):

@@ -366,21 +366,33 @@ class TestDesign4AndPru:
             assert dev <= 1e-12, (depth, dev)
 
     def test_pru_second_moment_at_4z(self):
+        # z = 3, the smallest z with a gate across the even cut: at z = 2 layer 0
+        # is one Haar gate on both qubits, so the ensemble is exactly Haar there.
+        # The observable is a random combination of the partial SWAPs of the two
+        # copies on every qubit subset.  A product of local unitaries fixes each
+        # of them, where Haar maps them into the span of I and the full SWAP, so a
+        # circuit that leaves some subset unmixed misses the Haar moment by many
+        # sigma; a generic random observable carries almost no weight there.
         rng = spawn_rng(8, "pru-2d")
-        t, z = 2, 2
+        t, z = 2, 3
         d = 2**z
-        raw = rng.standard_normal((d**t, d**t)) + 1j * rng.standard_normal((d**t, d**t))
-        obs = 0.5 * (raw + raw.conj().T)
+        first, second = np.divmod(np.arange(d**t), d)
+        obs = np.zeros((d**t, d**t), dtype=complex)
+        for mask, weight in enumerate(rng.standard_normal(2**z)):
+            swapped = ((first & ~mask) | (second & mask)) * d + ((second & ~mask) | (first & mask))
+            obs[swapped, np.arange(d**t)] += weight
         exact = moments.haar_moment(obs, t, d)
-        samples = 2000
+        samples, chunk = 500, 250
+        us = sample_pru_surrogate(z, [rng.bytes(16) for _ in range(samples)], 4 * z)
         acc = np.zeros_like(obs)
         sq = np.zeros(obs.shape)
-        for _ in range(samples):
-            u = sample_pru_surrogate(z, [rng.bytes(16)], 4 * z)[0]
-            uu = np.kron(u, u)
-            val = uu @ obs @ uu.conj().T
-            acc += val
-            sq += np.abs(val) ** 2
+        # chunks of 250 conjugations (16 MB of observables each)
+        for start in range(0, samples, chunk):
+            u = us[start : start + chunk]
+            uu = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, d**t, d**t)
+            val = uu @ obs @ uu.conj().transpose(0, 2, 1)
+            acc += val.sum(axis=0)
+            sq += (np.abs(val) ** 2).sum(axis=0)
         mean = acc / samples
         sigma = np.sqrt(np.sum(sq / samples - np.abs(mean) ** 2) / samples)
         assert np.linalg.norm(mean - exact) <= 3 * sigma

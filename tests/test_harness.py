@@ -523,6 +523,21 @@ class TestRun:
         assert rec.exact is not None
         assert rec.estimate is not None
 
+    def test_pru_only_rows_leave_exact_blank(self):
+        # the brickwork alone is not Haar: no pru_only row prints a Haar value as exact,
+        # and the scan row prints its Haar closed form as prediction instead
+        scan = {"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": 100}
+        (haar,) = harness.run(scan, record_timing=False)
+        (pru,) = harness.run({**scan, "mode": "pru_only"}, record_timing=False)
+        assert haar.exact is not None and haar.prediction is None
+        assert pru.exact is None and pru.prediction == haar.exact
+        auth = {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "trials": 100, "channel": {"kind": "depolarizing", "p": 0.3}}
+        haar_rows = harness.run(auth, record_timing=False)
+        pru_rows = harness.run({**auth, "mode": "pru_only"}, record_timing=False)
+        assert sum(r.exact is not None for r in haar_rows) == 2
+        assert [r.exact for r in pru_rows] == [None] * 3
+        assert [r.prediction for r in pru_rows] == [r.prediction for r in haar_rows]
+
     def test_auth_sweep_smoke(self):
         records = harness.run(
             {

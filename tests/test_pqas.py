@@ -471,34 +471,45 @@ class TestCovariantTamperIsKeyIndependent:
 class TestSecurityScan:
     def test_t1_is_null(self):
         part = QubitPartition(1, 1, 1)
-        rep = pqas.security_scan(part, 1, 0, 600, seed=15, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+        rep = pqas.security_scan(part, qcore.pure_dm(qcore.basis_ket(2, 0)), 1, 600, seed=15)
         assert rep.exact == pytest.approx(0.0, abs=1e-12)
         assert abs(rep.estimate) <= 3 * rep.stderr + 5e-3
 
     def test_t2_matches_oracle(self):
         part = QubitPartition(1, 1, 2)
-        rep = pqas.security_scan(part, 2, 0, 1000, seed=16, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+        rep = pqas.security_scan(part, qcore.pure_dm(qcore.basis_ket(2, 0)), 2, 1000, seed=16)
         assert abs(rep.estimate - rep.exact) <= 3 * rep.stderr + 1e-9
 
     def test_argument_validation(self):
-        part = QubitPartition(1, 1, 1)
+        # at n = 2, t = 2 a state is one copy (2^2) or a joint state (2^(4 + q)), nothing else
+        part = QubitPartition(2, 1, 1)
+        for state in (qcore.maximally_mixed(1), qcore.maximally_mixed(3), np.eye(24) / 24):
+            with pytest.raises(ValueError):
+                pqas.security_scan(part, state, 2, 100)
         with pytest.raises(ValueError):
-            pqas.security_scan(part, 2, 0, 100, rho=None, rho_g=None)
-        with pytest.raises(ValueError):
-            pqas.security_scan(part, 2, 1, 100, rho=qcore.maximally_mixed(1))
+            pqas.security_scan(part, qcore.basis_ket(4, 0), 2, 30)
 
     def test_entangled_input_runs(self):
         part = QubitPartition(1, 1, 1)
         ghz = (qcore.basis_ket(8, 0) + qcore.basis_ket(8, 7)) / np.sqrt(2)
-        rep = pqas.security_scan(part, 2, 1, 200, seed=17, rho_g=qcore.pure_dm(ghz))
+        rep = pqas.security_scan(part, qcore.pure_dm(ghz), 2, 200, seed=17)
         assert rep.exact is None
         assert 0.0 <= rep.estimate <= 1.0
+
+    def test_joint_state_of_dimension_2_to_the_nt_has_no_purification(self):
+        # rho (x) rho passed whole is a joint state with q = 0: the joint path, no exact, the product's estimate
+        part = QubitPartition(1, 1, 1)
+        rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * qcore.maximally_mixed(1)
+        product = pqas.security_scan(part, rho, 2, 200, seed=19)
+        joint = pqas.security_scan(part, np.kron(rho, rho), 2, 200, seed=19)
+        assert product.exact is not None and joint.exact is None
+        assert abs(joint.raw_estimate - product.raw_estimate) <= 1e-12
 
     def test_derives_only_its_trial_streams(self, monkeypatch):
         contexts = []
         hasher = _streams._hasher
         monkeypatch.setattr(_streams, "_hasher", lambda key, context, n: contexts.append(context) or hasher(key, context, n))
-        pqas.security_scan(QubitPartition(1, 1, 1), 2, 0, 200, seed=18, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+        pqas.security_scan(QubitPartition(1, 1, 1), qcore.pure_dm(qcore.basis_ket(2, 0)), 2, 200, seed=18)
         assert contexts == [(18, "security-scan")]
 
 
@@ -514,7 +525,7 @@ class TestScanBracketCalibration:
     )
     def test_bracket_holds_exact(self, part, t, trials):
         for seed in range(1000, 1008):
-            rep = pqas.security_scan(part, t, 0, trials, seed=seed, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+            rep = pqas.security_scan(part, qcore.pure_dm(qcore.basis_ket(2, 0)), t, trials, seed=seed)
             assert rep.lower <= rep.exact <= rep.upper, seed
             assert abs(rep.estimate - rep.exact) <= 3 * rep.stderr, seed
 
@@ -524,19 +535,19 @@ class TestScanBracketCalibration:
         of 200 (3 today; the plain batch SE of all 20 values, which ignores
         the correlation of the cross-fitted halves, exceeded it on 17)."""
         part, rho = QubitPartition(1, 1, 1), qcore.pure_dm(qcore.basis_ket(2, 0))
-        reps = [pqas.security_scan(part, 1, 0, 600, seed=seed, rho=rho) for seed in range(2000, 2200)]
+        reps = [pqas.security_scan(part, rho, 1, 600, seed=seed) for seed in range(2000, 2200)]
         assert all(rep.exact == 0 for rep in reps)
         assert sum(rep.lower > 0 for rep in reps) <= 5
 
 
-def pad_joint_state_tagged(rho_g, partition, t, q):
-    """rho_g on (message_1 ... message_t, purification) padded with each copy's
+def pad_joint_state_tagged(joint, partition, t, q):
+    """A joint state on (message_1 ... message_t, purification) padded with each copy's
     tag |0><0| and mixed register, in the order (msg_1, tag_1, mix_1, ...,
     msg_t, tag_t, mix_t, purif)."""
     dn, dl, dm = partition.dims
     pads = [qcore.zero_tag_state(partition.l) for _ in range(t)]
     pads += [qcore.maximally_mixed(partition.m) for _ in range(t)]
-    full = rho_g
+    full = joint
     for p in pads:
         full = np.kron(full, p)
     dims = [dn] * t + [2**q] + [dl] * t + [dm] * t
@@ -547,26 +558,26 @@ def pad_joint_state_tagged(rho_g, partition, t, q):
     return qcore.permute_registers(full, dims, order)
 
 
-def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="haar_exact"):
+def _reference_scan(partition, state, t, trials, seed, mode="haar_exact"):
     """The per-trial estimator security_scan replaced: one key at a time,
     kron or per-copy conjugation into a dense batch mean, and full-matrix
     references for the raw estimate, the jackknife SE and the per-batch
-    witness values."""
+    witness values.  A state of dimension 2^n is one copy of a product
+    input; any other is a joint state on t copies and q purification qubits."""
     z = partition.z
-    if rho is not None:
-        rho_g = rho
-        for _ in range(t - 1):
-            rho_g = np.kron(rho_g, rho)
+    product = len(state) == 2**partition.n
+    joint = reduce(np.kron, [state] * t) if product else state
+    q = int(np.log2(len(joint))) - partition.n * t
     dq = 2**q
-    padded = pad_joint_state_tagged(rho_g, partition, t, q)
-    rho_q = qcore.partial_trace(rho_g, [2 ** (partition.n * t), dq], {0})
+    padded = pad_joint_state_tagged(joint, partition, t, q)
+    rho_q = qcore.partial_trace(joint, [2 ** (partition.n * t), dq], {0})
     dzt = 2 ** (z * t)
     target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
     batches = pqas.SCAN_BATCHES
     per_batch = trials // batches
     dim = dzt * dq
     spec = ScramblerSpec(mode=mode)
-    rho_pad = reference.pad_state(rho, partition) if rho is not None else None
+    rho_pad = reference.pad_state(state, partition) if product else None
 
     def rows_per_copy(mat, u):
         d = u.shape[0]
@@ -587,7 +598,7 @@ def _reference_scan(partition, t, q, trials, seed, rho=None, rho_g=None, mode="h
                 u = reference.embed_tag_columns(y, partition)
             else:
                 u = build_scrambler(SecretKey.generate(rng), z, spec)
-            if rho is not None:
+            if product:
                 phi = u @ rho_pad @ u.conj().T
                 out = phi
                 for _ in range(t - 1):
@@ -619,24 +630,24 @@ def _scan_cases():
     # copy-symmetric, with the non-diagonal purification marginal (|0><0| + |+><+|)/2
     v = np.kron(qcore.basis_ket(4, 0), qcore.basis_ket(2, 0)) + np.kron(qcore.basis_ket(4, 3), np.ones(2) / np.sqrt(2))
     return [
-        ("product t=1", QubitPartition(1, 1, 1), 1, 0, dict(rho=ket0)),
-        ("product t=2", QubitPartition(1, 1, 2), 2, 0, dict(rho=mixed)),
-        ("product t=3", QubitPartition(1, 0, 1), 3, 0, dict(rho=mixed)),
-        ("ghz q=1", QubitPartition(1, 1, 1), 2, 1, dict(rho_g=qcore.pure_dm(ghz))),
-        ("off-diagonal rho_q", QubitPartition(1, 1, 1), 2, 1, dict(rho_g=qcore.pure_dm(v / np.linalg.norm(v)))),
-        ("not copy-symmetric", QubitPartition(1, 0, 1), 2, 1, dict(rho_g=asym)),
-        ("composed", QubitPartition(1, 1, 1), 2, 0, dict(rho=ket0, mode="composed")),
+        ("product t=1", QubitPartition(1, 1, 1), 1, ket0, "haar_exact"),
+        ("product t=2", QubitPartition(1, 1, 2), 2, mixed, "haar_exact"),
+        ("product t=3", QubitPartition(1, 0, 1), 3, mixed, "haar_exact"),
+        ("ghz q=1", QubitPartition(1, 1, 1), 2, qcore.pure_dm(ghz), "haar_exact"),
+        ("off-diagonal rho_q", QubitPartition(1, 1, 1), 2, qcore.pure_dm(v / np.linalg.norm(v)), "haar_exact"),
+        ("not copy-symmetric", QubitPartition(1, 0, 1), 2, asym, "haar_exact"),
+        ("composed", QubitPartition(1, 1, 1), 2, ket0, "composed"),
     ]
 
 
 class TestScanMatchesPerTrialReference:
-    @pytest.mark.parametrize("label,part,t,q,kwargs", _scan_cases(), ids=[c[0] for c in _scan_cases()])
-    def test_matches(self, label, part, t, q, kwargs, monkeypatch):
+    @pytest.mark.parametrize("label,part,t,state,mode", _scan_cases(), ids=[c[0] for c in _scan_cases()])
+    def test_matches(self, label, part, t, state, mode, monkeypatch):
         seen = {}
         for name in ("_jackknife_se", "_witness"):
             monkeypatch.setattr(pqas, name, _recording(seen, name, getattr(pqas, name)))
-        rep = pqas.security_scan(part, t, q, 200, seed=22, **kwargs)
-        raw, jackknife_se, witness = _reference_scan(part, t, q, 200, seed=22, **kwargs)
+        rep = pqas.security_scan(part, state, t, 200, seed=22, mode=mode)
+        raw, jackknife_se, witness = _reference_scan(part, state, t, 200, 22, mode)
         assert abs(rep.raw_estimate - raw) <= 1e-12
         assert abs(seen["_jackknife_se"] - jackknife_se) <= 1e-12
         assert seen["_witness"].shape == witness.shape == (pqas.SCAN_BATCHES,)
@@ -650,8 +661,8 @@ class TestScanMatchesPerTrialReference:
     def test_joint_cases_take_the_intended_block_path(self):
         cases = {case[0]: case for case in _scan_cases()}
         for label, symmetric in (("ghz q=1", True), ("off-diagonal rho_q", True), ("not copy-symmetric", False)):
-            _, part, t, q, kwargs = cases[label]
-            assert pqas._copy_symmetric(kwargs["rho_g"], 2**part.n, t, 2**q) == symmetric
+            _, part, t, state, _ = cases[label]
+            assert pqas._copy_symmetric(state, 2**part.n, t, len(state) // 2 ** (part.n * t)) == symmetric
 
 
 class TestOrbitBlocks:
@@ -697,7 +708,7 @@ class TestOrbitBlocks:
     def test_scan_builds_no_dense_projector(self, monkeypatch):
         moments.isotypic_bases.cache_clear()
         monkeypatch.setattr(moments, "_perm_sum", lambda *a: pytest.fail("dense permutation sum"))
-        rep = pqas.security_scan(QubitPartition(1, 1, 2), 2, 0, 100, seed=3, rho=qcore.pure_dm(qcore.basis_ket(2, 0)))
+        rep = pqas.security_scan(QubitPartition(1, 1, 2), qcore.pure_dm(qcore.basis_ket(2, 0)), 2, 100, seed=3)
         assert rep.lower <= rep.upper
 
 
@@ -721,14 +732,14 @@ class TestPackedScanStorage:
             for block, diff in zip(reference.product_blocks_dense(gram, bases, d, t), diffs):
                 diff.append(block / per_batch - np.eye(len(block)) / d**t)
         raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
-        rep = pqas.security_scan(part, t, 0, trials, seed=seed, rho=rho, mode=mode)
+        rep = pqas.security_scan(part, rho, t, trials, seed=seed, mode=mode)
         assert rep.raw_estimate == raw
 
     def test_peak_is_below_the_dense_storage(self):
         rho = qcore.pure_dm(qcore.basis_ket(2, 0))
         tracemalloc.start()
         try:
-            pqas.security_scan(QubitPartition(1, 1, 2), 2, 0, 200, seed=32, rho=rho)
+            pqas.security_scan(QubitPartition(1, 1, 2), rho, 2, 200, seed=32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

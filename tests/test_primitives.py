@@ -144,7 +144,7 @@ class TestEfi:
 
     def test_degenerate_identical_arms(self):
         nu = qcore.maximally_mixed(2)
-        rep = primitives._report_for(nu, nu.copy(), 2, 1)
+        rep = primitives._report_for(nu, nu.copy(), 2)
         assert rep.t_exact == pytest.approx(0.0, abs=1e-12)
         assert rep.s0_bits == pytest.approx(rep.s1_bits, abs=1e-12)
         assert rep.fannes_holds()

@@ -11,11 +11,16 @@ side that runs first alternates per pair):
 - ``end_to_end_extra``: EXTRA_PAIRS pairs at ``--extra-seed``, a seed the
   change was not tuned on;
 - ``per_layer``: TRACE_PAIRS pairs at ``--trace 1``;
-- ``scan_memory``: the tracemalloc peak and wall time of the security-scan
-  points in SCAN_POINTS, SCAN_PAIRS pairs, each run in a fresh process.
+- ``scan_memory``: the tracemalloc peak and wall time of ``harness.run`` on
+  the security-scan configs in SCAN_POINTS, SCAN_PAIRS pairs, each run in a
+  fresh process.
 
 Each value is the median over the pairs, with every run listed in pair
-order and the quartiles (``statistics.quantiles``, inclusive method).
+order and the quartiles (``statistics.quantiles``, inclusive method).  An
+end-to-end metric of BENCHMARK.json is marked ``"unresolved": true`` when
+the parent's interquartile range exceeds the metric's bound times the
+parent's median, unless every change run beats every parent run: its runs
+then spread too widely to tell a change within the bound from none.
 """
 
 from __future__ import annotations
@@ -30,23 +35,26 @@ from pathlib import Path
 
 WORKLOADS = ("oracle-sweep", "protocol-and-attacks")
 PAIRS, SEED, EXTRA_PAIRS, TRACE_PAIRS, SCAN_PAIRS = 10, 1, 3, 2, 3
-RUN_SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+BENCHMARK = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+RUN_SECONDS = BENCHMARK["run_seconds"]
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
-# (label, partition (n, l, m), t, trials, seed): the m = 2 point of
-# configs/security_scan.json and the largest product scan the qubit cap admits
+# (label, config): the m = 2 point of configs/security_scan.json and the
+# largest product scan the qubit cap admits, run through the harness so that
+# the probe reads only the config format, not the scan's signature
+_SCAN = {"experiment": "security-scan", "n": 1, "l": 1, "t": 2, "seed": 11}
 SCAN_POINTS = (
-    ("security_scan.json m=2 point", (1, 1, 2), 2, 2000, 11),
-    ("z=5 t=2 scan, 40 trials", (1, 1, 3), 2, 40, 11),
+    ("security_scan.json m=2 point", {**_SCAN, "m": 2, "trials": 2000}),
+    ("z=5 t=2 scan, 40 trials", {**_SCAN, "m": 3, "trials": 40}),
 )
 
 SCAN_PROBE = """
 import json, sys, time, tracemalloc
-from pqaslab import pqas, qcore
-(n, l, m), t, trials, seed = json.loads(sys.argv[1])
-rho = qcore.pure_dm(qcore.basis_ket(2**n, 0))
+from pqaslab import harness
+config = json.loads(sys.argv[1])
 tracemalloc.start()
 start = time.perf_counter()
-pqas.security_scan(qcore.QubitPartition(n, l, m), t, 0, trials, seed=seed, rho=rho)
+harness.run(config)
 wall = time.perf_counter() - start
 print(json.dumps({"peak_mb": tracemalloc.get_traced_memory()[1] / 1e6, "wall_s": wall}))
 """
@@ -73,9 +81,8 @@ def _perfbench(root: Path, workload: str, seed: int, trace: int) -> dict:
     return result
 
 
-def _scan_probe(root: Path, point) -> dict:
-    _, part, t, trials, seed = point
-    cmd = [sys.executable, "-c", SCAN_PROBE, json.dumps([part, t, trials, seed])]
+def _scan_probe(root: Path, config: dict) -> dict:
+    cmd = [sys.executable, "-c", SCAN_PROBE, json.dumps(config)]
     return _last_json(subprocess.run(cmd, cwd=root, env=_env(root), capture_output=True, text=True, check=True).stdout)
 
 
@@ -89,13 +96,16 @@ def _alternate(sides: dict, pairs: int, run) -> dict:
     return runs
 
 
-def _summary(parent: list[float], change: list[float], unit: str) -> dict:
+def _summary(parent: list[float], change: list[float], unit: str, metric: dict | None = None) -> dict:
+    """Medians, runs and quartiles of both sides; with an end-to-end ``metric``
+    of BENCHMARK.json, also whether its runs resolve a change within its bound."""
+
     def quartiles(values):
         return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")[::2]]
 
     mid_p, mid_c = statistics.median(parent), statistics.median(change)
     q_p = quartiles(parent)
-    return {
+    summary = {
         "unit": unit,
         "parent": round(mid_p, 4),
         "change": round(mid_c, 4),
@@ -107,6 +117,11 @@ def _summary(parent: list[float], change: list[float], unit: str) -> dict:
         "parent_quartiles": q_p,
         "change_quartiles": quartiles(change),
     }
+    if metric:
+        lower = metric["better"] == "lower"
+        beats = max(change) < min(parent) if lower else min(change) > max(parent)
+        summary["unresolved"] = q_p[1] - q_p[0] > metric["bound"] * mid_p and not beats
+    return summary
 
 
 def _workload_block(runs: dict) -> dict:
@@ -118,7 +133,7 @@ def _workload_block(runs: dict) -> dict:
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "metrics": {
             name: _summary(*[[r["metrics"][name]["value"] for r in runs[side]] for side in ("parent", "change")],
-                           names[name]["unit"])
+                           names[name]["unit"], END_TO_END.get(name))
             for name in names
         },
     }
@@ -158,9 +173,9 @@ def main(argv=None) -> int:
         "per_layer": bench(SEED, 1, TRACE_PAIRS),
         "scan_memory": {},
     }
-    for point in SCAN_POINTS:
-        runs = _alternate(sides, SCAN_PAIRS, lambda root: _scan_probe(root, point))
-        result["scan_memory"][point[0]] = {
+    for label, config in SCAN_POINTS:
+        runs = _alternate(sides, SCAN_PAIRS, lambda root: _scan_probe(root, config))
+        result["scan_memory"][label] = {
             "tracemalloc_peak": _summary(*[[r["peak_mb"] for r in runs[s]] for s in ("parent", "change")], "MB"),
             "wall_s": _summary(*[[r["wall_s"] for r in runs[s]] for s in ("parent", "change")], "s"),
         }
