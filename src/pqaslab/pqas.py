@@ -300,23 +300,6 @@ class ScanReport:
     upper: float
 
 
-def _pad_joint_state(joint: np.ndarray, partition: QubitPartition, t: int, q: int) -> np.ndarray:
-    """Append each copy's maximally mixed register to a t-copy joint state.
-
-    ``joint`` lives on (message_1 ... message_t, purification); the output
-    register order is (msg_1, mix_1, ..., msg_t, mix_t, purif).  No tag
-    register is padded: each copy is scrambled through the tag-|0> columns
-    of its key, which act on (message, mixed).
-    """
-    dn, _, dm = partition.dims
-    full = joint
-    for _ in range(t):
-        full = np.kron(full, qcore.maximally_mixed(partition.m))
-    # old positions: messages 0..t-1, purification t, mixes t+1..2t
-    order = [reg for i in range(t) for reg in (i, t + 1 + i)] + [t]
-    return qcore.permute_registers(full, [dn] * t + [2**q] + [dm] * t, order)
-
-
 def _copy_symmetric(joint: np.ndarray, dn: int, t: int, dq: int) -> bool:
     """Whether a joint state commutes with every permutation of its t message copies."""
     dims = [dn] * t + [dq]
@@ -441,9 +424,9 @@ def _product_blocks(gram: np.ndarray, plans) -> list[np.ndarray]:
 
 def _joint_batch_factor(ys: np.ndarray, factor: np.ndarray, t: int) -> np.ndarray:
     """W = [W_1 ... W_n] with W_i = (Y_i^(x t) (x) I) V, for tag-|0> column
-    stacks ys (n, d, dn, dm) and V a factor of the joint input padded by
-    ``_pad_joint_state``: the batch sum is W W^dag, with rows (copies,
-    purification)."""
+    stacks ys (n, d, dn, dm) and V, rows (msg_1, mix_1, ..., msg_t, mix_t,
+    purif), a factor of the joint input with each copy's I_m / 2^m appended:
+    the batch sum is W W^dag, with rows (copies, purification)."""
     n, d, dn, dm = ys.shape
     y = ys.reshape(n, d, dn * dm)
     w = factor[None]
@@ -477,41 +460,19 @@ def _packed_target(s: int, rho_q: np.ndarray, dzt: int) -> tuple[np.ndarray, np.
     return rows * (rows + 1) // 2 + cols, np.tile(rho_q[i, j] / dzt, s // dq)
 
 
-# Bytes of the unpacked (s, s) complex leave-one-out blocks that
-# ``_replicate_norms`` solves in one stacked ``eigvalsh``.  They are summed
-# from the scan's packed batch blocks, SCAN_BATCHES x sum_lam s_lam (s_lam + 1)/2
-# complex values: 84 MB at z = 5, t = 2 (s_lam = 528 and 496).  There one
-# unpacked block (4.5 MB) exceeds the cap, so each chunk is a single
-# replicate.
-REPLICATE_CHUNK_BYTES = 2**20
-
-
-def _replicate_norms(weights: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Trace norm of each replicate's weighted sum (a row of ``weights``) of
-    the packed batch blocks ``diff`` (batches, s(s + 1)/2): one real product
-    on the packed rows and one stacked ``eigvalsh`` of the lower-filled
-    blocks per chunk of at most REPLICATE_CHUNK_BYTES of unpacked blocks."""
-    s = _packed_side(diff.shape[1])
-    flat = diff.view(float)
-    rows = max(1, REPLICATE_CHUNK_BYTES // (s * s * np.dtype(complex).itemsize))
-    norms = []
-    for start in range(0, len(weights), rows):
-        blocks = _unpack((weights[start : start + rows] @ flat).view(complex))
-        norms.append(np.abs(np.linalg.eigvalsh(blocks)).sum(axis=1))
-    return np.concatenate(norms)
-
-
 def _jackknife_se(diffs: list[np.ndarray]) -> float:
     """Delete-one-batch jackknife SE of the raw estimate from the per-batch
     blocks ``diffs``, one (batches, s(s + 1)/2) array of packed lower
     triangles per block: batches x sum_lam s_lam (s_lam + 1)/2 complex values
-    in all, 84 MB at z = 5, t = 2 (s_lam = 528 and 496).
-    Each block's leave-one-out means are solved by ``_replicate_norms``, so
-    they take at most REPLICATE_CHUNK_BYTES of unpacked blocks (or one block,
-    if larger) beyond the packed ones."""
+    in all, 84 MB at z = 5, t = 2 (s_lam = 528 and 496).  Leaving batch b out
+    of a block gives its batch total less diff_b, over batches - 1; each is
+    unpacked and solved alone, one (s, s) block beyond the packed ones."""
     batches = len(diffs[0])
-    weights = (1 - np.eye(batches)) / (batches - 1)
-    thetas = 0.5 * sum(_replicate_norms(weights, diff) for diff in diffs)
+    thetas = np.zeros(batches)
+    for diff in diffs:
+        total = diff.sum(axis=0)
+        for b in range(batches):
+            thetas[b] += 0.5 * qcore.trace_norm(_unpack((total - diff[b]) / (batches - 1)))
     return float(np.sqrt((batches - 1) / batches * np.sum((thetas - thetas.mean()) ** 2)))
 
 
@@ -579,8 +540,11 @@ def security_scan(
       ``scramble_padded`` ciphertext, is one Gram product of the vec(phi_i)
       over their Khatri-Rao powers, read in place at one row per orbit pair
       (``_orbit_gathers``, ``_product_blocks``);
-    - joint input, padded with its mixed registers as V V^dag: the batch sum
-      is W W^dag with W = [(Y_i^(x t) (x) I) V]_i, and each block is
+    - joint input: factored as F F^dag and padded in the factor,
+      V = F (x) I_(m t) / 2^(m t / 2) with its rows reordered to (msg_1,
+      mix_1, ..., msg_t, mix_t, purif), so the padded state is never
+      formed; the batch sum is W W^dag with W = [(Y_i^(x t) (x) I) V]_i
+      (``_joint_batch_factor``), and each block is
       Z Z^dag with Z the orbit rows of W contracted with the weights, the
       purification register a trailing index (``_joint_blocks``).
     The blocks are Hermitian, so each batch keeps only their lower
@@ -601,8 +565,8 @@ def security_scan(
     if q < 0 or dim & (dim - 1):
         raise ValueError("state dimension is neither 2^n (one message copy) nor 2^(n t + q) (a joint state)")
     qcore.check_qubits(t * z + q)
-    if trials % SCAN_BATCHES:
-        raise ValueError("trials must be divisible by the batch count")
+    if trials <= 0 or trials % SCAN_BATCHES:
+        raise ValueError("trials must be a positive multiple of the batch count")
     haar = 0.5 * moments.closeness_exact(partition, state, t) if product else None
     per_batch = trials // SCAN_BATCHES
     dq = 2**q
@@ -612,9 +576,13 @@ def security_scan(
         rho_q = np.ones((1, 1))
         symmetric = True
     else:
-        factor = _psd_factor(_pad_joint_state(state, partition, t, q))
-        rho_q = qcore.partial_trace(state, [2 ** (partition.n * t), dq], {0})
-        symmetric = _copy_symmetric(state, 2**partition.n, t, dq)
+        # V V^dag is the joint state with I_m / 2^m appended per copy, rows reordered to (msg_1, mix_1, ..., purif)
+        dn, _, dm = partition.dims
+        factor = np.kron(_psd_factor(state), np.eye(dm**t) / np.sqrt(dm**t))
+        order = [reg for i in range(t) for reg in (i, t + 1 + i)] + [t, 2 * t + 1]
+        factor = factor.reshape([dn] * t + [dq] + [dm] * t + [-1]).transpose(order).reshape(-1, factor.shape[1])
+        rho_q = qcore.partial_trace(state, [dn**t, dq], {0})
+        symmetric = _copy_symmetric(state, dn, t, dq)
     if symmetric and t <= moments.MAX_T:
         bases = moments.isotypic_bases(t, dz)
     else:

@@ -486,8 +486,10 @@ class TestSecurityScan:
         for state in (qcore.maximally_mixed(1), qcore.maximally_mixed(3), np.eye(24) / 24):
             with pytest.raises(ValueError):
                 pqas.security_scan(part, state, 2, 100)
-        with pytest.raises(ValueError):
-            pqas.security_scan(part, qcore.basis_ket(4, 0), 2, 30)
+        # a trial count must be a positive multiple of the batch count
+        for trials in (30, 0, -20):
+            with pytest.raises(ValueError, match="positive multiple"):
+                pqas.security_scan(part, qcore.basis_ket(4, 0), 2, trials)
 
     def test_entangled_input_runs(self):
         part = QubitPartition(1, 1, 1)
@@ -629,6 +631,11 @@ def _scan_cases():
     asym = g @ g.conj().T / np.trace(g @ g.conj().T)
     # copy-symmetric, with the non-diagonal purification marginal (|0><0| + |+><+|)/2
     v = np.kron(qcore.basis_ket(4, 0), qcore.basis_ket(2, 0)) + np.kron(qcore.basis_ket(4, 3), np.ones(2) / np.sqrt(2))
+    ghz4 = (qcore.basis_ket(16, 0) + qcore.basis_ket(16, 15)) / np.sqrt(2)
+    # rank 2 and copy-symmetric on (message_1, message_2, two purification qubits)
+    v1 = np.kron(qcore.basis_ket(4, 0), qcore.basis_ket(4, 0)) + np.kron(qcore.basis_ket(4, 3), qcore.basis_ket(4, 3))
+    v2 = np.kron(qcore.basis_ket(4, 1) + qcore.basis_ket(4, 2), np.ones(4) / 2)
+    rank2 = 0.6 * qcore.pure_dm(v1 / np.linalg.norm(v1)) + 0.4 * qcore.pure_dm(v2 / np.linalg.norm(v2))
     return [
         ("product t=1", QubitPartition(1, 1, 1), 1, ket0, "haar_exact"),
         ("product t=2", QubitPartition(1, 1, 2), 2, mixed, "haar_exact"),
@@ -636,6 +643,8 @@ def _scan_cases():
         ("ghz q=1", QubitPartition(1, 1, 1), 2, qcore.pure_dm(ghz), "haar_exact"),
         ("off-diagonal rho_q", QubitPartition(1, 1, 1), 2, qcore.pure_dm(v / np.linalg.norm(v)), "haar_exact"),
         ("not copy-symmetric", QubitPartition(1, 0, 1), 2, asym, "haar_exact"),
+        ("ghz t=3 q=1", QubitPartition(1, 0, 1), 3, qcore.pure_dm(ghz4), "haar_exact"),
+        ("rank-2 q=2", QubitPartition(1, 1, 1), 2, rank2, "haar_exact"),
         ("composed", QubitPartition(1, 1, 1), 2, ket0, "composed"),
     ]
 
@@ -660,7 +669,13 @@ class TestScanMatchesPerTrialReference:
 
     def test_joint_cases_take_the_intended_block_path(self):
         cases = {case[0]: case for case in _scan_cases()}
-        for label, symmetric in (("ghz q=1", True), ("off-diagonal rho_q", True), ("not copy-symmetric", False)):
+        for label, symmetric in (
+            ("ghz q=1", True),
+            ("off-diagonal rho_q", True),
+            ("not copy-symmetric", False),
+            ("ghz t=3 q=1", True),
+            ("rank-2 q=2", True),
+        ):
             _, part, t, state, _ = cases[label]
             assert pqas._copy_symmetric(state, 2**part.n, t, len(state) // 2 ** (part.n * t)) == symmetric
 
@@ -767,34 +782,25 @@ def _random_blocks(sizes):
     return diffs, dense
 
 
-class TestStackedBootstrap:
-    """Resampling replicates solved as stacks: the jackknife's leave-one-out
-    means, in chunks of at most REPLICATE_CHUNK_BYTES."""
+class TestJackknifeOnBlocks:
+    """The delete-one-batch jackknife, solved one leave-one-out block at a
+    time: each replicate of a block is its batch total less one batch."""
 
     @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
-    @pytest.mark.parametrize("chunk", [None, 1, 40_000])
-    def test_matches_the_per_replicate_loop(self, sizes, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(pqas, "REPLICATE_CHUNK_BYTES", chunk)
+    def test_matches_the_per_replicate_loop(self, sizes, monkeypatch):
+        batches = pqas.SCAN_BATCHES
         diffs, dense = _random_blocks(sizes)
-        diffs = [_pack(diff) for diff in diffs]
-        weights = (1 - np.eye(pqas.SCAN_BATCHES)) / (pqas.SCAN_BATCHES - 1)
-        norms = sum(pqas._replicate_norms(weights, diff) for diff in diffs)
-        loop = [qcore.trace_norm(np.delete(dense, j, axis=0).mean(axis=0)) for j in range(pqas.SCAN_BATCHES)]
-        assert norms.shape == (pqas.SCAN_BATCHES,)
-        assert np.max(np.abs(norms - loop)) <= 1e-12
-        zero = np.zeros(dense.shape[1:])
-        assert abs(pqas._jackknife_se(diffs) - reference.jackknife_se_loop(dense, zero)) <= 1e-12
-
-    def test_chunks_stay_under_the_byte_cap(self, monkeypatch):
-        solved = []
+        loop = [qcore.trace_norm(np.delete(dense, j, axis=0).mean(axis=0)) for j in range(batches)]
+        expected = reference.jackknife_se_loop(dense, np.zeros(dense.shape[1:]))
+        solves = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a.nbytes) or eigvalsh(a))
-        diff = _random_blocks((72,))[0][0]
-        norms = pqas._replicate_norms(np.full((200, 20), 1 / 20), _pack(diff))
-        assert len(solved) > 1 and max(solved) <= pqas.REPLICATE_CHUNK_BYTES
-        assert sum(solved) == 200 * diff[0].nbytes
-        assert np.max(np.abs(norms - qcore.trace_norm(diff.mean(axis=0)))) <= 1e-12
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append((a.shape, eigvalsh(a))) or solves[-1][1])
+        se = pqas._jackknife_se([_pack(diff) for diff in diffs])
+        # each solve is one (s, s) leave-one-out block, block by block and batch by batch
+        assert [shape for shape, _ in solves] == [(s, s) for s in sizes for _ in range(batches)]
+        norms = np.reshape([np.abs(vals).sum() for _, vals in solves], (len(sizes), batches)).sum(axis=0)
+        assert np.max(np.abs(norms - loop)) <= 1e-12
+        assert abs(se - expected) <= 1e-12
 
 
 class TestBracketOnBlocks:
