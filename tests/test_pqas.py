@@ -768,10 +768,11 @@ def _pack(dense):
     return np.ascontiguousarray(dense[..., rows, cols])
 
 
-def _random_blocks(sizes):
+def _random_blocks(sizes, draw=None):
     """Random Hermitian per-batch blocks of the given sizes, one
-    (SCAN_BATCHES, s, s) array each, and their block-diagonal dense stack."""
-    rng = spawn_rng(40, "bracket-blocks", *sizes)
+    (SCAN_BATCHES, s, s) array each, and their block-diagonal dense stack;
+    ``draw`` labels a further independent draw of the same sizes."""
+    rng = spawn_rng(40, "bracket-blocks", *sizes, *(() if draw is None else (draw,)))
     diffs = []
     for s in sizes:
         raw = rng.standard_normal((pqas.SCAN_BATCHES, s, s, 2)) @ np.array([1.0, 1j])
@@ -782,14 +783,17 @@ def _random_blocks(sizes):
     return diffs, dense
 
 
-class TestJackknifeOnBlocks:
-    """The delete-one-batch jackknife, solved one leave-one-out block at a
-    time: each replicate of a block is its batch total less one batch."""
+class TestStackedBootstrap:
+    """The delete-one-batch jackknife on each block's stack of packed batch
+    triangles, solved one leave-one-out block at a time: each replicate of a
+    block is its batch total less one batch."""
 
     @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
-    def test_matches_the_per_replicate_loop(self, sizes, monkeypatch):
+    # three independent draws per size set; the labels keep the test ids of the chunked solver's cases
+    @pytest.mark.parametrize("draw", [None, 1, 40_000])
+    def test_matches_the_per_replicate_loop(self, sizes, draw, monkeypatch):
         batches = pqas.SCAN_BATCHES
-        diffs, dense = _random_blocks(sizes)
+        diffs, dense = _random_blocks(sizes, draw)
         loop = [qcore.trace_norm(np.delete(dense, j, axis=0).mean(axis=0)) for j in range(batches)]
         expected = reference.jackknife_se_loop(dense, np.zeros(dense.shape[1:]))
         solves = []
