@@ -2,7 +2,7 @@
 
     pqaslab run --config cfg.json [--out results.csv] [--format csv|json]
                 [--seed 7] [--threads 4] [--no-timing]
-    pqaslab selftest [--criterion N [N ...]]
+    pqaslab selftest [--criterion N [N ...]]   (N from 1 to 10; any other N exits 2)
 
 Exit codes: 0 success, 2 configuration/validation error, 3 acceptance failure.
 A config that sets a field its experiment does not read (``harness.EXPERIMENTS``)
@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     selfp = sub.add_parser("selftest", help="run the acceptance criteria")
-    selfp.add_argument("--criterion", type=int, nargs="*", default=None, help="subset of criteria to run")
+    numbers = range(1, len(selftest.ALL_CRITERIA) + 1)
+    selfp.add_argument("--criterion", type=int, nargs="*", choices=numbers, metavar="N", help="subset of criteria to run")
     return parser
 
 

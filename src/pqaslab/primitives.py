@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import moments, qcore
+from . import moments, pqas, qcore
 from ._streams import derive_bytes
-from .ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler, build_scramblers, stack_size
-from .qcore import Channel
+from .ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler, build_scramblers, stack_size, tag_zero_columns
+from .qcore import Channel, QubitPartition
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,11 @@ class VprdmParams:
         qcore.check_qubits(self.n)
 
 
-def _vprdm_state(u: np.ndarray, m: int) -> np.ndarray:
-    """W W^dag / 2^m over the first 2^m columns W of U (or of each U in a stack)."""
-    w = u[..., : 2**m]
-    return w @ w.conj().swapaxes(-1, -2) / 2**m
-
-
 def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
-    """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag = W W^dag / 2^m over the first
-    2^m columns W of U_k; rank 2^m, purity 2^-m."""
-    return _vprdm_state(build_scrambler(params.key, params.n, spec), params.m)
+    """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag: the PQAS ciphertext of |0...0>
+    on n - m message qubits with no tag and m mixed qubits; rank 2^m, purity 2^-m."""
+    n, m = params.n, params.m
+    return pqas.encrypt(qcore.basis_ket(2 ** (n - m), 0), params.key, QubitPartition(n - m, 0, m), spec).state
 
 
 def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: ScramblerSpec) -> float:
@@ -126,7 +121,8 @@ def efi_ensembles(params: EfiParams, spec: ScramblerSpec) -> tuple[np.ndarray, n
     for start in range(0, len(keys), size):
         us = build_scramblers(keys[start : start + size], params.n, spec)
         for acc, m in zip(nu, (params.m0, params.m1)):
-            for rho in _vprdm_state(us, m):
+            part = QubitPartition(params.n - m, 0, m)
+            for rho in pqas.scramble_padded(qcore.basis_ket(2**part.n, 0), tag_zero_columns(us, part)):
                 acc += rho
     return nu[0] / len(keys), nu[1] / len(keys)
 

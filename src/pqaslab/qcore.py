@@ -101,15 +101,6 @@ def zero_tag_state(l: int) -> np.ndarray:
     return pure_dm(basis_ket(2**l, 0))
 
 
-def maximally_mixed(m: int) -> np.ndarray:
-    """m-qubit maximally mixed state I / 2^m; m = 0 gives the scalar 1."""
-    if m < 0:
-        raise ValueError("register size must be nonnegative")
-    check_qubits(m)
-    d = 2**m
-    return np.eye(d, dtype=complex) / d
-
-
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product; the first factor ends up on the most significant qubits."""
     out = np.asarray(ops[0], dtype=complex)

@@ -46,9 +46,18 @@ def fidelity_with_pure(rho: np.ndarray, psi: np.ndarray) -> float:
     return float(np.vdot(psi, rho @ psi).real)
 
 
+def maximally_mixed(m: int) -> np.ndarray:
+    """m-qubit maximally mixed state I / 2^m; m = 0 gives the scalar 1."""
+    if m < 0:
+        raise ValueError("register size must be nonnegative")
+    qcore.check_qubits(m)
+    d = 2**m
+    return np.eye(d, dtype=complex) / d
+
+
 def pad_state(rho: np.ndarray, partition: QubitPartition) -> np.ndarray:
     """Append the tag state and the maximally mixed register to the message."""
-    return qcore.tensor(rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
+    return qcore.tensor(rho, qcore.zero_tag_state(partition.l), maximally_mixed(partition.m))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +119,7 @@ def closeness_dense(partition: QubitPartition, rho: np.ndarray, t: int) -> float
     input's t copies, minus the maximally mixed target I / d^t.  A rho with
     zero imaginary part is padded as a real operator, so its moment is
     float64 and its trace norm comes from the real symmetric eigensolver."""
-    factors = (rho, qcore.zero_tag_state(partition.l), qcore.maximally_mixed(partition.m))
+    factors = (rho, qcore.zero_tag_state(partition.l), maximally_mixed(partition.m))
     if not np.any(np.imag(rho)):
         factors = tuple(np.real(f) for f in factors)
     padded = reduce(np.kron, factors)
@@ -121,7 +130,7 @@ def closeness_dense(partition: QubitPartition, rho: np.ndarray, t: int) -> float
 def ghse_closeness_dense(n: int, m: int, t: int) -> float:
     """``primitives.ghse_closeness`` from the dense moments: the GHSE average
     against the Haar twirl of (|0><0|^(n-m) (x) I / 2^m)^(x t)."""
-    base = qcore.tensor(qcore.zero_tag_state(n - m), qcore.maximally_mixed(m))
+    base = qcore.tensor(qcore.zero_tag_state(n - m), maximally_mixed(m))
     scrambled = moments.haar_moment(reduce(np.kron, [base] * t), t, 2**n)
     return 0.5 * _hermitian_trace_norm(moments.ghse_moment(n, m, t) - scrambled)
 

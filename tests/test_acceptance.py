@@ -10,8 +10,8 @@ import pytest
 from pqaslab import selftest
 
 
-def _run(criterion):
-    result = criterion()
+def _run(index):
+    result = selftest.run_criterion(index)
     print()
     print(result.line())
     for detail in result.details:
@@ -20,40 +20,40 @@ def _run(criterion):
 
 
 def test_criterion_1_completeness():
-    _run(selftest.criterion_1_completeness)
+    _run(1)
 
 
 def test_criterion_2_closeness_scaling():
-    _run(selftest.criterion_2_closeness_scaling)
+    _run(2)
 
 
 def test_criterion_3_weingarten():
-    _run(selftest.criterion_3_weingarten)
+    _run(3)
 
 
 def test_criterion_4_auth_averages():
-    _run(selftest.criterion_4_auth_averages)
+    _run(4)
 
 
 def test_criterion_5_fidelity_recovery():
-    _run(selftest.criterion_5_fidelity_recovery)
+    _run(5)
 
 
 def test_criterion_6_cpa_separation():
-    _run(selftest.criterion_6_cpa_separation)
+    _run(6)
 
 
 def test_criterion_7_qubit_count():
-    _run(selftest.criterion_7_qubit_count)
+    _run(7)
 
 
 def test_criterion_8_vprdm():
-    _run(selftest.criterion_8_vprdm)
+    _run(8)
 
 
 def test_criterion_9_efi():
-    _run(selftest.criterion_9_efi)
+    _run(9)
 
 
 def test_criterion_10_determinism():
-    _run(selftest.criterion_10_determinism)
+    _run(10)

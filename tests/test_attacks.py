@@ -223,7 +223,7 @@ class TestPurityProbe:
     def test_maximally_mixed(self):
         rng = spawn_rng(8, "pp")
         part = QubitPartition(3, 0, 0)
-        ct = pqas.Ciphertext(qcore.maximally_mixed(3), part)
+        ct = pqas.Ciphertext(reference.maximally_mixed(3), part)
         shots = 4000
         est = attacks.purity_probe([ct] * (2 * shots), rng)
         sigma = 2 * np.sqrt(0.25 / shots)
@@ -292,7 +292,7 @@ class TestBellParity:
 
     def test_independent_mixed_halves(self):
         rng = spawn_rng(11, "bell")
-        state = qcore.tensor(qcore.maximally_mixed(1), qcore.maximally_mixed(1))
+        state = qcore.tensor(reference.maximally_mixed(1), reference.maximally_mixed(1))
         shots = 8000
         z = attacks.bell_parity_purity(state, 1, shots=shots, rng=rng)
         assert abs(z - 0.5) <= 3.5 / np.sqrt(shots)
@@ -332,7 +332,7 @@ class TestBellParity:
             assert np.max(np.abs(attacks._bell_state_law(rho, half) - bell_probs_dm(rho, half))) <= 1e-12
 
     def test_prefix_validation(self):
-        state = qcore.tensor(qcore.maximally_mixed(1), qcore.maximally_mixed(1))
+        state = qcore.tensor(reference.maximally_mixed(1), reference.maximally_mixed(1))
         with pytest.raises(ValueError):
             attacks.bell_parity_purity(state, 2, shots=10, rng=spawn_rng(0, "x"))
 
@@ -390,7 +390,7 @@ class TestQubitCount:
             attacks.qubit_count_interception(3, 1, 2, rng)
         assert rng.bit_generator.state == before  # raised before any draw
         with pytest.raises(ValueError):
-            attacks.qubit_count_attack(qcore.maximally_mixed(1), 2, 1, 4, rng=rng)
+            attacks.qubit_count_attack(reference.maximally_mixed(1), 2, 1, 4, rng=rng)
 
     def test_law_matches_dense_reference(self):
         rng = spawn_rng(20, "qc-law")

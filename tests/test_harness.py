@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import attacks, cli, ensembles, harness, moments, pqas, qcore
+from pqaslab import attacks, cli, ensembles, harness, moments, pqas, qcore, selftest
 from pqaslab.ensembles import MODES
 from pqaslab.harness import ConfigError, ResultRecord
 from pqaslab.qcore import QubitPartition
@@ -360,6 +360,40 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: config field 'trials'") and f" {count} " in out.err
+
+    @pytest.mark.parametrize("criterion", ["0", "11", "-1"])
+    def test_unknown_criterion_exits_2_before_any_criterion_runs(self, criterion, monkeypatch, capsys):
+        with pytest.raises(ValueError, match=f"no criterion {criterion}"):
+            selftest.run_criterion(int(criterion))
+        ran = []
+        monkeypatch.setattr(selftest, "run_criterion", ran.append)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--criterion", "3", criterion])
+        assert exc.value.code == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert f"error: argument --criterion: invalid choice: {criterion}" in out.err
+        assert "[PASS]" not in out.out and not ran
+
+    def test_a_failing_check_fails_its_criterion_and_exits_3(self, monkeypatch, capsys):
+        ran = []
+
+        def failing():
+            ran.append("failing")
+            yield False, "x"
+
+        def other():
+            ran.append("other")
+            yield True, "y"
+
+        k = 4
+        criteria = [(other, name) for _, name in selftest.ALL_CRITERIA]
+        criteria[k - 1] = (failing, selftest.ALL_CRITERIA[k - 1][1])
+        monkeypatch.setattr(selftest, "ALL_CRITERIA", tuple(criteria))
+        result = selftest.run_criterion(k)
+        assert result.passed is False and result.details == ["FAIL x"]
+        assert cli.main(["selftest", "--criterion", str(k)]) == cli.EXIT_ACCEPTANCE
+        assert ran == ["failing", "failing"]
+        assert capsys.readouterr().out.splitlines()[1:] == ["    FAIL x"]
 
     @pytest.mark.parametrize(
         "config,field",

@@ -215,7 +215,7 @@ class TestEncryptedMoment:
 
     def test_closeness_t1_zero(self):
         part = QubitPartition(1, 1, 1)
-        assert moments.closeness_exact(part, qcore.maximally_mixed(1), 1) <= 1e-12
+        assert moments.closeness_exact(part, reference.maximally_mixed(1), 1) <= 1e-12
 
     def test_closeness_halving(self):
         rho = qcore.pure_dm(qcore.basis_ket(2, 0))
@@ -381,7 +381,7 @@ class TestClosedFormCloseness:
 
     def test_rejects_wrong_register(self):
         with pytest.raises(ValueError):
-            moments.closeness_exact(QubitPartition(2, 1, 1), qcore.maximally_mixed(1), 2)
+            moments.closeness_exact(QubitPartition(2, 1, 1), reference.maximally_mixed(1), 2)
 
 
 class TestGhseMoment:

@@ -99,8 +99,8 @@ class TestEncryptDecrypt:
     def test_decrypt_of_maximally_mixed(self):
         part = QubitPartition(1, 1, 1)
         key = SecretKey.generate(spawn_rng(4, "mm"))
-        ct = pqas.Ciphertext(qcore.maximally_mixed(part.z), part)
-        assert np.allclose(pqas.decrypt(ct, key, HAAR), qcore.maximally_mixed(part.n + part.l), atol=1e-10)
+        ct = pqas.Ciphertext(reference.maximally_mixed(part.z), part)
+        assert np.allclose(pqas.decrypt(ct, key, HAAR), reference.maximally_mixed(part.n + part.l), atol=1e-10)
 
     def test_wrong_key_acceptance(self):
         # mean tag acceptance over wrong keys is 2^-l for Haar scramblers
@@ -156,7 +156,7 @@ class TestAuthenticate:
         key = SecretKey.generate(rng)
         u = build_scrambler(key, part.z, spec)
         msg = qcore.pure_dm(random_pure_state(part.n, rng))
-        wrong_tag = qcore.tensor(msg, qcore.pure_dm(qcore.basis_ket(2**part.l, 1)), qcore.maximally_mixed(part.m))
+        wrong_tag = qcore.tensor(msg, qcore.pure_dm(qcore.basis_ket(2**part.l, 1)), reference.maximally_mixed(part.m))
         accepted = pqas.tamper(pqas.encrypt(msg, key, part, spec), qcore.DepolarizingChannel(2**part.z, 0.3))
         rejected = pqas.Ciphertext(qcore.apply_unitary(wrong_tag, u), part)
         for ct, accepts in ((accepted, True), (rejected, False)):
@@ -165,8 +165,8 @@ class TestAuthenticate:
             assert out.accepted == accepts == (post is not None)
             assert abs(out.accept_prob - prob) <= 1e-12
             if accepts:
-                reference = qcore.partial_trace(post, part.dims, {1, 2})
-                assert np.max(np.abs(out.post_message - reference)) <= 1e-12
+                expected = qcore.partial_trace(post, part.dims, {1, 2})
+                assert np.max(np.abs(out.post_message - expected)) <= 1e-12
 
 
 def _messages(n, rng):
@@ -483,7 +483,7 @@ class TestSecurityScan:
     def test_argument_validation(self):
         # at n = 2, t = 2 a state is one copy (2^2) or a joint state (2^(4 + q)), nothing else
         part = QubitPartition(2, 1, 1)
-        for state in (qcore.maximally_mixed(1), qcore.maximally_mixed(3), np.eye(24) / 24):
+        for state in (reference.maximally_mixed(1), reference.maximally_mixed(3), np.eye(24) / 24):
             with pytest.raises(ValueError):
                 pqas.security_scan(part, state, 2, 100)
         # a trial count must be a positive multiple of the batch count
@@ -501,7 +501,7 @@ class TestSecurityScan:
     def test_joint_state_of_dimension_2_to_the_nt_has_no_purification(self):
         # rho (x) rho passed whole is a joint state with q = 0: the joint path, no exact, the product's estimate
         part = QubitPartition(1, 1, 1)
-        rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * qcore.maximally_mixed(1)
+        rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * reference.maximally_mixed(1)
         product = pqas.security_scan(part, rho, 2, 200, seed=19)
         joint = pqas.security_scan(part, np.kron(rho, rho), 2, 200, seed=19)
         assert product.exact is not None and joint.exact is None
@@ -548,7 +548,7 @@ def pad_joint_state_tagged(joint, partition, t, q):
     msg_t, tag_t, mix_t, purif)."""
     dn, dl, dm = partition.dims
     pads = [qcore.zero_tag_state(partition.l) for _ in range(t)]
-    pads += [qcore.maximally_mixed(partition.m) for _ in range(t)]
+    pads += [reference.maximally_mixed(partition.m) for _ in range(t)]
     full = joint
     for p in pads:
         full = np.kron(full, p)
@@ -624,7 +624,7 @@ def _recording(seen, name, inner):
 
 def _scan_cases():
     ket0 = qcore.pure_dm(qcore.basis_ket(2, 0))
-    mixed = 0.7 * ket0 + 0.3 * qcore.maximally_mixed(1)
+    mixed = 0.7 * ket0 + 0.3 * reference.maximally_mixed(1)
     ghz = (qcore.basis_ket(8, 0) + qcore.basis_ket(8, 7)) / np.sqrt(2)
     # a random full-rank state on (message_1, message_2, purification): not copy-symmetric
     g = spawn_rng(21, "asymmetric").standard_normal((8, 8, 2)) @ np.array([1.0, 1j])
@@ -734,7 +734,7 @@ class TestPackedScanStorage:
 
     @pytest.mark.parametrize("part,t,mode", [(QubitPartition(1, 1, 2), 2, "haar_exact"), (QubitPartition(1, 0, 1), 3, "composed")])
     def test_raw_estimate_is_bitwise_the_dense_storage(self, part, t, mode):
-        rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * qcore.maximally_mixed(1)
+        rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * reference.maximally_mixed(1)
         trials, seed = 200, 31
         per_batch = trials // pqas.SCAN_BATCHES
         d = 2**part.z

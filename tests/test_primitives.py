@@ -17,7 +17,7 @@ COMPOSED = ScramblerSpec(mode="composed")
 
 def vprdm_generate_dense(params, spec):
     """U_k (|0><0|^(n-m) (x) sigma_m) U_k^dag as a dense conjugation (reference)."""
-    base = qcore.tensor(qcore.zero_tag_state(params.n - params.m), qcore.maximally_mixed(params.m))
+    base = qcore.tensor(qcore.zero_tag_state(params.n - params.m), reference.maximally_mixed(params.m))
     return qcore.apply_unitary(base, build_scrambler(params.key, params.n, spec))
 
 
@@ -60,7 +60,7 @@ class TestVprdm:
     def test_verify_uniform_state_exact(self):
         key = reference.key_from_int(4)
         for n, m in [(3, 1), (4, 1), (4, 2)]:
-            val = primitives.vprdm_verify(qcore.maximally_mixed(n), key, n, m, HAAR)
+            val = primitives.vprdm_verify(reference.maximally_mixed(n), key, n, m, HAAR)
             assert val == pytest.approx(2.0 ** -(n - m), abs=1e-12)
 
     def test_wrong_key_mean(self):
@@ -143,7 +143,7 @@ class TestEfi:
             EfiParams(6, 1, 2 / 3, 1 / 3, 20)  # lambda_eff too large
 
     def test_degenerate_identical_arms(self):
-        nu = qcore.maximally_mixed(2)
+        nu = reference.maximally_mixed(2)
         rep = primitives._report_for(nu, nu.copy(), 2)
         assert rep.t_exact == pytest.approx(0.0, abs=1e-12)
         assert rep.s0_bits == pytest.approx(rep.s1_bits, abs=1e-12)

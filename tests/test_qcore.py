@@ -19,14 +19,16 @@ def bell_pair():
 
 class TestConstruction:
     def test_maximally_mixed(self):
-        assert np.allclose(qcore.maximally_mixed(1), np.diag([0.5, 0.5]))
-        assert qcore.maximally_mixed(0).shape == (1, 1)
-        assert qcore.maximally_mixed(0)[0, 0] == 1.0
-        assert reference.purity(qcore.maximally_mixed(2)) == pytest.approx(0.25, abs=1e-14)
+        assert np.allclose(reference.maximally_mixed(1), np.diag([0.5, 0.5]))
+        assert reference.maximally_mixed(0).shape == (1, 1)
+        assert reference.maximally_mixed(0)[0, 0] == 1.0
+        assert reference.purity(reference.maximally_mixed(2)) == pytest.approx(0.25, abs=1e-14)
 
     def test_maximally_mixed_cap(self):
         with pytest.raises(ValueError):
-            qcore.maximally_mixed(qcore.qubit_cap() + 1)
+            reference.maximally_mixed(qcore.qubit_cap() + 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            reference.maximally_mixed(-1)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("PQASLAB_CAP", "3")
@@ -36,10 +38,10 @@ class TestConstruction:
 
     def test_tensor(self):
         zero = qcore.pure_dm(qcore.basis_ket(2, 0))
-        prod = qcore.tensor(zero, qcore.maximally_mixed(1))
+        prod = qcore.tensor(zero, reference.maximally_mixed(1))
         assert np.allclose(prod, np.diag([0.5, 0.5, 0, 0]))
         rho = sample_ghse(2, 1, spawn_rng(0, "tensor"))
-        assert np.allclose(qcore.tensor(rho, qcore.maximally_mixed(0)), rho)
+        assert np.allclose(qcore.tensor(rho, reference.maximally_mixed(0)), rho)
         other = sample_ghse(1, 1, spawn_rng(1, "tensor"))
         assert np.trace(qcore.tensor(rho, other)).real == pytest.approx(1.0, abs=1e-12)
 
@@ -53,7 +55,7 @@ class TestConstruction:
         assert QubitPartition(2, 3, 1).z == 6
 
     def test_density_checks(self):
-        reference.check_density_matrix(qcore.maximally_mixed(2))
+        reference.check_density_matrix(reference.maximally_mixed(2))
         with pytest.raises(ValueError):
             reference.check_density_matrix(np.eye(2, dtype=complex))  # trace 2
         bad = np.array([[0.5, 0.3], [0.2, 0.5]], dtype=complex)
@@ -69,7 +71,7 @@ class TestConstruction:
 class TestRegisterSurgery:
     def test_partial_trace_bell(self):
         reduced = qcore.partial_trace(bell_pair(), [2, 2], {1})
-        assert np.allclose(reduced, qcore.maximally_mixed(1), atol=1e-12)
+        assert np.allclose(reduced, reference.maximally_mixed(1), atol=1e-12)
 
     def test_partial_trace_product(self):
         rng = spawn_rng(2, "ptrace")
@@ -90,7 +92,7 @@ class TestRegisterSurgery:
 
     def test_partial_trace_bad_layout(self):
         with pytest.raises(ValueError):
-            qcore.partial_trace(qcore.maximally_mixed(2), [2, 4], {0})
+            qcore.partial_trace(reference.maximally_mixed(2), [2, 4], {0})
 
     def test_permute_registers(self):
         rng = spawn_rng(5, "permute")
@@ -142,7 +144,7 @@ class TestDynamics:
             reference.KrausChannel([np.eye(2) * 0.5])
 
     def test_project(self):
-        rho = qcore.maximally_mixed(1)
+        rho = reference.maximally_mixed(1)
         prob, post = qcore.project(rho, np.eye(2))
         assert prob == pytest.approx(1.0)
         assert np.allclose(post, rho)
@@ -155,20 +157,20 @@ class TestDynamics:
 
     def test_project_rejects_non_idempotent(self):
         with pytest.raises(ValueError):
-            qcore.project(qcore.maximally_mixed(1), 0.5 * np.eye(2))
+            qcore.project(reference.maximally_mixed(1), 0.5 * np.eye(2))
 
 
 class TestMetrics:
     def test_closed_forms(self):
         zero = qcore.pure_dm(qcore.basis_ket(2, 0))
-        assert qcore.trace_distance(zero, qcore.maximally_mixed(1)) == pytest.approx(0.5, abs=1e-12)
+        assert qcore.trace_distance(zero, reference.maximally_mixed(1)) == pytest.approx(0.5, abs=1e-12)
         for m in (1, 2, 3):
-            assert qcore.vn_entropy_bits(qcore.maximally_mixed(m)) == pytest.approx(m, abs=1e-10)
-            assert reference.purity(qcore.maximally_mixed(m)) == pytest.approx(2.0**-m, abs=1e-12)
+            assert qcore.vn_entropy_bits(reference.maximally_mixed(m)) == pytest.approx(m, abs=1e-10)
+            assert reference.purity(reference.maximally_mixed(m)) == pytest.approx(2.0**-m, abs=1e-12)
 
     def test_trace_norm_reads_the_lower_triangle(self):
         rng = spawn_rng(13, "lower-triangle")
-        a = sample_ghse(2, 1, rng) - qcore.maximally_mixed(2)
+        a = sample_ghse(2, 1, rng) - reference.maximally_mixed(2)
         lower = np.tril(a)
         assert qcore.trace_norm(lower) == qcore.trace_norm(a)
         assert qcore.trace_norm(lower) == pytest.approx(float(np.linalg.norm(a, "nuc")), abs=1e-12)
@@ -176,14 +178,14 @@ class TestMetrics:
     def test_fidelity_with_pure(self):
         psi = qcore.basis_ket(2, 0)
         assert reference.fidelity_with_pure(qcore.pure_dm(psi), psi) == pytest.approx(1.0)
-        assert reference.fidelity_with_pure(qcore.maximally_mixed(1), psi) == pytest.approx(0.5)
+        assert reference.fidelity_with_pure(reference.maximally_mixed(1), psi) == pytest.approx(0.5)
 
     def test_swap_test_values(self):
         psi = qcore.pure_dm(qcore.basis_ket(2, 0))
         phi = qcore.pure_dm(qcore.basis_ket(2, 1))
         assert qcore.swap_test_accept(psi, psi) == pytest.approx(1.0)
         assert qcore.swap_test_accept(psi, phi) == pytest.approx(0.5)
-        mm = qcore.maximally_mixed(1)
+        mm = reference.maximally_mixed(1)
         assert qcore.swap_test_accept(mm, mm) == pytest.approx(0.75)
 
     def test_swap_test_purity_identity(self):
