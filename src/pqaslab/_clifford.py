@@ -12,8 +12,10 @@ elements; see :func:`symplectic_group_order`.
 The dense unitary is rebuilt from the tableau without circuit synthesis:
 the column U|x> equals (prod_i Qi^{x_i}) |phi0>, where Qi is the signed Pauli
 image of X_i and |phi0> is the unique state stabilized by the signed images
-of the Z_i.  The global phase is fixed canonically so key-seeded sampling is
-bitwise reproducible.
+of the Z_i.  The 2n signed images are one pair of (2n, 2^n) tables, a source
+index and an amplitude per basis state, computed with integer bit operations
+over every tableau row at once (``_signed_paulis``).  The global phase is
+fixed canonically so key-seeded sampling is bitwise reproducible.
 
 Binary symplectic vectors use the interleaved basis (x1, z1, x2, z2, ...).
 """
@@ -91,63 +93,47 @@ def _symplectic_rows(index: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# signed Pauli operators as index/phase pairs
+# signed Pauli images as index/amplitude tables, and the dense unitary
 
 
-def _pauli_masks(row: int, n: int) -> tuple[int, int]:
-    """The (x, z) qubit bitmasks, qubit 0 most significant, of an interleaved
-    symplectic row (x1, z1, x2, z2, ...)."""
-    x = z = 0
-    for i in range(n):
-        x |= (row >> 2 * i & 1) << (n - 1 - i)
-        z |= (row >> 2 * i + 1 & 1) << (n - 1 - i)
-    return x, z
+def _signed_paulis(n: int, rows: list[int], signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source-index and amplitude tables, each (len(rows), 2^n), of the signed
+    Paulis (-1)^sign i^(x.z) X^x Z^z of the symplectic ``rows``.
 
-
-class SignedPauli:
-    """(-1)^sign i^(x.z) X^x Z^z on n qubits, stored as an amplitude permutation.
-
-    ``x`` and ``z`` are bitmasks over the qubits, qubit 0 the most significant
-    bit.  Acting on basis state |b>:  P|b> = phase * (-1)^(z.b) |b XOR x>,
-    with phase = (-1)^sign i^(x.z); the i^(x.z) factor makes P Hermitian.
+    x and z are a row's qubit bitmasks, qubit 0 the most significant bit.
+    Row r acts on a vector as (P_r v)[b] = amps[r, b] * v[source[r, b]], with
+    source[r, b] = b XOR x and amps[r, b] = phase (-1)^(z.source[r, b]); the
+    i^(x.z) factor of the phase makes P_r Hermitian.
     """
-
-    def __init__(self, n: int, x: int, z: int, sign: int):
-        self.n = n
-        self.source = np.arange(2**n) ^ x
-        zsupport = self.source & z
-        zpar = np.zeros(2**n, dtype=np.int64)
-        for q in range(n):
-            zpar ^= (zsupport >> q) & 1
-        phase = (-1.0) ** int(sign) * (1j) ** ((x & z).bit_count() % 4)
-        self.amps = phase * (-1.0) ** zpar
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """P @ v without materializing the matrix."""
-        return self.amps * v[self.source]
+    packed = np.array(rows, dtype=np.int64)[:, None]
+    basis = np.arange(2**n)
+    source = np.repeat(basis[None], len(rows), axis=0)
+    zpar = np.zeros_like(source)
+    for i in range(n):  # qubit i: bits 2i and 2i + 1 of a row, bit n - 1 - i of a basis index
+        x, z = packed >> 2 * i & 1, packed >> 2 * i + 1 & 1
+        source ^= x << n - 1 - i
+        zpar ^= z & (basis >> n - 1 - i ^ x)
+    # x.z counts the qubits whose x and z bits are both set
+    phases = np.array([(-1.0) ** int(s) * (1j) ** ((r >> 1 & r & _EVEN).bit_count() % 4) for r, s in zip(rows, signs)])
+    return source, phases[:, None] * (-1.0) ** zpar
 
 
-# ---------------------------------------------------------------------------
-# tableau -> dense unitary
-
-
-def _stabilized_state(stabilizers: list[SignedPauli], dim: int) -> np.ndarray:
-    """Unit vector fixed by every stabilizer, found by sequential projection."""
+def _stabilized_state(source: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Unit vector fixed by every signed Pauli of the tables, found by
+    sequential projection."""
+    dim = source.shape[1]
     for start in range(dim):
         v = np.zeros(dim, dtype=complex)
         v[start] = 1.0
-        ok = True
-        for p in stabilizers:
-            v = 0.5 * (v + p.apply(v))
+        for src, amp in zip(source, amps):
+            v = 0.5 * (v + amp * v[src])
             if np.vdot(v, v).real < 1e-12:
-                ok = False
                 break
-        if ok:
+        else:
             v = v / np.sqrt(np.vdot(v, v).real)
             # canonical global phase: first sizable entry made real positive
             j = int(np.argmax(np.abs(v) > 1e-8))
-            v = v * (abs(v[j]) / v[j])
-            return v
+            return v * (abs(v[j]) / v[j])
     raise ArithmeticError("no stabilized state found; tableau is inconsistent")
 
 
@@ -159,16 +145,15 @@ def clifford_dense_from_tableau(n: int, rows: list[int], signs: np.ndarray) -> n
     attached per row.
     """
     dim = 2**n
-    images = [SignedPauli(n, *_pauli_masks(row, n), sign) for row, sign in zip(rows, signs)]
-    ximages, zimages = images[0::2], images[1::2]
+    source, amps = _signed_paulis(n, rows, signs)
     cols = np.empty((dim, dim), dtype=complex)  # row x holds the column U|x>
-    cols[0] = _stabilized_state(zimages, dim)
+    cols[0] = _stabilized_state(source[1::2], amps[1::2])
     # U|x> is the X image of the qubit holding x's lowest set bit applied to
     # U|prev>, prev = x with that bit cleared; all columns whose lowest set
     # bit is b are built at once, from b = n - 1 (qubit 0) down
-    for q, p in enumerate(ximages):
+    for q in range(n):
         step = dim >> q
-        cols[step // 2 :: step] = p.amps * cols[::step, p.source]
+        cols[step // 2 :: step] = amps[2 * q] * cols[::step, source[2 * q]]
     return np.ascontiguousarray(cols.T)
 
 

@@ -34,9 +34,11 @@ straight onto the product of the other two factors.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict, namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -310,13 +312,55 @@ def build_scramblers(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec) -> 
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-@lru_cache(maxsize=64)
+CACHE_KEYS = 64
+CACHE_ENTRIES = 2**22  # complex entries, 64 MiB
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _scrambler_cache(build):
+    """Least-recently-used cache of ``build``'s unitaries, bounded by
+    CACHE_KEYS keys and by CACHE_ENTRIES complex entries, whichever binds
+    first: 64 keys up to z = 8, 16 at z = 9 and 4 at z = 10.  Like
+    ``functools.lru_cache`` it has ``cache_info()`` (``maxsize`` is
+    CACHE_KEYS) and ``cache_clear()``."""
+    cache = OrderedDict()
+    counts = {"hits": 0, "misses": 0}
+    lock = threading.Lock()
+
+    @wraps(build)
+    def cached(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
+        args = (key, z, spec)
+        with lock:
+            if args in cache:
+                counts["hits"] += 1
+                cache.move_to_end(args)
+                return cache[args]
+            counts["misses"] += 1
+        u = build(*args)
+        with lock:
+            cache[args] = u
+            while len(cache) > CACHE_KEYS or sum(v.size for v in cache.values()) > CACHE_ENTRIES:
+                cache.popitem(last=False)
+        return u
+
+    def cache_clear() -> None:
+        with lock:
+            cache.clear()
+            counts.update(hits=0, misses=0)
+
+    cached.cache_info = lambda: CacheInfo(counts["hits"], counts["misses"], CACHE_KEYS, len(cache))
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_scrambler_cache
 def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     """The keyed scrambling unitary for the given spec, deterministic in key.
 
-    Cached: encrypt/decrypt/verify calls with the same key reuse the matrix,
-    so it is returned read-only, as an array that owns its memory (no
-    writable base to reach it through).
+    Cached (see ``_scrambler_cache``: at most 64 keys and 2^22 complex
+    entries): encrypt/decrypt/verify calls with the same key reuse the
+    matrix, so it is returned read-only, as an array that owns its memory
+    (no writable base to reach it through).
     """
     u = build_scramblers([key], z, spec)[0].copy()
     u.flags.writeable = False

@@ -292,7 +292,7 @@ class UnitaryChannel(Channel):
 
 
 class DepolarizingChannel(Channel):
-    """Global depolarizing map rho -> (1-p) rho + p I/d.
+    """Global depolarizing map rho -> (1-p) rho + p tr(rho) I/d.
 
     Kept structural rather than as an explicit Kraus list: the Pauli Kraus
     decomposition has d^2 operators, which is impractical above a few qubits.
@@ -306,16 +306,7 @@ class DepolarizingChannel(Channel):
 
     def apply(self, rho):
         d = self.dim
-        # p tr(rho) I/d is p tr(rho) 1.0 / d on the diagonal and the signed zero
-        # p tr(rho) 0.0 / d off it; adding each as the full product forms it keeps
-        # the bytes of (1-p) rho + p tr(rho) I/d, signed zeros included, with no I/d stack
-        scaled = self.p * np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
-        out = (1.0 - self.p) * rho
-        diag = np.einsum("...ii->...i", out)
-        on = diag + scaled[..., 0] * 1.0 / d
-        out += scaled * 0.0 / d
-        diag[...] = on
-        return out
+        return (1 - self.p) * rho + self.p * np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d
 
     def compress(self, w, y):
         # unitarily covariant: (1-p) Y^dag W W^dag Y + p tr(W W^dag)/d Y^dag Y

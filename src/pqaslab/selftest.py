@@ -189,19 +189,10 @@ def criterion_6_cpa_separation(seed: int = 106) -> Iterator[Check]:
 def criterion_7_qubit_count(seed: int = 107) -> Iterator[Check]:
     """Bell-parity qubit-number attack works on pure-state encryption and
     abstains on the padded scheme."""
-    trials = 200
+    config = {"experiment": "qubit-count", "n": 2, "s_max": 2, "m": [0, 2], "trials": 200, "shots": 600, "delta": 0.1}
+    rates = {(r.m, r.experiment): r.estimate for r in harness.run({**config, "seed": seed}, record_timing=False)}
     for mode_m, want in ((0, "correct"), (2, "abstain")):
-        hits = 0
-        for trial in range(trials):
-            rng = spawn_rng(seed, "qc", mode_m, trial)
-            true_s = int(rng.integers(1, 3))
-            state, copies = attacks.qubit_count_interception(2, true_s, 2, rng, m=mode_m)
-            rep = attacks.qubit_count_attack(state, copies, 2, 2, delta=0.1, shots=600, rng=rng)
-            if want == "correct":
-                hits += int(rep.decision == true_s)
-            else:
-                hits += int(rep.decision is None)
-        rate = hits / trials
+        rate = rates[mode_m, f"qubit-count:{want}"]
         yield rate >= 0.95, f"m={mode_m}: {want} rate {rate:.3f} >= 0.95"
 
 

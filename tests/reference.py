@@ -10,7 +10,6 @@ from functools import reduce
 import numpy as np
 
 from pqaslab import moments, pqas, qcore
-from pqaslab._clifford import SignedPauli
 from pqaslab._streams import derive_bytes
 from pqaslab.ensembles import KEY_BYTES, SecretKey
 from pqaslab.moments import Perm
@@ -278,11 +277,12 @@ def is_symplectic(g: np.ndarray) -> bool:
     return np.array_equal((g @ lam @ g.T) % 2, lam)
 
 
-def signed_pauli_dense(pauli: SignedPauli) -> np.ndarray:
-    """The dense matrix of a ``SignedPauli``."""
-    dim = 2**pauli.n
+def signed_pauli_dense(source: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """The dense matrix of one row of ``_clifford._signed_paulis``'s tables,
+    (P v)[b] = amps[b] v[source[b]]."""
+    dim = source.size
     out = np.zeros((dim, dim), dtype=complex)
-    out[np.arange(dim), pauli.source] = pauli.amps
+    out[np.arange(dim), source] = amps
     return out
 
 

@@ -7,11 +7,15 @@ step, each gate drawn on its own) is kept here as the reference for
 composed scrambler.
 """
 
+import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from pqaslab import ensembles, moments, pqas, qcore
-from pqaslab._clifford import SignedPauli, _symplectic_rows, symplectic_group_order
+from pqaslab._clifford import _signed_paulis, _symplectic_rows, symplectic_group_order
 from pqaslab._streams import keyed_rng, spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -197,6 +201,12 @@ class TestTrialScramblers:
         assert np.array_equal(ys, us.reshape(3, 2**part.z, dn, dl, dm)[:, :, :, 0, :])
 
 
+def interleaved_row(x: int, z: int, n: int) -> int:
+    """The symplectic row (x1, z1, x2, z2, ...) of qubit bitmasks x and z,
+    qubit 0 the most significant bit."""
+    return sum((x >> n - 1 - i & 1) << 2 * i | (z >> n - 1 - i & 1) << 2 * i + 1 for i in range(n))
+
+
 def symplectic_element(index: int, n: int) -> np.ndarray:
     """The bitmask rows of the index-th element of Sp(2n, 2) as an int8 array,
     bit j of a row in column j."""
@@ -248,30 +258,47 @@ class TestCliffordSampler:
         # (-1)^sign i^(x.z) X^x Z^z as a Kronecker product, qubit 0 the most significant bit
         one, x_gate, z_gate = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
         n = 3
-        for x in range(2**n):
-            for z in range(2**n):
-                for sign in (0, 1):
-                    dense = np.ones((1, 1))
-                    for bit in reversed(range(n)):
-                        factor = (x_gate if x >> bit & 1 else one) @ (z_gate if z >> bit & 1 else one)
-                        dense = np.kron(dense, factor)
-                    dense = (-1) ** sign * 1j ** bin(x & z).count("1") * dense
-                    assert np.array_equal(reference.signed_pauli_dense(SignedPauli(n, x, z, sign)), dense), (x, z, sign)
+        cases = [(x, z, sign) for x in range(2**n) for z in range(2**n) for sign in (0, 1)]
+        source, amps = _signed_paulis(n, [interleaved_row(x, z, n) for x, z, _ in cases], [s for _, _, s in cases])
+        for (x, z, sign), src, amp in zip(cases, source, amps):
+            dense = np.ones((1, 1))
+            for bit in reversed(range(n)):
+                factor = (x_gate if x >> bit & 1 else one) @ (z_gate if z >> bit & 1 else one)
+                dense = np.kron(dense, factor)
+            dense = (-1) ** sign * 1j ** bin(x & z).count("1") * dense
+            assert np.array_equal(reference.signed_pauli_dense(src, amp), dense), (x, z, sign)
 
     def test_pauli_to_pauli(self):
         # conjugating any Pauli string gives another Pauli string up to sign
         rng = spawn_rng(5, "cliff-pauli")
         n = 2
         u = sample_clifford(n, rng)
-        for xb in range(4):
-            for zb in range(4):
-                p = reference.signed_pauli_dense(SignedPauli(n, xb, zb, 0))
-                img = u @ p @ u.conj().T
-                # image must be +-1 or +-i times a signed permutation matrix
-                mags = np.abs(img)
-                assert np.allclose(np.sort(mags.ravel())[-4:], 1.0, atol=1e-9)
-                assert np.allclose(mags * (mags > 0.5), mags, atol=1e-9)
-                assert (np.count_nonzero(mags > 0.5)) == 4
+        masks = [(xb, zb) for xb in range(4) for zb in range(4)]
+        source, amps = _signed_paulis(n, [interleaved_row(xb, zb, n) for xb, zb in masks], [0] * len(masks))
+        for src, amp in zip(source, amps):
+            p = reference.signed_pauli_dense(src, amp)
+            img = u @ p @ u.conj().T
+            # image must be +-1 or +-i times a signed permutation matrix
+            mags = np.abs(img)
+            assert np.allclose(np.sort(mags.ravel())[-4:], 1.0, atol=1e-9)
+            assert np.allclose(mags * (mags > 0.5), mags, atol=1e-9)
+            assert (np.count_nonzero(mags > 0.5)) == 4
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 8])
+    def test_clifford_bytes_are_pinned(self, z):
+        # sha256 of 20 keyed draws: the sampler's bytes may change only on purpose
+        pinned = {
+            1: "fab8b127c16438f710038d7aa4c0ba0f9fa20e815acd67dd622f09e2999d8c91",
+            2: "f6c5791f7ae3187a183ef335f4fd2863ed860127c3df66ffae492910b3f76be6",
+            3: "1a3bbf2698528a604b6ba4081b559327e18943c6eb64f4309aadda1b43298e63",
+            4: "45f07396ba706cad86fd7be9dc2b2d13925c9a7708fc4bf3d7201ed46ab5de60",
+            5: "5ec40fc8981b49ef45df9696f56907c09f6bd82d44a5bcb1cfc79c2396428e68",
+            8: "f685c1bf849b408e80d73c7ebdea03b287efce45fbd5b6d855fde2d7fb2dc24e",
+        }
+        digest = hashlib.sha256()
+        for seed in range(20):
+            digest.update(sample_clifford(z, spawn_rng(seed, "clifford-bytes", z)).tobytes())
+        assert digest.hexdigest() == pinned[z]
 
     def test_two_design_moment(self):
         rng = spawn_rng(6, "cliff-2d")
@@ -465,6 +492,72 @@ class TestScrambler:
         for i, y in enumerate(ys):
             u = build_scrambler(SecretKey.generate(spawn_rng(21, "scr", i)), 3, spec)
             assert np.array_equal(y, tag_zero_columns(u, part))
+
+    @pytest.mark.parametrize(
+        "mode, pinned",
+        [
+            ("haar_exact", "f58857d1d0c368492bfa7808bba800ff91581aff54ba4e3b7e40e5675c889d58"),
+            ("composed", "f5e4fd5fe9d03e542f2fe0e635cab2d21bdfd95ec044581b3d9e1b061aa33b7a"),
+            ("pru_only", "0221c9553bf151dbb667fd6f6e8c516065e0988b918bb9f77f7320fc97d7bfe6"),
+        ],
+    )
+    def test_stack_bytes_are_pinned(self, mode, pinned):
+        keys = [SecretKey.generate(spawn_rng(7, "scrambler-bytes", mode, i)) for i in range(4)]
+        assert hashlib.sha256(build_scramblers(keys, 3, ScramblerSpec(mode)).tobytes()).hexdigest() == pinned
+
+    def test_cache_evicts_past_its_entry_budget(self, monkeypatch):
+        # a budget of three z = 4 unitaries binds before the 64-key bound
+        monkeypatch.setattr(ensembles, "CACHE_ENTRIES", 3 * 4**4)
+        spec = ScramblerSpec(mode="haar_exact")
+        keys = [SecretKey.generate(spawn_rng(24, "cache-budget", i)) for i in range(5)]
+        build_scrambler.cache_clear()
+        for key in keys:
+            build_scrambler(key, 4, spec)
+        assert build_scrambler.cache_info() == (0, 5, 64, 3)
+        build_scrambler(keys[4], 4, spec)  # still held
+        build_scrambler(keys[0], 4, spec)  # evicted first, built again
+        info = build_scrambler.cache_info()
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 6, 64, 3)
+        # the rebuild evicted the least recently used key left, keys[2]
+        build_scrambler(keys[3], 4, spec)
+        build_scrambler(keys[2], 4, spec)
+        assert build_scrambler.cache_info()[:2] == (2, 7)
+        build_scrambler.cache_clear()
+        assert build_scrambler.cache_info() == (0, 0, 64, 0)
+
+    def test_cache_holds_at_most_64_keys(self):
+        spec = ScramblerSpec(mode="haar_exact")
+        keys = [SecretKey.generate(spawn_rng(25, "cache-keys", i)) for i in range(65)]
+        build_scrambler.cache_clear()
+        for key in keys:
+            build_scrambler(key, 1, spec)
+        assert build_scrambler.cache_info() == (0, 65, 64, 64)
+        build_scrambler(keys[0], 1, spec)  # the least recently used key was evicted
+        assert build_scrambler.cache_info()[:2] == (0, 66)
+        build_scrambler.cache_clear()
+
+    def test_cache_counts_every_lookup_under_threads(self):
+        # more threads than cores, switching often: no lookup is lost from
+        # the counts and every thread reads each key's one unitary
+        spec = ScramblerSpec(mode="haar_exact")
+        keys = [SecretKey.generate(spawn_rng(26, "cache-threads", i)) for i in range(80)]
+        want = [build_scramblers([key], 1, spec)[0] for key in keys]
+        build_scrambler.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def lookups(start):
+                return [build_scrambler(key, 1, spec) for key in keys[start:] + keys[:start]]
+
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(lookups, i) for i in range(8)]]
+        finally:
+            sys.setswitchinterval(interval)
+        info = build_scrambler.cache_info()
+        assert info.hits + info.misses == 8 * len(keys) and info.currsize == 64
+        for i, got in enumerate(results):
+            assert all(np.array_equal(u, w) for u, w in zip(got, want[i:] + want[:i]))
+        build_scrambler.cache_clear()
 
     def test_modes_differ(self):
         key = SecretKey.generate(spawn_rng(10, "scr"))

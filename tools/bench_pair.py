@@ -18,9 +18,10 @@ side that runs first alternates per pair):
 Each value is the median over the pairs, with every run listed in pair
 order and the quartiles (``statistics.quantiles``, inclusive method).  An
 end-to-end metric of BENCHMARK.json is marked ``"unresolved": true`` when
-the parent's interquartile range exceeds the metric's bound times the
-parent's median, unless every change run beats every parent run: its runs
-then spread too widely to tell a change within the bound from none.
+either side has fewer than PAIRS runs or the parent's interquartile range
+exceeds the metric's bound times the parent's median, unless every change
+run beats every parent run: its runs then are too few or spread too widely
+to tell a change within the bound from none.
 """
 
 from __future__ import annotations
@@ -122,7 +123,9 @@ def _summary(parent: list[float], change: list[float], unit: str, metric: dict |
     if metric:
         lower = metric["better"] == "lower"
         beats = max(change) < min(parent) if lower else min(change) > max(parent)
-        summary["unresolved"] = q_p[1] - q_p[0] > metric["bound"] * mid_p and not beats
+        # fewer than PAIRS runs a side cannot show the run-to-run spread
+        spread = min(len(parent), len(change)) < PAIRS or q_p[1] - q_p[0] > metric["bound"] * mid_p
+        summary["unresolved"] = spread and not beats
     return summary
 
 
