@@ -162,6 +162,13 @@ def lr_cpa_game(left: list, right: list, m: int, trials: int = 500, seed: int = 
 # purity probe and multi-state attack
 
 
+def _pair_swap_tests(ciphertexts: list[Ciphertext], rng: np.random.Generator):
+    """Whether the SWAP test of each disjoint consecutive pair accepts, in
+    order; one uniform is drawn per pair, when that pair is reached."""
+    for k in range(len(ciphertexts) // 2):
+        yield rng.random() < qcore.swap_test_accept(ciphertexts[2 * k].state, ciphertexts[2 * k + 1].state)
+
+
 def purity_probe(ciphertexts: list[Ciphertext], rng: np.random.Generator) -> float:
     """Estimate tr(rho^2) from SWAP tests on disjoint ciphertext pairs.
 
@@ -170,30 +177,18 @@ def purity_probe(ciphertexts: list[Ciphertext], rng: np.random.Generator) -> flo
     """
     if len(ciphertexts) < 2 or len(ciphertexts) % 2:
         raise ValueError("need an even number of ciphertext copies")
-    accept = 0
-    pairs = len(ciphertexts) // 2
-    for k in range(pairs):
-        a = ciphertexts[2 * k].state
-        b = ciphertexts[2 * k + 1].state
-        if rng.random() < qcore.swap_test_accept(a, b):
-            accept += 1
-    return 2.0 * accept / pairs - 1.0
+    return 2.0 * sum(_pair_swap_tests(ciphertexts, rng)) / (len(ciphertexts) // 2) - 1.0
 
 
 def multi_state_attack(ciphertexts: list[Ciphertext], rng: np.random.Generator) -> int:
     """Decide whether the ciphertexts encrypt one state (1) or several (2).
 
-    SWAP tests run on disjoint consecutive pairs; any failure reveals that
-    at least two distinct states were sent.
+    SWAP tests run on disjoint consecutive pairs; the first failure reveals
+    that at least two distinct states were sent, and no later pair is tested.
     """
     if len(ciphertexts) < 2:
         raise ValueError("need at least two ciphertexts")
-    for k in range(len(ciphertexts) // 2):
-        a = ciphertexts[2 * k].state
-        b = ciphertexts[2 * k + 1].state
-        if rng.random() >= qcore.swap_test_accept(a, b):
-            return 2
-    return 1
+    return 1 if all(_pair_swap_tests(ciphertexts, rng)) else 2
 
 
 # ---------------------------------------------------------------------------

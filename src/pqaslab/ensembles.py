@@ -378,6 +378,8 @@ def sample_scramblers(partition: qcore.QubitPartition, mode: str, rngs: Sequence
     """The tag-|0> columns Y of one trial scrambler per generator, shape
     (len(rngs), d, 2^n, 2^m): every Monte Carlo consumer reads U only on
     the padded input rho (x) |0><0|_tag (x) I_m, so only on these columns.
+    Its consumers are the security scan, the auth sweep, the qubit-count
+    interception and the multistate, decoy and vprdm runners of the harness.
 
     In ``haar_exact`` mode Y is drawn directly from its generator as a Haar
     isometry, one (2, d, 2^(n+m)) block of standard normals thin-QR'd

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import attacks, moments, pqas, primitives, qcore
 from ._streams import derive_bytes, spawn_rng, spawn_rngs
-from .ensembles import MODES, ScramblerSpec, SecretKey, sample_haar
+from .ensembles import MODES, ScramblerSpec, sample_haar, sample_scramblers
 from .qcore import QubitPartition
 
 
@@ -370,15 +370,13 @@ def _run_qubit_count(pt: ExperimentPoint) -> list[ResultRecord]:
 
 def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
-    seed = point_seed(pt)
-    spec = ScramblerSpec(mode=pt.mode)
     correct = 0
-    for rng in spawn_rngs(seed, ("multistate",), range(pt.trials)):
+    for rng in spawn_rngs(point_seed(pt), ("multistate",), range(pt.trials)):
         b = int(rng.integers(1, 3))
-        key = SecretKey.generate(rng)
+        y = sample_scramblers(part, pt.mode, [rng])[0]
         # b distinct messages |0>, ..., |b - 1>, copy i carrying message i mod b;
-        # encrypt is deterministic, so each message is encrypted once
-        distinct = [pqas.encrypt(qcore.basis_ket(2**pt.n, idx), key, part, spec) for idx in range(b)]
+        # each message is scrambled once
+        distinct = [pqas.Ciphertext(pqas.scramble_padded(qcore.basis_ket(2**pt.n, idx), y), part) for idx in range(b)]
         guess = attacks.multi_state_attack([distinct[i % b] for i in range(pt.copies)], rng)
         correct += int(guess == b)
     accuracy = correct / pt.trials
@@ -392,11 +390,10 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     dist = attacks.decoy_indistinguishability(part, pt.t)
     # meta-information probe: entanglement entropy across the ciphertext midpoint
-    rng = spawn_rng(point_seed(pt), "decoy-probe")
-    key = SecretKey.generate(rng)
-    ct = pqas.encrypt(qcore.basis_ket(2**pt.n, 0), key, part, ScramblerSpec(mode=pt.mode))
+    y = sample_scramblers(part, pt.mode, [spawn_rng(point_seed(pt), "decoy-probe")])[0]
+    state = pqas.scramble_padded(qcore.basis_ket(2**pt.n, 0), y)
     cut = part.z // 2
-    reduced = qcore.partial_trace(ct.state, [2**cut, 2 ** (part.z - cut)], {1})
+    reduced = qcore.partial_trace(state, [2**cut, 2 ** (part.z - cut)], {1})
     entropy = qcore.vn_entropy_bits(reduced)
     return [
         _metric(pt, "distance", dist),
@@ -405,16 +402,17 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
 
 
 def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
-    seed = point_seed(pt)
-    spec = ScramblerSpec(mode=pt.mode)
-    completeness = []
-    wrong = []
-    for rng in spawn_rngs(seed, ("vprdm",), range(pt.trials)):
-        key = SecretKey.generate(rng)
-        rho = primitives.vprdm_generate(primitives.VprdmParams(pt.n, pt.m, key), spec)
-        completeness.append(primitives.vprdm_verify(rho, key, pt.n, pt.m, spec))
-        wrong.append(primitives.vprdm_verify(rho, SecretKey.generate(rng), pt.n, pt.m, spec))
-    wrong = np.array(wrong)
+    # a key's state is its ciphertext of |0> on n - m message qubits, no tag and m mixed
+    # qubits (``vprdm_generate``), verified on the key's first 2^m columns y[:, 0, :]
+    if pt.m >= pt.n:
+        raise ValueError("need 0 <= m < n")
+    part = QubitPartition(pt.n - pt.m, 0, pt.m)
+    values = []
+    for rng in spawn_rngs(point_seed(pt), ("vprdm",), range(pt.trials)):
+        y, y_wrong = sample_scramblers(part, pt.mode, [rng, rng])  # the key, then the wrong key
+        rho = pqas.scramble_padded(qcore.basis_ket(2**part.n, 0), y)
+        values.append([primitives.vprdm_value(rho, key[:, 0, :]) for key in (y, y_wrong)])
+    completeness, wrong = np.array(values).T
     return [
         _metric(pt, "completeness", float(np.mean(completeness)), exact=1.0),
         _metric(

@@ -42,13 +42,17 @@ def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
     return pqas.encrypt(qcore.basis_ket(2 ** (n - m), 0), params.key, QubitPartition(n - m, 0, m), spec).state
 
 
+def vprdm_value(rho: np.ndarray, w: np.ndarray) -> float:
+    """sum_j w_j^dag rho w_j over the columns w_j of w."""
+    return float(np.vdot(w, rho @ w).real)
+
+
 def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: ScramblerSpec) -> float:
     """Verification value tr(|0><0|^(n-m) tr_mixed(U_k^dag rho U_k)) in [0, 1],
-    as sum_{j < 2^m} u_j^dag rho u_j over the first 2^m columns u_j of U_k."""
+    as ``vprdm_value`` over the first 2^m columns of U_k."""
     if rho.shape[0] != 2**n:
         raise ValueError("state dimension does not match n")
-    w = build_scrambler(key, n, spec)[:, : 2**m]
-    return float(np.vdot(w, rho @ w).real)
+    return vprdm_value(rho, build_scrambler(key, n, spec)[:, : 2**m])
 
 
 def ghse_closeness(n: int, m: int, t: int) -> float:

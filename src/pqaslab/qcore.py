@@ -12,6 +12,7 @@ returns a fresh array.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -102,12 +103,13 @@ def zero_tag_state(l: int) -> np.ndarray:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first factor ends up on the most significant qubits."""
+    """Kronecker product; the first factor ends up on the most significant
+    qubits.  A product past the qubit cap is refused before it is formed."""
+    if math.prod(np.shape(op)[0] for op in ops) > 2 ** qubit_cap():
+        raise ValueError("tensor product exceeds the qubit cap")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         out = np.kron(out, op)
-    if out.shape[0] > 2 ** qubit_cap():
-        raise ValueError("tensor product exceeds the qubit cap")
     return out
 
 
@@ -201,10 +203,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(a b) for Hermitian operators."""
+    """Re tr(a b), as sum_ij a_ij b_ji in O(d^2); tr(a b) is real for Hermitian a, b."""
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    return float(np.trace(a @ b).real)
+    return float(np.einsum("ij,ji->", a, b).real)
 
 
 def vn_entropy_bits(rho: np.ndarray) -> float:

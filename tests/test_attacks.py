@@ -206,12 +206,29 @@ class TestLRGame:
         assert rep.advantage <= bound + 3 * rep.standard_error
 
 
+def _uniforms_drawn(play, seed):
+    """``play``'s result on a fresh stream and how many uniforms it drew from it."""
+    rng, twin = spawn_rng(seed, "uniforms"), spawn_rng(seed, "uniforms")
+    result = play(rng)
+    for drawn in range(64):
+        if twin.bit_generator.state == rng.bit_generator.state:
+            return result, drawn
+        twin.random()
+    raise AssertionError("not a whole number of uniforms")
+
+
 class TestPurityProbe:
     def test_validation(self):
         part = QubitPartition(1, 0, 0)
         ct = pqas.encrypt(qcore.basis_ket(2, 0), SecretKey.generate(spawn_rng(6, "pp")), part, HAAR)
         with pytest.raises(ValueError):
             attacks.purity_probe([ct], spawn_rng(0, "x"))
+
+    def test_one_uniform_per_pair(self):
+        part = QubitPartition(1, 0, 1)
+        cts = [pqas.Ciphertext(reference.maximally_mixed(2), part)] * 12
+        for seed in range(5):
+            assert _uniforms_drawn(lambda rng: attacks.purity_probe(cts, rng), seed)[1] == 6
 
     def test_pure_ciphertexts(self):
         rng = spawn_rng(7, "pp")
@@ -462,6 +479,15 @@ class TestMultiState:
                 misses += 1
         # per-trial failure probability is exactly 2^-6
         assert misses / 60 <= 3 * 2.0**-6 + 0.05
+
+    def test_one_uniform_per_pair_tested(self):
+        # the first pair is orthogonal (accept 1/2), every later pair identical
+        # (accept 1): a rejection is at the first pair and costs one draw
+        zero, one = (pqas.Ciphertext(qcore.pure_dm(qcore.basis_ket(2, i)), QubitPartition(1, 0, 0)) for i in (0, 1))
+        cts = [zero, one] + [zero] * 10
+        outcomes = [_uniforms_drawn(lambda rng: attacks.multi_state_attack(cts, rng), seed) for seed in range(20)]
+        assert {guess for guess, _ in outcomes} == {1, 2}
+        assert all(drawn == (1 if guess == 2 else 6) for guess, drawn in outcomes)
 
     def test_padded_scheme_near_coin_flip(self):
         rng = spawn_rng(19, "ms")

@@ -1,5 +1,6 @@
 """Config validation, experiment dispatch, serialization and determinism."""
 
+import hashlib
 import io
 import json
 import re
@@ -523,6 +524,22 @@ class TestEmit:
             assert len(set(column[name])) == 1
 
 
+# one small config per runner that draws a one-shot scrambler per trial (or per point)
+_ONE_SHOT = {
+    "multistate": {"n": 1, "l": 1, "m": [0, 2], "copies": 6, "trials": 20},
+    "decoy": {"n": 1, "l": 1, "m": [1, 3], "t": 2},
+    "vprdm": {"n": 3, "m": 1, "t": 2, "trials": 10},
+}
+_ONE_SHOT_SHA256 = {
+    ("multistate", "composed"): "05c7bb555a973ebfe76dc2a5850fb76aff87902ebcd0a2ae4da1fda5025075b9",
+    ("multistate", "pru_only"): "78a0e1fd2c430ff916fef9fea6e5df5f538c21a525ad2abc72725d7baaccd13f",
+    ("decoy", "composed"): "85928d99df01c70766c09b28ab8d77312c46a6d22be376e8c43a42180897e7ee",
+    ("decoy", "pru_only"): "53797370bb8683a71bbaa59f920ffd8a8426bb9dec604ed3cbf4e43cb3b22777",
+    ("vprdm", "composed"): "edd3b374d09be6ab00bc201633c2f56bef1b99340fa7b36b1506d3aa30a6378b",
+    ("vprdm", "pru_only"): "d93e6416ffb351c086623b52aa195fa2758ec004d58b5e42e41b3cac16bdf1d8",
+}
+
+
 class TestRun:
     def test_wg_selftest_exact(self):
         records = harness.run({"experiment": "wg-selftest", "n": [2, 3, 4], "t": [1, 2, 3, 4]})
@@ -648,12 +665,29 @@ class TestRun:
 
     def test_multistate_encrypts_each_distinct_message_once(self, monkeypatch):
         messages = []
-        encrypt = pqas.encrypt
-        monkeypatch.setattr(pqas, "encrypt", lambda rho, *a: messages.append(int(np.argmax(rho))) or encrypt(rho, *a))
+        scramble_padded = pqas.scramble_padded
+        monkeypatch.setattr(
+            pqas, "scramble_padded", lambda rho, *a: messages.append(int(np.argmax(rho))) or scramble_padded(rho, *a)
+        )
         harness.run({"experiment": "multistate", "n": 1, "copies": 5, "trials": 30}, record_timing=False)
         # one trial encrypts |0> (one state) or |0>, |1> (two), never a copy twice
         trials = "".join(map(str, messages)).replace("01", "b").replace("0", "a")
         assert len(trials) == 30 and set(trials) == {"a", "b"}
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("experiment", sorted(_ONE_SHOT))
+    def test_one_shot_trial_keys_leave_the_scrambler_cache_alone(self, experiment, mode):
+        # every trial scrambler comes from sample_scramblers, never from build_scrambler's cache
+        before = ensembles.build_scrambler.cache_info()
+        harness.run({"experiment": experiment, **_ONE_SHOT[experiment], "mode": mode}, record_timing=False)
+        assert ensembles.build_scrambler.cache_info() == before
+
+    @pytest.mark.parametrize("mode", ["composed", "pru_only"])
+    @pytest.mark.parametrize("experiment", sorted(_ONE_SHOT))
+    def test_keyed_one_shot_rows_are_pinned(self, experiment, mode):
+        # the digests of these CSVs when each trial key went through pqas.encrypt and vprdm_generate/verify
+        text = harness.emit(harness.run({"experiment": experiment, **_ONE_SHOT[experiment], "mode": mode}, record_timing=False))
+        assert hashlib.sha256(text.encode()).hexdigest() == _ONE_SHOT_SHA256[experiment, mode]
 
     def test_qubit_count_smoke(self):
         records = harness.run(

@@ -45,6 +45,15 @@ class TestConstruction:
         other = sample_ghse(1, 1, spawn_rng(1, "tensor"))
         assert np.trace(qcore.tensor(rho, other)).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_tensor_checks_the_cap_before_the_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the product was formed")
+
+        monkeypatch.delenv("PQASLAB_CAP", raising=False)
+        monkeypatch.setattr(np, "kron", refuse)
+        with pytest.raises(ValueError, match="exceeds the qubit cap"):
+            qcore.tensor(np.eye(2**6), np.eye(2**5))
+
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             QubitPartition(0, 1, 1)
@@ -179,6 +188,12 @@ class TestMetrics:
         psi = qcore.basis_ket(2, 0)
         assert reference.fidelity_with_pure(qcore.pure_dm(psi), psi) == pytest.approx(1.0)
         assert reference.fidelity_with_pure(reference.maximally_mixed(1), psi) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("d", [2, 16, 128])
+    def test_overlap_is_the_trace_of_the_product(self, d):
+        rng = spawn_rng(14, "overlap", d)
+        a, b = (g / np.linalg.norm(g) for g in rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+        assert abs(qcore.overlap(a, b) - np.trace(a @ b).real) <= 1e-12
 
     def test_swap_test_values(self):
         psi = qcore.pure_dm(qcore.basis_ket(2, 0))
