@@ -1,11 +1,12 @@
 """Experiment configuration, dispatch, and results persistence.
 
 A run is described by one flat JSON document.  Any numeric field except
-``seed`` may be a list: the integer fields, the real fields ``delta``,
-``gamma`` and ``c``, and the channel's ``p``.  The run then expands to the
-Cartesian product of all swept fields.  Every expanded point gets its own
-derived seed (keyed hash of master seed, experiment name, parameter tuple),
-so records are reproducible independently of sweep order or thread count.
+``seed`` may be a list of distinct values: the integer fields, the real
+fields ``delta``, ``gamma`` and ``c``, and the channel's ``p``.  The run
+then expands to the Cartesian product of all swept fields.  Every expanded
+point gets its own derived seed (keyed hash of master seed, experiment name,
+parameter tuple), so records are reproducible independently of sweep order
+or thread count.
 Each experiment reads only the fields its row of ``EXPERIMENTS`` names; a
 config that sets any other field to anything but its default is rejected,
 and so is a point that breaks one of the row's value rules.
@@ -188,6 +189,9 @@ def validate_config(config: dict) -> dict:
     if not pvals or not all(_is_real(v) for v in pvals):
         raise ConfigError("channel", "'p' must be a finite real number or a nonempty list of them")
     cfg["channel_kind"], cfg["channel_p"] = chan["kind"], [float(p) for p in pvals]
+    for field in (*_SWEEPABLE, "channel_p"):
+        if len(set(cfg[field])) < len(cfg[field]):
+            raise ConfigError(_CONFIG_NAMES.get(field, field), "repeats a value; a sweep runs each value once")
     exp = EXPERIMENTS[name]
     if any(v < exp.min_trials for v in cfg["trials"]):
         raise ConfigError("trials", f"must be at least {exp.min_trials} for {name}")
@@ -404,8 +408,6 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
 def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
     # a key's state is its ciphertext of |0> on n - m message qubits, no tag and m mixed
     # qubits (``vprdm_generate``), verified on the key's first 2^m columns y[:, 0, :]
-    if pt.m >= pt.n:
-        raise ValueError("need 0 <= m < n")
     part = QubitPartition(pt.n - pt.m, 0, pt.m)
     values = []
     for rng in spawn_rngs(point_seed(pt), ("vprdm",), range(pt.trials)):
@@ -467,9 +469,11 @@ class Experiment(NamedTuple):
     rules: tuple[Rule, ...] = ()
 
 
-# the multi-state attack compares ciphertexts in pairs; EFI's two arms need
+# the multi-state attack compares ciphertexts in pairs; a vprdm state keeps
+# n - m >= 1 message qubits; EFI's two arms need
 # 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays small
 _MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"),)
+_VPRDM_RULES = (Rule("m", lambda pt: pt.m < pt.n, "must be less than n"),)
 _EFI_RULES = (
     Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),
     Rule("c", lambda pt: 0.0 < pt.c < pt.gamma, "must satisfy 0 < c < gamma"),
@@ -487,7 +491,7 @@ EXPERIMENTS = {
     "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode"),
     "multistate": Experiment(_run_multistate, "n l m trials copies mode", rules=_MULTISTATE_RULES),
     "decoy": Experiment(_run_decoy, "n l m t mode"),
-    "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2),
+    "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2, rules=_VPRDM_RULES),
     "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p", rules=_EFI_RULES),
 }
 

@@ -214,8 +214,6 @@ class AuthSweepStats:
     stderr_fprime: float
     mean_fidelity: float
     stderr_fidelity: float
-    mean_one_minus_f: float
-    min_p0_minus_fprime: float
     predicted_p0: float
     predicted_fprime: float
 
@@ -279,8 +277,6 @@ def auth_sweep(
         stderr_fprime=se_fp,
         mean_fidelity=mean_f,
         stderr_fidelity=se_f,
-        mean_one_minus_f=float(np.mean(1.0 - fids)),
-        min_p0_minus_fprime=float(np.min(p0s - fps)),
         predicted_p0=predicted_p0(partition, channel),
         predicted_fprime=predicted_fprime(partition, channel),
     )

@@ -1,23 +1,28 @@
 """Acceptance suite: every release-gating property as a list of checks.
 
-Each criterion is a generator of ``(ok, text)`` checks.  ``run_criterion``
-times one, marks each check ``ok`` or ``FAIL`` and passes it only when every
-check holds; ``pqaslab selftest`` and tests/test_acceptance.py both run the
-criteria through it, so the CLI and pytest always agree.  Statistical checks
-use fixed seeds; tolerances are pinned here, not tuned at call sites.
+Each criterion is a generator of ``(ok, text)`` checks.  A sampling
+criterion checks only the rows of flat configs run by ``harness.run``, and
+yields each config as a ``config {json}`` line first, so ``pqaslab run`` on
+that line reproduces its rows.  ``run_criterion`` times one, marks each
+check ``ok`` or ``FAIL`` (config lines pass unmarked) and passes it only
+when every check holds; ``pqaslab selftest`` and tests/test_acceptance.py
+both run the criteria through it, so the CLI and pytest always agree.
+Statistical checks use fixed seeds; tolerances are pinned here, not tuned
+at call sites.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import attacks, harness, moments, pqas, primitives, qcore
+from . import harness, moments, pqas, primitives, qcore
 from ._streams import spawn_rng
-from .ensembles import ScramblerSpec, SecretKey, sample_ghse, sample_haar, sample_haar_batch
+from .ensembles import ScramblerSpec, SecretKey, sample_ghse, sample_haar_batch
 from .qcore import QubitPartition
 
 Check = tuple[bool, str]
@@ -34,6 +39,19 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.index}: {self.name} ({self.seconds:.1f}s)"
+
+
+def _rows(config: dict, *keys: str) -> Generator[str, None, dict]:
+    """Yield ``config``'s ``config {json}`` line, then run it; returns its
+    rows by (experiment, *fields ``keys``)."""
+    yield "config " + json.dumps(config)
+    records = harness.run(config, record_timing=False)
+    return {(r.experiment, *(getattr(r, k) for k in keys)): r for r in records}
+
+
+def _bracket(row: harness.ResultRecord) -> str:
+    """A scan row's bracket [lower, upper], printed as estimate +- 2 stderr."""
+    return f"{row.estimate:.5f} [{row.estimate - 2 * row.stderr:.5f}, {row.estimate + 2 * row.stderr:.5f}]"
 
 
 # ---------------------------------------------------------------------------
@@ -66,34 +84,29 @@ def criterion_1_completeness(seed: int = 101) -> Iterator[Check]:
     yield worst_p0 <= 1e-9, f"worst |P0 - 1| {worst_p0:.2e} <= 1e-9"
 
 
-def criterion_2_closeness_scaling(seed: int = 102) -> Iterator[Check]:
+def criterion_2_closeness_scaling(seed: int = 102) -> Iterator[Check | str]:
     """Exact t=2 closeness halves per extra mixed qubit; Monte Carlo agrees."""
     rho = qcore.pure_dm(qcore.basis_ket(2, 0))
-    deltas = {}
-    for m in (1, 2, 3):
-        part = QubitPartition(1, 1, m)
-        deltas[m] = moments.closeness_exact(part, rho, 2)
+    deltas = {m: moments.closeness_exact(QubitPartition(1, 1, m), rho, 2) for m in (1, 2, 3)}
     for m in (1, 2):
         ratio = deltas[m + 1] / deltas[m]
         yield 0.35 <= ratio <= 0.65, f"exact ratio m={m}->{m + 1}: {ratio:.4f} in [0.35, 0.65]"
-    part = QubitPartition(1, 1, 1)
-    scan = pqas.security_scan(part, rho, 2, 2000, seed=seed)
-    dev = abs(scan.estimate - scan.exact)
-    tol = 3 * scan.stderr + 1e-9  # absolute floor for the exactly-converged regime
-    yield (
-        dev <= tol,
-        f"q=0 Monte Carlo {scan.estimate:.5f} [{scan.lower:.5f}, {scan.upper:.5f}] vs {scan.exact:.5f} (|dev| {dev:.2e} <= {tol:.2e})",
-    )
-    # purified/entangled input: same decay per extra mixed qubit within factor 2
-    ghz = (qcore.basis_ket(8, 0) + qcore.basis_ket(8, 7)) / np.sqrt(2)  # t = 2 copies of n = 1, and q = 1
-    mc = {m: pqas.security_scan(QubitPartition(1, 1, m), ghz, 2, 2000, seed=seed + m) for m in (1, 2)}
-    ratio_q1 = mc[2].estimate / mc[1].estimate
-    ratio_q0 = (0.5 * deltas[2]) / (0.5 * deltas[1])
+    scan = {"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": 2000, "seed": seed}
+    row = (yield from _rows(scan, "m"))["security-scan", 1]
+    dev = abs(row.estimate - row.exact)
+    # the product-|0> scan at (1, 1, 1) is exact to rounding, so this is an equality with the oracle
+    tol = 3 * row.stderr + 1e-9  # absolute floor for the exactly-converged regime
+    yield dev <= tol, f"q=0 Monte Carlo {_bracket(row)} equals {row.exact:.5f} (|dev| {dev:.2e} <= {tol:.2e})"
+    # GHZ input on t = 2 copies of n = 1 and q = 1 purification qubit: same
+    # decay per extra mixed qubit within factor 2
+    ghz = yield from _rows({**scan, "m": [1, 2], "q": 1}, "m")
+    ratio_q1 = ghz["security-scan", 2].estimate / ghz["security-scan", 1].estimate
+    ratio_q0 = deltas[2] / deltas[1]
     rel = ratio_q1 / ratio_q0
     yield (
         0.5 <= rel <= 2.0,
         f"entangled-input ratio {ratio_q1:.3f} within factor 2 of product ratio {ratio_q0:.3f} (GHZ "
-        + ", ".join(f"m={m} {r.estimate:.5f} [{r.lower:.5f}, {r.upper:.5f}]" for m, r in mc.items()) + ")",
+        + ", ".join(f"m={m} {_bracket(r)}" for (_, m), r in ghz.items()) + ")",
     )
 
 
@@ -127,76 +140,58 @@ def criterion_3_weingarten(seed: int = 103) -> Iterator[Check]:
         yield dev <= 3 * sigma_f, f"observable {case}: Frobenius dev {dev:.4f} <= 3 sigma {3 * sigma_f:.4f}"
 
 
-def criterion_4_auth_averages(seed: int = 104) -> Iterator[Check]:
+def criterion_4_auth_averages(seed: int = 104) -> Iterator[Check | str]:
     """Tag-acceptance and fidelity functionals match their Haar formulas."""
     part = QubitPartition(2, 2, 1)
-    dim = 2**part.z
-    psi = qcore.basis_ket(4, 0)
-    channels = [("identity", qcore.IdentityChannel(dim))]
-    for p in (0.1, 0.3, 0.5):
-        channels.append((f"depolarizing(p={p})", qcore.DepolarizingChannel(dim, p)))
-    channels.append(("random-unitary", qcore.UnitaryChannel(sample_haar(part.z, spawn_rng(seed, "tamper")))))
-    for label, chan in channels:
-        stats = pqas.auth_sweep(psi, part, chan, trials=1000, seed=seed)
-        slack = pqas.prediction_slack(part, chan)
-        exact_p0 = pqas.exact_haar_p0(part, chan, psi)
-        exact_fp = pqas.exact_haar_fprime(part, chan, psi)
-        dev_oracle = abs(stats.mean_p0 - exact_p0)
-        tol_oracle = 3 * stats.stderr_p0 + 1e-9
-        yield (
-            dev_oracle <= tol_oracle,
-            f"{label}: mean P0 {stats.mean_p0:.5f} vs exact oracle {exact_p0:.5f} within {tol_oracle:.2e}",
-        )
-        dev_formula = abs(stats.mean_p0 - stats.predicted_p0)
-        tol = 3 * stats.stderr_p0 + slack
-        yield dev_formula <= tol, f"{label}: P0 formula residual {dev_formula:.5f} <= 3 sigma + slack {tol:.5f}"
-        dev_fp_oracle = abs(stats.mean_fprime - exact_fp)
-        tol_fp_oracle = 3 * stats.stderr_fprime + 1e-9
-        yield (
-            dev_fp_oracle <= tol_fp_oracle,
-            f"{label}: mean F' {stats.mean_fprime:.5f} vs exact oracle {exact_fp:.5f} within {tol_fp_oracle:.2e}",
-        )
-        dev_fp = abs(stats.mean_fprime - stats.predicted_fprime)
-        tol_fp = 3 * stats.stderr_fprime + slack
-        yield dev_fp <= tol_fp, f"{label}: F' formula residual {dev_fp:.5f} <= {tol_fp:.5f}"
-        yield (
-            stats.min_p0_minus_fprime >= -1e-12,
-            f"{label}: F' <= P0 in every trial (min gap {stats.min_p0_minus_fprime:.2e})",
-        )
+    base = {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 1, "trials": 1000, "seed": seed}
+    for channel in ({"kind": "identity"}, {"kind": "depolarizing", "p": [0.1, 0.3, 0.5]}, {"kind": "random_unitary"}):
+        rows = yield from _rows({**base, "channel": channel}, "channel")
+        for label in sorted({label for _, label in rows}):
+            p0, fp = rows["auth-sweep:p0", label], rows["auth-sweep:fprime", label]
+            slack = pqas.prediction_slack(part, harness.build_channel(p0.channel_kind, p0.channel_p, 2**part.z))
+            for name, row in (("P0", p0), ("F'", fp)):
+                dev_oracle = abs(row.estimate - row.exact)
+                tol_oracle = 3 * row.stderr + 1e-9
+                yield (
+                    dev_oracle <= tol_oracle,
+                    f"{label}: mean {name} {row.estimate:.5f} vs exact oracle {row.exact:.5f} within {tol_oracle:.2e}",
+                )
+                dev_formula = abs(row.estimate - row.prediction)
+                tol = 3 * row.stderr + slack
+                residual = f"{label}: {name} formula residual {dev_formula:.5f} <= 3 sigma + slack {tol:.5f}"
+                yield dev_formula <= tol, residual
 
 
-def criterion_5_fidelity_recovery(seed: int = 105) -> Iterator[Check]:
+def criterion_5_fidelity_recovery(seed: int = 105) -> Iterator[Check | str]:
     """Accepted-state infidelity scales like 2^-l: l = 2 vs 4 ratio near 4."""
-    means = {}
-    for l in (2, 4):
-        part = QubitPartition(1, l, 1)
-        chan = qcore.DepolarizingChannel(2**part.z, 0.3)
-        stats = pqas.auth_sweep(qcore.basis_ket(2, 0), part, chan, trials=600, seed=seed + l)
-        means[l] = stats.mean_one_minus_f
+    channel = {"kind": "depolarizing", "p": 0.3}
+    config = {"experiment": "auth-sweep", "n": 1, "l": [2, 4], "m": 1, "trials": 600, "channel": channel, "seed": seed}
+    rows = yield from _rows(config, "l")
+    means = {l: 1.0 - rows["auth-sweep:fidelity", l].estimate for l in (2, 4)}
     ratio = means[2] / means[4]
     yield 2.5 <= ratio <= 6.5, f"mean(1-F) ratio l=2/l=4: {ratio:.3f} in [2.5, 6.5]"
 
 
-def criterion_6_cpa_separation(seed: int = 106) -> Iterator[Check]:
+def criterion_6_cpa_separation(seed: int = 106) -> Iterator[Check | str]:
     """Left-or-right game: breaks deterministic encryption, not the padded scheme."""
-    left, right = attacks.standard_cpa_lists(4, 2)
-    det = attacks.lr_cpa_game(left, right, 0, 500, seed=seed)
-    yield det.success_rate >= 0.9, f"deterministic mode success {det.success_rate:.3f} >= 0.9"
-    pq = attacks.lr_cpa_game(left, right, 4, 500, seed=seed + 1)
-    yield pq.advantage <= 0.1, f"padded mode advantage {pq.advantage:.4f} <= 0.1"
+    rows = yield from _rows({"experiment": "cpa", "n": 2, "m": [0, 4], "t": 4, "trials": 500, "seed": seed}, "m")
+    success = rows["cpa:success", 0].estimate
+    yield success >= 0.9, f"deterministic mode success {success:.3f} >= 0.9"
+    advantage = rows["cpa:advantage", 4].estimate
+    yield advantage <= 0.1, f"padded mode advantage {advantage:.4f} <= 0.1"
 
 
-def criterion_7_qubit_count(seed: int = 107) -> Iterator[Check]:
+def criterion_7_qubit_count(seed: int = 107) -> Iterator[Check | str]:
     """Bell-parity qubit-number attack works on pure-state encryption and
     abstains on the padded scheme."""
     config = {"experiment": "qubit-count", "n": 2, "s_max": 2, "m": [0, 2], "trials": 200, "shots": 600, "delta": 0.1}
-    rates = {(r.m, r.experiment): r.estimate for r in harness.run({**config, "seed": seed}, record_timing=False)}
+    rows = yield from _rows({**config, "seed": seed}, "m")
     for mode_m, want in ((0, "correct"), (2, "abstain")):
-        rate = rates[mode_m, f"qubit-count:{want}"]
+        rate = rows[f"qubit-count:{want}", mode_m].estimate
         yield rate >= 0.95, f"m={mode_m}: {want} rate {rate:.3f} >= 0.95"
 
 
-def criterion_8_vprdm(seed: int = 108) -> Iterator[Check]:
+def criterion_8_vprdm(seed: int = 108) -> Iterator[Check | str]:
     """Keyed mixed states verify under their key, reject others, and match
     the random-mixed-state ensemble moment scaling."""
     spec = ScramblerSpec(mode="haar_exact")
@@ -211,20 +206,14 @@ def criterion_8_vprdm(seed: int = 108) -> Iterator[Check]:
         worst = max(worst, abs(primitives.vprdm_verify(rho, key, n, m, spec) - 1.0))
         count += 1
     yield worst <= 1e-9, f"completeness over {count} keys: worst |V - 1| {worst:.2e} <= 1e-9"
-    n, m, wrong_trials = 4, 1, 500
-    key = SecretKey.generate(rng)
-    rho = primitives.vprdm_generate(primitives.VprdmParams(n, m, key), spec)
-    vals = np.empty(wrong_trials)
-    for i in range(wrong_trials):
-        vals[i] = primitives.vprdm_verify(rho, SecretKey.generate(rng), n, m, spec)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(wrong_trials))
-    target = 2.0 ** -(n - m)
+    rows = yield from _rows({"experiment": "vprdm", "n": [2, 3, 4], "m": 1, "t": 2, "trials": 500, "seed": seed}, "n")
+    wrong = rows["vprdm:wrong-key", 4]
+    target = 2.0 ** -(wrong.n - wrong.m)
     yield (
-        abs(mean - target) <= 3 * stderr,
-        f"wrong-key mean {mean:.4f} vs 2^-(n-m) = {target:.4f} within 3 sigma {3 * stderr:.4f}",
+        abs(wrong.estimate - target) <= 3 * wrong.stderr,
+        f"wrong-key mean {wrong.estimate:.4f} vs 2^-(n-m) = {target:.4f} within 3 sigma {3 * wrong.stderr:.4f}",
     )
-    closeness = {n_: primitives.ghse_closeness(n_, 1, 2) for n_ in (2, 3, 4)}
+    closeness = {n_: rows["vprdm:ghse-closeness", n_].estimate for n_ in (2, 3, 4)}
     for n_ in (2, 3):
         ratio = closeness[n_ + 1] / closeness[n_]
         yield 0.35 <= ratio <= 0.65, f"ensemble-moment ratio n={n_}->{n_ + 1}: {ratio:.4f} in [0.35, 0.65]"
@@ -291,14 +280,16 @@ ALL_CRITERIA = (
 
 
 def run_criterion(index: int) -> CriterionResult:
-    """Run and time criterion ``index`` (numbered from 1); it passes when every check holds."""
+    """Run and time criterion ``index`` (numbered from 1); it passes when
+    every check holds.  Its config lines are details, not checks."""
     if not 1 <= index <= len(ALL_CRITERIA):
         raise ValueError(f"no criterion {index}: criteria are numbered 1 to {len(ALL_CRITERIA)}")
     criterion, name = ALL_CRITERIA[index - 1]
     start = time.perf_counter()
-    checks = list(criterion())
+    items = list(criterion())
     seconds = time.perf_counter() - start
-    details = [("ok   " if ok else "FAIL ") + text for ok, text in checks]
+    checks = [item for item in items if not isinstance(item, str)]
+    details = [item if isinstance(item, str) else ("ok   " if item[0] else "FAIL ") + item[1] for item in items]
     return CriterionResult(index, name, all(ok for ok, _ in checks), details, seconds)
 
 

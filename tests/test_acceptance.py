@@ -2,16 +2,21 @@
 
 Each test drives the same check the `pqaslab selftest` command runs and
 prints its pass/fail line plus the per-check details, so a pytest run
-documents every tolerance alongside the verdict.
+documents every tolerance alongside the verdict, and the config of every
+harness run a criterion reads.
 """
 
-import pytest
+import json
 
-from pqaslab import selftest
+from pqaslab import harness, selftest
 
 
 def _run(index):
     result = selftest.run_criterion(index)
+    # every printed config is one `pqaslab run` would accept
+    for detail in result.details:
+        if detail.startswith("config "):
+            harness.validate_config(json.loads(detail[len("config "):]))
     print()
     print(result.line())
     for detail in result.details:

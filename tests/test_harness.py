@@ -380,7 +380,9 @@ class TestCli:
 
         def failing():
             ran.append("failing")
+            yield "config {}"
             yield False, "x"
+            yield "config {}"
 
         def other():
             ran.append("other")
@@ -391,10 +393,28 @@ class TestCli:
         criteria[k - 1] = (failing, selftest.ALL_CRITERIA[k - 1][1])
         monkeypatch.setattr(selftest, "ALL_CRITERIA", tuple(criteria))
         result = selftest.run_criterion(k)
-        assert result.passed is False and result.details == ["FAIL x"]
+        assert result.passed is False and result.details == ["config {}", "FAIL x", "config {}"]
         assert cli.main(["selftest", "--criterion", str(k)]) == cli.EXIT_ACCEPTANCE
         assert ran == ["failing", "failing"]
-        assert capsys.readouterr().out.splitlines()[1:] == ["    FAIL x"]
+        assert capsys.readouterr().out.splitlines()[1:] == ["    config {}", "    FAIL x", "    config {}"]
+
+    def test_criterion_6_config_line_reproduces_its_rows(self, monkeypatch, tmp_path, capsys):
+        # the rows the criterion checked, and the rows `pqaslab run` prints for its config line
+        checked = []
+        run = harness.run
+        monkeypatch.setattr(harness, "run", lambda config, **kw: checked.extend(run(config, **kw)) or checked)
+        result = selftest.run_criterion(6)
+        assert result.passed
+        (line,) = [d for d in result.details if d.startswith("config ")]
+        path = tmp_path / "config.json"
+        path.write_text(line[len("config "):])
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_OK
+        records = harness.parse_csv(capsys.readouterr().out)
+        assert records == checked
+        rows = {(r.experiment, r.m): r.estimate for r in records}
+        success, advantage = rows["cpa:success", 0], rows["cpa:advantage", 4]
+        assert f"success {success:.3f} >= 0.9" in result.details[1]
+        assert f"advantage {advantage:.4f} <= 0.1" in result.details[2]
 
     @pytest.mark.parametrize(
         "config,field",
@@ -419,7 +439,29 @@ class TestCli:
 
     def test_value_rules_come_from_the_table(self):
         fields = {exp: [rule.field for rule in row.rules] for exp, row in harness.EXPERIMENTS.items() if row.rules}
-        assert fields == {"multistate": ["copies"], "efi": ["gamma", "c", "m0", "lambda_eff"]}
+        assert fields == {"multistate": ["copies"], "vprdm": ["m"], "efi": ["gamma", "c", "m0", "lambda_eff"]}
+
+    # a value rule broken only by a later point, and sweeps that repeat a value (real ones compared as floats)
+    @pytest.mark.parametrize(
+        "config,field,reason",
+        [
+            ({"experiment": "vprdm", "n": [3, 1], "m": 1, "trials": 4}, "m", "must be less than n"),
+            ({"experiment": "cpa", "n": 2, "m": [2, 2], "t": 3, "trials": 10}, "m", "repeats a value"),
+            ({"experiment": "cpa", "n": 2, "m": [1, 2, 1], "t": 3, "trials": 10}, "m", "repeats a value"),
+            ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": [1, 1.0]}, "delta", "repeats a value"),
+            ({"experiment": "auth-sweep", "n": 1, "channel": {"kind": "depolarizing", "p": [0, 0.0]}}, "channel.p", "repeats a value"),
+        ],
+    )
+    def test_exits_2_before_any_point_runs(self, config, field, reason, monkeypatch, tmp_path, capsys):
+        ran = []
+        row = harness.EXPERIMENTS[config["experiment"]]
+        monkeypatch.setitem(harness.EXPERIMENTS, config["experiment"], row._replace(run=lambda pt: ran.append(pt) or []))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and not ran
+        assert out.err.startswith(f"error: config field '{field}': {reason}")
 
     def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"

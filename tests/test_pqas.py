@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from pqaslab import _streams, ensembles, moments, pqas, primitives, qcore
+from pqaslab import _streams, ensembles, harness, moments, pqas, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -431,9 +431,10 @@ class TestAuthSweepMatchesPerTrialReference:
             stats = pqas.auth_sweep(psi, part, chan, trials, mode=mode, seed=seed)
             p0s, fps = ref.T
             fids = fps / p0s
-            expect = [p0s.mean(), fps.mean(), fids.mean(), np.min(p0s - fps), p0s.std(ddof=1) / np.sqrt(trials)]
-            found = [stats.mean_p0, stats.mean_fprime, stats.mean_fidelity, stats.min_p0_minus_fprime, stats.stderr_p0]
+            expect = [p0s.mean(), fps.mean(), fids.mean(), p0s.std(ddof=1) / np.sqrt(trials)]
+            found = [stats.mean_p0, stats.mean_fprime, stats.mean_fidelity, stats.stderr_p0]
             assert np.max(np.abs(np.array(found) - expect)) <= 1e-12
+            assert np.min(p0s - fps) >= -1e-12
 
     def test_one_key_call_matches_dense_reference(self):
         part = QubitPartition(1, 1, 1)
@@ -446,6 +447,25 @@ class TestAuthSweepMatchesPerTrialReference:
 
     def test_one_key_per_stack_at_z8(self):
         assert [len(ys) for ys in pqas._auth_key_stacks(QubitPartition(4, 2, 2), "haar_exact", 24, 3)] == [1, 1, 1]
+
+
+class TestAcceptedFidelityNeverExceedsP0:
+    """F' <= P0 for every key: P0 = tr M and F' = tr((psi (x) I)^dag M (psi (x) I))
+    of one positive matrix M (``_p0_fprime_stack``).  Checked on the trial
+    keys of an auth sweep at selftest criterion 4's layout, input and trial
+    count, under its five channels."""
+
+    @pytest.mark.parametrize(
+        "kind,p",
+        [("identity", 0.0), ("depolarizing", 0.1), ("depolarizing", 0.3), ("depolarizing", 0.5), ("random_unitary", 0.0)],
+    )
+    def test_in_every_trial(self, kind, p):
+        part = QubitPartition(2, 2, 1)
+        psi = qcore.basis_ket(4, 0)
+        chan = harness.build_channel(kind, p, 2**part.z)
+        stacks = [pqas._p0_fprime_stack(ys, psi, chan) for ys in pqas._auth_key_stacks(part, "haar_exact", 104, 1000)]
+        gaps = np.concatenate([p0 - fprime for p0, fprime in stacks])
+        assert len(gaps) == 1000 and np.min(gaps) >= -1e-12
 
 
 class TestCovariantTamperIsKeyIndependent:
