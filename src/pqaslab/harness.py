@@ -193,18 +193,26 @@ def validate_config(config: dict) -> dict:
         if len(set(cfg[field])) < len(cfg[field]):
             raise ConfigError(_CONFIG_NAMES.get(field, field), "repeats a value; a sweep runs each value once")
     exp = EXPERIMENTS[name]
+    reads = _read_fields(name, cfg["channel_kind"])
+    for field, default in _DEFAULTS.items():
+        if field not in reads and any(v != default for v in _as_list(cfg[field])):
+            why = f" with channel kind {cfg['channel_kind']!r}" if field in exp.reads.split() else ""
+            raise ConfigError(_CONFIG_NAMES.get(field, field), f"{name} does not read it{why}; leave it at {default!r}")
     if any(v < exp.min_trials for v in cfg["trials"]):
         raise ConfigError("trials", f"must be at least {exp.min_trials} for {name}")
     if any(v % exp.trial_step for v in cfg["trials"]):
         raise ConfigError("trials", f"must be a multiple of {exp.trial_step} for {name}")
-    reads = set(exp.reads.split()) | {"seed"}
-    if cfg["channel_kind"] not in _P_KINDS:
-        reads.discard("channel_p")
-    for field, default in _DEFAULTS.items():
-        if field not in reads and any(v != default for v in _as_list(cfg[field])):
-            why = f" with channel kind {cfg['channel_kind']!r}" if field == "channel_p" else ""
-            raise ConfigError(_CONFIG_NAMES.get(field, field), f"{name} does not read it{why}; leave it at {default!r}")
     return cfg
+
+
+def _read_fields(name: str, kind: str) -> set[str]:
+    """The point fields experiment ``name`` reads under channel kind ``kind``, ``seed`` among them."""
+    reads = set(EXPERIMENTS[name].reads.split()) | {"seed"}
+    if kind not in _P_KINDS:
+        reads.discard("channel_p")
+    if name == "auth-sweep" and kind in _COVARIANT_KINDS:  # its rows print the closed form; no key is drawn
+        reads -= {"trials", "mode"}
+    return reads
 
 
 def _as_list(value) -> list:
@@ -259,6 +267,7 @@ def point_seed(pt: ExperimentPoint) -> int:
 
 CHANNEL_KINDS = ("identity", "depolarizing", "local_depolarizing", "random_unitary")
 _P_KINDS = ("depolarizing", "local_depolarizing")  # the kinds that read ``p``
+_COVARIANT_KINDS = ("identity", "depolarizing")  # U^dag Gamma(U X U^dag) U = Gamma(X) for every unitary U
 
 
 def _check_channel_kind(kind) -> None:
@@ -330,18 +339,24 @@ def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     chan = build_channel(pt.channel_kind, pt.channel_p, 2**part.z)
     label = channel_label(pt.channel_kind, pt.channel_p)
-    seed = point_seed(pt)
     psi = qcore.basis_ket(2**pt.n, 0)
-    stats = pqas.auth_sweep(psi, part, chan, pt.trials, mode=pt.mode, seed=seed)
-    # the brickwork alone is not Haar: its rows carry only the Haar leading order, as prediction
-    exact_p0 = exact_fp = None
-    if pt.mode != "pru_only":
-        exact_p0 = pqas.exact_haar_p0(part, chan, psi)
-        exact_fp = pqas.exact_haar_fprime(part, chan, psi)
+    exact_p0, exact_fp = pqas.exact_haar_p0(part, chan, psi), pqas.exact_haar_fprime(part, chan, psi)
+    if pt.channel_kind in _COVARIANT_KINDS:
+        # the tamper commutes with every scrambler and Y^dag Y = I, so every key of every
+        # mode gives the Haar values: they are the estimates, and no key is drawn
+        means, stderrs = (exact_p0, exact_fp, exact_fp / exact_p0), (None, None, None)
+        exact_p0 = exact_fp = None
+    else:
+        stats = pqas.auth_sweep(psi, part, chan, pt.trials, mode=pt.mode, seed=point_seed(pt))
+        means = stats.mean_p0, stats.mean_fprime, stats.mean_fidelity
+        stderrs = stats.stderr_p0, stats.stderr_fprime, stats.stderr_fidelity
+    if pt.mode == "pru_only":
+        # the brickwork alone is not Haar: its rows carry only the Haar leading order, as prediction
+        exact_p0 = exact_fp = None
     return [
-        _metric(pt, "p0", stats.mean_p0, stats.stderr_p0, exact_p0, stats.predicted_p0, label),
-        _metric(pt, "fprime", stats.mean_fprime, stats.stderr_fprime, exact_fp, stats.predicted_fprime, label),
-        _metric(pt, "fidelity", stats.mean_fidelity, stats.stderr_fidelity, None, None, label),
+        _metric(pt, "p0", means[0], stderrs[0], exact_p0, pqas.predicted_p0(part, chan), label),
+        _metric(pt, "fprime", means[1], stderrs[1], exact_fp, pqas.predicted_fprime(part, chan), label),
+        _metric(pt, "fidelity", means[2], stderrs[2], None, None, label),
     ]
 
 
@@ -460,7 +475,8 @@ class Experiment(NamedTuple):
     ``min_trials`` and a multiple of ``trial_step``) and the value rules each
     of its points must pass.  A config must leave every other field at its
     default; the channel's ``p`` counts as read only for the depolarizing
-    kinds."""
+    kinds, and an auth sweep's ``trials`` and ``mode`` only for the others
+    (``_read_fields``)."""
 
     run: Callable[[ExperimentPoint], list[ResultRecord]]
     reads: str
@@ -469,28 +485,55 @@ class Experiment(NamedTuple):
     rules: tuple[Rule, ...] = ()
 
 
-# the multi-state attack compares ciphertexts in pairs; a vprdm state keeps
-# n - m >= 1 message qubits; EFI's two arms need
-# 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays small
-_MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"),)
-_VPRDM_RULES = (Rule("m", lambda pt: pt.m < pt.n, "must be less than n"),)
+def _cap(field: str, size: str, qubits: Callable[[ExperimentPoint], int]) -> Rule:
+    """The qubit cap on a point's largest register, of ``qubits(pt)`` qubits (``size``)."""
+    text = f"must keep {size} within the qubit cap (set PQASLAB_CAP to raise)"
+    return Rule(field, lambda pt: qubits(pt) <= qcore.qubit_cap(), text)
+
+
+# every point keeps its largest register within the qubit cap; the multi-state
+# attack compares ciphertexts in pairs; the left-or-right game asks at most 8
+# mutually orthogonal queries; the qubit-count attack runs at desk scale; a
+# vprdm state keeps n - m >= 1 message qubits; a depolarizing strength is a
+# probability; EFI's two arms need 0 <= m0 < m1 = floor(gamma n) < n, and its
+# key count 2^lambda_eff stays small
+_LAYOUT_CAP = _cap("m", "n + l + m", lambda pt: pt.n + pt.l + pt.m)
+_N_CAP = _cap("n", "n", lambda pt: pt.n)
+_P_RULE = Rule("channel.p", lambda pt: 0.0 <= pt.channel_p <= 1.0, "must lie in [0, 1]")
+_SCAN_RULES = (_cap("m", "t (n + l + m) + q", lambda pt: pt.t * (pt.n + pt.l + pt.m) + pt.q),)
+_CPA_RULES = (
+    Rule("t", lambda pt: pt.t <= 2 ** min(pt.n, 3), "must satisfy t <= min(8, 2^n)"),
+    _cap("m", "n + m", lambda pt: pt.n + pt.m),
+)
+_QUBIT_COUNT_RULES = (
+    Rule("n", lambda pt: pt.n <= 2, "must be at most 2"),
+    Rule("s_max", lambda pt: pt.s_max <= 3, "must be at most 3"),
+    _cap("m", "n s_max + l + m", lambda pt: pt.n * pt.s_max + pt.l + pt.m),
+)
+_AUTH_RULES = (_P_RULE, _LAYOUT_CAP)
+_MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"), _LAYOUT_CAP)
+_VPRDM_RULES = (Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP)
 _EFI_RULES = (
     Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),
     Rule("c", lambda pt: 0.0 < pt.c < pt.gamma, "must satisfy 0 < c < gamma"),
     Rule("m0", lambda pt: 0 <= pt.m0 < int(pt.gamma * pt.n) < pt.n, "must satisfy 0 <= m0 < floor(gamma n) < n"),
     Rule("lambda_eff", lambda pt: 1 <= pt.lambda_eff <= 12, "must lie in 1..12"),
+    _P_RULE,
+    _N_CAP,
 )
 
 
 # cpa and vprdm report a standard error, which needs two trials
 EXPERIMENTS = {
-    "wg-selftest": Experiment(_run_wg_selftest, "n t"),
-    "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", trial_step=pqas.SCAN_BATCHES),
-    "auth-sweep": Experiment(_run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS),
-    "cpa": Experiment(_run_cpa, "n m t trials", min_trials=2),
-    "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode"),
+    "wg-selftest": Experiment(_run_wg_selftest, "n t", rules=(_N_CAP,)),
+    "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", trial_step=pqas.SCAN_BATCHES, rules=_SCAN_RULES),
+    "auth-sweep": Experiment(
+        _run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS, rules=_AUTH_RULES
+    ),
+    "cpa": Experiment(_run_cpa, "n m t trials", min_trials=2, rules=_CPA_RULES),
+    "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode", rules=_QUBIT_COUNT_RULES),
     "multistate": Experiment(_run_multistate, "n l m trials copies mode", rules=_MULTISTATE_RULES),
-    "decoy": Experiment(_run_decoy, "n l m t mode"),
+    "decoy": Experiment(_run_decoy, "n l m t mode", rules=(_LAYOUT_CAP,)),
     "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2, rules=_VPRDM_RULES),
     "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p", rules=_EFI_RULES),
 }

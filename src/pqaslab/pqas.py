@@ -163,8 +163,8 @@ def _p0_fprime_stack(tagged: np.ndarray, psi: np.ndarray, channel: Channel):
     Everything is read off the (2^n 2^m)^2 matrix
     M = Y^dag Gamma(W W^dag / 2^m) Y (``Channel.compress``): P0 = tr M, and
     F' = tr((psi (x) I)^dag M (psi (x) I)) = sum_j w_j^dag Gamma(.) w_j over
-    the columns w_j of W.  Channels with a Gram form never build a d x d
-    matrix.
+    the columns w_j of W.  Only ``UnitaryChannel`` keeps a Gram form that
+    builds no d x d matrix; every other channel goes through its ``apply``.
     """
     keys, d, dn, dm = tagged.shape
     w = np.einsum("kxaj,a->kxj", tagged, psi)
@@ -214,8 +214,6 @@ class AuthSweepStats:
     stderr_fprime: float
     mean_fidelity: float
     stderr_fidelity: float
-    predicted_p0: float
-    predicted_fprime: float
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -255,11 +253,7 @@ def auth_sweep(
     draw from its trial stream gives.  A stack is pushed through the
     channel as its rank-2^m factors W = U C of the padded input
     rho_ext = C C^dag / 2^m, and P0 and F' are read off
-    Y^dag Gamma(W W^dag) Y (``_p0_fprime_stack``).  For the identity and
-    global depolarizing channels that matrix is a Gram form, and since Y is
-    an isometry every key gives the same P0 and F'; the keys are drawn all
-    the same, since ``trials``, ``mode`` and ``seed`` are read fields of
-    the row.
+    Y^dag Gamma(W W^dag) Y (``_p0_fprime_stack``).
     """
     if trials < MIN_AUTH_TRIALS:
         raise ValueError(f"need at least {MIN_AUTH_TRIALS} trials for stable statistics")
@@ -277,8 +271,6 @@ def auth_sweep(
         stderr_fprime=se_fp,
         mean_fidelity=mean_f,
         stderr_fidelity=se_f,
-        predicted_p0=predicted_p0(partition, channel),
-        predicted_fprime=predicted_fprime(partition, channel),
     )
 
 

@@ -229,12 +229,6 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _gram(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Y^dag W W^dag Y as (Y^dag W)(Y^dag W)^dag, never forming W W^dag."""
-    yw = _adjoint(y) @ w
-    return yw @ _adjoint(yw)
-
-
 class Channel:
     """CPTP map with enough structure for the closed-form fidelity functionals.
 
@@ -243,8 +237,8 @@ class Channel:
     exact P0/F' means.  ``apply`` acts on one (d, d) matrix or on a
     (..., d, d) stack of them, each matrix separately.  ``compress`` reads
     the channel's output on a rank-r input through c columns only; the
-    default goes through ``apply``, and channels with a Gram form override
-    it.
+    default goes through ``apply``, and only ``UnitaryChannel`` overrides it
+    with a Gram form.
     """
 
     dim: int
@@ -268,9 +262,6 @@ class IdentityChannel(Channel):
     def apply(self, rho):
         return rho.copy()
 
-    def compress(self, w, y):
-        return _gram(y, w)
-
     def kraus_trace_square_sum(self):
         return float(self.dim**2)
 
@@ -287,7 +278,9 @@ class UnitaryChannel(Channel):
         return self.v @ rho @ self.v.conj().T
 
     def compress(self, w, y):
-        return _gram(y, self.v @ w)
+        # Y^dag V W W^dag V^dag Y as (Y^dag V W)(Y^dag V W)^dag, never forming W W^dag
+        yvw = _adjoint(y) @ (self.v @ w)
+        return yvw @ _adjoint(yvw)
 
     def kraus_trace_square_sum(self):
         return float(abs(np.trace(self.v)) ** 2)
@@ -309,11 +302,6 @@ class DepolarizingChannel(Channel):
     def apply(self, rho):
         d = self.dim
         return (1 - self.p) * rho + self.p * np.trace(rho, axis1=-2, axis2=-1)[..., None, None] * np.eye(d) / d
-
-    def compress(self, w, y):
-        # unitarily covariant: (1-p) Y^dag W W^dag Y + p tr(W W^dag)/d Y^dag Y
-        norm = np.sum(np.abs(w) ** 2, axis=(-2, -1))[..., None, None]
-        return (1.0 - self.p) * _gram(y, w) + (self.p / self.dim) * norm * (_adjoint(y) @ y)
 
     def kraus_trace_square_sum(self):
         # only the identity Kraus operator sqrt(1 - p + p/d^2) I has a trace

@@ -143,21 +143,23 @@ def criterion_3_weingarten(seed: int = 103) -> Iterator[Check]:
 def criterion_4_auth_averages(seed: int = 104) -> Iterator[Check | str]:
     """Tag-acceptance and fidelity functionals match their Haar formulas."""
     part = QubitPartition(2, 2, 1)
-    base = {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 1, "trials": 1000, "seed": seed}
+    base = {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 1, "seed": seed}
     for channel in ({"kind": "identity"}, {"kind": "depolarizing", "p": [0.1, 0.3, 0.5]}, {"kind": "random_unitary"}):
-        rows = yield from _rows({**base, "channel": channel}, "channel")
+        trials = {"trials": 1000} if channel["kind"] == "random_unitary" else {}  # the one kind whose rows are sampled
+        rows = yield from _rows({**base, **trials, "channel": channel}, "channel")
         for label in sorted({label for _, label in rows}):
             p0, fp = rows["auth-sweep:p0", label], rows["auth-sweep:fprime", label]
             slack = pqas.prediction_slack(part, harness.build_channel(p0.channel_kind, p0.channel_p, 2**part.z))
             for name, row in (("P0", p0), ("F'", fp)):
-                dev_oracle = abs(row.estimate - row.exact)
-                tol_oracle = 3 * row.stderr + 1e-9
-                yield (
-                    dev_oracle <= tol_oracle,
-                    f"{label}: mean {name} {row.estimate:.5f} vs exact oracle {row.exact:.5f} within {tol_oracle:.2e}",
-                )
+                if row.exact is not None:
+                    dev_oracle = abs(row.estimate - row.exact)
+                    tol_oracle = 3 * row.stderr + 1e-9
+                    yield (
+                        dev_oracle <= tol_oracle,
+                        f"{label}: mean {name} {row.estimate:.5f} vs exact oracle {row.exact:.5f} within {tol_oracle:.2e}",
+                    )
                 dev_formula = abs(row.estimate - row.prediction)
-                tol = 3 * row.stderr + slack
+                tol = 3 * (row.stderr or 0.0) + slack
                 residual = f"{label}: {name} formula residual {dev_formula:.5f} <= 3 sigma + slack {tol:.5f}"
                 yield dev_formula <= tol, residual
 
@@ -165,7 +167,7 @@ def criterion_4_auth_averages(seed: int = 104) -> Iterator[Check | str]:
 def criterion_5_fidelity_recovery(seed: int = 105) -> Iterator[Check | str]:
     """Accepted-state infidelity scales like 2^-l: l = 2 vs 4 ratio near 4."""
     channel = {"kind": "depolarizing", "p": 0.3}
-    config = {"experiment": "auth-sweep", "n": 1, "l": [2, 4], "m": 1, "trials": 600, "channel": channel, "seed": seed}
+    config = {"experiment": "auth-sweep", "n": 1, "l": [2, 4], "m": 1, "channel": channel, "seed": seed}
     rows = yield from _rows(config, "l")
     means = {l: 1.0 - rows["auth-sweep:fidelity", l].estimate for l in (2, 4)}
     ratio = means[2] / means[4]
@@ -245,24 +247,18 @@ def criterion_9_efi(seed: int = 109) -> Iterator[Check]:
         )
 
 
-def criterion_10_determinism(seed: int = 110) -> Iterator[Check]:
+def criterion_10_determinism(seed: int = 110) -> Iterator[Check | str]:
     """Same config and seed reproduce the emitted CSV byte for byte."""
-    config = {
-        "experiment": "auth-sweep",
-        "n": 1,
-        "l": 1,
-        "m": 1,
-        "trials": 120,
-        "channel": {"kind": "depolarizing", "p": [0.1, 0.3]},
-        "seed": seed,
-    }
-    first = harness.emit(harness.run(config, record_timing=False))
-    second = harness.emit(harness.run(config, record_timing=False))
-    yield first == second, "repeated run emits bitwise-identical CSV (timing column disabled)"
-    wg = {"experiment": "wg-selftest", "n": [2, 3], "t": 2, "seed": seed}
-    third = harness.emit(harness.run(wg, record_timing=False), fmt="json")
-    fourth = harness.emit(harness.run(wg, record_timing=False), fmt="json")
-    yield third == fourth, "JSON emission equally deterministic"
+    auth = {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "trials": 120, "channel": {"kind": "random_unitary"}}
+    wg = {"experiment": "wg-selftest", "n": [2, 3], "t": 2}
+    for config, fmt, text in (
+        (auth, "csv", "repeated run emits bitwise-identical CSV (timing column disabled)"),
+        (wg, "json", "JSON emission equally deterministic"),
+    ):
+        config = {**config, "seed": seed}
+        yield "config " + json.dumps(config)
+        first, second = (harness.emit(harness.run(config, record_timing=False), fmt=fmt) for _ in range(2))
+        yield first == second, text
 
 
 ALL_CRITERIA = (

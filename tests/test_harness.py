@@ -133,10 +133,10 @@ class TestConfigProperty:
         else:
             config[field] = value
         try:
-            cfg = harness.validate_config(config)
+            points = harness.expand_points(harness.validate_config(config))
         except ConfigError:
             return
-        for point in harness.expand_points(cfg):
+        for point in points:
             harness.point_seed(point)
 
 
@@ -176,18 +176,20 @@ class TestRunProperty:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_tiny_point_runs_or_exits_2(self, experiment, data, tmp_path_factory):
-        # only the fields the experiment reads are drawn, so no example stops at the unread-field rule
-        reads = harness.EXPERIMENTS[experiment].reads.split()
+        # only the fields the experiment reads under its channel kind are drawn, so no
+        # example stops at the unread-field rule
         config = {"experiment": experiment, **TINY_CONFIGS[experiment]}
-        for field, values in SMALL_OR_HUGE.items():
-            value = data.draw(st.none() | values, label=field) if field in reads else None
-            if value is not None:
-                config[field] = value
-        if "channel_kind" in reads:
+        kind = "identity"
+        if "channel_kind" in harness.EXPERIMENTS[experiment].reads.split():
             kind = data.draw(st.sampled_from(harness.CHANNEL_KINDS), label="channel.kind")
             config["channel"] = {"kind": kind}
             if kind in harness._P_KINDS:
                 config["channel"]["p"] = data.draw(CHANNEL_P, label="channel.p")
+        reads = harness._read_fields(experiment, kind)
+        for field, values in SMALL_OR_HUGE.items():
+            value = data.draw(st.none() | values, label=field) if field in reads else None
+            if value is not None:
+                config[field] = value
         path = tmp_path_factory.mktemp("tiny") / "config.json"
         path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
@@ -222,10 +224,9 @@ class TestReadFields:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_only_read_fields_leave_their_default(self, experiment, data, tmp_path_factory):
-        reads = harness.EXPERIMENTS[experiment].reads.split()
         field = data.draw(st.sampled_from(sorted(set(harness._DEFAULTS) - {"seed"})), label="field")
         kind = "identity"
-        if field == "channel_p" and "channel_kind" in reads:
+        if field != "channel_kind" and "channel_kind" in harness.EXPERIMENTS[experiment].reads.split():
             kind = data.draw(st.sampled_from(harness.CHANNEL_KINDS), label="channel.kind")
         value = data.draw(_valid_values(experiment, field), label="value")
         if field in harness._SWEEPABLE or field == "channel_p":
@@ -237,10 +238,10 @@ class TestReadFields:
                 return {**base, "channel": {"kind": value}}
             if field == "channel_p":
                 return {**base, "channel": {"kind": kind, "p": value}}
-            return {**base, field: value}
+            return {**base, field: value, "channel": {"kind": kind}}
 
         harness.validate_config(config(harness._DEFAULTS[field]))
-        if field in reads and (field != "channel_p" or kind in harness._P_KINDS):
+        if field in harness._read_fields(experiment, kind):
             harness.validate_config(config(value))
             return
         path = tmp_path_factory.mktemp("unread") / "config.json"
@@ -261,9 +262,9 @@ class TestReadFields:
         bases = [harness.ExperimentPoint(experiment, **TINY_CONFIGS[experiment])]
         if "channel_kind" in reads:
             bases.append(replace(bases[0], channel_kind="random_unitary"))
-        # neither base's channel kind reads p
-        unread = set(harness._DEFAULTS) - set(reads) - {"seed"} | {"channel_p"}
         for base in bases:
+            # neither base's channel kind reads p, and under identity tamper an auth sweep reads no trials or mode
+            unread = set(harness._DEFAULTS) - harness._read_fields(experiment, base.channel_kind)
             rows = [asdict(r) for r in harness.EXPERIMENTS[experiment].run(base)]
             for field in sorted(unread):
                 value = other[field] if field in other else getattr(base, field) + 1
@@ -351,7 +352,7 @@ class TestCli:
         [
             ({"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": 10}, pqas.SCAN_BATCHES),
             ({"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": [40, 50]}, pqas.SCAN_BATCHES),
-            ({"experiment": "auth-sweep", "n": 1, "l": 1, "m": 0, "trials": 50}, pqas.MIN_AUTH_TRIALS),
+            ({"experiment": "auth-sweep", "n": 1, "l": 1, "m": 0, "trials": 50, "channel": {"kind": "random_unitary"}}, pqas.MIN_AUTH_TRIALS),
         ],
     )
     def test_trial_count_errors_name_the_field(self, config, count, tmp_path, capsys):
@@ -439,9 +440,21 @@ class TestCli:
 
     def test_value_rules_come_from_the_table(self):
         fields = {exp: [rule.field for rule in row.rules] for exp, row in harness.EXPERIMENTS.items() if row.rules}
-        assert fields == {"multistate": ["copies"], "vprdm": ["m"], "efi": ["gamma", "c", "m0", "lambda_eff"]}
+        assert fields == {
+            "wg-selftest": ["n"],
+            "security-scan": ["m"],
+            "auth-sweep": ["channel.p", "m"],
+            "cpa": ["t", "m"],
+            "qubit-count": ["n", "s_max", "m"],
+            "multistate": ["copies", "m"],
+            "decoy": ["m"],
+            "vprdm": ["m", "n"],
+            "efi": ["gamma", "c", "m0", "lambda_eff", "channel.p", "n"],
+        }
 
-    # a value rule broken only by a later point, and sweeps that repeat a value (real ones compared as floats)
+    # a value rule broken only by a later point, sweeps that repeat a value (real ones compared as floats),
+    # value rules once enforced only by a runner or the library after earlier points had run, and auth
+    # sweeps that set a field covariant tamper leaves unread
     @pytest.mark.parametrize(
         "config,field,reason",
         [
@@ -450,6 +463,30 @@ class TestCli:
             ({"experiment": "cpa", "n": 2, "m": [1, 2, 1], "t": 3, "trials": 10}, "m", "repeats a value"),
             ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": [1, 1.0]}, "delta", "repeats a value"),
             ({"experiment": "auth-sweep", "n": 1, "channel": {"kind": "depolarizing", "p": [0, 0.0]}}, "channel.p", "repeats a value"),
+            (
+                {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 2, "trials": 3000,
+                 "channel": {"kind": "local_depolarizing", "p": [0.5, 1.5]}},
+                "channel.p",
+                "must lie in [0, 1]",
+            ),
+            (
+                {"experiment": "security-scan", "n": 1, "l": 1, "m": [2, 9], "t": 2, "trials": 4000},
+                "m",
+                "must keep t (n + l + m) + q within the qubit cap",
+            ),
+            ({"experiment": "cpa", "n": [3, 1], "t": 4}, "t", "must satisfy t <= min(8, 2^n)"),
+            ({"experiment": "qubit-count", "n": [1, 3]}, "n", "must be at most 2"),
+            ({"experiment": "qubit-count", "s_max": [2, 4]}, "s_max", "must be at most 3"),
+            (
+                {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 1, "trials": 1000, "channel": {"kind": "depolarizing", "p": 0.1}},
+                "trials",
+                "auth-sweep does not read it with channel kind 'depolarizing'",
+            ),
+            (
+                {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "mode": "composed", "channel": {"kind": "identity"}},
+                "mode",
+                "auth-sweep does not read it with channel kind 'identity'",
+            ),
         ],
     )
     def test_exits_2_before_any_point_runs(self, config, field, reason, monkeypatch, tmp_path, capsys):
@@ -462,6 +499,41 @@ class TestCli:
         out = capsys.readouterr()
         assert out.out == "" and not ran
         assert out.err.startswith(f"error: config field '{field}': {reason}")
+
+    # per experiment: a point whose largest register is exactly the default cap of 10
+    # qubits, and the field that one more qubit is added to
+    @pytest.mark.parametrize(
+        "experiment,at_cap,bump,field",
+        [
+            ("wg-selftest", {"n": 10}, "n", "n"),
+            ("security-scan", {"n": 1, "l": 1, "m": 3, "t": 2, "q": 0}, "q", "m"),
+            ("auth-sweep", {"n": 1, "l": 1, "m": 8}, "m", "m"),
+            ("cpa", {"n": 2, "m": 8}, "m", "m"),
+            ("qubit-count", {"n": 2, "s_max": 3, "l": 1, "m": 3}, "l", "m"),
+            ("multistate", {"n": 1, "l": 1, "m": 8}, "m", "m"),
+            ("decoy", {"n": 1, "l": 1, "m": 8}, "l", "m"),
+            ("vprdm", {"n": 10, "m": 1}, "n", "n"),
+            ("efi", {"n": 10}, "n", "n"),
+        ],
+    )
+    def test_largest_register_is_capped_before_any_point_runs(self, experiment, at_cap, bump, field, monkeypatch):
+        monkeypatch.delenv("PQASLAB_CAP", raising=False)
+        ran = []
+        row = harness.EXPERIMENTS[experiment]
+        monkeypatch.setitem(harness.EXPERIMENTS, experiment, row._replace(run=lambda pt: ran.append(pt) or []))
+        config = {"experiment": experiment, **TINY_CONFIGS[experiment], **at_cap}
+        harness.run(config, record_timing=False)
+        assert len(ran) == 1
+        with pytest.raises(ConfigError, match="PQASLAB_CAP") as err:
+            harness.run({**config, bump: [config.get(bump, 0), config.get(bump, 0) + 1]}, record_timing=False)
+        assert err.value.field == field and len(ran) == 1
+
+    @pytest.mark.parametrize("channel", [{"kind": "local_depolarizing", "p": 0.2}, {"kind": "random_unitary"}])
+    def test_sampled_auth_sweeps_read_trials_and_mode(self, channel):
+        # the kinds an auth sweep draws keys for; identity and depolarizing exit 2 above
+        config = {"experiment": "auth-sweep", "trials": 1000, "mode": "composed", "channel": channel}
+        (point,) = harness.expand_points(harness.validate_config(config))
+        assert (point.trials, point.mode) == (1000, "composed")
 
     def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -624,7 +696,7 @@ class TestRun:
         (pru,) = harness.run({**scan, "mode": "pru_only"}, record_timing=False)
         assert haar.exact is not None and haar.prediction is None
         assert pru.exact is None and pru.prediction == haar.exact
-        auth = {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "trials": 100, "channel": {"kind": "depolarizing", "p": 0.3}}
+        auth = {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "trials": 100, "channel": {"kind": "random_unitary"}}
         haar_rows = harness.run(auth, record_timing=False)
         pru_rows = harness.run({**auth, "mode": "pru_only"}, record_timing=False)
         assert sum(r.exact is not None for r in haar_rows) == 2
@@ -639,7 +711,7 @@ class TestRun:
                 "l": 1,
                 "m": 1,
                 "trials": 100,
-                "channel": {"kind": "depolarizing", "p": 0.3},
+                "channel": {"kind": "random_unitary"},
             },
             record_timing=False,
         )
@@ -648,6 +720,30 @@ class TestRun:
         p0 = next(r for r in records if r.experiment == "auth-sweep:p0")
         assert p0.exact is not None and p0.prediction is not None
         assert abs(p0.estimate - p0.exact) <= 3 * p0.stderr + 1e-9
+
+    @pytest.mark.parametrize("channel", [{"kind": "identity"}, {"kind": "depolarizing", "p": [0.0, 0.3, 1.0]}])
+    def test_covariant_auth_rows_print_the_closed_form_and_draw_nothing(self, channel, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a covariant auth sweep drew a key")
+
+        for module in (harness, pqas, ensembles):
+            monkeypatch.setattr(module, "sample_scramblers", refuse)
+        for module in (harness, pqas):
+            monkeypatch.setattr(module, "spawn_rngs", refuse)
+        records = harness.run({"experiment": "auth-sweep", "n": [1, 2], "l": [0, 2], "m": 1, "channel": channel}, record_timing=False)
+        assert len(records) == 3 * 4 * len(harness._as_list(channel.get("p", 0.0)))
+        for r in records:
+            part = QubitPartition(r.n, r.l, r.m)
+            chan = harness.build_channel(r.channel_kind, r.channel_p, 2**part.z)
+            psi = qcore.basis_ket(2**r.n, 0)
+            p0, fprime = pqas.exact_haar_p0(part, chan, psi), pqas.exact_haar_fprime(part, chan, psi)
+            expect = {
+                "auth-sweep:p0": (p0, pqas.predicted_p0(part, chan)),
+                "auth-sweep:fprime": (fprime, pqas.predicted_fprime(part, chan)),
+                "auth-sweep:fidelity": (fprime / p0, None),
+            }[r.experiment]
+            assert (r.estimate, r.prediction) == tuple(map(harness._round12, expect))
+            assert r.stderr is None and r.exact is None
 
     def test_cpa_smoke(self):
         records = harness.run(

@@ -6,6 +6,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqaslab import _streams, ensembles, harness, moments, pqas, primitives, qcore
 from pqaslab._streams import spawn_rng
@@ -447,6 +449,27 @@ class TestAuthSweepMatchesPerTrialReference:
 
     def test_one_key_per_stack_at_z8(self):
         assert [len(ys) for ys in pqas._auth_key_stacks(QubitPartition(4, 2, 2), "haar_exact", 24, 3)] == [1, 1, 1]
+
+
+class TestCovariantTamperGivesTheClosedForm:
+    """Identity and global depolarizing tamper commute with every scrambler,
+    so every key of every mode reads the Haar closed forms: the stacked Monte
+    Carlo kernel is the oracle for the auth-sweep rows that print them and
+    draw no key."""
+
+    @pytest.mark.parametrize("mode", ensembles.MODES)
+    @pytest.mark.parametrize("n,l,m", [(2, 2, 1), (1, 0, 0)])
+    @settings(max_examples=8, deadline=None)
+    @given(p=st.floats(0.0, 1.0), seed=st.integers(0, 2**63 - 1))
+    def test_every_key_reads_the_closed_form(self, n, l, m, mode, p, seed):
+        part = QubitPartition(n, l, m)
+        psi = random_pure_state(n, spawn_rng(seed, "covariant-message"))
+        for chan in (qcore.IdentityChannel(2**part.z), qcore.DepolarizingChannel(2**part.z, p)):
+            p0, fprime = pqas.exact_haar_p0(part, chan, psi), pqas.exact_haar_fprime(part, chan, psi)
+            for ys in pqas._auth_key_stacks(part, mode, seed, 16):
+                p0s, fps = pqas._p0_fprime_stack(ys, psi, chan)
+                assert np.max(np.abs(p0s - p0)) <= 1e-12
+                assert np.max(np.abs(fps - fprime)) <= 1e-12
 
 
 class TestAcceptedFidelityNeverExceedsP0:
