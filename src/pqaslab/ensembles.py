@@ -18,18 +18,42 @@ factor from its own stream, in this order within the stream:
 - Clifford (``composed``): stream (k3, "clifford", z), the Sp(2z, 2) index
   by rejection and then 2z sign bits.
 
-A Monte Carlo trial (``sample_scramblers``) reads only the tag-|0> columns
-Y of its scrambler.  In ``haar_exact`` mode its generator (one per trial,
-from ``_streams.spawn_rngs``) gives one (2, d, 2^(n+m)) block of standard
-normals, real and then imaginary part, whose thin QR is a Haar isometry;
-in the keyed modes it gives a ``SecretKey`` and Y is sliced from that key's
-scrambler.
-
 ``build_scramblers`` builds a list of keys as one (k, d, d) stack, each entry
 bitwise what the key alone gives.  The brickwork is evaluated as merged
 pairs of layers, two Kronecker halves and one gate across the cut per pair
 (see ``sample_pru_surrogate``), and in ``composed`` mode it is applied
 straight onto the product of the other two factors.
+
+U only ever acts on a padded input rho (x) |0><0|_tag (x) I_m, so most
+readers need a fixed block of its columns, and ``build_scramblers`` builds
+just that block when given a column selection: the keyed Haar factor is
+still drawn and QR'd whole (its draw is the key's), but it multiplies only
+the Clifford's selected columns, and the brickwork acts on the (d, cols)
+block; ``pru_only`` starts from the identity's columns and keyed
+``haar_exact`` slices its whole draw.  A block is built a multiple of
+MIN_BLOCK = 4 columns wide (the selection repeated to fill it) and then
+sliced: BLAS takes other kernels for the last one to three columns of a
+product, so only such a block is bitwise the full build's columns.  The
+readers:
+
+- a Monte Carlo trial (``sample_scramblers``) reads the tag-|0> columns Y
+  |a, 0, j> (``tag_zero_index``).  In ``haar_exact`` mode its generator (one
+  per trial, from ``_streams.spawn_rngs``) gives one (2, d, 2^(n+m)) block of
+  standard normals, real and then imaginary part, whose thin QR is a Haar
+  isometry; in the keyed modes it gives a ``SecretKey`` and Y is that key's
+  column block (``sample_scrambler_columns``);
+- the vprdm and decoy runners of the harness read message |0>'s 2^m columns,
+  the first 2^m (a (d, 2^m) isometry in ``haar_exact`` mode), and the EFI
+  ensembles the first 2^m1, which serve both arms;
+- ``vprdm_verify`` reads the first 2^m columns through ``leading_columns``;
+- ``encrypt`` and ``authenticate`` read the tag-|0> columns and ``decrypt``
+  all of them, from the cached whole unitary of ``build_scrambler``.
+
+Cache policy: ``build_scrambler`` caches whole unitaries only, for the
+session readers that come back to a key.  A one-shot trial key or an EFI key
+never enters it, and ``leading_columns`` slices a key the cache already
+holds but builds any other key's columns alone without inserting them, so
+the cache holds only keys some caller read in full.
 """
 
 from __future__ import annotations
@@ -57,7 +81,10 @@ __all__ = [
     "build_scrambler",
     "build_scramblers",
     "sample_scramblers",
+    "sample_scrambler_columns",
+    "leading_columns",
     "tag_zero_columns",
+    "tag_zero_index",
     "sample_ghse",
     "random_pure_state",
 ]
@@ -221,8 +248,8 @@ def sample_pru_surrogate(
     z: int, key_seeds: Sequence[bytes], depth: int, u: np.ndarray | None = None
 ) -> np.ndarray:
     """Keyed brickwork random circuits standing in for a pseudorandom unitary,
-    one per key seed, applied to the matching entry of the (k, 2^z, 2^z)
-    stack ``u`` (the identity by default).
+    one per key seed, applied to the matching entry of the (k, 2^z, cols)
+    stack ``u`` (the identity by default); the result has u's shape.
 
     No provable construction exists at desk scale; this surrogate is a
     heuristic whose low moments converge to Haar with depth.  Each gate is a
@@ -269,6 +296,7 @@ def sample_pru_surrogate(
         halves.append((_kron(a, k), _kron(b, k)[:, None], cross))
     if u is None:
         u = np.broadcast_to(np.eye(d, dtype=complex), (k, d, d))
+    cols = u.shape[-1]
     for even in range(0, depth, 2):
         a, b, _ = halves[even]
         cross = None
@@ -276,40 +304,61 @@ def sample_pru_surrogate(
             a_odd, b_odd, cross = halves[even + 1]
             a, b = a_odd @ a, b_odd @ b
         u = a @ u.reshape(k, 2**c, -1)
-        u = b @ u.reshape(k, 2**c, -1, d)
+        u = b @ u.reshape(k, 2**c, -1, cols)
         if cross is not None:
             u = cross @ u.reshape(k, 2 ** (c - 1), 4, -1)
-    return u.reshape(k, d, d)
+    return u.reshape(k, d, cols)
 
 
-def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec) -> np.ndarray:
-    """One chunk of ``build_scramblers``."""
+# A column build computes a multiple of this many columns: such a block is
+# bitwise those columns of the full build, while one of 1, 2 or 5 columns was
+# found an ulp off (BLAS takes other kernels for a product's last columns).
+MIN_BLOCK = 4
+
+
+def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols) -> np.ndarray:
+    """One chunk of ``build_scramblers``: columns ``cols`` (an index array, or
+    ``slice(None)`` for all) of each key's unitary."""
     d = 2**z
     if spec.mode == "haar_exact":
-        return _haar(d, d, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys])
-    u = None
+        return _haar(d, d, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys])[:, :, cols]
     if spec.mode == "composed":
         # keyed exact-Haar stand-in for the approximate 4-design factor: an
         # exact Haar draw realizes every t-design with zero error
         v_4 = _haar(d, d, [keyed_rng(key.k2, "design4", z) for key in keys])
         v_2 = np.stack([sample_clifford(z, key.k3) for key in keys])
-        u = v_4 @ v_2
+        u = v_4 @ v_2[:, :, cols]
+    else:
+        eye = np.eye(d, dtype=complex)[:, cols]
+        u = np.broadcast_to(eye, (len(keys), *eye.shape))
     return sample_pru_surrogate(z, [key.k1 for key in keys], 4 * z, u)
 
 
-def build_scramblers(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec) -> np.ndarray:
+def build_scramblers(
+    keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols: np.ndarray | None = None
+) -> np.ndarray:
     """The keyed scrambling unitaries of ``keys`` for the given spec, shape
-    (len(keys), 2^z, 2^z); deterministic in each key.
+    (len(keys), 2^z, 2^z), or only their columns ``cols`` (an index array),
+    shape (len(keys), 2^z, len(cols)); deterministic in each key.
 
-    Entry i is bitwise the unitary ``[keys[i]]`` alone gives.  The stack is
-    built in chunks of ``stack_size(z)`` keys.  In ``composed`` mode the
-    brickwork of ``sample_pru_surrogate`` is applied straight onto the
-    product v_4 v_2 of the keyed Haar factor and the Clifford.
+    Entry i is bitwise what ``[keys[i]]`` alone gives, and a column block is
+    bitwise those columns of the full build (see the module docstring).  The
+    stack is built in chunks of ``stack_size(z)`` keys.  In ``composed`` mode
+    the brickwork of ``sample_pru_surrogate`` is applied straight onto the
+    product v_4 v_2 of the keyed Haar factor and the Clifford's columns.  A
+    selection is built padded to a multiple of MIN_BLOCK columns (repeating
+    it) and sliced, or as the whole unitary if that would fill d columns.
     """
     qcore.check_qubits(z)
     size = stack_size(z)
-    chunks = [_build_stack(keys[i : i + size], z, spec) for i in range(0, len(keys), size)]
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    width = None if cols is None else -(-len(cols) // MIN_BLOCK) * MIN_BLOCK
+    if width is None or width >= 2**z:
+        sel, pick = slice(None), cols  # the whole unitary
+    else:
+        sel, pick = np.resize(cols, width), slice(len(cols))
+    chunks = [_build_stack(keys[i : i + size], z, spec, sel) for i in range(0, len(keys), size)]
+    stack = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return stack if pick is None else stack[:, :, pick]
 
 
 CACHE_KEYS = 64
@@ -322,7 +371,8 @@ def _scrambler_cache(build):
     CACHE_KEYS keys and by CACHE_ENTRIES complex entries, whichever binds
     first: 64 keys up to z = 8, 16 at z = 9 and 4 at z = 10.  Like
     ``functools.lru_cache`` it has ``cache_info()`` (``maxsize`` is
-    CACHE_KEYS) and ``cache_clear()``."""
+    CACHE_KEYS) and ``cache_clear()``, and ``peek`` reads a held unitary
+    without touching the counts or the order."""
     cache = OrderedDict()
     counts = {"hits": 0, "misses": 0}
     lock = threading.Lock()
@@ -343,6 +393,11 @@ def _scrambler_cache(build):
                 cache.popitem(last=False)
         return u
 
+    def peek(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray | None:
+        """The held unitary, or None; neither counted nor made more recent."""
+        with lock:
+            return cache.get((key, z, spec))
+
     def cache_clear() -> None:
         with lock:
             cache.clear()
@@ -350,6 +405,7 @@ def _scrambler_cache(build):
 
     cached.cache_info = lambda: CacheInfo(counts["hits"], counts["misses"], CACHE_KEYS, len(cache))
     cached.cache_clear = cache_clear
+    cached.peek = peek
     return cached
 
 
@@ -367,6 +423,16 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
     return u
 
 
+def leading_columns(key: SecretKey, z: int, spec: ScramblerSpec, count: int) -> np.ndarray:
+    """The first ``count`` columns of the key's scrambler as a (2^z, count)
+    view: of the cached unitary when ``build_scrambler`` holds the key, else
+    of a block built alone by ``build_scramblers`` and not cached, so a key
+    read only in part never takes a cache slot.  A single column is a
+    strided view either way, as slicing the whole unitary gives it."""
+    u = build_scrambler.peek(key, z, spec)
+    return u[:, :count] if u is not None else build_scramblers([key], z, spec, np.arange(count))[0]
+
+
 def tag_zero_columns(u: np.ndarray, partition: qcore.QubitPartition) -> np.ndarray:
     """The tag-|0> columns of U (or of each U in a stack) as a (..., d, dn, dm)
     view, Y[x, a, j] = <x|U|a, 0, j>; read-only when U is."""
@@ -374,28 +440,41 @@ def tag_zero_columns(u: np.ndarray, partition: qcore.QubitPartition) -> np.ndarr
     return u.reshape(*u.shape[:-1], dn, dl, dm)[..., 0, :]
 
 
+def tag_zero_index(partition: qcore.QubitPartition) -> np.ndarray:
+    """Indices of the tag-|0> columns |a, 0, j>, a-major: the columns
+    ``tag_zero_columns`` views."""
+    dn, dl, dm = partition.dims
+    return (np.arange(dn)[:, None] * (dl * dm) + np.arange(dm)).ravel()
+
+
+def sample_scrambler_columns(z: int, mode: str, rngs: Sequence[np.random.Generator], cols: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of one trial scrambler on z qubits per generator,
+    shape (len(rngs), 2^z, len(cols)).
+
+    In ``haar_exact`` mode they are a Haar isometry drawn from the generator
+    (``_haar``: one (2, 2^z, len(cols)) block of normals thin-QR'd),
+    distributed as any len(cols) columns of a Haar unitary.  In any other
+    mode they are the column build of a key freshly generated from the
+    generator; these one-shot keys bypass ``build_scrambler``'s cache.
+    """
+    qcore.check_qubits(z)
+    if mode == "haar_exact":
+        return _haar(2**z, len(cols), rngs)
+    return build_scramblers([SecretKey.generate(rng) for rng in rngs], z, ScramblerSpec(mode=mode), cols)
+
+
 def sample_scramblers(partition: qcore.QubitPartition, mode: str, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """The tag-|0> columns Y of one trial scrambler per generator, shape
-    (len(rngs), d, 2^n, 2^m): every Monte Carlo consumer reads U only on
-    the padded input rho (x) |0><0|_tag (x) I_m, so only on these columns.
-    Its consumers are the security scan, the auth sweep, the qubit-count
-    interception and the multistate, decoy and vprdm runners of the harness.
-
-    In ``haar_exact`` mode Y is drawn directly from its generator as a Haar
-    isometry, one (2, d, 2^(n+m)) block of standard normals thin-QR'd
-    (``_haar``), distributed as the tag-|0> columns of a Haar unitary; no
-    d x d unitary is drawn.  In any other mode it is the tag-|0> column view
-    of the keyed scrambler of a key freshly generated from the generator,
-    built as one stack by ``build_scramblers``; these one-shot keys are never
-    reused, so they bypass ``build_scrambler``'s cache.
+    (len(rngs), d, 2^n, 2^m), from ``sample_scrambler_columns``: every Monte
+    Carlo consumer reads U only on the padded input rho (x) |0><0|_tag (x)
+    I_m, so only on these columns.  Its consumers are the security scan, the
+    auth sweep, the qubit-count interception and the multistate runner of
+    the harness.  In ``haar_exact`` mode Y is one (2, d, 2^(n+m)) block of
+    standard normals thin-QR'd.
     """
-    z = partition.z
-    qcore.check_qubits(z)
-    if mode != "haar_exact":
-        spec = ScramblerSpec(mode=mode)
-        return tag_zero_columns(build_scramblers([SecretKey.generate(rng) for rng in rngs], z, spec), partition)
     dn, _, dm = partition.dims
-    return _haar(2**z, dn * dm, rngs).reshape(len(rngs), 2**z, dn, dm)
+    ys = sample_scrambler_columns(partition.z, mode, rngs, tag_zero_index(partition))
+    return ys.reshape(len(rngs), 2**partition.z, dn, dm)
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import attacks, moments, pqas, primitives, qcore
 from ._streams import derive_bytes, spawn_rng, spawn_rngs
-from .ensembles import MODES, ScramblerSpec, sample_haar, sample_scramblers
+from .ensembles import MODES, ScramblerSpec, sample_haar, sample_scrambler_columns, sample_scramblers
 from .qcore import QubitPartition
 
 
@@ -408,9 +408,10 @@ def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
 def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     dist = attacks.decoy_indistinguishability(part, pt.t)
-    # meta-information probe: entanglement entropy across the ciphertext midpoint
-    y = sample_scramblers(part, pt.mode, [spawn_rng(point_seed(pt), "decoy-probe")])[0]
-    state = pqas.scramble_padded(qcore.basis_ket(2**pt.n, 0), y)
+    # meta-information probe: entanglement entropy across the midpoint of the
+    # ciphertext of |0>, which reads the first 2^m columns only
+    rng = spawn_rng(point_seed(pt), "decoy-probe")
+    state = pqas.scramble_zero(sample_scrambler_columns(part.z, pt.mode, [rng], np.arange(2**pt.m))[0])
     cut = part.z // 2
     reduced = qcore.partial_trace(state, [2**cut, 2 ** (part.z - cut)], {1})
     entropy = qcore.vn_entropy_bits(reduced)
@@ -422,13 +423,13 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
 
 def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
     # a key's state is its ciphertext of |0> on n - m message qubits, no tag and m mixed
-    # qubits (``vprdm_generate``), verified on the key's first 2^m columns y[:, 0, :]
-    part = QubitPartition(pt.n - pt.m, 0, pt.m)
+    # qubits (``vprdm_generate``), verified on the key's first 2^m columns; no other is drawn
     values = []
     for rng in spawn_rngs(point_seed(pt), ("vprdm",), range(pt.trials)):
-        y, y_wrong = sample_scramblers(part, pt.mode, [rng, rng])  # the key, then the wrong key
-        rho = pqas.scramble_padded(qcore.basis_ket(2**part.n, 0), y)
-        values.append([primitives.vprdm_value(rho, key[:, 0, :]) for key in (y, y_wrong)])
+        # the key, then the wrong key
+        y, y_wrong = sample_scrambler_columns(pt.n, pt.mode, [rng, rng], np.arange(2**pt.m))
+        rho = pqas.scramble_zero(y)
+        values.append([primitives.vprdm_value(rho, key) for key in (y, y_wrong)])
     completeness, wrong = np.array(values).T
     return [
         _metric(pt, "completeness", float(np.mean(completeness)), exact=1.0),
@@ -496,10 +497,13 @@ def _cap(field: str, size: str, qubits: Callable[[ExperimentPoint], int]) -> Rul
 # mutually orthogonal queries; the qubit-count attack runs at desk scale; a
 # vprdm state keeps n - m >= 1 message qubits; a depolarizing strength is a
 # probability; EFI's two arms need 0 <= m0 < m1 = floor(gamma n) < n, and its
-# key count 2^lambda_eff stays small
+# key count 2^lambda_eff stays small; the class sums on S_t (the Weingarten
+# sum, decoy and GHSE closeness) stop at t = 12, and the absolute Weingarten
+# sum's closed form (d - t)!/d! needs d = 2^n >= t
 _LAYOUT_CAP = _cap("m", "n + l + m", lambda pt: pt.n + pt.l + pt.m)
 _N_CAP = _cap("n", "n", lambda pt: pt.n)
 _P_RULE = Rule("channel.p", lambda pt: 0.0 <= pt.channel_p <= 1.0, "must lie in [0, 1]")
+_CLASS_T = Rule("t", lambda pt: pt.t <= moments.MAX_CLASS_T, f"must be at most {moments.MAX_CLASS_T}")
 _SCAN_RULES = (_cap("m", "t (n + l + m) + q", lambda pt: pt.t * (pt.n + pt.l + pt.m) + pt.q),)
 _CPA_RULES = (
     Rule("t", lambda pt: pt.t <= 2 ** min(pt.n, 3), "must satisfy t <= min(8, 2^n)"),
@@ -512,7 +516,8 @@ _QUBIT_COUNT_RULES = (
 )
 _AUTH_RULES = (_P_RULE, _LAYOUT_CAP)
 _MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"), _LAYOUT_CAP)
-_VPRDM_RULES = (Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP)
+_VPRDM_RULES = (Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP, _CLASS_T)
+_WG_RULES = (_N_CAP, _CLASS_T, Rule("t", lambda pt: pt.t <= 2**pt.n, "must satisfy t <= 2^n"))
 _EFI_RULES = (
     Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),
     Rule("c", lambda pt: 0.0 < pt.c < pt.gamma, "must satisfy 0 < c < gamma"),
@@ -525,7 +530,7 @@ _EFI_RULES = (
 
 # cpa and vprdm report a standard error, which needs two trials
 EXPERIMENTS = {
-    "wg-selftest": Experiment(_run_wg_selftest, "n t", rules=(_N_CAP,)),
+    "wg-selftest": Experiment(_run_wg_selftest, "n t", rules=_WG_RULES),
     "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", trial_step=pqas.SCAN_BATCHES, rules=_SCAN_RULES),
     "auth-sweep": Experiment(
         _run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS, rules=_AUTH_RULES
@@ -533,7 +538,7 @@ EXPERIMENTS = {
     "cpa": Experiment(_run_cpa, "n m t trials", min_trials=2, rules=_CPA_RULES),
     "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode", rules=_QUBIT_COUNT_RULES),
     "multistate": Experiment(_run_multistate, "n l m trials copies mode", rules=_MULTISTATE_RULES),
-    "decoy": Experiment(_run_decoy, "n l m t mode", rules=(_LAYOUT_CAP,)),
+    "decoy": Experiment(_run_decoy, "n l m t mode", rules=(_LAYOUT_CAP, _CLASS_T)),
     "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2, rules=_VPRDM_RULES),
     "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p", rules=_EFI_RULES),
 }

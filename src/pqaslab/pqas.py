@@ -62,12 +62,22 @@ def scramble_padded(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y_rho @ y.reshape(*keys, d, dn * dm).conj().swapaxes(-1, -2) / dm
 
 
+def scramble_zero(y: np.ndarray) -> np.ndarray:
+    """``scramble_padded`` of message |0> from U's first 2^m columns |0, 0, j>
+    alone, a (..., d, 2^m) block Y: Y Y^dag / 2^m, bitwise what the whole
+    tag-|0> block gives."""
+    return scramble_padded(qcore.basis_ket(1, 0), y[..., None, :])
+
+
 def _decode(rho: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """sum_j C_j^dag rho C_j over the last axis of a (d, a, dm) block C of U's
-    columns: U^dag rho U on those columns, mixed register traced, never formed."""
+    columns: U^dag rho U on those columns, mixed register traced, never formed.
+    C is copied once in (x, j, a) order, so (x, j) contracts as one
+    (a, d dm) x (d dm, a) product."""
     d, a, dm = columns.shape
-    rho_c = (rho @ columns.reshape(d, a * dm)).reshape(columns.shape)
-    return np.tensordot(columns.conj(), rho_c, axes=([0, 2], [0, 2]))
+    c = columns.transpose(0, 2, 1).copy().reshape(d * dm, a)
+    rho_c = (rho @ c.reshape(d, dm * a)).reshape(d * dm, a)
+    return np.conjugate(c, out=c).T @ rho_c
 
 
 def encrypt(rho: np.ndarray, key: SecretKey, partition: QubitPartition, spec: ScramblerSpec) -> Ciphertext:

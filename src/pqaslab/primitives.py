@@ -17,7 +17,7 @@ import numpy as np
 
 from . import moments, pqas, qcore
 from ._streams import derive_bytes
-from .ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler, build_scramblers, stack_size, tag_zero_columns
+from .ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scramblers, leading_columns, stack_size
 from .qcore import Channel, QubitPartition
 
 
@@ -49,10 +49,11 @@ def vprdm_value(rho: np.ndarray, w: np.ndarray) -> float:
 
 def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: ScramblerSpec) -> float:
     """Verification value tr(|0><0|^(n-m) tr_mixed(U_k^dag rho U_k)) in [0, 1],
-    as ``vprdm_value`` over the first 2^m columns of U_k."""
+    as ``vprdm_value`` over the first 2^m columns of U_k, the only ones read
+    (``leading_columns``: a key not already cached is not cached)."""
     if rho.shape[0] != 2**n:
         raise ValueError("state dimension does not match n")
-    return vprdm_value(rho, build_scrambler(key, n, spec)[:, : 2**m])
+    return vprdm_value(rho, leading_columns(key, n, spec, 2**m))
 
 
 def ghse_closeness(n: int, m: int, t: int) -> float:
@@ -115,18 +116,19 @@ def efi_ensembles(params: EfiParams, spec: ScramblerSpec) -> tuple[np.ndarray, n
     """Exact averages (nu0, nu1) over the truncated 2^lambda_eff key set.
 
     The keys are built by ``build_scramblers`` in stacks of ``stack_size(n)``,
-    bypassing ``build_scrambler``'s cache, and each scrambler serves both
-    arms.  Each arm adds its keys' states in key order, so the sums are
-    bitwise those of a ``vprdm_generate`` loop over the keys.
+    bypassing ``build_scrambler``'s cache.  An arm of mixedness m reads the
+    first 2^m columns of each scrambler (message |0>, no tag), so only the
+    first 2^m1 are built, and they serve both arms.  Each arm adds its keys'
+    states in key order, so the sums are bitwise those of a
+    ``vprdm_generate`` loop over the keys.
     """
     keys = _truncated_keys(2**params.lambda_eff)
     size = stack_size(params.n)
     nu = np.zeros((2, 2**params.n, 2**params.n), dtype=complex)
     for start in range(0, len(keys), size):
-        us = build_scramblers(keys[start : start + size], params.n, spec)
+        ys = build_scramblers(keys[start : start + size], params.n, spec, np.arange(2**params.m1))
         for acc, m in zip(nu, (params.m0, params.m1)):
-            part = QubitPartition(params.n - m, 0, m)
-            for rho in pqas.scramble_padded(qcore.basis_ket(2**part.n, 0), tag_zero_columns(us, part)):
+            for rho in pqas.scramble_zero(ys[:, :, : 2**m]):
                 acc += rho
     return nu[0] / len(keys), nu[1] / len(keys)
 

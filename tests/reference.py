@@ -4,6 +4,7 @@ pytest's default import mode puts this directory on ``sys.path``, so test
 modules ``import reference``.
 """
 
+import itertools
 import math
 from functools import reduce
 
@@ -102,6 +103,45 @@ class MixtureChannel(Channel):
 
     def kraus_trace_square_sum(self):
         return float(sum(w * c.kraus_trace_square_sum() for w, c in zip(self.weights, self.channels)))
+
+
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def kraus_operators(channel: Channel) -> list[np.ndarray]:
+    """A Kraus list of the identity, unitary, local depolarizing and explicit
+    Kraus channels; the local depolarizing one is every tensor product of the
+    single-qubit Paulis weighted sqrt(1 - 3p/4) (I) and sqrt(p/4) (X, Y, Z)."""
+    if isinstance(channel, qcore.IdentityChannel):
+        return [np.eye(channel.dim)]
+    if isinstance(channel, qcore.UnitaryChannel):
+        return [channel.v]
+    if isinstance(channel, KrausChannel):
+        return channel.kraus_ops
+    if isinstance(channel, qcore.LocalDepolarizingChannel):
+        p = channel.p
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+        weights = [np.sqrt(1 - 3 * p / 4)] + [np.sqrt(p / 4)] * 3
+        single = [w * s for w, s in zip(weights, paulis)]
+        return [reduce(np.kron, ops) for ops in itertools.product(single, repeat=channel.qubits)]
+    raise TypeError(f"no Kraus list for {type(channel).__name__}")
+
+
+def compress_reference(channel: Channel, w: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Y^dag Gamma(W W^dag) Y for (..., d, r) W and (..., d, c) Y stacks, read
+    off neither ``apply`` nor ``compress``: sum_K (Y^dag K W)(Y^dag K W)^dag
+    over a Kraus list, the written-out (1 - p) Y^dag W W^dag Y +
+    p tr(W^dag W) Y^dag Y / d for the global depolarizing channel, and the
+    weighted sum of the parts for a mixture."""
+    if isinstance(channel, MixtureChannel):
+        return sum(p * compress_reference(c, w, y) for p, c in zip(channel.weights, channel.channels))
+    if isinstance(channel, qcore.DepolarizingChannel):
+        yw = _adjoint(y) @ w
+        norm = np.sum(np.abs(w) ** 2, axis=(-2, -1))[..., None, None]
+        return (1 - channel.p) * yw @ _adjoint(yw) + channel.p * norm * (_adjoint(y) @ y) / channel.dim
+    terms = [_adjoint(y) @ k @ w for k in kraus_operators(channel)]
+    return sum(t @ _adjoint(t) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +251,14 @@ def p0_fprime_for_unitary(psi: np.ndarray, u: np.ndarray, partition: QubitPartit
     """(P0, F') for one scrambler realization and a pure message state."""
     p0, fprime = pqas._p0_fprime_stack(pqas.tag_zero_columns(u, partition)[None], psi, channel)
     return float(p0[0]), float(fprime[0])
+
+
+def decode_tensordot(rho: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """sum_j C_j^dag rho C_j over the last axis of a (d, a, dm) column block C,
+    contracted by ``np.tensordot`` on C's own layout."""
+    d, a, dm = columns.shape
+    rho_c = (rho @ columns.reshape(d, a * dm)).reshape(columns.shape)
+    return np.tensordot(columns.conj(), rho_c, axes=([0, 2], [0, 2]))
 
 
 def ginibre_qr(rng, rows, cols):

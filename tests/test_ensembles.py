@@ -23,6 +23,7 @@ from pqaslab.ensembles import (
     _haar,
     build_scrambler,
     build_scramblers,
+    leading_columns,
     random_pure_state,
     sample_clifford,
     sample_ghse,
@@ -31,6 +32,7 @@ from pqaslab.ensembles import (
     sample_pru_surrogate,
     sample_scramblers,
     tag_zero_columns,
+    tag_zero_index,
 )
 from pqaslab.qcore import QubitPartition
 
@@ -199,6 +201,56 @@ class TestTrialScramblers:
         us = build_scramblers(keys, part.z, ScramblerSpec(mode=mode))
         dn, dl, dm = part.dims
         assert np.array_equal(ys, us.reshape(3, 2**part.z, dn, dl, dm)[:, :, :, 0, :])
+
+
+class TestColumnBuilds:
+    @pytest.mark.parametrize("mode", ["composed", "pru_only"])
+    @pytest.mark.parametrize("z", [3, 5, 8, 10])
+    def test_blocks_are_the_full_build_columns(self, mode, z):
+        # one, two and four columns, an odd count (built eight wide), 2^m message-|0>
+        # columns and the strided tag-|0> set of a one-qubit tag
+        spec = ScramblerSpec(mode)
+        keys = [SecretKey.generate(spawn_rng(40, "columns", mode, z, i)) for i in range(2 if z < 10 else 1)]
+        full = build_scramblers(keys, z, spec)
+        d = 2**z
+        blocks = [[d - 1], [0, 1], [2, 3, 5, 7], [1, 4, 6, 0, 2], np.arange(2 ** (z - 2)), tag_zero_index(QubitPartition(1, 1, z - 2))]
+        for cols in map(np.asarray, blocks):
+            got = build_scramblers(keys, z, spec, cols)
+            assert got.shape == (len(keys), d, len(cols))
+            assert np.array_equal(got, full[:, :, cols])
+
+    @pytest.mark.parametrize("mode", ["composed", "pru_only"])
+    def test_blocks_build_only_their_columns(self, mode, monkeypatch):
+        # the brickwork acts on a block a multiple of four wide, never on all d columns
+        widths = []
+        pru = ensembles.sample_pru_surrogate
+        monkeypatch.setattr(ensembles, "sample_pru_surrogate", lambda *a: widths.append(a[3].shape[-1]) or pru(*a))
+        keys = [SecretKey.generate(spawn_rng(41, "narrow", mode))]
+        for cols in ([5], [0, 1], np.arange(6), np.arange(32)):
+            build_scramblers(keys, 6, ScramblerSpec(mode), np.asarray(cols))
+        assert widths == [4, 4, 8, 32]
+
+    def test_tag_zero_index_is_the_tag_zero_view(self):
+        for n, l, m in TRIAL_LAYOUTS:
+            part = QubitPartition(n, l, m)
+            u = np.arange(4**part.z).reshape(2**part.z, 2**part.z)
+            flat = tag_zero_columns(u, part).reshape(2**part.z, -1)
+            assert np.array_equal(u[:, tag_zero_index(part)], flat)
+
+    @pytest.mark.parametrize("mode", ["composed", "haar_exact", "pru_only"])
+    def test_partial_reads_leave_the_cache_alone(self, mode, monkeypatch):
+        spec = ScramblerSpec(mode)
+        key, held = (SecretKey.generate(spawn_rng(42, "partial", mode, i)) for i in range(2))
+        build_scrambler.cache_clear()
+        u = build_scrambler(held, 5, spec)
+        before = build_scrambler.cache_info()
+        assert np.array_equal(leading_columns(key, 5, spec, 3), build_scramblers([key], 5, spec)[0][:, :3])
+        assert build_scrambler.cache_info() == before and build_scrambler.peek(key, 5, spec) is None
+        # a held key is sliced from the cache, with no build and no count
+        monkeypatch.setattr(ensembles, "build_scramblers", None)
+        assert np.shares_memory(leading_columns(held, 5, spec, 3), u)
+        assert build_scrambler.cache_info() == before
+        build_scrambler.cache_clear()
 
 
 def interleaved_row(x: int, z: int, n: int) -> int:

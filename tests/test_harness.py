@@ -441,14 +441,14 @@ class TestCli:
     def test_value_rules_come_from_the_table(self):
         fields = {exp: [rule.field for rule in row.rules] for exp, row in harness.EXPERIMENTS.items() if row.rules}
         assert fields == {
-            "wg-selftest": ["n"],
+            "wg-selftest": ["n", "t", "t"],
             "security-scan": ["m"],
             "auth-sweep": ["channel.p", "m"],
             "cpa": ["t", "m"],
             "qubit-count": ["n", "s_max", "m"],
             "multistate": ["copies", "m"],
-            "decoy": ["m"],
-            "vprdm": ["m", "n"],
+            "decoy": ["m", "t"],
+            "vprdm": ["m", "n", "t"],
             "efi": ["gamma", "c", "m0", "lambda_eff", "channel.p", "n"],
         }
 
@@ -487,6 +487,10 @@ class TestCli:
                 "mode",
                 "auth-sweep does not read it with channel kind 'identity'",
             ),
+            ({"experiment": "decoy", "n": 1, "l": 1, "m": [1, 2], "t": [2, 13]}, "t", "must be at most 12"),
+            ({"experiment": "vprdm", "n": 3, "m": 1, "t": [2, 13], "trials": 4}, "t", "must be at most 12"),
+            ({"experiment": "wg-selftest", "n": 4, "t": [2, 13]}, "t", "must be at most 12"),
+            ({"experiment": "wg-selftest", "n": [3, 1], "t": 3}, "t", "must satisfy t <= 2^n"),
         ],
     )
     def test_exits_2_before_any_point_runs(self, config, field, reason, monkeypatch, tmp_path, capsys):
@@ -819,6 +823,19 @@ class TestRun:
         before = ensembles.build_scrambler.cache_info()
         harness.run({"experiment": experiment, **_ONE_SHOT[experiment], "mode": mode}, record_timing=False)
         assert ensembles.build_scrambler.cache_info() == before
+
+    @pytest.mark.parametrize("experiment", ["decoy", "vprdm"])
+    def test_haar_trials_draw_only_message_zero_columns(self, experiment, monkeypatch):
+        # a haar_exact decoy probe or vprdm trial reads message |0>'s 2^m columns, and draws no others
+        shapes = []
+        haar = ensembles._haar
+        monkeypatch.setattr(ensembles, "_haar", lambda rows, cols, rngs: shapes.append((rows, cols, len(rngs))) or haar(rows, cols, rngs))
+        config = {"experiment": experiment, **_ONE_SHOT[experiment], "mode": "haar_exact"}
+        harness.run(config, record_timing=False)
+        if experiment == "decoy":  # z = n + l + m, one probe per point
+            assert shapes == [(2 ** (2 + m), 2**m, 1) for m in config["m"]]
+        else:  # the key and the wrong key of each trial
+            assert shapes == [(2**config["n"], 2 ** config["m"], 2)] * config["trials"]
 
     @pytest.mark.parametrize("mode", ["composed", "pru_only"])
     @pytest.mark.parametrize("experiment", sorted(_ONE_SHOT))

@@ -227,6 +227,24 @@ class TestStackedScramblePadded:
                 assert np.array_equal(phi, pqas.scramble_padded(msg, y))
 
 
+class TestDecode:
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
+    @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (1, 1, 0), (1, 1, 2), (2, 2, 4), (3, 0, 2), (2, 1, 3)])
+    def test_one_product_is_the_tensordot_contraction(self, mode, n, l, m):
+        # decrypt's and authenticate's column blocks, bit for bit, and the cached unitary untouched
+        part = QubitPartition(n, l, m)
+        spec = ScramblerSpec(mode)
+        rng = spawn_rng(31, "decode", mode, n, l, m)
+        key = SecretKey.generate(rng)
+        ct = pqas.tamper(pqas.encrypt(random_pure_state(n, rng), key, part, spec), qcore.LocalDepolarizingChannel(part.z, 0.1))
+        u = build_scrambler(key, part.z, spec)
+        before = u.copy()
+        dn, dl, dm = part.dims
+        for columns in (u.reshape(-1, dn * dl, dm), pqas.tag_zero_columns(u, part)):
+            assert np.array_equal(pqas._decode(ct.state, columns), reference.decode_tensordot(ct.state, columns))
+        assert np.array_equal(u, before)
+
+
 class TestCachedScramblerStaysImmutable:
     @pytest.mark.parametrize("spec", [HAAR, COMPOSED], ids=["haar_exact", "composed"])
     def test_protocol_leaves_the_cached_unitary_untouched(self, spec):

@@ -1,6 +1,8 @@
 """Keyed mixed-state primitives: generation/verification, ensemble
 closeness, one-way state generation and EFI entropy certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,23 @@ class TestVprdm:
         assert np.max(np.abs(rho - vprdm_generate_dense(params, spec))) <= 1e-12
         for k in (key, wrong):
             assert abs(primitives.vprdm_verify(rho, k, n, m, spec) - vprdm_verify_dense(rho, k, n, m, spec)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
+    @pytest.mark.parametrize("n,m", [(3, 0), (3, 1), (5, 3), (8, 2)])
+    def test_verify_reads_its_columns_without_caching_them(self, mode, n, m, monkeypatch):
+        # an uncached key: the full build's first 2^m columns, bit for bit, and the cache untouched
+        spec = ScramblerSpec(mode)
+        rng = spawn_rng(6, "vprdm-columns", mode, n, m)
+        key, held = SecretKey.generate(rng), SecretKey.generate(rng)
+        rho = primitives.vprdm_generate(VprdmParams(n, m, held), spec)
+        before = build_scrambler.cache_info()
+        full = ensembles.build_scramblers([key], n, spec)[0]
+        assert primitives.vprdm_verify(rho, key, n, m, spec) == primitives.vprdm_value(rho, full[:, : 2**m])
+        assert build_scrambler.cache_info() == before
+        # a cached key is read from the cache: nothing is built
+        monkeypatch.setattr(ensembles, "build_scramblers", None)
+        u = build_scrambler(held, n, spec)
+        assert primitives.vprdm_verify(rho, held, n, m, spec) == primitives.vprdm_value(rho, u[:, : 2**m])
 
 
 class TestGhseCloseness:
@@ -192,6 +211,19 @@ class TestEfi:
         monkeypatch.setattr(ensembles, "STACK_ENTRIES", 5 * 64)
         for got, ref in zip(primitives.efi_ensembles(params, spec), nu / len(keys)):
             assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "mode, pinned",
+        [
+            ("haar_exact", "4aa00eb9afc2f64128c22500b0ec282de88b2a5b62ffa4b09f431eea4fda388f"),
+            ("composed", "b44d361ab1508812835c7f5e982bead2296fc997a80834c085f241ba6183345f"),
+            ("pru_only", "0b9f0432ee23b45e5f07f87a38b7e8039a7866977fdc3eb9eb82cbd25949e1e6"),
+        ],
+    )
+    def test_report_is_pinned(self, mode, pinned):
+        # the digest of the report when every key was built as a whole unitary
+        rep = primitives.efi_report(EfiParams(n=5, m0=1, gamma=0.67, c=0.33, lambda_eff=5), ScramblerSpec(mode))
+        assert hashlib.sha256(repr(rep).encode()).hexdigest() == pinned
 
     def test_noise_monotonicity(self):
         base = EfiParams(5, 1, 0.7, 0.3, 5)

@@ -377,10 +377,12 @@ class TestStackedApply:
 
 class TestGramForms:
     """Each channel's ``compress`` (a Gram form where the channel has one)
-    equals the dense default Y^dag Gamma(W W^dag) Y through ``apply``."""
+    equals Y^dag Gamma(W W^dag) Y from a Kraus list or a written-out formula
+    (``reference.compress_reference``), which reads neither ``apply`` nor
+    ``compress``."""
 
     @pytest.mark.parametrize("z", [1, 2, 4])
-    def test_matches_the_dense_default(self, z):
+    def test_matches_an_independent_reference(self, z):
         rng = spawn_rng(22, "gram-forms", z)
         d = 2**z
         channels = _one_channel_per_subclass(z, rng) + [qcore.DepolarizingChannel(d, p) for p in (0.0, 1 / 3, 1.0)]
@@ -389,6 +391,6 @@ class TestGramForms:
         for chan in channels:
             got = chan.compress(w, y)
             assert got.shape == (2, 3, 5, 5)
-            assert np.max(np.abs(got - qcore.Channel.compress(chan, w, y))) <= 1e-12
+            assert np.max(np.abs(got - reference.compress_reference(chan, w, y))) <= 1e-12
             # one (d, r) W and (d, c) Y, no stack axis
             assert np.max(np.abs(chan.compress(w[0, 0], y[0, 0]) - got[0, 0])) <= 1e-12
