@@ -37,11 +37,13 @@ product, so only such a block is bitwise the full build's columns.  The
 readers:
 
 - a Monte Carlo trial (``sample_scramblers``) reads the tag-|0> columns Y
-  |a, 0, j> (``tag_zero_index``).  In ``haar_exact`` mode its generator (one
-  per trial, from ``_streams.spawn_rngs``) gives one (2, d, 2^(n+m)) block of
+  |a, 0, j> (``tag_zero_index``).  In ``haar_exact`` mode its generator
+  (from ``_streams.spawn_rngs``: one per trial, or one per security-scan
+  batch, read trial after trial) gives one (2, d, 2^(n+m)) block of
   standard normals, real and then imaginary part, whose thin QR is a Haar
   isometry; in the keyed modes it gives a ``SecretKey`` and Y is that key's
-  column block (``sample_scrambler_columns``);
+  column block (``sample_scrambler_columns``).  A security-scan trial on a
+  product input of rank r in ``haar_exact`` mode reads r 2^m columns only;
 - the vprdm and decoy runners of the harness read message |0>'s 2^m columns,
   the first 2^m (a (d, 2^m) isometry in ``haar_exact`` mode), and the EFI
   ensembles the first 2^m1, which serve both arms;

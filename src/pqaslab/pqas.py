@@ -13,7 +13,15 @@ import numpy as np
 
 from . import moments, qcore
 from ._streams import spawn_rngs
-from .ensembles import ScramblerSpec, SecretKey, build_scrambler, sample_scramblers, stack_size, tag_zero_columns
+from .ensembles import (
+    ScramblerSpec,
+    SecretKey,
+    build_scrambler,
+    sample_scrambler_columns,
+    sample_scramblers,
+    stack_size,
+    tag_zero_columns,
+)
 from .qcore import Channel, QubitPartition
 
 
@@ -321,13 +329,14 @@ def _product_batch_gram(phis: np.ndarray, t: int) -> np.ndarray:
     digit order (a_1, c_1, ..., a_t, c_t) of row a and column c.
 
     Row i of ``flat`` is vec(phi_i); ``rows`` holds its Khatri-Rao power of
-    t - 1 copies, so flat^T rows carries every entry of the sum; it is read
-    in place (``_orbit_gathers``), never transposed.
+    t - 1 copies (``flat`` itself at t = 2, a column of ones at t = 1), so
+    flat^T rows carries every entry of the sum; it is read in place
+    (``_orbit_gathers``), never transposed.
     """
     n, d, _ = phis.shape
     flat = phis.reshape(n, d * d)
-    rows = np.ones((n, 1), dtype=complex)
-    for _ in range(t - 1):
+    rows = flat if t > 1 else np.ones((n, 1), dtype=complex)
+    for _ in range(t - 2):
         rows = (rows[:, :, None] * flat[:, None, :]).reshape(n, -1)
     return (flat.T @ rows).ravel()
 
@@ -458,41 +467,77 @@ def _packed_target(s: int, rho_q: np.ndarray, dzt: int) -> tuple[np.ndarray, np.
     return rows * (rows + 1) // 2 + cols, np.tile(rho_q[i, j] / dzt, s // dq)
 
 
-def _jackknife_se(diffs: list[np.ndarray]) -> float:
-    """Delete-one-batch jackknife SE of the raw estimate from the per-batch
-    blocks ``diffs``, one (batches, s(s + 1)/2) array of packed lower
-    triangles per block: batches x sum_lam s_lam (s_lam + 1)/2 complex values
-    in all, 84 MB at z = 5, t = 2 (s_lam = 528 and 496).  Leaving batch b out
-    of a block gives its batch total less diff_b, over batches - 1; each is
+def _half_sums(diffs, sizes: list[int]) -> list[list[np.ndarray]]:
+    """Pass 1 of ``security_scan``: the running sums of the batches' packed
+    blocks ``diffs`` (one list per batch, drawn one at a time) over the
+    first and over the second half of the SCAN_BATCHES batches."""
+    sums = [[np.zeros(s * (s + 1) // 2, dtype=complex) for s in sizes] for _ in range(2)]
+    for b, diff in enumerate(diffs):
+        for acc, block in zip(sums[2 * b // SCAN_BATCHES], diff):
+            acc += block
+    return sums
+
+
+def _leave_one_out(totals: list[np.ndarray], diff: list[np.ndarray]) -> float:
+    """The jackknife value of leaving one batch out: half the trace norm of
+    (total - diff) / (batches - 1) summed over the packed blocks, from the
+    batch total and the left-out batch's blocks ``diff``; each block is
     unpacked and solved alone, one (s, s) block beyond the packed ones."""
-    batches = len(diffs[0])
-    thetas = np.zeros(batches)
-    for diff in diffs:
-        total = diff.sum(axis=0)
-        for b in range(batches):
-            thetas[b] += 0.5 * qcore.trace_norm(_unpack((total - diff[b]) / (batches - 1)))
+    return 0.5 * sum(qcore.trace_norm(_unpack((total - d) / (SCAN_BATCHES - 1))) for total, d in zip(totals, diff))
+
+
+def _jackknife_se(thetas: np.ndarray) -> float:
+    """Delete-one-batch jackknife SE of the raw estimate from its
+    leave-one-out values ``thetas`` (``_leave_one_out``; Efron and Stein,
+    Ann. Stat. 9, 586 (1981))."""
+    batches = len(thetas)
     return float(np.sqrt((batches - 1) / batches * np.sum((thetas - thetas.mean()) ** 2)))
 
 
-def _witness(diffs: list[np.ndarray]) -> np.ndarray:
-    """Per-batch values of the cross-fitted Helstrom witness: half of
-    tr(S diff_b) summed over the packed blocks, with S the sign of the other
-    half's block mean (first and second half of the batches).  For Hermitian
-    S and D, tr(S D) / 2 = sum_i S_ii D_ii / 2 + Re sum_(i>j) conj(S_ij) D_ij:
-    one real product of the packed rows with S's packed lower triangle, its
+def _packed_sign(mean: np.ndarray) -> np.ndarray:
+    """The packed lower triangle of sign(mean) for a packed Hermitian block,
+    its diagonal halved, so that a real product with a packed block D gives
+    tr(sign(mean) D) / 2 (``_witness``)."""
+    s = _packed_side(len(mean))
+    vals, vecs = np.linalg.eigh(_unpack(mean))
+    sign = ((vecs * np.sign(vals)) @ vecs.conj().T).ravel()[_tril_flat(s)]
+    sign[np.arange(s) * (np.arange(s) + 3) // 2] /= 2
+    return sign
+
+
+def _witness(diff: list[np.ndarray], signs: list[np.ndarray]) -> float:
+    """One batch's value of the cross-fitted Helstrom witness: half of
+    tr(S diff) summed over the packed blocks, with S the sign of the other
+    half's block mean (``_packed_sign``).  For Hermitian S and D,
+    tr(S D) / 2 = sum_i S_ii D_ii / 2 + Re sum_(i>j) conj(S_ij) D_ij: one
+    real product of the packed rows with S's packed lower triangle, its
     diagonal halved."""
-    batches = len(diffs[0])
-    values = np.zeros((2, batches // 2))
-    for diff in diffs:
-        s = _packed_side(diff.shape[1])
-        halves = diff.reshape(2, batches // 2, -1)
-        # one half at a time: the (s, s) temporaries of eigh and S set the scan's peak at z = 5
-        for half, mean in enumerate(halves.mean(axis=1)):
-            vals, vecs = np.linalg.eigh(_unpack(mean))
-            sign = ((vecs * np.sign(vals)) @ vecs.conj().T).ravel()[_tril_flat(s)]
-            sign[np.arange(s) * (np.arange(s) + 3) // 2] /= 2
-            values[1 - half] += halves[1 - half].view(float) @ sign.view(float)
-    return values.ravel()
+    return sum(float(d.view(float) @ sign.view(float)) for d, sign in zip(diff, signs))
+
+
+def _two_pass(batch, sizes: list[int]) -> tuple[float, float, np.ndarray]:
+    """The raw estimate, its jackknife SE and the per-batch witness values
+    from the packed blocks D_b = ``batch(b)`` of widths ``sizes``, each batch
+    read twice and none kept:
+    - pass 1 sums each half's D_b (``_half_sums``); the raw estimate comes
+      from their total T, and each half's sign S_h from its mean
+      (``_packed_sign``);
+    - pass 2 reads every batch again for its witness value
+      <D_b, S_other half> (``_witness``) and its leave-one-out value
+      (``_leave_one_out``).
+    T, S_0, S_1 and the batch in hand are all it holds at once."""
+    half = SCAN_BATCHES // 2
+    sums = _half_sums(map(batch, range(SCAN_BATCHES)), sizes)
+    signs = [[_packed_sign(acc / half) for acc in blocks] for blocks in sums]
+    totals = [np.add(first, second, out=first) for first, second in zip(*sums)]
+    del sums
+    raw = 0.5 * sum(qcore.trace_norm(_unpack(total / SCAN_BATCHES)) for total in totals)
+    thetas, witnesses = np.zeros(SCAN_BATCHES), np.zeros(SCAN_BATCHES)
+    for b in range(SCAN_BATCHES):
+        diff = batch(b)
+        witnesses[b] = _witness(diff, signs[1 - b // half])
+        thetas[b] = _leave_one_out(totals, diff)
+    return raw, _jackknife_se(thetas), witnesses
 
 
 def security_scan(
@@ -522,22 +567,28 @@ def security_scan(
     witness.  That SE is the mean of the two halves' batch SEs, which bounds
     it however the cross-fitted halves correlate.
 
-    Trial i draws from its own ``spawn_rng(seed, "security-scan", i)``
-    stream (all derived at once by ``spawn_rngs``), and each batch draws its
-    keys as one stack of tag-|0> columns Y_i (``sample_scramblers``; in
-    ``haar_exact`` mode a Haar isometry per trial, one (2, d, 2^(n+m))
-    block of normals thin-QR'd, as the auth sweep draws).  When the input
-    commutes with permutations of the copies, so does every batch mean, and
-    each is kept only as its blocks B_lam^T (mean - target) B_lam on the
-    isotypic components of the copy action; the raw estimate, the
-    jackknife's leave-one-out values and the witness are sums over blocks.
-    Every column of B_lam lives on one S_t orbit of basis tuples
-    (``moments.isotypic_bases``), so the blocks are read by gathers and no
-    d^t x d^t basis product, transpose or gap is formed:
-    - product input: the batch sum of phi_i^(x t), each phi_i the
-      ``scramble_padded`` ciphertext, is one Gram product of the vec(phi_i)
-      over their Khatri-Rao powers, read in place at one row per orbit pair
-      (``_orbit_gathers``, ``_product_blocks``);
+    Batch b draws its trials in order from one generator,
+    ``spawn_rng(seed, "security-scan", b)`` (all SCAN_BATCHES derived at
+    once by ``spawn_rngs``): its stack of trial scramblers is drawn over
+    that generator repeated, per_batch times.  In ``haar_exact`` mode a
+    product input of rank r reads only r 2^m columns: each trial is a Haar
+    isometry W of that width (``sample_scrambler_columns``, one
+    (2, d, r 2^m) block of normals thin-QR'd; Mezzadri, Notices AMS 54,
+    2007), its k-th block of 2^m columns scaled by the square root of rho's
+    k-th eigenvalue (the column norms of ``_psd_factor``), and
+    phi = W W^dag / 2^m, distributed as the ciphertext of rho.  Joint inputs
+    and the keyed modes read the tag-|0> columns Y_i
+    (``sample_scramblers``).  When the input commutes with permutations of
+    the copies, so does every batch mean, and each is kept only as its
+    blocks B_lam^T (mean - target) B_lam on the isotypic components of the
+    copy action; the raw estimate, the jackknife's leave-one-out values and
+    the witness are sums over blocks.  Every column of B_lam lives on one
+    S_t orbit of basis tuples (``moments.isotypic_bases``), so the blocks
+    are read by gathers and no d^t x d^t basis product, transpose or gap is
+    formed:
+    - product input: the batch sum of phi_i^(x t) is one Gram product of
+      the vec(phi_i) over their Khatri-Rao powers, read in place at one row
+      per orbit pair (``_orbit_gathers``, ``_product_blocks``);
     - joint input: factored as F F^dag and padded in the factor,
       V = F (x) I_(m t) / 2^(m t / 2) with its rows reordered to (msg_1,
       mix_1, ..., msg_t, mix_t, purif), so the padded state is never
@@ -545,15 +596,19 @@ def security_scan(
       (``_joint_batch_factor``), and each block is
       Z Z^dag with Z the orbit rows of W contracted with the weights, the
       purification register a trailing index (``_joint_blocks``).
-    The blocks are Hermitian, so each batch keeps only their lower
+    The blocks are Hermitian, so a batch is held only as their lower
     triangles, packed row by row (LAPACK's packed Hermitian storage):
-    SCAN_BATCHES x sum_lam s_lam (s_lam + 1)/2 complex values for blocks of
-    width s_lam.  The product gathers read only the orbit pairs on or below
-    the block diagonal, and the target I/d^t (x) rho_q is subtracted at its
-    packed places (the diagonal for a product input).  At z = 5, t = 2
-    (s_lam = 528 and 496) this storage is 84 MB.  A joint input that is not
-    copy-symmetric (to 1e-12), or t beyond ``moments.MAX_T``, gets the
-    single identity block.
+    sum_lam s_lam (s_lam + 1)/2 complex values D_b for blocks of width
+    s_lam.  The product gathers read only the orbit pairs on or below the
+    block diagonal, and the target I/d^t (x) rho_q is subtracted at its
+    packed places (the diagonal for a product input).  No batch is kept:
+    each is drawn twice, from the start of its generator, once into its
+    half's running sum and once for its witness and leave-one-out values
+    (``_two_pass``).  The scan holds the total, the two halves' signs and
+    the batch in hand, four batches' worth of packed blocks (4 x 4.2 MB at
+    z = 5, t = 2, where s_lam = 528 and 496), not SCAN_BATCHES.  A joint
+    input that is not copy-symmetric (to 1e-12), or t beyond
+    ``moments.MAX_T``, gets the single identity block.
     """
     state = np.asarray(state, dtype=complex)
     state = qcore.pure_dm(state) if state.ndim == 1 else state
@@ -570,12 +625,26 @@ def security_scan(
     dq = 2**q
     dz = 2**z
     dzt = dz**t
+    dn, _, dm = partition.dims
     if product:
         rho_q = np.ones((1, 1))
         symmetric = True
+        if mode == "haar_exact":
+            # phi = W W^dag / 2^m, W a Haar isometry's r 2^m columns scaled blockwise by sqrt(lambda_k)
+            scales = np.repeat(np.linalg.norm(_psd_factor(state), axis=0), dm)
+            columns = np.arange(len(scales))
+
+            def ciphertexts(draws):
+                w = sample_scrambler_columns(z, mode, draws, columns) * scales
+                return w @ w.conj().swapaxes(-1, -2) / dm
+
+        else:
+
+            def ciphertexts(draws):
+                return scramble_padded(state, sample_scramblers(partition, mode, draws))
+
     else:
         # V V^dag is the joint state with I_m / 2^m appended per copy, rows reordered to (msg_1, mix_1, ..., purif)
-        dn, _, dm = partition.dims
         factor = np.kron(_psd_factor(state), np.eye(dm**t) / np.sqrt(dm**t))
         order = [reg for i in range(t) for reg in (i, t + 1 + i)] + [t, 2 * t + 1]
         factor = factor.reshape([dn] * t + [dq] + [dm] * t + [-1]).transpose(order).reshape(-1, factor.shape[1])
@@ -589,24 +658,27 @@ def security_scan(
     targets = [_packed_target(s, rho_q, dzt) for s in sizes]
     plans = _orbit_gathers(bases, dz, t) if product else None
 
-    rngs = spawn_rngs(seed, ("security-scan",), range(trials))
-    diffs = [np.empty((SCAN_BATCHES, s * (s + 1) // 2), dtype=complex) for s in sizes]
-    for b in range(SCAN_BATCHES):
-        ys = sample_scramblers(partition, mode, list(itertools.islice(rngs, per_batch)))
-        if product:
-            blocks = _product_blocks(_product_batch_gram(scramble_padded(state, ys), t), plans)
-        else:
-            blocks = _joint_blocks(_joint_batch_factor(ys, factor, t), bases, dq)
-        for block, (at, values), diff in zip(blocks, targets, diffs):
-            np.divide(block, per_batch, out=diff[b])
-            diff[b, at] -= values
+    rngs = list(spawn_rngs(seed, ("security-scan",), range(SCAN_BATCHES)))
+    starts = [rng.bit_generator.state for rng in rngs]
 
-    raw = 0.5 * sum(qcore.trace_norm(_unpack(diff.mean(axis=0))) for diff in diffs)
-    witnesses = _witness(diffs)
+    def batch(b: int) -> list[np.ndarray]:
+        """D_b: batch b's packed blocks less the target, drawn from the start of its generator."""
+        rngs[b].bit_generator.state = starts[b]
+        draws = [rngs[b]] * per_batch
+        if product:
+            blocks = _product_blocks(_product_batch_gram(ciphertexts(draws), t), plans)
+        else:
+            blocks = _joint_blocks(_joint_batch_factor(sample_scramblers(partition, mode, draws), factor, t), bases, dq)
+        for block, (at, values) in zip(blocks, targets):
+            block /= per_batch
+            block[at] -= values
+        return blocks
+
+    raw, jackknife_se, witnesses = _two_pass(batch, sizes)
     witness = float(np.mean(witnesses))
     # sd(X + Y) <= sd X + sd Y: the halves' mean SE bounds SE(W) however they correlate
     witness_se = sum(_mean_stderr(half)[1] for half in np.split(witnesses, 2)) / 2
-    lower, upper = witness - 2 * witness_se, raw + 2 * _jackknife_se(diffs)
+    lower, upper = witness - 2 * witness_se, raw + 2 * jackknife_se
     pru = mode == "pru_only"
     return ScanReport(
         estimate=(lower + upper) / 2,

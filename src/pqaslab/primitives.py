@@ -43,7 +43,9 @@ def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
 
 
 def vprdm_value(rho: np.ndarray, w: np.ndarray) -> float:
-    """sum_j w_j^dag rho w_j over the columns w_j of w."""
+    """sum_j w_j^dag rho w_j over the columns w_j of w, formed on a contiguous
+    copy of w, so that its bits do not depend on w's memory layout."""
+    w = np.ascontiguousarray(w)
     return float(np.vdot(w, rho @ w).real)
 
 

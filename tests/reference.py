@@ -11,8 +11,8 @@ from functools import reduce
 import numpy as np
 
 from pqaslab import moments, pqas, qcore
-from pqaslab._streams import derive_bytes
-from pqaslab.ensembles import KEY_BYTES, SecretKey
+from pqaslab._streams import derive_bytes, spawn_rng
+from pqaslab.ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.moments import Perm
 from pqaslab.qcore import HERMITICITY_TOL, PSD_TOL, UNITARITY_TOL, Channel, QubitPartition
 
@@ -277,6 +277,98 @@ def embed_tag_columns(y: np.ndarray, partition: QubitPartition) -> np.ndarray:
     u = np.zeros((y.shape[0], dn, dl, dm), dtype=complex)
     u[:, :, 0, :] = y
     return u.reshape(y.shape[0], -1)
+
+
+def pad_joint_state_tagged(joint, partition, t, q):
+    """A joint state on (message_1 ... message_t, purification) padded with each copy's
+    tag |0><0| and mixed register, in the order (msg_1, tag_1, mix_1, ...,
+    msg_t, tag_t, mix_t, purif)."""
+    dn, dl, dm = partition.dims
+    pads = [qcore.zero_tag_state(partition.l) for _ in range(t)]
+    pads += [maximally_mixed(partition.m) for _ in range(t)]
+    full = joint
+    for p in pads:
+        full = np.kron(full, p)
+    dims = [dn] * t + [2**q] + [dl] * t + [dm] * t
+    order = []
+    for i in range(t):
+        order += [i, t + 1 + i, 2 * t + 1 + i]
+    order.append(t)
+    return qcore.permute_registers(full, dims, order)
+
+
+def _scan_trial_unitary(rng, partition, state, product, mode):
+    """One trial scrambler of the security scan, drawn from the batch's
+    generator ``rng`` as a d x d matrix that acts on the padded input as the
+    scan's draw does.  In ``haar_exact`` mode a product input of rank r gets
+    its r 2^m Haar columns W placed on its eigenvectors: the tag-|0> columns
+    are Y[x, a, j] = sum_k W[x, k, j] conj(v_k[a]), so that U (rho (x) |0><0|
+    (x) I_m) U^dag = W (Lambda (x) I_m) W^dag; a joint input gets all
+    2^(n+m) tag-|0> columns; a keyed mode gets the whole unitary of a fresh
+    key."""
+    z = partition.z
+    if mode != "haar_exact":
+        return build_scrambler(SecretKey.generate(rng), z, ScramblerSpec(mode=mode))
+    dn, _, dm = partition.dims
+    if product:
+        vals, vecs = np.linalg.eigh(state)
+        vecs = vecs[:, vals > 1e-12]
+        w = ginibre_qr(rng, 2**z, vecs.shape[1] * dm).reshape(2**z, -1, dm)
+        y = np.einsum("xkj,ak->xaj", w, vecs.conj())
+    else:
+        y = ginibre_qr(rng, 2**z, dn * dm).reshape(2**z, dn, dm)
+    return embed_tag_columns(y, partition)
+
+
+def stored_batch_scan(partition, state, t, trials, seed, mode="haar_exact"):
+    """The security scan with every batch kept, for its two-pass estimator to
+    be held to: the scan's per-batch streams (batch b's trials drawn in order
+    from ``spawn_rng(seed, "security-scan", b)``), one key at a time by kron
+    or per-copy conjugation into a dense batch mean, all SCAN_BATCHES means
+    stored, and the raw estimate, the jackknife SE (``jackknife_se_loop``)
+    and the per-batch witness values (``witness_loop``) from them.  A state
+    of dimension 2^n is one copy of a product input; any other is a joint
+    state on t copies and q purification qubits."""
+    z = partition.z
+    product = len(state) == 2**partition.n
+    joint = reduce(np.kron, [state] * t) if product else state
+    q = int(np.log2(len(joint))) - partition.n * t
+    dq = 2**q
+    padded = pad_joint_state_tagged(joint, partition, t, q)
+    rho_q = qcore.partial_trace(joint, [2 ** (partition.n * t), dq], {0})
+    dzt = 2 ** (z * t)
+    target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
+    batches = pqas.SCAN_BATCHES
+    per_batch = trials // batches
+    dim = dzt * dq
+    rho_pad = pad_state(state, partition) if product else None
+
+    def rows_per_copy(mat, u):
+        d = u.shape[0]
+        x = mat
+        for copy in range(t):
+            right = (d ** (t - copy - 1)) * dq
+            x = np.matmul(u, x.reshape(d**copy, d, right * mat.shape[1])).reshape(mat.shape)
+        return x
+
+    batch_means = np.zeros((batches, dim, dim), dtype=complex)
+    for b in range(batches):
+        rng = spawn_rng(seed, "security-scan", b)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for _ in range(per_batch):
+            u = _scan_trial_unitary(rng, partition, state, product, mode)
+            if product:
+                phi = u @ rho_pad @ u.conj().T
+                out = phi
+                for _ in range(t - 1):
+                    out = np.kron(out, phi)
+            else:
+                half = rows_per_copy(padded, u)
+                out = rows_per_copy(np.ascontiguousarray(half.conj().T), u).conj().T
+            acc += out
+        batch_means[b] = acc / per_batch
+    raw = qcore.trace_distance(np.mean(batch_means, axis=0), target)
+    return raw, jackknife_se_loop(batch_means, target), witness_loop(batch_means, target)
 
 
 def jackknife_se_loop(batch_means, target):

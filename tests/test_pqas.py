@@ -560,20 +560,40 @@ class TestSecurityScan:
         assert 0.0 <= rep.estimate <= 1.0
 
     def test_joint_state_of_dimension_2_to_the_nt_has_no_purification(self):
-        # rho (x) rho passed whole is a joint state with q = 0: the joint path, no exact, the product's estimate
+        # rho (x) rho passed whole is a joint state with q = 0: the joint path, no exact, the product's estimate;
+        # in a keyed mode both paths read the same tag-|0> columns (haar_exact draws a product input's own width)
         part = QubitPartition(1, 1, 1)
         rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * reference.maximally_mixed(1)
-        product = pqas.security_scan(part, rho, 2, 200, seed=19)
-        joint = pqas.security_scan(part, np.kron(rho, rho), 2, 200, seed=19)
+        product = pqas.security_scan(part, rho, 2, 200, seed=19, mode="composed")
+        joint = pqas.security_scan(part, np.kron(rho, rho), 2, 200, seed=19, mode="composed")
         assert product.exact is not None and joint.exact is None
         assert abs(joint.raw_estimate - product.raw_estimate) <= 1e-12
 
     def test_derives_only_its_trial_streams(self, monkeypatch):
-        contexts = []
-        hasher = _streams._hasher
+        # one stream per batch, derived once: pass 2 restarts each generator rather than deriving it again
+        contexts, digests = [], []
+        hasher, generators = _streams._hasher, _streams._generators
         monkeypatch.setattr(_streams, "_hasher", lambda key, context, n: contexts.append(context) or hasher(key, context, n))
+        monkeypatch.setattr(_streams, "_generators", lambda batch: digests.append(len(batch)) or generators(batch))
         pqas.security_scan(QubitPartition(1, 1, 1), qcore.pure_dm(qcore.basis_ket(2, 0)), 2, 200, seed=18)
         assert contexts == [(18, "security-scan")]
+        assert digests == [pqas.SCAN_BATCHES]
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_haar_product_draws_only_its_rank_columns(self, rank, monkeypatch):
+        # each batch draws per_batch (2, d, r 2^m) blocks of normals, once per pass
+        part = QubitPartition(1, 1, 2)
+        rho = qcore.pure_dm(qcore.basis_ket(2, 0)) if rank == 1 else np.diag([0.8, 0.2]).astype(complex)
+        shapes = []
+        haar = ensembles._haar
+
+        def record(rows, cols, rngs):
+            shapes.append((len(rngs), rows, cols))
+            return haar(rows, cols, rngs)
+
+        monkeypatch.setattr(ensembles, "_haar", record)
+        pqas.security_scan(part, rho, 2, 200, seed=18)
+        assert shapes == [(10, 2**part.z, rank * 2**part.m)] * (2 * pqas.SCAN_BATCHES)
 
 
 class TestScanBracketCalibration:
@@ -603,82 +623,12 @@ class TestScanBracketCalibration:
         assert sum(rep.lower > 0 for rep in reps) <= 5
 
 
-def pad_joint_state_tagged(joint, partition, t, q):
-    """A joint state on (message_1 ... message_t, purification) padded with each copy's
-    tag |0><0| and mixed register, in the order (msg_1, tag_1, mix_1, ...,
-    msg_t, tag_t, mix_t, purif)."""
-    dn, dl, dm = partition.dims
-    pads = [qcore.zero_tag_state(partition.l) for _ in range(t)]
-    pads += [reference.maximally_mixed(partition.m) for _ in range(t)]
-    full = joint
-    for p in pads:
-        full = np.kron(full, p)
-    dims = [dn] * t + [2**q] + [dl] * t + [dm] * t
-    order = []
-    for i in range(t):
-        order += [i, t + 1 + i, 2 * t + 1 + i]
-    order.append(t)
-    return qcore.permute_registers(full, dims, order)
+def _recording(calls, inner):
+    """``inner``, appending each value it returns to ``calls``."""
 
-
-def _reference_scan(partition, state, t, trials, seed, mode="haar_exact"):
-    """The per-trial estimator security_scan replaced: one key at a time,
-    kron or per-copy conjugation into a dense batch mean, and full-matrix
-    references for the raw estimate, the jackknife SE and the per-batch
-    witness values.  A state of dimension 2^n is one copy of a product
-    input; any other is a joint state on t copies and q purification qubits."""
-    z = partition.z
-    product = len(state) == 2**partition.n
-    joint = reduce(np.kron, [state] * t) if product else state
-    q = int(np.log2(len(joint))) - partition.n * t
-    dq = 2**q
-    padded = pad_joint_state_tagged(joint, partition, t, q)
-    rho_q = qcore.partial_trace(joint, [2 ** (partition.n * t), dq], {0})
-    dzt = 2 ** (z * t)
-    target = np.kron(np.eye(dzt, dtype=complex) / dzt, rho_q)
-    batches = pqas.SCAN_BATCHES
-    per_batch = trials // batches
-    dim = dzt * dq
-    spec = ScramblerSpec(mode=mode)
-    rho_pad = reference.pad_state(state, partition) if product else None
-
-    def rows_per_copy(mat, u):
-        d = u.shape[0]
-        x = mat
-        for copy in range(t):
-            right = (d ** (t - copy - 1)) * dq
-            x = np.matmul(u, x.reshape(d**copy, d, right * mat.shape[1])).reshape(mat.shape)
-        return x
-
-    batch_means = np.zeros((batches, dim, dim), dtype=complex)
-    for b in range(batches):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for i in range(per_batch):
-            rng = spawn_rng(seed, "security-scan", b * per_batch + i)
-            if mode == "haar_exact":
-                dn, _, dm = partition.dims
-                y = reference.ginibre_qr(rng, 2**z, dn * dm).reshape(2**z, dn, dm)
-                u = reference.embed_tag_columns(y, partition)
-            else:
-                u = build_scrambler(SecretKey.generate(rng), z, spec)
-            if product:
-                phi = u @ rho_pad @ u.conj().T
-                out = phi
-                for _ in range(t - 1):
-                    out = np.kron(out, phi)
-            else:
-                half = rows_per_copy(padded, u)
-                out = rows_per_copy(np.ascontiguousarray(half.conj().T), u).conj().T
-            acc += out
-        batch_means[b] = acc / per_batch
-    raw = qcore.trace_distance(np.mean(batch_means, axis=0), target)
-    return raw, reference.jackknife_se_loop(batch_means, target), reference.witness_loop(batch_means, target)
-
-
-def _recording(seen, name, inner):
-    def record(diffs):
-        seen[name] = inner(diffs)
-        return seen[name]
+    def record(*args):
+        calls.append(inner(*args))
+        return calls[-1]
 
     return record
 
@@ -711,17 +661,21 @@ def _scan_cases():
 
 
 class TestScanMatchesPerTrialReference:
+    """The two-pass scan, which keeps no batch, against ``reference.stored_batch_scan``,
+    which keeps every batch's dense mean: the same per-batch streams, the
+    jackknife SE and witness values from the dense loops."""
+
     @pytest.mark.parametrize("label,part,t,state,mode", _scan_cases(), ids=[c[0] for c in _scan_cases()])
     def test_matches(self, label, part, t, state, mode, monkeypatch):
-        seen = {}
-        for name in ("_jackknife_se", "_witness"):
-            monkeypatch.setattr(pqas, name, _recording(seen, name, getattr(pqas, name)))
+        seen = {"_jackknife_se": [], "_witness": []}
+        for name, calls in seen.items():
+            monkeypatch.setattr(pqas, name, _recording(calls, getattr(pqas, name)))
         rep = pqas.security_scan(part, state, t, 200, seed=22, mode=mode)
-        raw, jackknife_se, witness = _reference_scan(part, state, t, 200, 22, mode)
+        raw, jackknife_se, witness = reference.stored_batch_scan(part, state, t, 200, 22, mode)
         assert abs(rep.raw_estimate - raw) <= 1e-12
-        assert abs(seen["_jackknife_se"] - jackknife_se) <= 1e-12
-        assert seen["_witness"].shape == witness.shape == (pqas.SCAN_BATCHES,)
-        assert np.max(np.abs(seen["_witness"] - witness)) <= 1e-12
+        assert len(seen["_jackknife_se"]) == 1 and abs(seen["_jackknife_se"][0] - jackknife_se) <= 1e-12
+        assert witness.shape == (len(seen["_witness"]),) == (pqas.SCAN_BATCHES,)
+        assert np.max(np.abs(np.array(seen["_witness"]) - witness)) <= 1e-12
         halves = witness.reshape(2, -1)
         lower = witness.mean() - 2 * np.mean(halves.std(axis=1, ddof=1)) / np.sqrt(halves.shape[1])
         upper = raw + 2 * jackknife_se
@@ -781,6 +735,16 @@ class TestOrbitBlocks:
         (block,) = pqas._product_blocks(pqas._product_batch_gram(phis, t), pqas._orbit_gathers(identity, d, t))
         assert np.max(np.abs(block - _pack(sum(reduce(np.kron, [phi] * t) for phi in phis)))) <= 1e-12
 
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_gram_is_bitwise_the_khatri_rao_power_from_ones(self, t):
+        # the power starts from flat itself, so t = 2 is flat^T flat on one buffer: the same bits
+        phis = spawn_rng(45, "gram", t).standard_normal((7, 8, 8, 2)) @ np.array([1.0, 1j])
+        flat = phis.reshape(7, 64)
+        rows = np.ones((7, 1), dtype=complex)
+        for _ in range(t - 1):
+            rows = (rows[:, :, None] * flat[:, None, :]).reshape(7, -1)
+        assert np.array_equal(pqas._product_batch_gram(phis, t), (flat.T @ rows).ravel())
+
     def test_scan_builds_no_dense_projector(self, monkeypatch):
         moments.isotypic_bases.cache_clear()
         monkeypatch.setattr(moments, "_perm_sum", lambda *a: pytest.fail("dense permutation sum"))
@@ -789,29 +753,37 @@ class TestOrbitBlocks:
 
 
 class TestPackedScanStorage:
-    """The scan keeps each batch's blocks as packed lower triangles; the raw
-    estimate is bitwise the one the dense (s, s) storage gave, and the scan's
-    memory stays below what that storage alone took."""
+    """The scan holds each batch's blocks as packed lower triangles and keeps
+    none of them: the raw estimate is bitwise the one the dense (s, s)
+    storage of every batch gives, and the scan's memory stays below what
+    the stored batches alone took."""
 
     @pytest.mark.parametrize("part,t,mode", [(QubitPartition(1, 1, 2), 2, "haar_exact"), (QubitPartition(1, 0, 1), 3, "composed")])
-    def test_raw_estimate_is_bitwise_the_dense_storage(self, part, t, mode):
+    def test_raw_estimate_is_bitwise_the_dense_storage(self, part, t, mode, monkeypatch):
         rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * reference.maximally_mixed(1)
         trials, seed = 200, 31
-        per_batch = trials // pqas.SCAN_BATCHES
+        grams = []
+        monkeypatch.setattr(pqas, "_product_batch_gram", _recording(grams, pqas._product_batch_gram))
+        rep = pqas.security_scan(part, rho, t, trials, seed=seed, mode=mode)
+        # each batch is drawn twice, bitwise alike
+        batches = pqas.SCAN_BATCHES
+        assert len(grams) == 2 * batches and all(np.array_equal(a, b) for a, b in zip(grams[:batches], grams[batches:]))
         d = 2**part.z
         bases = moments.isotypic_bases(t, d)
-        rngs = _streams.spawn_rngs(seed, ("security-scan",), range(trials))
         diffs = [[] for _ in bases]
-        for _ in range(pqas.SCAN_BATCHES):
-            ys = sample_scramblers(part, mode, [next(rngs) for _ in range(per_batch)])
-            gram = pqas._product_batch_gram(pqas.scramble_padded(rho.astype(complex), ys), t)
+        for gram in grams[:batches]:
             for block, diff in zip(reference.product_blocks_dense(gram, bases, d, t), diffs):
-                diff.append(block / per_batch - np.eye(len(block)) / d**t)
-        raw = 0.5 * sum(qcore.trace_norm(np.mean(diff, axis=0)) for diff in diffs)
-        rep = pqas.security_scan(part, rho, t, trials, seed=seed, mode=mode)
-        assert rep.raw_estimate == raw
+                diff.append(block / (trials // batches) - np.eye(len(block)) / d**t)
+        # the scan sums each half of the batches, then adds the halves
+        means = [(sum(diff[: batches // 2]) + sum(diff[batches // 2 :])) / batches for diff in diffs]
+        assert rep.raw_estimate == 0.5 * sum(qcore.trace_norm(mean) for mean in means)
 
     def test_peak_is_below_the_dense_storage(self):
+        """At z = 4, t = 2 a batch is 265 kB packed (s = 136 and 120).  The
+        scan holds the total, two signs and the batch in hand (4 batches'
+        worth), the batch's Gram product (d^4 entries, 4 batches' worth) and
+        the gather plans (2 batches' worth): about 13 in all.  Storing all
+        20 batches, as the scan once did, reads about 30."""
         rho = qcore.pure_dm(qcore.basis_ket(2, 0))
         tracemalloc.start()
         try:
@@ -819,8 +791,9 @@ class TestPackedScanStorage:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 20 dense (s, s) complex blocks of the parent storage, s = 136 and 120
+        # the 20 dense (s, s) complex blocks of the first stored-batch storage
         assert peak < pqas.SCAN_BATCHES * (136**2 + 120**2) * 16
+        assert peak < 16 * (136 * 137 // 2 + 120 * 121 // 2) * 16
 
 
 def _pack(dense):
@@ -845,9 +818,9 @@ def _random_blocks(sizes, draw=None):
 
 
 class TestStackedBootstrap:
-    """The delete-one-batch jackknife on each block's stack of packed batch
-    triangles, solved one leave-one-out block at a time: each replicate of a
-    block is its batch total less one batch."""
+    """The delete-one-batch jackknife on packed batch blocks, one leave-one-out
+    block solved at a time: each value of a block is its batch total less
+    one batch."""
 
     @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
     # three independent draws per size set; the labels keep the test ids of the chunked solver's cases
@@ -857,22 +830,30 @@ class TestStackedBootstrap:
         diffs, dense = _random_blocks(sizes, draw)
         loop = [qcore.trace_norm(np.delete(dense, j, axis=0).mean(axis=0)) for j in range(batches)]
         expected = reference.jackknife_se_loop(dense, np.zeros(dense.shape[1:]))
+        packed = [_pack(diff) for diff in diffs]
+        totals = [p.sum(axis=0) for p in packed]
         solves = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append((a.shape, eigvalsh(a))) or solves[-1][1])
-        se = pqas._jackknife_se([_pack(diff) for diff in diffs])
-        # each solve is one (s, s) leave-one-out block, block by block and batch by batch
-        assert [shape for shape, _ in solves] == [(s, s) for s in sizes for _ in range(batches)]
-        norms = np.reshape([np.abs(vals).sum() for _, vals in solves], (len(sizes), batches)).sum(axis=0)
-        assert np.max(np.abs(norms - loop)) <= 1e-12
-        assert abs(se - expected) <= 1e-12
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solves.append(a.shape) or eigvalsh(a))
+        thetas = np.array([pqas._leave_one_out(totals, [p[b] for p in packed]) for b in range(batches)])
+        # each solve is one (s, s) leave-one-out block, batch by batch and block by block
+        assert solves == [(s, s) for _ in range(batches) for s in sizes]
+        assert np.max(np.abs(2 * thetas - loop)) <= 1e-12
+        assert abs(pqas._jackknife_se(thetas) - expected) <= 1e-12
 
 
 class TestBracketOnBlocks:
     @pytest.mark.parametrize("sizes", [(1,), (6, 3), (36, 28), (72, 56)])
     def test_witness_matches_the_per_batch_loop(self, sizes):
-        """The blockwise witness equals the dense per-batch loop on the
-        block-diagonal batch means, to 1e-12."""
+        """The two passes over the batches, none kept, against the dense
+        loops over all stored block-diagonal batch means, to 1e-12: the
+        per-batch witness values, the raw estimate and the jackknife SE."""
         diffs, dense = _random_blocks(sizes)
-        witness = pqas._witness([_pack(diff) for diff in diffs])
-        assert np.max(np.abs(witness - reference.witness_loop(dense, np.zeros(dense.shape[1:])))) <= 1e-12
+        packed = [_pack(diff) for diff in diffs]
+        reads = []
+        raw, se, witness = pqas._two_pass(lambda b: reads.append(b) or [p[b] for p in packed], list(sizes))
+        assert reads == 2 * list(range(pqas.SCAN_BATCHES))
+        zero = np.zeros(dense.shape[1:])
+        assert abs(raw - 0.5 * qcore.trace_norm(dense.mean(axis=0))) <= 1e-12
+        assert abs(se - reference.jackknife_se_loop(dense, zero)) <= 1e-12
+        assert np.max(np.abs(witness - reference.witness_loop(dense, zero))) <= 1e-12

@@ -101,6 +101,18 @@ class TestVprdm:
         u = build_scrambler(held, n, spec)
         assert primitives.vprdm_verify(rho, held, n, m, spec) == primitives.vprdm_value(rho, u[:, : 2**m])
 
+    @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
+    def test_value_does_not_depend_on_column_layout(self, mode):
+        # a cached key's leading columns are a strided view of its unitary; a contiguous copy gives the same bits
+        spec = ScramblerSpec(mode)
+        for n, m in ((3, 0), (3, 1), (5, 3), (8, 2)):
+            for rep in range(4):
+                rng = spawn_rng(6, "vprdm-layout", mode, n, m, rep)
+                u = build_scrambler(SecretKey.generate(rng), n, spec)
+                rho = primitives.vprdm_generate(VprdmParams(n, m, SecretKey.generate(rng)), spec)
+                for k in (1, 2**m):
+                    assert primitives.vprdm_value(rho, u[:, :k]) == primitives.vprdm_value(rho, u[:, :k].copy())
+
 
 class TestGhseCloseness:
     def test_null_cases(self):

@@ -41,14 +41,16 @@ RUN_SECONDS = BENCHMARK["run_seconds"]
 END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
 # (label, config): the m = 2 point of configs/security_scan.json, the
-# largest product scan the qubit cap admits and a joint (GHZ) input, run
-# through the harness so that the probe reads only the config format, not
-# the scan's signature
+# largest product scan the qubit cap admits, a joint (GHZ) input and a
+# keyed (composed) scan, which builds every trial key twice, run through
+# the harness so that the probe reads only the config format, not the
+# scan's signature
 _SCAN = {"experiment": "security-scan", "n": 1, "l": 1, "t": 2, "seed": 11}
 SCAN_POINTS = (
     ("security_scan.json m=2 point", {**_SCAN, "m": 2, "trials": 2000}),
     ("z=5 t=2 scan, 40 trials", {**_SCAN, "m": 3, "trials": 40}),
     ("joint input m=2 q=1, 200 trials", {**_SCAN, "m": 2, "q": 1, "trials": 200}),
+    ("composed m=1, 200 trials", {**_SCAN, "m": 1, "trials": 200, "mode": "composed"}),
 )
 
 SCAN_PROBE = """
