@@ -1,12 +1,15 @@
 """Command-line interface.
 
     pqaslab run --config cfg.json [--out results.csv] [--format csv|json]
-                [--seed 7] [--threads 4] [--no-timing]
+                [--threads 4] [--no-timing]
     pqaslab selftest [--criterion N [N ...]]   (N from 1 to 10; any other N exits 2)
 
 Exit codes: 0 success, 2 configuration/validation error, 3 acceptance failure.
-A config that sets a field its experiment does not read (``harness.EXPERIMENTS``)
-to anything but its default is a configuration error and exits 2.
+The config alone decides a run's rows: its ``seed`` is the master seed, and
+no option or environment variable overrides it or the qubit cap.  A config
+that sets a field its experiment does not read (``harness.EXPERIMENTS``) to
+anything but its default, or whose sweep holds a point that breaks one of
+that table's rules, is a configuration error and exits 2.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", required=True, help="path to a flat JSON config")
     runp.add_argument("--out", default=None, help="output path (stdout when omitted)")
     runp.add_argument("--format", choices=("csv", "json"), default="csv")
-    runp.add_argument("--seed", type=int, default=None, help="override the master seed")
     runp.add_argument("--threads", type=int, default=1)
     runp.add_argument(
         "--no-timing",
@@ -48,12 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         try:
             config = harness.load_config(args.config)
-            records = harness.run(
-                config,
-                seed_override=args.seed,
-                threads=max(1, args.threads),
-                record_timing=not args.no_timing,
-            )
+            records = harness.run(config, threads=max(1, args.threads), record_timing=not args.no_timing)
             text = harness.emit(records, fmt=args.format, path=args.out)
         except (harness.ConfigError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

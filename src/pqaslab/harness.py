@@ -198,10 +198,6 @@ def validate_config(config: dict) -> dict:
         if field not in reads and any(v != default for v in _as_list(cfg[field])):
             why = f" with channel kind {cfg['channel_kind']!r}" if field in exp.reads.split() else ""
             raise ConfigError(_CONFIG_NAMES.get(field, field), f"{name} does not read it{why}; leave it at {default!r}")
-    if any(v < exp.min_trials for v in cfg["trials"]):
-        raise ConfigError("trials", f"must be at least {exp.min_trials} for {name}")
-    if any(v % exp.trial_step for v in cfg["trials"]):
-        raise ConfigError("trials", f"must be a multiple of {exp.trial_step} for {name}")
     return cfg
 
 
@@ -234,14 +230,13 @@ def _is_real(value) -> bool:
         return False
 
 
-def expand_points(cfg: dict, seed_override: int | None = None) -> list[ExperimentPoint]:
+def expand_points(cfg: dict) -> list[ExperimentPoint]:
     """The points of a validated config's sweep, the channel's ``p`` varying
-    fastest.  Each point must pass its experiment's value rules, which may
-    tie several fields; the first rule a point breaks raises ``ConfigError``
+    fastest.  Each point must pass its experiment's rules, which may tie
+    several fields; the first rule a point breaks raises ``ConfigError``
     naming its field."""
     swept = (*_SWEEPABLE, "channel_p")
-    seed = seed_override if seed_override is not None else int(cfg["seed"])
-    fixed = {"experiment": cfg["experiment"], "mode": cfg["mode"], "channel_kind": cfg["channel_kind"], "seed": seed}
+    fixed = {name: cfg[name] for name in ("experiment", "mode", "channel_kind", "seed")}
     points = [ExperimentPoint(**fixed, **dict(zip(swept, combo))) for combo in itertools.product(*map(cfg.get, swept))]
     for pt in points:
         for rule in EXPERIMENTS[pt.experiment].rules:
@@ -472,40 +467,49 @@ class Rule(NamedTuple):
 
 class Experiment(NamedTuple):
     """An experiment's runner, the point fields it reads besides ``seed`` (as
-    one space-separated string), its trial rule (``trials`` at least
-    ``min_trials`` and a multiple of ``trial_step``) and the value rules each
-    of its points must pass.  A config must leave every other field at its
-    default; the channel's ``p`` counts as read only for the depolarizing
-    kinds, and an auth sweep's ``trials`` and ``mode`` only for the others
-    (``_read_fields``)."""
+    one space-separated string) and the value rules each of its points must
+    pass, its trial rule among them.  A config must leave every other field
+    at its default; the channel's ``p`` counts as read only for the
+    depolarizing kinds, and an auth sweep's ``trials`` and ``mode`` only for
+    the others (``_read_fields``)."""
 
     run: Callable[[ExperimentPoint], list[ResultRecord]]
     reads: str
-    min_trials: int = 1
-    trial_step: int = 1
-    rules: tuple[Rule, ...] = ()
+    rules: tuple[Rule, ...]
 
 
 def _cap(field: str, size: str, qubits: Callable[[ExperimentPoint], int]) -> Rule:
     """The qubit cap on a point's largest register, of ``qubits(pt)`` qubits (``size``)."""
-    text = f"must keep {size} within the qubit cap (set PQASLAB_CAP to raise)"
-    return Rule(field, lambda pt: qubits(pt) <= qcore.qubit_cap(), text)
+    return Rule(field, lambda pt: qubits(pt) <= qcore.QUBIT_CAP, f"must keep {size} within the qubit cap")
 
 
-# every point keeps its largest register within the qubit cap; the multi-state
-# attack compares ciphertexts in pairs; the left-or-right game asks at most 8
-# mutually orthogonal queries; the qubit-count attack runs at desk scale; a
-# vprdm state keeps n - m >= 1 message qubits; a depolarizing strength is a
-# probability; EFI's two arms need 0 <= m0 < m1 = floor(gamma n) < n, and its
-# key count 2^lambda_eff stays small; the class sums on S_t (the Weingarten
-# sum, decoy and GHSE closeness) stop at t = 12, and the absolute Weingarten
-# sum's closed form (d - t)!/d! needs d = 2^n >= t
+def _trials_at_least(count: int) -> Rule:
+    return Rule("trials", lambda pt: pt.trials >= count, f"must be at least {count}")
+
+
+# each experiment's trial rule comes first: the auth sweep's statistics need
+# pqas.MIN_AUTH_TRIALS trials, cpa and vprdm report a standard error, which
+# needs two, and the security scan splits its trials into pqas.SCAN_BATCHES
+# equal batches; every point keeps its largest register within the qubit cap;
+# the multi-state attack compares ciphertexts in pairs; the left-or-right game
+# asks at most 8 mutually orthogonal queries; the qubit-count attack runs at
+# desk scale, and its statistic Z lies in [-1, 1], so a threshold 1 - delta
+# decides something only for 0 <= delta < 2; a vprdm state keeps n - m >= 1
+# message qubits; a depolarizing strength is a probability; EFI's two arms
+# need 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays
+# small; the class sums on S_t (the Weingarten sum, decoy and GHSE closeness)
+# stop at t = 12, and the absolute Weingarten sum's closed form (d - t)!/d!
+# needs d = 2^n >= t
 _LAYOUT_CAP = _cap("m", "n + l + m", lambda pt: pt.n + pt.l + pt.m)
 _N_CAP = _cap("n", "n", lambda pt: pt.n)
 _P_RULE = Rule("channel.p", lambda pt: 0.0 <= pt.channel_p <= 1.0, "must lie in [0, 1]")
 _CLASS_T = Rule("t", lambda pt: pt.t <= moments.MAX_CLASS_T, f"must be at most {moments.MAX_CLASS_T}")
-_SCAN_RULES = (_cap("m", "t (n + l + m) + q", lambda pt: pt.t * (pt.n + pt.l + pt.m) + pt.q),)
+_SCAN_RULES = (
+    Rule("trials", lambda pt: pt.trials % pqas.SCAN_BATCHES == 0, f"must be a multiple of {pqas.SCAN_BATCHES}"),
+    _cap("m", "t (n + l + m) + q", lambda pt: pt.t * (pt.n + pt.l + pt.m) + pt.q),
+)
 _CPA_RULES = (
+    _trials_at_least(2),
     Rule("t", lambda pt: pt.t <= 2 ** min(pt.n, 3), "must satisfy t <= min(8, 2^n)"),
     _cap("m", "n + m", lambda pt: pt.n + pt.m),
 )
@@ -513,10 +517,11 @@ _QUBIT_COUNT_RULES = (
     Rule("n", lambda pt: pt.n <= 2, "must be at most 2"),
     Rule("s_max", lambda pt: pt.s_max <= 3, "must be at most 3"),
     _cap("m", "n s_max + l + m", lambda pt: pt.n * pt.s_max + pt.l + pt.m),
+    Rule("delta", lambda pt: 0.0 <= pt.delta < 2.0, "must lie in [0, 2)"),
 )
-_AUTH_RULES = (_P_RULE, _LAYOUT_CAP)
+_AUTH_RULES = (_trials_at_least(pqas.MIN_AUTH_TRIALS), _P_RULE, _LAYOUT_CAP)
 _MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"), _LAYOUT_CAP)
-_VPRDM_RULES = (Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP, _CLASS_T)
+_VPRDM_RULES = (_trials_at_least(2), Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP, _CLASS_T)
 _WG_RULES = (_N_CAP, _CLASS_T, Rule("t", lambda pt: pt.t <= 2**pt.n, "must satisfy t <= 2^n"))
 _EFI_RULES = (
     Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),
@@ -528,19 +533,16 @@ _EFI_RULES = (
 )
 
 
-# cpa and vprdm report a standard error, which needs two trials
 EXPERIMENTS = {
-    "wg-selftest": Experiment(_run_wg_selftest, "n t", rules=_WG_RULES),
-    "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", trial_step=pqas.SCAN_BATCHES, rules=_SCAN_RULES),
-    "auth-sweep": Experiment(
-        _run_auth_sweep, "n l m trials mode channel_kind channel_p", min_trials=pqas.MIN_AUTH_TRIALS, rules=_AUTH_RULES
-    ),
-    "cpa": Experiment(_run_cpa, "n m t trials", min_trials=2, rules=_CPA_RULES),
-    "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode", rules=_QUBIT_COUNT_RULES),
-    "multistate": Experiment(_run_multistate, "n l m trials copies mode", rules=_MULTISTATE_RULES),
-    "decoy": Experiment(_run_decoy, "n l m t mode", rules=(_LAYOUT_CAP, _CLASS_T)),
-    "vprdm": Experiment(_run_vprdm, "n m t trials mode", min_trials=2, rules=_VPRDM_RULES),
-    "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p", rules=_EFI_RULES),
+    "wg-selftest": Experiment(_run_wg_selftest, "n t", _WG_RULES),
+    "security-scan": Experiment(_run_security_scan, "n l m t q trials mode", _SCAN_RULES),
+    "auth-sweep": Experiment(_run_auth_sweep, "n l m trials mode channel_kind channel_p", _AUTH_RULES),
+    "cpa": Experiment(_run_cpa, "n m t trials", _CPA_RULES),
+    "qubit-count": Experiment(_run_qubit_count, "n l m trials shots s_max delta mode", _QUBIT_COUNT_RULES),
+    "multistate": Experiment(_run_multistate, "n l m trials copies mode", _MULTISTATE_RULES),
+    "decoy": Experiment(_run_decoy, "n l m t mode", (_LAYOUT_CAP, _CLASS_T)),
+    "vprdm": Experiment(_run_vprdm, "n m t trials mode", _VPRDM_RULES),
+    "efi": Experiment(_run_efi, "n m0 gamma c lambda_eff mode channel_kind channel_p", _EFI_RULES),
 }
 
 
@@ -548,16 +550,14 @@ EXPERIMENTS = {
 # run / emit
 
 
-def run(config: dict, seed_override: int | None = None, threads: int = 1, record_timing: bool = True) -> list[ResultRecord]:
-    """Execute a validated config; deterministic given (config, seed).
+def run(config: dict, threads: int = 1, record_timing: bool = True) -> list[ResultRecord]:
+    """Execute a validated config; deterministic given the config, whose
+    ``seed`` is the only master seed.
 
     Record wall times are telemetry and are only attached when
     ``record_timing`` is set; determinism comparisons must disable it.
     """
-    cfg = validate_config(config)
-    if seed_override is not None and not _is_int(seed_override):
-        raise ConfigError("seed", "must be a 64-bit integer")
-    points = expand_points(cfg, seed_override)
+    points = expand_points(validate_config(config))
 
     def work(pt: ExperimentPoint) -> list[ResultRecord]:
         start = time.perf_counter()

@@ -13,7 +13,6 @@ returns a fresh array.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +23,12 @@ UNITARITY_TOL = 1e-9
 EIG_CLIP = 1e-12
 PROJECT_FLOOR = 1e-12
 
-DEFAULT_QUBIT_CAP = 10
-
-
-def qubit_cap() -> int:
-    """Current qubit cap; the PQASLAB_CAP env var overrides the default."""
-    raw = os.environ.get("PQASLAB_CAP")
-    return int(raw) if raw else DEFAULT_QUBIT_CAP
+QUBIT_CAP = 10
 
 
 def check_qubits(z: int) -> None:
-    cap = qubit_cap()
-    if z > cap:
-        raise ValueError(f"{z} qubits exceeds the cap of {cap} (set PQASLAB_CAP to raise)")
+    if z > QUBIT_CAP:
+        raise ValueError(f"{z} qubits exceeds the cap of {QUBIT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ def zero_tag_state(l: int) -> np.ndarray:
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product; the first factor ends up on the most significant
     qubits.  A product past the qubit cap is refused before it is formed."""
-    if math.prod(np.shape(op)[0] for op in ops) > 2 ** qubit_cap():
+    if math.prod(np.shape(op)[0] for op in ops) > 2**QUBIT_CAP:
         raise ValueError("tensor product exceeds the qubit cap")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
@@ -162,7 +154,8 @@ def permute_registers(rho: np.ndarray, dims, order) -> np.ndarray:
 
 
 def apply_unitary(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if u.shape[0] != rho.shape[0]:
+    """U rho U^dagger for one (d, d) matrix or a (k, d, d) stack."""
+    if u.shape[0] != rho.shape[-1]:
         raise ValueError("dimension mismatch between state and unitary")
     return u @ rho @ u.conj().T
 
@@ -275,7 +268,7 @@ class UnitaryChannel(Channel):
         self.dim = v.shape[0]
 
     def apply(self, rho):
-        return self.v @ rho @ self.v.conj().T
+        return apply_unitary(rho, self.v)
 
     def compress(self, w, y):
         # Y^dag V W W^dag V^dag Y as (Y^dag V W)(Y^dag V W)^dag, never forming W W^dag

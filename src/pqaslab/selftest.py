@@ -38,7 +38,7 @@ class CriterionResult:
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] criterion {self.index}: {self.name} ({self.seconds:.1f}s)"
+        return f"[{status}] criterion {self.index}: {self.name} ({1000 * self.seconds:.1f} ms)"
 
 
 def _rows(config: dict, *keys: str) -> Generator[str, None, dict]:

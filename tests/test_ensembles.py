@@ -136,7 +136,7 @@ class TestHaar:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            sample_haar(qcore.qubit_cap() + 1, spawn_rng(0, "x"))
+            sample_haar(qcore.QUBIT_CAP + 1, spawn_rng(0, "x"))
 
     @pytest.mark.parametrize("z", [1, 2, 3, 4, 5])
     def test_stacked_draws_are_bitwise_per_trial(self, z):

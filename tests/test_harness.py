@@ -203,9 +203,12 @@ class TestRunProperty:
 def _valid_values(experiment: str, field: str):
     """Values of a point field that pass every check but the unread-field rule."""
     default = harness._DEFAULTS[field]
-    exp = harness.EXPERIMENTS[experiment]
     if field == "trials":
-        values = st.integers(-(-exp.min_trials // exp.trial_step), 2**40).map(lambda k: k * exp.trial_step)
+        # the experiment's trial rules decide; multiples of 100 meet every rule in the table
+        rules = [rule for rule in harness.EXPERIMENTS[experiment].rules if rule.field == "trials"]
+        values = (st.integers(1, 2**40) | st.integers(1, 2**33).map(lambda k: 100 * k)).filter(
+            lambda v: all(rule.holds(harness.ExperimentPoint(experiment, trials=v)) for rule in rules)
+        )
     elif field in ("n", "t", "shots", "s_max"):
         values = st.integers(1, 2**63 - 1)
     elif field in ("l", "m", "q"):
@@ -328,7 +331,7 @@ class TestCli:
         path.write_text(json.dumps({"experiment": "wg-selftest", "n": n, "t": t}))
         code = cli.main(["run", "--config", str(path), "--no-timing"])
         out = capsys.readouterr()
-        if n <= qcore.qubit_cap() and 2**n >= t and t <= 12:
+        if n <= qcore.QUBIT_CAP and 2**n >= t and t <= 12:
             assert code == cli.EXIT_OK
             (record,) = harness.parse_csv(out.out)
             assert abs(record.estimate - record.exact) <= 1e-12 * record.exact
@@ -336,7 +339,7 @@ class TestCli:
             assert code == cli.EXIT_CONFIG
             assert out.out == ""
             assert out.err.startswith("error:") and "Traceback" not in out.err
-            assert ("PQASLAB_CAP" in out.err) == (n > qcore.qubit_cap())
+            assert ("within the qubit cap" in out.err) == (n > qcore.QUBIT_CAP)
 
     def test_security_scan_past_the_cap_exits_2_before_allocating(self, tmp_path, capsys):
         # 2 copies of z = 1 plus 40 purification qubits: the GHZ input alone would be 2^42 amplitudes
@@ -345,7 +348,7 @@ class TestCli:
         assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith("error:") and "PQASLAB_CAP" in out.err and "Traceback" not in out.err
+        assert out.err.startswith("error:") and "within the qubit cap" in out.err and "Traceback" not in out.err
 
     @pytest.mark.parametrize(
         "config,count",
@@ -399,6 +402,10 @@ class TestCli:
         assert ran == ["failing", "failing"]
         assert capsys.readouterr().out.splitlines()[1:] == ["    config {}", "    FAIL x", "    config {}"]
 
+    def test_criterion_line_prints_milliseconds(self):
+        # a criterion that finishes within 50 ms still prints a nonzero time
+        assert selftest.CriterionResult(5, "x", True, [], 0.00042).line() == "[PASS] criterion 5: x (0.4 ms)"
+
     def test_criterion_6_config_line_reproduces_its_rows(self, monkeypatch, tmp_path, capsys):
         # the rows the criterion checked, and the rows `pqaslab run` prints for its config line
         checked = []
@@ -442,13 +449,13 @@ class TestCli:
         fields = {exp: [rule.field for rule in row.rules] for exp, row in harness.EXPERIMENTS.items() if row.rules}
         assert fields == {
             "wg-selftest": ["n", "t", "t"],
-            "security-scan": ["m"],
-            "auth-sweep": ["channel.p", "m"],
-            "cpa": ["t", "m"],
-            "qubit-count": ["n", "s_max", "m"],
+            "security-scan": ["trials", "m"],
+            "auth-sweep": ["trials", "channel.p", "m"],
+            "cpa": ["trials", "t", "m"],
+            "qubit-count": ["n", "s_max", "m", "delta"],
             "multistate": ["copies", "m"],
             "decoy": ["m", "t"],
-            "vprdm": ["m", "n", "t"],
+            "vprdm": ["trials", "m", "n", "t"],
             "efi": ["gamma", "c", "m0", "lambda_eff", "channel.p", "n"],
         }
 
@@ -491,6 +498,10 @@ class TestCli:
             ({"experiment": "vprdm", "n": 3, "m": 1, "t": [2, 13], "trials": 4}, "t", "must be at most 12"),
             ({"experiment": "wg-selftest", "n": 4, "t": [2, 13]}, "t", "must be at most 12"),
             ({"experiment": "wg-selftest", "n": [3, 1], "t": 3}, "t", "must satisfy t <= 2^n"),
+            # Z lies in [-1, 1]: below 0 every trial abstains, from 2 up every trial decides s' = 1
+            ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": [0.1, 2]}, "delta", "must lie in [0, 2)"),
+            ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": [0.1, -1e-9]}, "delta", "must lie in [0, 2)"),
+            ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": 2.5}, "delta", "must lie in [0, 2)"),
         ],
     )
     def test_exits_2_before_any_point_runs(self, config, field, reason, monkeypatch, tmp_path, capsys):
@@ -521,14 +532,13 @@ class TestCli:
         ],
     )
     def test_largest_register_is_capped_before_any_point_runs(self, experiment, at_cap, bump, field, monkeypatch):
-        monkeypatch.delenv("PQASLAB_CAP", raising=False)
         ran = []
         row = harness.EXPERIMENTS[experiment]
         monkeypatch.setitem(harness.EXPERIMENTS, experiment, row._replace(run=lambda pt: ran.append(pt) or []))
         config = {"experiment": experiment, **TINY_CONFIGS[experiment], **at_cap}
         harness.run(config, record_timing=False)
         assert len(ran) == 1
-        with pytest.raises(ConfigError, match="PQASLAB_CAP") as err:
+        with pytest.raises(ConfigError, match=f"within the qubit cap for {experiment}$") as err:
             harness.run({**config, bump: [config.get(bump, 0), config.get(bump, 0) + 1]}, record_timing=False)
         assert err.value.field == field and len(ran) == 1
 
@@ -539,11 +549,28 @@ class TestCli:
         (point,) = harness.expand_points(harness.validate_config(config))
         assert (point.trials, point.mode) == (1000, "composed")
 
-    def test_out_of_range_seed_override_exits_2(self, tmp_path, capsys):
+    def test_out_of_range_config_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"experiment": "wg-selftest", "seed": 2**127}))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: config field 'seed'")
+
+    def test_run_takes_no_seed_option(self, tmp_path, capsys):
+        # the config's seed is the only master seed
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"experiment": "wg-selftest"}))
-        assert cli.main(["run", "--config", str(path), "--seed", str(2**127)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: config field 'seed'")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(path), "--seed", "7"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    def test_rules_name_fields_their_experiment_reads(self):
+        # an exit-2 message never asks for a change to a field the config may not set
+        for name, row in harness.EXPERIMENTS.items():
+            reads = set().union(*(harness._read_fields(name, kind) for kind in harness.CHANNEL_KINDS))
+            for rule in row.rules:
+                assert rule.field.replace("channel.p", "channel_p") in reads, (name, rule)
 
 
 class TestEmit:
@@ -671,11 +698,11 @@ class TestRun:
         b = harness.emit(harness.run(cfg, record_timing=False))
         assert a == b
 
-    def test_seed_changes_results(self):
+    def test_config_seed_changes_results(self):
         cfg = {"experiment": "vprdm", "n": 3, "m": 1, "t": 2, "trials": 50}
-        a = harness.emit(harness.run(cfg, seed_override=1, record_timing=False))
-        b = harness.emit(harness.run(cfg, seed_override=2, record_timing=False))
-        assert a != b
+        a = harness.run({**cfg, "seed": 1}, record_timing=False)
+        b = harness.run({**cfg, "seed": 2}, record_timing=False)
+        assert [r.estimate for r in a] != [r.estimate for r in b]
 
     def test_threads_equivalent(self):
         cfg = {"experiment": "wg-selftest", "n": [2, 3], "t": [1, 2]}

@@ -26,15 +26,18 @@ class TestConstruction:
 
     def test_maximally_mixed_cap(self):
         with pytest.raises(ValueError):
-            reference.maximally_mixed(qcore.qubit_cap() + 1)
+            reference.maximally_mixed(qcore.QUBIT_CAP + 1)
         with pytest.raises(ValueError, match="nonnegative"):
             reference.maximally_mixed(-1)
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("PQASLAB_CAP", "3")
-        assert qcore.qubit_cap() == 3
-        with pytest.raises(ValueError):
-            qcore.check_qubits(4)
+    def test_cap_is_a_constant(self, monkeypatch):
+        # the cap is a constant: no environment variable moves it
+        monkeypatch.setenv("PQASLAB_CAP", "12")
+        qcore.check_qubits(10)
+        with pytest.raises(ValueError, match="^11 qubits exceeds the cap of 10$"):
+            qcore.check_qubits(11)
+        with pytest.raises(ValueError, match="exceeds the qubit cap"):
+            qcore.tensor(np.eye(2**6), np.eye(2**5))
 
     def test_tensor(self):
         zero = qcore.pure_dm(qcore.basis_ket(2, 0))
@@ -49,7 +52,6 @@ class TestConstruction:
         def refuse(*args):
             raise AssertionError("the product was formed")
 
-        monkeypatch.delenv("PQASLAB_CAP", raising=False)
         monkeypatch.setattr(np, "kron", refuse)
         with pytest.raises(ValueError, match="exceeds the qubit cap"):
             qcore.tensor(np.eye(2**6), np.eye(2**5))
@@ -118,6 +120,19 @@ class TestDynamics:
     def test_apply_unitary_identity(self):
         rho = sample_ghse(2, 1, spawn_rng(6, "apply"))
         assert np.allclose(qcore.apply_unitary(rho, np.eye(4)), rho)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_unitary_channel_is_apply_unitary(self, stacked):
+        # bitwise V rho V^dag, on one (d, d) matrix and on a (k, d, d) stack
+        rng = spawn_rng(9, "apply")
+        v = sample_haar(2, rng)
+        stack = np.stack([sample_ghse(2, 1, rng) for _ in range(3)])
+        rho = stack if stacked else stack[0]
+        expected = v @ rho @ v.conj().T
+        assert np.array_equal(qcore.apply_unitary(rho, v), expected)
+        assert np.array_equal(qcore.UnitaryChannel(v).apply(rho), expected)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            qcore.apply_unitary(rho, np.eye(2))
 
     def test_unitary_preserves_spectrum(self):
         rng = spawn_rng(7, "apply")
