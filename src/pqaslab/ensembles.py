@@ -60,6 +60,7 @@ the cache holds only keys some caller read in full.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict, namedtuple
 from collections.abc import Sequence
@@ -177,11 +178,17 @@ def _haar(rows: int, cols: int, rngs: Sequence[np.random.Generator]) -> np.ndarr
     drawn as one (2, rows, cols) block of standard normals (real part, then
     imaginary) and thin-QR'd.  The Q factor of a thin Ginibre block is
     distributed as any cols columns of a Haar unitary (Mezzadri, Notices AMS
-    54, 2007); cols == rows gives Haar unitaries.  Each generator fills its
-    slot of one preallocated buffer, the same normals it would draw alone."""
+    54, 2007); cols == rows gives Haar unitaries.  The normals go into one
+    preallocated buffer, one fill per run of consecutive slots that share a
+    generator: a generator fills sequentially, so each slot holds the
+    normals it would draw alone, and the generator ends where that many
+    lone draws leave it."""
     normals = np.empty((len(rngs), 2, rows, cols))
-    for rng, block in zip(rngs, normals):
-        rng.standard_normal(out=block)
+    start = 0
+    for rng, run in itertools.groupby(rngs):
+        stop = start + sum(1 for _ in run)
+        rng.standard_normal(out=normals[start:stop])
+        start = stop
     return _unitarize(_ginibre(normals))
 
 

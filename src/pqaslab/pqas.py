@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -182,7 +183,8 @@ def _p0_fprime_stack(tagged: np.ndarray, psi: np.ndarray, channel: Channel):
     M = Y^dag Gamma(W W^dag / 2^m) Y (``Channel.compress``): P0 = tr M, and
     F' = tr((psi (x) I)^dag M (psi (x) I)) = sum_j w_j^dag Gamma(.) w_j over
     the columns w_j of W.  Only ``UnitaryChannel`` keeps a Gram form that
-    builds no d x d matrix; every other channel goes through its ``apply``.
+    builds no d x d matrix.  ``LocalDepolarizingChannel`` acts on the stack
+    W W^dag in place, and every other channel goes through its ``apply``.
     """
     keys, d, dn, dm = tagged.shape
     w = np.einsum("kxaj,a->kxj", tagged, psi)
@@ -324,32 +326,26 @@ def _psd_factor(rho: np.ndarray) -> np.ndarray:
     return vecs[:, keep] * np.sqrt(vals[keep])
 
 
-def _product_batch_gram(phis: np.ndarray, t: int) -> np.ndarray:
-    """sum_i phi_i^(x t) as one Gram product of the vec(phi_i), left in the
-    digit order (a_1, c_1, ..., a_t, c_t) of row a and column c.
-
-    Row i of ``flat`` is vec(phi_i); ``rows`` holds its Khatri-Rao power of
-    t - 1 copies (``flat`` itself at t = 2, a column of ones at t = 1), so
-    flat^T rows carries every entry of the sum; it is read in place
-    (``_orbit_gathers``), never transposed.
-    """
-    n, d, _ = phis.shape
-    flat = phis.reshape(n, d * d)
-    rows = flat if t > 1 else np.ones((n, 1), dtype=complex)
-    for _ in range(t - 2):
-        rows = (rows[:, :, None] * flat[:, None, :]).reshape(n, -1)
-    return (flat.T @ rows).ravel()
-
-
 def _packed_side(length: int) -> int:
     """s from the length s(s + 1)/2 of a packed lower triangle."""
     return (math.isqrt(8 * length + 1) - 1) // 2
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _int32(a: np.ndarray) -> np.ndarray:
+    return _read_only(a.astype(np.int32))
+
+
+@lru_cache(maxsize=None)
 def _tril_flat(s: int) -> np.ndarray:
     """Flat positions i s + j (j <= i) of an (s, s) lower triangle, in the
-    order of a packed row, which holds entry (i, j) at i(i + 1)/2 + j."""
-    return np.flatnonzero(np.tri(s, dtype=bool))
+    order of a packed row, which holds entry (i, j) at i(i + 1)/2 + j;
+    read-only and cached per s."""
+    return _int32(np.flatnonzero(np.tri(s, dtype=bool)))
 
 
 def _unpack(packed: np.ndarray) -> np.ndarray:
@@ -362,34 +358,52 @@ def _unpack(packed: np.ndarray) -> np.ndarray:
     return dense.reshape(*packed.shape[:-1], s, s)
 
 
-def _orbit_gathers(bases, d: int, t: int) -> list:
-    """What ``_product_blocks`` reads for each orbit basis B: its width s and,
-    per pair of its tables (row table, then a column table up to it), the
-    tuple (at, k, keep, dest).  ``at`` (n, u) holds the positions in the
-    raveled ``_product_batch_gram`` product of X[I_o, J] for the first tuple
-    I_o of row orbit o and every tuple J of column orbit p, over the n orbit
-    pairs (o, p) on or below the block diagonal; ``k`` (u, a b) has
+def _identity_basis(dim: int):
+    """The single orbit basis of one block, the identity on all dim tuples."""
+    return (((np.arange(dim)[:, None], np.ones((1, 1))),),)
+
+
+def _orbit_gathers(bases, d: int, t: int):
+    """What ``_product_blocks`` reads for each orbit basis B of the product
+    X = sum_i phi_i^(x t): the widths s of the bases and a list of row
+    blocks (rows, cols, gathers).
+
+    X is held as the Gram product G = F^T K of the vec(phi_i) F and their
+    Khatri-Rao power K of t - 1 copies: row (a_1, c_1) of G against column
+    (a_2, c_2, ..., a_t, c_t), for row tuple I = (a_1, ..., a_t) and column
+    tuple J = (c_1, ..., c_t) of X.  A row block is the slice ``rows`` of
+    the rows of a range of first digits a_1, and the slice ``cols`` from the
+    lowest column its gathers read to the last; it holds at most one
+    batch's packed entries, or else the fewest rows it may take.  A gather
+    is (block, at, k, keep, dest) for one pair of tables of basis ``block``
+    (a row table, then a column table up to it) and the orbit pairs (o, p)
+    on or below the block diagonal whose row orbit o starts in the row
+    block.  ``at`` (n, u) holds the positions, in the raveled row-block
+    product, of X[I_o, J] for the first tuple I_o of row orbit o and every
+    tuple J of column orbit p; ``k`` (u, a b) has
     sum_g X[I_o, J_pg] k[g] = the (o, p) block of B^T X B.  ``keep`` picks
     the entries of the (n, a, b) product on or below the diagonal of
-    B^T X B, and ``dest`` their places in its packed lower triangle.  Row I
-    and column J of X sit at d s(I) + s(J), with s(I) the digits of I spread
-    to every second place of a 2t-digit number.
+    B^T X B, and ``dest`` their places in its packed lower triangle.  Index
+    arrays are int32, and every array is read-only.
 
     X commutes with every P(pi), so X[pi I_o, J] = X[I_o, pi^-1 J]: each row
     of an orbit pair's block of X is a permutation of its first, and k folds
     that permutation into the weights, k[g, a, b] = sum_e R[e, a] C[pi_e g, b]
-    with pi_e taking I_o to the e-th tuple of its orbit.
+    with pi_e taking I_o to the e-th tuple of its orbit.  The second digit
+    of every first tuple I_o is at least its first, so a row block whose
+    first digits start at a_1 reads only the columns with a_2 >= a_1.
     """
     power = d ** np.arange(t - 1, -1, -1)
 
     def digits(flat):
         return flat[..., None] // power % d
 
+    # row I and column J of X sit at d s(I) + s(J) of the raveled G, s(I) the digits of I spread to every second place
     spread = digits(np.arange(d**t)) @ power**2
-    plans = []
-    for basis in bases:
+    width = d ** (2 * t - 2)
+    sizes, gathers = [], []
+    for block, basis in enumerate(bases):
         starts = np.cumsum([0] + [moments.basis_width((table,)) for table in basis])
-        plan = []
         for i, (row_index, row_weight) in enumerate(basis):
             first = digits(row_index[0])
             # pinv[e] permutes tuple 0 of the orbit into tuple e: first[0][pinv[e]] == first[e]
@@ -408,24 +422,74 @@ def _orbit_gathers(bases, d: int, t: int) -> list:
                 cols = starts[j] + pairs[1][:, None, None] * b + np.arange(b)
                 keep = np.flatnonzero(rows >= cols)
                 dest = (rows * (rows + 1) // 2 + cols).ravel()[keep]
-                plan.append((at, k.reshape(u, a * b), keep, dest))
-        plans.append((starts[-1], plan))
-    return plans
+                # orbits come in order of their first digit, so each row block's pairs are a slice
+                lead = row_index[pairs[0], 0] // d ** (t - 1)
+                gathers.append((block, at, _read_only(k.reshape(u, a * b)), keep, dest, lead))
+        sizes.append(int(starts[-1]))
+    budget = sum(s * (s + 1) // 2 for s in sizes)
+    # a row block's product takes its rows 8 at a time (or all d^2), and its columns from a multiple of 8 to
+    # the last, so each entry falls in a whole BLAS micro-tile, as in the whole product: it is bitwise that
+    # product's entry
+    step = -(-8 // d)
+    lowest = np.full(d, width)
+    for _, at, _, _, _, lead in gathers:
+        np.minimum.at(lowest, lead, at.min(axis=1) % width)
+    lowest -= lowest % 8
+    row_blocks = []
+    lo = 0
+    while lo < d:
+        hi = min(lo + step, d)
+        start = lowest[lo:hi].min()
+        while hi < d:
+            wider = min(start, lowest[hi : hi + step].min())
+            if (hi + step - lo) * d * (width - wider) > budget:
+                break
+            hi, start = hi + step, wider
+        planned = []
+        for block, at, k, keep, dest, lead in gathers:
+            first, last = np.searchsorted(lead, [lo, hi])
+            if first == last:
+                continue
+            ab = k.shape[1]
+            kept = slice(*np.searchsorted(keep, [first * ab, last * ab]))
+            at = at[first:last]
+            local = (at // width - lo * d) * (width - start) + at % width - start
+            planned.append((block, _int32(local), k, _int32(keep[kept] - first * ab), _int32(dest[kept])))
+        row_blocks.append((slice(lo * d, hi * d), slice(int(start), width), tuple(planned)))
+        lo = hi
+    return tuple(sizes), tuple(row_blocks)
 
 
-def _product_blocks(gram: np.ndarray, plans) -> list[np.ndarray]:
-    """The packed lower triangle of B^T X B for each orbit basis
-    (``moments.isotypic_bases``) of the operator X held by the raveled
-    ``_product_batch_gram`` product, read by gathers at the positions
-    ``_orbit_gathers`` planned: one row per orbit pair on or below the block
-    diagonal, contracted with its folded weights and written into the
-    packed row."""
-    blocks = []
-    for s, plan in plans:
-        packed = np.empty(s * (s + 1) // 2, dtype=complex)
-        for at, k, keep, dest in plan:
-            packed[dest] = (gram[at] @ k).ravel()[keep]
-        blocks.append(packed)
+@lru_cache(maxsize=None)
+def _product_plans(t: int, d: int):
+    """``_orbit_gathers`` of the blocks a product input gets (the isotypic
+    bases, or the identity block beyond ``moments.MAX_T``), cached per (t, d)."""
+    bases = moments.isotypic_bases(t, d) if t <= moments.MAX_T else _identity_basis(d**t)
+    return _orbit_gathers(bases, d, t)
+
+
+def _product_blocks(phis: np.ndarray, t: int, plans) -> list[np.ndarray]:
+    """The packed lower triangle of B^T X B for each orbit basis B
+    (``moments.isotypic_bases``) of X = sum_i phi_i^(x t), for a (n, d, d)
+    stack phis, by the gathers ``_orbit_gathers`` planned.
+
+    Row i of ``flat`` is vec(phi_i); ``power`` holds its Khatri-Rao power of
+    t - 1 copies (``flat`` itself at t = 2, a column of ones at t = 1).  The
+    Gram product flat^T power carries every entry of X, and is formed one
+    row block at a time, on the columns that block's gathers read; each
+    gather takes one row per orbit pair, contracts it with its folded
+    weights and writes the result into the packed rows."""
+    n, d, _ = phis.shape
+    flat = phis.reshape(n, d * d)
+    power = flat if t > 1 else np.ones((n, 1), dtype=complex)
+    for _ in range(t - 2):
+        power = (power[:, :, None] * flat[:, None, :]).reshape(n, -1)
+    sizes, row_blocks = plans
+    blocks = [np.empty(s * (s + 1) // 2, dtype=complex) for s in sizes]
+    for rows, cols, gathers in row_blocks:
+        gram = (flat[:, rows].T @ power[:, cols]).ravel()
+        for block, at, k, keep, dest in gathers:
+            blocks[block][dest] = (gram[at] @ k).ravel()[keep]
     return blocks
 
 
@@ -467,14 +531,17 @@ def _packed_target(s: int, rho_q: np.ndarray, dzt: int) -> tuple[np.ndarray, np.
     return rows * (rows + 1) // 2 + cols, np.tile(rho_q[i, j] / dzt, s // dq)
 
 
-def _half_sums(diffs, sizes: list[int]) -> list[list[np.ndarray]]:
-    """Pass 1 of ``security_scan``: the running sums of the batches' packed
-    blocks ``diffs`` (one list per batch, drawn one at a time) over the
-    first and over the second half of the SCAN_BATCHES batches."""
-    sums = [[np.zeros(s * (s + 1) // 2, dtype=complex) for s in sizes] for _ in range(2)]
-    for b, diff in enumerate(diffs):
-        for acc, block in zip(sums[2 * b // SCAN_BATCHES], diff):
-            acc += block
+def _half_sums(batch, sizes: list[int]) -> list[list[np.ndarray]]:
+    """Pass 1 of ``security_scan``: per block, the running sums of the
+    packed blocks D_b = ``batch(b)`` over the first and over the second
+    half of the SCAN_BATCHES batches, each batch freed before the next is
+    drawn."""
+    sums = [[np.zeros(s * (s + 1) // 2, dtype=complex) for _ in range(2)] for s in sizes]
+    for b in range(SCAN_BATCHES):
+        diff = batch(b)
+        for pair, block in zip(sums, diff):
+            pair[2 * b // SCAN_BATCHES] += block
+        del diff, block
     return sums
 
 
@@ -483,7 +550,12 @@ def _leave_one_out(totals: list[np.ndarray], diff: list[np.ndarray]) -> float:
     (total - diff) / (batches - 1) summed over the packed blocks, from the
     batch total and the left-out batch's blocks ``diff``; each block is
     unpacked and solved alone, one (s, s) block beyond the packed ones."""
-    return 0.5 * sum(qcore.trace_norm(_unpack((total - d) / (SCAN_BATCHES - 1))) for total, d in zip(totals, diff))
+    value = 0.0
+    for total, d in zip(totals, diff):
+        gap = np.subtract(total, d)
+        gap /= SCAN_BATCHES - 1
+        value += qcore.trace_norm(_unpack(gap))
+    return 0.5 * value
 
 
 def _jackknife_se(thetas: np.ndarray) -> float:
@@ -494,13 +566,22 @@ def _jackknife_se(thetas: np.ndarray) -> float:
     return float(np.sqrt((batches - 1) / batches * np.sum((thetas - thetas.mean()) ** 2)))
 
 
-def _packed_sign(mean: np.ndarray) -> np.ndarray:
-    """The packed lower triangle of sign(mean) for a packed Hermitian block,
-    its diagonal halved, so that a real product with a packed block D gives
-    tr(sign(mean) D) / 2 (``_witness``)."""
-    s = _packed_side(len(mean))
-    vals, vecs = np.linalg.eigh(_unpack(mean))
-    sign = ((vecs * np.sign(vals)) @ vecs.conj().T).ravel()[_tril_flat(s)]
+def _packed_sign(total: np.ndarray, count: int) -> np.ndarray:
+    """The packed lower triangle of sign(total / count) for a packed
+    Hermitian block ``total``, its diagonal halved, so that a real product
+    with a packed block D gives tr(sign(mean) D) / 2 (``_witness``).  The
+    mean is divided out after unpacking, and V sign(Lambda) V^dag is formed
+    from V sign(Lambda) and V conjugated in place: three (s, s) arrays at
+    most, besides ``eigh``'s own."""
+    s = _packed_side(len(total))
+    mean = _unpack(total)
+    mean /= count
+    vals, vecs = np.linalg.eigh(mean)
+    del mean
+    scaled = vecs * np.sign(vals)
+    sign = scaled @ np.conjugate(vecs, out=vecs).T
+    del scaled, vecs
+    sign = sign.ravel()[_tril_flat(s)]
     sign[np.arange(s) * (np.arange(s) + 3) // 2] /= 2
     return sign
 
@@ -527,16 +608,22 @@ def _two_pass(batch, sizes: list[int]) -> tuple[float, float, np.ndarray]:
       (``_leave_one_out``).
     T, S_0, S_1 and the batch in hand are all it holds at once."""
     half = SCAN_BATCHES // 2
-    sums = _half_sums(map(batch, range(SCAN_BATCHES)), sizes)
-    signs = [[_packed_sign(acc / half) for acc in blocks] for blocks in sums]
-    totals = [np.add(first, second, out=first) for first, second in zip(*sums)]
-    del sums
+    sums = _half_sums(batch, sizes)
+    signs, totals = ([], []), []
+    # block by block: a block's second-half sum is freed once its signs and total are formed
+    while sums:
+        first, second = sums.pop(0)
+        signs[0].append(_packed_sign(first, half))
+        signs[1].append(_packed_sign(second, half))
+        totals.append(np.add(first, second, out=first))
+    del first, second
     raw = 0.5 * sum(qcore.trace_norm(_unpack(total / SCAN_BATCHES)) for total in totals)
     thetas, witnesses = np.zeros(SCAN_BATCHES), np.zeros(SCAN_BATCHES)
     for b in range(SCAN_BATCHES):
         diff = batch(b)
         witnesses[b] = _witness(diff, signs[1 - b // half])
         thetas[b] = _leave_one_out(totals, diff)
+        del diff
     return raw, _jackknife_se(thetas), witnesses
 
 
@@ -586,9 +673,10 @@ def security_scan(
     S_t orbit of basis tuples (``moments.isotypic_bases``), so the blocks
     are read by gathers and no d^t x d^t basis product, transpose or gap is
     formed:
-    - product input: the batch sum of phi_i^(x t) is one Gram product of
-      the vec(phi_i) over their Khatri-Rao powers, read in place at one row
-      per orbit pair (``_orbit_gathers``, ``_product_blocks``);
+    - product input: the batch sum of phi_i^(x t) is a Gram product of the
+      vec(phi_i) over their Khatri-Rao powers, formed one row block at a
+      time and read at one row per orbit pair (``_orbit_gathers``,
+      ``_product_blocks``);
     - joint input: factored as F F^dag and padded in the factor,
       V = F (x) I_(m t) / 2^(m t / 2) with its rows reordered to (msg_1,
       mix_1, ..., msg_t, mix_t, purif), so the padded state is never
@@ -606,7 +694,13 @@ def security_scan(
     half's running sum and once for its witness and leave-one-out values
     (``_two_pass``).  The scan holds the total, the two halves' signs and
     the batch in hand, four batches' worth of packed blocks (4 x 4.2 MB at
-    z = 5, t = 2, where s_lam = 528 and 496), not SCAN_BATCHES.  A joint
+    z = 5, t = 2, where s_lam = 528 and 496), not SCAN_BATCHES.  Beside
+    them it holds, for a product input, one row block of the batch's Gram
+    product, never the whole d^2 x d^(2t-2) of it: the rows of a range of
+    first digits, and the columns from the lowest one their gathers read,
+    at most one batch's packed entries.  The gather plans (int32, about one
+    batch's worth) are built once per (t, d) and cached.  Taking a half's
+    sign or a leave-one-out value unpacks one (s, s) block at a time.  A joint
     input that is not copy-symmetric (to 1e-12), or t beyond
     ``moments.MAX_T``, gets the single identity block.
     """
@@ -636,7 +730,9 @@ def security_scan(
 
             def ciphertexts(draws):
                 w = sample_scrambler_columns(z, mode, draws, columns) * scales
-                return w @ w.conj().swapaxes(-1, -2) / dm
+                phis = w @ w.conj().swapaxes(-1, -2)
+                phis /= dm
+                return phis
 
         else:
 
@@ -653,10 +749,10 @@ def security_scan(
     if symmetric and t <= moments.MAX_T:
         bases = moments.isotypic_bases(t, dz)
     else:
-        bases = (((np.arange(dzt)[:, None], np.ones((1, 1))),),)
+        bases = _identity_basis(dzt)
     sizes = [moments.basis_width(basis) * dq for basis in bases]
     targets = [_packed_target(s, rho_q, dzt) for s in sizes]
-    plans = _orbit_gathers(bases, dz, t) if product else None
+    plans = _product_plans(t, dz) if product else None
 
     rngs = list(spawn_rngs(seed, ("security-scan",), range(SCAN_BATCHES)))
     starts = [rng.bit_generator.state for rng in rngs]
@@ -666,7 +762,7 @@ def security_scan(
         rngs[b].bit_generator.state = starts[b]
         draws = [rngs[b]] * per_batch
         if product:
-            blocks = _product_blocks(_product_batch_gram(ciphertexts(draws), t), plans)
+            blocks = _product_blocks(ciphertexts(draws), t, plans)
         else:
             blocks = _joint_blocks(_joint_batch_factor(sample_scramblers(partition, mode, draws), factor, t), bases, dq)
         for block, (at, values) in zip(blocks, targets):

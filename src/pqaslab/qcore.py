@@ -230,8 +230,9 @@ class Channel:
     exact P0/F' means.  ``apply`` acts on one (d, d) matrix or on a
     (..., d, d) stack of them, each matrix separately.  ``compress`` reads
     the channel's output on a rank-r input through c columns only; the
-    default goes through ``apply``, and only ``UnitaryChannel`` overrides it
-    with a Gram form.
+    default goes through ``apply``.  ``UnitaryChannel`` overrides it with a
+    Gram form, and ``LocalDepolarizingChannel`` acts on the W W^dag it forms,
+    in place, where ``apply`` would work on a copy.
     """
 
     dim: int
@@ -302,7 +303,11 @@ class DepolarizingChannel(Channel):
 
 
 class LocalDepolarizingChannel(Channel):
-    """Single-qubit depolarizing noise applied independently to every qubit."""
+    """Single-qubit depolarizing noise applied independently to every qubit.
+
+    ``apply`` depolarizes a copy of its input; ``compress`` depolarizes the
+    W W^dag stack it has just formed, in place, so it holds one (..., d, d)
+    stack where the default holds two.  Both give the same bits."""
 
     def __init__(self, qubits: int, p: float):
         if not 0.0 <= p <= 1.0:
@@ -312,8 +317,13 @@ class LocalDepolarizingChannel(Channel):
         self.p = p
 
     def apply(self, rho):
-        # per qubit q: rho_q -> (1-p) rho_q + p tr_q(rho) I/2, in place on one copy
-        out = rho.copy()
+        return self._depolarize(rho.copy())
+
+    def compress(self, w, y):
+        return _adjoint(y) @ self._depolarize(w @ _adjoint(w)) @ y
+
+    def _depolarize(self, out):
+        # per qubit q: rho_q -> (1-p) rho_q + p tr_q(rho) I/2, in place
         for q in range(self.qubits):
             right = 2 ** (self.qubits - q - 1)
             t = out.reshape(out.shape[:-2] + (2**q, 2, right, 2**q, 2, right))

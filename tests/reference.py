@@ -209,13 +209,28 @@ def orbit_basis_dense(basis, dim: int) -> np.ndarray:
     return np.hstack(cols)
 
 
+def product_batch_gram(phis: np.ndarray, t: int) -> np.ndarray:
+    """sum_i phi_i^(x t) for a (n, d, d) stack, as the whole d^2 x d^(2t-2)
+    Gram product of the vec(phi_i) against their Khatri-Rao powers of t - 1
+    copies (``flat`` itself at t = 2, a column of ones at t = 1), raveled in
+    the digit order (a_1, c_1, ..., a_t, c_t) of row a and column c.  The
+    scan once formed all of it; ``pqas._product_blocks`` forms it one row
+    block at a time."""
+    n, d, _ = phis.shape
+    flat = phis.reshape(n, d * d)
+    rows = flat if t > 1 else np.ones((n, 1), dtype=complex)
+    for _ in range(t - 2):
+        rows = (rows[:, :, None] * flat[:, None, :]).reshape(n, -1)
+    return (flat.T @ rows).ravel()
+
+
 def product_blocks_dense(gram: np.ndarray, bases, d: int, t: int) -> list[np.ndarray]:
     """The security scan's product-input blocks B^T X B as whole (s, s)
-    arrays, the storage the scan kept before it packed lower triangles: for
-    every orbit pair (each row table against every column table) the raveled
-    ``pqas._product_batch_gram`` product X gathered at the row orbit's first
-    row and contracted with the folded weights, the pieces laid out with
-    ``np.block``."""
+    arrays, gathered from the whole Gram product (``product_batch_gram``),
+    the storage the scan kept before it packed lower triangles: for every
+    orbit pair (each row table against every column table) the raveled
+    product X gathered at the row orbit's first row and contracted with the
+    folded weights, the pieces laid out with ``np.block``."""
     power = d ** np.arange(t - 1, -1, -1)
 
     def digits(flat):

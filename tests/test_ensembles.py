@@ -161,6 +161,27 @@ class TestHaarBuffer:
         normals = np.stack([spawn_rng(27, "buffer", rows, cols, i).standard_normal((2, rows, cols)) for i in range(9)])
         assert got.tobytes() == ensembles._unitarize(ensembles._ginibre(normals)).tobytes()
 
+    @pytest.mark.parametrize("rows,cols", [(4, 4), (16, 2)])
+    def test_runs_of_one_generator_are_the_per_slot_fills(self, rows, cols):
+        """A run of consecutive slots sharing a generator (a scan batch's
+        ``[rng] * per_batch``) is one fill of the run's slots: the normals
+        and the generators' end states are bitwise those of one fill per
+        slot, and distinct generators keep one fill each."""
+
+        def generators():
+            a, b = (spawn_rng(28, "runs", rows, cols, label) for label in "ab")
+            return a, b, [a] * 5 + [b] + [a] * 2 + [b] * 3
+
+        a, b, rngs = generators()
+        got = _haar(rows, cols, rngs)
+        a_ref, b_ref, refs = generators()
+        normals = np.empty((len(refs), 2, rows, cols))
+        for rng, block in zip(refs, normals):
+            rng.standard_normal(out=block)
+        assert got.tobytes() == ensembles._unitarize(ensembles._ginibre(normals)).tobytes()
+        assert a.bit_generator.state == a_ref.bit_generator.state
+        assert b.bit_generator.state == b_ref.bit_generator.state
+
 
 # (n, l, m) layouts: no tag, tag columns interleaved with the mixed register, wide and thin
 TRIAL_LAYOUTS = [(1, 0, 0), (1, 1, 1), (2, 2, 1), (1, 2, 2), (2, 1, 0), (3, 0, 2)]

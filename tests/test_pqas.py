@@ -468,6 +468,23 @@ class TestAuthSweepMatchesPerTrialReference:
     def test_one_key_per_stack_at_z8(self):
         assert [len(ys) for ys in pqas._auth_key_stacks(QubitPartition(4, 2, 2), "haar_exact", 24, 3)] == [1, 1, 1]
 
+    def test_local_depolarizing_sweep_holds_one_output_stack(self):
+        """At z = 6 a stack is 16 keys, and its (16, 64, 64) channel output
+        W W^dag is 1.05 MB.  ``compress`` depolarizes that stack in place,
+        so the sweep holds one of them, besides the stack's tag-|0> columns
+        and the partial products (about 1.4 stacks more; 2.4 in all).  The
+        default ``compress`` depolarized a copy and read 3.4."""
+        part = QubitPartition(2, 2, 2)
+        chan = qcore.LocalDepolarizingChannel(part.z, 0.2)
+        stack = ensembles.stack_size(part.z) * 4**part.z * 16
+        tracemalloc.start()
+        try:
+            pqas.auth_sweep(qcore.basis_ket(4, 0), part, chan, 100, seed=104)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * stack
+
 
 class TestCovariantTamperGivesTheClosedForm:
     """Identity and global depolarizing tamper commute with every scrambler,
@@ -696,9 +713,9 @@ class TestScanMatchesPerTrialReference:
 
 
 class TestOrbitBlocks:
-    """The scan's blocks, read by gathers from the Gram product (q = 0) or
-    from the joint factor W (q = 1), against B^T X B with B from the eigh of
-    the dense projector: equal spectra, to 1e-12."""
+    """The scan's blocks, read by gathers from the Gram product's row blocks
+    (q = 0) or from the joint factor W (q = 1), against B^T X B with B from
+    the eigh of the dense projector: equal spectra, to 1e-12."""
 
     @pytest.mark.parametrize(
         "t,d,q", [(1, 4, 0), (2, 4, 0), (2, 8, 0), (3, 2, 0), (3, 4, 0), (4, 2, 0), (2, 4, 1), (3, 2, 1)]
@@ -712,7 +729,7 @@ class TestOrbitBlocks:
             raw = rng.standard_normal((5, d, d, 2)) @ np.array([1.0, 1j])
             phis = (raw + raw.conj().transpose(0, 2, 1)) / d
             dense = sum(reduce(np.kron, [phi] * t) for phi in phis)
-            blocks = pqas._product_blocks(pqas._product_batch_gram(phis, t), pqas._orbit_gathers(bases, d, t))
+            blocks = pqas._product_blocks(phis, t, pqas._orbit_gathers(bases, d, t))
         else:
             w = rng.standard_normal((d**t * dq, 6, 2)) @ np.array([1.0, 1j]) / d
             dense = w @ w.conj().T
@@ -731,25 +748,114 @@ class TestOrbitBlocks:
         # the single block a product input gets beyond moments.MAX_T
         rng = spawn_rng(44, "identity-basis", t, d)
         phis = rng.standard_normal((3, d, d, 2)) @ np.array([1.0, 1j])
-        identity = (((np.arange(d**t)[:, None], np.ones((1, 1))),),)
-        (block,) = pqas._product_blocks(pqas._product_batch_gram(phis, t), pqas._orbit_gathers(identity, d, t))
+        (block,) = pqas._product_blocks(phis, t, pqas._orbit_gathers(pqas._identity_basis(d**t), d, t))
         assert np.max(np.abs(block - _pack(sum(reduce(np.kron, [phi] * t) for phi in phis)))) <= 1e-12
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_gram_is_bitwise_the_khatri_rao_power_from_ones(self, t):
-        # the power starts from flat itself, so t = 2 is flat^T flat on one buffer: the same bits
+        # the power starts from flat itself, so at t = 2 the whole product was flat^T flat on one buffer: the same bits
         phis = spawn_rng(45, "gram", t).standard_normal((7, 8, 8, 2)) @ np.array([1.0, 1j])
         flat = phis.reshape(7, 64)
         rows = np.ones((7, 1), dtype=complex)
         for _ in range(t - 1):
             rows = (rows[:, :, None] * flat[:, None, :]).reshape(7, -1)
-        assert np.array_equal(pqas._product_batch_gram(phis, t), (flat.T @ rows).ravel())
+        bases = moments.isotypic_bases(t, 8)
+        blocks = pqas._product_blocks(phis, t, pqas._orbit_gathers(bases, 8, t))
+        dense = reference.product_blocks_dense((flat.T @ rows).ravel(), bases, 8, t)
+        assert all(np.array_equal(block, _pack(full)) for block, full in zip(blocks, dense))
 
     def test_scan_builds_no_dense_projector(self, monkeypatch):
         moments.isotypic_bases.cache_clear()
         monkeypatch.setattr(moments, "_perm_sum", lambda *a: pytest.fail("dense permutation sum"))
         rep = pqas.security_scan(QubitPartition(1, 1, 2), qcore.pure_dm(qcore.basis_ket(2, 0)), 2, 100, seed=3)
         assert rep.lower <= rep.upper
+
+
+def _density_stack(rng, n: int, d: int) -> np.ndarray:
+    """n random density matrices of dimension d: a batch of ciphertexts' scale."""
+    g = rng.standard_normal((n, d, d, 2)) @ np.array([1.0, 1j])
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+# (t, d, basis): the isotypic blocks of product scans at t = 1, 2, 3, and the identity block; d = 2 has fewer
+# than 8 rows per first digit, and at (3, 8) and (4, 4) a row block splits a gather down to one orbit pair
+ROW_BLOCK_CASES = (
+    [(1, d, "isotypic") for d in (2, 4, 8, 16, 32)]
+    + [(2, d, "isotypic") for d in (2, 4, 8, 16, 32)]
+    + [(3, 2, "isotypic"), (3, 4, "isotypic"), (3, 8, "isotypic"), (4, 4, "isotypic")]
+    + [(1, 16, "identity"), (2, 4, "identity"), (2, 8, "identity"), (3, 4, "identity")]
+)
+
+
+def _row_block_plans(t: int, d: int, basis: str):
+    bases = moments.isotypic_bases(t, d) if basis == "isotypic" else pqas._identity_basis(d**t)
+    return bases, pqas._orbit_gathers(bases, d, t)
+
+
+class TestRowBlockGathers:
+    """A batch's Gram product is formed one row block at a time, never
+    whole, and its gathers give the blocks that the whole product
+    (``reference.product_batch_gram``) gathered by
+    ``reference.product_blocks_dense`` gives: bitwise up to 256 trials per
+    batch, and to 1e-14 beyond."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 256])
+    @pytest.mark.parametrize("t,d,basis", ROW_BLOCK_CASES)
+    def test_bitwise_the_full_gram_gathers(self, t, d, basis, trials):
+        phis = _density_stack(spawn_rng(46, "row-blocks", t, d, basis, trials), trials, d)
+        bases, plans = _row_block_plans(t, d, basis)
+        blocks = pqas._product_blocks(phis, t, plans)
+        full = reference.product_blocks_dense(reference.product_batch_gram(phis, t), bases, d, t)
+        assert len(blocks) == len(full)
+        assert all(np.array_equal(block, _pack(dense)) for block, dense in zip(blocks, full))
+
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_past_256_trials_agrees_to_1e14(self, d):
+        # past 256 trials BLAS splits the sum over trials, and the whole product was a symmetric rank-k update
+        phis = _density_stack(spawn_rng(47, "row-blocks-300", d), 300, d)
+        bases = moments.isotypic_bases(2, d)
+        blocks = pqas._product_blocks(phis, 2, pqas._product_plans(2, d))
+        full = reference.product_blocks_dense(reference.product_batch_gram(phis, 2), bases, d, 2)
+        assert max(np.max(np.abs(block - _pack(dense))) for block, dense in zip(blocks, full)) <= 1e-14
+
+    @pytest.mark.parametrize("t,d,basis", ROW_BLOCK_CASES)
+    def test_a_row_block_holds_at_most_one_batch(self, t, d, basis):
+        _, (sizes, row_blocks) = _row_block_plans(t, d, basis)
+        packed = sum(s * (s + 1) // 2 for s in sizes)
+        width = d ** (2 * t - 2)
+        # the blocks take the rows in order, whole first digits and 8 rows (or all of them) at a time
+        bounds = [(rows.start, rows.stop) for rows, _, _ in row_blocks]
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == d * d
+        fewest = min(d * d, max(d, 8))
+        assert all(lo % fewest == 0 and hi % fewest == 0 for lo, hi in bounds)
+        formed = 0
+        for rows, cols, _ in row_blocks:
+            size = (rows.stop - rows.start) * (cols.stop - cols.start)
+            assert size <= packed or rows.stop - rows.start == fewest
+            assert cols.stop == width and cols.start % 8 == 0
+            formed += size
+        # no gather reads a row block's first columns below its first digit: about half of them drop out
+        if t > 1 and basis == "isotypic" and d >= 8:
+            assert formed < 0.75 * d * d * width
+
+    def test_plans_are_built_once_per_t_and_d_and_read_only_int32(self, monkeypatch):
+        pqas._product_plans.cache_clear()
+        builds = []
+        monkeypatch.setattr(pqas, "_orbit_gathers", _recording(builds, pqas._orbit_gathers))
+        part, rho = QubitPartition(1, 1, 1), qcore.pure_dm(qcore.basis_ket(2, 0))
+        for seed in (1, 2):
+            pqas.security_scan(part, rho, 2, 100, seed=seed)
+        assert len(builds) == 1
+        pqas.security_scan(part, rho, 1, 100, seed=1)
+        assert len(builds) == 2
+        for _, row_blocks in builds:
+            for _, _, gathers in row_blocks:
+                for _, at, k, keep, dest in gathers:
+                    assert at.dtype == keep.dtype == dest.dtype == np.int32
+                    assert not any(a.flags.writeable for a in (at, k, keep, dest))
+        tril = pqas._tril_flat(36)
+        assert tril.dtype == np.int32 and not tril.flags.writeable and pqas._tril_flat(36) is tril
 
 
 class TestPackedScanStorage:
@@ -762,17 +868,18 @@ class TestPackedScanStorage:
     def test_raw_estimate_is_bitwise_the_dense_storage(self, part, t, mode, monkeypatch):
         rho = 0.7 * qcore.pure_dm(qcore.basis_ket(2, 0)) + 0.3 * reference.maximally_mixed(1)
         trials, seed = 200, 31
-        grams = []
-        monkeypatch.setattr(pqas, "_product_batch_gram", _recording(grams, pqas._product_batch_gram))
+        stacks = []
+        product_blocks = pqas._product_blocks
+        monkeypatch.setattr(pqas, "_product_blocks", lambda phis, *rest: stacks.append(phis) or product_blocks(phis, *rest))
         rep = pqas.security_scan(part, rho, t, trials, seed=seed, mode=mode)
         # each batch is drawn twice, bitwise alike
         batches = pqas.SCAN_BATCHES
-        assert len(grams) == 2 * batches and all(np.array_equal(a, b) for a, b in zip(grams[:batches], grams[batches:]))
+        assert len(stacks) == 2 * batches and all(np.array_equal(a, b) for a, b in zip(stacks[:batches], stacks[batches:]))
         d = 2**part.z
         bases = moments.isotypic_bases(t, d)
         diffs = [[] for _ in bases]
-        for gram in grams[:batches]:
-            for block, diff in zip(reference.product_blocks_dense(gram, bases, d, t), diffs):
+        for phis in stacks[:batches]:
+            for block, diff in zip(reference.product_blocks_dense(reference.product_batch_gram(phis, t), bases, d, t), diffs):
                 diff.append(block / (trials // batches) - np.eye(len(block)) / d**t)
         # the scan sums each half of the batches, then adds the halves
         means = [(sum(diff[: batches // 2]) + sum(diff[batches // 2 :])) / batches for diff in diffs]
@@ -781,10 +888,15 @@ class TestPackedScanStorage:
     def test_peak_is_below_the_dense_storage(self):
         """At z = 4, t = 2 a batch is 265 kB packed (s = 136 and 120).  The
         scan holds the total, two signs and the batch in hand (4 batches'
-        worth), the batch's Gram product (d^4 entries, 4 batches' worth) and
-        the gather plans (2 batches' worth): about 13 in all.  Storing all
-        20 batches, as the scan once did, reads about 30."""
+        worth), one row block of the batch's Gram product (at most 1), the
+        gather plans (about 1) and, while it takes a half's sign, three
+        (s, s) blocks (about 3): about 9 in all, and it reads 7.5 with cold
+        caches.  Forming the whole Gram product (d^4 entries, 4 batches'
+        worth) read 12.4; storing all 20 batches, as the scan once did,
+        reads about 30."""
         rho = qcore.pure_dm(qcore.basis_ket(2, 0))
+        for cache in (moments.isotypic_bases, pqas._product_plans, pqas._tril_flat):
+            cache.cache_clear()
         tracemalloc.start()
         try:
             pqas.security_scan(QubitPartition(1, 1, 2), rho, 2, 200, seed=32)
@@ -793,7 +905,7 @@ class TestPackedScanStorage:
             tracemalloc.stop()
         # the 20 dense (s, s) complex blocks of the first stored-batch storage
         assert peak < pqas.SCAN_BATCHES * (136**2 + 120**2) * 16
-        assert peak < 16 * (136 * 137 // 2 + 120 * 121 // 2) * 16
+        assert peak < 11 * (136 * 137 // 2 + 120 * 121 // 2) * 16
 
 
 def _pack(dense):

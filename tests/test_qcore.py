@@ -409,3 +409,12 @@ class TestGramForms:
             assert np.max(np.abs(got - reference.compress_reference(chan, w, y))) <= 1e-12
             # one (d, r) W and (d, c) Y, no stack axis
             assert np.max(np.abs(chan.compress(w[0, 0], y[0, 0]) - got[0, 0])) <= 1e-12
+
+    @pytest.mark.parametrize("z", [1, 3, 6])
+    def test_local_depolarizing_in_place_is_bitwise_the_default(self, z):
+        # compress depolarizes the W W^dag it forms; the default form goes through apply, which copies it
+        rng = spawn_rng(23, "local-dep-compress", z)
+        w = rng.standard_normal((3, 2**z, 4, 2)) @ np.array([1.0, 1j])
+        y = rng.standard_normal((3, 2**z, 5, 2)) @ np.array([1.0, 1j])
+        chan = qcore.LocalDepolarizingChannel(z, 0.2)
+        assert np.array_equal(chan.compress(w, y), qcore.Channel.compress(chan, w, y))

@@ -12,8 +12,9 @@ side that runs first alternates per pair):
   change was not tuned on;
 - ``per_layer``: TRACE_PAIRS pairs at ``--trace 1``;
 - ``scan_memory``: the tracemalloc peak and wall time of ``harness.run`` on
-  the security-scan configs in SCAN_POINTS, SCAN_PAIRS pairs, each run in a
-  fresh process.
+  the configs in SCAN_POINTS (security scans, and oracle-sweep's z = 6
+  local-depolarizing auth sweep), SCAN_PAIRS pairs, each run in a fresh
+  process.
 
 Each value is the median over the pairs, with every run listed in pair
 order and the quartiles (``statistics.quantiles``, inclusive method).  An
@@ -41,16 +42,22 @@ RUN_SECONDS = BENCHMARK["run_seconds"]
 END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
 # (label, config): the m = 2 point of configs/security_scan.json, the
-# largest product scan the qubit cap admits, a joint (GHZ) input and a
-# keyed (composed) scan, which builds every trial key twice, run through
-# the harness so that the probe reads only the config format, not the
-# scan's signature
+# largest product scan the qubit cap admits, a joint (GHZ) input, a keyed
+# (composed) scan, which builds every trial key twice, and the largest
+# local-depolarizing auth sweep of perfbench's oracle-sweep, run through the
+# harness so that the probe reads only the config format, not the
+# signatures
 _SCAN = {"experiment": "security-scan", "n": 1, "l": 1, "t": 2, "seed": 11}
 SCAN_POINTS = (
     ("security_scan.json m=2 point", {**_SCAN, "m": 2, "trials": 2000}),
     ("z=5 t=2 scan, 40 trials", {**_SCAN, "m": 3, "trials": 40}),
     ("joint input m=2 q=1, 200 trials", {**_SCAN, "m": 2, "q": 1, "trials": 200}),
     ("composed m=1, 200 trials", {**_SCAN, "m": 1, "trials": 200, "mode": "composed"}),
+    (
+        "auth-sweep local_depolarizing z=6, 100 trials",
+        {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 2, "trials": 100, "seed": 104,
+         "channel": {"kind": "local_depolarizing", "p": 0.2}},
+    ),
 )
 
 SCAN_PROBE = """
