@@ -9,10 +9,11 @@ and 2n uniform sign bits fix the Pauli part.  The group has
 
 elements; see :func:`symplectic_group_order`.
 
-The dense unitary is rebuilt from the tableau without circuit synthesis:
-the column U|x> equals (prod_i Qi^{x_i}) |phi0>, where Qi is the signed Pauli
-image of X_i and |phi0> is the unique state stabilized by the signed images
-of the Z_i.  The 2n signed images are one pair of (2n, 2^n) tables, a source
+The unitary is rebuilt from the tableau without circuit synthesis, any
+selection of its columns or all of them: the column U|x> equals
+(prod_i Qi^{x_i}) |phi0>, where Qi is the signed Pauli image of X_i and
+|phi0> is the unique state stabilized by the signed images of the Z_i.
+The 2n signed images are one pair of (2n, 2^n) tables, a source
 index and an amplitude per basis state, computed with integer bit operations
 over every tableau row at once (``_signed_paulis``).  The global phase is
 fixed canonically so key-seeded sampling is bitwise reproducible.
@@ -137,24 +138,50 @@ def _stabilized_state(source: np.ndarray, amps: np.ndarray) -> np.ndarray:
     raise ArithmeticError("no stabilized state found; tableau is inconsistent")
 
 
-def clifford_dense_from_tableau(n: int, rows: list[int], signs: np.ndarray) -> np.ndarray:
-    """Dense unitary whose conjugation action realizes the tableau.
+def clifford_columns(n: int, tableaus, cols=None) -> np.ndarray:
+    """Columns U|x>, x in ``cols`` (an index array; every x by default), of
+    the unitary whose conjugation action realizes each tableau, as a
+    (len(tableaus), 2^n, len(cols)) stack.
 
-    ``rows`` are the symplectic rows as ints (see ``_symplectic_rows``): row
-    2i is the image of X_i, row 2i+1 the image of Z_i, with sign bits
-    attached per row.
+    A tableau is (rows, signs): the symplectic rows as ints (see
+    ``_symplectic_rows``), row 2i the image of X_i and row 2i+1 the image of
+    Z_i, with sign bits attached per row.  U|x> is the X image of the qubit
+    holding x's lowest set bit applied to U|prev>, prev = x with that bit
+    cleared, so a column needs the chain of x down to U|0> = |phi0>.  Every
+    column on the chains of the selection is built once, all those whose
+    lowest set bit is b at once, from b = n - 1 (qubit 0) down: each column
+    is the same products in any selection or stack, so bitwise the same,
+    and the dense unitaries are the selection of every column, built in
+    place.
     """
-    dim = 2**n
-    source, amps = _signed_paulis(n, rows, signs)
-    cols = np.empty((dim, dim), dtype=complex)  # row x holds the column U|x>
-    cols[0] = _stabilized_state(source[1::2], amps[1::2])
-    # U|x> is the X image of the qubit holding x's lowest set bit applied to
-    # U|prev>, prev = x with that bit cleared; all columns whose lowest set
-    # bit is b are built at once, from b = n - 1 (qubit 0) down
+    dim, k = 2**n, len(tableaus)
+    sel = np.arange(dim) if cols is None else np.asarray(cols)
+    out = np.empty((k, dim, len(sel)), dtype=complex)
+    source, amps = _signed_paulis(n, [row for rows, _ in tableaus for row in rows], [s for _, signs in tableaus for s in signs])
+    source, amps = source.reshape(k, 2 * n, dim), amps.reshape(k, 2 * n, dim)
+    offset = dim * np.arange(k)[:, None]  # tableau i's rows in the (k dim, cols) view of the stack
+    # the chain of x is x with its lowest j bits cleared, j = 0 .. n; at[x]
+    # is a chain column's position among them
+    need = np.zeros(dim, dtype=bool)
+    need[sel[:, None] & -(1 << np.arange(n + 1))] = True
+    chain, at = np.flatnonzero(need), np.cumsum(need) - 1
+    whole = chain.size == sel.size and np.array_equal(chain, sel)
+    work = out if whole else np.empty((k, dim, chain.size), dtype=complex)
+    for w, src, amp in zip(work, source, amps):
+        w[:, 0] = _stabilized_state(src[1::2], amp[1::2])
     for q in range(n):
-        step = dim >> q
-        cols[step // 2 :: step] = amps[2 * q] * cols[::step, source[2 * q]]
-    return np.ascontiguousarray(cols.T)
+        bit = dim >> q + 1
+        if chain.size == dim:  # every column: those with lowest set bit b are b, 3b, 5b, ...
+            child, parent = slice(bit, None, 2 * bit), slice(0, None, 2 * bit)
+        else:
+            child = np.flatnonzero((chain & 2 * bit - 1) == bit)
+            parent = at[chain[child] ^ bit]
+        step = work[:, :, parent].reshape(k * dim, -1).take((source[:, 2 * q] + offset).ravel(), axis=0)
+        step *= amps[:, 2 * q].reshape(-1, 1)
+        work[:, :, child] = step.reshape(k, dim, -1)
+    if not whole:
+        out[...] = work[:, :, at[sel]]
+    return out
 
 
 def _uniform_index(order: int, rng: np.random.Generator) -> int:
@@ -167,8 +194,8 @@ def _uniform_index(order: int, rng: np.random.Generator) -> int:
             return raw
 
 
-def sample_clifford_dense(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random n-qubit Clifford as a dense unitary."""
+def sample_tableau(n: int, rng: np.random.Generator) -> tuple[list[int], np.ndarray]:
+    """Uniformly random n-qubit Clifford tableau: the symplectic rows of a
+    uniform Sp(2n, 2) index, then 2n sign bits."""
     rows = _symplectic_rows(_uniform_index(symplectic_group_order(n), rng), n)
-    signs = rng.integers(0, 2, size=2 * n)
-    return clifford_dense_from_tableau(n, rows, signs)
+    return rows, rng.integers(0, 2, size=2 * n)

@@ -26,11 +26,14 @@ straight onto the product of the other two factors.
 
 U only ever acts on a padded input rho (x) |0><0|_tag (x) I_m, so most
 readers need a fixed block of its columns, and ``build_scramblers`` builds
-just that block when given a column selection: the keyed Haar factor is
-still drawn and QR'd whole (its draw is the key's), but it multiplies only
-the Clifford's selected columns, and the brickwork acts on the (d, cols)
-block; ``pru_only`` starts from the identity's columns and keyed
-``haar_exact`` slices its whole draw.  A block is built a multiple of
+just that block when given a column selection.  No keyed factor is formed
+as a d x d matrix for it: the keyed Haar draw is QR'd whole (its draw is
+the key's) and acts from its Householder reflectors
+(``_apply_householder``) on the Clifford's selected columns, which alone
+are synthesized (``_clifford.clifford_columns``), or on the identity's in
+keyed ``haar_exact``; the brickwork acts on the (d, cols) block, and
+``pru_only`` starts from the identity's columns.  A whole unitary is the
+selection of every column.  A block is built a multiple of
 MIN_BLOCK = 4 columns wide (the selection repeated to fill it) and then
 sliced: BLAS takes other kernels for the last one to three columns of a
 product, so only such a block is bitwise the full build's columns.  The
@@ -70,7 +73,7 @@ from functools import wraps
 import numpy as np
 
 from . import qcore
-from ._clifford import sample_clifford_dense
+from ._clifford import clifford_columns, sample_tableau
 from ._streams import GENERATOR_ID, keyed_rng
 
 __all__ = [
@@ -139,10 +142,11 @@ class ScramblerSpec:
 
 
 # Complex entries in the output of one stack of keyed unitaries: 64 keys at
-# z = 5, one at z >= 8.  It caps the stack, not its build: the gate draws, their
-# QR, the Haar and Clifford factors and the merged brickwork halves peak at
-# several times the output (4.8 MB of numpy allocations for a 0.5 MB stack of
-# 128 keys at z = 4, 7.5 MB for a full 1 MB chunk at z = 5, by tracemalloc).
+# z = 5, one at z >= 8.  It caps the stack, not its build: the gate draws and
+# their QR, the keyed Haar draw and its QR, and the brickwork's products peak
+# at several times the output (in composed mode, 4.0 MB of numpy allocations
+# for a 0.5 MB stack of 128 keys at z = 4, 5.3 MB for a full 1 MB chunk at
+# z = 5, by tracemalloc).
 STACK_ENTRIES = 2**16
 
 
@@ -155,10 +159,27 @@ def stack_size(z: int) -> int:
 # samplers
 
 
+def _normals(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
+    """(len(rngs), *shape) standard normals, slot i drawn from rngs[i], in
+    one preallocated buffer with one fill per run of consecutive slots that
+    share a generator: a generator fills sequentially, so each slot holds
+    the normals it would draw alone, and the generator ends where that many
+    lone draws leave it."""
+    normals = np.empty((len(rngs), *shape))
+    start = 0
+    for rng, run in itertools.groupby(rngs):
+        stop = start + sum(1 for _ in run)
+        rng.standard_normal(out=normals[start:stop])
+        start = stop
+    return normals
+
+
 def _ginibre(normals: np.ndarray) -> np.ndarray:
     """Ginibre matrices from (..., 2, dim, dim) standard normals, the real and
     then the imaginary part of each."""
-    g = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    g = np.empty(normals.shape[:-3] + normals.shape[-2:], dtype=complex)
+    g.real = normals[..., 0, :, :]
+    g.imag = normals[..., 1, :, :]
     g /= np.sqrt(2.0)
     return g
 
@@ -176,20 +197,58 @@ def _unitarize(g: np.ndarray) -> np.ndarray:
 def _haar(rows: int, cols: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Stack of Haar isometries, one (rows, cols) matrix per generator, each
     drawn as one (2, rows, cols) block of standard normals (real part, then
-    imaginary) and thin-QR'd.  The Q factor of a thin Ginibre block is
-    distributed as any cols columns of a Haar unitary (Mezzadri, Notices AMS
-    54, 2007); cols == rows gives Haar unitaries.  The normals go into one
-    preallocated buffer, one fill per run of consecutive slots that share a
-    generator: a generator fills sequentially, so each slot holds the
-    normals it would draw alone, and the generator ends where that many
-    lone draws leave it."""
-    normals = np.empty((len(rngs), 2, rows, cols))
-    start = 0
-    for rng, run in itertools.groupby(rngs):
-        stop = start + sum(1 for _ in run)
-        rng.standard_normal(out=normals[start:stop])
-        start = stop
-    return _unitarize(_ginibre(normals))
+    imaginary; see ``_normals``) and thin-QR'd.  The Q factor of a thin
+    Ginibre block is distributed as any cols columns of a Haar unitary
+    (Mezzadri, Notices AMS 54, 2007); cols == rows gives Haar unitaries."""
+    return _unitarize(_ginibre(_normals(rngs, (2, rows, cols))))
+
+
+# Reflectors per compact-WY panel of ``_apply_householder``.
+PANEL = 32
+
+
+def _householder(rngs: Sequence[np.random.Generator], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Haar unitaries U = Q diag(phase) of the d x d Ginibre blocks that
+    ``_haar(d, d, rngs)`` draws, kept factored: LAPACK's Householder QR of
+    each block (R on and above the diagonal, Q's reflectors below it) and
+    the reflectors' scalars tau, shapes (k, d, d) and (k, d); phase is R's
+    diagonal over its modulus.  Q is never formed; U acts through
+    ``_apply_householder``."""
+    h, tau = np.linalg.qr(_ginibre(_normals(rngs, (2, d, d))), mode="raw")
+    return h.swapaxes(-1, -2), tau
+
+
+def _apply_householder(a: np.ndarray, tau: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u <- U u in place for each factored Haar unitary U = Q diag(phase) of
+    ``_householder`` and the matching (d, cols) entry of the stack u; a is
+    spent (each panel's columns are overwritten with its reflectors).
+
+    Q = H_1 ... H_d, H_i = I - tau_i v_i v_i^H, is applied in compact-WY
+    panels of PANEL reflectors, last panel first (Schreiber and Van Loan,
+    SIAM J. Sci. Stat. Comput. 10, 1989): a panel's product is I - V T V^H
+    with T^-1 = striu(V^H V) + diag(1/tau) and acts on the rows at or below
+    its first reflector.  Each step multiplies u's columns by operands that
+    do not depend on u, so a block a multiple of MIN_BLOCK columns wide is
+    bitwise those columns of the whole product.
+    """
+    d = a.shape[-1]
+    r = np.diagonal(a, axis1=-2, axis2=-1)
+    u *= (r / np.abs(r))[..., None]
+    for j in reversed(range(0, d, PANEL)):
+        v = a[:, j:, j : j + PANEL]  # V in place of R's columns, unit lower triangular
+        b = v.shape[-1]
+        upper, diag = np.triu_indices(b), (slice(None), range(b), range(b))
+        v[:, upper[0], upper[1]] = 0.0
+        v[diag] = 1.0
+        # a zero tau is the identity: drop its reflector, not divide by zero
+        panel_tau = tau[:, j : j + b]
+        v *= (panel_tau != 0)[:, None, :]
+        t = v.conj().swapaxes(-1, -2) @ v
+        t[:, upper[1], upper[0]] = 0.0  # striu(V^H V) + diag(1/tau), inverted
+        t[diag] = 1.0 / np.where(panel_tau != 0, panel_tau, 1.0)
+        t = np.linalg.inv(t)
+        u[:, j:] -= v @ (t @ (v.conj().swapaxes(-1, -2) @ u[:, j:]))
+    return u
 
 
 def sample_haar_batch(z: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -212,7 +271,7 @@ def sample_clifford(z: int, source) -> np.ndarray:
     """
     qcore.check_qubits(z)
     rng = keyed_rng(source, "clifford", z) if isinstance(source, bytes) else source
-    return sample_clifford_dense(z, rng)
+    return clifford_columns(z, [sample_tableau(z, rng)])[0]
 
 
 def _layer_blocks(z: int, layer: int) -> list[tuple[int, int]]:
@@ -286,7 +345,7 @@ def sample_pru_surrogate(
     # per stream, the two-qubit gates are drawn first
     gates = {}
     for w in (2, 1):
-        g = _ginibre(np.stack([rng.standard_normal((widths.count(w), 2, 2**w, 2**w)) for rng in rngs]))
+        g = _ginibre(_normals(rngs, (widths.count(w), 2, 2**w, 2**w)))
         gates[w] = iter(np.moveaxis(_unitarize(g), 1, 0))
     eye = np.broadcast_to(np.eye(2, dtype=complex), (k, 2, 2))
     halves = []
@@ -325,22 +384,39 @@ def sample_pru_surrogate(
 MIN_BLOCK = 4
 
 
-def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols) -> np.ndarray:
-    """One chunk of ``build_scramblers``: columns ``cols`` (an index array, or
-    ``slice(None)`` for all) of each key's unitary."""
+def _haar_block(keys: Sequence[SecretKey], z: int, mode: str, cols) -> np.ndarray:
+    """Columns ``cols`` (an index array, or None for all) of each key's
+    keyed Haar factor applied to the identity (``haar_exact``) or to the
+    key's Clifford (``composed``).  The Haar draw and its QR are whole (the
+    draw is the key's) and come first, so the QR's workspace is freed before
+    the block is made; the factor acts from its reflectors."""
     d = 2**z
-    if spec.mode == "haar_exact":
-        return _haar(d, d, [keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys])[:, :, cols]
-    if spec.mode == "composed":
+    if mode == "haar_exact":
+        haar = _householder([keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys], d)
+        sel = np.arange(d) if cols is None else cols
+        u = np.zeros((len(keys), d, len(sel)), dtype=complex)
+        u[:, sel, np.arange(len(sel))] = 1.0
+    else:
         # keyed exact-Haar stand-in for the approximate 4-design factor: an
         # exact Haar draw realizes every t-design with zero error
-        v_4 = _haar(d, d, [keyed_rng(key.k2, "design4", z) for key in keys])
-        v_2 = np.stack([sample_clifford(z, key.k3) for key in keys])
-        u = v_4 @ v_2[:, :, cols]
-    else:
-        eye = np.eye(d, dtype=complex)[:, cols]
-        u = np.broadcast_to(eye, (len(keys), *eye.shape))
-    return sample_pru_surrogate(z, [key.k1 for key in keys], 4 * z, u)
+        haar = _householder([keyed_rng(key.k2, "design4", z) for key in keys], d)
+        tableaus = [sample_tableau(z, keyed_rng(key.k3, "clifford", z)) for key in keys]
+        u = clifford_columns(z, tableaus, cols)
+    return _apply_householder(*haar, u)
+
+
+def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols) -> np.ndarray:
+    """One chunk of ``build_scramblers``: columns ``cols`` (an index array, or
+    None for all) of each key's unitary."""
+    if spec.mode == "haar_exact":
+        return _haar_block(keys, z, spec.mode, cols)
+    k1s = [key.k1 for key in keys]
+    if spec.mode == "composed":
+        # the block is referenced by the brickwork's argument alone, so each
+        # of its products frees the one before
+        return sample_pru_surrogate(z, k1s, 4 * z, _haar_block(keys, z, spec.mode, cols))
+    eye = np.eye(2**z, dtype=complex)[:, slice(None) if cols is None else cols]
+    return sample_pru_surrogate(z, k1s, 4 * z, np.broadcast_to(eye, (len(keys), *eye.shape)))
 
 
 def build_scramblers(
@@ -353,8 +429,9 @@ def build_scramblers(
     Entry i is bitwise what ``[keys[i]]`` alone gives, and a column block is
     bitwise those columns of the full build (see the module docstring).  The
     stack is built in chunks of ``stack_size(z)`` keys.  In ``composed`` mode
-    the brickwork of ``sample_pru_surrogate`` is applied straight onto the
-    product v_4 v_2 of the keyed Haar factor and the Clifford's columns.  A
+    the Clifford's columns are built into the stack, the keyed Haar factor
+    acts on them in place from its reflectors, and the brickwork of
+    ``sample_pru_surrogate`` is applied straight onto that block.  A
     selection is built padded to a multiple of MIN_BLOCK columns (repeating
     it) and sliced, or as the whole unitary if that would fill d columns.
     """
@@ -362,7 +439,7 @@ def build_scramblers(
     size = stack_size(z)
     width = None if cols is None else -(-len(cols) // MIN_BLOCK) * MIN_BLOCK
     if width is None or width >= 2**z:
-        sel, pick = slice(None), cols  # the whole unitary
+        sel, pick = None, cols  # the whole unitary
     else:
         sel, pick = np.resize(cols, width), slice(len(cols))
     chunks = [_build_stack(keys[i : i + size], z, spec, sel) for i in range(0, len(keys), size)]
@@ -424,10 +501,12 @@ def build_scrambler(key: SecretKey, z: int, spec: ScramblerSpec) -> np.ndarray:
 
     Cached (see ``_scrambler_cache``: at most 64 keys and 2^22 complex
     entries): encrypt/decrypt/verify calls with the same key reuse the
-    matrix, so it is returned read-only, as an array that owns its memory
-    (no writable base to reach it through).
+    matrix, so it is returned read-only, and so is the one-key stack it
+    views, which nothing else holds: no writable array reaches its memory,
+    and no copy is made.
     """
-    u = build_scramblers([key], z, spec)[0].copy()
+    u = build_scramblers([key], z, spec)[0]
+    u.base.flags.writeable = False
     u.flags.writeable = False
     return u
 

@@ -10,8 +10,8 @@ from functools import reduce
 
 import numpy as np
 
-from pqaslab import moments, pqas, qcore
-from pqaslab._streams import derive_bytes, spawn_rng
+from pqaslab import ensembles, moments, pqas, qcore
+from pqaslab._streams import derive_bytes, keyed_rng, spawn_rng
 from pqaslab.ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.moments import Perm
 from pqaslab.qcore import HERMITICITY_TOL, PSD_TOL, UNITARITY_TOL, Channel, QubitPartition
@@ -282,6 +282,20 @@ def ginibre_qr(rng, rows, cols):
     g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def keyed_unitary_dense(key: SecretKey, z: int, mode: str) -> np.ndarray:
+    """The keyed unitary of ``composed`` or ``haar_exact`` mode with every
+    factor formed as a d x d matrix: the keyed Haar factor as the
+    reduced-QR Q of its Ginibre draw with the R phases moved in
+    (``ginibre_qr`` on the factor's stream), times the dense Clifford in
+    ``composed`` mode, then the brickwork.  ``build_scramblers`` applies the
+    Haar factor from its reflectors and agrees to rounding."""
+    d = 2**z
+    if mode == "haar_exact":
+        return ginibre_qr(keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z), d, d)
+    u = ginibre_qr(keyed_rng(key.k2, "design4", z), d, d) @ ensembles.sample_clifford(z, key.k3)
+    return ensembles.sample_pru_surrogate(z, [key.k1], 4 * z, u[None])[0]
 
 
 def embed_tag_columns(y: np.ndarray, partition: QubitPartition) -> np.ndarray:

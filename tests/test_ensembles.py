@@ -9,13 +9,14 @@ composed scrambler.
 
 import hashlib
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from pqaslab import ensembles, moments, pqas, qcore
-from pqaslab._clifford import _signed_paulis, _symplectic_rows, symplectic_group_order
+from pqaslab._clifford import _signed_paulis, _symplectic_rows, clifford_columns, sample_tableau, symplectic_group_order
 from pqaslab._streams import keyed_rng, spawn_rng
 from pqaslab.ensembles import (
     ScramblerSpec,
@@ -274,6 +275,89 @@ class TestColumnBuilds:
         build_scrambler.cache_clear()
 
 
+class TestKeyedFactors:
+    """The keyed Haar factor acts from its Householder reflectors and the
+    Clifford is built column by column, so a block forms neither as a d x d
+    matrix; ``reference.keyed_unitary_dense`` forms both."""
+
+    @pytest.mark.parametrize("mode", ["composed", "haar_exact"])
+    @pytest.mark.parametrize("z", range(1, 9))
+    def test_builds_match_the_dense_oracle(self, mode, z):
+        spec = ScramblerSpec(mode)
+        d = 2**z
+        keys = [SecretKey.generate(spawn_rng(43, "dense-oracle", mode, z, i)) for i in range(2)]
+        dense = np.stack([reference.keyed_unitary_dense(key, z, mode) for key in keys])
+        assert np.max(np.abs(build_scramblers(keys, z, spec) - dense)) <= 1e-12
+        for cols in map(np.asarray, ([d - 1], [1, 0, 1], np.arange(d)[::-2], np.arange(2 ** (z - 1)))):
+            assert np.max(np.abs(build_scramblers(keys, z, spec, cols) - dense[:, :, cols])) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 5, 32, 70])
+    def test_panels_are_the_reflector_product(self, d):
+        # one short panel (d = 2, 5), one full panel (32), three with a short
+        # last one (70); a zero tau is the identity, its stored vector unread
+        a, tau = ensembles._householder([spawn_rng(46, "panels", d, i) for i in range(2)], d)
+        tau[1, d // 2] = 0.0
+        u = ensembles._ginibre(spawn_rng(46, "block", d).standard_normal((2, 2, d, 3)))
+        for i in range(2):
+            dense = np.diag(np.diagonal(a[i]) / np.abs(np.diagonal(a[i]))).astype(complex)
+            for j in reversed(range(d)):
+                v = np.concatenate([np.zeros(j), [1.0], a[i, j + 1 :, j]])
+                dense[j:] -= tau[i, j] * np.outer(v[j:], v.conj() @ dense)
+            want = dense @ u[i]
+            assert np.max(np.abs(ensembles._apply_householder(a[i : i + 1], tau[i : i + 1], u[i : i + 1].copy())[0] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("z", range(1, 9))
+    def test_clifford_columns_are_the_dense_slice(self, z):
+        # a stack of three tableaus, every column and the unsorted and repeated
+        # selections that a block padded to MIN_BLOCK columns hands over
+        d = 2**z
+        seeds = [bytes([z, i]) * 8 for i in range(3)]
+        dense = [sample_clifford(z, seed) for seed in seeds]
+        tableaus = [sample_tableau(z, keyed_rng(seed, "clifford", z)) for seed in seeds]
+        rng = spawn_rng(44, "clifford-columns", z)
+        picks = [np.arange(d)[::-1], [d - 1], np.resize([d - 1, 0, d // 2], 4), np.resize(rng.permutation(d)[:5], 8), rng.integers(0, d, 6)]
+        assert all(np.array_equal(got, u) for got, u in zip(clifford_columns(z, tableaus), dense))
+        for cols in map(np.asarray, picks):
+            for got, u in zip(clifford_columns(z, tableaus, cols), dense):
+                assert got.tobytes() == np.ascontiguousarray(u[:, cols]).tobytes()
+
+
+class TestKeyedBuildMemory:
+    """tracemalloc peaks of z = 8 builds, in d^2 complex entries (1.05 MB).
+
+    The Haar draw's QR holds the Ginibre block and LAPACK's copy of it (2).
+    A four-column ``composed`` block adds only (d, 4) blocks; forming the
+    Haar factor and the dense Clifford read about 5.  A whole build holds
+    the reflectors, the unitary and the update of the widest panel (about
+    3.4), and the cached unitary is the brickwork's last product, not a
+    copy; it read 5.3 when both factors were formed and the stack copied."""
+
+    D2 = 16 * 4**8
+
+    @staticmethod
+    def _peak(build) -> int:
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_four_column_composed_block(self):
+        key = SecretKey.generate(spawn_rng(45, "block-memory"))
+        spec = ScramblerSpec("composed")
+        build_scramblers([key], 8, spec, np.arange(4))  # warm
+        assert self._peak(lambda: build_scramblers([key], 8, spec, np.arange(4))) <= 2.5 * self.D2
+
+    def test_whole_build_scrambler(self):
+        key = SecretKey.generate(spawn_rng(45, "whole-memory"))
+        build_scrambler.cache_clear()
+        try:
+            assert self._peak(lambda: build_scrambler(key, 8, ScramblerSpec("composed"))) <= 3.5 * self.D2
+        finally:
+            build_scrambler.cache_clear()
+
+
 def interleaved_row(x: int, z: int, n: int) -> int:
     """The symplectic row (x1, z1, x2, z2, ...) of qubit bitmasks x and z,
     qubit 0 the most significant bit."""
@@ -526,6 +610,19 @@ class TestScrambler:
         assert np.array_equal(build_scrambler(key, 2, spec), before)
 
     @pytest.mark.parametrize("mode", ["composed", "haar_exact", "pru_only"])
+    def test_cached_scrambler_is_the_build_not_a_copy(self, mode, monkeypatch):
+        key = SecretKey.generate(spawn_rng(20, "no-copy", mode))
+        spec = ScramblerSpec(mode=mode)
+        stack = build_scramblers([key], 2, spec)
+        monkeypatch.setattr(ensembles, "build_scramblers", lambda *args: stack)
+        build_scrambler.cache_clear()
+        try:
+            u = build_scrambler(key, 2, spec)
+            assert np.shares_memory(u, stack) and not u.flags.writeable and not u.base.flags.writeable
+        finally:
+            build_scrambler.cache_clear()
+
+    @pytest.mark.parametrize("mode", ["composed", "haar_exact", "pru_only"])
     def test_stack_is_bitwise_each_key_alone(self, mode, monkeypatch):
         spec = ScramblerSpec(mode=mode)
         for z in range(1, 7):
@@ -569,8 +666,8 @@ class TestScrambler:
     @pytest.mark.parametrize(
         "mode, pinned",
         [
-            ("haar_exact", "f58857d1d0c368492bfa7808bba800ff91581aff54ba4e3b7e40e5675c889d58"),
-            ("composed", "f5e4fd5fe9d03e542f2fe0e635cab2d21bdfd95ec044581b3d9e1b061aa33b7a"),
+            ("haar_exact", "439c18050b4363e79273df2808171130c880ce10587cd902ea7754c6c84ea1c8"),
+            ("composed", "0dba59469dbcad744fe333a210dc4b61780059d401b231b472049165fbfdfedc"),
             ("pru_only", "0221c9553bf151dbb667fd6f6e8c516065e0988b918bb9f77f7320fc97d7bfe6"),
         ],
     )

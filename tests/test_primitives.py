@@ -227,8 +227,8 @@ class TestEfi:
     @pytest.mark.parametrize(
         "mode, pinned",
         [
-            ("haar_exact", "4aa00eb9afc2f64128c22500b0ec282de88b2a5b62ffa4b09f431eea4fda388f"),
-            ("composed", "b44d361ab1508812835c7f5e982bead2296fc997a80834c085f241ba6183345f"),
+            ("haar_exact", "2cf69479de7e93ca84f567b6df932ba35c624cbf476672ea3ce0f37d0435e7c2"),
+            ("composed", "a0a81491e45998b1a611593424aab98aa44055c226277061f38897043c2ba235"),
             ("pru_only", "0b9f0432ee23b45e5f07f87a38b7e8039a7866977fdc3eb9eb82cbd25949e1e6"),
         ],
     )

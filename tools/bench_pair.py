@@ -12,9 +12,9 @@ side that runs first alternates per pair):
   change was not tuned on;
 - ``per_layer``: TRACE_PAIRS pairs at ``--trace 1``;
 - ``scan_memory``: the tracemalloc peak and wall time of ``harness.run`` on
-  the configs in SCAN_POINTS (security scans, and oracle-sweep's z = 6
-  local-depolarizing auth sweep), SCAN_PAIRS pairs, each run in a fresh
-  process.
+  the configs in SCAN_POINTS (security scans, oracle-sweep's z = 6
+  local-depolarizing auth sweep, and two keyed ``composed`` builds),
+  SCAN_PAIRS pairs, each run in a fresh process.
 
 Each value is the median over the pairs, with every run listed in pair
 order and the quartiles (``statistics.quantiles``, inclusive method).  An
@@ -43,10 +43,11 @@ END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
 # (label, config): the m = 2 point of configs/security_scan.json, the
 # largest product scan the qubit cap admits, a joint (GHZ) input, a keyed
-# (composed) scan, which builds every trial key twice, and the largest
-# local-depolarizing auth sweep of perfbench's oracle-sweep, run through the
-# harness so that the probe reads only the config format, not the
-# signatures
+# (composed) scan, which builds every trial key twice, the largest
+# local-depolarizing auth sweep of perfbench's oracle-sweep, and the keyed
+# column builds of a z = 8 vprdm (each trial's right and wrong key) and of
+# an EFI ensemble of 128 keys, run through the harness so that the probe
+# reads only the config format, not the signatures
 _SCAN = {"experiment": "security-scan", "n": 1, "l": 1, "t": 2, "seed": 11}
 SCAN_POINTS = (
     ("security_scan.json m=2 point", {**_SCAN, "m": 2, "trials": 2000}),
@@ -58,6 +59,10 @@ SCAN_POINTS = (
         {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 2, "trials": 100, "seed": 104,
          "channel": {"kind": "local_depolarizing", "p": 0.2}},
     ),
+    ("vprdm n=8 m=1 composed, 4 trials",
+     {"experiment": "vprdm", "n": 8, "m": 1, "t": 2, "trials": 4, "mode": "composed"}),
+    ("efi n=4 lambda=7 composed",
+     {"experiment": "efi", "n": 4, "m0": 1, "gamma": 0.67, "c": 0.33, "lambda_eff": 7, "mode": "composed"}),
 )
 
 SCAN_PROBE = """
