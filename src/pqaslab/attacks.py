@@ -32,7 +32,7 @@ import numpy as np
 from . import moments, qcore
 from ._streams import spawn_rngs
 from .ensembles import random_pure_state, sample_scramblers
-from .pqas import Ciphertext, scramble_padded
+from .pqas import Ciphertext, mean_stderr, scramble_padded
 from .qcore import QubitPartition
 
 
@@ -45,6 +45,8 @@ class AttackReport:
 
 # ---------------------------------------------------------------------------
 # left-or-right CPA game
+
+MAX_CPA_QUERIES = 8  # oracle queries per game
 
 
 def standard_cpa_lists(t: int, n: int):
@@ -132,8 +134,8 @@ def lr_cpa_game(left: list, right: list, m: int, trials: int = 500, seed: int = 
         raise ValueError("the pad register needs m >= 0 qubits")
     qcore.check_qubits(int(np.log2(len(left[0]))) + m)
     t = len(left)
-    if t > 8:
-        raise ValueError("at most 8 oracle queries are supported")
+    if t > MAX_CPA_QUERIES:
+        raise ValueError(f"at most {MAX_CPA_QUERIES} oracle queries are supported")
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if t <= 6:
@@ -151,11 +153,8 @@ def lr_cpa_game(left: list, right: list, m: int, trials: int = 500, seed: int = 
         accepted_all = rng.random() < p_branch[b]
         guess = 0 if accepted_all else 1
         wins += int(guess == b)
-    return AttackReport(
-        advantage=abs(float(np.mean(gaps))),
-        success_rate=wins / trials,
-        standard_error=float(np.std(gaps, ddof=1) / np.sqrt(trials)),
-    )
+    mean, stderr = mean_stderr(gaps)
+    return AttackReport(advantage=abs(mean), success_rate=wins / trials, standard_error=stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +283,9 @@ def bell_parity_purity(state: np.ndarray, b: int, shots: int, rng: np.random.Gen
 # ---------------------------------------------------------------------------
 # qubit-number attack
 
+# desk scale (n, s_max), and the bound on delta: the statistic Z lies in [-1, 1]
+MAX_DESK_N, MAX_DESK_S, DELTA_BOUND = 2, 3, 2
+
 
 @dataclass
 class QubitCountReport:
@@ -292,8 +294,8 @@ class QubitCountReport:
 
 
 def _check_desk_scale(n: int, s_max: int) -> None:
-    if s_max > 3 or n > 2:
-        raise ValueError("desk scale supports s_max <= 3 and n <= 2")
+    if s_max > MAX_DESK_S or n > MAX_DESK_N:
+        raise ValueError(f"desk scale supports s_max <= {MAX_DESK_S} and n <= {MAX_DESK_N}")
 
 
 def qubit_count_interception(
@@ -335,11 +337,13 @@ def qubit_count_attack(
     copy c is Bell-measured against copy copies/2 + c.  Every pair follows
     the law of ``_bell_pair_law``, and all copies/2 x shots outcomes are
     drawn in one call.  The purity proxy Z_{n s'} is estimated for every
-    s' = 1..s_max.  The decision is the smallest s' with Z >= 1 - delta
-    (prefix purity is 1 exactly when the prefix holds whole copies).
-    Abstains (None) when no prefix qualifies.
+    s' = 1..s_max.  The decision is the smallest s' with Z >= 1 - delta,
+    0 <= delta < DELTA_BOUND (prefix purity is 1 exactly when the prefix
+    holds whole copies).  Abstains (None) when no prefix qualifies.
     """
     _check_desk_scale(n, s_max)
+    if not 0 <= delta < DELTA_BOUND:
+        raise ValueError(f"delta must lie in [0, {DELTA_BOUND}): Z lies in [-1, 1]")
     pairs = copies // 2
     width = int(round(np.log2(state.shape[0])))
     law = _bell_pair_law(state)

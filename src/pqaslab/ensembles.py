@@ -26,7 +26,8 @@ straight onto the product of the other two factors.
 
 U only ever acts on a padded input rho (x) |0><0|_tag (x) I_m, so most
 readers need a fixed block of its columns, and ``build_scramblers`` builds
-just that block when given a column selection.  No keyed factor is formed
+just that block when given a column selection; ``_build_stack`` is the one
+place a keyed build branches on the mode.  No keyed factor is formed
 as a d x d matrix for it: the keyed Haar draw is QR'd whole (its draw is
 the key's) and acts from its Householder reflectors
 (``_apply_householder``) on the Clifford's selected columns, which alone
@@ -384,39 +385,30 @@ def sample_pru_surrogate(
 MIN_BLOCK = 4
 
 
-def _haar_block(keys: Sequence[SecretKey], z: int, mode: str, cols) -> np.ndarray:
-    """Columns ``cols`` (an index array, or None for all) of each key's
-    keyed Haar factor applied to the identity (``haar_exact``) or to the
-    key's Clifford (``composed``).  The Haar draw and its QR are whole (the
-    draw is the key's) and come first, so the QR's workspace is freed before
-    the block is made; the factor acts from its reflectors."""
-    d = 2**z
-    if mode == "haar_exact":
+def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols) -> np.ndarray:
+    """One chunk of ``build_scramblers``, and the one place a keyed build reads
+    its mode: columns ``cols`` (an index array, or None for all) of each key's
+    unitary.  A keyed Haar factor is drawn and QR'd whole (the draw is the
+    key's) before the block it acts on from its reflectors exists, so the
+    QR's workspace is freed first; the brickwork is handed its block as its
+    argument alone, so each of its products frees the one before."""
+    d, k1s = 2**z, [key.k1 for key in keys]
+    if spec.mode == "pru_only":
+        eye = np.eye(d, dtype=complex)[:, slice(None) if cols is None else cols]
+        return sample_pru_surrogate(z, k1s, 4 * z, np.broadcast_to(eye, (len(keys), *eye.shape)))
+    if spec.mode == "haar_exact":
         haar = _householder([keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z) for key in keys], d)
         sel = np.arange(d) if cols is None else cols
         u = np.zeros((len(keys), d, len(sel)), dtype=complex)
         u[:, sel, np.arange(len(sel))] = 1.0
-    else:
-        # keyed exact-Haar stand-in for the approximate 4-design factor: an
-        # exact Haar draw realizes every t-design with zero error
-        haar = _householder([keyed_rng(key.k2, "design4", z) for key in keys], d)
-        tableaus = [sample_tableau(z, keyed_rng(key.k3, "clifford", z)) for key in keys]
-        u = clifford_columns(z, tableaus, cols)
-    return _apply_householder(*haar, u)
-
-
-def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols) -> np.ndarray:
-    """One chunk of ``build_scramblers``: columns ``cols`` (an index array, or
-    None for all) of each key's unitary."""
-    if spec.mode == "haar_exact":
-        return _haar_block(keys, z, spec.mode, cols)
-    k1s = [key.k1 for key in keys]
-    if spec.mode == "composed":
-        # the block is referenced by the brickwork's argument alone, so each
-        # of its products frees the one before
-        return sample_pru_surrogate(z, k1s, 4 * z, _haar_block(keys, z, spec.mode, cols))
-    eye = np.eye(2**z, dtype=complex)[:, slice(None) if cols is None else cols]
-    return sample_pru_surrogate(z, k1s, 4 * z, np.broadcast_to(eye, (len(keys), *eye.shape)))
+        return _apply_householder(*haar, u)
+    # keyed exact-Haar stand-in for the approximate 4-design factor: an exact
+    # Haar draw realizes every t-design with zero error
+    design = [keyed_rng(key.k2, "design4", z) for key in keys]
+    tableaus = [sample_tableau(z, keyed_rng(key.k3, "clifford", z)) for key in keys]
+    return sample_pru_surrogate(
+        z, k1s, 4 * z, _apply_householder(*_householder(design, d), clifford_columns(z, tableaus, cols))
+    )
 
 
 def build_scramblers(

@@ -296,11 +296,14 @@ def channel_label(kind: str, p: float) -> str:
 _POINT_FIELDS = ({f.name for f in fields(ExperimentPoint)} & {f.name for f in _FIELDS}) - {"experiment", "seed"}
 
 
-def _metric(pt, suffix, estimate, stderr=None, exact=None, prediction=None, channel=""):
+def _metric(pt, suffix, estimate, stderr=None, exact=None, prediction=None):
+    """One row of point ``pt``; its ``channel`` cell is the point's
+    ``channel_label`` when the experiment reads ``channel_kind``, else blank."""
+    reads_channel = "channel_kind" in EXPERIMENTS[pt.experiment].reads.split()
     return ResultRecord(
         **{name: getattr(pt, name) for name in _POINT_FIELDS},
         experiment=f"{pt.experiment}:{suffix}" if suffix else pt.experiment,
-        channel=channel,
+        channel=channel_label(pt.channel_kind, pt.channel_p) if reads_channel else "",
         estimate=estimate,
         stderr=stderr,
         exact=exact,
@@ -310,7 +313,6 @@ def _metric(pt, suffix, estimate, stderr=None, exact=None, prediction=None, chan
 
 
 def _run_wg_selftest(pt: ExperimentPoint) -> list[ResultRecord]:
-    qcore.check_qubits(pt.n)
     d = 2**pt.n
     est = moments.sum_abs_weingarten(pt.t, d)
     exact = moments.sum_abs_weingarten_exact(pt.t, d)
@@ -319,8 +321,6 @@ def _run_wg_selftest(pt: ExperimentPoint) -> list[ResultRecord]:
 
 def _run_security_scan(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
-    # the t-copy joint state is checked before its GHZ input is allocated
-    qcore.check_qubits(pt.t * part.z + pt.q)
     if pt.q == 0:
         state = qcore.basis_ket(2**pt.n, 0)
     else:
@@ -333,7 +333,6 @@ def _run_security_scan(pt: ExperimentPoint) -> list[ResultRecord]:
 def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
     part = QubitPartition(pt.n, pt.l, pt.m)
     chan = build_channel(pt.channel_kind, pt.channel_p, 2**part.z)
-    label = channel_label(pt.channel_kind, pt.channel_p)
     psi = qcore.basis_ket(2**pt.n, 0)
     exact_p0, exact_fp = pqas.exact_haar_p0(part, chan, psi), pqas.exact_haar_fprime(part, chan, psi)
     if pt.channel_kind in _COVARIANT_KINDS:
@@ -349,9 +348,9 @@ def _run_auth_sweep(pt: ExperimentPoint) -> list[ResultRecord]:
         # the brickwork alone is not Haar: its rows carry only the Haar leading order, as prediction
         exact_p0 = exact_fp = None
     return [
-        _metric(pt, "p0", means[0], stderrs[0], exact_p0, pqas.predicted_p0(part, chan), label),
-        _metric(pt, "fprime", means[1], stderrs[1], exact_fp, pqas.predicted_fprime(part, chan), label),
-        _metric(pt, "fidelity", means[2], stderrs[2], None, None, label),
+        _metric(pt, "p0", means[0], stderrs[0], exact_p0, pqas.predicted_p0(part, chan)),
+        _metric(pt, "fprime", means[1], stderrs[1], exact_fp, pqas.predicted_fprime(part, chan)),
+        _metric(pt, "fidelity", means[2], stderrs[2]),
     ]
 
 
@@ -428,31 +427,20 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
     completeness, wrong = np.array(values).T
     return [
         _metric(pt, "completeness", float(np.mean(completeness)), exact=1.0),
-        _metric(
-            pt,
-            "wrong-key",
-            float(np.mean(wrong)),
-            stderr=float(np.std(wrong, ddof=1) / np.sqrt(len(wrong))),
-            prediction=2.0 ** -(pt.n - pt.m),
-        ),
+        _metric(pt, "wrong-key", *pqas.mean_stderr(wrong), prediction=2.0 ** -(pt.n - pt.m)),
         _metric(pt, "ghse-closeness", primitives.ghse_closeness(pt.n, pt.m, pt.t)),
     ]
 
 
 def _run_efi(pt: ExperimentPoint) -> list[ResultRecord]:
-    qcore.check_qubits(pt.n)
-    spec = ScramblerSpec(mode=pt.mode)
-    noise = None
-    if pt.channel_kind != "identity":
-        noise = build_channel(pt.channel_kind, pt.channel_p, 2**pt.n)
+    noise = build_channel(pt.channel_kind, pt.channel_p, 2**pt.n)
     params = primitives.EfiParams(pt.n, pt.m0, pt.gamma, pt.c, pt.lambda_eff, noise=noise)
-    label = channel_label(pt.channel_kind, pt.channel_p)
-    rep = primitives.efi_report(params, spec)
+    rep = primitives.efi_report(params, ScramblerSpec(mode=pt.mode))
     return [
-        _metric(pt, "s0-bits", rep.s0_bits, channel=label),
-        _metric(pt, "s1-bits", rep.s1_bits, channel=label),
-        _metric(pt, "trace-distance", rep.t_exact, channel=label),
-        _metric(pt, "farness-bound", rep.t_lower_bound, channel=label),
+        _metric(pt, "s0-bits", rep.s0_bits),
+        _metric(pt, "s1-bits", rep.s1_bits),
+        _metric(pt, "trace-distance", rep.t_exact),
+        _metric(pt, "farness-bound", rep.t_lower_bound),
     ]
 
 
@@ -468,10 +456,13 @@ class Rule(NamedTuple):
 class Experiment(NamedTuple):
     """An experiment's runner, the point fields it reads besides ``seed`` (as
     one space-separated string) and the value rules each of its points must
-    pass, its trial rule among them.  A config must leave every other field
+    pass, its trial rule among them; the rules alone admit a point, and the
+    runner re-checks none of them.  A config must leave every other field
     at its default; the channel's ``p`` counts as read only for the
     depolarizing kinds, and an auth sweep's ``trials`` and ``mode`` only for
-    the others (``_read_fields``)."""
+    the others (``_read_fields``).  An experiment that reads
+    ``channel_kind`` gets its rows' ``channel`` cell from the point
+    (``_metric``); its runner never passes it."""
 
     run: Callable[[ExperimentPoint], list[ResultRecord]]
     reads: str
@@ -492,14 +483,14 @@ def _trials_at_least(count: int) -> Rule:
 # needs two, and the security scan splits its trials into pqas.SCAN_BATCHES
 # equal batches; every point keeps its largest register within the qubit cap;
 # the multi-state attack compares ciphertexts in pairs; the left-or-right game
-# asks at most 8 mutually orthogonal queries; the qubit-count attack runs at
-# desk scale, and its statistic Z lies in [-1, 1], so a threshold 1 - delta
-# decides something only for 0 <= delta < 2; a vprdm state keeps n - m >= 1
-# message qubits; a depolarizing strength is a probability; EFI's two arms
-# need 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays
-# small; the class sums on S_t (the Weingarten sum, decoy and GHSE closeness)
-# stop at t = 12, and the absolute Weingarten sum's closed form (d - t)!/d!
-# needs d = 2^n >= t
+# asks mutually orthogonal queries; the qubit-count attack runs at desk scale,
+# and its statistic Z lies in [-1, 1], so a threshold 1 - delta decides
+# something only for 0 <= delta < 2; a vprdm state keeps n - m >= 1 message
+# qubits; a depolarizing strength is a probability; EFI's two arms need
+# 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays
+# small; a limit the library enforces too is read from its constant; the class
+# sums on S_t (the Weingarten sum, decoy and GHSE closeness) stop at t = 12,
+# and the absolute Weingarten sum's closed form (d - t)!/d! needs d = 2^n >= t
 _LAYOUT_CAP = _cap("m", "n + l + m", lambda pt: pt.n + pt.l + pt.m)
 _N_CAP = _cap("n", "n", lambda pt: pt.n)
 _P_RULE = Rule("channel.p", lambda pt: 0.0 <= pt.channel_p <= 1.0, "must lie in [0, 1]")
@@ -510,14 +501,19 @@ _SCAN_RULES = (
 )
 _CPA_RULES = (
     _trials_at_least(2),
-    Rule("t", lambda pt: pt.t <= 2 ** min(pt.n, 3), "must satisfy t <= min(8, 2^n)"),
+    Rule(
+        "t",
+        # min(Q, 2^n) without forming 2^n for a huge n: Q < 2^Q
+        lambda pt: pt.t <= min(attacks.MAX_CPA_QUERIES, 2 ** min(pt.n, attacks.MAX_CPA_QUERIES)),
+        f"must satisfy t <= min({attacks.MAX_CPA_QUERIES}, 2^n)",
+    ),
     _cap("m", "n + m", lambda pt: pt.n + pt.m),
 )
 _QUBIT_COUNT_RULES = (
-    Rule("n", lambda pt: pt.n <= 2, "must be at most 2"),
-    Rule("s_max", lambda pt: pt.s_max <= 3, "must be at most 3"),
+    Rule("n", lambda pt: pt.n <= attacks.MAX_DESK_N, f"must be at most {attacks.MAX_DESK_N}"),
+    Rule("s_max", lambda pt: pt.s_max <= attacks.MAX_DESK_S, f"must be at most {attacks.MAX_DESK_S}"),
     _cap("m", "n s_max + l + m", lambda pt: pt.n * pt.s_max + pt.l + pt.m),
-    Rule("delta", lambda pt: 0.0 <= pt.delta < 2.0, "must lie in [0, 2)"),
+    Rule("delta", lambda pt: 0 <= pt.delta < attacks.DELTA_BOUND, f"must lie in [0, {attacks.DELTA_BOUND})"),
 )
 _AUTH_RULES = (_trials_at_least(pqas.MIN_AUTH_TRIALS), _P_RULE, _LAYOUT_CAP)
 _MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"), _LAYOUT_CAP)
@@ -527,7 +523,11 @@ _EFI_RULES = (
     Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),
     Rule("c", lambda pt: 0.0 < pt.c < pt.gamma, "must satisfy 0 < c < gamma"),
     Rule("m0", lambda pt: 0 <= pt.m0 < int(pt.gamma * pt.n) < pt.n, "must satisfy 0 <= m0 < floor(gamma n) < n"),
-    Rule("lambda_eff", lambda pt: 1 <= pt.lambda_eff <= 12, "must lie in 1..12"),
+    Rule(
+        "lambda_eff",
+        lambda pt: 1 <= pt.lambda_eff <= primitives.MAX_LAMBDA_EFF,
+        f"must lie in 1..{primitives.MAX_LAMBDA_EFF}",
+    ),
     _P_RULE,
     _N_CAP,
 )

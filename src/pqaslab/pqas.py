@@ -23,6 +23,7 @@ from .ensembles import (
     stack_size,
     tag_zero_columns,
 )
+from .moments import _read_only
 from .qcore import Channel, QubitPartition
 
 
@@ -236,7 +237,8 @@ class AuthSweepStats:
     stderr_fidelity: float
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """The sample mean of ``values`` and its standard error (0 for one value)."""
     n = len(values)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
@@ -280,18 +282,7 @@ def auth_sweep(
     stacks = [_p0_fprime_stack(ys, psi, channel) for ys in _auth_key_stacks(partition, mode, seed, trials)]
     p0s = np.concatenate([p0 for p0, _ in stacks])
     fps = np.concatenate([fp for _, fp in stacks])
-    fids = fps / p0s
-    mean_p0, se_p0 = _mean_stderr(p0s)
-    mean_fp, se_fp = _mean_stderr(fps)
-    mean_f, se_f = _mean_stderr(fids)
-    return AuthSweepStats(
-        mean_p0=mean_p0,
-        stderr_p0=se_p0,
-        mean_fprime=mean_fp,
-        stderr_fprime=se_fp,
-        mean_fidelity=mean_f,
-        stderr_fidelity=se_f,
-    )
+    return AuthSweepStats(*mean_stderr(p0s), *mean_stderr(fps), *mean_stderr(fps / p0s))
 
 
 @dataclass
@@ -329,11 +320,6 @@ def _psd_factor(rho: np.ndarray) -> np.ndarray:
 def _packed_side(length: int) -> int:
     """s from the length s(s + 1)/2 of a packed lower triangle."""
     return (math.isqrt(8 * length + 1) - 1) // 2
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _int32(a: np.ndarray) -> np.ndarray:
@@ -773,7 +759,7 @@ def security_scan(
     raw, jackknife_se, witnesses = _two_pass(batch, sizes)
     witness = float(np.mean(witnesses))
     # sd(X + Y) <= sd X + sd Y: the halves' mean SE bounds SE(W) however they correlate
-    witness_se = sum(_mean_stderr(half)[1] for half in np.split(witnesses, 2)) / 2
+    witness_se = sum(mean_stderr(half)[1] for half in np.split(witnesses, 2)) / 2
     lower, upper = witness - 2 * witness_se, raw + 2 * jackknife_se
     pru = mode == "pru_only"
     return ScanReport(

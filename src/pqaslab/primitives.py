@@ -77,6 +77,8 @@ def ghse_closeness(n: int, m: int, t: int) -> float:
 # ---------------------------------------------------------------------------
 # EFI pairs
 
+MAX_LAMBDA_EFF = 12  # the truncated key set holds at most 2^MAX_LAMBDA_EFF keys
+
 
 @dataclass(frozen=True)
 class EfiParams:
@@ -96,8 +98,8 @@ class EfiParams:
             raise ValueError("need 0 < c < gamma")
         if not 0 <= self.m0 < self.m1 < self.n:
             raise ValueError("need 0 <= m0 < m1 < n")
-        if not 1 <= self.lambda_eff <= 12:
-            raise ValueError("lambda_eff must lie in 1..12")
+        if not 1 <= self.lambda_eff <= MAX_LAMBDA_EFF:
+            raise ValueError(f"lambda_eff must lie in 1..{MAX_LAMBDA_EFF}")
         qcore.check_qubits(self.n)
 
     @property

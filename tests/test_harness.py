@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields, replace
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqaslab import attacks, cli, ensembles, harness, moments, pqas, qcore, selftest
+from pqaslab import attacks, cli, ensembles, harness, moments, pqas, primitives, qcore, selftest
 from pqaslab.ensembles import MODES
 from pqaslab.harness import ConfigError, ResultRecord
 from pqaslab.qcore import QubitPartition
@@ -571,6 +572,175 @@ class TestCli:
             reads = set().union(*(harness._read_fields(name, kind) for kind in harness.CHANNEL_KINDS))
             for rule in row.rules:
                 assert rule.field.replace("channel.p", "channel_p") in reads, (name, rule)
+
+
+def _mixed(qubits: int) -> np.ndarray:
+    return np.eye(2**qubits) / 2**qubits
+
+
+# Each limit the rule table and the library both enforce: the value at the limit and one step
+# past it, the config at a value, the field and the text its rule prints (written out, so that a
+# changed constant shows as a changed message), and the library call at a value.
+SHARED_LIMITS = [
+    pytest.param(
+        attacks.MAX_CPA_QUERIES,
+        attacks.MAX_CPA_QUERIES + 1,
+        lambda v: {"experiment": "cpa", "n": 4, "t": v, "trials": 2},
+        "t",
+        "must satisfy t <= min(8, 2^n)",
+        lambda v: attacks.lr_cpa_game(*attacks.standard_cpa_lists(v, 4), 0, trials=2),
+        id="cpa-queries",
+    ),
+    pytest.param(
+        attacks.MAX_DESK_N,
+        attacks.MAX_DESK_N + 1,
+        lambda v: {"experiment": "qubit-count", "n": v, "s_max": 1, "trials": 1, "shots": 4},
+        "n",
+        "must be at most 2",
+        lambda v: attacks.qubit_count_attack(_mixed(v), 2, v, 1, shots=4, rng=np.random.default_rng(0)),
+        id="desk-n",
+    ),
+    pytest.param(
+        attacks.MAX_DESK_S,
+        attacks.MAX_DESK_S + 1,
+        lambda v: {"experiment": "qubit-count", "n": 1, "s_max": v, "trials": 1, "shots": 4},
+        "s_max",
+        "must be at most 3",
+        lambda v: attacks.qubit_count_interception(1, 1, v, np.random.default_rng(0)),
+        id="desk-s-max",
+    ),
+    pytest.param(
+        primitives.MAX_LAMBDA_EFF,
+        primitives.MAX_LAMBDA_EFF + 1,
+        lambda v: {"experiment": "efi", "n": 3, "m0": 0, "lambda_eff": v},
+        "lambda_eff",
+        "must lie in 1..12",
+        lambda v: primitives.EfiParams(3, 0, 0.67, 0.33, v),
+        id="lambda-eff",
+    ),
+    pytest.param(
+        math.nextafter(attacks.DELTA_BOUND, 0.0),
+        attacks.DELTA_BOUND,
+        lambda v: {"experiment": "qubit-count", "n": 1, "trials": 1, "shots": 4, "delta": v},
+        "delta",
+        "must lie in [0, 2)",
+        lambda v: attacks.qubit_count_attack(_mixed(1), 2, 1, 1, delta=v, shots=4, rng=np.random.default_rng(0)),
+        id="delta-upper",
+    ),
+    pytest.param(
+        0.0,
+        math.nextafter(0.0, -1.0),
+        lambda v: {"experiment": "qubit-count", "n": 1, "trials": 1, "shots": 4, "delta": v},
+        "delta",
+        "must lie in [0, 2)",
+        lambda v: attacks.qubit_count_attack(_mixed(1), 2, 1, 1, delta=v, shots=4, rng=np.random.default_rng(0)),
+        id="delta-lower",
+    ),
+]
+
+
+class TestSharedLimits:
+    @pytest.mark.parametrize("at_limit,past_limit,config,field,text,library", SHARED_LIMITS)
+    def test_one_step_past_the_limit(self, at_limit, past_limit, config, field, text, library, tmp_path, capsys):
+        harness.expand_points(harness.validate_config(config(at_limit)))
+        library(at_limit)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config(past_limit)))
+        assert cli.main(["run", "--config", str(path), "--no-timing"]) == cli.EXIT_CONFIG
+        out, experiment = capsys.readouterr(), config(past_limit)["experiment"]
+        assert out.out == "" and out.err == f"error: config field '{field}': {text} for {experiment}\n"
+        with pytest.raises(ValueError):
+            library(past_limit)
+
+
+# Per point field, values on either side of the rules that test it, kept cheap on the passing side
+# (sizes stay far below the qubit cap, and t and lambda_eff below their costly ends).
+CONTRACT_VALUES = {
+    "n": [0, 1, 2, 3, 11],
+    "l": [-1, 0, 1, 11],
+    "m": [-1, 0, 1, 2, 11],
+    "t": [0, 1, 2, 3, 8, 9, 13],
+    "q": [-1, 0, 1, 11],
+    "trials": [0, 1, 2, 19, 20, 100],
+    "shots": [0, 1, 8],
+    "s_max": [0, 1, 3, 4],
+    "copies": [1, 2, 3],
+    "m0": [-1, 0, 1, 2],
+    "lambda_eff": [0, 1, 2, 13],
+    "delta": [-0.5, 0.0, 0.5, 1.999, 2.0],
+    "gamma": [0.0, 0.5, 0.67, 1.0],
+    "c": [0.0, 0.33, 0.9],
+    "seed": [0, 7, -1, 2**63],
+    "mode": [*MODES, "bogus"],
+}
+WRONG_TYPES = st.sampled_from(["1", True, False, None, 1.5, [], {}, [[1]], float("nan")])
+CHANNELS = st.sampled_from(harness.CHANNEL_KINDS + ("bogus",)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)},
+        optional={"p": st.sampled_from([-0.1, 0.0, 0.3, 1.0, 1.1, "0.3", [0.1, 0.1]]), "bogus": st.just(1)},
+    )
+)
+
+
+# a value change is drawn most often, so that many configs pass every check and run
+CHANGES = ["value"] * 6 + ["sweep", "wrong type", "repeat", "unread", "unknown", "channel", "experiment"]
+
+
+@st.composite
+def contract_configs(draw):
+    """A tiny base config (``TINY_CONFIGS``) with one or two changes: a read field set to a
+    value from either side of its rules, to a wrong type or to a repeated or two-value sweep;
+    an unread field set off its default; an unknown field; a channel; or a wrong experiment."""
+    experiment = draw(st.sampled_from(sorted(harness.EXPERIMENTS)))
+    config = {"experiment": experiment, **TINY_CONFIGS[experiment]}
+    reads = set(harness.EXPERIMENTS[experiment].reads.split()) | {"seed"}
+    for _ in range(draw(st.integers(1, 2))):
+        change = draw(st.sampled_from(CHANGES))
+        if change == "channel":
+            config["channel"] = draw(CHANNELS | WRONG_TYPES)
+            continue
+        if change == "unknown":
+            config["bogus"] = 1
+            continue
+        if change == "experiment":
+            config["experiment"] = draw(st.sampled_from(["nope", "", 3, None]))
+            continue
+        fields = sorted(set(CONTRACT_VALUES) - reads if change == "unread" else set(CONTRACT_VALUES) & reads)
+        if not fields:
+            continue
+        field = draw(st.sampled_from(fields))
+        values = CONTRACT_VALUES[field]
+        if change == "wrong type":
+            config[field] = draw(WRONG_TYPES)
+        elif change == "repeat":
+            value = draw(st.sampled_from(values))
+            config[field] = [value, value]
+        elif change == "sweep":
+            config[field] = draw(st.lists(st.sampled_from(values), min_size=2, max_size=2, unique=True))
+        else:
+            config[field] = draw(st.sampled_from([v for v in values if v != harness._DEFAULTS[field]]))
+    return config
+
+
+class TestConfigContract:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(config=contract_configs())
+    def test_run_exits_0_or_2_naming_a_config_field(self, config, tmp_path_factory):
+        path = tmp_path_factory.mktemp("contract") / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path), "--no-timing"])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err.getvalue()
+        if code == cli.EXIT_OK:
+            assert out.getvalue() and not err.getvalue()
+            return
+        named = re.match(r"error: config field '([^']*)': ", err.getvalue())
+        assert named and out.getvalue() == "", err.getvalue()
+        # the field is one the config sets, or one its experiment reads (a rule on a field left at its default)
+        row = harness.EXPERIMENTS.get(config["experiment"]) if isinstance(config["experiment"], str) else None
+        reads = {harness._CONFIG_NAMES.get(f, f) for f in row.reads.split()} if row else set()
+        assert named[1] in config or named[1].partition(".")[0] in config or named[1] in reads, err.getvalue()
 
 
 class TestEmit:
