@@ -32,7 +32,7 @@ import numpy as np
 from . import moments, qcore
 from ._streams import spawn_rngs
 from .ensembles import random_pure_state, sample_scramblers
-from .pqas import Ciphertext, mean_stderr, scramble_padded
+from .pqas import MIN_STDERR_TRIALS, Ciphertext, mean_stderr, scramble_padded
 from .qcore import QubitPartition
 
 
@@ -136,8 +136,8 @@ def lr_cpa_game(left: list, right: list, m: int, trials: int = 500, seed: int = 
     t = len(left)
     if t > MAX_CPA_QUERIES:
         raise ValueError(f"at most {MAX_CPA_QUERIES} oracle queries are supported")
-    if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+    if trials < MIN_STDERR_TRIALS:
+        raise ValueError(f"need at least {MIN_STDERR_TRIALS} trials for a standard error")
     if t <= 6:
         pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
     else:

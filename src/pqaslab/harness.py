@@ -480,17 +480,18 @@ def _trials_at_least(count: int) -> Rule:
 
 # each experiment's trial rule comes first: the auth sweep's statistics need
 # pqas.MIN_AUTH_TRIALS trials, cpa and vprdm report a standard error, which
-# needs two, and the security scan splits its trials into pqas.SCAN_BATCHES
-# equal batches; every point keeps its largest register within the qubit cap;
-# the multi-state attack compares ciphertexts in pairs; the left-or-right game
-# asks mutually orthogonal queries; the qubit-count attack runs at desk scale,
-# and its statistic Z lies in [-1, 1], so a threshold 1 - delta decides
-# something only for 0 <= delta < 2; a vprdm state keeps n - m >= 1 message
-# qubits; a depolarizing strength is a probability; EFI's two arms need
-# 0 <= m0 < m1 = floor(gamma n) < n, and its key count 2^lambda_eff stays
-# small; a limit the library enforces too is read from its constant; the class
-# sums on S_t (the Weingarten sum, decoy and GHSE closeness) stop at t = 12,
-# and the absolute Weingarten sum's closed form (d - t)!/d! needs d = 2^n >= t
+# needs pqas.MIN_STDERR_TRIALS, and the security scan splits its trials into
+# pqas.SCAN_BATCHES equal batches; every point keeps its largest register
+# within the qubit cap; the multi-state attack compares ciphertexts in pairs;
+# the left-or-right game asks mutually orthogonal queries; the qubit-count
+# attack runs at desk scale, and its statistic Z lies in [-1, 1], so a
+# threshold 1 - delta decides something only for 0 <= delta < 2; a vprdm state
+# keeps n - m >= 1 message qubits; a depolarizing strength is a probability;
+# EFI's two arms need 0 <= m0 < m1 = floor(gamma n) < n, and its key count
+# 2^lambda_eff stays small; a limit the library enforces too is read from its
+# constant; the class sums on S_t (the Weingarten sum, decoy and GHSE
+# closeness) stop at t = 12, and the absolute Weingarten sum's closed form
+# (d - t)!/d! needs d = 2^n >= t
 _LAYOUT_CAP = _cap("m", "n + l + m", lambda pt: pt.n + pt.l + pt.m)
 _N_CAP = _cap("n", "n", lambda pt: pt.n)
 _P_RULE = Rule("channel.p", lambda pt: 0.0 <= pt.channel_p <= 1.0, "must lie in [0, 1]")
@@ -500,7 +501,7 @@ _SCAN_RULES = (
     _cap("m", "t (n + l + m) + q", lambda pt: pt.t * (pt.n + pt.l + pt.m) + pt.q),
 )
 _CPA_RULES = (
-    _trials_at_least(2),
+    _trials_at_least(pqas.MIN_STDERR_TRIALS),
     Rule(
         "t",
         # min(Q, 2^n) without forming 2^n for a huge n: Q < 2^Q
@@ -517,7 +518,7 @@ _QUBIT_COUNT_RULES = (
 )
 _AUTH_RULES = (_trials_at_least(pqas.MIN_AUTH_TRIALS), _P_RULE, _LAYOUT_CAP)
 _MULTISTATE_RULES = (Rule("copies", lambda pt: pt.copies >= 2, "must be at least 2"), _LAYOUT_CAP)
-_VPRDM_RULES = (_trials_at_least(2), Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP, _CLASS_T)
+_VPRDM_RULES = (_trials_at_least(pqas.MIN_STDERR_TRIALS), Rule("m", lambda pt: pt.m < pt.n, "must be less than n"), _N_CAP, _CLASS_T)
 _WG_RULES = (_N_CAP, _CLASS_T, Rule("t", lambda pt: pt.t <= 2**pt.n, "must satisfy t <= 2^n"))
 _EFI_RULES = (
     Rule("gamma", lambda pt: 0.0 < pt.gamma < 1.0, "must lie in (0, 1)"),

@@ -237,6 +237,10 @@ class AuthSweepStats:
     stderr_fidelity: float
 
 
+# trials an experiment that reports a standard error needs
+MIN_STDERR_TRIALS = 2
+
+
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """The sample mean of ``values`` and its standard error (0 for one value)."""
     n = len(values)

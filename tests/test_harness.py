@@ -592,6 +592,15 @@ SHARED_LIMITS = [
         id="cpa-queries",
     ),
     pytest.param(
+        pqas.MIN_STDERR_TRIALS,
+        pqas.MIN_STDERR_TRIALS - 1,
+        lambda v: {"experiment": "cpa", "n": 2, "t": 2, "trials": v},
+        "trials",
+        "must be at least 2",
+        lambda v: attacks.lr_cpa_game(*attacks.standard_cpa_lists(2, 2), 0, trials=v),
+        id="cpa-trials",
+    ),
+    pytest.param(
         attacks.MAX_DESK_N,
         attacks.MAX_DESK_N + 1,
         lambda v: {"experiment": "qubit-count", "n": v, "s_max": 1, "trials": 1, "shots": 4},
@@ -734,6 +743,20 @@ class TestConfigContract:
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), err.getvalue()
         if code == cli.EXIT_OK:
             assert out.getvalue() and not err.getvalue()
+            # the swept cells of the rows tell the points apart
+            points = harness.expand_points(harness.validate_config(config))
+            swept = [f for f in (*harness._SWEEPABLE, "channel_p") if len({getattr(pt, f) for pt in points}) > 1]
+
+            def cells(obj):
+                return tuple(harness._round12(getattr(obj, f)) for f in swept)
+
+            assert {cells(r) for r in harness.parse_csv(out.getvalue())} == {cells(pt) for pt in points}
+            # a second run, and a run on two threads, print the same bytes
+            for threads in ("1", "2"):
+                again = io.StringIO()
+                with redirect_stdout(again), redirect_stderr(err):
+                    assert cli.main(["run", "--config", str(path), "--no-timing", "--threads", threads]) == cli.EXIT_OK
+                assert again.getvalue() == out.getvalue() and not err.getvalue()
             return
         named = re.match(r"error: config field '([^']*)': ", err.getvalue())
         assert named and out.getvalue() == "", err.getvalue()
@@ -874,8 +897,26 @@ class TestRun:
         b = harness.run({**cfg, "seed": 2}, record_timing=False)
         assert [r.estimate for r in a] != [r.estimate for r in b]
 
-    def test_threads_equivalent(self):
-        cfg = {"experiment": "wg-selftest", "n": [2, 3], "t": [1, 2]}
+    # every config but wg-selftest draws trial streams on several threads at once; the composed
+    # multistate run builds keyed one-shot scramblers on each, beside the scrambler cache they share
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            pytest.param({"experiment": "wg-selftest", "n": [2, 3], "t": [1, 2]}, id="wg-selftest"),
+            pytest.param(
+                {"experiment": "multistate", "n": 1, "l": 1, "m": [0, 1, 2], "trials": 40, "mode": "composed"},
+                id="multistate-composed",
+            ),
+            pytest.param(
+                {"experiment": "auth-sweep", "n": 1, "l": 1, "m": [0, 1], "trials": 100, "channel": {"kind": "random_unitary"}},
+                id="auth-sweep-random-unitary",
+            ),
+            pytest.param({"experiment": "security-scan", "n": 1, "l": 1, "m": [0, 1], "t": 2, "trials": 100}, id="security-scan"),
+            pytest.param({"experiment": "qubit-count", "n": 1, "l": 1, "m": [0, 1], "trials": 20, "shots": 100}, id="qubit-count"),
+            pytest.param({"experiment": "cpa", "n": 2, "m": [0, 1], "t": [2, 3], "trials": 20}, id="cpa"),
+        ],
+    )
+    def test_threads_equivalent(self, cfg):
         a = harness.emit(harness.run(cfg, threads=1, record_timing=False))
         b = harness.emit(harness.run(cfg, threads=3, record_timing=False))
         assert a == b

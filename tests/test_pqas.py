@@ -588,13 +588,11 @@ class TestSecurityScan:
 
     def test_derives_only_its_trial_streams(self, monkeypatch):
         # one stream per batch, derived once: pass 2 restarts each generator rather than deriving it again
-        contexts, digests = [], []
-        hasher, generators = _streams._hasher, _streams._generators
-        monkeypatch.setattr(_streams, "_hasher", lambda key, context, n: contexts.append(context) or hasher(key, context, n))
-        monkeypatch.setattr(_streams, "_generators", lambda batch: digests.append(len(batch)) or generators(batch))
+        contexts = []
+        derive = _streams.derive_bytes
+        monkeypatch.setattr(_streams, "derive_bytes", lambda key, *context, n: contexts.append(context) or derive(key, *context, n=n))
         pqas.security_scan(QubitPartition(1, 1, 1), qcore.pure_dm(qcore.basis_ket(2, 0)), 2, 200, seed=18)
-        assert contexts == [(18, "security-scan")]
-        assert digests == [pqas.SCAN_BATCHES]
+        assert contexts == [(18, "security-scan", b) for b in range(pqas.SCAN_BATCHES)]
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_haar_product_draws_only_its_rank_columns(self, rank, monkeypatch):

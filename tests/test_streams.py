@@ -1,4 +1,4 @@
-"""Keyed random streams: the batched SeedSequence derivation against numpy's."""
+"""Keyed random streams: every generator is numpy's own SeedSequence of the digest."""
 
 import hashlib
 
@@ -33,28 +33,21 @@ def test_generator_id_is_unchanged():
     assert GENERATOR_ID == "blake2b-256/pcg64"
 
 
-def test_batched_seeds_are_numpy_seed_sequence():
+def test_generators_are_numpy_seed_sequence():
     digests = [hashlib.blake2b(str(i).encode(), digest_size=32).digest() for i in range(5000)]
     digests += constructed_digests()
-    states = _streams._seed_states(digests)
-    assert states.shape == (len(digests), 4) and states.dtype == np.uint64
-    for digest, words, gen in zip(digests, states, _streams._generators(digests)):
-        ref = numpy_generator(digest)
-        assert np.array_equal(words, ref.bit_generator.seed_seq.generate_state(4, np.uint64))
-        assert gen.bit_generator.state == ref.bit_generator.state
+    for digest in digests:
+        assert _streams._generator(digest).bit_generator.state == numpy_generator(digest).bit_generator.state
 
 
 def test_constructed_digests_are_shorter_entropy():
-    digests = constructed_digests()
-    _, length = _streams._entropy(digests)
-    assert set(length.tolist()) == {4, 7, 8}
-    for digest, gen in zip(digests, _streams._generators(digests)):
-        ref = numpy_generator(digest)
+    for digest in constructed_digests():
+        gen, ref = _streams._generator(digest), numpy_generator(digest)
         assert gen.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(gen.standard_normal(5), ref.standard_normal(5))
 
 
-@pytest.mark.parametrize("count", [0, 1, 3, _streams._BATCH_MIN, 250, 2 * _streams.SPAWN_BATCH + 7])
+@pytest.mark.parametrize("count", [0, 1, 3, 16, 250, 519])
 def test_spawn_rngs_is_spawn_rng(count):
     gens = list(spawn_rngs(41, ("auth-sweep",), range(count)))
     assert len(gens) == count
@@ -76,8 +69,3 @@ def test_keyed_rng_is_numpy_seed_sequence_of_the_digest():
         digest = derive_bytes(key, "ctx", 3, n=32)
         assert keyed_rng(key, "ctx", 3).bit_generator.state == numpy_generator(digest).bit_generator.state
 
-
-def test_precomputed_seed_serves_pcg64_only():
-    seed = _streams._SeedState(_streams._seed_states([bytes(32)])[0])
-    with pytest.raises(ValueError):
-        seed.generate_state(8, np.uint32)
