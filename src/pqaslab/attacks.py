@@ -259,6 +259,13 @@ def _prefix_parity(nu: np.ndarray, half: int, prefix: int) -> np.ndarray:
     return par & 1
 
 
+def _qubits(dim: int) -> int:
+    """The qubit count of a dimension, which must be a power of two."""
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"dimension {dim} is not a power of two, so not a whole number of qubits")
+    return dim.bit_length() - 1
+
+
 def bell_parity_purity(state: np.ndarray, b: int, shots: int, rng: np.random.Generator) -> float:
     """Transversal-Bell-measurement purity estimator Z_b = 1 - 2 P_odd(b).
 
@@ -268,7 +275,7 @@ def bell_parity_purity(state: np.ndarray, b: int, shots: int, rng: np.random.Gen
     product state rho (x) rho' the estimator is unbiased for
     tr(tr_rest(rho) tr_rest(rho')) restricted to the first b qubits.
     """
-    qubits = int(round(np.log2(state.shape[0])))
+    qubits = _qubits(state.shape[0])
     if qubits % 2:
         raise ValueError("state must hold two equal halves")
     half = qubits // 2
@@ -345,7 +352,7 @@ def qubit_count_attack(
     if not 0 <= delta < DELTA_BOUND:
         raise ValueError(f"delta must lie in [0, {DELTA_BOUND}): Z lies in [-1, 1]")
     pairs = copies // 2
-    width = int(round(np.log2(state.shape[0])))
+    width = _qubits(state.shape[0])
     law = _bell_pair_law(state)
     segments = _and_bits(rng.choice(len(law), size=(pairs, shots), p=law), width)
     shifts = (pairs - 1 - np.arange(pairs)) * width

@@ -34,11 +34,11 @@ the key's) and acts from its Householder reflectors
 are synthesized (``_clifford.clifford_columns``), or on the identity's in
 keyed ``haar_exact``; the brickwork acts on the (d, cols) block, and
 ``pru_only`` starts from the identity's columns.  A whole unitary is the
-selection of every column.  A block is built a multiple of
-MIN_BLOCK = 4 columns wide (the selection repeated to fill it) and then
-sliced: BLAS takes other kernels for the last one to three columns of a
-product, so only such a block is bitwise the full build's columns.  The
-readers:
+selection of every column.  A block is built exactly as wide as its
+selection, by other BLAS calls than the full build's, so it agrees with the
+full build's columns to rounding (1e-12 in the tests), not bit for bit:
+BLAS takes other micro-kernels for a product's edge columns, and which ones
+depends on the OpenBLAS kernel set loaded.  The readers:
 
 - a Monte Carlo trial (``sample_scramblers``) reads the tag-|0> columns Y
   |a, 0, j> (``tag_zero_index``).  In ``haar_exact`` mode its generator
@@ -229,8 +229,8 @@ def _apply_householder(a: np.ndarray, tau: np.ndarray, u: np.ndarray) -> np.ndar
     SIAM J. Sci. Stat. Comput. 10, 1989): a panel's product is I - V T V^H
     with T^-1 = striu(V^H V) + diag(1/tau) and acts on the rows at or below
     its first reflector.  Each step multiplies u's columns by operands that
-    do not depend on u, so a block a multiple of MIN_BLOCK columns wide is
-    bitwise those columns of the whole product.
+    do not depend on u, so a block of columns is those columns of the whole
+    product up to rounding.
     """
     d = a.shape[-1]
     r = np.diagonal(a, axis1=-2, axis2=-1)
@@ -379,12 +379,6 @@ def sample_pru_surrogate(
     return u.reshape(k, d, cols)
 
 
-# A column build computes a multiple of this many columns: such a block is
-# bitwise those columns of the full build, while one of 1, 2 or 5 columns was
-# found an ulp off (BLAS takes other kernels for a product's last columns).
-MIN_BLOCK = 4
-
-
 def _build_stack(keys: Sequence[SecretKey], z: int, spec: ScramblerSpec, cols) -> np.ndarray:
     """One chunk of ``build_scramblers``, and the one place a keyed build reads
     its mode: columns ``cols`` (an index array, or None for all) of each key's
@@ -419,24 +413,17 @@ def build_scramblers(
     shape (len(keys), 2^z, len(cols)); deterministic in each key.
 
     Entry i is bitwise what ``[keys[i]]`` alone gives, and a column block is
-    bitwise those columns of the full build (see the module docstring).  The
-    stack is built in chunks of ``stack_size(z)`` keys.  In ``composed`` mode
-    the Clifford's columns are built into the stack, the keyed Haar factor
-    acts on them in place from its reflectors, and the brickwork of
-    ``sample_pru_surrogate`` is applied straight onto that block.  A
-    selection is built padded to a multiple of MIN_BLOCK columns (repeating
-    it) and sliced, or as the whole unitary if that would fill d columns.
+    those columns of the full build up to rounding (see the module
+    docstring).  The stack is built in chunks of ``stack_size(z)`` keys.  In
+    ``composed`` mode the Clifford's columns are built into the stack, the
+    keyed Haar factor acts on them in place from its reflectors, and the
+    brickwork of ``sample_pru_surrogate`` is applied straight onto that
+    block.
     """
     qcore.check_qubits(z)
     size = stack_size(z)
-    width = None if cols is None else -(-len(cols) // MIN_BLOCK) * MIN_BLOCK
-    if width is None or width >= 2**z:
-        sel, pick = None, cols  # the whole unitary
-    else:
-        sel, pick = np.resize(cols, width), slice(len(cols))
-    chunks = [_build_stack(keys[i : i + size], z, spec, sel) for i in range(0, len(keys), size)]
-    stack = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return stack if pick is None else stack[:, :, pick]
+    chunks = [_build_stack(keys[i : i + size], z, spec, cols) for i in range(0, len(keys), size)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 CACHE_KEYS = 64
@@ -507,8 +494,9 @@ def leading_columns(key: SecretKey, z: int, spec: ScramblerSpec, count: int) -> 
     """The first ``count`` columns of the key's scrambler as a (2^z, count)
     view: of the cached unitary when ``build_scrambler`` holds the key, else
     of a block built alone by ``build_scramblers`` and not cached, so a key
-    read only in part never takes a cache slot.  A single column is a
-    strided view either way, as slicing the whole unitary gives it."""
+    read only in part never takes a cache slot.  The two agree to rounding:
+    a held key's columns are a strided view of its whole build, any other
+    key's a contiguous block of their own."""
     u = build_scrambler.peek(key, z, spec)
     return u[:, :count] if u is not None else build_scramblers([key], z, spec, np.arange(count))[0]
 

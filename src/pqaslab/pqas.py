@@ -362,9 +362,11 @@ def _orbit_gathers(bases, d: int, t: int):
     Khatri-Rao power K of t - 1 copies: row (a_1, c_1) of G against column
     (a_2, c_2, ..., a_t, c_t), for row tuple I = (a_1, ..., a_t) and column
     tuple J = (c_1, ..., c_t) of X.  A row block is the slice ``rows`` of
-    the rows of a range of first digits a_1, and the slice ``cols`` from the
-    lowest column its gathers read to the last; it holds at most one
-    batch's packed entries, or else the fewest rows it may take.  A gather
+    the rows of a range of whole first digits a_1, and the slice ``cols``
+    from the lowest column its gathers read to the last; it holds at most
+    one batch's packed entries, or else the d rows of one first digit.  Its
+    product agrees with the same entries of the whole product to rounding,
+    not bit for bit: BLAS takes other micro-kernels for other shapes.  A gather
     is (block, at, k, keep, dest) for one pair of tables of basis ``block``
     (a row table, then a column table up to it) and the orbit pairs (o, p)
     on or below the block diagonal whose row orbit o starts in the row
@@ -417,24 +419,16 @@ def _orbit_gathers(bases, d: int, t: int):
                 gathers.append((block, at, _read_only(k.reshape(u, a * b)), keep, dest, lead))
         sizes.append(int(starts[-1]))
     budget = sum(s * (s + 1) // 2 for s in sizes)
-    # a row block's product takes its rows 8 at a time (or all d^2), and its columns from a multiple of 8 to
-    # the last, so each entry falls in a whole BLAS micro-tile, as in the whole product: it is bitwise that
-    # product's entry
-    step = -(-8 // d)
     lowest = np.full(d, width)
     for _, at, _, _, _, lead in gathers:
         np.minimum.at(lowest, lead, at.min(axis=1) % width)
-    lowest -= lowest % 8
     row_blocks = []
     lo = 0
     while lo < d:
-        hi = min(lo + step, d)
+        hi = lo + 1
+        while hi < d and (hi + 1 - lo) * d * (width - lowest[lo : hi + 1].min()) <= budget:
+            hi += 1
         start = lowest[lo:hi].min()
-        while hi < d:
-            wider = min(start, lowest[hi : hi + step].min())
-            if (hi + step - lo) * d * (width - wider) > budget:
-                break
-            hi, start = hi + step, wider
         planned = []
         for block, at, k, keep, dest, lead in gathers:
             first, last = np.searchsorted(lead, [lo, hi])

@@ -43,9 +43,7 @@ def vprdm_generate(params: VprdmParams, spec: ScramblerSpec) -> np.ndarray:
 
 
 def vprdm_value(rho: np.ndarray, w: np.ndarray) -> float:
-    """sum_j w_j^dag rho w_j over the columns w_j of w, formed on a contiguous
-    copy of w, so that its bits do not depend on w's memory layout."""
-    w = np.ascontiguousarray(w)
+    """sum_j w_j^dag rho w_j over the columns w_j of w."""
     return float(np.vdot(w, rho @ w).real)
 
 
@@ -123,8 +121,8 @@ def efi_ensembles(params: EfiParams, spec: ScramblerSpec) -> tuple[np.ndarray, n
     bypassing ``build_scrambler``'s cache.  An arm of mixedness m reads the
     first 2^m columns of each scrambler (message |0>, no tag), so only the
     first 2^m1 are built, and they serve both arms.  Each arm adds its keys'
-    states in key order, so the sums are bitwise those of a
-    ``vprdm_generate`` loop over the keys.
+    states in key order, as a ``vprdm_generate`` loop over the keys does;
+    the loop reads whole unitaries, so the sums agree with it to rounding.
     """
     keys = _truncated_keys(2**params.lambda_eff)
     size = stack_size(params.n)

@@ -4,8 +4,10 @@ pytest's default import mode puts this directory on ``sys.path``, so test
 modules ``import reference``.
 """
 
+import hashlib
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -174,6 +176,38 @@ def ghse_closeness_dense(n: int, m: int, t: int) -> float:
     return 0.5 * _hermitian_trace_norm(moments.ghse_moment(n, m, t) - scrambled)
 
 
+def _class_sums(weight, t: int, d: int) -> dict:
+    """sum_mu |C_mu| chi_lam(mu) weight(mu) for an integer ``weight``, on every
+    block lam of (C^d)^(x t) that exists, from the package's integer
+    ``partitions``, ``class_size``, ``character`` and ``irrep_dims``."""
+    shapes = moments.partitions(t)
+    weighted = {mu: moments.class_size(mu) * weight(mu) for mu in shapes}
+    return {lam: sum(moments.character(lam, mu) * w for mu, w in weighted.items()) for lam in shapes if moments.irrep_dims(lam, d)[1]}
+
+
+def closeness_pure_fraction(partition: QubitPartition, t: int) -> Fraction:
+    """``moments.closeness_exact`` of any pure message, exactly: tr(rho^k) = 1,
+    so a permutation of cycle type mu has the gap d_B^(#mu - t) - d^(#mu - t),
+    d^t times which is an integer, and block lam holds f_lam / t! times the
+    class sum of the gap."""
+    d, d_b = 2**partition.z, 2**partition.m
+    sums = _class_sums(lambda mu: d**t // d_b ** (t - len(mu)) - d ** len(mu), t, d)
+    return sum(Fraction(abs(moments.irrep_dims(lam, d)[0] * total), math.factorial(t) * d**t) for lam, total in sums.items())
+
+
+def ghse_closeness_fraction(n: int, m: int, t: int) -> Fraction:
+    """``primitives.ghse_closeness`` exactly: both averages are the class sum
+    of d_B^#mu on each block lam, times s_lam (d-1)!/(d+t-1)! (d = 2^(n+m))
+    for the GHSE and f_lam / (t! d_B^t) for the fixed spectrum; the distance
+    is half the summed gaps."""
+    d_a, d_b = 2**n, 2**m
+    total = Fraction(0)
+    for lam, cycles in _class_sums(lambda mu: d_b ** len(mu), t, d_a).items():
+        f, s = moments.irrep_dims(lam, d_a)
+        total += abs(cycles * (Fraction(s, math.prod(range(d_a * d_b, d_a * d_b + t))) - Fraction(f, math.factorial(t) * d_b**t)))
+    return total / 2
+
+
 # ---------------------------------------------------------------------------
 # isotypic blocks of (C^d)^(x t)
 
@@ -296,6 +330,33 @@ def keyed_unitary_dense(key: SecretKey, z: int, mode: str) -> np.ndarray:
         return ginibre_qr(keyed_rng(key.k1 + key.k2 + key.k3, "haar_exact", z), d, d)
     u = ginibre_qr(keyed_rng(key.k2, "design4", z), d, d) @ ensembles.sample_clifford(z, key.k3)
     return ensembles.sample_pru_surrogate(z, [key.k1], 4 * z, u[None])[0]
+
+
+def draw_digest(monkeypatch, build):
+    """``build()`` and the sha256 of what it draws: every array
+    ``ensembles._normals`` returns and every tableau ``ensembles.sample_tableau``
+    returns (its symplectic rows, then its sign bits), in call order.  The
+    draws are read from the build itself, so a change in how it consumes its
+    streams shows; unlike the float output, they do not depend on the BLAS
+    kernel."""
+    digest = hashlib.sha256()
+    normals, tableau = ensembles._normals, ensembles.sample_tableau
+
+    def recorded_normals(*args):
+        out = normals(*args)
+        digest.update(out.tobytes())
+        return out
+
+    def recorded_tableau(*args):
+        rows, signs = tableau(*args)
+        digest.update(repr(rows).encode() + signs.astype(np.int64).tobytes())
+        return rows, signs
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ensembles, "_normals", recorded_normals)
+        patch.setattr(ensembles, "sample_tableau", recorded_tableau)
+        out = build()
+    return out, digest.hexdigest()
 
 
 def embed_tag_columns(y: np.ndarray, partition: QubitPartition) -> np.ndarray:

@@ -352,6 +352,12 @@ class TestBellParity:
         state = qcore.tensor(reference.maximally_mixed(1), reference.maximally_mixed(1))
         with pytest.raises(ValueError):
             attacks.bell_parity_purity(state, 2, shots=10, rng=spawn_rng(0, "x"))
+        # a dimension that is not a power of two is no whole number of qubits: named, before any draw
+        rng = spawn_rng(0, "x")
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="dimension 12 "):
+            attacks.bell_parity_purity(np.eye(12) / 12, 1, 10, rng)
+        assert rng.bit_generator.state == before
 
 
 def pair_by_pair_reference(rng, n=2, s_max=2, shots=600):
@@ -408,6 +414,9 @@ class TestQubitCount:
         assert rng.bit_generator.state == before  # raised before any draw
         with pytest.raises(ValueError):
             attacks.qubit_count_attack(reference.maximally_mixed(1), 2, 1, 4, rng=rng)
+        with pytest.raises(ValueError, match="dimension 3 "):
+            attacks.qubit_count_attack(np.eye(3) / 3, 4, 1, 2, rng=rng)
+        assert rng.bit_generator.state == before
 
     def test_law_matches_dense_reference(self):
         rng = spawn_rng(20, "qc-law")

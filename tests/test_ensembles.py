@@ -222,15 +222,16 @@ class TestTrialScramblers:
         keys = [SecretKey.generate(spawn_rng(35, "keyed", mode, i)) for i in range(3)]
         us = build_scramblers(keys, part.z, ScramblerSpec(mode=mode))
         dn, dl, dm = part.dims
-        assert np.array_equal(ys, us.reshape(3, 2**part.z, dn, dl, dm)[:, :, :, 0, :])
+        # a column build and the full build are different BLAS calls: they agree to rounding
+        assert np.max(np.abs(ys - us.reshape(3, 2**part.z, dn, dl, dm)[:, :, :, 0, :])) <= 1e-14
 
 
 class TestColumnBuilds:
     @pytest.mark.parametrize("mode", ["composed", "pru_only"])
     @pytest.mark.parametrize("z", [3, 5, 8, 10])
     def test_blocks_are_the_full_build_columns(self, mode, z):
-        # one, two and four columns, an odd count (built eight wide), 2^m message-|0>
-        # columns and the strided tag-|0> set of a one-qubit tag
+        # one, two and four columns, an odd count, 2^m message-|0> columns and the strided
+        # tag-|0> set of a one-qubit tag: other BLAS calls than the full build's, so equal to rounding
         spec = ScramblerSpec(mode)
         keys = [SecretKey.generate(spawn_rng(40, "columns", mode, z, i)) for i in range(2 if z < 10 else 1)]
         full = build_scramblers(keys, z, spec)
@@ -239,18 +240,18 @@ class TestColumnBuilds:
         for cols in map(np.asarray, blocks):
             got = build_scramblers(keys, z, spec, cols)
             assert got.shape == (len(keys), d, len(cols))
-            assert np.array_equal(got, full[:, :, cols])
+            assert np.max(np.abs(got - full[:, :, cols])) <= 1e-14
 
     @pytest.mark.parametrize("mode", ["composed", "pru_only"])
     def test_blocks_build_only_their_columns(self, mode, monkeypatch):
-        # the brickwork acts on a block a multiple of four wide, never on all d columns
+        # the brickwork acts on the selected columns alone, never on all d
         widths = []
         pru = ensembles.sample_pru_surrogate
         monkeypatch.setattr(ensembles, "sample_pru_surrogate", lambda *a: widths.append(a[3].shape[-1]) or pru(*a))
         keys = [SecretKey.generate(spawn_rng(41, "narrow", mode))]
         for cols in ([5], [0, 1], np.arange(6), np.arange(32)):
             build_scramblers(keys, 6, ScramblerSpec(mode), np.asarray(cols))
-        assert widths == [4, 4, 8, 32]
+        assert widths == [1, 2, 6, 32]
 
     def test_tag_zero_index_is_the_tag_zero_view(self):
         for n, l, m in TRIAL_LAYOUTS:
@@ -266,7 +267,7 @@ class TestColumnBuilds:
         build_scrambler.cache_clear()
         u = build_scrambler(held, 5, spec)
         before = build_scrambler.cache_info()
-        assert np.array_equal(leading_columns(key, 5, spec, 3), build_scramblers([key], 5, spec)[0][:, :3])
+        assert np.max(np.abs(leading_columns(key, 5, spec, 3) - build_scramblers([key], 5, spec)[0][:, :3])) <= 1e-14
         assert build_scrambler.cache_info() == before and build_scrambler.peek(key, 5, spec) is None
         # a held key is sliced from the cache, with no build and no count
         monkeypatch.setattr(ensembles, "build_scramblers", None)
@@ -308,8 +309,8 @@ class TestKeyedFactors:
 
     @pytest.mark.parametrize("z", range(1, 9))
     def test_clifford_columns_are_the_dense_slice(self, z):
-        # a stack of three tableaus, every column and the unsorted and repeated
-        # selections that a block padded to MIN_BLOCK columns hands over
+        # a stack of three tableaus, every column and unsorted and repeated
+        # selections; the columns are built without BLAS, so bit for bit
         d = 2**z
         seeds = [bytes([z, i]) * 8 for i in range(3)]
         dense = [sample_clifford(z, seed) for seed in seeds]
@@ -661,19 +662,24 @@ class TestScrambler:
         spec = ScramblerSpec(mode=mode)
         for i, y in enumerate(ys):
             u = build_scrambler(SecretKey.generate(spawn_rng(21, "scr", i)), 3, spec)
-            assert np.array_equal(y, tag_zero_columns(u, part))
+            assert np.max(np.abs(y - tag_zero_columns(u, part))) <= 1e-14
 
     @pytest.mark.parametrize(
         "mode, pinned",
         [
-            ("haar_exact", "439c18050b4363e79273df2808171130c880ce10587cd902ea7754c6c84ea1c8"),
-            ("composed", "0dba59469dbcad744fe333a210dc4b61780059d401b231b472049165fbfdfedc"),
-            ("pru_only", "0221c9553bf151dbb667fd6f6e8c516065e0988b918bb9f77f7320fc97d7bfe6"),
+            ("haar_exact", "e1d3de821a2cdff79644a5a78609ac0315fc1bdcc74ba0f3dda4e199cf468a44"),
+            ("composed", "baed1c57ada0106c5bccd0b3a2862af4fc7289ffd5957aca1d7a4b99df00c046"),
+            ("pru_only", "6cc74f0c9521e43a4eb63e6a9167f42579cf6bab5c6752ebacc7e80514e30e8d"),
         ],
     )
-    def test_stack_bytes_are_pinned(self, mode, pinned):
+    def test_stack_bytes_are_pinned(self, mode, pinned, monkeypatch):
+        # the bytes the build draws are pinned; the stack they give is the dense product's to rounding
         keys = [SecretKey.generate(spawn_rng(7, "scrambler-bytes", mode, i)) for i in range(4)]
-        assert hashlib.sha256(build_scramblers(keys, 3, ScramblerSpec(mode)).tobytes()).hexdigest() == pinned
+        stack, digest = reference.draw_digest(monkeypatch, lambda: build_scramblers(keys, 3, ScramblerSpec(mode)))
+        assert digest == pinned
+        for u, key in zip(stack, keys):
+            dense = pru_dense(3, key.k1, 12) if mode == "pru_only" else reference.keyed_unitary_dense(key, 3, mode)
+            assert np.max(np.abs(u - dense)) <= 1e-12
 
     def test_cache_evicts_past_its_entry_budget(self, monkeypatch):
         # a budget of three z = 4 unitaries binds before the 64-key bound

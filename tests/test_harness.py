@@ -695,14 +695,29 @@ CHANNELS = st.sampled_from(harness.CHANNEL_KINDS + ("bogus",)).flatmap(
 CHANGES = ["value"] * 6 + ["sweep", "wrong type", "repeat", "unread", "unknown", "channel", "experiment"]
 
 
+def _accepts(config) -> bool:
+    try:
+        harness.expand_points(harness.validate_config(config))
+    except harness.ConfigError:
+        return False
+    return True
+
+
 @st.composite
 def contract_configs(draw):
-    """A tiny base config (``TINY_CONFIGS``) with one or two changes: a read field set to a
+    """A tiny base config (``TINY_CONFIGS``), in half the draws with one read field swept over
+    two values the base config accepts, and with one or two changes: a read field set to a
     value from either side of its rules, to a wrong type or to a repeated or two-value sweep;
     an unread field set off its default; an unknown field; a channel; or a wrong experiment."""
     experiment = draw(st.sampled_from(sorted(harness.EXPERIMENTS)))
     config = {"experiment": experiment, **TINY_CONFIGS[experiment]}
     reads = set(harness.EXPERIMENTS[experiment].reads.split()) | {"seed"}
+    if draw(st.booleans()):
+        # two of the three smallest (so cheap) accepted values: of the configs that run, most sweep a field
+        # only through this sweep, since the sweep change below seldom draws two accepted values
+        accepted = {f: sorted(v for v in CONTRACT_VALUES[f] if _accepts({**config, f: v}))[:3] for f in sorted(reads & set(harness._SWEEPABLE))}
+        field = draw(st.sampled_from([f for f, values in accepted.items() if len(values) > 1]))
+        config[field] = draw(st.lists(st.sampled_from(accepted[field]), min_size=2, max_size=2, unique=True))
     for _ in range(draw(st.integers(1, 2))):
         change = draw(st.sampled_from(CHANGES))
         if change == "channel":

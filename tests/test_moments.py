@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from pqaslab import moments, qcore
+from pqaslab import moments, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import random_pure_state, sample_ghse, sample_haar
 from pqaslab.qcore import QubitPartition
@@ -382,6 +382,19 @@ class TestClosedFormCloseness:
     def test_rejects_wrong_register(self):
         with pytest.raises(ValueError):
             moments.closeness_exact(QubitPartition(2, 1, 1), reference.maximally_mixed(1), 2)
+
+    def test_printed_digits_hold_to_t_12(self):
+        # past the dense cap: a pure message's closeness and the GHSE closeness
+        # against their exact Fraction evaluation, t = 2 .. 12, z <= 10
+        for t in range(2, moments.MAX_CLASS_T + 1):
+            for n, l, m in ((1, 1, 1), (1, 0, 4), (2, 2, 2), (3, 3, 4)):
+                part = QubitPartition(n, l, m)
+                exact = reference.closeness_pure_fraction(part, t)
+                got = moments.closeness_exact(part, qcore.pure_dm(qcore.basis_ket(2**n, 0)), t)
+                assert abs(got - exact) <= 1e-12 * exact, (n, l, m, t)
+            for n, m in ((2, 1), (4, 2), (5, 5), (8, 2)):
+                exact = reference.ghse_closeness_fraction(n, m, t)
+                assert abs(primitives.ghse_closeness(n, m, t) - exact) <= 1e-12 * exact, (n, m, t)
 
 
 class TestGhseMoment:

@@ -231,7 +231,7 @@ class TestDecode:
     @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
     @pytest.mark.parametrize("n,l,m", [(1, 0, 0), (1, 1, 0), (1, 1, 2), (2, 2, 4), (3, 0, 2), (2, 1, 3)])
     def test_one_product_is_the_tensordot_contraction(self, mode, n, l, m):
-        # decrypt's and authenticate's column blocks, bit for bit, and the cached unitary untouched
+        # decrypt's and authenticate's column blocks to rounding (other BLAS calls), and the cached unitary untouched
         part = QubitPartition(n, l, m)
         spec = ScramblerSpec(mode)
         rng = spawn_rng(31, "decode", mode, n, l, m)
@@ -241,7 +241,7 @@ class TestDecode:
         before = u.copy()
         dn, dl, dm = part.dims
         for columns in (u.reshape(-1, dn * dl, dm), pqas.tag_zero_columns(u, part)):
-            assert np.array_equal(pqas._decode(ct.state, columns), reference.decode_tensordot(ct.state, columns))
+            assert np.max(np.abs(pqas._decode(ct.state, columns) - reference.decode_tensordot(ct.state, columns))) <= 1e-14
         assert np.array_equal(u, before)
 
 
@@ -751,7 +751,8 @@ class TestOrbitBlocks:
 
     @pytest.mark.parametrize("t", [1, 2, 3])
     def test_gram_is_bitwise_the_khatri_rao_power_from_ones(self, t):
-        # the power starts from flat itself, so at t = 2 the whole product was flat^T flat on one buffer: the same bits
+        # the power starts from flat itself; the row blocks and the whole product are other BLAS calls, equal to
+        # rounding (entries reach 63 at t = 3, where a last bit is 7e-15)
         phis = spawn_rng(45, "gram", t).standard_normal((7, 8, 8, 2)) @ np.array([1.0, 1j])
         flat = phis.reshape(7, 64)
         rows = np.ones((7, 1), dtype=complex)
@@ -760,7 +761,7 @@ class TestOrbitBlocks:
         bases = moments.isotypic_bases(t, 8)
         blocks = pqas._product_blocks(phis, t, pqas._orbit_gathers(bases, 8, t))
         dense = reference.product_blocks_dense((flat.T @ rows).ravel(), bases, 8, t)
-        assert all(np.array_equal(block, _pack(full)) for block, full in zip(blocks, dense))
+        assert all(np.max(np.abs(block - _pack(full))) <= 1e-12 for block, full in zip(blocks, dense))
 
     def test_scan_builds_no_dense_projector(self, monkeypatch):
         moments.isotypic_bases.cache_clear()
@@ -776,8 +777,8 @@ def _density_stack(rng, n: int, d: int) -> np.ndarray:
     return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
-# (t, d, basis): the isotypic blocks of product scans at t = 1, 2, 3, and the identity block; d = 2 has fewer
-# than 8 rows per first digit, and at (3, 8) and (4, 4) a row block splits a gather down to one orbit pair
+# (t, d, basis): the isotypic blocks of product scans at t = 1, 2, 3, and the identity block; at (3, 8) and
+# (4, 4) a row block splits a gather down to one orbit pair
 ROW_BLOCK_CASES = (
     [(1, d, "isotypic") for d in (2, 4, 8, 16, 32)]
     + [(2, d, "isotypic") for d in (2, 4, 8, 16, 32)]
@@ -795,8 +796,10 @@ class TestRowBlockGathers:
     """A batch's Gram product is formed one row block at a time, never
     whole, and its gathers give the blocks that the whole product
     (``reference.product_batch_gram``) gathered by
-    ``reference.product_blocks_dense`` gives: bitwise up to 256 trials per
-    batch, and to 1e-14 beyond."""
+    ``reference.product_blocks_dense`` gives, to 1e-12 (its entries reach
+    about 135 at t = 1, d = 2, where a last bit is 3e-14): the row blocks
+    and the whole product are BLAS calls of other shapes, which take other
+    micro-kernels, so they agree to rounding and not bit for bit."""
 
     @pytest.mark.parametrize("trials", [1, 2, 256])
     @pytest.mark.parametrize("t,d,basis", ROW_BLOCK_CASES)
@@ -806,7 +809,7 @@ class TestRowBlockGathers:
         blocks = pqas._product_blocks(phis, t, plans)
         full = reference.product_blocks_dense(reference.product_batch_gram(phis, t), bases, d, t)
         assert len(blocks) == len(full)
-        assert all(np.array_equal(block, _pack(dense)) for block, dense in zip(blocks, full))
+        assert all(np.max(np.abs(block - _pack(dense))) <= 1e-12 for block, dense in zip(blocks, full))
 
     @pytest.mark.parametrize("d", [8, 16])
     def test_past_256_trials_agrees_to_1e14(self, d):
@@ -822,16 +825,16 @@ class TestRowBlockGathers:
         _, (sizes, row_blocks) = _row_block_plans(t, d, basis)
         packed = sum(s * (s + 1) // 2 for s in sizes)
         width = d ** (2 * t - 2)
-        # the blocks take the rows in order, whole first digits and 8 rows (or all of them) at a time
+        # the blocks take the rows in order, whole first digits (the d rows of one at least) at a time
         bounds = [(rows.start, rows.stop) for rows, _, _ in row_blocks]
         assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]] and bounds[-1][1] == d * d
-        fewest = min(d * d, max(d, 8))
-        assert all(lo % fewest == 0 and hi % fewest == 0 for lo, hi in bounds)
+        assert all(lo % d == 0 and hi > lo for lo, hi in bounds)
         formed = 0
-        for rows, cols, _ in row_blocks:
+        for rows, cols, gathers in row_blocks:
             size = (rows.stop - rows.start) * (cols.stop - cols.start)
-            assert size <= packed or rows.stop - rows.start == fewest
-            assert cols.stop == width and cols.start % 8 == 0
+            assert size <= packed or rows.stop - rows.start == d
+            # the columns start at the lowest one a gather reads, and run to the last
+            assert cols.stop == width and min(int((local % (width - cols.start)).min()) for _, local, *_ in gathers) == 0
             formed += size
         # no gather reads a row block's first columns below its first digit: about half of them drop out
         if t > 1 and basis == "isotypic" and d >= 8:
@@ -858,9 +861,9 @@ class TestRowBlockGathers:
 
 class TestPackedScanStorage:
     """The scan holds each batch's blocks as packed lower triangles and keeps
-    none of them: the raw estimate is bitwise the one the dense (s, s)
-    storage of every batch gives, and the scan's memory stays below what
-    the stored batches alone took."""
+    none of them: the raw estimate is the one the dense (s, s) storage of
+    every batch, gathered from the whole Gram product, gives to 1e-14, and
+    the scan's memory stays below what the stored batches alone took."""
 
     @pytest.mark.parametrize("part,t,mode", [(QubitPartition(1, 1, 2), 2, "haar_exact"), (QubitPartition(1, 0, 1), 3, "composed")])
     def test_raw_estimate_is_bitwise_the_dense_storage(self, part, t, mode, monkeypatch):
@@ -881,7 +884,7 @@ class TestPackedScanStorage:
                 diff.append(block / (trials // batches) - np.eye(len(block)) / d**t)
         # the scan sums each half of the batches, then adds the halves
         means = [(sum(diff[: batches // 2]) + sum(diff[batches // 2 :])) / batches for diff in diffs]
-        assert rep.raw_estimate == 0.5 * sum(qcore.trace_norm(mean) for mean in means)
+        assert abs(rep.raw_estimate - 0.5 * sum(qcore.trace_norm(mean) for mean in means)) <= 1e-14
 
     def test_peak_is_below_the_dense_storage(self):
         """At z = 4, t = 2 a batch is 265 kB packed (s = 136 and 120).  The

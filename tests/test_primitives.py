@@ -1,12 +1,12 @@
 """Keyed mixed-state primitives: generation/verification, ensemble
 closeness, one-way state generation and EFI entropy certificates."""
 
-import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from pqaslab import ensembles, primitives, qcore
+from pqaslab import ensembles, pqas, primitives, qcore
 from pqaslab._streams import spawn_rng
 from pqaslab.ensembles import ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.primitives import EfiParams, VprdmParams
@@ -87,31 +87,20 @@ class TestVprdm:
     @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
     @pytest.mark.parametrize("n,m", [(3, 0), (3, 1), (5, 3), (8, 2)])
     def test_verify_reads_its_columns_without_caching_them(self, mode, n, m, monkeypatch):
-        # an uncached key: the full build's first 2^m columns, bit for bit, and the cache untouched
+        # an uncached key: the full build's first 2^m columns to rounding (other BLAS calls), and the cache untouched
         spec = ScramblerSpec(mode)
         rng = spawn_rng(6, "vprdm-columns", mode, n, m)
         key, held = SecretKey.generate(rng), SecretKey.generate(rng)
         rho = primitives.vprdm_generate(VprdmParams(n, m, held), spec)
         before = build_scrambler.cache_info()
         full = ensembles.build_scramblers([key], n, spec)[0]
-        assert primitives.vprdm_verify(rho, key, n, m, spec) == primitives.vprdm_value(rho, full[:, : 2**m])
+        assert abs(primitives.vprdm_verify(rho, key, n, m, spec) - primitives.vprdm_value(rho, full[:, : 2**m])) <= 1e-14
         assert build_scrambler.cache_info() == before
         # a cached key is read from the cache: nothing is built
         monkeypatch.setattr(ensembles, "build_scramblers", None)
         u = build_scrambler(held, n, spec)
         assert primitives.vprdm_verify(rho, held, n, m, spec) == primitives.vprdm_value(rho, u[:, : 2**m])
 
-    @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
-    def test_value_does_not_depend_on_column_layout(self, mode):
-        # a cached key's leading columns are a strided view of its unitary; a contiguous copy gives the same bits
-        spec = ScramblerSpec(mode)
-        for n, m in ((3, 0), (3, 1), (5, 3), (8, 2)):
-            for rep in range(4):
-                rng = spawn_rng(6, "vprdm-layout", mode, n, m, rep)
-                u = build_scrambler(SecretKey.generate(rng), n, spec)
-                rho = primitives.vprdm_generate(VprdmParams(n, m, SecretKey.generate(rng)), spec)
-                for k in (1, 2**m):
-                    assert primitives.vprdm_value(rho, u[:, :k]) == primitives.vprdm_value(rho, u[:, :k].copy())
 
 
 class TestGhseCloseness:
@@ -209,8 +198,9 @@ class TestEfi:
     @pytest.mark.parametrize("mode", ["haar_exact", "composed", "pru_only"])
     def test_ensembles_match_per_key_loop(self, mode, monkeypatch):
         # the stacked build adds the same states in the same order as a
-        # vprdm_generate loop over the keys, so the averages are bitwise equal,
-        # in one stack of 32 keys or in stacks of 5
+        # vprdm_generate loop over the keys, which reads whole cached unitaries
+        # (other BLAS calls), so the averages agree to rounding; one stack of
+        # 32 keys and stacks of 5 are the same calls, so bitwise equal
         params = EfiParams(n=3, m0=0, gamma=0.67, c=0.33, lambda_eff=5)
         spec = ScramblerSpec(mode)
         keys = primitives._truncated_keys(32)
@@ -218,24 +208,30 @@ class TestEfi:
         for key in keys:
             for acc, m in zip(nu, (params.m0, params.m1)):
                 acc += primitives.vprdm_generate(VprdmParams(params.n, m, key), spec)
-        for got, ref in zip(primitives.efi_ensembles(params, spec), nu / len(keys)):
-            assert np.array_equal(got, ref)
+        stacked = primitives.efi_ensembles(params, spec)
+        for got, ref in zip(stacked, nu / len(keys)):
+            assert np.max(np.abs(got - ref)) <= 1e-14
         monkeypatch.setattr(ensembles, "STACK_ENTRIES", 5 * 64)
-        for got, ref in zip(primitives.efi_ensembles(params, spec), nu / len(keys)):
+        for got, ref in zip(primitives.efi_ensembles(params, spec), stacked):
             assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize(
         "mode, pinned",
         [
-            ("haar_exact", "2cf69479de7e93ca84f567b6df932ba35c624cbf476672ea3ce0f37d0435e7c2"),
-            ("composed", "a0a81491e45998b1a611593424aab98aa44055c226277061f38897043c2ba235"),
-            ("pru_only", "0b9f0432ee23b45e5f07f87a38b7e8039a7866977fdc3eb9eb82cbd25949e1e6"),
+            ("haar_exact", "485c4050326d2dc4c655239872d5fc2ed10bcd06142063031ce450e236827d04"),
+            ("composed", "c0c35103612b38c7ed6346a8d888dcaf0bd61a4e166a94e1438bae581e7f6493"),
+            ("pru_only", "30ddbf0adf3755bff3d9e788229f2e66b570c10faf238777440f2e013e584fef"),
         ],
     )
-    def test_report_is_pinned(self, mode, pinned):
-        # the digest of the report when every key was built as a whole unitary
-        rep = primitives.efi_report(EfiParams(n=5, m0=1, gamma=0.67, c=0.33, lambda_eff=5), ScramblerSpec(mode))
-        assert hashlib.sha256(repr(rep).encode()).hexdigest() == pinned
+    def test_report_is_pinned(self, mode, pinned, monkeypatch):
+        # the bytes the key builds draw are pinned; the report is the one whole-unitary builds give, to rounding
+        params, spec = EfiParams(n=5, m0=1, gamma=0.67, c=0.33, lambda_eff=5), ScramblerSpec(mode)
+        rep, digest = reference.draw_digest(monkeypatch, lambda: primitives.efi_report(params, spec))
+        assert digest == pinned
+        us = ensembles.build_scramblers(primitives._truncated_keys(2**params.lambda_eff), params.n, spec)
+        nu0, nu1 = (pqas.scramble_zero(us[:, :, : 2**m]).mean(axis=0) for m in (params.m0, params.m1))
+        whole = primitives._report_for(nu0, nu1, params.n)
+        assert np.max(np.abs(np.subtract(astuple(rep), astuple(whole)))) <= 1e-12
 
     def test_noise_monotonicity(self):
         base = EfiParams(5, 1, 0.7, 0.3, 5)
