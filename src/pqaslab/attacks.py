@@ -132,7 +132,7 @@ def lr_cpa_game(left: list, right: list, m: int, trials: int = 500, seed: int = 
         raise ValueError("plaintexts must be state vectors of one dimension")
     if m < 0:
         raise ValueError("the pad register needs m >= 0 qubits")
-    qcore.check_qubits(int(np.log2(len(left[0]))) + m)
+    qcore.check_qubits(_qubits(len(left[0])) + m)
     t = len(left)
     if t > MAX_CPA_QUERIES:
         raise ValueError(f"at most {MAX_CPA_QUERIES} oracle queries are supported")

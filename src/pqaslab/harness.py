@@ -26,8 +26,12 @@ import numpy as np
 
 from . import attacks, moments, pqas, primitives, qcore
 from ._streams import derive_bytes, spawn_rng, spawn_rngs
-from .ensembles import MODES, ScramblerSpec, sample_haar, sample_scrambler_columns, sample_scramblers
+from .ensembles import ScramblerSpec, sample_haar, sample_scrambler_columns, sample_scramblers
 from .qcore import QubitPartition
+
+
+# the key ensembles an experiment can tell apart; the library's third mode, composed, is Haar over keys
+MODES = ("haar_exact", "pru_only")
 
 
 class ConfigError(ValueError):
@@ -110,6 +114,8 @@ class ResultRecord:
         for f in fields(self):
             if f.type.startswith("float"):
                 setattr(self, f.name, _round12(getattr(self, f.name)))
+        if self.stderr is not None and self.estimate is not None and self.stderr < abs(self.estimate) * 1e-12:
+            self.stderr = 0.0  # below the printed estimate's resolution: rounding noise, not an error bar
 
 
 _FIELDS = fields(ResultRecord)
@@ -171,7 +177,8 @@ def validate_config(config: dict) -> dict:
     if not _is_int(cfg["seed"]):
         raise ConfigError("seed", "must be a 64-bit integer")
     if cfg["mode"] not in MODES:
-        raise ConfigError("mode", f"unknown mode {cfg['mode']!r}; choose from {MODES}")
+        why = "composed keys are Haar over keys, so their rows are haar_exact's" if cfg["mode"] == "composed" else "unknown mode"
+        raise ConfigError("mode", f"{why} ({cfg['mode']!r}); choose from {MODES}")
     for field in ("trials", "shots", "n", "t", "s_max"):
         if any(v < 1 for v in cfg[field]):
             raise ConfigError(field, "must be at least 1")
@@ -316,7 +323,7 @@ def _run_wg_selftest(pt: ExperimentPoint) -> list[ResultRecord]:
     d = 2**pt.n
     est = moments.sum_abs_weingarten(pt.t, d)
     exact = moments.sum_abs_weingarten_exact(pt.t, d)
-    return [_metric(pt, "", est, stderr=0.0, exact=exact, prediction=exact)]
+    return [_metric(pt, "", est, exact=exact)]
 
 
 def _run_security_scan(pt: ExperimentPoint) -> list[ResultRecord]:
@@ -392,11 +399,7 @@ def _run_multistate(pt: ExperimentPoint) -> list[ResultRecord]:
         distinct = [pqas.Ciphertext(pqas.scramble_padded(qcore.basis_ket(2**pt.n, idx), y), part) for idx in range(b)]
         guess = attacks.multi_state_attack([distinct[i % b] for i in range(pt.copies)], rng)
         correct += int(guess == b)
-    accuracy = correct / pt.trials
-    return [
-        _metric(pt, "accuracy", accuracy),
-        _metric(pt, "advantage", abs(2 * accuracy - 1)),
-    ]
+    return [_metric(pt, "accuracy", correct / pt.trials)]
 
 
 def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
@@ -427,7 +430,8 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
     completeness, wrong = np.array(values).T
     return [
         _metric(pt, "completeness", float(np.mean(completeness)), exact=1.0),
-        _metric(pt, "wrong-key", *pqas.mean_stderr(wrong), prediction=2.0 ** -(pt.n - pt.m)),
+        # each mode's keys form a unitary 1-design (the brickwork's layer 0 is independent Haar gates on all qubits)
+        _metric(pt, "wrong-key", *pqas.mean_stderr(wrong), exact=2.0 ** -(pt.n - pt.m)),
         _metric(pt, "ghse-closeness", primitives.ghse_closeness(pt.n, pt.m, pt.t)),
     ]
 

@@ -161,6 +161,10 @@ class TestLRGame:
             attacks.lr_cpa_game([qcore.basis_ket(4, 0)], [qcore.basis_ket(2, 0)], 0)
         with pytest.raises(ValueError):
             attacks.lr_cpa_game([qcore.pure_dm(qcore.basis_ket(2, 0))], [qcore.pure_dm(qcore.basis_ket(2, 1))], 0)
+        # a plaintext's dimension is a whole number of qubits, checked before the qubit cap
+        for dim in (3, 1500):
+            with pytest.raises(ValueError, match=f"dimension {dim} is not a power of two"):
+                attacks.lr_cpa_game([qcore.basis_ket(dim, 0)], [qcore.basis_ket(dim, 1)], 0)
         with pytest.raises(ValueError):
             attacks.standard_cpa_lists(5, 2)
 

@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqaslab import attacks, cli, ensembles, harness, moments, pqas, primitives, qcore, selftest
-from pqaslab.ensembles import MODES
-from pqaslab.harness import ConfigError, ResultRecord
+from pqaslab.harness import MODES, ConfigError, ResultRecord
 from pqaslab.qcore import QubitPartition
 
 import reference
@@ -28,7 +27,7 @@ class TestConfig:
             harness.validate_config({"experiment": "nope"})
         assert err.value.field == "experiment"
 
-    @pytest.mark.parametrize("field,value", [("mode", "composed"), ("l", 1)])
+    @pytest.mark.parametrize("field,value", [("mode", "pru_only"), ("l", 1)])
     def test_cpa_reads_no_key_fields(self, field, value):
         # the left-or-right game draws only pads and coins
         with pytest.raises(ConfigError, match="cpa does not read it") as err:
@@ -69,6 +68,7 @@ class TestConfig:
             ({"experiment": "efi", "c": [0.1, 10**400]}, "c"),
             ({"experiment": "qubit-count", "delta": float("nan")}, "delta"),
             ({"experiment": "auth-sweep", "channel": {"kind": "depolarizing", "p": float("inf")}}, "channel"),
+            ({"experiment": "multistate", "mode": "composed"}, "mode"),
         ],
     )
     def test_field_types(self, config, field):
@@ -491,7 +491,7 @@ class TestCli:
                 "auth-sweep does not read it with channel kind 'depolarizing'",
             ),
             (
-                {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "mode": "composed", "channel": {"kind": "identity"}},
+                {"experiment": "auth-sweep", "n": 1, "l": 1, "m": 1, "mode": "pru_only", "channel": {"kind": "identity"}},
                 "mode",
                 "auth-sweep does not read it with channel kind 'identity'",
             ),
@@ -503,6 +503,12 @@ class TestCli:
             ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": [0.1, 2]}, "delta", "must lie in [0, 2)"),
             ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": [0.1, -1e-9]}, "delta", "must lie in [0, 2)"),
             ({"experiment": "qubit-count", "n": 1, "trials": 2, "delta": 2.5}, "delta", "must lie in [0, 2)"),
+            # composed trial keys are Haar over keys; the mode's value is checked before whether it is read
+            (
+                {"experiment": "security-scan", "n": 1, "l": 1, "m": 1, "t": 2, "trials": 200, "mode": "composed"},
+                "mode",
+                "composed keys are Haar over keys, so their rows are haar_exact's ('composed'); choose from",
+            ),
         ],
     )
     def test_exits_2_before_any_point_runs(self, config, field, reason, monkeypatch, tmp_path, capsys):
@@ -546,9 +552,9 @@ class TestCli:
     @pytest.mark.parametrize("channel", [{"kind": "local_depolarizing", "p": 0.2}, {"kind": "random_unitary"}])
     def test_sampled_auth_sweeps_read_trials_and_mode(self, channel):
         # the kinds an auth sweep draws keys for; identity and depolarizing exit 2 above
-        config = {"experiment": "auth-sweep", "trials": 1000, "mode": "composed", "channel": channel}
+        config = {"experiment": "auth-sweep", "trials": 1000, "mode": "pru_only", "channel": channel}
         (point,) = harness.expand_points(harness.validate_config(config))
-        assert (point.trials, point.mode) == (1000, "composed")
+        assert (point.trials, point.mode) == (1000, "pru_only")
 
     def test_out_of_range_config_seed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -680,7 +686,7 @@ CONTRACT_VALUES = {
     "gamma": [0.0, 0.5, 0.67, 1.0],
     "c": [0.0, 0.33, 0.9],
     "seed": [0, 7, -1, 2**63],
-    "mode": [*MODES, "bogus"],
+    "mode": [*MODES, "composed", "bogus"],
 }
 WRONG_TYPES = st.sampled_from(["1", True, False, None, 1.5, [], {}, [[1]], float("nan")])
 CHANNELS = st.sampled_from(harness.CHANNEL_KINDS + ("bogus",)).flatmap(
@@ -806,6 +812,19 @@ class TestEmit:
         assert payload[0]["experiment"] == "wg-selftest"
         assert payload[0]["exact"] == pytest.approx(1 / 12, rel=1e-11)
 
+    def test_stderr_below_the_estimates_resolution_prints_0(self):
+        # the rule reads the rounded cells: a stderr under 1e-12 of |estimate| is rounding noise
+        rec = self._record()
+        floored = replace(rec, estimate=0.25, stderr=3.46944695195e-17)
+        kept = replace(rec, estimate=0.25, stderr=0.25e-12)
+        assert (floored.stderr, kept.stderr) == (0.0, 0.25e-12)
+        assert replace(rec, estimate=0.0, stderr=1e-17).stderr == 1e-17
+        assert replace(rec, estimate=None, stderr=1e-17).stderr == 1e-17
+        text = harness.emit([floored, kept])
+        column = harness.CSV_HEADER.split(",").index("stderr")
+        assert [line.split(",")[column] for line in text.splitlines()[1:]] == ["0", "2.5e-13"]
+        assert harness.parse_csv(text) == [floored, kept]
+
     def test_twelve_significant_digits(self):
         val = 0.123456789012345
         assert harness._fmt(harness._round12(val)) == "0.123456789012"
@@ -884,12 +903,9 @@ _ONE_SHOT = {
     "vprdm": {"n": 3, "m": 1, "t": 2, "trials": 10},
 }
 _ONE_SHOT_SHA256 = {
-    ("multistate", "composed"): "05c7bb555a973ebfe76dc2a5850fb76aff87902ebcd0a2ae4da1fda5025075b9",
-    ("multistate", "pru_only"): "78a0e1fd2c430ff916fef9fea6e5df5f538c21a525ad2abc72725d7baaccd13f",
-    ("decoy", "composed"): "85928d99df01c70766c09b28ab8d77312c46a6d22be376e8c43a42180897e7ee",
+    ("multistate", "pru_only"): "6a499899c9770a2752dfaa23b6842a35bccf67d635ac772b750b5de9ebafea07",
     ("decoy", "pru_only"): "53797370bb8683a71bbaa59f920ffd8a8426bb9dec604ed3cbf4e43cb3b22777",
-    ("vprdm", "composed"): "edd3b374d09be6ab00bc201633c2f56bef1b99340fa7b36b1506d3aa30a6378b",
-    ("vprdm", "pru_only"): "d93e6416ffb351c086623b52aa195fa2758ec004d58b5e42e41b3cac16bdf1d8",
+    ("vprdm", "pru_only"): "e95422524b9744d970dcee1aadac804cce5c5a2ec4f485bb892903b2ae826a87",
 }
 
 
@@ -899,6 +915,17 @@ class TestRun:
         assert len(records) == 12
         for r in records:
             assert r.estimate == pytest.approx(r.exact, abs=1e-12)
+            # a closed form against its closed form: no error bar, and no leading order to predict
+            assert r.stderr is None and r.prediction is None
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_wrong_key_rows_hold_their_exact_value(self, mode):
+        # each mode's keys form a unitary 1-design, so a wrong key's mean verify value is 2^-(n - m)
+        config = {"experiment": "vprdm", "n": [3, 4], "m": 1, "t": 2, "trials": 100, "mode": mode}
+        for seed in (1, 2, 3):
+            rows = [r for r in harness.run({**config, "seed": seed}, record_timing=False) if r.experiment == "vprdm:wrong-key"]
+            assert [r.exact for r in rows] == [0.25, 0.125] and all(r.prediction is None for r in rows)
+            assert all(abs(r.estimate - r.exact) <= 3 * r.stderr for r in rows), (seed, rows)
 
     def test_determinism_without_timing(self):
         cfg = {"experiment": "vprdm", "n": 3, "m": 1, "t": 2, "trials": 50, "seed": 9}
@@ -912,15 +939,15 @@ class TestRun:
         b = harness.run({**cfg, "seed": 2}, record_timing=False)
         assert [r.estimate for r in a] != [r.estimate for r in b]
 
-    # every config but wg-selftest draws trial streams on several threads at once; the composed
+    # every config but wg-selftest draws trial streams on several threads at once; the pru_only
     # multistate run builds keyed one-shot scramblers on each, beside the scrambler cache they share
     @pytest.mark.parametrize(
         "cfg",
         [
             pytest.param({"experiment": "wg-selftest", "n": [2, 3], "t": [1, 2]}, id="wg-selftest"),
             pytest.param(
-                {"experiment": "multistate", "n": 1, "l": 1, "m": [0, 1, 2], "trials": 40, "mode": "composed"},
-                id="multistate-composed",
+                {"experiment": "multistate", "n": 1, "l": 1, "m": [0, 1, 2], "trials": 40, "mode": "pru_only"},
+                id="multistate-pru_only",
             ),
             pytest.param(
                 {"experiment": "auth-sweep", "n": 1, "l": 1, "m": [0, 1], "trials": 100, "channel": {"kind": "random_unitary"}},
@@ -1055,8 +1082,8 @@ class TestRun:
             {"experiment": "multistate", "n": 1, "m": 0, "copies": 8, "trials": 60},
             record_timing=False,
         )
-        acc = next(r for r in records if r.experiment == "multistate:accuracy")
-        assert acc.estimate >= 0.9
+        (acc,) = records
+        assert acc.experiment == "multistate:accuracy" and acc.estimate >= 0.9
 
     def test_multistate_encrypts_each_distinct_message_once(self, monkeypatch):
         messages = []
@@ -1090,10 +1117,11 @@ class TestRun:
         else:  # the key and the wrong key of each trial
             assert shapes == [(2**config["n"], 2 ** config["m"], 2)] * config["trials"]
 
-    @pytest.mark.parametrize("mode", ["composed", "pru_only"])
+    @pytest.mark.parametrize("mode", ["pru_only"])
     @pytest.mark.parametrize("experiment", sorted(_ONE_SHOT))
     def test_keyed_one_shot_rows_are_pinned(self, experiment, mode):
-        # the digests of these CSVs when each trial key went through pqas.encrypt and vprdm_generate/verify
+        # the digests of these CSVs; their estimates are those each trial key gave through pqas.encrypt
+        # and vprdm_generate/verify
         text = harness.emit(harness.run({"experiment": experiment, **_ONE_SHOT[experiment], "mode": mode}, record_timing=False))
         assert hashlib.sha256(text.encode()).hexdigest() == _ONE_SHOT_SHA256[experiment, mode]
 
@@ -1120,8 +1148,8 @@ class TestRun:
         monkeypatch.setattr(
             attacks, "sample_scramblers", lambda part, mode, rngs: modes.append(mode) or sample_scramblers(part, mode, rngs)
         )
-        harness.run({"experiment": "qubit-count", "mode": "composed", "trials": 2, "shots": 20}, record_timing=False)
-        assert modes == ["composed", "composed"]
+        harness.run({"experiment": "qubit-count", "mode": "pru_only", "trials": 2, "shots": 20}, record_timing=False)
+        assert modes == ["pru_only", "pru_only"]
 
     def test_efi_smoke(self):
         records = harness.run(

@@ -380,6 +380,10 @@ class TestFunctionals:
         exact_fp = pqas.exact_haar_fprime(part, chan, psi)
         assert abs(stats.mean_p0 - exact_p0) <= 3 * stats.stderr_p0
         assert abs(stats.mean_fprime - exact_fp) <= 3 * stats.stderr_fprime
+        # composed trial keys are Haar over keys: over 20 seeds, at most one per functional strays past 3 stderr
+        sweeps = [pqas.auth_sweep(psi, part, chan, trials=200, mode="composed", seed=seed) for seed in range(1000, 1020)]
+        assert sum(abs(s.mean_p0 - exact_p0) > 3 * s.stderr_p0 for s in sweeps) <= 1
+        assert sum(abs(s.mean_fprime - exact_fp) > 3 * s.stderr_fprime for s in sweeps) <= 1
 
     def test_formula_residual_within_slack(self):
         part = QubitPartition(2, 2, 1)
@@ -616,14 +620,21 @@ class TestScanBracketCalibration:
     exact value at every one of a fixed set of seeds, and the estimate is
     within 3 stderr of it (the check the benchmark and selftest apply)."""
 
+    # composed trial keys are Haar over keys (B H C with H Haar and independent of B and C), so they hold
+    # the Haar closed form too; experiments admit only haar_exact and pru_only, and this keeps that checked
     @pytest.mark.parametrize(
-        "part,t,trials",
-        [(QubitPartition(1, 1, 1), 2, 200), (QubitPartition(1, 1, 2), 2, 200), (QubitPartition(1, 1, 1), 1, 600)],
-        ids=["m=1 t=2", "m=2 t=2", "t=1 null"],
+        "part,t,trials,mode",
+        [
+            (QubitPartition(1, 1, 1), 2, 200, "haar_exact"),
+            (QubitPartition(1, 1, 2), 2, 200, "haar_exact"),
+            (QubitPartition(1, 1, 1), 1, 600, "haar_exact"),
+            (QubitPartition(1, 0, 1), 3, 200, "composed"),
+        ],
+        ids=["m=1 t=2", "m=2 t=2", "t=1 null", "composed t=3"],
     )
-    def test_bracket_holds_exact(self, part, t, trials):
+    def test_bracket_holds_exact(self, part, t, trials, mode):
         for seed in range(1000, 1008):
-            rep = pqas.security_scan(part, qcore.pure_dm(qcore.basis_ket(2, 0)), t, trials, seed=seed)
+            rep = pqas.security_scan(part, qcore.pure_dm(qcore.basis_ket(2, 0)), t, trials, seed=seed, mode=mode)
             assert rep.lower <= rep.exact <= rep.upper, seed
             assert abs(rep.estimate - rep.exact) <= 3 * rep.stderr, seed
 

@@ -13,7 +13,7 @@ side that runs first alternates per pair):
 - ``per_layer``: TRACE_PAIRS pairs at ``--trace 1``;
 - ``scan_memory``: the tracemalloc peak and wall time of ``harness.run`` on
   the configs in SCAN_POINTS (security scans, oracle-sweep's z = 6
-  local-depolarizing auth sweep, and two keyed ``composed`` builds),
+  local-depolarizing auth sweep, and two keyed column builds),
   SCAN_PAIRS pairs, each run in a fresh process.
 
 Each value is the median over the pairs, with every run listed in pair
@@ -43,7 +43,7 @@ END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
 
 # (label, config): the m = 2 point of configs/security_scan.json, the
 # largest product scan the qubit cap admits, a joint (GHZ) input, a keyed
-# (composed) scan, which builds every trial key twice, the largest
+# (pru_only) scan, which builds every trial key twice, the largest
 # local-depolarizing auth sweep of perfbench's oracle-sweep, and the keyed
 # column builds of a z = 8 vprdm (each trial's right and wrong key) and of
 # an EFI ensemble of 128 keys, run through the harness so that the probe
@@ -53,16 +53,16 @@ SCAN_POINTS = (
     ("security_scan.json m=2 point", {**_SCAN, "m": 2, "trials": 2000}),
     ("z=5 t=2 scan, 40 trials", {**_SCAN, "m": 3, "trials": 40}),
     ("joint input m=2 q=1, 200 trials", {**_SCAN, "m": 2, "q": 1, "trials": 200}),
-    ("composed m=1, 200 trials", {**_SCAN, "m": 1, "trials": 200, "mode": "composed"}),
+    ("pru_only m=1, 200 trials", {**_SCAN, "m": 1, "trials": 200, "mode": "pru_only"}),
     (
         "auth-sweep local_depolarizing z=6, 100 trials",
         {"experiment": "auth-sweep", "n": 2, "l": 2, "m": 2, "trials": 100, "seed": 104,
          "channel": {"kind": "local_depolarizing", "p": 0.2}},
     ),
-    ("vprdm n=8 m=1 composed, 4 trials",
-     {"experiment": "vprdm", "n": 8, "m": 1, "t": 2, "trials": 4, "mode": "composed"}),
-    ("efi n=4 lambda=7 composed",
-     {"experiment": "efi", "n": 4, "m0": 1, "gamma": 0.67, "c": 0.33, "lambda_eff": 7, "mode": "composed"}),
+    ("vprdm n=8 m=1 pru_only, 4 trials",
+     {"experiment": "vprdm", "n": 8, "m": 1, "t": 2, "trials": 4, "mode": "pru_only"}),
+    ("efi n=4 lambda=7 keyed haar_exact",
+     {"experiment": "efi", "n": 4, "m0": 1, "gamma": 0.67, "c": 0.33, "lambda_eff": 7, "mode": "haar_exact"}),
 )
 
 SCAN_PROBE = """
