@@ -41,16 +41,16 @@ BLAS takes other micro-kernels for a product's edge columns, and which ones
 depends on the OpenBLAS kernel set loaded.  The readers:
 
 - a Monte Carlo trial (``sample_scramblers``) reads the tag-|0> columns Y
-  |a, 0, j> (``tag_zero_index``).  In ``haar_exact`` mode its generator
-  (from ``_streams.spawn_rngs``: one per trial, or one per security-scan
-  batch, read trial after trial) gives one (2, d, 2^(n+m)) block of
-  standard normals, real and then imaginary part, whose thin QR is a Haar
-  isometry; in the keyed modes it gives a ``SecretKey`` and Y is that key's
-  column block (``sample_scrambler_columns``).  A security-scan trial on a
-  product input of rank r in ``haar_exact`` mode reads r 2^m columns only;
-- the vprdm and decoy runners of the harness read message |0>'s 2^m columns,
-  the first 2^m (a (d, 2^m) isometry in ``haar_exact`` mode), and the EFI
-  ensembles the first 2^m1, which serve both arms;
+  |a, 0, j> (``tag_zero_index``) of the message states a its input
+  touches: all of them in the auth sweep, the multistate and qubit-count
+  runners and a joint security-scan input, a product scan input's support,
+  and message |0>'s 2^m columns, the first 2^m, in the vprdm and decoy
+  runners.  In ``haar_exact`` mode its generator (from
+  ``_streams.spawn_rngs``: one per trial, or one per security-scan batch,
+  read trial after trial) gives one (2, d, cols) block of standard normals,
+  real and then imaginary part, whose thin QR is a Haar isometry; in the
+  keyed modes it gives a ``SecretKey`` and Y is that key's column block;
+- the EFI ensembles read the first 2^m1 columns, which serve both arms;
 - ``vprdm_verify`` reads the first 2^m columns through ``leading_columns``;
 - ``encrypt`` and ``authenticate`` read the tag-|0> columns and ``decrypt``
   all of them, from the cached whole unitary of ``build_scrambler``.
@@ -88,7 +88,6 @@ __all__ = [
     "build_scrambler",
     "build_scramblers",
     "sample_scramblers",
-    "sample_scrambler_columns",
     "leading_columns",
     "tag_zero_columns",
     "tag_zero_index",
@@ -508,41 +507,31 @@ def tag_zero_columns(u: np.ndarray, partition: qcore.QubitPartition) -> np.ndarr
     return u.reshape(*u.shape[:-1], dn, dl, dm)[..., 0, :]
 
 
-def tag_zero_index(partition: qcore.QubitPartition) -> np.ndarray:
-    """Indices of the tag-|0> columns |a, 0, j>, a-major: the columns
-    ``tag_zero_columns`` views."""
+def tag_zero_index(partition: qcore.QubitPartition, messages: Sequence[int] | None = None) -> np.ndarray:
+    """Indices of the tag-|0> columns |a, 0, j>, a-major, of the message
+    states a in ``messages``; by default of every message state, the
+    columns ``tag_zero_columns`` views."""
     dn, dl, dm = partition.dims
-    return (np.arange(dn)[:, None] * (dl * dm) + np.arange(dm)).ravel()
+    messages = np.arange(dn) if messages is None else np.asarray(messages)
+    return (messages[:, None] * (dl * dm) + np.arange(dm)).ravel()
 
 
-def sample_scrambler_columns(z: int, mode: str, rngs: Sequence[np.random.Generator], cols: np.ndarray) -> np.ndarray:
-    """Columns ``cols`` of one trial scrambler on z qubits per generator,
-    shape (len(rngs), 2^z, len(cols)).
-
-    In ``haar_exact`` mode they are a Haar isometry drawn from the generator
-    (``_haar``: one (2, 2^z, len(cols)) block of normals thin-QR'd),
-    distributed as any len(cols) columns of a Haar unitary.  In any other
-    mode they are the column build of a key freshly generated from the
-    generator; these one-shot keys bypass ``build_scrambler``'s cache.
-    """
-    qcore.check_qubits(z)
+def sample_scramblers(
+    partition: qcore.QubitPartition, mode: str, rngs: Sequence[np.random.Generator], messages: Sequence[int] | None = None
+) -> np.ndarray:
+    """The tag-|0> columns Y of one trial scrambler per generator on the
+    message states ``messages`` (all by default; ``tag_zero_index``), shape
+    (len(rngs), d, len(messages), 2^m): a trial's padded input
+    rho (x) |0><0|_tag (x) I_m meets U only there.  In ``haar_exact`` mode Y
+    is a Haar isometry (``_haar``: one (2, d, cols) block of normals
+    thin-QR'd); in any other mode the column build of a key freshly
+    generated from the generator, which bypasses ``build_scrambler``'s cache."""
+    cols, z = tag_zero_index(partition, messages), partition.z
     if mode == "haar_exact":
-        return _haar(2**z, len(cols), rngs)
-    return build_scramblers([SecretKey.generate(rng) for rng in rngs], z, ScramblerSpec(mode=mode), cols)
-
-
-def sample_scramblers(partition: qcore.QubitPartition, mode: str, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """The tag-|0> columns Y of one trial scrambler per generator, shape
-    (len(rngs), d, 2^n, 2^m), from ``sample_scrambler_columns``: every Monte
-    Carlo consumer reads U only on the padded input rho (x) |0><0|_tag (x)
-    I_m, so only on these columns.  Its consumers are the security scan, the
-    auth sweep, the qubit-count interception and the multistate runner of
-    the harness.  In ``haar_exact`` mode Y is one (2, d, 2^(n+m)) block of
-    standard normals thin-QR'd.
-    """
-    dn, _, dm = partition.dims
-    ys = sample_scrambler_columns(partition.z, mode, rngs, tag_zero_index(partition))
-    return ys.reshape(len(rngs), 2**partition.z, dn, dm)
+        ys = _haar(2**z, len(cols), rngs)
+    else:
+        ys = build_scramblers([SecretKey.generate(rng) for rng in rngs], z, ScramblerSpec(mode=mode), cols)
+    return ys.reshape(len(rngs), 2**z, -1, partition.dims[2])
 
 
 def random_pure_state(z: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import attacks, moments, pqas, primitives, qcore
 from ._streams import derive_bytes, spawn_rng, spawn_rngs
-from .ensembles import ScramblerSpec, sample_haar, sample_scrambler_columns, sample_scramblers
+from .ensembles import ScramblerSpec, sample_haar, sample_scramblers
 from .qcore import QubitPartition
 
 
@@ -408,7 +408,7 @@ def _run_decoy(pt: ExperimentPoint) -> list[ResultRecord]:
     # meta-information probe: entanglement entropy across the midpoint of the
     # ciphertext of |0>, which reads the first 2^m columns only
     rng = spawn_rng(point_seed(pt), "decoy-probe")
-    state = pqas.scramble_zero(sample_scrambler_columns(part.z, pt.mode, [rng], np.arange(2**pt.m))[0])
+    state = pqas.scramble_zero(sample_scramblers(part, pt.mode, [rng], [0])[0, :, 0])
     cut = part.z // 2
     reduced = qcore.partial_trace(state, [2**cut, 2 ** (part.z - cut)], {1})
     entropy = qcore.vn_entropy_bits(reduced)
@@ -424,7 +424,7 @@ def _run_vprdm(pt: ExperimentPoint) -> list[ResultRecord]:
     values = []
     for rng in spawn_rngs(point_seed(pt), ("vprdm",), range(pt.trials)):
         # the key, then the wrong key
-        y, y_wrong = sample_scrambler_columns(pt.n, pt.mode, [rng, rng], np.arange(2**pt.m))
+        y, y_wrong = sample_scramblers(QubitPartition(pt.n - pt.m, 0, pt.m), pt.mode, [rng, rng], [0])[:, :, 0]
         rho = pqas.scramble_zero(y)
         values.append([primitives.vprdm_value(rho, key) for key in (y, y_wrong)])
     completeness, wrong = np.array(values).T

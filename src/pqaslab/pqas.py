@@ -18,7 +18,6 @@ from .ensembles import (
     ScramblerSpec,
     SecretKey,
     build_scrambler,
-    sample_scrambler_columns,
     sample_scramblers,
     stack_size,
     tag_zero_columns,
@@ -195,6 +194,15 @@ def _p0_fprime_stack(tagged: np.ndarray, psi: np.ndarray, channel: Channel):
     return p0, fprime
 
 
+def _check_tamper_input(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> None:
+    """Raise unless the channel acts on the ciphertext and psi is a normalized message state."""
+    if channel.dim != 2**partition.z:
+        raise ValueError("channel does not act on the ciphertext")
+    if psi.shape != (2**partition.n,):
+        raise ValueError("message state does not match the partition")
+    qcore.check_pure_state(psi)
+
+
 def _twirled_weight(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
     """Weight p of the Haar-twirled tamper channel.
 
@@ -202,13 +210,8 @@ def _twirled_weight(partition: QubitPartition, channel: Channel, psi: np.ndarray
     p = (d^2 F_e - 1)/(d^2 - 1), and d^2 F_e = sum_i |tr K_i|^2.  The Haar
     means of P0 and F' follow for every normalized message state psi.
     """
-    d = 2**partition.z
-    if channel.dim != d:
-        raise ValueError("channel does not act on the ciphertext")
-    if psi.shape != (2**partition.n,):
-        raise ValueError("message state does not match the partition")
-    qcore.check_pure_state(psi)
-    return (channel.kraus_trace_square_sum() - 1.0) / (float(d) ** 2 - 1.0)
+    _check_tamper_input(partition, channel, psi)
+    return (channel.kraus_trace_square_sum() - 1.0) / (4.0**partition.z - 1.0)
 
 
 def exact_haar_p0(partition: QubitPartition, channel: Channel, psi: np.ndarray) -> float:
@@ -283,6 +286,7 @@ def auth_sweep(
     """
     if trials < MIN_AUTH_TRIALS:
         raise ValueError(f"need at least {MIN_AUTH_TRIALS} trials for stable statistics")
+    _check_tamper_input(partition, channel, psi)
     stacks = [_p0_fprime_stack(ys, psi, channel) for ys in _auth_key_stacks(partition, mode, seed, trials)]
     p0s = np.concatenate([p0 for p0, _ in stacks])
     fps = np.concatenate([fp for _, fp in stacks])
@@ -641,22 +645,22 @@ def security_scan(
     Batch b draws its trials in order from one generator,
     ``spawn_rng(seed, "security-scan", b)`` (all SCAN_BATCHES derived at
     once by ``spawn_rngs``): its stack of trial scramblers is drawn over
-    that generator repeated, per_batch times.  In ``haar_exact`` mode a
-    product input of rank r reads only r 2^m columns: each trial is a Haar
-    isometry W of that width (``sample_scrambler_columns``, one
-    (2, d, r 2^m) block of normals thin-QR'd; Mezzadri, Notices AMS 54,
-    2007), its k-th block of 2^m columns scaled by the square root of rho's
-    k-th eigenvalue (the column norms of ``_psd_factor``), and
-    phi = W W^dag / 2^m, distributed as the ciphertext of rho.  Joint inputs
-    and the keyed modes read the tag-|0> columns Y_i
-    (``sample_scramblers``).  When the input commutes with permutations of
-    the copies, so does every batch mean, and each is kept only as its
-    blocks B_lam^T (mean - target) B_lam on the isotypic components of the
-    copy action; the raw estimate, the jackknife's leave-one-out values and
-    the witness are sums over blocks.  Every column of B_lam lives on one
-    S_t orbit of basis tuples (``moments.isotypic_bases``), so the blocks
-    are read by gathers and no d^t x d^t basis product, transpose or gap is
-    formed:
+    that generator repeated, per_batch times.  A trial reads only the
+    tag-|0> columns Y_i of the message states the input touches
+    (``sample_scramblers``; a Haar isometry of their width in ``haar_exact``
+    mode, Mezzadri, Notices AMS 54, 2007): all 2^(n+m) for a joint input,
+    and for a product input those of its support, the basis states with a
+    nonzero diagonal entry of rho (PSD, so zero off them); phi_i is
+    ``scramble_padded`` of rho (a pure input's vector) restricted to the
+    support.  A vector must be normalized and a matrix a density matrix
+    (``qcore.check_density_matrix``), else ``ValueError`` precedes any draw.
+    When the input commutes with permutations of the copies, so does every
+    batch mean, and each is kept only as its blocks B_lam^T (mean - target)
+    B_lam on the isotypic components of the copy action; the raw estimate,
+    the jackknife's leave-one-out values and the witness are sums over
+    blocks.  Every column of B_lam lives on one S_t orbit of basis tuples
+    (``moments.isotypic_bases``), so the blocks are read by gathers and no
+    d^t x d^t basis product, transpose or gap is formed:
     - product input: the batch sum of phi_i^(x t) is a Gram product of the
       vec(phi_i) over their Khatri-Rao powers, formed one row block at a
       time and read at one row per orbit pair (``_orbit_gathers``,
@@ -689,8 +693,13 @@ def security_scan(
     ``moments.MAX_T``, gets the single identity block.
     """
     state = np.asarray(state, dtype=complex)
-    state = qcore.pure_dm(state) if state.ndim == 1 else state
-    dim, z = state.shape[0], partition.z
+    if state.ndim == 1:
+        qcore.check_pure_state(state)
+        rho = qcore.pure_dm(state)
+    else:
+        qcore.check_density_matrix(state)
+        rho = state
+    dim, z = rho.shape[0], partition.z
     product = dim == 2**partition.n
     q = 0 if product else dim.bit_length() - 1 - partition.n * t
     if q < 0 or dim & (dim - 1):
@@ -698,45 +707,37 @@ def security_scan(
     qcore.check_qubits(t * z + q)
     if trials <= 0 or trials % SCAN_BATCHES:
         raise ValueError("trials must be a positive multiple of the batch count")
-    haar = 0.5 * moments.closeness_exact(partition, state, t) if product else None
+    haar = 0.5 * moments.closeness_exact(partition, rho, t) if product else None
     per_batch = trials // SCAN_BATCHES
     dq = 2**q
     dz = 2**z
     dzt = dz**t
     dn, _, dm = partition.dims
     if product:
-        rho_q = np.ones((1, 1))
-        symmetric = True
-        if mode == "haar_exact":
-            # phi = W W^dag / 2^m, W a Haar isometry's r 2^m columns scaled blockwise by sqrt(lambda_k)
-            scales = np.repeat(np.linalg.norm(_psd_factor(state), axis=0), dm)
-            columns = np.arange(len(scales))
+        # rho is PSD, so its rows and columns off the support (its nonzero diagonal) are zero
+        support = np.flatnonzero(np.diagonal(rho))
+        restricted = state[support] if state.ndim == 1 else state[np.ix_(support, support)]
+        plans = _product_plans(t, dz)
+        sizes, rho_q = plans[0], np.ones((1, 1))
 
-            def ciphertexts(draws):
-                w = sample_scrambler_columns(z, mode, draws, columns) * scales
-                phis = w @ w.conj().swapaxes(-1, -2)
-                phis /= dm
-                return phis
-
-        else:
-
-            def ciphertexts(draws):
-                return scramble_padded(state, sample_scramblers(partition, mode, draws))
+        def blocks_of(draws):
+            phis = scramble_padded(restricted, sample_scramblers(partition, mode, draws, support))
+            return _product_blocks(phis, t, plans)
 
     else:
         # V V^dag is the joint state with I_m / 2^m appended per copy, rows reordered to (msg_1, mix_1, ..., purif)
-        factor = np.kron(_psd_factor(state), np.eye(dm**t) / np.sqrt(dm**t))
+        factor = np.kron(_psd_factor(rho), np.eye(dm**t) / np.sqrt(dm**t))
         order = [reg for i in range(t) for reg in (i, t + 1 + i)] + [t, 2 * t + 1]
         factor = factor.reshape([dn] * t + [dq] + [dm] * t + [-1]).transpose(order).reshape(-1, factor.shape[1])
-        rho_q = qcore.partial_trace(state, [dn**t, dq], {0})
-        symmetric = _copy_symmetric(state, dn, t, dq)
-    if symmetric and t <= moments.MAX_T:
-        bases = moments.isotypic_bases(t, dz)
-    else:
-        bases = _identity_basis(dzt)
-    sizes = [moments.basis_width(basis) * dq for basis in bases]
+        rho_q = qcore.partial_trace(rho, [dn**t, dq], {0})
+        symmetric = t <= moments.MAX_T and _copy_symmetric(rho, dn, t, dq)
+        bases = moments.isotypic_bases(t, dz) if symmetric else _identity_basis(dzt)
+        sizes = [moments.basis_width(basis) * dq for basis in bases]
+
+        def blocks_of(draws):
+            return _joint_blocks(_joint_batch_factor(sample_scramblers(partition, mode, draws), factor, t), bases, dq)
+
     targets = [_packed_target(s, rho_q, dzt) for s in sizes]
-    plans = _product_plans(t, dz) if product else None
 
     rngs = list(spawn_rngs(seed, ("security-scan",), range(SCAN_BATCHES)))
     starts = [rng.bit_generator.state for rng in rngs]
@@ -744,11 +745,7 @@ def security_scan(
     def batch(b: int) -> list[np.ndarray]:
         """D_b: batch b's packed blocks less the target, drawn from the start of its generator."""
         rngs[b].bit_generator.state = starts[b]
-        draws = [rngs[b]] * per_batch
-        if product:
-            blocks = _product_blocks(ciphertexts(draws), t, plans)
-        else:
-            blocks = _joint_blocks(_joint_batch_factor(sample_scramblers(partition, mode, draws), factor, t), bases, dq)
+        blocks = blocks_of([rngs[b]] * per_batch)
         for block, (at, values) in zip(blocks, targets):
             block /= per_batch
             block[at] -= values

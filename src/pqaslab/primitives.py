@@ -50,7 +50,9 @@ def vprdm_value(rho: np.ndarray, w: np.ndarray) -> float:
 def vprdm_verify(rho: np.ndarray, key: SecretKey, n: int, m: int, spec: ScramblerSpec) -> float:
     """Verification value tr(|0><0|^(n-m) tr_mixed(U_k^dag rho U_k)) in [0, 1],
     as ``vprdm_value`` over the first 2^m columns of U_k, the only ones read
-    (``leading_columns``: a key not already cached is not cached)."""
+    (``leading_columns``: a key not already cached is not cached); (n, m)
+    must pass ``VprdmParams`` (0 <= m < n: at m = n every state gives tr rho)."""
+    VprdmParams(n, m, key)
     if rho.shape[0] != 2**n:
         raise ValueError("state dimension does not match n")
     return vprdm_value(rho, leading_columns(key, n, spec, 2**m))

@@ -66,6 +66,18 @@ def check_pure_state(psi: np.ndarray) -> None:
         raise ValueError("pure state is not normalized")
 
 
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Raise unless rho is Hermitian, unit trace and PSD within tolerance."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > HERMITICITY_TOL:
+        raise ValueError("density matrix trace differs from 1")
+    if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
 def check_unitary(u: np.ndarray) -> None:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("unitary must be square")

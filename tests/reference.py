@@ -16,25 +16,11 @@ from pqaslab import ensembles, moments, pqas, qcore
 from pqaslab._streams import derive_bytes, keyed_rng, spawn_rng
 from pqaslab.ensembles import KEY_BYTES, ScramblerSpec, SecretKey, build_scrambler
 from pqaslab.moments import Perm
-from pqaslab.qcore import HERMITICITY_TOL, PSD_TOL, UNITARITY_TOL, Channel, QubitPartition
-
-TRACE_TOL = 1e-10
+from pqaslab.qcore import HERMITICITY_TOL, UNITARITY_TOL, Channel, QubitPartition
 
 
 # ---------------------------------------------------------------------------
 # states and metrics
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise unless rho is Hermitian, unit trace and PSD within tolerance."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-        raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -PSD_TOL:
-        raise ValueError("density matrix has a negative eigenvalue")
 
 
 def purity(rho: np.ndarray) -> float:
@@ -390,23 +376,18 @@ def pad_joint_state_tagged(joint, partition, t, q):
 def _scan_trial_unitary(rng, partition, state, product, mode):
     """One trial scrambler of the security scan, drawn from the batch's
     generator ``rng`` as a d x d matrix that acts on the padded input as the
-    scan's draw does.  In ``haar_exact`` mode a product input of rank r gets
-    its r 2^m Haar columns W placed on its eigenvectors: the tag-|0> columns
-    are Y[x, a, j] = sum_k W[x, k, j] conj(v_k[a]), so that U (rho (x) |0><0|
-    (x) I_m) U^dag = W (Lambda (x) I_m) W^dag; a joint input gets all
-    2^(n+m) tag-|0> columns; a keyed mode gets the whole unitary of a fresh
-    key."""
+    scan's draw does.  In ``haar_exact`` mode a product input's Haar columns
+    are placed on the tag-|0> columns of its support, the message states
+    with a nonzero diagonal entry of rho, and zeros elsewhere; a joint input
+    gets all 2^(n+m) tag-|0> columns; a keyed mode gets the whole unitary
+    of a fresh key."""
     z = partition.z
     if mode != "haar_exact":
         return build_scrambler(SecretKey.generate(rng), z, ScramblerSpec(mode=mode))
     dn, _, dm = partition.dims
-    if product:
-        vals, vecs = np.linalg.eigh(state)
-        vecs = vecs[:, vals > 1e-12]
-        w = ginibre_qr(rng, 2**z, vecs.shape[1] * dm).reshape(2**z, -1, dm)
-        y = np.einsum("xkj,ak->xaj", w, vecs.conj())
-    else:
-        y = ginibre_qr(rng, 2**z, dn * dm).reshape(2**z, dn, dm)
+    support = np.flatnonzero(np.diagonal(state)) if product else np.arange(dn)
+    y = np.zeros((2**z, dn, dm), dtype=complex)
+    y[:, support] = ginibre_qr(rng, 2**z, len(support) * dm).reshape(2**z, -1, dm)
     return embed_tag_columns(y, partition)
 
 

@@ -405,6 +405,14 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             pqas.auth_sweep(qcore.basis_ket(2, 0), part, qcore.IdentityChannel(2**part.z), trials=50)
 
+    def test_auth_sweep_refuses_what_it_cannot_measure(self):
+        # an unnormalized message, a message of another size and a channel on another dimension, as exact_haar_p0
+        part, ket0, chan = QubitPartition(1, 1, 1), qcore.basis_ket(2, 0), qcore.DepolarizingChannel(8, 0.1)
+        for psi, channel in ((2 * ket0, chan), (qcore.basis_ket(4, 0), chan), (ket0, qcore.DepolarizingChannel(16, 0.1))):
+            for measure in (pqas.exact_haar_p0, lambda p, c, s: pqas.auth_sweep(s, p, c, 100)):
+                with pytest.raises(ValueError):
+                    measure(part, channel, psi)
+
     def test_full_depolarizing_sweep_accepts_at_chance(self):
         # the tag register of every key is uniform, so P0 = 2^-l exactly
         part = QubitPartition(1, 1, 1)
@@ -565,13 +573,29 @@ class TestSecurityScan:
     def test_argument_validation(self):
         # at n = 2, t = 2 a state is one copy (2^2) or a joint state (2^(4 + q)), nothing else
         part = QubitPartition(2, 1, 1)
-        for state in (reference.maximally_mixed(1), reference.maximally_mixed(3), np.eye(24) / 24):
+        # nor an unnormalized vector, a matrix of trace 2, one with a negative eigenvalue or a non-Hermitian one
+        invalid = (2 * qcore.basis_ket(4, 0), np.eye(4) / 2, np.diag([1.5, -0.5, 0, 0]))
+        invalid += (np.diag([1.0, 0, 0, 0]) + np.eye(4, k=1),)
+        for state in (reference.maximally_mixed(1), reference.maximally_mixed(3), np.eye(24) / 24, *invalid):
             with pytest.raises(ValueError):
                 pqas.security_scan(part, state, 2, 100)
         # a trial count must be a positive multiple of the batch count
         for trials in (30, 0, -20):
             with pytest.raises(ValueError, match="positive multiple"):
                 pqas.security_scan(part, qcore.basis_ket(4, 0), 2, trials)
+
+    @pytest.mark.parametrize("mode", ["haar_exact", "pru_only", "composed"])
+    def test_product_trials_read_only_their_support(self, mode, monkeypatch):
+        # a trial reads the 2^m tag-|0> columns of each message state with a nonzero diagonal entry, no other
+        widths = []
+        haar, build = ensembles._haar, ensembles.build_scramblers
+        monkeypatch.setattr(ensembles, "_haar", lambda rows, cols, rngs: widths.append(cols) or haar(rows, cols, rngs))
+        monkeypatch.setattr(ensembles, "build_scramblers", lambda *a: widths.append(len(a[3])) or build(*a))
+        part = QubitPartition(2, 1, 1)
+        for state, width in ((qcore.basis_ket(4, 0), 2), (np.diag([0.5, 0, 0.5, 0]).astype(complex), 4)):
+            widths.clear()
+            pqas.security_scan(part, state, 2, 100, mode=mode)
+            assert widths == [width] * (2 * pqas.SCAN_BATCHES)
 
     def test_entangled_input_runs(self):
         part = QubitPartition(1, 1, 1)
@@ -673,6 +697,7 @@ def _scan_cases():
     v1 = np.kron(qcore.basis_ket(4, 0), qcore.basis_ket(4, 0)) + np.kron(qcore.basis_ket(4, 3), qcore.basis_ket(4, 3))
     v2 = np.kron(qcore.basis_ket(4, 1) + qcore.basis_ket(4, 2), np.ones(4) / 2)
     rank2 = 0.6 * qcore.pure_dm(v1 / np.linalg.norm(v1)) + 0.4 * qcore.pure_dm(v2 / np.linalg.norm(v2))
+    plus = qcore.pure_dm(np.ones(2) / np.sqrt(2))
     return [
         ("product t=1", QubitPartition(1, 1, 1), 1, ket0, "haar_exact"),
         ("product t=2", QubitPartition(1, 1, 2), 2, mixed, "haar_exact"),
@@ -683,6 +708,9 @@ def _scan_cases():
         ("ghz t=3 q=1", QubitPartition(1, 0, 1), 3, qcore.pure_dm(ghz4), "haar_exact"),
         ("rank-2 q=2", QubitPartition(1, 1, 1), 2, rank2, "haar_exact"),
         ("composed", QubitPartition(1, 1, 1), 2, ket0, "composed"),
+        # |0> on a two-qubit message touches one of its four message states
+        ("pru_only", QubitPartition(2, 1, 1), 2, qcore.pure_dm(qcore.basis_ket(4, 0)), "pru_only"),
+        ("plus", QubitPartition(1, 1, 1), 2, plus, "haar_exact"),
     ]
 
 

@@ -36,6 +36,11 @@ class TestVprdm:
             VprdmParams(2, 2, key)
         with pytest.raises(ValueError):
             VprdmParams(2, -1, key)
+        # verify refuses the m = n that VprdmParams refuses: it would read every column and give tr rho
+        rho = primitives.vprdm_generate(VprdmParams(3, 1, key), HAAR)
+        for m in (3, -1):
+            with pytest.raises(ValueError):
+                primitives.vprdm_verify(rho, key, 3, m, HAAR)
 
     def test_purity_and_rank(self):
         key = reference.key_from_int(1)

@@ -66,12 +66,12 @@ class TestConstruction:
         assert QubitPartition(2, 3, 1).z == 6
 
     def test_density_checks(self):
-        reference.check_density_matrix(reference.maximally_mixed(2))
+        qcore.check_density_matrix(reference.maximally_mixed(2))
         with pytest.raises(ValueError):
-            reference.check_density_matrix(np.eye(2, dtype=complex))  # trace 2
+            qcore.check_density_matrix(np.eye(2, dtype=complex))  # trace 2
         bad = np.array([[0.5, 0.3], [0.2, 0.5]], dtype=complex)
         with pytest.raises(ValueError):
-            reference.check_density_matrix(bad)  # not Hermitian
+            qcore.check_density_matrix(bad)  # not Hermitian
 
     def test_unitary_check(self):
         qcore.check_unitary(sample_haar(2, spawn_rng(0, "unitary")))
@@ -161,7 +161,7 @@ class TestDynamics:
         for chan in channels:
             out = qcore.apply_channel(rho, chan)
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
-            reference.check_density_matrix(out)
+            qcore.check_density_matrix(out)
 
     def test_kraus_cptp_check(self):
         with pytest.raises(ValueError):
